@@ -96,7 +96,7 @@ pub struct RecoveryInfo {
 }
 
 /// Side-effects of a delta-path request, reported back to the pool so
-/// it can emit trace events and fault metrics with worker provenance.
+/// it can record spans and fault metrics with worker provenance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeltaEvent {
     /// A mutation batch published this epoch (`applied` = batch size).
@@ -106,8 +106,8 @@ pub enum DeltaEvent {
         /// Mutations in the batch.
         applied: u32,
     },
-    /// A compaction attempt ran; `outcome` uses the
-    /// [`db_trace::EventKind::Compact`] dense code (0 = folded,
+    /// A compaction attempt ran; `outcome` is the
+    /// [`db_span::SpanKind::Compact`] code (0 = folded,
     /// 1 = aborted by the fault hook, 2 = lost the swap race).
     Compact {
         /// Layers folded (0 unless the outcome is "folded").
@@ -527,7 +527,8 @@ impl DeltaRegistry {
     /// workload pins the current epoch and runs on the pinned snapshot.
     ///
     /// Returns the response plus the [`DeltaEvent`]s the pool should
-    /// trace (epoch publishes, compaction outcomes, injected faults).
+    /// record as spans (epoch publishes, compaction outcomes, injected
+    /// faults).
     pub fn execute(
         &self,
         req: &Request,

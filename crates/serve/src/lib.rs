@@ -36,8 +36,10 @@
 //!   [`db_metrics::Registry`]: latency histogram (p50/p90/p99/p99.9,
 //!   max), queue depth, worker occupancy, cache hit rate, rejection
 //!   counters; scrapeable via [`ServeHandle::prometheus`] merged with
-//!   the process-global engine series, and also emitted as
-//!   [`db_trace::EventKind::Serve`] events for Chrome-trace export.
+//!   the process-global engine series. Each scheduling decision is
+//!   also recorded as one `db-span` span in the flight recorder
+//!   ([`ServeHandle::flight_dump`]), which exports to Chrome-trace
+//!   JSON.
 //! * [`net`] — a `std::net` TCP endpoint speaking newline-delimited
 //!   JSON (plus a one-shot `GET /metrics` scrape path), with client
 //!   helpers.

@@ -30,7 +30,6 @@ use db_span::{
     DumpReason, FlightConfig, FlightDump, FlightRecorder, SpanKind, SpanRecord, TraceCtx,
     ADMISSION_WORKER, NO_TENANT,
 };
-use db_trace::{EventKind, RingBufferTracer, ServeOp, TraceEvent, Tracer};
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
@@ -56,8 +55,6 @@ pub struct ServeConfig {
     pub write_quota: Option<usize>,
     /// Corpus-cache budget in bytes.
     pub corpus_budget_bytes: usize,
-    /// Ring-buffer capacity for serve trace events; 0 disables tracing.
-    pub trace_capacity: usize,
     /// Self-healing policy: retries, circuit breakers, worker-restart
     /// budget, and the optional chaos fault plan.
     pub resilience: Resilience,
@@ -80,7 +77,6 @@ impl Default for ServeConfig {
             tenant_quota: None,
             write_quota: None,
             corpus_budget_bytes: 256 << 20,
-            trace_capacity: 0,
             resilience: Resilience::default(),
             flight: FlightConfig::default(),
             slo: SloConfig::default(),
@@ -188,7 +184,6 @@ struct ServerInner {
     /// merged with the process-global registry at scrape time.
     registry: db_metrics::Registry,
     metrics: Metrics,
-    tracer: Option<RingBufferTracer>,
     seq: AtomicU64,
     started: Instant,
     breakers: BreakerMap,
@@ -205,26 +200,6 @@ impl ServerInner {
         self.state
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Emits a serve event into the ring buffer, if tracing is on.
-    /// Provenance: `block` = worker index (`u32::MAX` for the admission
-    /// path), `cycle` = nanoseconds since server start.
-    fn trace(&self, worker: u32, op: ServeOp, value: u32) {
-        self.trace_kind(worker, EventKind::Serve { op, value });
-    }
-
-    /// Emits an arbitrary event kind with serve provenance (used for
-    /// the delta path's `Epoch`/`Compact`/`Fault` events).
-    fn trace_kind(&self, worker: u32, kind: EventKind) {
-        if let Some(t) = &self.tracer {
-            t.record(TraceEvent {
-                cycle: self.started.elapsed().as_nanos() as u64,
-                block: worker,
-                warp: 0,
-                kind,
-            });
-        }
     }
 
     /// Nanoseconds since the server started — the shared span clock.
@@ -353,7 +328,6 @@ impl ServeHandle {
         if !inner.breakers.admit(&req.tenant) {
             inner.metrics.rejected_breaker.inc();
             inner.metrics.breaker_open.set(inner.breakers.open_count());
-            inner.trace(u32::MAX, ServeOp::Reject, 0);
             let _ = tx.send(reject_response(
                 inner,
                 &ctx,
@@ -391,9 +365,7 @@ impl ServeHandle {
             None
         };
         if let Some((code, reason)) = reject {
-            let depth = st.queued_total as u32;
             drop(st);
-            inner.trace(u32::MAX, ServeOp::Reject, depth);
             let _ = tx.send(reject_response(
                 inner,
                 &ctx,
@@ -455,11 +427,9 @@ impl ServeHandle {
             .unwrap_or_else(|p| p);
         q.insert(pos, job);
         st.queued_total += 1;
-        let depth = st.queued_total as u32;
         inner.metrics.queue_depth.set(st.queued_total as u64);
         drop(st);
         inner.metrics.admitted.inc();
-        inner.trace(u32::MAX, ServeOp::Admit, depth);
         inner.cv.notify_all();
         rx
     }
@@ -483,20 +453,6 @@ impl ServeHandle {
     /// with a durable `wal_dir` (`None` otherwise).
     pub fn recovery(&self) -> Option<RecoveryInfo> {
         self.inner.delta.recovery().cloned()
-    }
-
-    /// Copies the serve trace buffer (empty when tracing is disabled).
-    pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.inner
-            .tracer
-            .as_ref()
-            .map(|t| t.snapshot())
-            .unwrap_or_default()
-    }
-
-    /// Events the serve trace ring overwrote (0 when tracing is off).
-    pub fn trace_dropped(&self) -> u64 {
-        self.inner.tracer.as_ref().map(|t| t.dropped()).unwrap_or(0)
     }
 
     /// Renders a Prometheus text-format scrape: this server instance's
@@ -593,7 +549,6 @@ impl Server {
             delta,
             registry,
             metrics,
-            tracer: (cfg.trace_capacity > 0).then(|| RingBufferTracer::new(cfg.trace_capacity)),
             seq: AtomicU64::new(0),
             started: Instant::now(),
             breakers: BreakerMap::new(&cfg.resilience),
@@ -821,7 +776,6 @@ fn worker_loop(inner: &Arc<ServerInner>, idx: usize) -> WorkerExit {
                 if let Some(victim) = pick_victim(&st, idx, &mut rng) {
                     steal_half(&mut st, idx, victim);
                     inner.metrics.steals.inc();
-                    inner.trace(idx as u32, ServeOp::Steal, victim as u32);
                     // The thief's queue holds exactly the stolen tail
                     // (it only steals when empty); stamp each moved
                     // request so its trace shows the migration.
@@ -926,7 +880,7 @@ fn panic_text(p: &(dyn std::any::Any + Send)) -> &str {
 
 /// Executes one dequeued job end to end: graph resolution, deadline
 /// token, the retry/degradation attempt loop, response delivery,
-/// breaker accounting, metrics and trace emission.
+/// breaker accounting, metrics and span emission.
 ///
 /// Attempt semantics: only *crash-class* failures retry — a caught
 /// panic or an injected fault. `error` (invalid request) and `expired`
@@ -942,7 +896,6 @@ fn panic_text(p: &(dyn std::any::Any + Send)) -> &str {
 fn run_job(inner: &ServerInner, worker: u32, job: Job) -> bool {
     let _busy = GaugeGuard::acquire(&inner.metrics.busy_workers);
     let reply = ReplyGuard::new(job.reply.clone(), job.req.id);
-    inner.trace(worker, ServeOp::Start, job.req.id as u32);
     // The queue span covers admission to this dequeue — across any
     // steals, because the trace context moved with the job.
     inner.span(&job.ctx, SpanKind::Queue, 0, 0, worker, job.admit_ns);
@@ -967,7 +920,6 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job) -> bool {
         for ev in events {
             match ev {
                 DeltaEvent::Epoch { epoch, applied } => {
-                    inner.trace_kind(worker, EventKind::Epoch { epoch, applied });
                     inner.span(
                         &job.ctx,
                         SpanKind::DeltaWrite,
@@ -978,13 +930,19 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job) -> bool {
                     );
                 }
                 DeltaEvent::Compact { folded, outcome } => {
-                    inner.trace_kind(worker, EventKind::Compact { folded, outcome });
+                    inner.span(
+                        &job.ctx,
+                        SpanKind::Compact,
+                        outcome,
+                        u64::from(folded),
+                        worker,
+                        t_exec,
+                    );
                 }
                 DeltaEvent::FaultInjected => {
                     inner.metrics.faults_injected.inc();
                     // Code 0 = kill, the only kind live at the
                     // compaction site.
-                    inner.trace_kind(worker, EventKind::Fault { code: 0 });
                     inner.span(&job.ctx, SpanKind::Fault, 0, 0, worker, t_exec);
                     fault_struck = true;
                 }
@@ -1040,12 +998,6 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job) -> bool {
     };
     let store = match resolved {
         Ok((store, info)) => {
-            let op = if info.hit {
-                ServeOp::CacheHit
-            } else {
-                ServeOp::CacheMiss
-            };
-            inner.trace(worker, op, info.resident as u32);
             let code = if store_fault.is_some() {
                 2
             } else {
@@ -1265,7 +1217,7 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job) -> bool {
 }
 
 /// Delivery tail shared by every terminal path: latency stamping,
-/// status metrics, breaker accounting, trace emission, and the
+/// status metrics, breaker accounting, the closing spans, and the
 /// exactly-one-response send.
 fn finish_job(
     inner: &ServerInner,
@@ -1287,32 +1239,10 @@ fn finish_job(
             if degraded {
                 inner.metrics.degraded.inc();
             }
-            inner.trace(
-                worker,
-                ServeOp::Done,
-                resp.latency_us.min(u32::MAX as u64) as u32,
-            );
         }
-        Status::Expired => {
-            inner.metrics.expired.inc();
-            inner.trace(worker, ServeOp::Expire, job.req.id as u32);
-        }
-        Status::Failed => {
-            inner.metrics.failed.inc();
-            inner.trace(
-                worker,
-                ServeOp::Done,
-                resp.latency_us.min(u32::MAX as u64) as u32,
-            );
-        }
-        _ => {
-            inner.metrics.errors.inc();
-            inner.trace(
-                worker,
-                ServeOp::Done,
-                resp.latency_us.min(u32::MAX as u64) as u32,
-            );
-        }
+        Status::Expired => inner.metrics.expired.inc(),
+        Status::Failed => inner.metrics.failed.inc(),
+        _ => inner.metrics.errors.inc(),
     }
     // Breaker accounting: `error` and `failed` count against the
     // tenant's streak; `ok` and `expired` reset it (an expired deadline
@@ -1368,7 +1298,6 @@ mod tests {
     fn serves_a_request_end_to_end() {
         let server = Server::start(ServeConfig {
             workers: 2,
-            trace_capacity: 1024,
             ..ServeConfig::default()
         });
         let h = server.handle();
@@ -1472,7 +1401,6 @@ mod tests {
     fn edf_orders_jobs_and_stealing_keeps_workers_busy() {
         let server = Server::start(ServeConfig {
             workers: 4,
-            trace_capacity: 1 << 16,
             ..ServeConfig::default()
         });
         let h = server.handle();

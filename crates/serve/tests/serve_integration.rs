@@ -4,8 +4,8 @@
 
 use db_serve::net::{fetch_metrics, fetch_prometheus, roundtrip_line};
 use db_serve::{EngineKind, Request, Response, ServeConfig, Server, Status, TcpServer, Workload};
+use db_span::SpanKind;
 use db_trace::json::Value;
-use db_trace::EventKind;
 use std::io::BufReader;
 use std::net::TcpStream;
 
@@ -29,7 +29,6 @@ fn dfs(id: u64, graph: &str, root: u32) -> Request {
 fn expired_deadline_stops_dfs_and_frees_the_worker() {
     let server = Server::start(ServeConfig {
         workers: 1,
-        trace_capacity: 4096,
         ..ServeConfig::default()
     });
     let h = server.handle();
@@ -55,18 +54,21 @@ fn expired_deadline_stops_dfs_and_frees_the_worker() {
     assert_eq!(r2.status, Status::Ok);
     assert_eq!(r2.payload.get("visited").unwrap().as_u64(), Some(100));
 
-    // The expiry is visible in the metrics and the trace stream.
-    let events = h.trace_events();
+    // The expiry is visible in the metrics and the request's spans: a
+    // deadline-miss marker and a root closed as expired.
+    let dump = h.flight_dump();
     let m = server.shutdown();
     assert_eq!(m.expired, 1);
     assert_eq!(m.completed, 1);
-    assert!(events.iter().any(|e| matches!(
-        e.kind,
-        EventKind::Serve {
-            op: db_trace::event::ServeOp::Expire,
-            value: 1
-        }
-    )));
+    let spans: Vec<_> = dump
+        .spans
+        .iter()
+        .filter(|s| s.trace_id == r1.trace_id)
+        .collect();
+    assert!(spans.iter().any(|s| s.kind == SpanKind::DeadlineMiss));
+    assert!(spans
+        .iter()
+        .any(|s| s.kind == SpanKind::Request && SpanKind::status_name(s.code) == "expired"));
 }
 
 /// Mid-run expiry: give the doomed request a deadline that elapses

@@ -4,8 +4,15 @@
 //! dump must round-trip through the on-disk `.dbfr` format.
 
 use db_fault::{FaultPlan, Injector};
-use db_serve::{EngineKind, Request, Resilience, ServeConfig, Server, Status, Workload};
-use db_span::{validate_dump, FlightDump, SpanKind, TraceCtx, TraceTree};
+use db_serve::{
+    Durability, EngineKind, Request, Resilience, ServeConfig, Server, Status, Workload,
+};
+use db_span::span::ROOT_SPAN;
+use db_span::{
+    validate_dump, FlightConfig, FlightDump, SpanKind, TraceCtx, TraceTree, ADMISSION_WORKER,
+};
+use db_wal::FsyncPolicy;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 fn req(id: u64, engine: EngineKind) -> Request {
@@ -180,4 +187,136 @@ fn explicit_dump_round_trips_through_disk() {
     assert_eq!(disk.tenants, mem.tenants);
     validate_dump(&disk).expect("decoded dump validates");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A sim request records its `attempt` span before the `sim_phase`
+/// children, so a small ring evicts the parent and keeps the children.
+/// The overflowed dump still validates (its drop count says the parent
+/// may be gone); the same spans claiming no drops do not.
+#[test]
+fn overflowed_dump_tolerates_evicted_parents() {
+    let server = Server::start(ServeConfig {
+        workers: 1,
+        flight: FlightConfig {
+            per_worker_capacity: 64,
+            ..FlightConfig::default()
+        },
+        ..ServeConfig::default()
+    });
+    let h = server.handle();
+    assert_eq!(h.run(req(0, EngineKind::Sim)).status, Status::Ok);
+    let dump = h.flight_dump();
+    server.shutdown();
+    assert!(dump.dropped > 0, "sim phase spans overflow a 64-span ring");
+    let ids: HashSet<u32> = dump.spans.iter().map(|s| s.span_id).collect();
+    assert!(
+        dump.spans
+            .iter()
+            .any(|s| s.parent > ROOT_SPAN && !ids.contains(&s.parent)),
+        "a child outlived its evicted parent"
+    );
+    validate_dump(&dump).expect("overflowed dump validates");
+    let strict = FlightDump { dropped: 0, ..dump };
+    assert!(validate_dump(&strict)
+        .unwrap_err()
+        .contains("missing parent"));
+}
+
+/// An admission refusal leaves an `admit` span with the reject reason
+/// and a `rejected` root, both on the admission lane.
+#[test]
+fn admission_refusal_is_recorded_on_the_admission_lane() {
+    let server = Server::start(ServeConfig {
+        workers: 1,
+        tenant_quota: Some(0),
+        ..ServeConfig::default()
+    });
+    let h = server.handle();
+    assert_eq!(h.run(req(0, EngineKind::Serial)).status, Status::Rejected);
+    let dump = h.flight_dump();
+    server.shutdown();
+    let t = trace_of(&validate_dump(&dump).unwrap(), 0);
+    let admit = t.spans.iter().find(|s| s.kind == SpanKind::Admit).unwrap();
+    assert_eq!(SpanKind::admit_name(admit.code), "tenant_quota");
+    let root = &t.spans[t.root.unwrap()];
+    assert_eq!(SpanKind::status_name(root.code), "rejected");
+    assert!(t.spans.iter().all(|s| s.worker == ADMISSION_WORKER));
+}
+
+/// The first request on a corpus records a `store_load` miss, the next
+/// one a cache hit.
+#[test]
+fn corpus_cache_miss_then_hit() {
+    let server = Server::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let h = server.handle();
+    for id in 0..2u64 {
+        assert_eq!(h.run(req(id, EngineKind::Serial)).status, Status::Ok);
+    }
+    let dump = h.flight_dump();
+    server.shutdown();
+    let trees = validate_dump(&dump).unwrap();
+    let load_code = |id| {
+        trace_of(&trees, id)
+            .spans
+            .iter()
+            .find(|s| s.kind == SpanKind::StoreLoad)
+            .expect("store_load span")
+            .code
+    };
+    assert_eq!(load_code(0), 1, "first request misses");
+    assert_eq!(load_code(1), 0, "second request hits");
+}
+
+/// A durable write stream on a `delta:` corpus: every write records its
+/// `delta_write` and `wal` spans under its root, and the writes whose
+/// publish folded the layer backlog also record a `compact` span
+/// (outcome 0 = folded, value = layers folded).
+#[test]
+fn delta_writes_record_wal_and_compaction_spans() {
+    let dir = std::env::temp_dir().join(format!("span-flow-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = Server::start(ServeConfig {
+        workers: 1,
+        durability: Durability {
+            wal_dir: Some(dir.clone()),
+            fsync: FsyncPolicy::Always,
+        },
+        ..ServeConfig::default()
+    });
+    let h = server.handle();
+    let writes = 12u64;
+    for id in 0..writes {
+        let mut r = req(id, EngineKind::Serial);
+        r.graph = "delta:path:64".into();
+        r.workload = Workload::AddEdges {
+            edges: vec![(0, id as u32 + 2)],
+        };
+        assert_eq!(h.run(r).status, Status::Ok);
+    }
+    let dump = h.flight_dump();
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+    let trees = validate_dump(&dump).unwrap();
+    let mut folds = 0;
+    for id in 0..writes {
+        let t = trace_of(&trees, id);
+        let under_root = |k| {
+            t.spans
+                .iter()
+                .filter(|s| s.kind == k && s.parent == ROOT_SPAN)
+                .count()
+        };
+        assert_eq!(under_root(SpanKind::DeltaWrite), 1, "req {id}");
+        assert!(under_root(SpanKind::Wal) >= 1, "req {id}");
+        for c in t.spans.iter().filter(|s| s.kind == SpanKind::Compact) {
+            assert_eq!(c.parent, ROOT_SPAN);
+            assert_eq!(c.code, 0, "compaction folded");
+            assert!(c.value > 0, "at least one layer folded");
+            folds += 1;
+        }
+    }
+    assert!(folds > 0, "{writes} writes cross the compaction threshold");
 }

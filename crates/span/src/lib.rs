@@ -1,8 +1,8 @@
 //! # db-span — causal request spans and the always-on flight recorder
 //!
-//! The serve stack's per-layer aggregates (`db_*` metrics, `db-trace`
-//! events) explain the fleet but not a single request. This crate adds
-//! the missing request-scoped layer:
+//! The serve stack's per-layer aggregates (`db_*` metrics) explain the
+//! fleet but not a single request. This crate adds the request-scoped
+//! layer, and is the serve tier's only event stream:
 //!
 //! * [`TraceCtx`] — a seed-deterministic 64-bit trace id plus a span-id
 //!   allocator that travels *with* the request through admission, the

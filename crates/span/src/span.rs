@@ -60,11 +60,15 @@ pub enum SpanKind {
     /// Startup recovery replayed the WAL tail. `value` = records
     /// replayed, `code` 1 if a torn tail was truncated, else 0.
     Recovery,
+    /// A delta write's compaction attempt. `code` 0 = folded,
+    /// 1 = aborted by the fault hook, 2 = lost the swap race;
+    /// `value` = layers folded.
+    Compact,
 }
 
 impl SpanKind {
     /// All kinds, in wire-code order (codes start at 1).
-    pub const ALL: [SpanKind; 15] = [
+    pub const ALL: [SpanKind; 16] = [
         SpanKind::Request,
         SpanKind::Admit,
         SpanKind::Queue,
@@ -80,6 +84,7 @@ impl SpanKind {
         SpanKind::SimPhase,
         SpanKind::Wal,
         SpanKind::Recovery,
+        SpanKind::Compact,
     ];
 
     /// Stable wire code (1-based; 0 is reserved as invalid).
@@ -100,6 +105,7 @@ impl SpanKind {
             SpanKind::SimPhase => 13,
             SpanKind::Wal => 14,
             SpanKind::Recovery => 15,
+            SpanKind::Compact => 16,
         }
     }
 
@@ -126,6 +132,7 @@ impl SpanKind {
             SpanKind::SimPhase => "sim_phase",
             SpanKind::Wal => "wal",
             SpanKind::Recovery => "recovery",
+            SpanKind::Compact => "compact",
         }
     }
 

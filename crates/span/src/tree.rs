@@ -56,6 +56,9 @@ pub fn build_traces(dump: &FlightDump) -> Vec<TraceTree> {
 ///   [`ROOT_SPAN`] id;
 /// * no span is its own parent, and every named parent either exists
 ///   in the trace or is the root id (the ring may have evicted it);
+///   when the rings overflowed (`dump.dropped > 0`) any parent may be
+///   missing, because eviction is oldest-first and a parent (a sim
+///   `attempt`) can be recorded before its children;
 /// * every span has `t1 >= t0`.
 ///
 /// Traces without a root are reported as partial by the caller, not as
@@ -107,10 +110,14 @@ pub fn validate_dump(dump: &FlightDump) -> Result<Vec<TraceTree>, String> {
         }
         for s in &t.spans {
             // A missing non-root parent is tolerated only for the root
-            // id: the ring may have evicted deep history, but every
-            // recorded child hangs off the root or another recorded
-            // span — anything else is a causality bug.
-            if s.parent != 0 && s.parent != ROOT_SPAN && !ids.contains(&s.parent) {
+            // id, unless the rings evicted spans: every recorded child
+            // hangs off the root or another recorded span, so in a
+            // drop-free dump anything else is a causality bug.
+            if dump.dropped == 0
+                && s.parent != 0
+                && s.parent != ROOT_SPAN
+                && !ids.contains(&s.parent)
+            {
                 return Err(format!(
                     "trace {:#018x}: span {} names missing parent {}",
                     t.trace_id, s.span_id, s.parent
@@ -173,6 +180,15 @@ fn describe(dump: &FlightDump, s: &SpanRecord) -> String {
             } else {
                 ""
             }
+        ),
+        SpanKind::Compact => format!(
+            "outcome={} layers={}",
+            match s.code {
+                0 => "folded",
+                1 => "aborted",
+                _ => "raced",
+            },
+            s.value
         ),
     };
     let worker = if s.worker == crate::span::ADMISSION_WORKER {

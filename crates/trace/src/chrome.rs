@@ -7,7 +7,7 @@
 //! `ts` is the engine's cycle stamp and whose `args` carry the payload
 //! (vertex, victim, entry count).
 
-use crate::event::{EventKind, PhaseKind, ServeOp, TraceEvent};
+use crate::event::{EventKind, PhaseKind, TraceEvent};
 use crate::json::Value;
 use std::io::{self, Write};
 
@@ -143,10 +143,6 @@ pub fn event_to_json(e: &TraceEvent) -> Value {
                 }),
             ));
         }
-        EventKind::Serve { op, value } => {
-            args.push(("op".into(), Value::str(op.name())));
-            args.push(("value".into(), Value::u64(value as u64)));
-        }
         EventKind::Fault { code } => {
             args.push(("code".into(), Value::u64(code as u64)));
         }
@@ -156,14 +152,6 @@ pub fn event_to_json(e: &TraceEvent) -> Value {
         } => {
             args.push(("victim_block".into(), Value::u64(victim_block as u64)));
             args.push(("entries".into(), Value::u64(entries as u64)));
-        }
-        EventKind::Epoch { epoch, applied } => {
-            args.push(("epoch".into(), Value::u64(epoch as u64)));
-            args.push(("applied".into(), Value::u64(applied as u64)));
-        }
-        EventKind::Compact { folded, outcome } => {
-            args.push(("folded".into(), Value::u64(folded as u64)));
-            args.push(("outcome".into(), Value::u64(outcome as u64)));
         }
     }
     Value::Obj(vec![
@@ -222,22 +210,10 @@ pub fn event_from_json(v: &Value) -> Option<TraceEvent> {
                 _ => return None,
             },
         },
-        "Serve" => EventKind::Serve {
-            op: ServeOp::from_name(args.get("op")?.as_str()?)?,
-            value: arg("value")?,
-        },
         "Fault" => EventKind::Fault { code: arg("code")? },
         "Recover" => EventKind::Recover {
             victim_block: arg("victim_block")?,
             entries: arg("entries")?,
-        },
-        "Epoch" => EventKind::Epoch {
-            epoch: arg("epoch")?,
-            applied: arg("applied")?,
-        },
-        "Compact" => EventKind::Compact {
-            folded: arg("folded")?,
-            outcome: arg("outcome")?,
         },
         _ => return None,
     };
@@ -307,15 +283,6 @@ mod tests {
                 },
             },
             TraceEvent {
-                cycle: 12,
-                block: 0,
-                warp: 0,
-                kind: EventKind::Serve {
-                    op: ServeOp::Done,
-                    value: 431,
-                },
-            },
-            TraceEvent {
                 cycle: 14,
                 block: 1,
                 warp: 2,
@@ -328,24 +295,6 @@ mod tests {
                 kind: EventKind::Recover {
                     victim_block: 1,
                     entries: 8,
-                },
-            },
-            TraceEvent {
-                cycle: 16,
-                block: 0,
-                warp: 0,
-                kind: EventKind::Epoch {
-                    epoch: 3,
-                    applied: 12,
-                },
-            },
-            TraceEvent {
-                cycle: 17,
-                block: 0,
-                warp: 0,
-                kind: EventKind::Compact {
-                    folded: 3,
-                    outcome: 0,
                 },
             },
         ];

@@ -3,7 +3,7 @@
 //! plus the inverse parser ([`parse_csv`]) so post-hoc tools
 //! (`diggerbees check --race`) can re-ingest any `--trace` output.
 
-use crate::event::{EventKind, PhaseKind, ServeOp, TraceEvent};
+use crate::event::{EventKind, PhaseKind, TraceEvent};
 use std::io::{self, Write};
 
 pub const CSV_HEADER: &str = "cycle,block,warp,event,vertex,victim,entries,phase";
@@ -33,20 +33,12 @@ fn row(e: &TraceEvent) -> String {
                 PhaseKind::Finish => "finish",
             }),
         ),
-        // Serve events reuse the payload columns: the op name lands in
-        // the `phase` column, the op payload in `entries`.
-        EventKind::Serve { op, value } => (None, None, Some(value), Some(op.name())),
         // Fault code rides in `entries`; recovery reuses the steal shape.
         EventKind::Fault { code } => (None, None, Some(code), None),
         EventKind::Recover {
             victim_block,
             entries,
         } => (None, Some(victim_block), Some(entries), None),
-        // Delta lifecycle: the epoch number rides in `vertex`, the
-        // batch size in `entries`; compaction's outcome code rides in
-        // `victim`, the folded-layer count in `entries`.
-        EventKind::Epoch { epoch, applied } => (Some(epoch), None, Some(applied), None),
-        EventKind::Compact { folded, outcome } => (None, Some(outcome), Some(folded), None),
     };
     let opt = |x: Option<u32>| x.map(|v| v.to_string()).unwrap_or_default();
     format!(
@@ -175,25 +167,12 @@ pub fn parse_csv(text: &str) -> Result<ParsedCsv, String> {
                     p => return Err(format!("line {lineno}: bad phase {p:?}")),
                 },
             },
-            "Serve" => EventKind::Serve {
-                op: ServeOp::from_name(cols[7])
-                    .ok_or_else(|| format!("line {lineno}: bad serve op {:?}", cols[7]))?,
-                value: field(6, "value")?,
-            },
             "Fault" => EventKind::Fault {
                 code: field(6, "code")?,
             },
             "Recover" => EventKind::Recover {
                 victim_block: field(5, "victim")?,
                 entries: field(6, "entries")?,
-            },
-            "Epoch" => EventKind::Epoch {
-                epoch: field(4, "epoch")?,
-                applied: field(6, "applied")?,
-            },
-            "Compact" => EventKind::Compact {
-                outcome: field(5, "outcome")?,
-                folded: field(6, "folded")?,
             },
             k => return Err(format!("line {lineno}: unknown event kind {k:?}")),
         };
@@ -342,15 +321,6 @@ mod tests {
                 kind: EventKind::WarpIdle,
             },
             TraceEvent {
-                cycle: 9,
-                block: 2,
-                warp: 0,
-                kind: EventKind::Serve {
-                    op: ServeOp::Admit,
-                    value: 5,
-                },
-            },
-            TraceEvent {
                 cycle: 10,
                 block: 0,
                 warp: 2,
@@ -363,24 +333,6 @@ mod tests {
                 kind: EventKind::Recover {
                     victim_block: 0,
                     entries: 3,
-                },
-            },
-            TraceEvent {
-                cycle: 12,
-                block: 2,
-                warp: 0,
-                kind: EventKind::Epoch {
-                    epoch: 9,
-                    applied: 4,
-                },
-            },
-            TraceEvent {
-                cycle: 13,
-                block: 2,
-                warp: 0,
-                kind: EventKind::Compact {
-                    folded: 8,
-                    outcome: 1,
                 },
             },
             TraceEvent {

@@ -13,61 +13,6 @@ pub enum PhaseKind {
     Finish,
 }
 
-/// What a service-layer [`EventKind::Serve`] event records. The serve
-/// pipeline reuses the engine provenance scheme one level up: `block` is
-/// the pool worker index, `warp` is 0, `cycle` is nanoseconds since
-/// server start.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ServeOp {
-    /// Request admitted; `value` = queue depth after admission.
-    Admit,
-    /// Request rejected at admission; `value` = queue depth at rejection.
-    Reject,
-    /// Request dequeued and started; `value` = request id (low 32 bits).
-    Start,
-    /// Request finished; `value` = latency in microseconds (saturating).
-    Done,
-    /// Request expired (deadline passed); `value` = request id.
-    Expire,
-    /// A worker stole queued requests; `value` = victim worker index.
-    Steal,
-    /// Corpus-cache hit; `value` = resident graph count.
-    CacheHit,
-    /// Corpus-cache miss (graph built/loaded); `value` = resident count.
-    CacheMiss,
-}
-
-impl ServeOp {
-    /// Display name used by the exporters.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ServeOp::Admit => "admit",
-            ServeOp::Reject => "reject",
-            ServeOp::Start => "start",
-            ServeOp::Done => "done",
-            ServeOp::Expire => "expire",
-            ServeOp::Steal => "steal",
-            ServeOp::CacheHit => "cache_hit",
-            ServeOp::CacheMiss => "cache_miss",
-        }
-    }
-
-    /// Inverse of [`ServeOp::name`].
-    pub fn from_name(name: &str) -> Option<ServeOp> {
-        Some(match name {
-            "admit" => ServeOp::Admit,
-            "reject" => ServeOp::Reject,
-            "start" => ServeOp::Start,
-            "done" => ServeOp::Done,
-            "expire" => ServeOp::Expire,
-            "steal" => ServeOp::Steal,
-            "cache_hit" => ServeOp::CacheHit,
-            "cache_miss" => ServeOp::CacheMiss,
-            _ => return None,
-        })
-    }
-}
-
 /// What happened. Payloads carry the quantities the paper's figures are
 /// built from: vertices for push/pop, entry counts for bulk transfers,
 /// victim identity for steals.
@@ -91,10 +36,6 @@ pub enum EventKind {
     WarpIdle,
     /// Kernel phase boundary.
     KernelPhase { phase: PhaseKind },
-    /// Service-layer event from `db-serve` (request lifecycle, queue
-    /// depth, corpus cache) — the paper's stealing discipline applied at
-    /// request granularity shows up on the same timeline as the engines.
-    Serve { op: ServeOp, value: u32 },
     /// An injected fault struck this warp's SM; `code` is the dense
     /// fault-kind index from `db-fault` (0 = kill, 1 = stall,
     /// 2 = slowdown, 3 = corrupt, 4 = dropsteal).
@@ -102,20 +43,11 @@ pub enum EventKind {
     /// A survivor recovered `entries` stranded tasks from killed SM
     /// `victim_block`'s stacks via the recovery steal path.
     Recover { victim_block: u32, entries: u32 },
-    /// A delta-graph epoch was published (`db-delta` via `db-serve`):
-    /// `epoch` is the low 32 bits of the new epoch number, `applied`
-    /// the mutation-batch size that produced it.
-    Epoch { epoch: u32, applied: u32 },
-    /// A delta-graph compaction attempt finished; `folded` is the
-    /// number of layers merged into the new base and `outcome` the
-    /// dense result code (0 = folded, 1 = aborted by a fault hook,
-    /// 2 = lost the swap race, 3 = nothing to fold).
-    Compact { folded: u32, outcome: u32 },
 }
 
 impl EventKind {
     /// Number of distinct kinds (for counter arrays).
-    pub const COUNT: usize = 14;
+    pub const COUNT: usize = 11;
 
     /// Dense index for counter arrays; stable across releases only
     /// within one trace file (the name, not the index, is exported).
@@ -130,11 +62,8 @@ impl EventKind {
             EventKind::StealFail { .. } => 6,
             EventKind::WarpIdle => 7,
             EventKind::KernelPhase { .. } => 8,
-            EventKind::Serve { .. } => 9,
-            EventKind::Fault { .. } => 10,
-            EventKind::Recover { .. } => 11,
-            EventKind::Epoch { .. } => 12,
-            EventKind::Compact { .. } => 13,
+            EventKind::Fault { .. } => 9,
+            EventKind::Recover { .. } => 10,
         }
     }
 
@@ -150,11 +79,8 @@ impl EventKind {
             EventKind::StealFail { .. } => "StealFail",
             EventKind::WarpIdle => "WarpIdle",
             EventKind::KernelPhase { .. } => "KernelPhase",
-            EventKind::Serve { .. } => "Serve",
             EventKind::Fault { .. } => "Fault",
             EventKind::Recover { .. } => "Recover",
-            EventKind::Epoch { .. } => "Epoch",
-            EventKind::Compact { .. } => "Compact",
         }
     }
 
@@ -170,11 +96,8 @@ impl EventKind {
             "StealFail" => 6,
             "WarpIdle" => 7,
             "KernelPhase" => 8,
-            "Serve" => 9,
-            "Fault" => 10,
-            "Recover" => 11,
-            "Epoch" => 12,
-            "Compact" => 13,
+            "Fault" => 9,
+            "Recover" => 10,
             _ => return None,
         })
     }
@@ -216,22 +139,10 @@ mod tests {
             EventKind::KernelPhase {
                 phase: PhaseKind::Start,
             },
-            EventKind::Serve {
-                op: ServeOp::Admit,
-                value: 0,
-            },
             EventKind::Fault { code: 0 },
             EventKind::Recover {
                 victim_block: 0,
                 entries: 0,
-            },
-            EventKind::Epoch {
-                epoch: 0,
-                applied: 0,
-            },
-            EventKind::Compact {
-                folded: 0,
-                outcome: 0,
             },
         ];
         assert_eq!(kinds.len(), EventKind::COUNT);
@@ -240,23 +151,5 @@ mod tests {
             assert_eq!(EventKind::index_of_name(k.name()), Some(i));
         }
         assert_eq!(EventKind::index_of_name("Bogus"), None);
-    }
-
-    #[test]
-    fn serve_op_names_round_trip() {
-        let ops = [
-            ServeOp::Admit,
-            ServeOp::Reject,
-            ServeOp::Start,
-            ServeOp::Done,
-            ServeOp::Expire,
-            ServeOp::Steal,
-            ServeOp::CacheHit,
-            ServeOp::CacheMiss,
-        ];
-        for op in ops {
-            assert_eq!(ServeOp::from_name(op.name()), Some(op));
-        }
-        assert_eq!(ServeOp::from_name("bogus"), None);
     }
 }

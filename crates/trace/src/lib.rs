@@ -33,5 +33,5 @@ pub mod json;
 pub mod tracer;
 pub mod validate;
 
-pub use event::{EventKind, PhaseKind, ServeOp, TraceEvent};
+pub use event::{EventKind, PhaseKind, TraceEvent};
 pub use tracer::{emit, CounterSnapshot, CountingTracer, NullTracer, RingBufferTracer, Tracer};

@@ -69,7 +69,6 @@ pub struct CounterSnapshot {
     pub steal_fails: u64,
     pub warp_idles: u64,
     pub kernel_phases: u64,
-    pub serve_events: u64,
     pub pushes_per_block: Vec<u64>,
     pub entries_flushed: u64,
     pub entries_refilled: u64,
@@ -103,7 +102,6 @@ impl CountingTracer {
             steal_fails: k(6),
             warp_idles: k(7),
             kernel_phases: k(8),
-            serve_events: k(9),
             pushes_per_block: self
                 .pushes_per_block
                 .iter()

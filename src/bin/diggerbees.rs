@@ -37,8 +37,8 @@
 //! --queue-cap <n>        admission queue bound (default 1024)
 //! --tenant-quota <n>     per-tenant queued-request bound (default none)
 //! --budget-mb <n>        corpus-cache budget in MB (default 256)
-//! --trace <out>          write serve events on shutdown
-//! --trace-format <f>     chrome | csv (as above)
+//! --trace <out>          after the drain, write every recorded span
+//!                        as Chrome-trace JSON (see also --flight-cap)
 //! --faults <spec>        inject worker-domain faults into request
 //!                        execution, e.g. 'seed=7;kill:worker=*@p=0.01'
 //! --retry-max <n>        retries per crashed request (default 2); the
@@ -85,8 +85,8 @@
 //!                        validate a flight-recorder dump and render
 //!                        its span trees (all traces, or one by id)
 //! diggerbees flight export <f.dbfr> --out <file.json>
-//!                        convert a dump to Chrome-trace JSON
-//!                        (chrome://tracing / Perfetto)
+//!                        validate a dump, then convert it to
+//!                        Chrome-trace JSON (chrome://tracing / Perfetto)
 //!
 //! diggerbees top [options]          live serve dashboard (SLO burn)
 //!
@@ -251,9 +251,8 @@ fn parse_args() -> Result<Args, String> {
                             [--profile out.folded] [--faults spec]\n\
                             \x20      diggerbees serve [--addr host:port] [--workers n] \
                             [--queue-cap n] [--tenant-quota n] [--budget-mb n] \
-                            [--trace out.json] [--trace-format chrome|csv] \
-                            [--faults spec] [--retry-max n] [--restart-budget n] \
-                            [--breaker-threshold n] [--breaker-cooldown-ms n] \
+                            [--trace spans.json] [--faults spec] [--retry-max n] \
+                            [--restart-budget n] [--breaker-threshold n] [--breaker-cooldown-ms n] \
                             [--wal-dir dir] [--fsync always|group=N|never]\n\
                             \x20      diggerbees metrics [--addr host:port] [--json] \
                             [--check]\n\
@@ -947,7 +946,6 @@ fn serve_main() -> ExitCode {
     let mut addr = "127.0.0.1:7345".to_string();
     let mut cfg = ServeConfig::default();
     let mut trace: Option<String> = None;
-    let mut trace_format: Option<TraceFormat> = None;
     let mut it = std::env::args().skip(2);
     let fail = |e: String| {
         eprintln!("{e}");
@@ -971,9 +969,6 @@ fn serve_main() -> ExitCode {
                     cfg.corpus_budget_bytes = (parse_num(&take("--budget-mb")?)? as usize) << 20
                 }
                 "--trace" => trace = Some(take("--trace")?),
-                "--trace-format" => {
-                    trace_format = Some(TraceFormat::parse(&take("--trace-format")?)?)
-                }
                 "--faults" => {
                     let spec = take("--faults")?;
                     let plan = FaultPlan::parse(&spec)
@@ -1026,9 +1021,6 @@ fn serve_main() -> ExitCode {
         },
         None => None,
     };
-    if trace.is_some() {
-        cfg.trace_capacity = TRACE_CAPACITY;
-    }
     let server = match Server::try_start(cfg.clone()) {
         Ok(s) => s,
         Err(e) => return fail(format!("cannot start server: {e}")),
@@ -1064,8 +1056,6 @@ fn serve_main() -> ExitCode {
     println!("shutdown requested; draining...");
     tcp.stop();
     let handle = server.handle();
-    let events = handle.trace_events();
-    let dropped = handle.trace_dropped();
     let m = server.shutdown();
     println!(
         "served {} ok / {} expired / {} rejected / {} errors / {} failed; \
@@ -1093,19 +1083,18 @@ fn serve_main() -> ExitCode {
             m.rejected_breaker
         );
     }
-    if let (Some(path), Some(file)) = (&trace, trace_file) {
-        let format = TraceFormat::for_path(trace_format, path);
-        if let Err(e) = write_trace(file, format, &events, dropped) {
+    if let (Some(path), Some(mut file)) = (&trace, trace_file) {
+        let dump = handle.flight_dump();
+        let doc = diggerbees::span::chrome_document(&dump).to_json();
+        if let Err(e) = std::io::Write::write_all(&mut file, doc.as_bytes()) {
             return fail(format!("failed to write trace to '{path}': {e}"));
         }
-        println!(
-            "trace: {} events written to {path} ({format:?})",
-            events.len()
-        );
-        if dropped > 0 {
+        println!("trace: {} spans written to {path}", dump.spans.len());
+        if dump.dropped > 0 {
             eprintln!(
-                "warning: trace ring overflowed; oldest {dropped} events dropped \
-                 (capacity {TRACE_CAPACITY}); drop count embedded in the export"
+                "warning: flight recorder overflowed; oldest {} spans dropped \
+                 (raise --flight-cap); drop count embedded in the export",
+                dump.dropped
             );
         }
     }
@@ -1116,8 +1105,9 @@ fn serve_main() -> ExitCode {
 ///
 /// `inspect` decodes a dump, validates its span trees (single root per
 /// trace, sound parentage, forward time) and renders them as indented
-/// text; `--trace <hex-id>` narrows to one trace. `export` converts a
-/// dump to Chrome-trace JSON for `chrome://tracing` / Perfetto.
+/// text; `--trace <hex-id>` narrows to one trace. `export` runs the
+/// same validation, then converts the dump to Chrome-trace JSON for
+/// `chrome://tracing` / Perfetto.
 fn flight_main() -> ExitCode {
     use diggerbees::span::{chrome_document, render_trace, validate_dump, FlightDump};
 
@@ -1205,6 +1195,10 @@ fn flight_main() -> ExitCode {
             if out.is_empty() {
                 return fail("flight export needs --out <file.json>".into());
             }
+            let trees = match validate_dump(&dump) {
+                Ok(t) => t,
+                Err(e) => return fail(format!("'{path}' fails span-tree validation: {e}")),
+            };
             let doc = chrome_document(&dump);
             if let Err(e) = std::fs::write(&out, doc.to_json()) {
                 return fail(format!("cannot write '{out}': {e}"));
@@ -1212,7 +1206,7 @@ fn flight_main() -> ExitCode {
             println!(
                 "exported {} spans ({} traces' worth, reason={}) to {out}",
                 dump.spans.len(),
-                diggerbees::span::build_traces(&dump).len(),
+                trees.len(),
                 dump.reason.name()
             );
             ExitCode::SUCCESS
