@@ -91,11 +91,13 @@ fn callgraph_golden_for_serve_pool() {
         .filter(|(id, _)| g.nodes[*id].file == POOL)
         .map(|(_, es)| es.len())
         .sum();
-    // 168 since the pool stopped writing db-trace events: the
-    // `trace`/`trace_kind` helpers and their call sites went, leaving
-    // spans as the pool's only event stream (previously 182).
+    // 179 since each worker owns one reused kernel scratch: the
+    // charged `WorkerScratch` (+4), its creation in `worker_loop` and
+    // its charge in `run_job` (+2), and the scratch-gauge test (+8);
+    // `run_job` lost two edges when dfs/reach stopped picking among
+    // engines, and the scrape test one (previously 168).
     assert_eq!(
-        pool_edges, 168,
+        pool_edges, 179,
         "edges out of pool.rs fns changed; if the pool or the resolver \
          changed intentionally, update this golden"
     );
@@ -103,7 +105,8 @@ fn callgraph_golden_for_serve_pool() {
         ("worker_entry", "worker_loop"),
         ("worker_loop", "run_job"),
         ("worker_loop", "steal_half"),
-        ("run_job", "execute_observed"),
+        ("run_job", "execute_valid"),
+        ("run_job", "WorkerScratch::charge"),
     ] {
         assert!(
             g.has_edge(POOL, from, to),

@@ -9,10 +9,12 @@
 //! and map the error to a rejection-with-reason before the engine is
 //! ever entered.
 //!
-//! The check is `O(n + m)` over the two CSR arrays, a few percent of
-//! the cheapest traversal that would follow it.
+//! The check is `O(n + m)` over the two CSR arrays. A long-lived caller
+//! pays it once: [`ValidCsr`] carries a passed check, so the served
+//! traversal kernel ([`crate::kernel`]) never re-runs it.
 
-use db_graph::CsrGraph;
+use db_graph::{CsrGraph, GraphStore};
+use std::ops::Deref;
 
 /// A structural defect in a traversal input, detected at engine entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,6 +119,48 @@ pub fn validate_graph(g: &CsrGraph) -> Result<(), GraphError> {
     Ok(())
 }
 
+/// A graph that passed [`validate_graph`]: the proof the served
+/// traversal kernel demands, so a corpus is checked once when it is
+/// admitted instead of on every request.
+///
+/// `G` is how the graph is held: `&CsrGraph` for a borrowed check, or
+/// an `Arc<dyn GraphStore>` for a cached corpus. [`ValidCsr::new`] is
+/// the only constructor, and the holder only ever hands out shared
+/// references, so the proof cannot go stale.
+#[derive(Debug, Clone, Copy)]
+pub struct ValidCsr<G> {
+    holder: G,
+}
+
+impl<G, S> ValidCsr<G>
+where
+    G: Deref<Target = S>,
+    S: GraphStore + ?Sized + 'static,
+{
+    /// Runs [`validate_graph`] on the held graph.
+    pub fn new(holder: G) -> Result<Self, GraphError> {
+        validate_graph(holder.graph())?;
+        Ok(ValidCsr { holder })
+    }
+
+    /// The validated graph.
+    pub fn graph(&self) -> &CsrGraph {
+        self.holder.graph()
+    }
+
+    /// A borrowed proof for the same graph, the form the kernel takes.
+    pub fn view(&self) -> ValidCsr<&CsrGraph> {
+        ValidCsr {
+            holder: self.holder.graph(),
+        }
+    }
+
+    /// How the validated graph is held.
+    pub fn holder(&self) -> &G {
+        &self.holder
+    }
+}
+
 /// Full engine-entry check: structure plus root range.
 pub fn validate_input(g: &CsrGraph, root: u32) -> Result<(), GraphError> {
     validate_graph(g)?;
@@ -196,6 +240,19 @@ mod tests {
         // Errors render as human-readable reasons for serve rejections.
         let msg = validate_graph(&oob).unwrap_err().to_string();
         assert!(msg.contains("col_idx[1]"), "{msg}");
+    }
+
+    #[test]
+    fn valid_csr_is_built_only_by_a_passed_check() {
+        let oob = CsrGraph::from_parts_unchecked(2, vec![0, 1, 2], vec![1, 7], false);
+        assert!(matches!(
+            ValidCsr::new(&oob),
+            Err(GraphError::ColumnOutOfRange { .. })
+        ));
+        let shared: std::sync::Arc<dyn GraphStore> = std::sync::Arc::new(good());
+        let proof = ValidCsr::new(shared).unwrap();
+        assert_eq!(proof.view().graph().num_vertices(), 4);
+        assert_eq!(proof.holder().graph().num_arcs(), 6);
     }
 
     #[test]

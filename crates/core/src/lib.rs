@@ -29,14 +29,19 @@
 //! * [`stack`] — the HotRing / ColdSeg data structures of §3.2 with the
 //!   four core operations (fast push, fast pop, flush, refill).
 //! * [`cancel`] — cooperative cancellation tokens polled by the native
-//!   engines' worker loops, so a service layer can enforce per-request
-//!   deadlines without killing threads.
+//!   engines' worker loops and the served kernel, so a service layer can
+//!   enforce per-request deadlines without killing threads.
+//!
+//! The service layer does not run these engines for `dfs`/`reach`: it
+//! runs [`kernel`], a single-thread bitset search over a graph proved
+//! valid once ([`ValidCsr`]), with per-worker reused [`kernel::Scratch`].
 
 #![warn(missing_docs)]
 
 pub mod cancel;
 pub mod config;
 pub mod graph_check;
+pub mod kernel;
 pub mod lockfree;
 pub mod native;
 pub mod native_lockfree;
@@ -45,7 +50,7 @@ pub mod stack;
 
 pub use cancel::CancelToken;
 pub use config::{DiggerBeesConfig, StackLevels, VictimPolicy};
-pub use graph_check::{validate_graph, validate_input, GraphError};
+pub use graph_check::{validate_graph, validate_input, GraphError, ValidCsr};
 pub use sim::{
     run_sim, run_sim_faulted, run_sim_profiled, run_sim_store, run_sim_traced, SimResult,
 };

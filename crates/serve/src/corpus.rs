@@ -22,12 +22,17 @@
 //! deterministic as the bytes it names: the pack's checksums reject any
 //! drift.
 //!
+//! Every graph is validated once, when it is admitted: the cache keeps
+//! a [`ValidStore`], the proof the served kernel needs, so no request
+//! re-runs the `O(n + m)` CSR check.
+//!
 //! Residency accounting charges [`db_graph::GraphStore::charged_bytes`]
 //! rather than the raw CSR footprint: an mmap-loaded store's pages are
 //! shared and only page-cache resident where touched, so it charges the
 //! header plus the hot-section estimate instead of the full file — a
 //! 50M-arc pack no longer evicts the whole rest of the corpus on open.
 
+use db_core::ValidCsr;
 use db_graph::{builder::from_edge_list, CsrGraph, GraphBuilder, GraphStore};
 use db_metrics::{Counter, Gauge, Registry};
 use std::collections::HashMap;
@@ -35,6 +40,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Corpus-key prefix selecting the packed-store loader.
 pub const STORE_PREFIX: &str = "store:";
+
+/// A resident corpus graph proved valid when it was admitted.
+pub type ValidStore = ValidCsr<Arc<dyn GraphStore>>;
 
 /// Keyed graph cache with a byte budget and LRU eviction.
 ///
@@ -67,7 +75,7 @@ struct CacheInner {
 
 #[derive(Debug)]
 struct Entry {
-    store: Arc<dyn GraphStore>,
+    store: ValidStore,
     bytes: usize,
     mapped: usize,
     last_use: u64,
@@ -150,20 +158,26 @@ impl CorpusCache {
     }
 
     /// Returns the store for `key`, building (or mmap-loading, for
-    /// `store:` keys) and caching it on a miss.
-    ///
-    /// The build happens under the cache lock: concurrent requests for
-    /// the same key build once and the losers wait, at the cost of
-    /// serializing first-touch builds of *different* graphs. For a
-    /// serving corpus (few graphs, many requests) the steady state is
-    /// all hits, so the simple lock wins over per-key once-cells.
+    /// `store:` keys), validating and caching it on a miss.
     pub fn resolve(&self, key: &str) -> Result<(Arc<dyn GraphStore>, ResolveInfo), String> {
+        self.resolve_valid(key)
+            .map(|(store, info)| (Arc::clone(store.holder()), info))
+    }
+
+    /// [`CorpusCache::resolve`] keeping the validity proof.
+    ///
+    /// The build and the check happen under the cache lock: concurrent
+    /// requests for the same key build once and the losers wait, at the
+    /// cost of serializing first-touch builds of *different* graphs. For
+    /// a serving corpus (few graphs, many requests) the steady state is
+    /// all hits, so the simple lock wins over per-key once-cells.
+    pub fn resolve_valid(&self, key: &str) -> Result<(ValidStore, ResolveInfo), String> {
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(e) = inner.map.get_mut(key) {
             e.last_use = tick;
-            let g = Arc::clone(&e.store);
+            let g = e.store.clone();
             let resident = inner.map.len();
             drop(inner);
             self.hits.inc();
@@ -175,11 +189,11 @@ impl CorpusCache {
                 },
             ));
         }
-        let store = self.build_store_counted(key)?;
+        let store = validated(key, self.build_store_counted(key)?)?;
         // Charged bytes, not raw footprint: mmap'd sections charge the
         // hot-section estimate so one big pack doesn't flush the cache.
-        let bytes = store.charged_bytes();
-        let mapped = store.mapped_bytes();
+        let bytes = store.holder().charged_bytes();
+        let mapped = store.holder().mapped_bytes();
         // Evict LRU entries until the newcomer fits (or nothing is left).
         while inner.total_bytes + bytes > self.budget_bytes && !inner.map.is_empty() {
             let victim = inner
@@ -198,7 +212,7 @@ impl CorpusCache {
         inner.map.insert(
             key.to_string(),
             Entry {
-                store: Arc::clone(&store),
+                store: store.clone(),
                 bytes,
                 mapped,
                 last_use: tick,
@@ -246,9 +260,9 @@ impl CorpusCache {
         &self,
         key: &str,
         corrupt_seed: u64,
-    ) -> Result<(Arc<dyn GraphStore>, ResolveInfo), String> {
+    ) -> Result<(ValidStore, ResolveInfo), String> {
         let Some(path) = key.strip_prefix(STORE_PREFIX) else {
-            return self.resolve(key);
+            return self.resolve_valid(key);
         };
         self.store_loads.inc();
         let opts = db_store::LoadOptions {
@@ -262,7 +276,7 @@ impl CorpusCache {
                 // without caching the probe.
                 let resident = self.lock().map.len();
                 Ok((
-                    Arc::new(store) as Arc<dyn GraphStore>,
+                    validated(key, Arc::new(store))?,
                     ResolveInfo {
                         hit: false,
                         resident,
@@ -297,6 +311,11 @@ impl CorpusCache {
         let inner = self.lock();
         (inner.map.len(), inner.total_bytes)
     }
+}
+
+/// Admission check: proves `store` valid or names its defect.
+fn validated(key: &str, store: Arc<dyn GraphStore>) -> Result<ValidStore, String> {
+    ValidCsr::new(store).map_err(|e| format!("corpus key '{key}': invalid graph: {e}"))
 }
 
 /// Resolves a corpus key to a [`GraphStore`]: `store:` keys mmap-load a

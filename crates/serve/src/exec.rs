@@ -1,17 +1,20 @@
-//! Request execution: resolves the graph, picks the engine, runs the
-//! workload under a deadline token, and shapes the response payload.
+//! Request execution: runs a workload on a validated graph under a
+//! deadline token and shapes the response payload.
 //!
-//! Deadline semantics per engine:
+//! `dfs` and `reach` run the served traversal kernel
+//! ([`db_core::kernel`]) on the calling thread with the caller's reused
+//! scratch, whatever engine the request names, except `sim`, which runs
+//! the simulator. The kernel polls the token every
+//! [`db_core::kernel::POLL_STRIDE`] expansions, so an expired deadline
+//! stops the search and the payload describes the partial prefix
+//! (`completed:false`). A `reach` stops as soon as it marks its target
+//! and answers exactly what a full traversal would.
 //!
-//! * `native` / `lockfree` run through `run_cancellable`, so an expired
-//!   deadline stops the traversal at the next worker poll point and the
-//!   payload describes the consistent partial prefix (`completed:false`).
-//! * `sim` / `serial` and the apps-layer workloads (`scc`, `topo`,
-//!   `articulation`) are not preemptible: the deadline is checked once
-//!   at start (expired → no work is done). If they finish past the
-//!   deadline anyway, the response is still `ok` with
-//!   `deadline_missed:true` — timing metadata, not content, so outcome
-//!   determinism is unaffected.
+//! `sim` and the apps-layer workloads (`scc`, `topo`, `articulation`)
+//! are not preemptible: the deadline is checked once at start (expired
+//! → no work is done). If they finish past the deadline anyway, the
+//! response is still `ok` with `deadline_missed:true` — timing metadata,
+//! not content, so outcome determinism is unaffected.
 //!
 //! Every payload field is a scheduling-independent quantity (visited
 //! counts, component counts, flags); steal/timing counters never leak
@@ -19,43 +22,42 @@
 //! the load generator meaningful.
 
 use crate::request::{EngineKind, Request, Response, Status, Workload};
-use db_core::native::{NativeConfig, NativeEngine};
-use db_core::native_lockfree::LockFreeEngine;
-use db_core::CancelToken;
+use db_core::kernel::{self, Scratch, Search};
+use db_core::{CancelToken, ValidCsr};
 use db_gpu_sim::MachineModel;
 use db_graph::CsrGraph;
 use db_trace::json::Value;
 
-/// Executes `req` against `graph`, consuming the token's deadline.
-/// `latency_us`/`deadline_missed` are filled by the pool afterwards
-/// (they are measured from admission, which the pool owns).
+/// Validates `graph`, then executes `req` on it with a fresh scratch,
+/// consuming the token's deadline. A malformed graph is rejected with
+/// the defect as the reason. `latency_us`/`deadline_missed` are filled
+/// by the pool afterwards (they are measured from admission, which the
+/// pool owns).
 pub fn execute(req: &Request, graph: &CsrGraph, token: &CancelToken) -> Response {
-    execute_observed(req, graph, token, None)
-}
-
-/// [`execute`] with an optional sim-phase observation sink. When `req`
-/// runs on the [`EngineKind::Sim`] engine and a sink is supplied, the
-/// traversal runs under a [`db_gpu_sim::CycleProfiler`] and the sink
-/// receives the nonzero `(sm, phase_index, cycles)` cells — the pool
-/// turns those into `SimPhase` flight-recorder spans. Profiling is
-/// observational: the response is identical with or without a sink.
-pub fn execute_observed(
-    req: &Request,
-    graph: &CsrGraph,
-    token: &CancelToken,
-    sim_spans: Option<&mut Vec<(u32, usize, u64)>>,
-) -> Response {
-    // Engine-entry validation (db-core's typed GraphError), mapped to a
-    // rejection-with-reason: a structurally malformed graph must never
-    // reach a ring, and the client learns exactly which invariant broke.
-    if let Err(e) = db_core::validate_graph(graph) {
-        return Response::failure(
+    match ValidCsr::new(graph) {
+        Ok(graph) => execute_valid(req, graph, token, &mut Scratch::default(), None),
+        Err(e) => Response::failure(
             req.id,
             Status::Rejected,
             format!("invalid graph '{}': {e}", req.graph),
-        );
+        ),
     }
-    let n = graph.num_vertices() as u32;
+}
+
+/// Executes `req` on a graph validated beforehand, searching in
+/// `scratch`. A `sim` run with a sink supplied runs under a
+/// [`db_gpu_sim::CycleProfiler`], and the sink receives the nonzero
+/// `(sm, phase_index, cycles)` cells that the pool turns into `SimPhase`
+/// spans. Profiling is observational: the response is the same either
+/// way.
+pub fn execute_valid(
+    req: &Request,
+    graph: ValidCsr<&CsrGraph>,
+    token: &CancelToken,
+    scratch: &mut Scratch,
+    sim_spans: Option<&mut Vec<(u32, usize, u64)>>,
+) -> Response {
+    let n = graph.graph().num_vertices() as u32;
     let check_root = |v: u32, what: &str| -> Result<(), Response> {
         if v < n {
             Ok(())
@@ -67,48 +69,40 @@ pub fn execute_observed(
             ))
         }
     };
+    // The engine name is a hint: only `sim` changes what runs.
+    let search = move |root: u32, target: Option<u32>| match req.engine {
+        EngineKind::Sim => simulate(graph.graph(), root, target, token, sim_spans),
+        _ => kernel::search(graph, root, target, token, scratch),
+    };
+    let graph = graph.graph();
     match &req.workload {
         Workload::Dfs { root } => {
-            let root = *root;
-            if let Err(r) = check_root(root, "root") {
+            if let Err(r) = check_root(*root, "root") {
                 return r;
             }
-            let (visited, completed) = traverse(req.engine, graph, root, token, sim_spans);
-            let count = visited.iter().filter(|&&v| v).count() as u64;
+            let found = search(*root, None);
             respond(
                 req.id,
-                completed,
+                found.completed,
                 vec![
-                    ("visited".into(), Value::u64(count)),
-                    ("completed".into(), Value::Bool(completed)),
+                    ("visited".into(), Value::u64(found.visited)),
+                    ("completed".into(), Value::Bool(found.completed)),
                 ],
             )
         }
         Workload::Reach { root, target } => {
-            let (root, target) = (*root, *target);
-            if let Err(r) = check_root(root, "root").and(check_root(target, "target")) {
+            if let Err(r) = check_root(*root, "root").and(check_root(*target, "target")) {
                 return r;
             }
-            let (visited, completed) = traverse(req.engine, graph, root, token, sim_spans);
-            // A partial traversal can prove reachability (target already
-            // visited) but not unreachability; report that case as
-            // expired rather than a false negative.
-            let reachable = visited[target as usize];
-            if !completed && !reachable {
-                return respond(
-                    req.id,
-                    false,
-                    vec![("completed".into(), Value::Bool(false))],
-                );
+            // A search stopped by its deadline before it claimed the
+            // target proves nothing: report it as expired rather than
+            // a false negative.
+            let found = search(*root, Some(*target));
+            let mut payload = vec![("completed".into(), Value::Bool(found.completed))];
+            if found.completed {
+                payload.insert(0, ("reachable".into(), Value::Bool(found.claimed)));
             }
-            respond(
-                req.id,
-                true,
-                vec![
-                    ("reachable".into(), Value::Bool(reachable)),
-                    ("completed".into(), Value::Bool(true)),
-                ],
-            )
+            respond(req.id, found.completed, payload)
         }
         Workload::Scc => {
             if !graph.is_directed() {
@@ -174,75 +168,46 @@ pub fn execute_observed(
     }
 }
 
-/// Runs a single-root traversal on the requested engine; returns the
-/// visited flags and whether the run completed (non-cancellable engines
-/// always complete once started).
-fn traverse(
-    engine: EngineKind,
+/// Runs the simulator from `root`: not preemptible, so the token is
+/// only checked before it starts.
+fn simulate(
     g: &CsrGraph,
     root: u32,
+    target: Option<u32>,
     token: &CancelToken,
     sim_spans: Option<&mut Vec<(u32, usize, u64)>>,
-) -> (Vec<bool>, bool) {
-    match engine {
-        EngineKind::Native => {
-            let out = NativeEngine::new(NativeConfig::default()).run_cancellable(g, root, token);
-            (out.visited, out.completed)
+) -> Search {
+    if token.is_cancelled() {
+        return Search {
+            visited: 0,
+            claimed: false,
+            completed: false,
+        };
+    }
+    let cfg = db_core::DiggerBeesConfig::default();
+    let model = MachineModel::a100();
+    let out = match sim_spans {
+        Some(sink) => {
+            let profiler = db_gpu_sim::CycleProfiler::new(cfg.blocks as usize);
+            let out = db_core::run_sim_profiled(
+                g,
+                root,
+                &cfg,
+                &model,
+                &db_trace::tracer::NullTracer,
+                &profiler,
+            );
+            sink.extend(profiler.phase_spans());
+            out
         }
-        EngineKind::LockFree => {
-            let out = LockFreeEngine::new(NativeConfig::default()).run_cancellable(g, root, token);
-            (out.visited, out.completed)
-        }
-        EngineKind::Sim => {
-            if token.is_cancelled() {
-                return (vec![false; g.num_vertices()], false);
-            }
-            let cfg = db_core::DiggerBeesConfig::default();
-            let model = MachineModel::a100();
-            let out = match sim_spans {
-                Some(sink) => {
-                    let profiler = db_gpu_sim::CycleProfiler::new(cfg.blocks as usize);
-                    let out = db_core::run_sim_profiled(
-                        g,
-                        root,
-                        &cfg,
-                        &model,
-                        &db_trace::tracer::NullTracer,
-                        &profiler,
-                    );
-                    sink.extend(profiler.phase_spans());
-                    out
-                }
-                None => db_core::run_sim(g, root, &cfg, &model),
-            };
-            (out.visited, true)
-        }
-        EngineKind::Serial => {
-            if token.is_cancelled() {
-                return (vec![false; g.num_vertices()], false);
-            }
-            let out = db_baselines::serial::run(g, root, &MachineModel::a100());
-            (out.visited, true)
-        }
-        EngineKind::Partitioned => {
-            // Cross-partition DFS: contiguous edge-cut shards, idle
-            // shards steal half a victim's stack. The visited set is
-            // schedule-independent, so the payload stays deterministic.
-            let spec = db_store::partition_by_arcs(g, PARTITIONS);
-            let (visited, completed, _) =
-                db_store::run_partitioned(g, &spec, root, &db_trace::tracer::NullTracer, &|| {
-                    token.is_cancelled()
-                });
-            (visited, completed)
-        }
+        None => db_core::run_sim(g, root, &cfg, &model),
+    };
+    Search {
+        visited: out.visited.iter().filter(|&&v| v).count() as u64,
+        claimed: target.is_some_and(|t| out.visited.get(t as usize) == Some(&true)),
+        completed: true,
     }
 }
-
-/// Shard count for [`EngineKind::Partitioned`] requests. Fixed (not a
-/// request knob) so a request's outcome digest never depends on server
-/// sizing; 4 exercises cross-partition stealing on any graph that has
-/// at least a few thousand arcs.
-const PARTITIONS: usize = 4;
 
 fn respond(id: u64, completed: bool, payload: Vec<(String, Value)>) -> Response {
     Response {
@@ -284,16 +249,18 @@ mod tests {
         }
     }
 
+    const ENGINES: [EngineKind; 5] = [
+        EngineKind::Native,
+        EngineKind::LockFree,
+        EngineKind::Sim,
+        EngineKind::Serial,
+        EngineKind::Partitioned,
+    ];
+
     #[test]
     fn dfs_visits_whole_component_on_every_engine() {
         let g = build_graph("grid:6:6").unwrap();
-        for engine in [
-            EngineKind::Native,
-            EngineKind::LockFree,
-            EngineKind::Sim,
-            EngineKind::Serial,
-            EngineKind::Partitioned,
-        ] {
+        for engine in ENGINES {
             let r = execute(
                 &req("grid:6:6", Workload::Dfs { root: 0 }, engine),
                 &g,
@@ -306,29 +273,23 @@ mod tests {
 
     #[test]
     fn reach_answers_connectivity() {
-        let g = build_graph("path:10").unwrap();
-        let r = execute(
-            &req(
-                "path:10",
-                Workload::Reach { root: 0, target: 9 },
-                EngineKind::Native,
-            ),
-            &g,
-            &CancelToken::new(),
-        );
-        assert_eq!(r.payload.get("reachable").unwrap().as_bool(), Some(true));
-
-        let d = build_graph("dag:10").unwrap();
-        let r = execute(
-            &req(
-                "dag:10",
-                Workload::Reach { root: 5, target: 0 },
-                EngineKind::Serial,
-            ),
-            &d,
-            &CancelToken::new(),
-        );
-        assert_eq!(r.payload.get("reachable").unwrap().as_bool(), Some(false));
+        let path = build_graph("path:10").unwrap();
+        let dag = build_graph("dag:10").unwrap();
+        // (0, 1) on the path is claimed on the first expansion, long
+        // before a full traversal would end.
+        let cases = [
+            (&path, 0, 9, true),
+            (&path, 0, 1, true),
+            (&dag, 5, 0, false),
+        ];
+        for engine in ENGINES {
+            for (g, root, target, reachable) in cases {
+                let w = Workload::Reach { root, target };
+                let r = execute(&req("g", w, engine), g, &CancelToken::new());
+                let want = format!(r#"{{"reachable":{reachable},"completed":true}}"#);
+                assert_eq!(r.payload.to_json(), want, "{engine:?}");
+            }
+        }
     }
 
     #[test]
@@ -393,7 +354,13 @@ mod tests {
         let r = req("grid:6:6", Workload::Dfs { root: 0 }, EngineKind::Sim);
         let plain = execute(&r, &g, &CancelToken::new());
         let mut sink = Vec::new();
-        let observed = execute_observed(&r, &g, &CancelToken::new(), Some(&mut sink));
+        let observed = execute_valid(
+            &r,
+            ValidCsr::new(&g).unwrap(),
+            &CancelToken::new(),
+            &mut Scratch::default(),
+            Some(&mut sink),
+        );
         assert_eq!(
             plain.digest(),
             observed.digest(),
@@ -428,13 +395,16 @@ mod tests {
         let g = build_graph("path:50000").unwrap();
         let t = CancelToken::new();
         t.cancel();
-        for engine in [EngineKind::Native, EngineKind::LockFree, EngineKind::Sim] {
-            let r = execute(
-                &req("path:50000", Workload::Dfs { root: 0 }, engine),
-                &g,
-                &t,
-            );
-            assert_eq!(r.status, Status::Expired, "{engine:?}");
+        let reach = Workload::Reach {
+            root: 0,
+            target: 49_999,
+        };
+        for engine in ENGINES {
+            for w in [Workload::Dfs { root: 0 }, reach.clone()] {
+                let r = execute(&req("path:50000", w, engine), &g, &t);
+                assert_eq!(r.status, Status::Expired, "{engine:?}");
+                assert_eq!(r.payload.get("completed").unwrap().as_bool(), Some(false));
+            }
         }
         let r = execute(
             &req("path:50000", Workload::Articulation, EngineKind::Native),

@@ -7,8 +7,8 @@
 //!
 //! * [`corpus`] — graph registry: corpus keys resolve to `Arc`-shared
 //!   [`db_graph::GraphStore`]s — built in-RAM graphs or `store:`-keyed
-//!   packs mmap-loaded through `db-store` — cached under a
-//!   charged-bytes budget with LRU eviction.
+//!   packs mmap-loaded through `db-store` — validated once on admission
+//!   and cached under a charged-bytes budget with LRU eviction.
 //! * [`delta`] — epoch-versioned dynamic graphs under `delta:` corpus
 //!   keys (`db-delta`): `add_edges`/`del_edges` batches publish epochs,
 //!   reads pin snapshots (snapshot isolation), reachability goes
@@ -21,17 +21,19 @@
 //!   quotas, per-worker earliest-deadline-first deques with
 //!   steal-half-from-the-back request stealing (two-choice victim
 //!   selection, after §3.4 of the paper), deadline cancellation via
-//!   [`db_core::CancelToken`] poll points inside the native engines,
-//!   and graceful drain.
+//!   [`db_core::CancelToken`] poll points inside the served kernel, one
+//!   reused kernel scratch per worker, and graceful drain.
 //! * [`resilience`] — the self-healing policy layer: per-request retry
 //!   with deterministic jittered backoff, per-tenant circuit breakers
 //!   (trip on consecutive failures, half-open on a timer), a capped
 //!   worker-restart budget, and an optional [`db_fault::Injector`]
 //!   driving deterministic chaos (see DESIGN.md "Fault model &
 //!   resilience").
-//! * [`exec`] — workload execution and payload shaping; payloads carry
-//!   only scheduling-independent quantities so a request's outcome is
-//!   deterministic under any interleaving.
+//! * [`exec`] — workload execution and payload shaping: `dfs`/`reach`
+//!   run [`db_core::kernel`] on the calling worker (the simulator for
+//!   `engine: "sim"`); payloads carry only scheduling-independent
+//!   quantities so a request's outcome is deterministic under any
+//!   interleaving.
 //! * [`metrics`] — `db_serve_*` series in a per-instance
 //!   [`db_metrics::Registry`]: latency histogram (p50/p90/p99/p99.9,
 //!   max), queue depth, worker occupancy, cache hit rate, rejection

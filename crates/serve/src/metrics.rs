@@ -69,6 +69,8 @@ pub struct Metrics {
     pub queue_depth: Gauge,
     /// Workers currently executing a request (occupancy).
     pub busy_workers: Gauge,
+    /// Heap bytes of the workers' reused traversal scratch, summed.
+    pub scratch_bytes: Gauge,
     /// Latency of all finished requests (any status), µs.
     pub latency: Histogram,
 }
@@ -154,6 +156,11 @@ impl Metrics {
             busy_workers: reg.gauge(
                 "db_serve_busy_workers",
                 "Workers currently executing a request",
+                &[],
+            ),
+            scratch_bytes: reg.gauge(
+                "db_serve_scratch_bytes",
+                "Heap bytes of the workers' reused traversal scratch, summed",
                 &[],
             ),
             latency: reg.histogram(

@@ -307,6 +307,8 @@ fn dispatch_line(line: &str, handle: &ServeHandle, shutdown_requested: &AtomicBo
 
 /// Client-side helper: sends one NDJSON line and reads one reply line.
 /// Used by the load generator's TCP mode and the integration tests.
+/// A peer that closes before replying is an
+/// [`std::io::ErrorKind::UnexpectedEof`] error, never an empty reply.
 pub fn roundtrip_line(
     reader: &mut impl BufRead,
     writer: &mut impl Write,
@@ -316,7 +318,12 @@ pub fn roundtrip_line(
     writer.write_all(b"\n")?;
     writer.flush()?;
     let mut reply = String::new();
-    reader.read_line(&mut reply)?;
+    if reader.read_line(&mut reply)? == 0 {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "peer closed the connection before replying",
+        ));
+    }
     Ok(reply.trim_end().to_string())
 }
 
@@ -351,4 +358,28 @@ pub fn fetch_prometheus(addr: &SocketAddr) -> std::io::Result<String> {
                 "prometheus reply missing 'text'",
             )
         })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn roundtrip_reports_a_peer_that_hangs_up_as_unexpected_eof() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Accept the connection, read the request, and hang up without
+        // replying.
+        let peer = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut line = String::new();
+            BufReader::new(stream).read_line(&mut line).unwrap();
+        });
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let err = roundtrip_line(&mut reader, &mut writer, r#"{"op":"metrics"}"#).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        peer.join().unwrap();
+    }
 }

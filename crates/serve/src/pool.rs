@@ -23,6 +23,7 @@ use crate::exec;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::request::{EngineKind, Request, Response, Status};
 use crate::resilience::{backoff_delay, BreakerEvent, BreakerMap, Resilience};
+use db_core::kernel::Scratch;
 use db_core::CancelToken;
 use db_fault::FaultKind;
 use db_metrics::{Gauge, SloConfig, SloTracker};
@@ -750,6 +751,9 @@ fn retire_worker(inner: &ServerInner, idx: usize) {
 
 fn worker_loop(inner: &Arc<ServerInner>, idx: usize) -> WorkerExit {
     let mut rng: u64 = 0x9e37_79b9_7f4a_7c15 ^ ((idx as u64 + 1) << 32 | 0xdead_beef);
+    // One traversal scratch per incarnation: a poisoned worker drops it
+    // with everything else the unwound attempt touched.
+    let mut scratch = WorkerScratch::new(&inner.metrics.scratch_bytes);
     loop {
         let job = {
             let mut st = inner.lock();
@@ -810,9 +814,44 @@ fn worker_loop(inner: &Arc<ServerInner>, idx: usize) -> WorkerExit {
             inner.cv.notify_all();
             return WorkerExit::Drained;
         };
-        if run_job(inner, idx as u32, job) {
+        if run_job(inner, idx as u32, job, &mut scratch) {
             return WorkerExit::Poisoned;
         }
+    }
+}
+
+/// A worker's reused traversal scratch, charged to the
+/// `db_serve_scratch_bytes` gauge for as long as the worker holds it.
+struct WorkerScratch<'a> {
+    scratch: Scratch,
+    gauge: &'a Gauge,
+    charged: u64,
+}
+
+impl<'a> WorkerScratch<'a> {
+    fn new(gauge: &'a Gauge) -> WorkerScratch<'a> {
+        WorkerScratch {
+            scratch: Scratch::default(),
+            gauge,
+            charged: 0,
+        }
+    }
+
+    /// Moves the gauge by the scratch's change since the last charge.
+    fn charge(&mut self) {
+        let held = self.scratch.bytes() as u64;
+        if held >= self.charged {
+            self.gauge.add(held - self.charged);
+        } else {
+            self.gauge.sub(self.charged - held);
+        }
+        self.charged = held;
+    }
+}
+
+impl Drop for WorkerScratch<'_> {
+    fn drop(&mut self) {
+        self.gauge.sub(self.charged);
     }
 }
 
@@ -886,14 +925,15 @@ fn panic_text(p: &(dyn std::any::Any + Send)) -> &str {
 /// panic or an injected fault. `error` (invalid request) and `expired`
 /// (deadline) are terminal on their first occurrence; retrying them
 /// could not change the outcome. The final attempt of a request whose
-/// earlier attempts crashed runs on the serial engine (the degradation
-/// ladder): the simplest code path, with no stealing machinery to go
-/// wrong.
+/// earlier attempts crashed is relabelled `serial` (the degradation
+/// ladder), which the chaos plan's `corrupt` kind exempts; a `dfs` or
+/// `reach` runs the same served kernel on every non-`sim` attempt.
 ///
 /// Returns `true` if an attempt panicked: the caller's incarnation is
 /// considered poisoned and respawns (heap state touched by the unwound
-/// traversal is untrusted even though the response was delivered).
-fn run_job(inner: &ServerInner, worker: u32, job: Job) -> bool {
+/// traversal, `scratch` included, is untrusted even though the response
+/// was delivered).
+fn run_job(inner: &ServerInner, worker: u32, job: Job, scratch: &mut WorkerScratch) -> bool {
     let _busy = GaugeGuard::acquire(&inner.metrics.busy_workers);
     let reply = ReplyGuard::new(job.reply.clone(), job.req.id);
     // The queue span covers admission to this dequeue — across any
@@ -994,7 +1034,7 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job) -> bool {
             inner.span(&job.ctx, SpanKind::Fault, 4, seed, worker, t_store);
             inner.cache.resolve_corrupted(&job.req.graph, seed)
         }
-        None => inner.cache.resolve(&job.req.graph),
+        None => inner.cache.resolve_valid(&job.req.graph),
     };
     let store = match resolved {
         Ok((store, info)) => {
@@ -1035,7 +1075,7 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job) -> bool {
             return false;
         }
     };
-    let graph = store.graph();
+    let graph = store.view();
 
     let attempts = policy.attempts().max(1);
     let mut done: Option<Response> = None;
@@ -1043,7 +1083,7 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job) -> bool {
     let mut degraded = false;
     for attempt in 0..attempts {
         // Degradation ladder: the last attempt of a crashing request
-        // falls back to the serial engine.
+        // is relabelled `serial`.
         let degrade =
             attempt + 1 == attempts && attempt > 0 && job.req.engine != EngineKind::Serial;
         let engine = if degrade {
@@ -1131,7 +1171,13 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job) -> bool {
                 // blocking-ok: fault-injected stall; blocking is the point
                 std::thread::sleep(d);
             }
-            exec::execute_observed(req, graph, &token, Some(&mut sim_spans))
+            exec::execute_valid(
+                req,
+                graph,
+                &token,
+                &mut scratch.scratch,
+                Some(&mut sim_spans),
+            )
         }));
         let t_done = inner.now_ns();
         let attempt_code = match &outcome {
@@ -1197,6 +1243,9 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job) -> bool {
         }
     }
 
+    // Charged before the reply goes out, so a client that scrapes after
+    // its response sees the scratch this request grew.
+    scratch.charge();
     let resp = done.unwrap_or_else(|| {
         Response::failure(
             job.req.id,
@@ -1360,7 +1409,11 @@ mod tests {
             ..ServeConfig::default()
         });
         let h = server.handle();
-        assert_eq!(h.run(req(1, "grid:8:8", 0)).status, Status::Ok);
+        let sim = Request {
+            engine: EngineKind::Sim,
+            ..req(1, "grid:8:8", 0)
+        };
+        assert_eq!(h.run(sim).status, Status::Ok);
         let text = h.prometheus();
         let exp = db_metrics::validate_exposition(&text).unwrap();
         let get = |n: &str| exp.samples.iter().find(|s| s.name == n).map(|s| s.value);
@@ -1368,12 +1421,12 @@ mod tests {
         assert_eq!(get("db_serve_cache_misses_total"), Some(1.0));
         assert_eq!(get("db_serve_request_latency_us_count"), Some(1.0));
         assert_eq!(get("db_serve_queue_depth"), Some(0.0));
-        // The request ran the native engine, which records into the
+        // The request ran the simulator, which records into the
         // process-global registry; the merged scrape must carry it.
         let runs = exp
             .samples
             .iter()
-            .find(|s| s.name == "db_engine_runs_total" && s.label("engine") == Some("native"))
+            .find(|s| s.name == "db_engine_runs_total" && s.label("engine") == Some("sim"))
             .expect("global engine series in scrape");
         assert!(runs.value >= 1.0);
         // Per-instance isolation: a sibling server's scrape reports its
@@ -1395,6 +1448,29 @@ mod tests {
         assert_eq!(m.latency_count, 1);
         assert!(m.max_us > 0, "exact max latency must be recorded");
         assert!(m.p999_us >= m.p50_us);
+    }
+
+    #[test]
+    fn scratch_gauge_tracks_worker_scratch_until_the_workers_exit() {
+        let server = Server::start(ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        });
+        let h = server.handle();
+        let scratch = |h: &ServeHandle| {
+            let exp = db_metrics::validate_exposition(&h.prometheus()).unwrap();
+            exp.samples
+                .iter()
+                .find(|s| s.name == "db_serve_scratch_bytes")
+                .map(|s| s.value)
+        };
+        assert_eq!(scratch(&h), Some(0.0));
+        assert_eq!(h.run(req(1, "path:5000", 0)).status, Status::Ok);
+        // One worker holds 5000 visited bits and room for 5000 stack
+        // entries.
+        assert!(scratch(&h).unwrap() >= (5000 / 8 + 5000 * 4) as f64);
+        server.shutdown();
+        assert_eq!(scratch(&h), Some(0.0), "exited workers drop their scratch");
     }
 
     #[test]

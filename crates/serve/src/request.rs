@@ -80,35 +80,38 @@ impl Workload {
     }
 }
 
-/// Which traversal engine executes a `dfs`/`reach` workload.
+/// The engine a request names for a `dfs`/`reach` workload.
 ///
-/// The apps-layer workloads (`scc`, `topo`, `articulation`) are serial
-/// algorithms and ignore this field.
+/// The name is a hint: every engine but [`EngineKind::Sim`] is answered
+/// by the served kernel ([`db_core::kernel`]), a single-thread bitset
+/// search on the pool worker that obeys the request's deadline. `sim`
+/// runs the GPU simulator. The answer is the same either way. The
+/// threaded engines the other names refer to stay in the workspace for
+/// the CLI and the figure binaries. The apps-layer workloads (`scc`,
+/// `topo`, `articulation`) ignore this field.
 ///
 /// ```
 /// use db_serve::EngineKind;
 ///
-/// // Wire names round-trip; `partitioned` selects cross-partition DFS
-/// // with steal-half shard stealing on a partitioned packed graph:
-/// // {"id":1,"graph":"store:web.dbsg","engine":"partitioned",
+/// // Wire names round-trip:
+/// // {"id":1,"graph":"grid:8:8","engine":"partitioned",
 /// //  "workload":{"kind":"dfs","root":0}}
 /// assert_eq!(EngineKind::from_name("partitioned"), Some(EngineKind::Partitioned));
 /// assert_eq!(EngineKind::Partitioned.name(), "partitioned");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
-    /// Locked two-level-stack native engine ([`db_core::native`]).
+    /// Names the locked two-level-stack engine ([`db_core::native`]).
     #[default]
     Native,
-    /// Lock-free-HotRing native engine ([`db_core::native_lockfree`]).
+    /// Names the lock-free-HotRing engine ([`db_core::native_lockfree`]).
     LockFree,
-    /// Deterministic GPU simulator ([`db_core::run_sim`]).
+    /// Runs the deterministic GPU simulator ([`db_core::run_sim`]).
     Sim,
-    /// Serial Algorithm-1 baseline ([`db_baselines::serial`]).
+    /// Names the paper's serial Algorithm-1 baseline.
     Serial,
-    /// Cross-partition DFS with steal-half shard stealing
-    /// (`db_store::run_partitioned`): the paper's block-level stealing
-    /// lifted to partition granularity, for partitioned packed graphs.
+    /// Names the cross-partition DFS with steal-half shard stealing
+    /// (`db_store::run_partitioned`).
     Partitioned,
 }
 
@@ -287,8 +290,8 @@ pub enum Status {
     Ok,
     /// Refused at admission (queue full, tenant over quota, draining).
     Rejected,
-    /// Deadline expired; for cancellable engines the payload describes
-    /// the consistent partial traversal at the poll point that stopped.
+    /// Deadline expired; a `dfs` payload describes the consistent
+    /// partial traversal at the poll point that stopped it.
     Expired,
     /// The request itself was invalid (unknown graph, bad root,
     /// workload/graph mismatch).
@@ -340,7 +343,8 @@ pub struct Response {
     /// Timing, not content: excluded from [`Response::digest`].
     pub latency_us: u64,
     /// `true` when a deadline was set and completion overshot it even
-    /// though the result is complete (non-preemptible engines).
+    /// though the result is complete (`sim` and the apps workloads,
+    /// which are not preemptible).
     pub deadline_missed: bool,
     /// The request's trace id, correlating this response with its span
     /// tree in the flight recorder (`0` when untraced). Diagnostic

@@ -6,7 +6,8 @@
 //! reference BFS, a second fresh server must agree digest for digest,
 //! the flight dump must validate, and a server restarted on the first
 //! run's WAL directory must recover the delta corpus and answer its
-//! fences identically.
+//! fences identically. A second test holds a `serial` dfs to its
+//! deadline.
 
 use db_graph::traversal::reachable_set;
 use db_graph::{CsrGraph, GraphBuilder};
@@ -250,4 +251,29 @@ fn served_answers_digests_spans_and_recovery_hold() {
     );
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every served dfs obeys its deadline, whatever engine it names: a
+/// `serial` dfs over a warm million-vertex path with a 1 ms budget stops
+/// at a kernel poll and reports the partial prefix.
+#[test]
+fn serial_dfs_stops_at_its_deadline() {
+    const KEY: &str = "path:1000000";
+    let server = Server::start(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    let h = server.handle();
+    let serial = |id, deadline_ms| Request {
+        engine: EngineKind::Serial,
+        deadline_ms,
+        ..request(id, KEY, Workload::Dfs { root: 0 })
+    };
+    assert_eq!(h.run(serial(0, None)).status, Status::Ok, "warm-up");
+    let r = h.run(serial(1, Some(1)));
+    server.shutdown();
+    assert_eq!(r.status, Status::Expired, "{:?}", r.error);
+    assert_eq!(r.payload.get("completed").unwrap().as_bool(), Some(false));
+    let partial = r.payload.get("visited").unwrap().as_u64().unwrap();
+    assert!((1..1_000_000).contains(&partial), "partial count {partial}");
 }
