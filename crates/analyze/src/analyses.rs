@@ -1,17 +1,17 @@
-//! The five interprocedural analyses (A1–A5) over the call graph.
+//! The analyses (A1–A6) over the call graph.
 //!
-//! | id | analysis | supersedes |
-//! |----|----------|------------|
-//! | A1 | panic-reachability from serve/durability paths | R3, R5 |
-//! | A2 | atomic-ordering audit (per-field pairing)      | R1     |
-//! | A3 | lock-order cycles (deadlock potential)         | —      |
-//! | A4 | blocking calls reachable from hot paths        | —      |
-//! | A5 | determinism taint into deterministic crates    | R2     |
+//! | id | analysis |
+//! |----|----------|
+//! | A1 | panic-reachability from serve/durability paths |
+//! | A2 | atomic-ordering audit (per-field pairing)      |
+//! | A3 | lock-order cycles (deadlock potential)         |
+//! | A4 | blocking calls reachable from hot paths        |
+//! | A5 | determinism taint into deterministic crates    |
+//! | A6 | `catch_unwind` sites name their drop-guard     |
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
 use crate::callgraph::{CallGraph, FnId};
-use crate::facts::{AtomicOp, PanicKind};
 use crate::report::{sort_findings, Finding, Frame};
 
 /// Root/scope configuration. File matching is by path prefix, so a
@@ -25,7 +25,8 @@ pub struct Config {
     pub durability_roots: Vec<String>,
     /// A4: (file prefix, function name) hot-path roots.
     pub hot_roots: Vec<(String, String)>,
-    /// A5: file prefixes that must stay deterministic.
+    /// A5: file prefixes that must stay deterministic, test code
+    /// included.
     pub det_scopes: Vec<String>,
     /// A3: file prefixes whose lock sites enter the lock-order graph.
     pub lock_scopes: Vec<String>,
@@ -44,7 +45,8 @@ impl Config {
             durability_roots: vec![
                 "crates/wal/src/".into(),
                 "crates/serve/src/delta.rs".into(),
-                "crates/store/src/pack.rs".into(),
+                "crates/store/src/".into(),
+                "crates/delta/src/".into(),
             ],
             hot_roots: vec![
                 ("crates/serve/src/pool.rs".into(), "worker_loop".into()),
@@ -57,6 +59,7 @@ impl Config {
             det_scopes: vec![
                 "crates/gpu-sim/src/".into(),
                 "crates/check/src/".into(),
+                "crates/check/tests/".into(),
                 "crates/core/src/sim.rs".into(),
             ],
             lock_scopes: vec![
@@ -73,7 +76,7 @@ fn in_scope(file: &str, prefixes: &[String]) -> bool {
     prefixes.iter().any(|p| file.starts_with(p.as_str()))
 }
 
-/// Runs A1–A5, dedupes by fingerprint, sorts into report order.
+/// Runs A1–A6, dedupes by fingerprint, sorts into report order.
 pub fn run_all(g: &CallGraph, cfg: &Config) -> Vec<Finding> {
     let mut out = Vec::new();
     out.extend(a1_panic_reachability(g, cfg));
@@ -81,6 +84,7 @@ pub fn run_all(g: &CallGraph, cfg: &Config) -> Vec<Finding> {
     out.extend(a3_lock_order(g, cfg));
     out.extend(a4_blocking_hot_path(g, cfg));
     out.extend(a5_determinism_taint(g, cfg));
+    out.extend(a6_guarded_catch_unwind(g));
     let mut seen = HashSet::new();
     out.retain(|f| seen.insert(f.fingerprint()));
     sort_findings(&mut out);
@@ -120,15 +124,15 @@ pub fn a1_panic_reachability(g: &CallGraph, cfg: &Config) -> Vec<Finding> {
             }
             // One finding per (function, panic kind); first site is the
             // anchor, the count goes in the message.
-            let mut by_kind: BTreeMap<&'static str, (u32, usize, PanicKind)> = BTreeMap::new();
+            let mut by_kind: BTreeMap<&'static str, (u32, usize)> = BTreeMap::new();
             for p in &n.facts.panics {
                 if p.escaped {
                     continue;
                 }
-                let e = by_kind.entry(p.kind.name()).or_insert((p.line, 0, p.kind));
+                let e = by_kind.entry(p.kind.name()).or_insert((p.line, 0));
                 e.1 += 1;
             }
-            for (kname, (line, count, _kind)) in by_kind {
+            for (kname, (line, count)) in by_kind {
                 let mut frames = frames_of(g, &g.chain(&reach, id));
                 if let Some(last) = frames.last_mut() {
                     last.line = line;
@@ -292,7 +296,6 @@ pub fn a2_atomic_ordering(g: &CallGraph) -> Vec<Finding> {
                 });
             }
         }
-        let _ = AtomicOp::Load; // op names appear in details via Debug
     }
     out
 }
@@ -533,7 +536,7 @@ pub fn a5_determinism_taint(g: &CallGraph, cfg: &Config) -> Vec<Finding> {
     let mut out = Vec::new();
     for id in ids {
         let n = &g.nodes[&id];
-        if n.is_test || !det(&id) || !tainted.contains(&id) {
+        if !det(&id) || !tainted.contains(&id) {
             continue;
         }
         let direct = source_of.contains_key(&id);
@@ -603,6 +606,39 @@ pub fn a5_determinism_taint(g: &CallGraph, cfg: &Config) -> Vec<Finding> {
     out
 }
 
+// --- A6: catch_unwind guard pairing --------------------------------
+
+pub fn a6_guarded_catch_unwind(g: &CallGraph) -> Vec<Finding> {
+    let mut ids: Vec<FnId> = g.nodes.keys().copied().collect();
+    ids.sort_unstable();
+    let mut out = Vec::new();
+    for id in ids {
+        let n = &g.nodes[&id];
+        if n.is_test {
+            continue;
+        }
+        for c in n.facts.catch_unwinds.iter().filter(|c| !c.guarded) {
+            out.push(Finding {
+                analysis: "A6",
+                kind: "unguarded-catch-unwind".into(),
+                file: n.file.clone(),
+                function: n.display.clone(),
+                line: c.line,
+                message: "catch_unwind must name the drop-guard that restores shared \
+                          state on unwind (`// guard: <which>`)"
+                    .into(),
+                frames: vec![Frame {
+                    file: n.file.clone(),
+                    function: n.display.clone(),
+                    line: c.line,
+                }],
+                detail: "catch_unwind".into(),
+            });
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -611,7 +647,7 @@ mod tests {
     fn graph(files: &[(&str, &str)]) -> CallGraph {
         let parsed = files
             .iter()
-            .map(|(p, s)| parse_file(p, s, false).expect("parse"))
+            .map(|(p, s)| parse_file(p, s).expect("parse"))
             .collect();
         CallGraph::build(parsed)
     }

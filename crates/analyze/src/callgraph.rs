@@ -458,7 +458,7 @@ mod tests {
     fn graph(files: &[(&str, &str)]) -> CallGraph {
         let parsed = files
             .iter()
-            .map(|(p, s)| parse_file(p, s, false).expect("parse"))
+            .map(|(p, s)| parse_file(p, s).expect("parse"))
             .collect();
         CallGraph::build(parsed)
     }

@@ -4,8 +4,8 @@
 //! Facts are extracted once per function body (nested function items
 //! are subtracted — their facts belong to the nested function) and
 //! carry the source line plus whether an escape annotation covers the
-//! site. Escape markers follow the lint pass's contract: a comment on
-//! the same line or within three lines above.
+//! site. An escape marker is a comment on the same line or within
+//! three lines above.
 //!
 //! | fact | matched by | escape |
 //! |------|------------|--------|
@@ -15,6 +15,7 @@
 //! | lock | zero-argument `.lock()`, `.read()`, `.write()` | `lock-ok:` |
 //! | blocking | `fs::`/`File::`/`OpenOptions`/`TcpStream::connect` paths, `thread::sleep`, `.sync_all()`, `.sync_data()` | `blocking-ok:` |
 //! | nondet | `Instant::now`, `SystemTime::now`, `.elapsed()`, `thread::sleep`, `thread_rng`/`from_entropy`/`OsRng` | `nondet-ok:` |
+//! | catch_unwind | `catch_unwind(…)` calls | `guard:` naming the drop-guard |
 //!
 //! String and comment payloads can never produce facts (the lexer
 //! drops them), so this module's own pattern tables are inert when the
@@ -139,6 +140,15 @@ pub struct NondetSite {
     pub escaped: bool,
 }
 
+/// A `catch_unwind(…)` call: the unwind it stops must leave shared
+/// state restored, so the site names its drop-guard.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CatchSite {
+    pub line: u32,
+    /// Covered by a `guard:` annotation.
+    pub guarded: bool,
+}
+
 /// Everything the analyses need to know about one function body.
 #[derive(Debug, Clone, Default)]
 pub struct FnFacts {
@@ -148,6 +158,7 @@ pub struct FnFacts {
     pub locks: Vec<LockSite>,
     pub blocking: Vec<BlockingSite>,
     pub nondet: Vec<NondetSite>,
+    pub catch_unwinds: Vec<CatchSite>,
 }
 
 const KEYWORDS: &[&str] = &[
@@ -226,16 +237,14 @@ pub fn extract(pf: &ParsedFile, fi: usize) -> FnFacts {
 
         // --- Call forms -------------------------------------------
         let is_method = prev_is_dot(&toks, k);
-        let (args_open, turbofish_ok) = call_args_open(&toks, k);
-        if let Some(open) = args_open {
-            let _ = turbofish_ok;
+        if let Some(open) = call_args_open(&toks, k) {
             let name = t.text.as_str();
             if is_method {
-                handle_method_call(pf, &toks, k, open, &mut out, &ann);
+                handle_method_call(&toks, k, open, &mut out, &ann);
             } else if !KEYWORDS.contains(&name) {
                 // Collect leading path segments `a::b::name`.
                 let segments = path_segments(&toks, k);
-                handle_path_call(&segments, t.line, k, &mut out, &ann);
+                handle_path_call(&segments, t.line, &mut out, &ann);
                 out.calls.push(CallSite {
                     segments,
                     method: false,
@@ -287,9 +296,9 @@ fn prev_is_dot(toks: &[&Token], k: usize) -> bool {
 
 /// If the ident at `k` heads a call, returns the index of its `(`.
 /// Handles `name(`, `name::<T>(`.
-fn call_args_open(toks: &[&Token], k: usize) -> (Option<usize>, bool) {
+fn call_args_open(toks: &[&Token], k: usize) -> Option<usize> {
     match next_text(toks, k + 1) {
-        Some("(") => (Some(k + 1), false),
+        Some("(") => Some(k + 1),
         Some(":") if next_text(toks, k + 2) == Some(":") && next_text(toks, k + 3) == Some("<") => {
             // Turbofish: skip balanced angles, minding `->`.
             let mut depth = 1i64;
@@ -302,13 +311,9 @@ fn call_args_open(toks: &[&Token], k: usize) -> (Option<usize>, bool) {
                 }
                 j += 1;
             }
-            if next_text(toks, j) == Some("(") {
-                (Some(j), true)
-            } else {
-                (None, false)
-            }
+            (next_text(toks, j) == Some("(")).then_some(j)
         }
-        _ => (None, false),
+        _ => None,
     }
 }
 
@@ -409,7 +414,6 @@ fn receiver_field(toks: &[&Token], k: usize) -> String {
 }
 
 fn handle_method_call(
-    pf: &ParsedFile,
     toks: &[&Token],
     k: usize,
     open: usize,
@@ -477,7 +481,6 @@ fn handle_method_call(
         });
     }
 
-    let _ = pf;
     out.calls.push(CallSite {
         segments: vec![name.to_string()],
         method: true,
@@ -490,11 +493,9 @@ fn handle_method_call(
 fn handle_path_call(
     segments: &[String],
     line: u32,
-    pos: usize,
     out: &mut FnFacts,
     ann: &dyn Fn(u32, &str) -> bool,
 ) {
-    let _ = pos;
     let segs: Vec<&str> = segments.iter().map(|s| s.as_str()).collect();
     let joined = segs.join("::");
     let last = *segs.last().expect("segments nonempty");
@@ -529,6 +530,13 @@ fn handle_path_call(
             escaped: ann(line, "nondet-ok:"),
         });
     }
+
+    if last == "catch_unwind" {
+        out.catch_unwinds.push(CatchSite {
+            line,
+            guarded: ann(line, "guard:"),
+        });
+    }
 }
 
 #[cfg(test)]
@@ -540,7 +548,7 @@ mod tests {
         // Body on its own lines so trailing `// …-ok:` comments can't
         // swallow the closing brace.
         let src = format!("fn probe() {{\n{body}\n}}\n");
-        let pf = parse_file("crates/x/src/lib.rs", &src, false).expect("parse");
+        let pf = parse_file("crates/x/src/lib.rs", &src).expect("parse");
         assert_eq!(pf.fns.len(), 1, "{src}");
         extract(&pf, 0)
     }
@@ -628,6 +636,27 @@ mod tests {
     }
 
     #[test]
+    fn catch_unwind_sites_and_guards() {
+        let f = facts("let r = std::panic::catch_unwind(AssertUnwindSafe(|| job()));");
+        assert_eq!(
+            f.catch_unwinds,
+            vec![CatchSite {
+                line: 2,
+                guarded: false
+            }]
+        );
+        let f = facts(
+            "// guard: ActiveGuard decrements active on unwind\n\
+             let r = panic::catch_unwind(AssertUnwindSafe(|| job()));",
+        );
+        assert!(f.catch_unwinds[0].guarded);
+        // Importing catch_unwind is not a call site.
+        let src = "use std::panic::catch_unwind;\nfn probe() {}\n";
+        let pf = parse_file("crates/x/src/lib.rs", src).expect("parse");
+        assert!(extract(&pf, 0).catch_unwinds.is_empty());
+    }
+
+    #[test]
     fn call_sites_path_and_method() {
         let f = facts("helper(); module::deep(x); obj.process(y); it.collect::<Vec<_>>();");
         let paths: Vec<(Vec<String>, bool)> = f
@@ -644,7 +673,7 @@ mod tests {
     #[test]
     fn nested_fn_facts_stay_separate() {
         let src = "fn outer() { inner(); fn inner() { x.unwrap(); } }\n";
-        let pf = parse_file("crates/x/src/lib.rs", src, false).expect("parse");
+        let pf = parse_file("crates/x/src/lib.rs", src).expect("parse");
         let outer = extract(&pf, 0);
         let inner = extract(&pf, 1);
         assert!(outer.panics.is_empty(), "{:?}", outer.panics);

@@ -66,8 +66,7 @@ impl Lexed {
     }
 
     /// True if a comment containing `marker` appears on `line` or
-    /// within `window` lines above it — the same escape-annotation
-    /// contract the textual lint pass uses.
+    /// within `window` lines above it — the escape-annotation contract.
     pub fn annotated(&self, line: u32, window: u32, marker: &str) -> bool {
         let lo = line.saturating_sub(window);
         self.comments

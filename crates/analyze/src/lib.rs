@@ -7,16 +7,16 @@
 //! [`callgraph`] links them into a workspace-wide function-level call
 //! graph; [`analyses`] runs five interprocedural checks (A1
 //! panic-reachability, A2 atomic-ordering audit, A3 lock-order cycles,
-//! A4 blocking-in-hot-path, A5 determinism taint); [`report`],
-//! [`baseline`] and [`sarif`] turn findings into human-readable text,
-//! the committed `analyze-baseline.json` gate, and SARIF 2.1.0 for CI
-//! consumers.
+//! A4 blocking-in-hot-path, A5 determinism taint) and one per-site
+//! check (A6 guarded `catch_unwind`); [`report`], [`baseline`] and
+//! [`sarif`] turn findings into human-readable text, the committed
+//! `analyze-baseline.json` gate, and SARIF 2.1.0 for CI consumers.
 //!
 //! The analyzer has no rustc dependency: it parses the source tree
-//! directly, which keeps it runnable offline inside `diggerbees check
-//! --analyze` and fast enough for every CI run. The cost is name-based
-//! call resolution — see `callgraph` for the precision/soundness
-//! trade-offs.
+//! directly, which keeps it runnable offline as the static pass of
+//! `diggerbees check` and fast enough for every CI run. The cost is
+//! name-based call resolution — see `callgraph` for the
+//! precision/soundness trade-offs.
 
 pub mod analyses;
 pub mod baseline;
@@ -43,13 +43,17 @@ pub struct AnalysisRun {
     pub edges: usize,
 }
 
-/// Collects the workspace `.rs` files the analyzer covers: `src/` and
-/// every `crates/*/src/` under `root`, sorted for determinism.
+/// Collects the workspace `.rs` files the analyzer covers: `src/`,
+/// every `crates/*/src/`, and the model-checker tests in
+/// `crates/check/tests/` (determinism-critical, so A5 covers them) under
+/// `root`, sorted for determinism.
 pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
-    let top = root.join("src");
-    if top.is_dir() {
-        walk_rs(&top, &mut out)?;
+    for dir in ["src", "crates/check/tests"] {
+        let dir = root.join(dir);
+        if dir.is_dir() {
+            walk_rs(&dir, &mut out)?;
+        }
     }
     let crates = root.join("crates");
     if crates.is_dir() {
@@ -110,8 +114,7 @@ pub fn analyze_tree(root: &Path, cfg: &Config) -> Result<AnalysisRun, String> {
 pub fn analyze_sources(sources: &[(&str, &str)], cfg: &Config) -> Result<AnalysisRun, String> {
     let mut parsed = Vec::with_capacity(sources.len());
     for (path, text) in sources {
-        let pf = parser::parse_file(path, text, false)
-            .map_err(|e| format!("{}: {}", e.file, e.detail))?;
+        let pf = parser::parse_file(path, text).map_err(|e| format!("{}: {}", e.file, e.detail))?;
         parsed.push(pf);
     }
     let g = CallGraph::build(parsed);

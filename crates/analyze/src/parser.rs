@@ -12,10 +12,10 @@
 //!
 //! Scope tracking is a simple stack: `mod` blocks accumulate the
 //! module path, `impl` blocks contribute the self-type name, every
-//! other `{` is an anonymous block. `#[cfg(test)]` modules and
-//! `#[test]` functions are carried through as a `is_test` flag so the
-//! analyses can exclude test code, exactly like the textual lint pass
-//! skips `#[cfg(test)]` regions.
+//! other `{` is an anonymous block. `#[cfg(test)]` modules, `#[test]`
+//! functions and integration-test files are carried through as an
+//! `is_test` flag so the analyses can exclude test code (A5 alone keeps
+//! it: its deterministic scopes cover their tests too).
 
 use crate::lexer::{lex, Lexed, TokKind, Token};
 use std::fmt;
@@ -110,9 +110,10 @@ struct Attrs {
 }
 
 /// Parses one file. `file` is the repo-relative path used for crate
-/// attribution and error messages; `in_tests_dir` marks every function
-/// as test code (integration-test files).
-pub fn parse_file(file: &str, src: &str, in_tests_dir: bool) -> Result<ParsedFile, ParseError> {
+/// attribution and error messages; every function in a crate's
+/// integration-test directory (`crates/<c>/tests/…`) is test code.
+pub fn parse_file(file: &str, src: &str) -> Result<ParsedFile, ParseError> {
+    let in_tests_dir = file.starts_with("crates/") && file.split('/').nth(2) == Some("tests");
     let lexed = lex(src);
     let toks = &lexed.tokens;
     let mut fns: Vec<FnItem> = Vec::new();
@@ -400,7 +401,7 @@ mod tests {
     use super::*;
 
     fn parse(src: &str) -> ParsedFile {
-        parse_file("crates/x/src/lib.rs", src, false).expect("parse")
+        parse_file("crates/x/src/lib.rs", src).expect("parse")
     }
 
     #[test]
@@ -474,8 +475,8 @@ mod tests {
 
     #[test]
     fn unbalanced_is_an_error() {
-        assert!(parse_file("x.rs", "fn f() { {", false).is_err());
-        assert!(parse_file("x.rs", "fn f() }", false).is_err());
+        assert!(parse_file("x.rs", "fn f() { {").is_err());
+        assert!(parse_file("x.rs", "fn f() }").is_err());
     }
 
     #[test]
@@ -483,5 +484,7 @@ mod tests {
         assert_eq!(crate_of("crates/serve/src/pool.rs"), "serve");
         assert_eq!(crate_of("src/bin/diggerbees.rs"), "diggerbees");
         assert_eq!(crate_of("crates/check/tests/mutations.rs"), "check");
+        let t = parse_file("crates/check/tests/mutations.rs", "fn helper() {}\n").expect("parse");
+        assert!(t.fns[0].is_test, "integration-test files are test code");
     }
 }

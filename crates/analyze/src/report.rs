@@ -13,7 +13,7 @@ pub struct Frame {
 /// One analysis finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// `A1`..`A5`.
+    /// `A1`..`A6`.
     pub analysis: &'static str,
     /// Finding kind within the analysis, e.g. `panic-unwrap`,
     /// `relaxed-unjustified`, `lock-cycle`.

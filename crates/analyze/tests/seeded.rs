@@ -2,8 +2,10 @@
 //! deliberate violation per analysis, laid out at the same paths the
 //! production [`Config::for_repo`] scopes cover. Each test proves its
 //! analysis catches the seeded violation *with the expected multi-hop
-//! call chain* — not merely that something fires. CI runs this file as
-//! the analyzer's self-test step.
+//! call chain* — not merely that something fires. A second table
+//! replays every positive case of the retired textual lint rules at
+//! its original path. CI runs this file as the analyzer's self-test
+//! step.
 
 use db_analyze::analyses::Config;
 use db_analyze::{analyze_sources, Finding};
@@ -20,6 +22,7 @@ use db_analyze::{analyze_sources, Finding};
 ///   `worker_loop`.
 /// * A5 — det-scope `step_engine` reaches `Instant::now` through the
 ///   cross-crate call `db_core::tick`.
+/// * A6 — `run_isolated` calls `catch_unwind` without naming a guard.
 fn fixture() -> Vec<(&'static str, &'static str)> {
     vec![
         (
@@ -27,6 +30,9 @@ fn fixture() -> Vec<(&'static str, &'static str)> {
             "pub fn worker_loop(w: &W) {\n\
              \x20   route(w);\n\
              \x20   spill_to_disk(w);\n\
+             }\n\
+             pub fn run_isolated(w: &W) -> bool {\n\
+             \x20   std::panic::catch_unwind(|| w.ok).is_ok()\n\
              }\n",
         ),
         (
@@ -191,13 +197,32 @@ fn a5_seeded_taint_caught_across_crate_boundary() {
 }
 
 #[test]
+fn a6_seeded_unguarded_catch_unwind_caught() {
+    let findings = run();
+    let hits: Vec<&Finding> = findings.iter().filter(|f| f.analysis == "A6").collect();
+    assert_eq!(
+        hits.len(),
+        1,
+        "exactly the seeded catch_unwind: {findings:?}"
+    );
+    let f = hits[0];
+    assert_eq!(f.kind, "unguarded-catch-unwind");
+    assert_eq!(f.file, "crates/serve/src/pool.rs");
+    assert_eq!(f.function, "run_isolated");
+    assert_eq!(f.line, 6);
+}
+
+#[test]
 fn annotating_each_seed_silences_it() {
     // The same fixture with every seed escape-annotated must be clean:
-    // proves the annotations are honored end to end, and that the five
+    // proves the annotations are honored end to end, and that the six
     // tests above fire on the seeds rather than on fixture noise.
     let mut sources = fixture();
     for (path, text) in &mut sources {
         let patched = match *path {
+            "crates/serve/src/pool.rs" => {
+                text.replace(".is_ok()", ".is_ok() // guard: nothing shared is held")
+            }
             "crates/serve/src/frame.rs" => {
                 text.replace(".unwrap().len", ".unwrap().len // unwrap-ok: seeded")
             }
@@ -224,4 +249,73 @@ fn annotating_each_seed_silences_it() {
         findings.is_empty(),
         "annotated fixture is clean: {findings:?}"
     );
+}
+
+// The positive cases of the retired textual lint rules' tests.
+const RELAXED: &str = "fn f(a: &AtomicU32) { a.store(1, Ordering::Relaxed); }\n";
+const FAR_ANNOTATION: &str =
+    "// relaxed-ok: too far away\n\n\n\n\nfn f() { a.store(1, Ordering::Relaxed); }\n";
+const AFTER_TEST_MOD: &str = "\
+fn hot(a: &AtomicU32) -> u32 { a.load(Ordering::Acquire) }
+#[cfg(test)]
+mod tests {
+    fn relaxed_in_tests_is_fine(a: &AtomicU32) { a.store(1, Ordering::Relaxed); }
+}
+fn after(a: &AtomicU32) { a.store(1, Ordering::Relaxed); }
+";
+const AFTER_LIFETIME: &str =
+    "fn f<'a>(x: &'a str) -> &'a str { x }\nfn g() { a.store(1, Ordering::Relaxed); }\n";
+const SLEEP: &str = "fn f() { thread::sleep(d); }\n";
+const RAW_STR_CLOCK: &str = "const P: &str = r\"C:\\\"; fn f() { Instant::now(); }\n";
+const UNWRAP: &str = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
+const CATCH_UNWIND: &str = "fn f() { let r = panic::catch_unwind(AssertUnwindSafe(|| job())); }\n";
+const IO_UNWRAP: &str = "fn f() { std::fs::write(p, b).unwrap(); }\n";
+
+/// Every positive case of the retired textual lint rules, at the path
+/// it was written for: `(path, source, analysis, line)`. R1 (unjustified
+/// `Relaxed`) is now A2, R2 (wall clock or sleep in a deterministic
+/// crate, its tests included) is A5, R3 and R5 (unwrap on the serve or
+/// durability path) are A1, and R4 (unguarded `catch_unwind`) is A6.
+const LINT_PARITY: [(&str, &str, &str, u32); 19] = [
+    // R1
+    ("crates/core/src/lockfree.rs", RELAXED, "A2", 1),
+    ("crates/core/src/lockfree.rs", FAR_ANNOTATION, "A2", 6),
+    ("crates/core/src/lockfree.rs", AFTER_TEST_MOD, "A2", 6),
+    ("crates/core/src/lockfree.rs", AFTER_LIFETIME, "A2", 2),
+    ("crates/store/src/partition.rs", RELAXED, "A2", 1),
+    ("crates/delta/src/graph.rs", RELAXED, "A2", 1),
+    ("crates/wal/src/log.rs", RELAXED, "A2", 1),
+    // R2
+    ("crates/gpu-sim/src/machine.rs", SLEEP, "A5", 1),
+    ("crates/gpu-sim/src/machine.rs", RAW_STR_CLOCK, "A5", 1),
+    ("crates/core/src/sim.rs", SLEEP, "A5", 1),
+    ("crates/check/src/explore.rs", SLEEP, "A5", 1),
+    ("crates/check/tests/differential.rs", SLEEP, "A5", 1),
+    // R3
+    ("crates/serve/src/pool.rs", UNWRAP, "A1", 1),
+    // R4
+    ("crates/serve/src/pool.rs", CATCH_UNWIND, "A6", 1),
+    // R5; it covered all of store/src, not only the pack writer.
+    ("crates/wal/src/log.rs", IO_UNWRAP, "A1", 1),
+    ("crates/serve/src/delta.rs", IO_UNWRAP, "A1", 1),
+    ("crates/delta/src/graph.rs", IO_UNWRAP, "A1", 1),
+    ("crates/store/src/pack.rs", IO_UNWRAP, "A1", 1),
+    ("crates/store/src/partition.rs", IO_UNWRAP, "A1", 1),
+];
+
+#[test]
+fn retired_lint_cases_are_caught_at_their_original_paths() {
+    let missed: Vec<String> = LINT_PARITY
+        .iter()
+        .filter(|&&(path, src, analysis, line)| {
+            let findings = analyze_sources(&[(path, src)], &Config::for_repo())
+                .expect("case parses")
+                .findings;
+            !findings
+                .iter()
+                .any(|f| f.analysis == analysis && f.file == path && f.line == line)
+        })
+        .map(|(path, _, analysis, line)| format!("{analysis} at {path}:{line}"))
+        .collect();
+    assert!(missed.is_empty(), "cases not caught: {missed:?}");
 }

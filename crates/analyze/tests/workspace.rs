@@ -26,7 +26,7 @@ fn build_graph(root: &Path) -> CallGraph {
             .to_string_lossy()
             .replace('\\', "/");
         let text = std::fs::read_to_string(p).expect("read source");
-        parsed.push(parse_file(&rel, &text, false).expect("parse source"));
+        parsed.push(parse_file(&rel, &text).expect("parse source"));
     }
     CallGraph::build(parsed)
 }
@@ -52,7 +52,7 @@ fn parser_round_trips_every_workspace_file() {
             .to_string_lossy()
             .replace('\\', "/");
         let text = std::fs::read_to_string(p).expect("read source");
-        let pf = parse_file(&rel, &text, false).unwrap_or_else(|e| panic!("{rel}: {}", e.detail));
+        let pf = parse_file(&rel, &text).unwrap_or_else(|e| panic!("{rel}: {}", e.detail));
         let ntok = pf.lexed.tokens.len();
         for f in &pf.fns {
             assert!(!f.name.is_empty(), "{rel}: unnamed fn");
@@ -62,7 +62,7 @@ fn parser_round_trips_every_workspace_file() {
                 f.name
             );
         }
-        let again = parse_file(&rel, &text, false).expect("reparse");
+        let again = parse_file(&rel, &text).expect("reparse");
         assert_eq!(
             format!("{:?}", pf.fns),
             format!("{:?}", again.fns),
@@ -118,8 +118,8 @@ fn callgraph_golden_for_serve_pool() {
 /// The committed `analyze-baseline.json` exactly matches what the
 /// analyzer produces on this tree: no new findings (the CI gate) and
 /// no stale entries (regenerate with
-/// `diggerbees check --analyze --write-baseline analyze-baseline.json`
-/// whenever findings legitimately change).
+/// `diggerbees check --lint-only --write-baseline` whenever findings
+/// legitimately change).
 #[test]
 fn repo_is_clean_against_committed_baseline() {
     let root = repo_root();

@@ -4,7 +4,7 @@
 //! protocols: the [`StampedRing`](../db_core) push/pop/steal state
 //! machine and the live-counter termination handshake. Both are small
 //! enough to get *almost* right, which is the dangerous size. This
-//! crate is the standing adversary — three cooperating analyses, all
+//! crate is the standing adversary — cooperating analyses, all
 //! runnable offline via `diggerbees check` and enforced in CI:
 //!
 //! * [`explore`] + [`ring_model`] / [`proto_model`] — a loom-style
@@ -32,21 +32,18 @@
 //! * [`race`] — a vector-clock happens-before detector over `db-trace`
 //!   event streams (steal/recover events are the sync edges), runnable
 //!   post-hoc on any `--trace` output.
-//! * [`lint`] — a fast token/line-based source pass encoding repo
-//!   rules: `Ordering::Relaxed` needs written justification on
-//!   protocol atomics, deterministic crates stay clock-free, the serve
-//!   request path stays panic-free, `catch_unwind` names its
-//!   drop-guard.
 //!
 //! The model checker checks the *transcription*, not the shipped code;
 //! the `differential` integration test pins the transcription to the
 //! real `StampedRing` operation by operation, and the race detector
-//! watches the shipped code's actual executions. The three analyses
+//! watches the shipped code's actual executions. The shipped source
+//! itself is gated statically by `db-analyze` (atomic orderings,
+//! panics on the serve and durability paths, determinism, guarded
+//! `catch_unwind`), which `diggerbees check` runs first. The analyses
 //! overlap deliberately: a protocol bug must dodge all of them.
 
 pub mod epoch_model;
 pub mod explore;
-pub mod lint;
 pub mod proto_model;
 pub mod race;
 pub mod ring_model;
@@ -54,7 +51,6 @@ pub mod wal_model;
 
 pub use epoch_model::{EpochModel, EpochMutation, EpochScenario};
 pub use explore::{Explorer, Model, Outcome, Stats, Violation};
-pub use lint::{lint_source, lint_tree, LintFinding};
 pub use proto_model::{ProtoModel, ProtoMutation, ProtoScenario};
 pub use race::{detect, RaceConfig, RaceError, RaceFinding, RaceReport};
 pub use ring_model::{RingModel, RingMutation, RingScenario};

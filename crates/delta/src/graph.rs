@@ -431,6 +431,8 @@ impl DeltaGraph {
             return Arc::clone(s);
         }
         let nlayers = (epoch - inner.base_epoch) as usize;
+        // index-ok: both callers (pin, snapshot_at) hold the lock and pass
+        // base_epoch <= epoch <= base_epoch + layers.len()
         let g = materialize(n, directed, inner.base.graph(), &inner.layers[..nlayers]);
         let arc = Arc::new(g);
         inner.snapshots.insert(epoch, Arc::clone(&arc));

@@ -421,12 +421,18 @@ pub fn pack_graph(
     w.finish()
 }
 
-/// Fsyncs a directory so a rename inside it survives power loss. On
-/// non-Unix platforms this is a no-op (directory handles cannot be
-/// fsynced portably).
+/// Fsyncs a directory so a rename inside it survives power loss. An
+/// empty path (the parent of a bare file name) is the current
+/// directory. On non-Unix platforms this is a no-op (directory handles
+/// cannot be fsynced portably).
 fn fsync_dir(dir: &Path) -> std::io::Result<()> {
     #[cfg(unix)]
     {
+        let dir = if dir.as_os_str().is_empty() {
+            Path::new(".")
+        } else {
+            dir
+        };
         File::open(dir)?.sync_all()?;
     }
     #[cfg(not(unix))]

@@ -154,9 +154,11 @@ pub fn run_partitioned<T: Tracer>(
         entries_handed: AtomicU64::new(0),
         expanded: AtomicU64::new(0),
     };
+    // index-ok: root < n is asserted above and visited has n slots
     shared.visited[root as usize].store(true, Ordering::Relaxed); // relaxed-ok: claim flag; the scope join below orders the final read
     {
         let owner = spec.owner(root);
+        // index-ok: owner() is a partition index; stacks has one slot per partition
         shared.stacks[owner].lock().expect("stack lock").push(root); // io-ok: poisoned stack mutex means a worker panicked; propagate it
     }
 
@@ -201,6 +203,7 @@ fn worker<T: Tracer>(shared: &Shared<'_, T>, p: usize, cancelled: &(dyn Fn() -> 
         // 1. Local work: refill from own stack (which is also the inbox
         // remote handoffs land in).
         if local.is_empty() {
+            // index-ok: workers are spawned for p in 0..spec.parts(), one stack each
             let mut stack = shared.stacks[p].lock().expect("stack lock"); // io-ok: poisoned stack mutex means a worker panicked; propagate it
                                                                           // Take the top half so the bottom stays stealable.
             let keep = stack.len() / 2;
@@ -222,6 +225,7 @@ fn worker<T: Tracer>(shared: &Shared<'_, T>, p: usize, cancelled: &(dyn Fn() -> 
         let mut stole = false;
         for delta in 1..parts {
             let victim = (p + delta) % parts;
+            // index-ok: victim is reduced mod parts = stacks.len()
             let mut vstack = shared.stacks[victim].lock().expect("stack lock"); // io-ok: poisoned stack mutex means a worker panicked; propagate it
             let take = vstack.len() / 2;
             if take > 0 {
@@ -313,6 +317,7 @@ fn flush_one<T: Tracer>(shared: &Shared<'_, T>, owner: usize, buf: &mut Vec<u32>
         return;
     }
     let entries = buf.len() as u64;
+    // index-ok: both callers pass a partition index (spec.owner() or an out_bufs slot)
     // io-ok: poisoned stack mutex means a worker panicked; propagate it
     shared.stacks[owner].lock().expect("stack lock").append(buf);
     shared.handoffs.fetch_add(1, Ordering::Relaxed); // relaxed-ok: handoff statistics only

@@ -48,12 +48,18 @@ pub const WAL_FILE: &str = "wal.log";
 /// Default manifest file name inside a `--wal-dir`.
 pub const MANIFEST_FILE: &str = "manifest";
 
-/// Fsyncs a directory so a rename inside it survives power loss. On
-/// non-Unix platforms this is a no-op (directory handles cannot be
-/// fsynced portably).
+/// Fsyncs a directory so a rename inside it survives power loss. An
+/// empty path (the parent of a bare file name) is the current
+/// directory. On non-Unix platforms this is a no-op (directory handles
+/// cannot be fsynced portably).
 pub fn fsync_dir(dir: &Path) -> io::Result<()> {
     #[cfg(unix)]
     {
+        let dir = if dir.as_os_str().is_empty() {
+            Path::new(".")
+        } else {
+            dir
+        };
         std::fs::File::open(dir)?.sync_all()?;
     }
     #[cfg(not(unix))]
@@ -71,6 +77,13 @@ mod tests {
     fn fsync_dir_on_real_directory() {
         let dir = std::env::temp_dir();
         fsync_dir(&dir).expect("fsync_dir");
+    }
+
+    #[test]
+    fn fsync_dir_of_a_bare_file_names_parent_is_the_cwd() {
+        let parent = Path::new("wal.log").parent().expect("parent");
+        assert!(parent.as_os_str().is_empty());
+        fsync_dir(parent).expect("fsync_dir");
     }
 
     #[test]

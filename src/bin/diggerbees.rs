@@ -97,26 +97,22 @@
 //! --file <scrape.txt>    render from a saved Prometheus scrape
 //!                        instead of a live server (for CI)
 //!
-//! diggerbees check [options]        run the correctness analyses
+//! diggerbees check [options]        run the correctness analyses:
+//!                        the db-analyze static pass (A1..A6) gated on
+//!                        <root>/analyze-baseline.json (absent file =
+//!                        empty baseline; stale entries warn), every
+//!                        model config, and a traced-sim race check
 //!
-//! --root <dir>           repo root for the lint pass (default .)
+//! --root <dir>           repo root for the static pass (default .)
 //! --race <trace.csv>     also race-check a recorded `--trace` CSV
 //! --skew <ns>            happens-before slack for --race (default
 //!                        1000000; built-in sim check always uses 0)
 //! --lint-only            skip the model checker and race detector
-//! --models-only          skip the lint pass and race detector
-//! --analyze              also run the db-analyze static analysis:
-//!                        workspace call graph + A1..A5 checks; the
-//!                        textual lint rules each A-rule supersedes
-//!                        (R1/R2/R3/R5) are filtered from the lint
-//!                        output while it is active
-//! --baseline <file>      with --analyze: gate on *new* findings only;
-//!                        known fingerprints live in this committed
-//!                        JSON file (stale entries warn)
-//! --write-baseline <f>   with --analyze: write the current findings
-//!                        as a fresh baseline instead of gating
-//! --sarif <out>          with --analyze: also write the findings as
-//!                        SARIF 2.1.0 JSON for CI annotation
+//! --models-only          skip the static pass and race detector
+//! --write-baseline       write the current findings to
+//!                        <root>/analyze-baseline.json instead of gating
+//! --sarif <out>          also write the static findings as SARIF
+//!                        2.1.0 JSON for CI annotation
 //! ```
 //!
 //! Examples:
@@ -138,8 +134,8 @@ use diggerbees::baselines::nvg::{self, NvgConfig};
 use diggerbees::baselines::serial;
 use diggerbees::check::race::{detect, RaceConfig};
 use diggerbees::check::{
-    lint_tree, EpochModel, EpochScenario, Explorer, Model, Outcome, ProtoModel, ProtoScenario,
-    RingModel, RingScenario, WalModel, WalScenario,
+    EpochModel, EpochScenario, Explorer, Model, Outcome, ProtoModel, ProtoScenario, RingModel,
+    RingScenario, WalModel, WalScenario,
 };
 use diggerbees::core::native::{NativeConfig, NativeEngine};
 use diggerbees::core::native_lockfree::LockFreeEngine;
@@ -262,8 +258,8 @@ fn parse_args() -> Result<Args, String> {
                             [--iters n] [--once] [--file scrape.txt]\n\
                             \x20      diggerbees wal <inspect|verify> <dir|wal.log>\n\
                             \x20      diggerbees check [--root dir] [--race trace.csv] \
-                            [--skew ns] [--lint-only] [--models-only] [--analyze] \
-                            [--baseline file] [--write-baseline file] [--sarif out]"
+                            [--skew ns] [--lint-only] [--models-only] \
+                            [--write-baseline] [--sarif out]"
                     .into())
             }
             other if args.graph.is_empty() && !other.starts_with('-') => {
@@ -1332,20 +1328,19 @@ fn run_model_config<M: Model>(name: &str, model: &M) -> usize {
     }
 }
 
-/// `diggerbees check`: run the db-check analyses — the repo lint pass,
-/// the bounded model checker over the ring/steal protocol transcriptions,
-/// and the vector-clock race detector over a freshly traced sim run
-/// (plus, with `--race`, any recorded `--trace` CSV). Exits nonzero if
-/// any analysis reports a finding.
+/// `diggerbees check`: run the correctness analyses — the db-analyze
+/// static pass gated on `<root>/analyze-baseline.json`, the bounded
+/// model checker over the ring/steal protocol transcriptions, and the
+/// vector-clock race detector over a freshly traced sim run (plus, with
+/// `--race`, any recorded `--trace` CSV). Exits nonzero if any analysis
+/// reports a finding.
 fn check_main() -> ExitCode {
     let mut root = ".".to_string();
     let mut race_file: Option<String> = None;
     let mut skew: u64 = 1_000_000;
     let mut lint_only = false;
     let mut models_only = false;
-    let mut analyze = false;
-    let mut baseline_file: Option<String> = None;
-    let mut write_baseline: Option<String> = None;
+    let mut write_baseline = false;
     let mut sarif_out: Option<String> = None;
     let mut it = std::env::args().skip(2);
     let fail = |e: String| {
@@ -1366,9 +1361,7 @@ fn check_main() -> ExitCode {
                 }
                 "--lint-only" => lint_only = true,
                 "--models-only" => models_only = true,
-                "--analyze" => analyze = true,
-                "--baseline" => baseline_file = Some(take("--baseline")?),
-                "--write-baseline" => write_baseline = Some(take("--write-baseline")?),
+                "--write-baseline" => write_baseline = true,
                 "--sarif" => sarif_out = Some(take("--sarif")?),
                 other => return Err(format!("unknown argument: {other} (see --help)")),
             }
@@ -1380,37 +1373,9 @@ fn check_main() -> ExitCode {
     }
     let mut findings = 0usize;
 
-    // 1. Lint pass over the source tree. When the static analyzer is
-    //    active, the textual rules it supersedes (R1/R2/R3/R5 are
-    //    covered interprocedurally by A2/A5/A1) are filtered out so a
-    //    site is not reported twice under two rule names.
+    // 1. Static analysis: workspace call graph + A1..A6, gated on the
+    //    committed baseline; an absent baseline file accepts nothing.
     if !models_only {
-        match lint_tree(std::path::Path::new(&root)) {
-            Ok(hits) => {
-                let mut superseded = 0usize;
-                for h in &hits {
-                    if analyze && diggerbees::check::lint::superseded_by(h.rule).is_some() {
-                        superseded += 1;
-                        continue;
-                    }
-                    println!("lint: {}:{}: [{}] {}", h.file, h.line, h.rule, h.detail);
-                    findings += 1;
-                }
-                println!("lint: {} finding(s) in {root}", hits.len() - superseded);
-                if superseded > 0 {
-                    println!(
-                        "lint: {superseded} finding(s) under superseded rules \
-                         deferred to --analyze"
-                    );
-                }
-            }
-            Err(e) => return fail(format!("lint: cannot walk '{root}': {e}")),
-        }
-    }
-
-    // 1b. Static analysis: workspace call graph + A1..A5, gated on the
-    //     committed baseline when one is given.
-    if analyze && !models_only {
         let cfg = diggerbees::analyze::Config::for_repo();
         let run = match diggerbees::analyze::analyze_tree(std::path::Path::new(&root), &cfg) {
             Ok(r) => r,
@@ -1432,24 +1397,26 @@ fn check_main() -> ExitCode {
             }
             println!("analyze: SARIF written to {path}");
         }
-        if let Some(path) = &write_baseline {
+        let path = std::path::Path::new(&root).join("analyze-baseline.json");
+        let path_s = path.display();
+        if write_baseline {
             let doc = diggerbees::analyze::baseline::to_json(&run.findings);
-            if let Err(e) = std::fs::write(path, doc) {
-                return fail(format!("analyze: cannot write baseline '{path}': {e}"));
+            if let Err(e) = std::fs::write(&path, doc) {
+                return fail(format!("analyze: cannot write baseline '{path_s}': {e}"));
             }
             println!(
-                "analyze: baseline with {} entr{} written to {path}",
+                "analyze: baseline with {} entr{} written to {path_s}",
                 run.findings.len(),
                 if run.findings.len() == 1 { "y" } else { "ies" }
             );
-        } else if let Some(path) = &baseline_file {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => return fail(format!("analyze: cannot read baseline '{path}': {e}")),
-            };
-            let base = match diggerbees::analyze::baseline::parse(&text) {
-                Ok(b) => b,
-                Err(e) => return fail(format!("analyze: bad baseline '{path}': {e}")),
+        } else {
+            let base = match std::fs::read_to_string(&path) {
+                Ok(text) => match diggerbees::analyze::baseline::parse(&text) {
+                    Ok(b) => b,
+                    Err(e) => return fail(format!("analyze: bad baseline '{path_s}': {e}")),
+                },
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+                Err(e) => return fail(format!("analyze: cannot read baseline '{path_s}': {e}")),
             };
             let d = diggerbees::analyze::baseline::diff(&run.findings, &base);
             for f in &d.new {
@@ -1465,10 +1432,6 @@ fn check_main() -> ExitCode {
                 d.stale.len()
             );
             findings += d.new.len();
-        } else {
-            print!("{}", diggerbees::analyze::render_report(&run.findings));
-            println!("analyze: {} finding(s)", run.findings.len());
-            findings += run.findings.len();
         }
     }
 

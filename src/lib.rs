@@ -33,16 +33,16 @@
 //!   deadline-aware request-stealing worker pool, NDJSON TCP front-end
 //!   ([`db_serve`]).
 //! * [`check`] — concurrency-correctness subsystem: bounded model
-//!   checker for the ring/steal protocols, vector-clock race detector
-//!   over trace streams, and the repo lint pass ([`db_check`]).
+//!   checker for the ring/steal protocols and vector-clock race
+//!   detector over trace streams ([`db_check`]).
 //! * [`span`] — causal request-scoped spans, the always-on flight
 //!   recorder with `.dbfr` dumps, and the span-tree / Chrome-trace
 //!   inspectors behind `diggerbees flight` ([`db_span`]).
 //! * [`analyze`] — offline static analysis: workspace call graph plus
-//!   five interprocedural checks (panic reachability, atomic-ordering
-//!   audit, lock-order cycles, blocking-in-hot-path, determinism
-//!   taint) with SARIF output and a committed-baseline CI gate behind
-//!   `diggerbees check --analyze` ([`db_analyze`]).
+//!   six checks (panic reachability, atomic-ordering audit, lock-order
+//!   cycles, blocking-in-hot-path, determinism taint, guarded
+//!   `catch_unwind`) with SARIF output; `diggerbees check` gates on it
+//!   against the committed baseline ([`db_analyze`]).
 //!
 //! See `README.md` for a tour and `DESIGN.md` for the reproduction
 //! notes. Runnable examples live in `examples/`: `quickstart`,
