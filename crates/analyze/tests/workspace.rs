@@ -91,13 +91,18 @@ fn callgraph_golden_for_serve_pool() {
         .filter(|(id, _)| g.nodes[*id].file == POOL)
         .map(|(_, es)| es.len())
         .sum();
-    // 179 since each worker owns one reused kernel scratch: the
-    // charged `WorkerScratch` (+4), its creation in `worker_loop` and
-    // its charge in `run_job` (+2), and the scratch-gauge test (+8);
-    // `run_job` lost two edges when dfs/reach stopped picking among
-    // engines, and the scrape test one (previously 168).
+    // 169 since spans drive the serve counters (previously 179): the
+    // three terminal paths share `ServerInner::close` (11 edges, which
+    // replaced `close_root`'s 6) and lost their own SLO, clock and
+    // trace-id calls (-9), `finish_job` its breaker-gauge call (-1),
+    // `submit` moved its ladder into `ServerInner::admit` (-4 there,
+    // +1 in `admit`), `worker_loop` records steals through
+    // `ServerInner::span` (-3), and the new `ServerInner::record` adds
+    // its fold (+1). Name resolution now sends every `.record(..)`
+    // call in this file to `ServerInner::record` (it sent them to
+    // `BreakerMap::record` before).
     assert_eq!(
-        pool_edges, 179,
+        pool_edges, 169,
         "edges out of pool.rs fns changed; if the pool or the resolver \
          changed intentionally, update this golden"
     );

@@ -34,14 +34,14 @@
 //!   `engine: "sim"`); payloads carry only scheduling-independent
 //!   quantities so a request's outcome is deterministic under any
 //!   interleaving.
-//! * [`metrics`] — `db_serve_*` series in a per-instance
-//!   [`db_metrics::Registry`]: latency histogram (p50/p90/p99/p99.9,
-//!   max), queue depth, worker occupancy, cache hit rate, rejection
-//!   counters; scrapeable via [`ServeHandle::prometheus`] merged with
-//!   the process-global engine series. Each scheduling decision is
-//!   also recorded as one `db-span` span in the flight recorder
-//!   ([`ServeHandle::flight_dump`]), which exports to Chrome-trace
-//!   JSON.
+//! * [`metrics`] — `db_serve_*` series (latency histogram, queue depth,
+//!   occupancy, cache, rejections) in a per-instance
+//!   [`db_metrics::Registry`], scraped by [`ServeHandle::prometheus`]
+//!   with the process-global engine series. Each scheduling decision
+//!   is one `db-span` span, folded into its series
+//!   ([`metrics::Metrics::observe_span`]) and then kept by the flight
+//!   recorder ([`ServeHandle::flight_dump`]), so a scrape and a dump of
+//!   the same run agree.
 //! * [`net`] — a `std::net` TCP endpoint speaking newline-delimited
 //!   JSON (plus a one-shot `GET /metrics` scrape path), with client
 //!   helpers.

@@ -8,6 +8,28 @@
 //! [`db_metrics::render`]. All serve series use the `db_serve_` name
 //! prefix, disjoint from the engines' `db_engine_`/`db_sim_` prefixes.
 //!
+//! Spans drive the series: the pool records every scheduling decision
+//! as one `db-span` span, and [`Metrics::observe_span`] folds each span
+//! into the series it feeds before the span reaches the flight
+//! recorder, so a scrape and a flight dump of the same run agree:
+//!
+//! | span kind (code) | series |
+//! |---|---|
+//! | `admit` (0) | `db_serve_admitted_total` |
+//! | `admit` (1–5) | `db_serve_rejected_total`, `reason` = `breaker`, `draining`, `capacity`, `tenant_quota`, `write_quota` |
+//! | `request` root, unless refused at admission | `db_serve_requests_total{status}` (a worker's `rejected` answer counts as `error`) and `db_serve_request_latency_us` (the root's duration) |
+//! | `steal` | `db_serve_steals_total` (one per request moved) |
+//! | `retry` | `db_serve_retries_total` |
+//! | `attempt` (1, panicked) | `db_serve_worker_panics_total` |
+//! | `fault` | `db_serve_faults_injected_total` |
+//!
+//! Four counters have no span and are updated where their decision is
+//! made: `db_serve_worker_respawns_total`, `db_serve_breaker_trips_total`,
+//! `db_serve_rejected_total{reason="storage"}` and
+//! `db_serve_degraded_total`. The gauges are set where their state
+//! changes (`busy_workers`, `scratch_bytes`) or read at scrape time
+//! (`queue_depth`, `breaker_open`).
+//!
 //! The latency histogram is [`db_metrics::Histogram`] — power-of-two
 //! microsecond buckets, so reported quantiles are upper bounds with at
 //! most 2× resolution error (fine for the live `metrics` endpoint; the
@@ -15,6 +37,7 @@
 //! per-response latencies). `count`, `sum`, and `max` are exact.
 
 use db_metrics::{Counter, Gauge, Histogram, Registry};
+use db_span::{SpanKind, SpanRecord, ADMISSION_WORKER};
 use db_trace::json::Value;
 
 /// Live series handles for one server instance.
@@ -49,7 +72,8 @@ pub struct Metrics {
     pub errors: Counter,
     /// Requests that exhausted their retry budget ([`crate::Status::Failed`]).
     pub failed: Counter,
-    /// Request batches stolen between worker queues.
+    /// Requests moved between worker queues by steals (one per
+    /// `steal` span).
     pub steals: Counter,
     /// Retry attempts (attempts beyond a request's first).
     pub retries: Counter,
@@ -71,7 +95,8 @@ pub struct Metrics {
     pub busy_workers: Gauge,
     /// Heap bytes of the workers' reused traversal scratch, summed.
     pub scratch_bytes: Gauge,
-    /// Latency of all finished requests (any status), µs.
+    /// Latency of every request a worker finished (any status) and of
+    /// the `failed` answers closed without one, µs.
     pub latency: Histogram,
 }
 
@@ -110,7 +135,7 @@ impl Metrics {
             failed: finished("failed"),
             steals: reg.counter(
                 "db_serve_steals_total",
-                "Request batches stolen between worker queues",
+                "Requests moved between worker queues by steals",
                 &[],
             ),
             retries: reg.counter(
@@ -170,6 +195,43 @@ impl Metrics {
             ),
         }
     }
+
+    /// Folds one recorded span into the series it drives (see the
+    /// module table); every other span only reaches the flight recorder.
+    pub fn observe_span(&self, span: &SpanRecord) {
+        let counter = match (span.kind, span.code) {
+            (SpanKind::Admit, 0) => &self.admitted,
+            (SpanKind::Admit, 1) => &self.rejected_breaker,
+            (SpanKind::Admit, 2) => &self.rejected_draining,
+            (SpanKind::Admit, 3) => &self.rejected_capacity,
+            (SpanKind::Admit, 4) => &self.rejected_tenant,
+            (SpanKind::Admit, 5) => &self.rejected_writes,
+            // Refused at admission: its `admit` span counted it.
+            (SpanKind::Request, 1) if span.worker == ADMISSION_WORKER => return,
+            (SpanKind::Request, status) => {
+                self.latency.observe(span_us(span));
+                match status {
+                    0 => &self.completed,
+                    2 => &self.expired,
+                    4 => &self.failed,
+                    // 3, and a worker's `rejected` answer (code 1).
+                    _ => &self.errors,
+                }
+            }
+            (SpanKind::Steal, _) => &self.steals,
+            (SpanKind::Retry, _) => &self.retries,
+            (SpanKind::Attempt, 1) => &self.worker_panics,
+            (SpanKind::Fault, _) => &self.faults_injected,
+            _ => return,
+        };
+        counter.inc();
+    }
+}
+
+/// A span's duration in whole microseconds: a root span's is its
+/// request's latency.
+pub(crate) fn span_us(span: &SpanRecord) -> u64 {
+    span.t1_ns.saturating_sub(span.t0_ns) / 1_000
 }
 
 /// Plain-data snapshot of [`Metrics`] plus cache/queue gauges, as
@@ -198,7 +260,8 @@ pub struct MetricsSnapshot {
     pub errors: u64,
     /// Requests finished `failed` (retry budget exhausted).
     pub failed: u64,
-    /// Inter-queue request steals.
+    /// Requests moved between worker queues by steals (one per
+    /// `steal` span, not one per steal batch).
     pub steals: u64,
     /// Retry attempts beyond each request's first.
     pub retries: u64,
@@ -367,6 +430,37 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Two cases of the fold the serve suites do not pin: a `rejected`
+    /// root counts as `error` only when a worker closed it, and a
+    /// `no_workers` refusal (admit code 6) is counted by its `failed`
+    /// root, latency included.
+    #[test]
+    fn rejected_roots_and_no_worker_refusals_fold_once() {
+        let m = Metrics::register(&Registry::new());
+        let span = |kind, code, worker| SpanRecord {
+            trace_id: 1,
+            span_id: 1,
+            parent: 0,
+            kind,
+            code,
+            value: 0,
+            worker,
+            tenant: 0,
+            t0_ns: 1_000,
+            t1_ns: 8_000,
+        };
+        m.observe_span(&span(SpanKind::Admit, 4, ADMISSION_WORKER));
+        m.observe_span(&span(SpanKind::Request, 1, ADMISSION_WORKER));
+        assert_eq!((m.rejected_tenant.get(), m.errors.get()), (1, 0));
+        assert_eq!(m.latency.count(), 0, "a refusal has no latency sample");
+        m.observe_span(&span(SpanKind::Request, 1, 0));
+        assert_eq!(m.errors.get(), 1, "a worker's rejected answer is an error");
+        m.observe_span(&span(SpanKind::Admit, 6, ADMISSION_WORKER));
+        m.observe_span(&span(SpanKind::Request, 4, ADMISSION_WORKER));
+        assert_eq!((m.admitted.get(), m.failed.get()), (0, 1));
+        assert_eq!((m.latency.count(), m.latency.sum()), (2, 14));
+    }
 
     #[test]
     fn registered_series_render_as_valid_exposition() {

@@ -16,11 +16,22 @@
 //! microseconds against multi-millisecond traversals, so lock
 //! granularity is not the bottleneck here (DESIGN.md contrasts this
 //! with the engines' fine-grained two-level stacks).
+//!
+//! Each scheduling decision is emitted once, as a `db-span` span,
+//! through `ServerInner::record`: the span is folded into the
+//! `db_serve_*` series ([`Metrics::observe_span`]) and then pushed on the
+//! flight recorder, so a scrape and a flight dump of the same run
+//! count the same decisions. Every response leaves through
+//! `ServerInner::close`, which records the root span, stamps the
+//! response's latency from it, and feeds the tenant's SLO. Only the
+//! decisions without a span (respawns, breaker trips, storage
+//! refusals, degraded completions) update a counter directly, and the
+//! queue-depth and open-breaker gauges are read at scrape time.
 
 use crate::corpus::CorpusCache;
 use crate::delta::{DeltaEvent, DeltaRegistry, Durability, RecoveryInfo, DELTA_PREFIX};
 use crate::exec;
-use crate::metrics::{Metrics, MetricsSnapshot};
+use crate::metrics::{span_us, Metrics, MetricsSnapshot};
 use crate::request::{EngineKind, Request, Response, Status};
 use crate::resilience::{backoff_delay, BreakerEvent, BreakerMap, Resilience};
 use db_core::kernel::Scratch;
@@ -91,14 +102,14 @@ impl Default for ServeConfig {
 struct Job {
     req: Request,
     seq: u64,
-    submitted: Instant,
     deadline: Option<Instant>,
     reply: mpsc::Sender<Response>,
     /// Request-scoped trace context; moves with the job across steals,
     /// which is what keeps cross-worker parentage intact.
     ctx: TraceCtx,
     /// Admission time on the span clock (ns since server start); the
-    /// root span and the queue span both start here.
+    /// root span and the queue span both start here, so the root's
+    /// duration is the request's latency.
     admit_ns: u64,
 }
 
@@ -127,25 +138,32 @@ fn engine_index(e: EngineKind) -> u64 {
 }
 
 /// Builds an admission-refusal response and closes its (two-span)
-/// trace: an `Admit` span with the reject code under a root that
-/// carries the terminal status. Refusals count against the tenant's
-/// availability SLO — shed load is still unserved load.
+/// trace: an `Admit` span with the refusal code (see
+/// [`SpanKind::admit_name`]) under a root that carries the terminal
+/// status. Refusals count against the tenant's availability SLO — shed
+/// load is still unserved load.
 fn reject_response(
     inner: &ServerInner,
     ctx: &TraceCtx,
     req: &Request,
     code: u32,
     admit_ns: u64,
-    status: Status,
-    reason: &str,
 ) -> Response {
+    let (status, reason) = match code {
+        1 => (Status::Rejected, "tenant circuit breaker open"),
+        2 => (Status::Rejected, "server is draining"),
+        3 => (Status::Rejected, "admission queue full"),
+        4 => (Status::Rejected, "tenant over quota"),
+        5 => (Status::Rejected, "tenant over write quota"),
+        _ => (Status::Failed, NO_LIVE_WORKERS),
+    };
     inner.span(ctx, SpanKind::Admit, code, 0, ADMISSION_WORKER, admit_ns);
-    inner.close_root(ctx, req, ADMISSION_WORKER, status, admit_ns);
-    inner.slo.observe(&req.tenant, 0, false, inner.now_s());
-    let mut resp = Response::failure(req.id, status, reason);
-    resp.trace_id = ctx.trace_id();
-    resp
+    let resp = Response::failure(req.id, status, reason);
+    inner.close(ctx, req, ADMISSION_WORKER, admit_ns, resp)
 }
+
+/// Why a request fails once every worker has retired.
+const NO_LIVE_WORKERS: &str = "no live workers remain (restart budget exhausted)";
 
 /// EDF order: earlier deadline first; no deadline sorts last; FIFO
 /// (by admission sequence) within a class.
@@ -203,6 +221,46 @@ impl ServerInner {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
+    /// The admission ladder for `req`: the locked pool state and the
+    /// queue to place it on, or the `Admit` refusal code.
+    fn admit(&self, req: &Request) -> Result<(MutexGuard<'_, PoolState>, usize), u32> {
+        // Breaker check first (its own lock): an open breaker sheds the
+        // tenant's load before it can take pool capacity.
+        if !self.breakers.admit(&req.tenant) {
+            return Err(1);
+        }
+        let st = self.lock();
+        let over = |queued: &HashMap<String, usize>, quota: Option<usize>| {
+            quota.is_some_and(|q| queued.get(&req.tenant).copied().unwrap_or(0) >= q)
+        };
+        if st.draining {
+            return Err(2);
+        }
+        if st.queued_total >= self.cfg.queue_capacity {
+            return Err(3);
+        }
+        if over(&st.per_tenant, self.cfg.tenant_quota) {
+            return Err(4);
+        }
+        if req.workload.is_write() && over(&st.per_tenant_writes, self.cfg.write_quota) {
+            return Err(5);
+        }
+        // The shallowest live queue (ties → lowest index): cheap load
+        // balancing so stealing is the corrective, not the norm.
+        // Retired workers' queues take no new work; with every worker
+        // retired (restart budget exhausted) the request fails.
+        let target = st
+            .queues
+            .iter()
+            .zip(&st.dead)
+            .enumerate()
+            .filter(|(_, (_, &dead))| !dead)
+            .min_by_key(|(_, (q, _))| q.len())
+            .map(|(i, _)| i)
+            .ok_or(6_u32)?;
+        Ok((st, target))
+    }
+
     /// Nanoseconds since the server started — the shared span clock.
     fn now_ns(&self) -> u64 {
         self.started.elapsed().as_nanos() as u64
@@ -213,22 +271,19 @@ impl ServerInner {
         self.started.elapsed().as_secs()
     }
 
-    /// Allocates and records one root-parented span spanning
-    /// `t0_ns..now`, returning its id so children (sim phases) can
-    /// attach underneath.
-    fn span(
-        &self,
-        ctx: &TraceCtx,
-        kind: SpanKind,
-        code: u32,
-        value: u64,
-        worker: u32,
-        t0_ns: u64,
-    ) -> u32 {
-        let span_id = ctx.next_span();
-        self.flight.record(SpanRecord {
+    /// The one emission point of the pool: folds `span` into the
+    /// instance's `db_serve_*` series, then pushes it on its flight
+    /// ring.
+    fn record(&self, span: SpanRecord) {
+        self.metrics.observe_span(&span);
+        self.flight.record(span);
+    }
+
+    /// Records one root-parented span spanning `t0_ns..now`.
+    fn span(&self, ctx: &TraceCtx, kind: SpanKind, code: u32, value: u64, worker: u32, t0_ns: u64) {
+        self.record(SpanRecord {
             trace_id: ctx.trace_id(),
-            span_id,
+            span_id: ctx.next_span(),
             parent: ctx.root(),
             kind,
             code,
@@ -238,25 +293,40 @@ impl ServerInner {
             t0_ns,
             t1_ns: self.now_ns().max(t0_ns),
         });
-        span_id
     }
 
-    /// Closes a trace: records the root `Request` span (admission to
-    /// now) carrying the terminal status and the interned tenant.
-    fn close_root(&self, ctx: &TraceCtx, req: &Request, worker: u32, status: Status, t0_ns: u64) {
-        let tenant = self.flight.tenant_idx(&req.tenant);
-        self.flight.record(SpanRecord {
+    /// Closes a trace; every response leaves through here. Records the
+    /// root `Request` span (admission to now) carrying the terminal
+    /// status and the interned tenant, stamps the response with that
+    /// span's duration as its latency and with the trace id, and
+    /// feeds the tenant's SLO.
+    fn close(
+        &self,
+        ctx: &TraceCtx,
+        req: &Request,
+        worker: u32,
+        admit_ns: u64,
+        mut resp: Response,
+    ) -> Response {
+        let root = SpanRecord {
             trace_id: ctx.trace_id(),
             span_id: ctx.root(),
             parent: 0,
             kind: SpanKind::Request,
-            code: status_code(status),
+            code: status_code(resp.status),
             value: req.id,
             worker,
-            tenant,
-            t0_ns,
-            t1_ns: self.now_ns().max(t0_ns),
-        });
+            tenant: self.flight.tenant_idx(&req.tenant),
+            t0_ns: admit_ns,
+            t1_ns: self.now_ns().max(admit_ns),
+        };
+        self.record(root);
+        resp.latency_us = span_us(&root);
+        resp.trace_id = ctx.trace_id();
+        let ok = resp.status == Status::Ok;
+        self.slo
+            .observe(&req.tenant, resp.latency_us, ok, self.now_s());
+        resp
     }
 
     fn snapshot(&self) -> MetricsSnapshot {
@@ -320,84 +390,17 @@ impl ServeHandle {
     pub fn submit(&self, req: Request) -> Receiver<Response> {
         let (tx, rx) = mpsc::channel();
         let inner = &self.inner;
-        let now = Instant::now();
-        let deadline = req.deadline_ms.map(|ms| now + Duration::from_millis(ms));
+        let deadline = req
+            .deadline_ms
+            .map(|ms| Instant::now() + Duration::from_millis(ms));
         let ctx = TraceCtx::derive(req.id, &req.tenant);
         let admit_ns = inner.now_ns();
-        // Breaker check first (its own lock): an open breaker sheds the
-        // tenant's load before it can take pool capacity.
-        if !inner.breakers.admit(&req.tenant) {
-            inner.metrics.rejected_breaker.inc();
-            inner.metrics.breaker_open.set(inner.breakers.open_count());
-            let _ = tx.send(reject_response(
-                inner,
-                &ctx,
-                &req,
-                1,
-                admit_ns,
-                Status::Rejected,
-                "tenant circuit breaker open",
-            ));
-            return rx;
-        }
-        let mut st = inner.lock();
-        let reject = if st.draining {
-            inner.metrics.rejected_draining.inc();
-            Some((2, "server is draining"))
-        } else if st.queued_total >= inner.cfg.queue_capacity {
-            inner.metrics.rejected_capacity.inc();
-            Some((3, "admission queue full"))
-        } else if inner
-            .cfg
-            .tenant_quota
-            .is_some_and(|q| st.per_tenant.get(&req.tenant).copied().unwrap_or(0) >= q)
-        {
-            inner.metrics.rejected_tenant.inc();
-            Some((4, "tenant over quota"))
-        } else if req.workload.is_write()
-            && inner
-                .cfg
-                .write_quota
-                .is_some_and(|q| st.per_tenant_writes.get(&req.tenant).copied().unwrap_or(0) >= q)
-        {
-            inner.metrics.rejected_writes.inc();
-            Some((5, "tenant over write quota"))
-        } else {
-            None
-        };
-        if let Some((code, reason)) = reject {
-            drop(st);
-            let _ = tx.send(reject_response(
-                inner,
-                &ctx,
-                &req,
-                code,
-                admit_ns,
-                Status::Rejected,
-                reason,
-            ));
-            return rx;
-        }
-        // Place on the shallowest live queue (ties → lowest index):
-        // cheap load balancing so stealing is the corrective, not the
-        // norm. Retired workers' queues take no new work.
-        let Some(target) = (0..st.queues.len())
-            .filter(|&i| !st.dead[i])
-            .min_by_key(|&i| st.queues[i].len())
-        else {
-            // Every worker exhausted the restart budget and retired.
-            drop(st);
-            inner.metrics.failed.inc();
-            let _ = tx.send(reject_response(
-                inner,
-                &ctx,
-                &req,
-                6,
-                admit_ns,
-                Status::Failed,
-                "no live workers remain (restart budget exhausted)",
-            ));
-            return rx;
+        let (mut st, target) = match inner.admit(&req) {
+            Ok(placed) => placed,
+            Err(code) => {
+                let _ = tx.send(reject_response(inner, &ctx, &req, code, admit_ns));
+                return rx;
+            }
         };
         *st.per_tenant.entry(req.tenant.clone()).or_insert(0) += 1;
         if req.workload.is_write() {
@@ -406,7 +409,6 @@ impl ServeHandle {
         let job = Job {
             // relaxed-ok: unique id allocation; only atomicity matters
             seq: inner.seq.fetch_add(1, Ordering::Relaxed),
-            submitted: now,
             deadline,
             reply: tx,
             req,
@@ -428,9 +430,7 @@ impl ServeHandle {
             .unwrap_or_else(|p| p);
         q.insert(pos, job);
         st.queued_total += 1;
-        inner.metrics.queue_depth.set(st.queued_total as u64);
         drop(st);
-        inner.metrics.admitted.inc();
         inner.cv.notify_all();
         rx
     }
@@ -460,9 +460,8 @@ impl ServeHandle {
     /// `db_serve_*` series merged with the process-global registry
     /// (`db_engine_*` engine counters, `db_sim_*` profiler gauges).
     pub fn prometheus(&self) -> String {
-        // The queue-depth gauge is updated opportunistically on the hot
-        // path; refresh it from the authoritative count so a scrape of
-        // an idle server is exact.
+        // The queue-depth and open-breaker gauges are set here only,
+        // from the authoritative state.
         let depth = self.inner.lock().queued_total as u64;
         self.inner.metrics.queue_depth.set(depth);
         self.inner
@@ -726,7 +725,6 @@ fn retire_worker(inner: &ServerInner, idx: usize) {
             st.queued_total = 0;
             st.per_tenant.clear();
             st.per_tenant_writes.clear();
-            inner.metrics.queue_depth.set(0);
             orphans
         } else {
             Vec::new()
@@ -736,15 +734,8 @@ fn retire_worker(inner: &ServerInner, idx: usize) {
     // worker's leftovers).
     inner.cv.notify_all();
     for job in orphans {
-        inner.metrics.failed.inc();
-        inner.close_root(&job.ctx, &job.req, idx as u32, Status::Failed, job.admit_ns);
-        inner.slo.observe(&job.req.tenant, 0, false, inner.now_s());
-        let mut resp = Response::failure(
-            job.req.id,
-            Status::Failed,
-            "no live workers remain (restart budget exhausted)",
-        );
-        resp.trace_id = job.ctx.trace_id();
+        let resp = Response::failure(job.req.id, Status::Failed, NO_LIVE_WORKERS);
+        let resp = inner.close(&job.ctx, &job.req, idx as u32, job.admit_ns, resp);
         let _ = job.reply.send(resp);
     }
 }
@@ -760,7 +751,6 @@ fn worker_loop(inner: &Arc<ServerInner>, idx: usize) -> WorkerExit {
             loop {
                 if let Some(job) = st.queues[idx].pop_front() {
                     st.queued_total -= 1;
-                    inner.metrics.queue_depth.set(st.queued_total as u64);
                     if let Some(c) = st.per_tenant.get_mut(&job.req.tenant) {
                         *c = c.saturating_sub(1);
                         if *c == 0 {
@@ -779,24 +769,12 @@ fn worker_loop(inner: &Arc<ServerInner>, idx: usize) -> WorkerExit {
                 }
                 if let Some(victim) = pick_victim(&st, idx, &mut rng) {
                     steal_half(&mut st, idx, victim);
-                    inner.metrics.steals.inc();
                     // The thief's queue holds exactly the stolen tail
                     // (it only steals when empty); stamp each moved
                     // request so its trace shows the migration.
                     let t = inner.now_ns();
                     for j in &st.queues[idx] {
-                        inner.flight.record(SpanRecord {
-                            trace_id: j.ctx.trace_id(),
-                            span_id: j.ctx.next_span(),
-                            parent: j.ctx.root(),
-                            kind: SpanKind::Steal,
-                            code: 0,
-                            value: victim as u64,
-                            worker: idx as u32,
-                            tenant: NO_TENANT,
-                            t0_ns: t,
-                            t1_ns: t,
-                        });
+                        inner.span(&j.ctx, SpanKind::Steal, 0, victim as u64, idx as u32, t);
                     }
                     continue; // loop around to pop from our own queue
                 }
@@ -958,54 +936,28 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job, scratch: &mut WorkerScrat
             .delta
             .execute(&job.req, policy.faults.as_deref(), &token);
         for ev in events {
-            match ev {
+            let (kind, code, value) = match ev {
                 DeltaEvent::Epoch { epoch, applied } => {
-                    inner.span(
-                        &job.ctx,
-                        SpanKind::DeltaWrite,
-                        applied,
-                        u64::from(epoch),
-                        worker,
-                        t_exec,
-                    );
+                    (SpanKind::DeltaWrite, applied, u64::from(epoch))
                 }
                 DeltaEvent::Compact { folded, outcome } => {
-                    inner.span(
-                        &job.ctx,
-                        SpanKind::Compact,
-                        outcome,
-                        u64::from(folded),
-                        worker,
-                        t_exec,
-                    );
+                    (SpanKind::Compact, outcome, u64::from(folded))
                 }
                 DeltaEvent::FaultInjected => {
-                    inner.metrics.faults_injected.inc();
+                    fault_struck = true;
                     // Code 0 = kill, the only kind live at the
                     // compaction site.
-                    inner.span(&job.ctx, SpanKind::Fault, 0, 0, worker, t_exec);
-                    fault_struck = true;
+                    (SpanKind::Fault, 0, 0)
                 }
-                DeltaEvent::Pinned { epoch } => {
-                    inner.span(
-                        &job.ctx,
-                        SpanKind::EpochPin,
-                        0,
-                        u64::from(epoch),
-                        worker,
-                        t_exec,
-                    );
-                }
-                DeltaEvent::Wal { lsn, .. } => {
-                    inner.span(&job.ctx, SpanKind::Wal, 0, lsn, worker, t_exec);
-                }
-                DeltaEvent::Checkpoint { epoch } => {
-                    inner.span(&job.ctx, SpanKind::Wal, 1, u64::from(epoch), worker, t_exec);
-                }
+                DeltaEvent::Pinned { epoch } => (SpanKind::EpochPin, 0, u64::from(epoch)),
+                DeltaEvent::Wal { lsn, .. } => (SpanKind::Wal, 0, lsn),
+                DeltaEvent::Checkpoint { epoch } => (SpanKind::Wal, 1, u64::from(epoch)),
                 DeltaEvent::StorageRejected => {
                     inner.metrics.rejected_storage.inc();
+                    continue;
                 }
-            }
+            };
+            inner.span(&job.ctx, kind, code, value, worker, t_exec);
         }
         finish_job(inner, worker, &job, reply, resp, false);
         if fault_struck {
@@ -1029,7 +981,6 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job, scratch: &mut WorkerScrat
     let t_store = inner.now_ns();
     let resolved = match store_fault {
         Some(seed) => {
-            inner.metrics.faults_injected.inc();
             fault_struck = true;
             inner.span(&job.ctx, SpanKind::Fault, 4, seed, worker, t_store);
             inner.cache.resolve_corrupted(&job.req.graph, seed)
@@ -1110,7 +1061,6 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job, scratch: &mut WorkerScrat
         let mut stall = None;
         if let Some(inj) = &policy.faults {
             if let Some(kind) = inj.check_request(worker, job.req.id, attempt) {
-                inner.metrics.faults_injected.inc();
                 fault_struck = true;
                 let fault_code = match kind {
                     FaultKind::Kill => 0,
@@ -1185,7 +1135,7 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job, scratch: &mut WorkerScrat
             Ok(_) if corrupt => 2,
             Ok(_) => 0,
         };
-        inner.flight.record(SpanRecord {
+        inner.record(SpanRecord {
             trace_id: job.ctx.trace_id(),
             span_id: attempt_span,
             parent: job.ctx.root(),
@@ -1198,7 +1148,7 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job, scratch: &mut WorkerScrat
             t1_ns: t_done,
         });
         for (sm, phase, cycles) in sim_spans {
-            inner.flight.record(SpanRecord {
+            inner.record(SpanRecord {
                 trace_id: job.ctx.trace_id(),
                 span_id: job.ctx.next_span(),
                 parent: attempt_span,
@@ -1214,7 +1164,6 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job, scratch: &mut WorkerScrat
         match outcome {
             Err(p) => {
                 poisoned = true;
-                inner.metrics.worker_panics.inc();
                 last_err = format!("attempt {attempt} panicked: {}", panic_text(p.as_ref()));
             }
             Ok(_) if corrupt => {
@@ -1229,7 +1178,6 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job, scratch: &mut WorkerScrat
             }
         }
         if attempt + 1 < attempts {
-            inner.metrics.retries.inc();
             let t_backoff = inner.now_ns();
             std::thread::sleep(backoff_delay(policy, job.req.id, attempt + 1));
             inner.span(
@@ -1265,8 +1213,8 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job, scratch: &mut WorkerScrat
     poisoned
 }
 
-/// Delivery tail shared by every terminal path: latency stamping,
-/// status metrics, breaker accounting, the closing spans, and the
+/// Delivery tail of every dequeued job: the degraded count, breaker
+/// accounting, the deadline-miss marker, the closing root span, and the
 /// exactly-one-response send.
 fn finish_job(
     inner: &ServerInner,
@@ -1276,22 +1224,10 @@ fn finish_job(
     mut resp: Response,
     degraded: bool,
 ) {
-    let latency = job.submitted.elapsed();
-    resp.latency_us = latency.as_micros() as u64;
     resp.deadline_missed =
         resp.status == Status::Ok && job.deadline.is_some_and(|d| Instant::now() > d);
-    resp.trace_id = job.ctx.trace_id();
-    inner.metrics.latency.observe(resp.latency_us);
-    match resp.status {
-        Status::Ok => {
-            inner.metrics.completed.inc();
-            if degraded {
-                inner.metrics.degraded.inc();
-            }
-        }
-        Status::Expired => inner.metrics.expired.inc(),
-        Status::Failed => inner.metrics.failed.inc(),
-        _ => inner.metrics.errors.inc(),
+    if degraded && resp.status == Status::Ok {
+        inner.metrics.degraded.inc();
     }
     // Breaker accounting: `error` and `failed` count against the
     // tenant's streak; `ok` and `expired` reset it (an expired deadline
@@ -1300,9 +1236,6 @@ fn finish_job(
     if inner.breakers.record(&job.req.tenant, !failure) == BreakerEvent::Opened {
         inner.metrics.breaker_trips.inc();
     }
-    inner.metrics.breaker_open.set(inner.breakers.open_count());
-    // Close the trace: deadline-miss marker (if any), then the root
-    // span carrying terminal status, then SLO accounting.
     let missed = resp.deadline_missed || resp.status == Status::Expired;
     if missed {
         inner.span(
@@ -1314,14 +1247,7 @@ fn finish_job(
             inner.now_ns(),
         );
     }
-    inner.close_root(&job.ctx, &job.req, worker, resp.status, job.admit_ns);
-    inner.slo.observe(
-        &job.req.tenant,
-        resp.latency_us,
-        resp.status == Status::Ok,
-        inner.now_s(),
-    );
-    reply.send(resp);
+    reply.send(inner.close(&job.ctx, &job.req, worker, job.admit_ns, resp));
     if missed {
         inner.flight.trigger(DumpReason::DeadlineMiss);
     }

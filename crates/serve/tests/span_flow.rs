@@ -1,7 +1,11 @@
 //! End-to-end span-flow tests for the flight recorder: a request that
 //! is stolen, retried, or degraded must still reconstruct as exactly
-//! one root span with every decision hanging off it, and an explicit
-//! dump must round-trip through the on-disk `.dbfr` format.
+//! one root span with every decision hanging off it, an explicit dump
+//! must round-trip through the on-disk `.dbfr` format, and the
+//! `db_serve_*` series a scrape reports must equal their counts over
+//! the flight dump.
+
+mod common;
 
 use db_fault::{FaultPlan, Injector};
 use db_serve::{
@@ -12,8 +16,9 @@ use db_span::{
     validate_dump, FlightConfig, FlightDump, SpanKind, TraceCtx, TraceTree, ADMISSION_WORKER,
 };
 use db_wal::FsyncPolicy;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn req(id: u64, engine: EngineKind) -> Request {
     Request {
@@ -319,4 +324,82 @@ fn delta_writes_record_wal_and_compaction_spans() {
         }
     }
     assert!(folds > 0, "{writes} writes cross the compaction threshold");
+}
+
+/// One server serves a killed-then-retried request, a stall that forces
+/// a steal of several requests at once, an admission refusal, a dfs
+/// whose deadline has already passed and an unknown graph key. Every
+/// span-derived series in its scrape then equals its count over the
+/// flight dump, steals included: the counter counts requests moved, one
+/// per `steal` span, not steal batches.
+#[test]
+fn scrape_counts_equal_the_flight_dump() {
+    // Requests 0 and 1 stall their workers for 100 ms and 600 ms, and
+    // request 10 is killed on its first attempt.
+    let plan = "stall=100000:worker=*@req=0;stall=600000:worker=*@req=1;kill:worker=*@req=10";
+    let server = Server::start(ServeConfig {
+        write_quota: Some(0),
+        ..chaos_config(plan, 2, 1)
+    });
+    let h = server.handle();
+    let stalled: Vec<_> = (0..2)
+        .map(|id| h.submit(req(id, EngineKind::Serial)))
+        .collect();
+    let t0 = Instant::now();
+    while h.metrics().busy_workers < 2 {
+        assert!(t0.elapsed() < Duration::from_secs(10), "both workers stall");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // With both workers stalled, requests 2..10 alternate between their
+    // queues. The first worker to wake drains its own queue, then steals
+    // the back half of the other's: two requests in one steal.
+    let queued: Vec<_> = (2..10)
+        .map(|id| h.submit(req(id, EngineKind::Serial)))
+        .collect();
+    for (id, rx) in stalled.into_iter().chain(queued).enumerate() {
+        let r = rx.recv().expect("response");
+        assert_eq!(r.status, Status::Ok, "req {id}: {:?}", r.error);
+    }
+    assert_eq!(h.run(req(10, EngineKind::Native)).status, Status::Ok);
+    let write = Request {
+        graph: "delta:path:16".into(),
+        workload: Workload::AddEdges {
+            edges: vec![(0, 2)],
+        },
+        ..req(11, EngineKind::Serial)
+    };
+    assert_eq!(h.run(write).status, Status::Rejected);
+    let late = Request {
+        deadline_ms: Some(0),
+        ..req(12, EngineKind::Serial)
+    };
+    assert_eq!(h.run(late).status, Status::Expired);
+    let unknown = Request {
+        graph: "nope".into(),
+        ..req(13, EngineKind::Serial)
+    };
+    assert_eq!(h.run(unknown).status, Status::Error);
+    let scrape = h.prometheus();
+    let dump = h.flight_dump();
+    server.shutdown();
+
+    let n = common::assert_scrape_matches_dump(&scrape, &dump);
+    assert_eq!(n["db_serve_admitted_total"], 13);
+    assert_eq!(n[r#"db_serve_rejected_total{reason="write_quota"}"#], 1);
+    assert_eq!(n[r#"db_serve_requests_total{status="ok"}"#], 11);
+    assert_eq!(n[r#"db_serve_requests_total{status="expired"}"#], 1);
+    assert_eq!(n[r#"db_serve_requests_total{status="error"}"#], 1);
+    assert_eq!(n["db_serve_request_latency_us_count"], 13);
+    assert_eq!(
+        n["db_serve_faults_injected_total"], 3,
+        "two stalls, one kill"
+    );
+    assert_eq!(n["db_serve_worker_panics_total"], 1);
+    assert_eq!(n["db_serve_retries_total"], 1);
+    // The spans of one steal share its thief and timestamp.
+    let mut moved: HashMap<(u32, u64), u64> = HashMap::new();
+    for s in dump.spans.iter().filter(|s| s.kind == SpanKind::Steal) {
+        *moved.entry((s.worker, s.t0_ns)).or_default() += 1;
+    }
+    assert!(moved.values().any(|&m| m >= 2), "steals: {moved:?}");
 }

@@ -46,6 +46,7 @@ fn tenant_from_seed(seed: u64) -> String {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
+    #[test]
     fn dbfr_round_trips(
         reason_code in 1u8..=4,
         dropped in any::<u64>(),
@@ -64,6 +65,7 @@ proptest! {
         prop_assert_eq!(back.unwrap(), dump);
     }
 
+    #[test]
     fn dbfr_rejects_every_truncation_and_extension(
         span_seeds in proptest::collection::vec(any::<u64>(), 1..8),
         tail in any::<u8>(),

@@ -16,12 +16,30 @@ use db_store::{
 use db_trace::tracer::NullTracer;
 use proptest::prelude::*;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Unique scratch path per test so parallel tests never collide.
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dbstore-it-{}", std::process::id()));
+/// A scratch directory of one test or proptest case, removed when the
+/// case ends (also when it fails or is rejected).
+struct ScratchDir(PathBuf);
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A pack path in a directory of its own, named from the pid plus a
+/// process-wide counter so no two cases ever share a path. Keep the
+/// guard alive for as long as the path is used.
+fn scratch(tag: &str) -> (ScratchDir, PathBuf) {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    // relaxed-ok: unique id allocation; only atomicity matters
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("dbstore-it-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir.join(format!("{tag}.dbsg"))
+    let path = dir.join(format!("{tag}.dbsg"));
+    (ScratchDir(dir), path)
 }
 
 /// A degree-skewed graph: `hubs` vertices wired to everything plus a
@@ -53,7 +71,7 @@ proptest! {
     ) {
         let edges: Vec<(u32, u32)> = edges.iter().map(|&(u, v)| (u % n, v % n)).collect();
         let g = from_edge_list(n, &edges, directed);
-        let path = scratch(&format!("prop-{seed:x}"));
+        let (_dir, path) = scratch(&format!("prop-{seed:x}"));
         let opts = PackOptions { compress, hub_threshold };
         let summary = pack_graph(&g, &path, opts).unwrap();
         prop_assert_eq!(summary.arcs, g.num_arcs() as u64);
@@ -63,7 +81,6 @@ proptest! {
         // Heap fallback decodes to the same graph as the mmap path.
         let heap = load_with(&path, &LoadOptions { force_heap: true, ..Default::default() }).unwrap();
         prop_assert_eq!(heap.graph(), &g);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -72,7 +89,7 @@ proptest! {
         compress in proptest::prelude::any::<bool>(),
     ) {
         let g = skewed_graph(40, 3, &[(7, 21), (9, 33), (12, 13)], false);
-        let path = scratch(&format!("trunc-{}-{compress}", (cut_frac * 1e6) as u64));
+        let (_dir, path) = scratch(&format!("trunc-{}-{compress}", (cut_frac * 1e6) as u64));
         pack_graph(&g, &path, PackOptions { compress, hub_threshold: 8 }).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
@@ -94,13 +111,12 @@ proptest! {
             ) => {}
             Err(other) => prop_assert!(false, "unexpected error class: {other:?}"),
         }
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn flipped_bytes_are_caught_by_checksums(seed in proptest::prelude::any::<u64>()) {
         let g = skewed_graph(50, 4, &[(11, 29), (17, 40), (23, 5), (31, 44)], true);
-        let path = scratch(&format!("flip-{seed:x}"));
+        let (_dir, path) = scratch(&format!("flip-{seed:x}"));
         pack_graph(&g, &path, PackOptions::default()).unwrap();
         let r = load_with(&path, &LoadOptions { corrupt_seed: Some(seed), ..Default::default() });
         match r {
@@ -113,14 +129,13 @@ proptest! {
             | Err(StoreError::HeaderChecksum { .. }) => {}
             other => prop_assert!(false, "corruption escaped detection: {other:?}"),
         }
-        std::fs::remove_file(&path).unwrap();
     }
 }
 
 #[test]
 fn header_corruptions_are_typed() {
     let g = skewed_graph(20, 2, &[(3, 9)], false);
-    let path = scratch("hdr");
+    let (_dir, path) = scratch("hdr");
     pack_graph(&g, &path, PackOptions::default()).unwrap();
     let orig = std::fs::read(&path).unwrap();
 
@@ -152,8 +167,6 @@ fn header_corruptions_are_typed() {
     // Empty file.
     std::fs::write(&path, []).unwrap();
     assert!(matches!(load(&path), Err(StoreError::Truncated { .. })));
-
-    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
@@ -182,7 +195,7 @@ fn packed_dfs_differential_all_engines() {
         ],
         false,
     );
-    let path = scratch("diff");
+    let (_dir, path) = scratch("diff");
     for compress in [false, true] {
         pack_graph(
             &g,
@@ -223,7 +236,6 @@ fn packed_dfs_differential_all_engines() {
         assert!(completed);
         assert_eq!(part, reference, "partitioned, compress={compress}");
     }
-    std::fs::remove_file(&path).unwrap();
 }
 
 /// The zero-copy promise: an uncompressed pack's arrays live in the
@@ -232,7 +244,7 @@ fn packed_dfs_differential_all_engines() {
 #[test]
 fn mapped_stores_report_zero_copy_residency() {
     let g = skewed_graph(300, 4, &[(9, 100), (150, 299)], false);
-    let path = scratch("resid");
+    let (_dir, path) = scratch("resid");
 
     pack_graph(
         &g,
@@ -263,7 +275,6 @@ fn mapped_stores_report_zero_copy_residency() {
         );
         assert!(packed.graph().heap_bytes() >= g.num_arcs() * 4);
     }
-    std::fs::remove_file(&path).unwrap();
 }
 
 /// Compression actually compresses the skewed layout.
@@ -277,7 +288,7 @@ fn compressed_pack_is_smaller_than_raw_csr() {
         }
     }
     let g = from_edge_list(2000, &edges, false);
-    let path = scratch("ratio");
+    let (_dir, path) = scratch("ratio");
     let s = pack_graph(&g, &path, PackOptions::default()).unwrap();
     assert!(
         s.file_bytes < s.csr_bytes,
@@ -285,5 +296,4 @@ fn compressed_pack_is_smaller_than_raw_csr() {
         s.file_bytes,
         s.csr_bytes
     );
-    std::fs::remove_file(&path).unwrap();
 }

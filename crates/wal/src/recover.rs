@@ -257,6 +257,8 @@ mod proptests {
 
     use super::*;
     use proptest::prelude::*;
+    use std::path::PathBuf;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn arb_log() -> impl Strategy<Value = Vec<WalRecord>> {
         proptest::collection::vec(
@@ -293,6 +295,30 @@ mod proptests {
         out
     }
 
+    /// The directory of one proptest case, removed when the case ends
+    /// (also when it fails).
+    struct CaseDir(PathBuf);
+
+    impl Drop for CaseDir {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// A log path in a directory of its own, named from the pid plus a
+    /// process-wide counter so no two cases ever share a path. Keep the
+    /// guard alive for as long as the path is used.
+    fn case_log() -> (CaseDir, PathBuf) {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        // relaxed-ok: unique id allocation; only atomicity matters
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("dbwal-prop-{}-{n}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("w.log");
+        (CaseDir(dir), path)
+    }
+
     /// The recovered records must be exactly `recs[..k]` for some `k`.
     fn assert_strict_prefix(recovered: &[WalRecord], recs: &[WalRecord]) {
         assert!(recovered.len() <= recs.len(), "recovered more than written");
@@ -309,17 +335,13 @@ mod proptests {
         ) {
             let data = encode_all(&recs);
             let cut = ((data.len() as f64) * cut_frac) as usize;
-            let dir = std::env::temp_dir()
-                .join(format!("dbwal-prop-trunc-{}", std::process::id()));
-            fs::create_dir_all(&dir).expect("mkdir");
-            let path = dir.join(format!("w{cut}.log"));
+            let (_dir, path) = case_log();
             fs::write(&path, &data[..cut.min(data.len())]).expect("write");
             let m = WalMetrics::register(&db_metrics::Registry::new());
             // Truncation alone can never make the file corrupt: it must
             // recover, and recover a strict prefix.
             let scan = recover_file(&path, &m).expect("truncated log must recover");
             assert_strict_prefix(&scan.records, &recs);
-            let _ = fs::remove_file(&path);
         }
 
         #[test]
@@ -331,10 +353,7 @@ mod proptests {
             let mut data = encode_all(&recs);
             let pos = (((data.len() - 1) as f64) * pos_frac) as usize;
             data[pos] ^= 1u8 << bit;
-            let dir = std::env::temp_dir()
-                .join(format!("dbwal-prop-flip-{}", std::process::id()));
-            fs::create_dir_all(&dir).expect("mkdir");
-            let path = dir.join(format!("w{pos}-{bit}.log"));
+            let (_dir, path) = case_log();
             fs::write(&path, &data).expect("write");
             let m = WalMetrics::register(&db_metrics::Registry::new());
             match recover_file(&path, &m) {
@@ -342,7 +361,6 @@ mod proptests {
                 Err(WalError::Corrupt { .. }) => {}
                 Err(e) => panic!("unexpected error class: {e}"),
             }
-            let _ = fs::remove_file(&path);
         }
     }
 }

@@ -10,6 +10,11 @@
 //! no shrinking. A failing case panics with the assertion message; the
 //! RNG is seeded deterministically from the test name (override with
 //! `PROPTEST_SEED`), so failures reproduce exactly on re-run.
+//!
+//! As in proptest, `proptest!` adds no `#[test]` attribute: each
+//! property marks itself `#[test]`. (A second, macro-added `#[test]`
+//! registers a property twice, and the two copies run at once on the
+//! same seeded cases.)
 
 pub mod collection;
 pub mod prelude;
@@ -323,7 +328,6 @@ macro_rules! __proptest_fns {
      $($rest:tt)*
     ) => {
         $(#[$meta])*
-        #[test]
         fn $name() {
             let config: $crate::ProptestConfig = $cfg;
             let mut runner = $crate::TestRunner::new(config, stringify!($name));
@@ -425,6 +429,7 @@ mod tests {
         #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
         /// Ranges stay in bounds; assume and multi-arg parsing work.
+        #[test]
         fn ranges_and_assume(x in 1u32..10, y in 0u64..100, f in 0.25f64..0.75) {
             prop_assume!(x != 3);
             prop_assert!((1..10).contains(&x));
@@ -433,6 +438,7 @@ mod tests {
         }
 
         /// Tuple patterns and flat-mapped strategies.
+        #[test]
         fn tuple_pattern((n, v) in (2u32..9).prop_flat_map(|n| {
             crate::collection::vec(0u32..n, 1..20).prop_map(move |v| (n, v))
         })) {
@@ -442,6 +448,7 @@ mod tests {
             }
         }
 
+        #[test]
         fn any_values(v in crate::collection::vec(crate::any::<u32>(), 1..8)) {
             prop_assert!((1..8).contains(&v.len()));
         }

@@ -6,8 +6,12 @@
 //! reference BFS, a second fresh server must agree digest for digest,
 //! the flight dump must validate, and a server restarted on the first
 //! run's WAL directory must recover the delta corpus and answer its
-//! fences identically. A second test holds a `serial` dfs to its
-//! deadline.
+//! fences identically. The first run's scrape must also agree with its
+//! flight dump on every span-derived `db_serve_*` series. A second test
+//! holds a `serial` dfs to its deadline.
+
+#[path = "../crates/serve/tests/common/mod.rs"]
+mod common;
 
 use db_graph::traversal::reachable_set;
 use db_graph::{CsrGraph, GraphBuilder};
@@ -217,6 +221,7 @@ fn served_answers_digests_spans_and_recovery_hold() {
     let server = start(&wal_a);
     let h = server.handle();
     let first = run_all(&h, &reqs);
+    let scrape = h.prometheus();
     let dump = h.flight_dump();
     server.shutdown();
     check_traversals(&reqs, &first, &frozen);
@@ -227,6 +232,8 @@ fn served_answers_digests_spans_and_recovery_hold() {
         reqs.len(),
         "one complete trace per request"
     );
+    let counted = common::assert_scrape_matches_dump(&scrape, &dump);
+    assert_eq!(counted["db_serve_admitted_total"], reqs.len() as u64);
 
     // A fresh server on a fresh WAL gives the same answers.
     let server = start(&dir.join("wal-b"));
