@@ -100,9 +100,11 @@ fn callgraph_golden_for_serve_pool() {
     // `ServerInner::span` (-3), and the new `ServerInner::record` adds
     // its fold (+1). Name resolution now sends every `.record(..)`
     // call in this file to `ServerInner::record` (it sent them to
-    // `BreakerMap::record` before).
+    // `BreakerMap::record` before). 166 since `finish_job` fires every
+    // flight dump before the reply: `run_job`'s four `trigger` calls
+    // moved into `finish_job`, which now has two (-3).
     assert_eq!(
-        pool_edges, 169,
+        pool_edges, 166,
         "edges out of pool.rs fns changed; if the pool or the resolver \
          changed intentionally, update this golden"
     );

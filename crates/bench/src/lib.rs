@@ -29,5 +29,6 @@ pub mod schema;
 pub use methods::{average_mteps, Method, MethodOutcome};
 pub use report::Table;
 pub use schema::{
-    validate_serve_line, validate_sim_line, SERVE_SCHEMA_VERSION, SIM_SCHEMA_VERSION,
+    validate_kernel_line, validate_serve_line, validate_sim_line, KERNEL_SCHEMA_VERSION,
+    SERVE_SCHEMA_VERSION, SIM_SCHEMA_VERSION,
 };

@@ -1,10 +1,11 @@
 //! Line-schema validation for the repo's JSON-lines bench reports.
 //!
 //! `BENCH_serve.json` and `BENCH_sim.json` are append-only JSON-lines
-//! files read by humans, CI greps, and downstream tooling. Each line
-//! carries `schema_version` so an incompatible format change is an
-//! explicit bump, not a silent drift — and each emitter validates its
-//! own line here *before* writing, so a harness bug fails the bench
+//! files read by humans, CI greps, and downstream tooling;
+//! `BENCH_kernel.json` holds the line of the last `kernel_bench` run.
+//! Each line carries `schema_version` so an incompatible format change
+//! is an explicit bump, not a silent drift — and each emitter validates
+//! its own line here *before* writing, so a harness bug fails the bench
 //! run instead of corrupting the report file.
 
 use db_trace::json::Value;
@@ -209,6 +210,56 @@ pub fn validate_sim_line(v: &Value) -> Result<(), String> {
     Ok(())
 }
 
+/// Current version of the `BENCH_kernel.json` line format.
+pub const KERNEL_SCHEMA_VERSION: u64 = 1;
+
+/// Validates one parsed `BENCH_kernel.json` line against schema v1.
+///
+/// Checks field presence and types, that every graph visited at least
+/// its root and reports a finite positive time, and that the far-arc
+/// share is a share.
+pub fn validate_kernel_line(v: &Value) -> Result<(), String> {
+    want_version(v, KERNEL_SCHEMA_VERSION)?;
+    let bench = want_str(v, "bench")?;
+    if bench != "kernel" {
+        return Err(format!("bench '{bench}', expected 'kernel'"));
+    }
+    if want_u64(v, "nproc")? == 0 {
+        return Err("nproc must be at least 1".into());
+    }
+    want_u64(v, "runs")?;
+    v.get("visited_ok")
+        .and_then(Value::as_bool)
+        .ok_or("missing or non-bool field 'visited_ok'")?;
+    for (i, run) in want_arr(v, "results")?.iter().enumerate() {
+        let check = || -> Result<(), String> {
+            want_str(run, "graph")?;
+            want_u64(run, "n")?;
+            want_u64(run, "arcs")?;
+            if want_u64(run, "visited")? == 0 {
+                return Err("zero vertices visited".into());
+            }
+            run.get("batched")
+                .and_then(Value::as_bool)
+                .ok_or("missing or non-bool field 'batched'")?;
+            let share = want_f64(run, "far_share")?;
+            if !(0.0..=1.0).contains(&share) {
+                return Err(format!("far_share {share} outside [0, 1]"));
+            }
+            for k in ["median_us", "min_us"] {
+                let t = want_f64(run, k)?;
+                if !t.is_finite() || t <= 0.0 {
+                    return Err(format!("{k} {t} not positive"));
+                }
+            }
+            want_f64(run, "mteps")?;
+            Ok(())
+        };
+        check().map_err(|e| format!("results[{i}]: {e}"))?;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,6 +331,28 @@ mod tests {
     }
 
     #[test]
+    fn validates_kernel_lines() {
+        let good = Value::parse(
+            r#"{"schema_version":1,"bench":"kernel","nproc":2,"runs":5,
+                "results":[{"graph":"google","n":300000,"arcs":3600000,
+                            "far_share":0.57,"batched":true,"visited":299000,
+                            "median_us":40000.5,"min_us":39000.0,"mteps":90.0}],
+                "visited_ok":true}"#,
+        )
+        .unwrap();
+        validate_kernel_line(&good).unwrap();
+        let share = Value::parse(&good.to_json().replace("0.57", "1.5")).unwrap();
+        assert!(validate_kernel_line(&share)
+            .unwrap_err()
+            .contains("far_share"));
+        let no_batch =
+            Value::parse(&good.to_json().replace("\"batched\":true", "\"batched\":1")).unwrap();
+        assert!(validate_kernel_line(&no_batch)
+            .unwrap_err()
+            .contains("batched"));
+    }
+
+    #[test]
     fn validates_crash_lines() {
         let good = Value::parse(
             r#"{"schema_version":1,"bench":"crash_recover","seed":7,
@@ -338,6 +411,10 @@ mod tests {
             (
                 "BENCH_sim.json",
                 validate_sim_line as fn(&Value) -> Result<(), String>,
+            ),
+            (
+                "BENCH_kernel.json",
+                validate_kernel_line as fn(&Value) -> Result<(), String>,
             ),
         ] {
             let path = root.join(file);

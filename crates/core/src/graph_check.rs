@@ -13,6 +13,7 @@
 //! pays it once: [`ValidCsr`] carries a passed check, so the served
 //! traversal kernel ([`crate::kernel`]) never re-runs it.
 
+use crate::kernel;
 use db_graph::{CsrGraph, GraphStore};
 use std::ops::Deref;
 
@@ -88,6 +89,14 @@ impl std::error::Error for GraphError {}
 /// `CsrGraph::try_from_sorted_parts` always pass; only
 /// `CsrGraph::from_parts_unchecked` can smuggle a defect this far.
 pub fn validate_graph(g: &CsrGraph) -> Result<(), GraphError> {
+    far_arcs(g).map(drop)
+}
+
+/// The walk behind [`validate_graph`] and [`ValidCsr::new`]: checks
+/// the structure and, while it visits every arc for the column range,
+/// counts the arcs whose endpoints are more than [`kernel::FAR_IDS`]
+/// ids apart.
+fn far_arcs(g: &CsrGraph) -> Result<u64, GraphError> {
     let n = g.num_vertices();
     let row_ptr = g.row_ptr();
     let col_idx = g.col_idx();
@@ -97,8 +106,8 @@ pub fn validate_graph(g: &CsrGraph) -> Result<(), GraphError> {
             got: row_ptr.len(),
         });
     }
-    let first = row_ptr[0];
-    let last = *row_ptr.last().expect("row_ptr nonempty");
+    // index-ok: row_ptr holds n + 1 >= 1 entries, checked above
+    let (first, last) = (row_ptr[0], row_ptr[n]);
     if first != 0 || last as usize != col_idx.len() {
         return Err(GraphError::RowPtrBounds {
             first,
@@ -106,17 +115,28 @@ pub fn validate_graph(g: &CsrGraph) -> Result<(), GraphError> {
             arcs: col_idx.len(),
         });
     }
+    // index-ok: windows(2) yields two-entry slices
     if let Some(at) = row_ptr.windows(2).position(|w| w[0] > w[1]) {
         return Err(GraphError::NonMonotoneRowPtr { at });
     }
-    if let Some(at) = col_idx.iter().position(|&v| v as usize >= n) {
-        return Err(GraphError::ColumnOutOfRange {
-            at,
-            value: col_idx[at],
-            n: n as u32,
-        });
+    let mut far = 0;
+    for (u, w) in (0u32..).zip(row_ptr.windows(2)) {
+        // index-ok: windows(2) yields two-entry slices
+        let (start, end) = (w[0] as usize, w[1] as usize);
+        // index-ok: the offsets rise from 0 to col_idx.len(), checked
+        // above, so every row lies within col_idx
+        for (at, &v) in (start..).zip(&col_idx[start..end]) {
+            if v as usize >= n {
+                return Err(GraphError::ColumnOutOfRange {
+                    at,
+                    value: v,
+                    n: n as u32,
+                });
+            }
+            far += u64::from(v.abs_diff(u) > kernel::FAR_IDS);
+        }
     }
-    Ok(())
+    Ok(far)
 }
 
 /// A graph that passed [`validate_graph`]: the proof the served
@@ -127,9 +147,14 @@ pub fn validate_graph(g: &CsrGraph) -> Result<(), GraphError> {
 /// an `Arc<dyn GraphStore>` for a cached corpus. [`ValidCsr::new`] is
 /// the only constructor, and the holder only ever hands out shared
 /// references, so the proof cannot go stale.
+///
+/// The check also settles, once per graph, whether the kernel searches
+/// it in batches ([`ValidCsr::batches`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ValidCsr<G> {
     holder: G,
+    far_arcs: u64,
+    batch: bool,
 }
 
 impl<G, S> ValidCsr<G>
@@ -137,10 +162,17 @@ where
     G: Deref<Target = S>,
     S: GraphStore + ?Sized + 'static,
 {
-    /// Runs [`validate_graph`] on the held graph.
+    /// Runs [`validate_graph`] on the held graph and decides whether
+    /// the kernel batches it.
     pub fn new(holder: G) -> Result<Self, GraphError> {
-        validate_graph(holder.graph())?;
-        Ok(ValidCsr { holder })
+        let g = holder.graph();
+        let far_arcs = far_arcs(g)?;
+        let batch = kernel::batches(far_arcs, g.num_arcs());
+        Ok(ValidCsr {
+            holder,
+            far_arcs,
+            batch,
+        })
     }
 
     /// The validated graph.
@@ -152,7 +184,22 @@ where
     pub fn view(&self) -> ValidCsr<&CsrGraph> {
         ValidCsr {
             holder: self.holder.graph(),
+            far_arcs: self.far_arcs,
+            batch: self.batch,
         }
+    }
+
+    /// Share of arcs whose endpoints are more than [`kernel::FAR_IDS`]
+    /// ids apart (0 for a graph with no arcs).
+    pub fn far_share(&self) -> f64 {
+        self.far_arcs as f64 / self.graph().num_arcs().max(1) as f64
+    }
+
+    /// Whether [`kernel::search`] runs this graph in batches of
+    /// [`kernel::BATCH`]: at least [`kernel::BATCH_FAR_SHARE`] of its
+    /// arcs are far.
+    pub fn batches(&self) -> bool {
+        self.batch
     }
 
     /// How the validated graph is held.

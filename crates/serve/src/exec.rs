@@ -5,7 +5,8 @@
 //! ([`db_core::kernel`]) on the calling thread with the caller's reused
 //! scratch, whatever engine the request names, except `sim`, which runs
 //! the simulator. The kernel polls the token every
-//! [`db_core::kernel::POLL_STRIDE`] expansions, so an expired deadline
+//! [`db_core::kernel::POLL_STRIDE`] expansions (rounded up to a whole
+//! batch on graphs it searches in batches), so an expired deadline
 //! stops the search and the payload describes the partial prefix
 //! (`completed:false`). A `reach` stops as soon as it marks its target
 //! and answers exactly what a full traversal would.

@@ -959,10 +959,8 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job, scratch: &mut WorkerScrat
             };
             inner.span(&job.ctx, kind, code, value, worker, t_exec);
         }
-        finish_job(inner, worker, &job, reply, resp, false);
-        if fault_struck {
-            inner.flight.trigger(DumpReason::Fault);
-        }
+        let dump = fault_struck.then_some(DumpReason::Fault);
+        finish_job(inner, worker, &job, reply, resp, false, dump);
         return false;
     }
 
@@ -1019,10 +1017,8 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job, scratch: &mut WorkerScrat
                 reply,
                 Response::failure(job.req.id, status, msg),
                 false,
+                fault_struck.then_some(DumpReason::Fault),
             );
-            if fault_struck {
-                inner.flight.trigger(DumpReason::Fault);
-            }
             return false;
         }
     };
@@ -1201,20 +1197,19 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job, scratch: &mut WorkerScrat
             format!("failed after {attempts} attempts; {last_err}"),
         )
     });
-    finish_job(inner, worker, &job, reply, resp, degraded);
-    // Dump triggers fire after the root span closes so a post-mortem
-    // reconstructs the whole request, not a headless fragment. Panic
-    // outranks fault: the kill's panic is the interesting artifact.
-    if poisoned {
-        inner.flight.trigger(DumpReason::Panic);
-    } else if fault_struck {
-        inner.flight.trigger(DumpReason::Fault);
-    }
+    // Panic outranks fault: the kill's panic is the interesting artifact.
+    let dump = if poisoned {
+        Some(DumpReason::Panic)
+    } else {
+        fault_struck.then_some(DumpReason::Fault)
+    };
+    finish_job(inner, worker, &job, reply, resp, degraded, dump);
     poisoned
 }
 
 /// Delivery tail of every dequeued job: the degraded count, breaker
-/// accounting, the deadline-miss marker, the closing root span, and the
+/// accounting, the deadline-miss marker, the closing root span, the
+/// flight dumps (a deadline miss, then `dump` if any), and the
 /// exactly-one-response send.
 fn finish_job(
     inner: &ServerInner,
@@ -1223,6 +1218,7 @@ fn finish_job(
     reply: ReplyGuard,
     mut resp: Response,
     degraded: bool,
+    dump: Option<DumpReason>,
 ) {
     resp.deadline_missed =
         resp.status == Status::Ok && job.deadline.is_some_and(|d| Instant::now() > d);
@@ -1247,10 +1243,18 @@ fn finish_job(
             inner.now_ns(),
         );
     }
-    reply.send(inner.close(&job.ctx, &job.req, worker, job.admit_ns, resp));
+    let resp = inner.close(&job.ctx, &job.req, worker, job.admit_ns, resp);
+    // Dumps fire after the root span closes, so a post-mortem holds the
+    // whole request rather than a headless fragment, and before the
+    // reply, so a caller that has its answer also has the dump it
+    // caused.
     if missed {
         inner.flight.trigger(DumpReason::DeadlineMiss);
     }
+    if let Some(reason) = dump {
+        inner.flight.trigger(reason);
+    }
+    reply.send(resp);
 }
 
 #[cfg(test)]

@@ -403,3 +403,39 @@ fn scrape_counts_equal_the_flight_dump() {
     }
     assert!(moved.values().any(|&m| m >= 2), "steals: {moved:?}");
 }
+
+/// A killed request's panic dump is on disk by the time its caller has
+/// the answer: the worker writes it after the root span closes and
+/// before the reply, so an explicit dump the caller takes next gets
+/// the following file number. Earlier requests fill the ring first, so
+/// a dump written after the reply would still be merging its spans
+/// when the caller looks.
+#[test]
+fn panic_dump_is_written_before_the_reply() {
+    let dir = std::env::temp_dir().join(format!("dbfr-panic-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut cfg = chaos_config("kill:worker=*@req=0", 1, 1);
+    cfg.flight.dump_dir = Some(dir.clone());
+    let server = Server::start(cfg);
+    let h = server.handle();
+    for id in 1..=600u64 {
+        assert_eq!(h.run(req(id, EngineKind::Serial)).status, Status::Ok);
+    }
+    let r = h.run(req(0, EngineKind::Native));
+    let panic_dumps: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with("-panic.dbfr"))
+        .collect();
+    let explicit = h.flight_write(&dir).expect("explicit dump written");
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(r.status, Status::Ok, "the retry answers: {:?}", r.error);
+    assert_eq!(panic_dumps, ["flight-0000-panic.dbfr"]);
+    assert!(
+        explicit.ends_with("flight-0001-explicit.dbfr"),
+        "{}",
+        explicit.display()
+    );
+}

@@ -7,8 +7,10 @@
 //! the flight dump must validate, and a server restarted on the first
 //! run's WAL directory must recover the delta corpus and answer its
 //! fences identically. The first run's scrape must also agree with its
-//! flight dump on every span-derived `db_serve_*` series. A second test
-//! holds a `serial` dfs to its deadline.
+//! flight dump on every span-derived `db_serve_*` series. Two more
+//! tests hold a dfs to its deadline: a `serial` one on a path, which
+//! runs the one-at-a-time kernel, and a `native` one on `google`, which
+//! runs it batched.
 
 #[path = "../crates/serve/tests/common/mod.rs"]
 mod common;
@@ -283,4 +285,38 @@ fn serial_dfs_stops_at_its_deadline() {
     assert_eq!(r.payload.get("completed").unwrap().as_bool(), Some(false));
     let partial = r.payload.get("visited").unwrap().as_u64().unwrap();
     assert!((1..1_000_000).contains(&partial), "partial count {partial}");
+}
+
+/// The same on the batched kernel: `google`'s arcs are scattered, so
+/// its proof batches, and a `native` dfs with a 1 ms budget over the
+/// warm corpus stops at a poll counted per batch.
+#[test]
+fn native_dfs_on_a_batched_graph_stops_at_its_deadline() {
+    const KEY: &str = "google";
+    let g = build_graph(KEY).unwrap();
+    assert!(db_core::ValidCsr::new(&g).unwrap().batches());
+    let n = g.num_vertices() as u64;
+    let server = Server::start(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    let h = server.handle();
+    let native = |id, deadline_ms| Request {
+        engine: EngineKind::Native,
+        deadline_ms,
+        ..request(id, KEY, Workload::Dfs { root: 0 })
+    };
+    let warm = h.run(native(0, None));
+    assert_eq!(warm.status, Status::Ok, "warm-up");
+    let full = warm.payload.get("visited").unwrap().as_u64().unwrap();
+    assert_eq!(
+        full,
+        reachable_set(&g, 0).iter().filter(|&&r| r).count() as u64
+    );
+    let r = h.run(native(1, Some(1)));
+    server.shutdown();
+    assert_eq!(r.status, Status::Expired, "{:?}", r.error);
+    assert_eq!(r.payload.get("completed").unwrap().as_bool(), Some(false));
+    let partial = r.payload.get("visited").unwrap().as_u64().unwrap();
+    assert!((1..n).contains(&partial), "partial count {partial}");
 }
