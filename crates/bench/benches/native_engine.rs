@@ -7,7 +7,6 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use db_baselines::deque_dfs;
 use db_core::native::{NativeConfig, NativeEngine};
-use db_core::native_lockfree::LockFreeEngine;
 use db_core::{run_sim, run_sim_traced, DiggerBeesConfig};
 use db_gen::Suite;
 use db_gpu_sim::MachineModel;
@@ -27,20 +26,6 @@ fn bench_native(c: &mut Criterion) {
         &g,
         |b, g| {
             let engine = NativeEngine::new(NativeConfig {
-                algo: DiggerBeesConfig {
-                    blocks: 2,
-                    warps_per_block: 2,
-                    ..DiggerBeesConfig::default()
-                },
-            });
-            b.iter(|| black_box(engine.run(g, 0)))
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new("diggerbees_lockfree_4t", "road_s"),
-        &g,
-        |b, g| {
-            let engine = LockFreeEngine::new(NativeConfig {
                 algo: DiggerBeesConfig {
                     blocks: 2,
                     warps_per_block: 2,

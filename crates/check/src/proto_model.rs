@@ -1,14 +1,16 @@
 //! Step-level model of the DiggerBees work/steal handshake — the
 //! visited-CAS discovery protocol and the `live`-counter termination
-//! protocol shared by `native_lockfree`, `native`, and `deque_dfs`.
+//! protocol shared by the native engine (`db_core::native`) and
+//! `deque_dfs`.
 //!
-//! Workers run the engines' actual loop structure on a tiny graph:
-//! pop an entry, scan its adjacency row, claim the first unvisited
-//! child with a CAS, bump the `live` counter **before** publishing the
-//! continuation and the child (the ordering the engines' regression
-//! comments insist on), and decrement `live` on exhaustion, raising the
-//! global `done` flag when it hits zero. Idle workers steal from the
-//! bottom of a victim's stack. Each atomic access is one explorer step.
+//! Workers run the engines' actual loop structure on a tiny graph: pop
+//! an entry into hand (the native owner's pop-process-push), scan its
+//! adjacency row, claim the first unvisited child with a CAS, bump the
+//! `live` counter **before** publishing the continuation and the child
+//! (the ordering the engines' regression comments insist on), and
+//! decrement `live` on exhaustion, raising the global `done` flag when
+//! it hits zero. Idle workers steal from the bottom of a victim's
+//! stack. Each atomic access is one explorer step.
 //!
 //! The ring internals are verified separately by
 //! [`crate::ring_model`]; here stacks are atomic push/pop/steal

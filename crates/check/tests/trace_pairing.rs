@@ -9,7 +9,6 @@
 use db_baselines::cpu_ws::{self, CpuWsConfig, CpuWsStyle};
 use db_baselines::deque_dfs;
 use db_core::native::{NativeConfig, NativeEngine};
-use db_core::native_lockfree::LockFreeEngine;
 use db_core::{run_sim_traced, DiggerBeesConfig};
 use db_gpu_sim::machine::MachineModel;
 use db_graph::{CsrGraph, GraphBuilder};
@@ -71,14 +70,6 @@ fn native_engine_stream_is_sound() {
 }
 
 #[test]
-fn lockfree_engine_stream_is_sound() {
-    let g = grid(12, 12);
-    let tracer = RingBufferTracer::new(1 << 18);
-    LockFreeEngine::new(NativeConfig { algo: small_cfg() }).run_traced(&g, 0, &tracer);
-    assert_sound("lockfree", &tracer);
-}
-
-#[test]
 fn deque_baseline_stream_is_sound() {
     let g = grid(12, 12);
     let tracer = RingBufferTracer::new(1 << 18);
@@ -129,13 +120,13 @@ fn native_lockfree_trace_is_race_free_with_skew() {
     // absorbs that emission jitter (see db_check::race docs).
     let g = grid(16, 16);
     let tracer = RingBufferTracer::new(1 << 20);
-    LockFreeEngine::new(NativeConfig { algo: small_cfg() }).run_traced(&g, 0, &tracer);
-    let events = assert_sound("lockfree", &tracer);
+    NativeEngine::new(NativeConfig { algo: small_cfg() }).run_traced(&g, 0, &tracer);
+    let events = assert_sound("native", &tracer);
     let report = db_check::race::detect(&events, &db_check::race::RaceConfig { skew: 1_000_000 })
         .expect("validated stream");
     assert!(
         report.findings.is_empty(),
-        "races reported on a correct lockfree run: {:#?}",
+        "races reported on a correct native run: {:#?}",
         report.findings
     );
 }

@@ -15,11 +15,10 @@
 //!   simulated cycles / MTEPS under a machine model (A100/H100 presets).
 //! * [`native`] — a real multithreaded engine for library users: the
 //!   same two-level structure and stealing hierarchy mapped onto OS
-//!   threads ("warps") grouped into thread groups ("blocks"), with
-//!   per-ring locks standing in for the GPU's `atomicCAS` ring protocol.
-//! * [`native_lockfree`] — the same engine on the GPU-faithful lock-free
-//!   ring protocol ([`lockfree::StampedRing`]): packed head/tail CAS
-//!   claims plus per-slot stamps for safe payload transfer.
+//!   threads ("warps") grouped into thread groups ("blocks"), with each
+//!   HotRing on the GPU's lock-free `atomicCAS` ring protocol
+//!   ([`lockfree::StampedRing`]: packed head/tail CAS claims plus
+//!   per-slot stamps for safe payload transfer).
 //!
 //! Shared pieces:
 //!
@@ -29,7 +28,7 @@
 //! * [`stack`] — the HotRing / ColdSeg data structures of §3.2 with the
 //!   four core operations (fast push, fast pop, flush, refill).
 //! * [`cancel`] — cooperative cancellation tokens polled by the native
-//!   engines' worker loops and the served kernel, so a service layer can
+//!   engine's worker loops and the served kernel, so a service layer can
 //!   enforce per-request deadlines without killing threads.
 //!
 //! The service layer does not run these engines for `dfs`/`reach`: it

@@ -19,10 +19,10 @@
 //!   releases the slot for the next lap.
 //!
 //! The owner consumes entries by *popping* them into hand and pushing
-//! continuations back (the locked engine updates the top in place under
-//! its mutex; in-place updates are not safe once thieves can claim the
-//! top slot, so the lock-free engine uses pop-process-push — same
-//! semantics, one extra CAS).
+//! continuations back (the simulator updates the top in place, as the
+//! paper's `updateTop` does; in-place updates are not safe once thieves
+//! can claim the top slot, so the native engine uses pop-process-push —
+//! same semantics, one extra CAS).
 //!
 //! Positions are wrapping `u32`s; stamp values are unique per position
 //! per lap within a `2^32`-operation window (far beyond any traversal

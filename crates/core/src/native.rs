@@ -6,15 +6,23 @@
 //! "blocks" (thread groups) that share the intra-block stealing domain,
 //! and blocks steal from each other exactly as in Algorithm 4.
 //!
-//! Concurrency design (DESIGN.md §1): the GPU kernel coordinates ring
-//! ends with `atomicCAS` on `tail`/`bottom`; here each HotRing and
-//! ColdSeg is guarded by its own `parking_lot::Mutex` with tiny critical
-//! sections — an uncontended acquisition is a single CAS, the same cost
-//! class, and the protocol (cutoffs, batch sizes, victim selection,
-//! flush-from-`tail`) is preserved verbatim. Ring lengths are also
-//! published in atomics so victim scans never take locks.
+//! Concurrency design (DESIGN.md §1): each HotRing is a
+//! [`StampedRing`], the GPU's lock-free `atomicCAS` ring protocol. Victim
+//! scans read the ring's packed head/tail word, intra-block thieves
+//! reserve a batch with one CAS at `tail`, and the owner claims entries
+//! at `head`. The ColdSeg stays behind a `parking_lot::Mutex`:
+//! inter-block steals are rare by design (that is what `cold_cutoff` is
+//! for), and its length is published in an atomic so victim scans never
+//! take the lock.
 //!
-//! Termination uses a global `live_entries` counter: every entry pushed
+//! The owner uses pop-process-push instead of the paper's in-place
+//! `updateTop`: it pops the top entry into hand, scans its row for an
+//! unclaimed neighbour, then pushes the advanced continuation and the
+//! child (child on top). A thief may claim the top slot at any moment,
+//! so an in-place update is not safe (see the protocol note in
+//! [`crate::lockfree`]). An entry in the owner's hand is still live.
+//!
+//! Termination uses a global `live` counter: every entry pushed
 //! increments it, every exhausted entry popped decrements it; zero means
 //! no warp can ever obtain work again, so the decrementing thread raises
 //! the `done` flag. (Entries being copied during a steal stay counted —
@@ -22,7 +30,8 @@
 
 use crate::cancel::CancelToken;
 use crate::config::DiggerBeesConfig;
-use crate::stack::{ColdSeg, Entry, HotRing};
+use crate::lockfree::StampedRing;
+use crate::stack::{ColdSeg, Entry};
 use db_gpu_sim::SimStats;
 use db_graph::{CsrGraph, VertexId, NO_PARENT};
 use db_trace::{EventKind, NullTracer, PhaseKind, TraceEvent, Tracer};
@@ -32,19 +41,19 @@ use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 
-/// Tracer plus the engine start time; native engines stamp events with
+/// Tracer plus the engine start time; the engine stamps events with
 /// nanoseconds since kernel start (monotone per warp, which is all the
 /// exporters require).
-pub(crate) struct TraceCtx<'t, T: Tracer> {
-    pub(crate) tracer: &'t T,
-    pub(crate) t0: Instant,
+struct TraceCtx<'t, T: Tracer> {
+    tracer: &'t T,
+    t0: Instant,
 }
 
 impl<T: Tracer> TraceCtx<'_, T> {
     /// `T::ENABLED` is a compile-time constant: with [`NullTracer`] the
     /// timestamp read, event construction, and call all fold away.
     #[inline(always)]
-    pub(crate) fn emit(&self, block: u32, lane: u32, kind: EventKind) {
+    fn emit(&self, block: u32, lane: u32, kind: EventKind) {
         if T::ENABLED {
             self.tracer.record(TraceEvent {
                 cycle: self.t0.elapsed().as_nanos() as u64,
@@ -106,10 +115,8 @@ impl NativeResult {
 }
 
 struct WarpShared {
-    hot: Mutex<HotRing>,
+    hot: StampedRing,
     cold: Mutex<ColdSeg>,
-    /// Published `hot_rest` for lock-free victim scans.
-    hot_len: AtomicU64,
     /// Published `cold_rest` for lock-free victim scans.
     cold_len: AtomicU64,
 }
@@ -120,7 +127,8 @@ struct Shared<'g> {
     visited: Vec<AtomicU8>,
     parent: Vec<AtomicU32>,
     warps: Vec<WarpShared>,
-    /// Entries logically alive anywhere (rings, segments, in transit).
+    /// Entries logically alive anywhere (rings, segments, in hand, in
+    /// transit).
     live: AtomicI64,
     done: AtomicBool,
     /// Set when a worker observed a cancelled token and raised `done`.
@@ -142,21 +150,6 @@ struct Shared<'g> {
     /// wherever a stack grows).
     hot_hw: AtomicU64,
     cold_hw: AtomicU64,
-}
-
-impl<'g> Shared<'g> {
-    fn block_of(&self, w: u32) -> u32 {
-        w / self.cfg.warps_per_block
-    }
-
-    /// Try to claim vertex `v`; true if this thread won the CAS.
-    fn claim(&self, v: u32) -> bool {
-        self.visited[v as usize]
-            // relaxed-ok: failure means another worker won the claim; we
-            // read nothing it published, so no acquire is needed
-            .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Relaxed)
-            .is_ok()
-    }
 }
 
 /// The DiggerBees native engine.
@@ -241,9 +234,8 @@ impl NativeEngine {
             parent: (0..n).map(|_| AtomicU32::new(NO_PARENT)).collect(),
             warps: (0..nw)
                 .map(|_| WarpShared {
-                    hot: Mutex::new(HotRing::new(cfg.hot_size)),
+                    hot: StampedRing::new(cfg.hot_size),
                     cold: Mutex::new(ColdSeg::new(cold_cap)),
-                    hot_len: AtomicU64::new(0),
                     cold_len: AtomicU64::new(0),
                 })
                 .collect(),
@@ -272,12 +264,7 @@ impl NativeEngine {
         shared.tasks_per_block[0].store(1, Ordering::Relaxed);
         shared.live.store(1, Ordering::Release);
         shared.pending[0].store(1, Ordering::Release);
-        shared.warps[0]
-            .hot
-            .lock()
-            .push((root, 0))
-            .expect("fresh ring");
-        shared.warps[0].hot_len.store(1, Ordering::Release);
+        shared.warps[0].hot.push((root, 0)).expect("fresh ring");
         shared.block_active[0].store(1, Ordering::Release);
 
         let start = Instant::now();
@@ -314,7 +301,7 @@ impl NativeEngine {
         // relaxed-ok: stats snapshot after every worker has joined; the
         // scope join is the synchronization point (also the next 10 loads)
         stats.vertices_visited = shared.vertices.load(Ordering::Relaxed);
-        stats.edges_traversed = shared.edges.load(Ordering::Relaxed);
+        stats.edges_traversed = shared.edges.load(Ordering::Relaxed); // relaxed-ok: after join
         stats.steals_intra = shared.steals_intra.load(Ordering::Relaxed); // relaxed-ok: after join
         stats.steals_inter = shared.steals_inter.load(Ordering::Relaxed); // relaxed-ok: after join
         stats.steal_failures = shared.steal_failures.load(Ordering::Relaxed); // relaxed-ok: after join
@@ -355,7 +342,7 @@ fn worker<T: Tracer>(
     mut poller: Option<crate::cancel::CancelPoller>,
 ) {
     let cfg = s.cfg;
-    let b = s.block_of(w) as usize;
+    let b = (w / cfg.warps_per_block) as usize;
     let lane = w % cfg.warps_per_block;
     let mut rng =
         SmallRng::seed_from_u64(cfg.seed ^ (w as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
@@ -390,8 +377,6 @@ fn worker<T: Tracer>(
             tc.emit(b as u32, lane, EventKind::WarpIdle);
             continue;
         }
-        // Idle: merge hot counters early so other threads see progress,
-        // then try to steal.
         if steal_step(s, w, b, &mut rng, tc) {
             active = true;
             backoff = 0;
@@ -405,14 +390,13 @@ fn worker<T: Tracer>(
             std::thread::yield_now();
         }
     }
-
     // relaxed-ok: stats counters, read only after the scope join
     s.edges.fetch_add(edges, Ordering::Relaxed);
     s.vertices.fetch_add(vertices, Ordering::Relaxed);
     s.tasks_per_block[b].fetch_add(tasks, Ordering::Relaxed);
 }
 
-/// One unit of DFS progress for an active warp. Returns false when the
+/// One pop-process-push step for an active warp. Returns false when the
 /// warp has no local work left (hot and cold both empty).
 fn work_step<T: Tracer>(
     s: &Shared<'_>,
@@ -425,59 +409,43 @@ fn work_step<T: Tracer>(
 ) -> bool {
     let lane = w % s.cfg.warps_per_block;
     let ws = &s.warps[w as usize];
-    let mut hot = ws.hot.lock();
-    if hot.is_empty() {
+    let Some((u, off)) = ws.hot.pop() else {
         // Refill from own ColdSeg (Figure 2(f)).
         let mut cold = ws.cold.lock();
         if cold.is_empty() {
             return false;
         }
-        let batch = cold.take_from_top(hot.capacity() / 2);
+        let batch = cold.take_from_top(ws.hot.capacity() as u64 / 2);
         ws.cold_len.store(cold.len(), Ordering::Release);
         drop(cold);
-        hot.push_batch(&batch);
-        ws.hot_len.store(hot.len(), Ordering::Release);
-        s.hot_hw.fetch_max(hot.len(), Ordering::Relaxed); // relaxed-ok: stats
-        s.refills.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
-        tc.emit(
-            b as u32,
-            lane,
-            EventKind::Refill {
-                entries: batch.len() as u32,
-            },
-        );
-        return true;
-    }
-
-    let (u, off) = hot.top().expect("nonempty");
-    let row = s.g.neighbors(u);
-    let deg = row.len() as u32;
-    if off >= deg {
-        hot.pop();
-        ws.hot_len.store(hot.len(), Ordering::Release);
-        drop(hot);
-        tc.emit(b as u32, lane, EventKind::Pop { vertex: u });
-        // relaxed-ok: pending is an advisory load estimate read only by
-        // two-choice victim selection; nothing is published under it
-        s.pending[b].fetch_sub(1, Ordering::Relaxed);
-        if s.live.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // This thread consumed the last live entry: traversal done.
-            s.done.store(true, Ordering::Release);
+        let entries = batch.len() as u32;
+        for e in batch {
+            ws.hot.push(e).expect("refill fits an empty ring");
         }
+        s.hot_hw.fetch_max(ws.hot.len() as u64, Ordering::Relaxed); // relaxed-ok: stats
+        s.refills.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
+        tc.emit(b as u32, lane, EventKind::Refill { entries });
         return true;
-    }
+    };
 
     // Scan u's remaining neighbors for a vertex we can claim.
+    let row = s.g.neighbors(u);
+    let deg = row.len() as u32;
     let mut i = off;
     let mut child: Option<Entry> = None;
     while i < deg {
         let v = row[i as usize];
         i += 1;
-        // relaxed-ok: optimistic pre-check; claim()'s CAS decides
+        // relaxed-ok: optimistic pre-check; the CAS below decides
         if s.visited[v as usize].load(Ordering::Relaxed) != 0 {
             continue;
         }
-        if s.claim(v) {
+        // relaxed-ok: CAS failure means another worker won the claim; we
+        // read nothing it published, so no acquire is needed
+        if s.visited[v as usize]
+            .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Relaxed)
+            .is_ok()
+        {
             s.parent[v as usize].store(u, Ordering::Release);
             child = Some((v, 0));
             break;
@@ -489,16 +457,51 @@ fn work_step<T: Tracer>(
         Some((v, _)) => {
             *vertices += 1;
             *tasks += 1;
-            // Count the new entry BEFORE it becomes visible: a thief may
-            // consume the child instantly, and the live counter must
-            // never under-count while the parent continuation exists.
+            // Count the new entry BEFORE publishing it (a thief may
+            // consume the child instantly; the live counter must never
+            // under-count while the parent continuation exists).
             s.live.fetch_add(1, Ordering::AcqRel);
-            // relaxed-ok: advisory victim-selection estimate (see above)
+            // relaxed-ok: pending is an advisory load estimate read only by
+            // two-choice victim selection; nothing is published under it
             s.pending[b].fetch_add(1, Ordering::Relaxed);
-            hot.update_top((u, i));
-            if hot.is_full() {
-                // Flush the oldest entries to the ColdSeg (Figure 2(e)).
-                let batch = hot.take_from_tail(s.cfg.flush_batch as u64);
+            // Push the continuation then the child (child on top).
+            push_with_flush(s, w, (u, i), tc);
+            push_with_flush(s, w, (v, 0), tc);
+            tc.emit(b as u32, lane, EventKind::Push { vertex: v });
+        }
+        None => {
+            // Row exhausted without a claim: the entry dies.
+            tc.emit(b as u32, lane, EventKind::Pop { vertex: u });
+            // relaxed-ok: advisory victim-selection estimate (see above)
+            s.pending[b].fetch_sub(1, Ordering::Relaxed);
+            if s.live.fetch_sub(1, Ordering::AcqRel) == 1 {
+                // This thread consumed the last live entry: traversal done.
+                s.done.store(true, Ordering::Release);
+            }
+        }
+    }
+    true
+}
+
+/// Push, flushing the oldest entries to the ColdSeg when the ring is
+/// full (Figure 2(e); the flush consumes from `tail` through the same
+/// steal path a thief uses, so it composes with concurrent steals).
+fn push_with_flush<T: Tracer>(s: &Shared<'_>, w: u32, e: Entry, tc: &TraceCtx<'_, T>) {
+    let ws = &s.warps[w as usize];
+    loop {
+        match ws.hot.push(e) {
+            Ok(()) => {
+                // relaxed-ok: stats high-water mark
+                s.hot_hw.fetch_max(ws.hot.len() as u64, Ordering::Relaxed);
+                return;
+            }
+            Err(_) => {
+                let batch = ws.hot.take_from_tail(s.cfg.flush_batch, 1, 4);
+                if batch.is_empty() {
+                    // Thieves are draining the ring; retry the push.
+                    std::hint::spin_loop();
+                    continue;
+                }
                 let mut cold = ws.cold.lock();
                 cold.push_top(&batch);
                 ws.cold_len.store(cold.len(), Ordering::Release);
@@ -506,33 +509,15 @@ fn work_step<T: Tracer>(
                 drop(cold);
                 s.flushes.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
                 tc.emit(
-                    b as u32,
-                    lane,
+                    w / s.cfg.warps_per_block,
+                    w % s.cfg.warps_per_block,
                     EventKind::Flush {
                         entries: batch.len() as u32,
                     },
                 );
             }
-            hot.push((v, 0)).expect("flush guarantees space");
-            ws.hot_len.store(hot.len(), Ordering::Release);
-            s.hot_hw.fetch_max(hot.len(), Ordering::Relaxed); // relaxed-ok: stats
-            drop(hot);
-            tc.emit(b as u32, lane, EventKind::Push { vertex: v });
-        }
-        None => {
-            // Row exhausted without a claim: the entry dies.
-            hot.pop();
-            ws.hot_len.store(hot.len(), Ordering::Release);
-            drop(hot);
-            tc.emit(b as u32, lane, EventKind::Pop { vertex: u });
-            // relaxed-ok: advisory victim-selection estimate (see above)
-            s.pending[b].fetch_sub(1, Ordering::Relaxed);
-            if s.live.fetch_sub(1, Ordering::AcqRel) == 1 {
-                s.done.store(true, Ordering::Release);
-            }
         }
     }
-    true
 }
 
 /// One steal attempt for an idle warp. Returns true if work was acquired.
@@ -548,43 +533,44 @@ fn steal_step<T: Tracer>(
     let first = b as u32 * wpb;
     let lane = w % wpb;
 
-    // --- Intra-block (Algorithm 3) ---
-    let mut max_rest = 0u64;
+    // --- Intra-block (Algorithm 3): CAS reservation at the victim's `tail` ---
+    let mut max_rest = 0u32;
     let mut victim = None;
     for peer in first..first + wpb {
         if peer == w {
             continue;
         }
-        let rest = s.warps[peer as usize].hot_len.load(Ordering::Acquire);
+        let rest = s.warps[peer as usize].hot.len();
         if rest > max_rest {
             max_rest = rest;
             victim = Some(peer);
         }
     }
     if let Some(v) = victim {
-        if max_rest >= cfg.hot_cutoff as u64 {
-            let vs = &s.warps[v as usize];
-            let mut vhot = vs.hot.lock();
-            // Re-validate under the lock (the atomicCAS of Alg. 3).
-            if vhot.len() >= cfg.hot_cutoff as u64 {
-                let batch = vhot.take_from_tail(cfg.hot_steal_batch() as u64);
-                vs.hot_len.store(vhot.len(), Ordering::Release);
-                drop(vhot);
-                deposit(s, w, &batch);
+        if max_rest >= cfg.hot_cutoff {
+            let batch =
+                s.warps[v as usize]
+                    .hot
+                    .take_from_tail(cfg.hot_steal_batch(), cfg.hot_cutoff, 2);
+            if batch.is_empty() {
+                s.steal_failures.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
+                tc.emit(b as u32, lane, EventKind::StealFail { victim: v % wpb });
+            } else {
+                let entries = batch.len() as u32;
+                for e in batch {
+                    push_with_flush(s, w, e, tc);
+                }
                 s.steals_intra.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
                 tc.emit(
                     b as u32,
                     lane,
                     EventKind::StealIntra {
                         victim_warp: v % wpb,
-                        entries: batch.len() as u32,
+                        entries,
                     },
                 );
                 return true;
             }
-            drop(vhot);
-            s.steal_failures.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
-            tc.emit(b as u32, lane, EventKind::StealFail { victim: v % wpb });
         }
     }
 
@@ -595,14 +581,46 @@ fn steal_step<T: Tracer>(
     if s.block_active[b].load(Ordering::Acquire) != 0 {
         return false;
     }
-    let candidate = select_victim_block(s, b as u32, rng);
-    let Some(vb) = candidate else { return false };
-    // Victim warp: max published cold_rest in the victim block.
+    let vb = match cfg.victim_policy {
+        crate::config::VictimPolicy::Random => {
+            // Blind single sample — the Fig. 9 baseline has no load info.
+            let c = rng.gen_range(0..cfg.blocks);
+            if c == b as u32 {
+                return false;
+            }
+            c
+        }
+        crate::config::VictimPolicy::TwoChoice => {
+            let mut best: Option<(i64, u32)> = None;
+            let mut found = 0;
+            for _ in 0..8 {
+                let c = rng.gen_range(0..cfg.blocks);
+                if c == b as u32 || s.block_active[c as usize].load(Ordering::Acquire) == 0 {
+                    continue;
+                }
+                // relaxed-ok: advisory estimate; staleness is tolerated
+                let load = s.pending[c as usize].load(Ordering::Relaxed);
+                if best.is_none_or(|(bl, _)| load > bl) {
+                    best = Some((load, c));
+                }
+                found += 1;
+                if found == 2 {
+                    break;
+                }
+            }
+            match best {
+                Some((_, c)) => c,
+                None => return false,
+            }
+        }
+    };
+    // Victim warp: max published cold_rest in the victim block; the
+    // ColdSeg is then re-checked under its lock.
     let vfirst = vb * wpb;
     let mut best: Option<(u64, u32)> = None;
     for peer in vfirst..vfirst + wpb {
         let rest = s.warps[peer as usize].cold_len.load(Ordering::Acquire);
-        if best.is_none_or(|(br, _)| rest > br) && rest > 0 {
+        if rest > 0 && best.is_none_or(|(br, _)| rest > br) {
             best = Some((rest, peer));
         }
     }
@@ -626,62 +644,20 @@ fn steal_step<T: Tracer>(
     // costs one misdirected steal probe
     s.pending[vb as usize].fetch_sub(k, Ordering::Relaxed);
     s.pending[b].fetch_add(k, Ordering::Relaxed);
-    deposit(s, w, &batch);
+    let entries = batch.len() as u32;
+    for e in batch {
+        push_with_flush(s, w, e, tc);
+    }
     s.steals_inter.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
     tc.emit(
         b as u32,
         lane,
         EventKind::StealInter {
             victim_block: vb,
-            entries: batch.len() as u32,
+            entries,
         },
     );
     true
-}
-
-/// Power-of-two-choices (or uniform random) victim-block selection.
-fn select_victim_block(s: &Shared<'_>, my_block: u32, rng: &mut SmallRng) -> Option<u32> {
-    let nb = s.cfg.blocks;
-    match s.cfg.victim_policy {
-        crate::config::VictimPolicy::Random => {
-            // Blind single sample — the Fig. 9 baseline has no load info.
-            let c = rng.gen_range(0..nb);
-            if c == my_block {
-                None
-            } else {
-                Some(c)
-            }
-        }
-        crate::config::VictimPolicy::TwoChoice => {
-            let mut best: Option<(i64, u32)> = None;
-            let mut found = 0;
-            for _ in 0..8 {
-                let c = rng.gen_range(0..nb);
-                if c == my_block || s.block_active[c as usize].load(Ordering::Acquire) == 0 {
-                    continue;
-                }
-                // relaxed-ok: advisory estimate; staleness is tolerated
-                let load = s.pending[c as usize].load(Ordering::Relaxed);
-                if best.is_none_or(|(bl, _)| load > bl) {
-                    best = Some((load, c));
-                }
-                found += 1;
-                if found == 2 {
-                    break;
-                }
-            }
-            best.map(|(_, c)| c)
-        }
-    }
-}
-
-/// Places stolen entries into the thief's (empty) HotRing.
-fn deposit(s: &Shared<'_>, w: u32, batch: &[Entry]) {
-    let ws = &s.warps[w as usize];
-    let mut hot = ws.hot.lock();
-    hot.push_batch(batch);
-    ws.hot_len.store(hot.len(), Ordering::Release);
-    s.hot_hw.fetch_max(hot.len(), Ordering::Relaxed); // relaxed-ok: stats
 }
 
 #[cfg(test)]

@@ -57,9 +57,8 @@ pub enum FaultKind {
     /// Silent result corruption, made detectable: the sim resets stolen
     /// entry offsets (absorbed by re-scanning, result unaffected);
     /// serve replaces the attempt's response with a retryable
-    /// integrity-failure error. Serve's `serial` engine is treated as
-    /// the trusted reference path and is never corrupted, which is what
-    /// the degradation ladder falls back to.
+    /// integrity-failure error. A retried request's final attempt is
+    /// never corrupted, so an `always` plan still converges.
     CorruptResult,
     /// Drop an otherwise-successful steal at the copy site (the entries
     /// stay with the victim; the thief records a failed attempt).

@@ -83,7 +83,8 @@ pub struct Metrics {
     pub worker_respawns: Counter,
     /// Circuit-breaker trips (closed/half-open → open).
     pub breaker_trips: Counter,
-    /// Requests that completed only via the serial degradation ladder.
+    /// `sim` requests that completed only via the degradation ladder
+    /// (a final attempt on the served kernel).
     pub degraded: Counter,
     /// Faults injected into request handling by the chaos plan.
     pub faults_injected: Counter,
@@ -160,7 +161,7 @@ impl Metrics {
             ),
             degraded: reg.counter(
                 "db_serve_degraded_total",
-                "Requests completed only via the serial degradation ladder",
+                "Sim requests completed only via the degradation ladder to the served kernel",
                 &[],
             ),
             faults_injected: reg.counter(
@@ -273,7 +274,7 @@ pub struct MetricsSnapshot {
     pub breaker_trips: u64,
     /// Tenant breakers currently open.
     pub breaker_open: u64,
-    /// Requests completed via the serial degradation ladder.
+    /// `sim` requests completed via the degradation ladder.
     pub degraded: u64,
     /// Faults injected into request handling.
     pub faults_injected: u64,

@@ -903,9 +903,12 @@ fn panic_text(p: &(dyn std::any::Any + Send)) -> &str {
 /// panic or an injected fault. `error` (invalid request) and `expired`
 /// (deadline) are terminal on their first occurrence; retrying them
 /// could not change the outcome. The final attempt of a request whose
-/// earlier attempts crashed is relabelled `serial` (the degradation
-/// ladder), which the chaos plan's `corrupt` kind exempts; a `dfs` or
-/// `reach` runs the same served kernel on every non-`sim` attempt.
+/// earlier attempts crashed is exempt from the chaos plan's `corrupt`
+/// kind, so an `always` corrupt plan still converges. A `sim` request's
+/// final attempt is relabelled `serial` (the degradation ladder): a
+/// `dfs` or `reach` runs the same served kernel under every other
+/// engine name, so `sim` is the only name whose relabelling changes
+/// what runs.
 ///
 /// Returns `true` if an attempt panicked: the caller's incarnation is
 /// considered poisoned and respawns (heap state touched by the unwound
@@ -1029,10 +1032,10 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job, scratch: &mut WorkerScrat
     let mut last_err = String::new();
     let mut degraded = false;
     for attempt in 0..attempts {
-        // Degradation ladder: the last attempt of a crashing request
-        // is relabelled `serial`.
-        let degrade =
-            attempt + 1 == attempts && attempt > 0 && job.req.engine != EngineKind::Serial;
+        let final_retry = attempt + 1 == attempts && attempt > 0;
+        // Degradation ladder: a crashing `sim` request's last attempt
+        // runs the served kernel.
+        let degrade = final_retry && job.req.engine == EngineKind::Sim;
         let engine = if degrade {
             EngineKind::Serial
         } else {
@@ -1073,10 +1076,10 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job, scratch: &mut WorkerScrat
                 match kind {
                     FaultKind::Kill => kill = true,
                     // Modeled as a checksum mismatch at result delivery.
-                    // The serial rung is exempt: the degraded path is
-                    // the trusted fallback, so an `always` corrupt plan
-                    // still converges instead of failing forever.
-                    FaultKind::CorruptResult => corrupt = !matches!(engine, EngineKind::Serial),
+                    // A retried request's final attempt is exempt, so an
+                    // `always` corrupt plan still converges instead of
+                    // failing forever.
+                    FaultKind::CorruptResult => corrupt = !final_retry,
                     FaultKind::Stall { cycles } => stall = Some(Duration::from_micros(cycles)),
                     FaultKind::SlowDown { factor } => {
                         stall = Some(Duration::from_millis(factor.max(0.0).ceil() as u64))

@@ -101,10 +101,11 @@ impl Workload {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
-    /// Names the locked two-level-stack engine ([`db_core::native`]).
+    /// Names the native DiggerBees engine ([`db_core::native`]).
     #[default]
     Native,
-    /// Names the lock-free-HotRing engine ([`db_core::native_lockfree`]).
+    /// The wire name of the native engine's former lock-free variant,
+    /// now the native engine itself; still accepted from clients.
     LockFree,
     /// Runs the deterministic GPU simulator ([`db_core::run_sim`]).
     Sim,

@@ -68,17 +68,28 @@ fn trace_of(trees: &[TraceTree], id: u64) -> TraceTree {
         .clone()
 }
 
-/// A killed request retries, degrades to the serial engine on its last
-/// attempt, and the whole story — fault, panicked attempt, retry,
-/// degrade, succeeding attempt — reconstructs under a single root.
+/// A killed request retries, and the whole story — fault, panicked
+/// attempt, retry, succeeding attempt — reconstructs under a single
+/// root. Only a `sim` request degrades: its final attempt runs the
+/// served kernel under `serial`. A `native` request already runs the
+/// kernel, so it retries under its own name with no `degrade` span.
 #[test]
 fn killed_request_retries_and_degrades_under_one_root() {
     // retry_max=1 → two attempts; `req=` strikes spend on attempt 0,
-    // so the final attempt (the degradation rung) runs clean.
-    let server = Server::start(chaos_config("kill:worker=*@req=3", 2, 1));
+    // so the final attempt runs clean.
+    let server = Server::start(chaos_config(
+        "kill:worker=*@req=3;kill:worker=*@req=5",
+        2,
+        1,
+    ));
     let h = server.handle();
     for id in 0..8u64 {
-        let r = h.run(req(id, EngineKind::Native));
+        let engine = if id == 3 {
+            EngineKind::Sim
+        } else {
+            EngineKind::Native
+        };
+        let r = h.run(req(id, engine));
         assert_eq!(r.status, Status::Ok, "req {id}: {:?}", r.error);
         // Responses carry the seed-deterministic trace id.
         assert_eq!(r.trace_id, TraceCtx::derive(id, "flow").trace_id());
@@ -86,31 +97,40 @@ fn killed_request_retries_and_degrades_under_one_root() {
     let dump = h.flight_dump();
     server.shutdown();
     let trees = validate_dump(&dump).expect("dump validates");
-    let t = trace_of(&trees, 3);
 
-    let roots = t.spans.iter().filter(|s| s.parent == 0).count();
-    assert_eq!(roots, 1, "exactly one root span");
-    let kind_codes: Vec<(SpanKind, u32)> = t.spans.iter().map(|s| (s.kind, s.code)).collect();
-    let has = |k: SpanKind, c: u32| kind_codes.contains(&(k, c));
-    assert!(
-        has(SpanKind::Fault, 0),
-        "kill fault recorded: {kind_codes:?}"
-    );
-    assert!(
-        has(SpanKind::Attempt, 1),
-        "panicked attempt: {kind_codes:?}"
-    );
-    assert!(has(SpanKind::Retry, 0), "retry recorded: {kind_codes:?}");
-    assert!(
-        t.spans
+    // (request, engine index of the final attempt, degrade spans).
+    for (id, last_engine, degrades) in [(3u64, 3u64, vec![2u64]), (5, 0, vec![])] {
+        let t = trace_of(&trees, id);
+        let roots = t.spans.iter().filter(|s| s.parent == 0).count();
+        assert_eq!(roots, 1, "req {id}: exactly one root span");
+        let kind_codes: Vec<(SpanKind, u32)> = t.spans.iter().map(|s| (s.kind, s.code)).collect();
+        let has = |k: SpanKind, c: u32| kind_codes.contains(&(k, c));
+        assert!(
+            has(SpanKind::Fault, 0),
+            "req {id}: kill fault recorded: {kind_codes:?}"
+        );
+        assert!(
+            has(SpanKind::Attempt, 1),
+            "req {id}: panicked attempt: {kind_codes:?}"
+        );
+        assert!(
+            has(SpanKind::Retry, 0),
+            "req {id}: retry recorded: {kind_codes:?}"
+        );
+        let degrade: Vec<u64> = t
+            .spans
             .iter()
-            .any(|s| s.kind == SpanKind::Degrade && s.value == 0),
-        "degrade from native: {kind_codes:?}"
-    );
-    assert!(
-        has(SpanKind::Attempt, 0),
-        "final attempt ok: {kind_codes:?}"
-    );
+            .filter(|s| s.kind == SpanKind::Degrade)
+            .map(|s| s.value)
+            .collect();
+        assert_eq!(degrade, degrades, "req {id}: degrade spans (from engine)");
+        assert!(
+            t.spans
+                .iter()
+                .any(|s| s.kind == SpanKind::Attempt && s.code == 0 && s.value == last_engine),
+            "req {id}: final attempt ok on engine {last_engine}: {kind_codes:?}"
+        );
+    }
     // The unkilled neighbours stay single-attempt.
     let clean = trace_of(&trees, 4);
     assert_eq!(

@@ -33,8 +33,10 @@ pub enum SpanKind {
     /// A retry was scheduled; the span covers the backoff sleep.
     /// `value` = the attempt number about to run (1-based).
     Retry,
-    /// The degradation ladder engaged: the final attempt fell back to
-    /// the serial engine. `value` = original engine index.
+    /// The degradation ladder engaged: a crashing `sim` request's final
+    /// attempt ran the served kernel under the `serial` engine name
+    /// (every other engine name already runs that kernel, so only `sim`
+    /// degrades). `value` = original engine index.
     Degrade,
     /// The chaos plan struck this attempt. `code` 0 = kill,
     /// 1 = corrupt, 2 = stall, 3 = slow, 4 = store-corrupt.

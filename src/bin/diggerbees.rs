@@ -6,18 +6,18 @@
 //! <graph>                a suite name (euro_osm, ljournal, road_s, …)
 //!                        or a path to a Matrix Market .mtx file
 //! --method <m>           diggerbees (default) | serial | ckl | acr |
-//!                        nvg | gunrock | berrybees | native | lockfree
+//!                        nvg | gunrock | berrybees | native
 //! --machine <m>          h100 (default) | a100 | xeon
 //! --source <v>           source vertex (default: GAP-style pick)
 //! --sources <n>          average over n GAP-style sources (default 1)
-//! --blocks <n>           thread blocks (default: one per SM)
-//! --warps <n>            warps per block (default 8)
+//! --blocks <n>           thread blocks (default: one per SM; native: 2)
+//! --warps <n>            warps per block (default 8; native: 2)
 //! --hot-cutoff <n>       intra-block steal threshold (default 32)
 //! --cold-cutoff <n>      inter-block steal threshold (default 64)
 //! --stats                print graph characterization first
 //! --trace <out>          record execution events for the first source
 //!                        and write them to <out>; supported for
-//!                        diggerbees, native, lockfree, ckl, acr
+//!                        diggerbees, native, ckl, acr
 //! --trace-format <f>     chrome | csv; default: by extension
 //!                        (.csv → csv, anything else → chrome)
 //! --profile <out>        (diggerbees method only) attribute every
@@ -41,8 +41,9 @@
 //!                        as Chrome-trace JSON (see also --flight-cap)
 //! --faults <spec>        inject worker-domain faults into request
 //!                        execution, e.g. 'seed=7;kill:worker=*@p=0.01'
-//! --retry-max <n>        retries per crashed request (default 2); the
-//!                        final attempt degrades to the serial engine
+//! --retry-max <n>        retries per crashed request (default 2); a
+//!                        `sim` request's final attempt degrades to the
+//!                        served kernel (engine `serial`)
 //! --restart-budget <n>   pool-wide worker respawn budget (default 8)
 //! --breaker-threshold <n> consecutive per-tenant failures that trip
 //!                        the circuit breaker (default 5; 0 disables)
@@ -138,7 +139,6 @@ use diggerbees::check::{
     RingScenario, WalModel, WalScenario,
 };
 use diggerbees::core::native::{NativeConfig, NativeEngine};
-use diggerbees::core::native_lockfree::LockFreeEngine;
 use diggerbees::core::{
     run_sim, run_sim_faulted, run_sim_profiled, run_sim_traced, DiggerBeesConfig,
 };
@@ -156,7 +156,7 @@ use std::process::ExitCode;
 const TRACE_CAPACITY: usize = 1 << 22;
 
 /// Methods whose engines are instrumented for `--trace`.
-const TRACEABLE: &[&str] = &["diggerbees", "native", "lockfree", "ckl", "acr"];
+const TRACEABLE: &[&str] = &["diggerbees", "native", "ckl", "acr"];
 
 /// Explicit trace export format (`--trace-format`); `None` falls back
 /// to extension sniffing (`.csv` → CSV, anything else → Chrome JSON).
@@ -191,7 +191,7 @@ struct Args {
     source: Option<u32>,
     sources: usize,
     blocks: Option<u32>,
-    warps: u32,
+    warps: Option<u32>,
     hot_cutoff: u32,
     cold_cutoff: u32,
     stats: bool,
@@ -209,7 +209,7 @@ fn parse_args() -> Result<Args, String> {
         source: None,
         sources: 1,
         blocks: None,
-        warps: 8,
+        warps: None,
         hot_cutoff: 32,
         cold_cutoff: 64,
         stats: false,
@@ -229,7 +229,7 @@ fn parse_args() -> Result<Args, String> {
             "--source" => args.source = Some(parse_num(&take("--source")?)?),
             "--sources" => args.sources = parse_num(&take("--sources")?)? as usize,
             "--blocks" => args.blocks = Some(parse_num(&take("--blocks")?)?),
-            "--warps" => args.warps = parse_num(&take("--warps")?)?,
+            "--warps" => args.warps = Some(parse_num(&take("--warps")?)?),
             "--hot-cutoff" => args.hot_cutoff = parse_num(&take("--hot-cutoff")?)?,
             "--cold-cutoff" => args.cold_cutoff = parse_num(&take("--cold-cutoff")?)?,
             "--stats" => args.stats = true,
@@ -416,7 +416,7 @@ fn main() -> ExitCode {
 
     let cfg = DiggerBeesConfig {
         blocks: args.blocks.unwrap_or(m.sm_count),
-        warps_per_block: args.warps,
+        warps_per_block: args.warps.unwrap_or(8),
         hot_cutoff: args.hot_cutoff,
         cold_cutoff: args.cold_cutoff,
         ..Default::default()
@@ -494,24 +494,23 @@ fn main() -> ExitCode {
             },
             "gunrock" => Some(bfs::run(&g, root, BfsFlavor::Gunrock, &m).mteps),
             "berrybees" => Some(bfs::run(&g, root, BfsFlavor::BerryBees, &m).mteps),
-            "native" | "lockfree" => {
-                let ncfg = NativeConfig {
-                    algo: DiggerBeesConfig {
-                        blocks: args.blocks.unwrap_or(2),
-                        warps_per_block: if args.warps == 8 { 2 } else { args.warps },
-                        hot_cutoff: args.hot_cutoff,
-                        cold_cutoff: args.cold_cutoff,
-                        ..Default::default()
-                    },
+            "native" => {
+                let algo = DiggerBeesConfig {
+                    blocks: args.blocks.unwrap_or(2),
+                    warps_per_block: args.warps.unwrap_or(2),
+                    hot_cutoff: args.hot_cutoff,
+                    cold_cutoff: args.cold_cutoff,
+                    ..Default::default()
                 };
-                let out = match (label, rt) {
-                    ("native", Some(t)) => NativeEngine::new(ncfg).run_traced(&g, root, t),
-                    ("native", None) => NativeEngine::new(ncfg).run(&g, root),
-                    (_, Some(t)) => LockFreeEngine::new(ncfg).run_traced(&g, root, t),
-                    (_, None) => LockFreeEngine::new(ncfg).run(&g, root),
+                let engine = NativeEngine::new(NativeConfig { algo });
+                let out = match rt {
+                    Some(t) => engine.run_traced(&g, root, t),
+                    None => engine.run(&g, root),
                 };
                 println!(
-                    "root {root}: wall {:?}, {} visited, steals {}+{}",
+                    "root {root}: {}x{} warps, wall {:?}, {} visited, steals {}+{}",
+                    algo.blocks,
+                    algo.warps_per_block,
                     out.wall,
                     out.stats.vertices_visited,
                     out.stats.steals_intra,

@@ -5,7 +5,6 @@
 //! exporter must survive a parse round trip.
 
 use diggerbees::core::native::{NativeConfig, NativeEngine};
-use diggerbees::core::native_lockfree::LockFreeEngine;
 use diggerbees::core::{run_sim_traced, DiggerBeesConfig};
 use diggerbees::graph::{CsrGraph, GraphBuilder};
 use diggerbees::sim::MachineModel;
@@ -125,22 +124,5 @@ fn native_trace_counts_match_stats() {
     };
     let tracer = CountingTracer::new(algo.blocks as usize);
     let out = NativeEngine::new(NativeConfig { algo }).run_traced(&g, 0, &tracer);
-    check_against_stats(&tracer.snapshot(), &out.stats);
-}
-
-#[test]
-fn lockfree_trace_counts_match_stats() {
-    let g = grid(50, 50);
-    let algo = DiggerBeesConfig {
-        blocks: 2,
-        warps_per_block: 2,
-        hot_size: 16,
-        hot_cutoff: 4,
-        cold_cutoff: 8,
-        flush_batch: 8,
-        ..Default::default()
-    };
-    let tracer = CountingTracer::new(algo.blocks as usize);
-    let out = LockFreeEngine::new(NativeConfig { algo }).run_traced(&g, 0, &tracer);
     check_against_stats(&tracer.snapshot(), &out.stats);
 }
