@@ -102,9 +102,15 @@ fn callgraph_golden_for_serve_pool() {
     // call in this file to `ServerInner::record` (it sent them to
     // `BreakerMap::record` before). 166 since `finish_job` fires every
     // flight dump before the reply: `run_job`'s four `trigger` calls
-    // moved into `finish_job`, which now has two (-3).
+    // moved into `finish_job`, which now has two (-3). 191 since an
+    // idle worker can join a running search (+25): `help` (5; the
+    // resolver sends `helper.run(..)` to `ServeHandle::run`),
+    // `PoolCrew::offer` (2), `worker_loop -> help` and
+    // `run_job -> has_idle_worker` (1 each), and two tests: the new
+    // `a_helper_leaves_its_team_for_a_queued_request` (13) and the
+    // batched-graph half of the scratch-gauge test (+3).
     assert_eq!(
-        pool_edges, 166,
+        pool_edges, 191,
         "edges out of pool.rs fns changed; if the pool or the resolver \
          changed intentionally, update this golden"
     );
@@ -114,6 +120,8 @@ fn callgraph_golden_for_serve_pool() {
         ("worker_loop", "steal_half"),
         ("run_job", "execute_valid"),
         ("run_job", "WorkerScratch::charge"),
+        ("worker_loop", "help"),
+        ("help", "WorkerScratch::charge"),
     ] {
         assert!(
             g.has_edge(POOL, from, to),

@@ -211,13 +211,15 @@ pub fn validate_sim_line(v: &Value) -> Result<(), String> {
 }
 
 /// Current version of the `BENCH_kernel.json` line format.
-pub const KERNEL_SCHEMA_VERSION: u64 = 1;
+pub const KERNEL_SCHEMA_VERSION: u64 = 2;
 
-/// Validates one parsed `BENCH_kernel.json` line against schema v1.
+/// Validates one parsed `BENCH_kernel.json` line against schema v2.
 ///
 /// Checks field presence and types, that every graph visited at least
 /// its root and reports a finite positive time, and that the far-arc
-/// share is a share.
+/// share is a share. A batched graph also carries the two-member
+/// team's times (`team_median_us`, `team_min_us`) and the searches its
+/// helper joined (`team_joins`); an unbatched one carries none of them.
 pub fn validate_kernel_line(v: &Value) -> Result<(), String> {
     want_version(v, KERNEL_SCHEMA_VERSION)?;
     let bench = want_str(v, "bench")?;
@@ -239,18 +241,29 @@ pub fn validate_kernel_line(v: &Value) -> Result<(), String> {
             if want_u64(run, "visited")? == 0 {
                 return Err("zero vertices visited".into());
             }
-            run.get("batched")
+            let batched = run
+                .get("batched")
                 .and_then(Value::as_bool)
                 .ok_or("missing or non-bool field 'batched'")?;
             let share = want_f64(run, "far_share")?;
             if !(0.0..=1.0).contains(&share) {
                 return Err(format!("far_share {share} outside [0, 1]"));
             }
-            for k in ["median_us", "min_us"] {
+            let team = ["team_median_us", "team_min_us", "team_joins"];
+            if !batched {
+                if let Some(k) = team.iter().find(|k| run.get(k).is_some()) {
+                    return Err(format!("unbatched graph with a team field '{k}'"));
+                }
+            }
+            let times = if batched { &team[..2] } else { &[] };
+            for k in ["median_us", "min_us"].iter().chain(times) {
                 let t = want_f64(run, k)?;
                 if !t.is_finite() || t <= 0.0 {
                     return Err(format!("{k} {t} not positive"));
                 }
+            }
+            if batched {
+                want_u64(run, "team_joins")?;
             }
             want_f64(run, "mteps")?;
             Ok(())
@@ -333,14 +346,32 @@ mod tests {
     #[test]
     fn validates_kernel_lines() {
         let good = Value::parse(
-            r#"{"schema_version":1,"bench":"kernel","nproc":2,"runs":5,
+            r#"{"schema_version":2,"bench":"kernel","nproc":2,"runs":5,
                 "results":[{"graph":"google","n":300000,"arcs":3600000,
                             "far_share":0.57,"batched":true,"visited":299000,
-                            "median_us":40000.5,"min_us":39000.0,"mteps":90.0}],
+                            "median_us":40000.5,"min_us":39000.0,"mteps":90.0,
+                            "team_median_us":30000.0,"team_min_us":29000.0,
+                            "team_joins":5},
+                           {"graph":"grid:60:60","n":3600,"arcs":14160,
+                            "far_share":0,"batched":false,"visited":3600,
+                            "median_us":40.0,"min_us":39.0,"mteps":350.0}],
                 "visited_ok":true}"#,
         )
         .unwrap();
         validate_kernel_line(&good).unwrap();
+        let no_team = Value::parse(&good.to_json().replace("\"team_median_us\"", "\"x\"")).unwrap();
+        assert!(validate_kernel_line(&no_team)
+            .unwrap_err()
+            .contains("team_median_us"));
+        let unbatched_team = Value::parse(
+            &good
+                .to_json()
+                .replace("\"mteps\":350", "\"team_joins\":1,\"mteps\":350"),
+        )
+        .unwrap();
+        assert!(validate_kernel_line(&unbatched_team)
+            .unwrap_err()
+            .contains("team_joins"));
         let share = Value::parse(&good.to_json().replace("0.57", "1.5")).unwrap();
         assert!(validate_kernel_line(&share)
             .unwrap_err()

@@ -29,6 +29,14 @@
 //!   Oracles: no lost acknowledged write, no double apply.
 //!   [`wal_model::WalMutation`] seeds the bug classes the ordering
 //!   exists to prevent.
+//! * [`team_model`] — the same explorer over the served kernel's team
+//!   search (`db_core::kernel::team_search`): one owner, at most one
+//!   helper, hand-offs, a sticky end, joins, leaves for a queued
+//!   request, and the owner's wait before it reuses its marks. Oracles:
+//!   the end only at quiescence or on a stop, nothing expanded after a
+//!   quiescent end, no lost entry, both members exit, and marks never
+//!   cleared while a helper holds them. [`team_model::TeamMutation`]
+//!   seeds the bugs a prototype of the team hit.
 //! * [`race`] — a vector-clock happens-before detector over `db-trace`
 //!   event streams (steal/recover events are the sync edges), runnable
 //!   post-hoc on any `--trace` output.
@@ -47,6 +55,7 @@ pub mod explore;
 pub mod proto_model;
 pub mod race;
 pub mod ring_model;
+pub mod team_model;
 pub mod wal_model;
 
 pub use epoch_model::{EpochModel, EpochMutation, EpochScenario};
@@ -54,4 +63,5 @@ pub use explore::{Explorer, Model, Outcome, Stats, Violation};
 pub use proto_model::{ProtoModel, ProtoMutation, ProtoScenario};
 pub use race::{detect, RaceConfig, RaceError, RaceFinding, RaceReport};
 pub use ring_model::{RingModel, RingMutation, RingScenario};
+pub use team_model::{ClientEvent, TeamModel, TeamMutation, TeamScenario};
 pub use wal_model::{WalModel, WalMutation, WalScenario};

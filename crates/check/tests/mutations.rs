@@ -5,6 +5,7 @@
 use db_check::explore::{replay, Explorer, Outcome};
 use db_check::proto_model::{ProtoModel, ProtoMutation, ProtoScenario};
 use db_check::ring_model::{RingModel, RingMutation, RingScenario};
+use db_check::team_model::{TeamModel, TeamMutation, TeamScenario};
 
 fn explorer() -> Explorer {
     Explorer::default()
@@ -96,4 +97,82 @@ fn three_worker_handshake_still_passes() {
     // with a third worker (more steal interleavings) stays green.
     let outcome = explorer().run(&ProtoModel::new(ProtoScenario::star4(3)));
     assert!(outcome.passed(), "{outcome:?}");
+}
+
+/// Every shipped team config: a dfs, a dfs with a request queued at any
+/// point, a reach, and a cancelled dfs.
+fn team_scenarios() -> [(&'static str, TeamScenario); 4] {
+    [
+        ("star", TeamScenario::star()),
+        ("star_request", TeamScenario::star_request()),
+        ("star_reach", TeamScenario::star_reach()),
+        ("diamond_cancel", TeamScenario::diamond_cancel()),
+    ]
+}
+
+#[test]
+fn faithful_team_protocol_passes_every_config() {
+    for (name, sc) in team_scenarios() {
+        let outcome = explorer().run(&TeamModel::new(sc));
+        assert!(outcome.passed(), "faithful team/{name} failed: {outcome:?}");
+        assert!(outcome.stats().final_states > 0, "team/{name}");
+    }
+}
+
+#[test]
+fn every_team_mutation_is_caught_and_replayable() {
+    // Each mutation with the config that exposes it and the oracle it
+    // trips first: with no sticky end a join cannot be refused, so a
+    // helper that took the offer joins after the owner counted (the same
+    // missing flag strands an idle owner, the prototype's livelock); a
+    // late join or an impatient owner clears marks a helper holds; a
+    // leave that keeps its entries loses them; and an end that ignores
+    // the hand-off buffer ends early.
+    let cases = [
+        (
+            TeamMutation::NonStickyEnd,
+            TeamScenario::star(),
+            "cleared-while-held",
+        ),
+        (
+            TeamMutation::JoinAfterEnd,
+            TeamScenario::star(),
+            "cleared-while-held",
+        ),
+        (
+            TeamMutation::LeaveKeepsEntries,
+            TeamScenario::star_request(),
+            "lost-entry",
+        ),
+        (
+            TeamMutation::OwnerSkipsWait,
+            TeamScenario::star(),
+            "cleared-while-held",
+        ),
+        (
+            TeamMutation::EndIgnoresHandoff,
+            TeamScenario::star(),
+            "early-end",
+        ),
+    ];
+    assert_eq!(cases.len(), TeamMutation::ALL.len());
+    for (m, sc, oracle) in cases {
+        let model = TeamModel::new(sc.with_mutation(m));
+        match explorer().run(&model) {
+            Outcome::Fail {
+                violation,
+                schedule,
+                ..
+            } => {
+                assert_eq!(violation.oracle, oracle, "{m:?}: {violation}");
+                let replayed =
+                    replay(&model, &schedule).expect_err("replay of a counterexample must fail");
+                assert_eq!(
+                    replayed.oracle, violation.oracle,
+                    "{m:?}: replay diverged from the reported violation"
+                );
+            }
+            other => panic!("mutation {m:?} escaped the model checker: {other:?}"),
+        }
+    }
 }

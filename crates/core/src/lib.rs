@@ -32,8 +32,12 @@
 //!   enforce per-request deadlines without killing threads.
 //!
 //! The service layer does not run these engines for `dfs`/`reach`: it
-//! runs [`kernel`], a single-thread bitset search over a graph proved
-//! valid once ([`ValidCsr`]), with per-worker reused [`kernel::Scratch`].
+//! runs [`kernel`] over a graph proved valid once ([`ValidCsr`]), with
+//! per-worker reused [`kernel::Scratch`]. A search runs on its caller's
+//! thread over a bitset ([`kernel::search`]) or, on a graph the kernel
+//! batches while another pool worker is idle, as a team of two
+//! ([`kernel::team_search`]): the idle worker joins and steals the cold
+//! half of the owner's stack, the paper's §3.4 stealing one level down.
 
 #![warn(missing_docs)]
 

@@ -4,13 +4,18 @@
 //! one scratch reused across graph sizes, and cancellation. Graphs of
 //! 50k vertices and more with scattered ids run the batched loop; the
 //! same checks run there, and the batching switch is pinned per family.
+//! The team search runs the same checks with a parked helper thread
+//! (`ParkedHelper`) that joins whenever the owner offers, plus a helper
+//! that leaves mid-search and a join after the end.
 
-use db_core::kernel::{search, Scratch};
+use db_core::kernel::{search, team_search, Crew, ParkedHelper, Scratch, Search, Team};
 use db_core::{CancelToken, ValidCsr};
 use db_graph::builder::from_edge_list;
 use db_graph::traversal::reachable_set;
-use db_graph::CsrGraph;
+use db_graph::{CsrGraph, GraphStore};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 
 /// A graph of `n` vertices whose edges touch only the first three
 /// quarters of the ids, so the rest are isolated; vertex 0 always
@@ -262,4 +267,212 @@ fn scattered_graphs_batch_and_local_ones_do_not() {
         .collect();
     assert!(!batches(&from_edge_list(n, &dag, true)));
     assert!(!batches(&suite("delaunay")));
+}
+
+/// `g` in the shared form a team search takes.
+fn shared(g: &CsrGraph) -> ValidCsr<Arc<dyn GraphStore>> {
+    ValidCsr::new(Arc::new(g.clone()) as Arc<dyn GraphStore>).unwrap()
+}
+
+/// A team dfs from `root`: completed, nothing claimed, and the count.
+fn team_dfs(
+    g: &ValidCsr<Arc<dyn GraphStore>>,
+    root: u32,
+    scratch: &mut Scratch,
+    crew: &dyn Crew,
+) -> u64 {
+    let found = team_search(g, root, None, &CancelToken::new(), scratch, crew);
+    assert!(found.completed && !found.claimed);
+    found.visited
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    #[test]
+    fn team_count_matches_reference_on_small_graphs(g in arb_graph(80, 200)) {
+        // Too small to offer: the owner searches alone on byte marks.
+        let helper = ParkedHelper::spawn();
+        let proof = shared(&g);
+        let mut scratch = Scratch::default();
+        for root in 0..g.num_vertices() as u32 {
+            prop_assert_eq!(
+                team_dfs(&proof, root, &mut scratch, &helper),
+                reference_count(&g, root)
+            );
+        }
+        prop_assert_eq!(helper.joins(), 0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+
+    #[test]
+    fn team_matches_reference_on_batched_graphs(g in batched_graph(), pick in any::<u64>()) {
+        let helper = ParkedHelper::spawn();
+        let proof = shared(&g);
+        let n = g.num_vertices() as u32;
+        let mut scratch = Scratch::default();
+        for root in [0, (pick % u64::from(n)) as u32, n - 1] {
+            prop_assert_eq!(
+                team_dfs(&proof, root, &mut scratch, &helper),
+                reference_count(&g, root)
+            );
+        }
+        let root = (pick % u64::from(n * 3 / 4)) as u32;
+        let truth = reachable_set(&g, root);
+        let full = reference_count(&g, root);
+        let spread = (0..32u64).map(|i| ((pick >> 8).wrapping_add(i * 0x9e37_79b9) % u64::from(n)) as u32);
+        for target in spread.chain([root, n - 1]) {
+            let found = team_search(&proof, root, Some(target), &CancelToken::new(), &mut scratch, &helper);
+            prop_assert!(found.completed);
+            prop_assert_eq!(found.claimed, truth[target as usize], "target {}", target);
+            prop_assert!(found.visited <= full);
+        }
+    }
+}
+
+#[test]
+fn the_parked_helper_joins_and_the_count_stays_exact() {
+    // A graph big enough that a join is all but certain; a full count
+    // with the helper in it must still be exact.
+    let g = db_gen::social::social(200_000, 3);
+    let proof = shared(&g);
+    let want = reference_count(&g, 0);
+    let helper = ParkedHelper::spawn();
+    let mut scratch = Scratch::default();
+    for _ in 0..20 {
+        assert_eq!(team_dfs(&proof, 0, &mut scratch, &helper), want);
+        if helper.joins() > 0 {
+            return;
+        }
+    }
+    panic!("the helper never joined in 20 searches");
+}
+
+#[test]
+fn team_root_as_target_and_a_cancelled_token() {
+    let g = from_edge_list(3, &[(0, 1), (1, 2)], true);
+    let proof = shared(&g);
+    let helper = ParkedHelper::spawn();
+    let token = CancelToken::new();
+    token.cancel();
+    let mut scratch = Scratch::default();
+    let claimed = team_search(&proof, 2, Some(2), &token, &mut scratch, &helper);
+    assert_eq!(
+        claimed,
+        Search {
+            visited: 1,
+            claimed: true,
+            completed: true
+        }
+    );
+    // A pre-cancelled token stops before the first expansion.
+    for target in [None, Some(2)] {
+        let found = team_search(&proof, 0, target, &token, &mut scratch, &helper);
+        assert_eq!(found.visited, 1);
+        assert!(!found.completed && !found.claimed);
+    }
+}
+
+/// A crew that hands every offered team to the test through a channel
+/// and never has a request queued.
+struct Catch(Mutex<mpsc::Sender<Arc<Team>>>);
+
+impl Crew for Catch {
+    fn queued(&self) -> bool {
+        false
+    }
+
+    fn offer(&self, team: &Arc<Team>) -> bool {
+        self.0.lock().unwrap().send(Arc::clone(team)).is_ok()
+    }
+
+    fn withdraw(&self, _: &Arc<Team>) {}
+}
+
+/// A star whose hub pushes `n - 1` leaves at once: the owner offers at
+/// its second poll.
+fn star(n: u32) -> CsrGraph {
+    from_edge_list(n, &(1..n).map(|v| (0, v)).collect::<Vec<_>>(), false)
+}
+
+#[test]
+fn a_join_after_the_end_is_refused() {
+    let g = star(20_000);
+    let proof = shared(&g);
+    let (tx, rx) = mpsc::channel();
+    let crew = Catch(Mutex::new(tx));
+    let mut scratch = Scratch::default();
+    assert_eq!(team_dfs(&proof, 0, &mut scratch, &crew), 20_000);
+    let team = rx.try_recv().expect("the owner offered its search");
+    assert!(team.join().is_none(), "joined an ended search");
+    // The marks are free again: the next search resets them.
+    assert_eq!(team_dfs(&proof, 7, &mut scratch, &crew), 20_000);
+}
+
+#[test]
+fn a_helper_that_leaves_hands_its_entries_back() {
+    // The helper joins, takes hand-offs, and leaves at its third poll
+    // as if a request had been queued; the owner finishes alone.
+    let g = db_gen::social::social(100_000, 5);
+    let proof = shared(&g);
+    let want = reference_count(&g, 0);
+    let (tx, rx) = mpsc::channel::<Arc<Team>>();
+    let crew = Catch(Mutex::new(tx));
+    let worker = std::thread::spawn(move || {
+        let mut scratch = Scratch::default();
+        let mut left = 0;
+        for team in rx {
+            let polls = AtomicU32::new(0);
+            if let Some(mut helper) = team.join() {
+                let queued = || polls.fetch_add(1, Ordering::Relaxed) >= 3;
+                left += u32::from(helper.run(&mut scratch, &queued).left_for_request);
+            }
+        }
+        left
+    });
+    let mut scratch = Scratch::default();
+    for _ in 0..5 {
+        assert_eq!(team_dfs(&proof, 0, &mut scratch, &crew), want);
+    }
+    drop(crew);
+    assert!(worker.join().unwrap() >= 1, "the helper never left early");
+}
+
+#[test]
+fn one_set_of_marks_serves_two_graph_sizes() {
+    let big = star(60_000);
+    let small = from_edge_list(50, &[(0, 1), (1, 2), (3, 4)], true);
+    let helper = ParkedHelper::spawn();
+    let mut scratch = Scratch::default();
+    let mut held = None;
+    for g in [&big, &small, &big] {
+        let proof = shared(g);
+        // An early-exit reach first leaves marks set; the searches after
+        // it must not see them.
+        let far = g.num_vertices() as u32 - 1;
+        team_search(
+            &proof,
+            0,
+            Some(far),
+            &CancelToken::new(),
+            &mut scratch,
+            &helper,
+        );
+        for r in [0, far] {
+            assert_eq!(
+                team_dfs(&proof, r, &mut scratch, &helper),
+                reference_count(g, r)
+            );
+        }
+        if g.num_vertices() == 60_000 {
+            // The second big search reuses the marks and the stack.
+            let now = scratch.bytes();
+            assert!(now >= 60_000 * 5, "marks and stack for n vertices");
+            assert!(held.is_none_or(|h| h == now), "{held:?} -> {now}");
+            held = Some(now);
+        }
+    }
 }

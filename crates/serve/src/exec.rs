@@ -2,9 +2,12 @@
 //! deadline token and shapes the response payload.
 //!
 //! `dfs` and `reach` run the served traversal kernel
-//! ([`db_core::kernel`]) on the calling thread with the caller's reused
-//! scratch, whatever engine the request names, except `sim`, which runs
-//! the simulator. The kernel polls the token every
+//! ([`db_core::kernel`]) with the caller's reused scratch, whatever
+//! engine the request names, except `sim`, which runs the simulator.
+//! Given a [`Teaming`], the kernel runs as the owner of a team search
+//! that an idle pool worker may join ([`kernel::team_search`]);
+//! otherwise it runs on the calling thread alone. The kernel polls the
+//! token every
 //! [`db_core::kernel::POLL_STRIDE`] expansions (rounded up to a whole
 //! batch on graphs it searches in batches), so an expired deadline
 //! stops the search and the payload describes the partial prefix
@@ -22,8 +25,9 @@
 //! into payloads. This is what makes double-run digest comparison in
 //! the load generator meaningful.
 
+use crate::corpus::ValidStore;
 use crate::request::{EngineKind, Request, Response, Status, Workload};
-use db_core::kernel::{self, Scratch, Search};
+use db_core::kernel::{self, Crew, Scratch, Search};
 use db_core::{CancelToken, ValidCsr};
 use db_gpu_sim::MachineModel;
 use db_graph::CsrGraph;
@@ -36,7 +40,7 @@ use db_trace::json::Value;
 /// pool owns).
 pub fn execute(req: &Request, graph: &CsrGraph, token: &CancelToken) -> Response {
     match ValidCsr::new(graph) {
-        Ok(graph) => execute_valid(req, graph, token, &mut Scratch::default(), None),
+        Ok(graph) => execute_valid(req, graph, token, &mut Scratch::default(), None, None),
         Err(e) => Response::failure(
             req.id,
             Status::Rejected,
@@ -45,17 +49,38 @@ pub fn execute(req: &Request, graph: &CsrGraph, token: &CancelToken) -> Response
     }
 }
 
+/// A dfs or reach's way to a second core: the request's graph in the
+/// shared form a helper thread can hold, and the pool the helper comes
+/// from.
+#[derive(Clone, Copy)]
+pub struct Teaming<'a> {
+    /// The graph `execute_valid` runs on, shared.
+    pub graph: &'a ValidStore,
+    /// The pool an idle helper joins from.
+    pub crew: &'a dyn Crew,
+}
+
+impl std::fmt::Debug for Teaming<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Teaming")
+            .field("graph", self.graph)
+            .finish_non_exhaustive()
+    }
+}
+
 /// Executes `req` on a graph validated beforehand, searching in
-/// `scratch`. A `sim` run with a sink supplied runs under a
-/// [`db_gpu_sim::CycleProfiler`], and the sink receives the nonzero
-/// `(sm, phase_index, cycles)` cells that the pool turns into `SimPhase`
-/// spans. Profiling is observational: the response is the same either
-/// way.
+/// `scratch`. With `team` supplied (for the same graph), a dfs or reach
+/// runs as a team search; the answer is the same either way. A `sim`
+/// run with a sink supplied runs under a [`db_gpu_sim::CycleProfiler`],
+/// and the sink receives the nonzero `(sm, phase_index, cycles)` cells
+/// that the pool turns into `SimPhase` spans. Profiling is
+/// observational: the response is the same either way.
 pub fn execute_valid(
     req: &Request,
     graph: ValidCsr<&CsrGraph>,
     token: &CancelToken,
     scratch: &mut Scratch,
+    team: Option<Teaming<'_>>,
     sim_spans: Option<&mut Vec<(u32, usize, u64)>>,
 ) -> Response {
     let n = graph.graph().num_vertices() as u32;
@@ -71,9 +96,10 @@ pub fn execute_valid(
         }
     };
     // The engine name is a hint: only `sim` changes what runs.
-    let search = move |root: u32, target: Option<u32>| match req.engine {
-        EngineKind::Sim => simulate(graph.graph(), root, target, token, sim_spans),
-        _ => kernel::search(graph, root, target, token, scratch),
+    let search = move |root: u32, target: Option<u32>| match (req.engine, team) {
+        (EngineKind::Sim, _) => simulate(graph.graph(), root, target, token, sim_spans),
+        (_, Some(t)) => kernel::team_search(t.graph, root, target, token, scratch, t.crew),
+        (_, None) => kernel::search(graph, root, target, token, scratch),
     };
     let graph = graph.graph();
     match &req.workload {
@@ -360,6 +386,7 @@ mod tests {
             ValidCsr::new(&g).unwrap(),
             &CancelToken::new(),
             &mut Scratch::default(),
+            None,
             Some(&mut sink),
         );
         assert_eq!(

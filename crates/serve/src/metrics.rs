@@ -22,6 +22,7 @@
 //! | `retry` | `db_serve_retries_total` |
 //! | `attempt` (1, panicked) | `db_serve_worker_panics_total` |
 //! | `fault` | `db_serve_faults_injected_total` |
+//! | `team` | `db_serve_team_joins_total` (one per helper that joined a search) |
 //!
 //! Four counters have no span and are updated where their decision is
 //! made: `db_serve_worker_respawns_total`, `db_serve_breaker_trips_total`,
@@ -88,13 +89,17 @@ pub struct Metrics {
     pub degraded: Counter,
     /// Faults injected into request handling by the chaos plan.
     pub faults_injected: Counter,
+    /// Idle workers that joined another worker's search as its helper
+    /// (one per `team` span).
+    pub team_joins: Counter,
     /// Tenant circuit breakers currently open.
     pub breaker_open: Gauge,
     /// Requests currently queued across all workers.
     pub queue_depth: Gauge,
     /// Workers currently executing a request (occupancy).
     pub busy_workers: Gauge,
-    /// Heap bytes of the workers' reused traversal scratch, summed.
+    /// Heap bytes of the workers' reused traversal scratch (visited
+    /// bits, stacks and team byte marks), summed.
     pub scratch_bytes: Gauge,
     /// Latency of every request a worker finished (any status) and of
     /// the `failed` answers closed without one, µs.
@@ -169,6 +174,11 @@ impl Metrics {
                 "Faults injected into request handling by the chaos plan",
                 &[],
             ),
+            team_joins: reg.counter(
+                "db_serve_team_joins_total",
+                "Idle workers that joined another worker's search as its helper",
+                &[],
+            ),
             breaker_open: reg.gauge(
                 "db_serve_breaker_open",
                 "Tenant circuit breakers currently open",
@@ -223,6 +233,7 @@ impl Metrics {
             (SpanKind::Retry, _) => &self.retries,
             (SpanKind::Attempt, 1) => &self.worker_panics,
             (SpanKind::Fault, _) => &self.faults_injected,
+            (SpanKind::Team, _) => &self.team_joins,
             _ => return,
         };
         counter.inc();

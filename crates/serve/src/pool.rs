@@ -12,6 +12,18 @@
 //! two-choice sampling on queue depth, the paper's §3.4 policy, with a
 //! full scan as fallback so drain always terminates.
 //!
+//! Stealing also reaches one level down, into a running search. A
+//! dfs/reach on a graph the kernel batches ([`db_core::ValidCsr::batches`])
+//! starts as a team search when some other live worker is not running
+//! a request. Its owner offers it through the pool's one offer slot once
+//! its stack is deep enough, and a worker whose queue and steal both
+//! come up empty joins it with its own scratch stack, taking the cold
+//! half of the owner's stack whenever it runs dry
+//! ([`db_core::kernel::team_search`]). The helper leaves at its next
+//! poll once a request is queued, handing its entries back, and records
+//! one `team` span under the owner's attempt. Elsewhere the
+//! single-thread kernel runs unchanged.
+//!
 //! Everything synchronizes through one mutex + condvar: queue moves are
 //! microseconds against multi-millisecond traversals, so lock
 //! granularity is not the bottleneck here (DESIGN.md contrasts this
@@ -32,9 +44,9 @@ use crate::corpus::CorpusCache;
 use crate::delta::{DeltaEvent, DeltaRegistry, Durability, RecoveryInfo, DELTA_PREFIX};
 use crate::exec;
 use crate::metrics::{span_us, Metrics, MetricsSnapshot};
-use crate::request::{EngineKind, Request, Response, Status};
+use crate::request::{EngineKind, Request, Response, Status, Workload};
 use crate::resilience::{backoff_delay, BreakerEvent, BreakerMap, Resilience};
-use db_core::kernel::Scratch;
+use db_core::kernel::{Crew, Scratch, Team};
 use db_core::CancelToken;
 use db_fault::FaultKind;
 use db_metrics::{Gauge, SloConfig, SloTracker};
@@ -189,6 +201,18 @@ struct PoolState {
     /// queues take no new submissions; leftovers are stolen by
     /// survivors (or failed outright when the last worker dies).
     dead: Vec<bool>,
+    /// The one team search on offer to an idle worker.
+    offer: Option<Offer>,
+}
+
+/// A team search on offer, with the ids of the `team` span its helper
+/// will record under the owner's attempt.
+#[derive(Debug)]
+struct Offer {
+    team: Arc<Team>,
+    trace_id: u64,
+    span_id: u32,
+    attempt: u32,
 }
 
 #[derive(Debug)]
@@ -543,6 +567,7 @@ impl Server {
                 per_tenant_writes: HashMap::new(),
                 draining: false,
                 dead: vec![false; cfg.workers],
+                offer: None,
             }),
             cv: Condvar::new(),
             cache,
@@ -689,8 +714,9 @@ fn worker_entry(inner: Arc<ServerInner>, idx: usize) {
         // Belt and braces: run_job already catches per-attempt panics;
         // if the loop machinery itself panics, treat that as poisoned
         // too rather than silently losing the thread.
-        // guard: per-job state is restored by ReplyGuard/GaugeGuard inside
-        // run_job; the respawn arm below restores pool capacity
+        // guard: per-job state is restored by ReplyGuard inside run_job,
+        // and team membership by the kernel's Helper; the respawn arm
+        // below restores pool capacity
         let exit = std::panic::catch_unwind(AssertUnwindSafe(|| worker_loop(&inner, idx)))
             .unwrap_or(WorkerExit::Poisoned);
         match exit {
@@ -746,7 +772,7 @@ fn worker_loop(inner: &Arc<ServerInner>, idx: usize) -> WorkerExit {
     // with everything else the unwound attempt touched.
     let mut scratch = WorkerScratch::new(&inner.metrics.scratch_bytes);
     loop {
-        let job = {
+        let task = {
             let mut st = inner.lock();
             loop {
                 if let Some(job) = st.queues[idx].pop_front() {
@@ -765,7 +791,7 @@ fn worker_loop(inner: &Arc<ServerInner>, idx: usize) -> WorkerExit {
                             }
                         }
                     }
-                    break Some(job);
+                    break Some(Task::Run(job));
                 }
                 if let Some(victim) = pick_victim(&st, idx, &mut rng) {
                     steal_half(&mut st, idx, victim);
@@ -778,6 +804,9 @@ fn worker_loop(inner: &Arc<ServerInner>, idx: usize) -> WorkerExit {
                     }
                     continue; // loop around to pop from our own queue
                 }
+                if let Some(offer) = st.offer.take() {
+                    break Some(Task::Help(offer));
+                }
                 if st.draining && st.queued_total == 0 {
                     break None;
                 }
@@ -787,15 +816,106 @@ fn worker_loop(inner: &Arc<ServerInner>, idx: usize) -> WorkerExit {
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
             }
         };
-        let Some(job) = job else {
-            // Wake siblings so they observe the drained state too.
-            inner.cv.notify_all();
-            return WorkerExit::Drained;
-        };
-        if run_job(inner, idx as u32, job, &mut scratch) {
-            return WorkerExit::Poisoned;
+        match task {
+            None => {
+                // Wake siblings so they observe the drained state too.
+                inner.cv.notify_all();
+                return WorkerExit::Drained;
+            }
+            Some(Task::Run(job)) => {
+                if run_job(inner, idx as u32, job, &mut scratch) {
+                    return WorkerExit::Poisoned;
+                }
+            }
+            Some(Task::Help(offer)) => help(inner, idx as u32, &offer, &mut scratch),
         }
     }
+}
+
+/// What an idle worker found to do.
+enum Task {
+    /// A request from its own queue (after a steal, perhaps).
+    Run(Job),
+    /// The team search on offer.
+    Help(Offer),
+}
+
+/// Joins the offered team search as its helper, unless it has already
+/// ended. Before leaving, the helper charges its scratch and records one
+/// `team` span under the owner's attempt: `value` = entries it
+/// expanded, `code` 1 if it left for a queued request, else 0.
+fn help(inner: &ServerInner, worker: u32, offer: &Offer, scratch: &mut WorkerScratch) {
+    let t0 = inner.now_ns();
+    let Some(mut helper) = offer.team.join() else {
+        return;
+    };
+    let queued = || inner.lock().queued_total > 0;
+    let done = helper.run(&mut scratch.scratch, &queued);
+    scratch.charge();
+    inner.record(SpanRecord {
+        trace_id: offer.trace_id,
+        span_id: offer.span_id,
+        parent: offer.attempt,
+        kind: SpanKind::Team,
+        code: u32::from(done.left_for_request),
+        value: done.expanded,
+        worker,
+        tenant: NO_TENANT,
+        t0_ns: t0,
+        t1_ns: inner.now_ns(),
+    });
+    // The membership ends here, after the span, so the owner answers
+    // only once its helper's span is on the ring.
+    drop(helper);
+}
+
+/// The pool as a team search's owner sees it: one offer slot, and the
+/// shared queue count.
+struct PoolCrew<'a> {
+    inner: &'a ServerInner,
+    ctx: &'a TraceCtx,
+    /// The owner's attempt span, parent of the helper's `team` span.
+    attempt: u32,
+}
+
+impl Crew for PoolCrew<'_> {
+    fn queued(&self) -> bool {
+        self.inner.lock().queued_total > 0
+    }
+
+    fn offer(&self, team: &Arc<Team>) -> bool {
+        let mut st = self.inner.lock();
+        if st.queued_total > 0 || st.offer.is_some() {
+            return false;
+        }
+        st.offer = Some(Offer {
+            team: Arc::clone(team),
+            trace_id: self.ctx.trace_id(),
+            span_id: self.ctx.next_span(),
+            attempt: self.attempt,
+        });
+        drop(st);
+        self.inner.cv.notify_all();
+        true
+    }
+
+    fn withdraw(&self, team: &Arc<Team>) {
+        let mut st = self.inner.lock();
+        if st
+            .offer
+            .as_ref()
+            .is_some_and(|o| Arc::ptr_eq(&o.team, team))
+        {
+            st.offer = None;
+        }
+    }
+}
+
+/// Whether a search starting now would find a helper: some live worker
+/// is not running a request (the caller's own request counts as one).
+fn has_idle_worker(inner: &ServerInner) -> bool {
+    let live = inner.lock().dead.iter().filter(|&&dead| !dead).count() as u64;
+    inner.metrics.busy_workers.get() < live
 }
 
 /// A worker's reused traversal scratch, charged to the
@@ -854,19 +974,25 @@ impl Drop for GaugeGuard<'_> {
 /// Guarantees exactly one [`Response`] per admitted job: the normal
 /// path consumes the guard via [`ReplyGuard::send`]; if the worker
 /// unwinds past it instead, the drop handler delivers a `failed`
-/// response so no client blocks forever on a lost request.
-struct ReplyGuard {
+/// response so no client blocks forever on a lost request. It also
+/// holds the worker's `busy_workers` count, which it releases before
+/// the reply goes out: a request its client sends next then sees this
+/// worker as free, so it can find a helper here.
+struct ReplyGuard<'a> {
     reply: Option<(mpsc::Sender<Response>, u64)>,
+    busy: Option<GaugeGuard<'a>>,
 }
 
-impl ReplyGuard {
-    fn new(reply: mpsc::Sender<Response>, id: u64) -> ReplyGuard {
+impl<'a> ReplyGuard<'a> {
+    fn new(reply: mpsc::Sender<Response>, id: u64, busy: GaugeGuard<'a>) -> ReplyGuard<'a> {
         ReplyGuard {
             reply: Some((reply, id)),
+            busy: Some(busy),
         }
     }
 
     fn send(mut self, resp: Response) {
+        self.busy = None;
         if let Some((tx, _)) = self.reply.take() {
             // The client may have hung up (e.g. a TCP connection
             // dropped); delivery failure is not a server error.
@@ -875,7 +1001,7 @@ impl ReplyGuard {
     }
 }
 
-impl Drop for ReplyGuard {
+impl Drop for ReplyGuard<'_> {
     fn drop(&mut self) {
         if let Some((tx, id)) = self.reply.take() {
             let _ = tx.send(Response::failure(
@@ -915,8 +1041,8 @@ fn panic_text(p: &(dyn std::any::Any + Send)) -> &str {
 /// traversal, `scratch` included, is untrusted even though the response
 /// was delivered).
 fn run_job(inner: &ServerInner, worker: u32, job: Job, scratch: &mut WorkerScratch) -> bool {
-    let _busy = GaugeGuard::acquire(&inner.metrics.busy_workers);
-    let reply = ReplyGuard::new(job.reply.clone(), job.req.id);
+    let busy = GaugeGuard::acquire(&inner.metrics.busy_workers);
+    let reply = ReplyGuard::new(job.reply.clone(), job.req.id, busy);
     // The queue span covers admission to this dequeue — across any
     // steals, because the trace context moved with the job.
     inner.span(&job.ctx, SpanKind::Queue, 0, 0, worker, job.admit_ns);
@@ -1026,6 +1152,13 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job, scratch: &mut WorkerScrat
         }
     };
     let graph = store.view();
+    // A dfs/reach on a batched graph runs as a team search when another
+    // worker could help; everything else runs alone.
+    let teams = matches!(
+        job.req.workload,
+        Workload::Dfs { .. } | Workload::Reach { .. }
+    ) && graph.batches()
+        && has_idle_worker(inner);
 
     let attempts = policy.attempts().max(1);
     let mut done: Option<Response> = None;
@@ -1109,9 +1242,18 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job, scratch: &mut WorkerScrat
         // Attempt span id is allocated up front so the sim's phase
         // spans (children) can attach underneath it.
         let attempt_span = job.ctx.next_span();
+        let crew = PoolCrew {
+            inner,
+            ctx: &job.ctx,
+            attempt: attempt_span,
+        };
+        let team = teams.then_some(exec::Teaming {
+            graph: &store,
+            crew: &crew,
+        });
         let mut sim_spans: Vec<(u32, usize, u64)> = Vec::new();
-        // guard: ReplyGuard (exactly-one response) and GaugeGuard
-        // (busy_workers) at fn entry survive this unwind
+        // guard: ReplyGuard at fn entry (exactly-one response, and the
+        // busy_workers count it holds) survives this unwind
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
             if kill {
                 panic!("injected fault: kill");
@@ -1125,6 +1267,7 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job, scratch: &mut WorkerScrat
                 graph,
                 &token,
                 &mut scratch.scratch,
+                team,
                 Some(&mut sim_spans),
             )
         }));
@@ -1263,7 +1406,6 @@ fn finish_job(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::{EngineKind, Workload};
 
     fn req(id: u64, graph: &str, root: u32) -> Request {
         Request {
@@ -1402,8 +1544,50 @@ mod tests {
         // One worker holds 5000 visited bits and room for 5000 stack
         // entries.
         assert!(scratch(&h).unwrap() >= (5000 / 8 + 5000 * 4) as f64);
+        // A batched graph runs as a team: its owner also holds a mark
+        // byte per vertex, and a helper charges its stack when it
+        // leaves.
+        let n = crate::corpus::build_graph("social_s")
+            .unwrap()
+            .num_vertices();
+        assert_eq!(h.run(req(2, "social_s", 0)).status, Status::Ok);
+        assert!(scratch(&h).unwrap() >= (n + n * 4) as f64);
         server.shutdown();
         assert_eq!(scratch(&h), Some(0.0), "exited workers drop their scratch");
+    }
+
+    #[test]
+    fn a_helper_leaves_its_team_for_a_queued_request() {
+        // Worker 0 searches `social_l` with worker 1's help. A small
+        // request queued meanwhile is answered before that search ends,
+        // because the helper leaves for it (its `team` span, code 1).
+        let server = Server::start(ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        });
+        let h = server.handle();
+        let g = crate::corpus::build_graph("social_l").unwrap();
+        assert!(db_core::ValidCsr::new(&g).unwrap().batches());
+        assert_eq!(h.run(req(0, "social_l", 0)).status, Status::Ok);
+        for id in (1..=10).step_by(2) {
+            let big = h.submit(req(id, "social_l", 0));
+            std::thread::sleep(Duration::from_millis(30));
+            assert_eq!(h.run(req(id + 1, "grid:8:8", 0)).status, Status::Ok);
+            let answered_first = big.try_recv().is_err();
+            let big = big.recv().unwrap();
+            assert_eq!(big.status, Status::Ok);
+            let left = h
+                .flight_dump()
+                .spans
+                .iter()
+                .any(|s| s.trace_id == big.trace_id && s.kind == SpanKind::Team && s.code == 1);
+            if left {
+                assert!(answered_first, "the small request waited for the team");
+                server.shutdown();
+                return;
+            }
+        }
+        panic!("no helper left its team for a queued request");
     }
 
     #[test]

@@ -76,6 +76,9 @@ fn series() -> Vec<(&'static str, PerSpan)> {
         ("db_serve_faults_injected_total", |s| {
             u64::from(s.kind == SpanKind::Fault)
         }),
+        ("db_serve_team_joins_total", |s| {
+            u64::from(s.kind == SpanKind::Team)
+        }),
     ]
 }
 

@@ -399,17 +399,45 @@ fn scrape_counts_equal_the_flight_dump() {
         ..req(13, EngineKind::Serial)
     };
     assert_eq!(h.run(unknown).status, Status::Error);
+    // Team searches: a dfs on a batched graph, repeated until the idle
+    // worker has joined one.
+    let mut teamed = 0;
+    while !h.prometheus().contains("db_serve_team_joins_total 1") {
+        assert!(teamed < 20, "no helper joined in {teamed} searches");
+        let team = Request {
+            graph: "google".into(),
+            ..req(14 + teamed, EngineKind::Native)
+        };
+        assert_eq!(h.run(team).status, Status::Ok);
+        teamed += 1;
+    }
     let scrape = h.prometheus();
     let dump = h.flight_dump();
     server.shutdown();
 
     let n = common::assert_scrape_matches_dump(&scrape, &dump);
-    assert_eq!(n["db_serve_admitted_total"], 13);
+    assert_eq!(n["db_serve_admitted_total"], 13 + teamed);
     assert_eq!(n[r#"db_serve_rejected_total{reason="write_quota"}"#], 1);
-    assert_eq!(n[r#"db_serve_requests_total{status="ok"}"#], 11);
+    assert_eq!(n[r#"db_serve_requests_total{status="ok"}"#], 11 + teamed);
     assert_eq!(n[r#"db_serve_requests_total{status="expired"}"#], 1);
     assert_eq!(n[r#"db_serve_requests_total{status="error"}"#], 1);
-    assert_eq!(n["db_serve_request_latency_us_count"], 13);
+    assert_eq!(n["db_serve_request_latency_us_count"], 13 + teamed);
+    assert_eq!(n["db_serve_team_joins_total"], 1);
+    // The helper's span hangs off the owner's attempt, on the other
+    // worker.
+    let team = dump
+        .spans
+        .iter()
+        .find(|s| s.kind == SpanKind::Team)
+        .unwrap();
+    let attempt = dump
+        .spans
+        .iter()
+        .find(|s| s.trace_id == team.trace_id && s.span_id == team.parent)
+        .unwrap();
+    assert_eq!(attempt.kind, SpanKind::Attempt);
+    assert_ne!(attempt.worker, team.worker);
+    assert!(team.value > 0, "the helper expanded entries");
     assert_eq!(
         n["db_serve_faults_injected_total"], 3,
         "two stalls, one kill"

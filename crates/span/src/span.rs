@@ -66,11 +66,16 @@ pub enum SpanKind {
     /// 1 = aborted by the fault hook, 2 = lost the swap race;
     /// `value` = layers folded.
     Compact,
+    /// An idle worker helped another worker's search (one span per
+    /// join), recorded by the helper under the owner's `attempt` span.
+    /// `worker` = the helper, `value` = stack entries it expanded,
+    /// `code` 0 = stayed to the end, 1 = left for a queued request.
+    Team,
 }
 
 impl SpanKind {
     /// All kinds, in wire-code order (codes start at 1).
-    pub const ALL: [SpanKind; 16] = [
+    pub const ALL: [SpanKind; 17] = [
         SpanKind::Request,
         SpanKind::Admit,
         SpanKind::Queue,
@@ -87,6 +92,7 @@ impl SpanKind {
         SpanKind::Wal,
         SpanKind::Recovery,
         SpanKind::Compact,
+        SpanKind::Team,
     ];
 
     /// Stable wire code (1-based; 0 is reserved as invalid).
@@ -108,6 +114,7 @@ impl SpanKind {
             SpanKind::Wal => 14,
             SpanKind::Recovery => 15,
             SpanKind::Compact => 16,
+            SpanKind::Team => 17,
         }
     }
 
@@ -135,6 +142,7 @@ impl SpanKind {
             SpanKind::Wal => "wal",
             SpanKind::Recovery => "recovery",
             SpanKind::Compact => "compact",
+            SpanKind::Team => "team",
         }
     }
 

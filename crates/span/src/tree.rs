@@ -190,6 +190,11 @@ fn describe(dump: &FlightDump, s: &SpanRecord) -> String {
             },
             s.value
         ),
+        SpanKind::Team => format!(
+            "expanded={}{}",
+            s.value,
+            if s.code == 1 { " left=queued" } else { "" }
+        ),
     };
     let worker = if s.worker == crate::span::ADMISSION_WORKER {
         "admission".to_string()

@@ -136,7 +136,7 @@ use diggerbees::baselines::serial;
 use diggerbees::check::race::{detect, RaceConfig};
 use diggerbees::check::{
     EpochModel, EpochScenario, Explorer, Model, Outcome, ProtoModel, ProtoScenario, RingModel,
-    RingScenario, WalModel, WalScenario,
+    RingScenario, TeamModel, TeamScenario, WalModel, WalScenario,
 };
 use diggerbees::core::native::{NativeConfig, NativeEngine};
 use diggerbees::core::{
@@ -1443,6 +1443,19 @@ fn check_main() -> ExitCode {
         findings += run_model_config(
             "proto/diamond4",
             &ProtoModel::new(ProtoScenario::diamond4(2)),
+        );
+        findings += run_model_config("team/star", &TeamModel::new(TeamScenario::star()));
+        findings += run_model_config(
+            "team/star-request",
+            &TeamModel::new(TeamScenario::star_request()),
+        );
+        findings += run_model_config(
+            "team/star-reach",
+            &TeamModel::new(TeamScenario::star_reach()),
+        );
+        findings += run_model_config(
+            "team/diamond-cancel",
+            &TeamModel::new(TeamScenario::diamond_cancel()),
         );
         findings += run_model_config("epoch/small", &EpochModel::new(EpochScenario::small()));
         findings += run_model_config("wal/small", &WalModel::new(WalScenario::small()));

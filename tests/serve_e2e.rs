@@ -10,7 +10,7 @@
 //! flight dump on every span-derived `db_serve_*` series. Two more
 //! tests hold a dfs to its deadline: a `serial` one on a path, which
 //! runs the one-at-a-time kernel, and a `native` one on `google`, which
-//! runs it batched.
+//! runs it batched, as a team with the idle second worker.
 
 #[path = "../crates/serve/tests/common/mod.rs"]
 mod common;
@@ -306,17 +306,34 @@ fn native_dfs_on_a_batched_graph_stops_at_its_deadline() {
         deadline_ms,
         ..request(id, KEY, Workload::Dfs { root: 0 })
     };
-    let warm = h.run(native(0, None));
-    assert_eq!(warm.status, Status::Ok, "warm-up");
-    let full = warm.payload.get("visited").unwrap().as_u64().unwrap();
-    assert_eq!(
-        full,
-        reachable_set(&g, 0).iter().filter(|&&r| r).count() as u64
-    );
-    let r = h.run(native(1, Some(1)));
-    server.shutdown();
+    let full = reachable_set(&g, 0).iter().filter(|&&r| r).count() as u64;
+    let visited = |r: &Response| r.payload.get("visited").unwrap().as_u64().unwrap();
+    let joins = |h: &ServeHandle| {
+        h.prometheus()
+            .lines()
+            .find_map(|l| l.strip_prefix("db_serve_team_joins_total "))
+            .map(|v| v.parse::<f64>().unwrap())
+            .unwrap()
+    };
+    // The other worker is idle, so the search runs as a team; the full
+    // count is exact whether or not the helper joined in time, and one
+    // of the first few searches has it join.
+    let mut id = 0;
+    while joins(&h) == 0.0 {
+        assert!(id < 20, "no helper joined in {id} searches");
+        let warm = h.run(native(id, None));
+        assert_eq!(warm.status, Status::Ok, "warm-up {id}");
+        assert_eq!(visited(&warm), full);
+        id += 1;
+    }
+    let r = h.run(native(id, Some(1)));
     assert_eq!(r.status, Status::Expired, "{:?}", r.error);
     assert_eq!(r.payload.get("completed").unwrap().as_bool(), Some(false));
-    let partial = r.payload.get("visited").unwrap().as_u64().unwrap();
+    let partial = visited(&r);
     assert!((1..n).contains(&partial), "partial count {partial}");
+    // The expired search left no state behind: the next one is whole.
+    let again = h.run(native(id + 1, None));
+    server.shutdown();
+    assert_eq!(again.status, Status::Ok);
+    assert_eq!(visited(&again), full);
 }
