@@ -32,8 +32,9 @@
 //!
 //! Emits one JSON-lines report object (default `BENCH_serve.json`;
 //! `--append` accumulates lines instead of truncating) with exact
-//! client-side latency percentiles, throughput, cache hit rate, and
-//! the per-run outcome digest. Exits nonzero on any error response,
+//! client-side latency percentiles, throughput, cache hit rate, the
+//! per-run outcome digest and, in-process, the resident set after the
+//! last run (`rss_mb`). Exits nonzero on any error response,
 //! any rejection or failure (unless chaos flags say otherwise), or a
 //! cross-run digest mismatch.
 
@@ -426,6 +427,9 @@ struct RunReport {
     /// Write mode only: `(epochs_published, compactions)` read back
     /// from a parser-validated Prometheus scrape of the server.
     delta: Option<(u64, u64)>,
+    /// In-process only: this process's `VmRSS` in MB once the run has
+    /// drained, while its server still holds the corpora it loaded.
+    rss_mb: Option<f64>,
 }
 
 fn quantile_exact(sorted: &[u64], q: f64) -> u64 {
@@ -459,7 +463,16 @@ fn tally(responses: Vec<Response>, wall: Duration, hit_rate: f64, steals: u64) -
         cache_hit_rate: hit_rate,
         steals,
         delta: None,
+        rss_mb: None,
     }
+}
+
+/// This process's resident set (`VmRSS`) in MB; `None` off Linux.
+fn vm_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmRSS:"))?;
+    let kb: f64 = kb.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kb / 1024.0)
 }
 
 /// One in-process run: fresh server, closed or open loop, drain,
@@ -580,9 +593,11 @@ fn run_in_process(a: &Args, reqs: &[Request], fence: &[Request], run: usize) -> 
             }
         }
     }
+    let rss_mb = vm_rss_mb();
     let m = server.shutdown();
     let mut report = tally(responses, wall, m.cache_hit_rate(), m.steals);
     report.delta = delta;
+    report.rss_mb = rss_mb;
     report
 }
 
@@ -696,7 +711,10 @@ fn report_value(a: &Args, reports: &[RunReport], deterministic: bool) -> Value {
     let mut fields = vec![
         // Bump on any incompatible change to this line format; entries
         // without the field predate versioning (see EXPERIMENTS.md).
-        ("schema_version".into(), Value::u64(1)),
+        (
+            "schema_version".into(),
+            Value::u64(db_bench::SERVE_SCHEMA_VERSION),
+        ),
         ("bench".into(), Value::str("serve_load")),
         ("mode".into(), Value::str(&a.mode)),
         ("workers".into(), Value::u64(a.workers as u64)),
@@ -713,6 +731,8 @@ fn report_value(a: &Args, reports: &[RunReport], deterministic: bool) -> Value {
     }
     fields.push(("runs".into(), Value::Arr(runs)));
     fields.push(("deterministic".into(), Value::Bool(deterministic)));
+    let rss_mb = reports.last().and_then(|r| r.rss_mb);
+    fields.push(("rss_mb".into(), rss_mb.map_or(Value::Null, Value::Num)));
     Value::Obj(fields)
 }
 

@@ -10,8 +10,9 @@
 
 use db_trace::json::Value;
 
-/// Current version of the `BENCH_serve.json` line format.
-pub const SERVE_SCHEMA_VERSION: u64 = 1;
+/// Current version of the `BENCH_serve.json` line format (2 added
+/// `rss_mb`).
+pub const SERVE_SCHEMA_VERSION: u64 = 2;
 
 /// Current version of the `BENCH_sim.json` line format.
 pub const SIM_SCHEMA_VERSION: u64 = 1;
@@ -53,11 +54,12 @@ fn want_version(v: &Value, expect: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates one parsed `BENCH_serve.json` line against schema v1.
+/// Validates one parsed `BENCH_serve.json` line against schema v2.
 ///
 /// Checks field presence and types, that the status counts add up to
 /// the request count, and that the digest is present on every run (the
-/// determinism check is meaningless without it).
+/// determinism check is meaningless without it). `rss_mb` is a
+/// non-negative number, or `null` where it was not measured.
 pub fn validate_serve_line(v: &Value) -> Result<(), String> {
     want_version(v, SERVE_SCHEMA_VERSION)?;
     let bench = want_str(v, "bench")?;
@@ -80,6 +82,11 @@ pub fn validate_serve_line(v: &Value) -> Result<(), String> {
     v.get("deterministic")
         .and_then(Value::as_bool)
         .ok_or("missing or non-bool field 'deterministic'")?;
+    match v.get("rss_mb") {
+        Some(Value::Null) => {}
+        Some(Value::Num(mb)) if *mb >= 0.0 => {}
+        _ => return Err("'rss_mb' must be a non-negative number or null".into()),
+    }
     for (i, run) in want_arr(v, "runs")?.iter().enumerate() {
         let check = || -> Result<(), String> {
             let requests = want_u64(run, "requests")?;
@@ -279,7 +286,7 @@ mod tests {
 
     fn serve_line() -> Value {
         Value::parse(
-            r#"{"schema_version":1,"bench":"serve_load","mode":"closed",
+            r#"{"schema_version":2,"bench":"serve_load","mode":"closed",
                 "workers":2,"clients":2,"seed":42,"write_frac":0,
                 "graphs":["grid:8:8"],
                 "runs":[{"requests":10,"ok":9,"expired":0,"rejected":0,
@@ -287,7 +294,7 @@ mod tests {
                          "throughput_rps":2000.0,"p50_us":10,"p90_us":20,
                          "p99_us":30,"p999_us":40,"max_us":40,
                          "cache_hit_rate":0.9,"steals":1,"digest":"abc"}],
-                "deterministic":true}"#,
+                "deterministic":true,"rss_mb":12.5}"#,
         )
         .unwrap()
     }
@@ -317,7 +324,19 @@ mod tests {
             .unwrap_err()
             .contains("sum to 10"));
 
-        let wrong_version = Value::parse(&serve_line().to_json().replace(":1,", ":9,")).unwrap();
+        let text_rss = Value::parse(&serve_line().to_json().replace("12.5", "\"12.5\"")).unwrap();
+        assert!(validate_serve_line(&text_rss)
+            .unwrap_err()
+            .contains("rss_mb"));
+        let null_rss = Value::parse(&serve_line().to_json().replace("12.5", "null")).unwrap();
+        validate_serve_line(&null_rss).unwrap();
+
+        let wrong_version = Value::parse(
+            &serve_line()
+                .to_json()
+                .replace("\"schema_version\":2", "\"schema_version\":9"),
+        )
+        .unwrap();
         assert!(validate_serve_line(&wrong_version)
             .unwrap_err()
             .contains("schema_version 9"));
@@ -439,6 +458,7 @@ mod tests {
                 "BENCH_serve.json",
                 validate_serve_line as fn(&Value) -> Result<(), String>,
             ),
+            ("BENCH_store.json", validate_serve_line),
             (
                 "BENCH_sim.json",
                 validate_sim_line as fn(&Value) -> Result<(), String>,

@@ -297,10 +297,10 @@ impl CsrGraph {
 
     /// Bytes to charge against a residency budget (what `CorpusCache`
     /// accounts): full price for private heap, a quarter for mapped
-    /// sections — mmap'd pages are backed by the shared page cache and
-    /// only resident where a traversal actually touched them, and DFS
-    /// frontiers touch a skewed subset of rows. A fixed 1/4 hot-section
-    /// estimate keeps accounting deterministic (no OS residency probes).
+    /// sections, which are backed by the shared page cache rather than
+    /// private memory. The fixed 1/4 keeps accounting deterministic (no
+    /// OS residency probes); it is a charge, not a measurement: a pack
+    /// load's checksum pass leaves the whole mapped part resident.
     pub fn charged_bytes(&self) -> usize {
         self.heap_bytes() + self.mapped_bytes() / 4
     }

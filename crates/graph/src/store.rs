@@ -24,6 +24,7 @@
 
 use crate::csr::CsrGraph;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// An immutable block of bytes backing zero-copy sections — an mmap'd
@@ -35,6 +36,13 @@ use std::sync::Arc;
 pub trait Region: Send + Sync + fmt::Debug {
     /// The full backing byte block.
     fn bytes(&self) -> &[u8];
+
+    /// Hints that `bytes()[range]` will not be read again soon. A
+    /// mapping may give this process's resident pages there back to
+    /// the kernel; the bytes do not change, and a later read pages them
+    /// back in. The default keeps everything: a heap region has no
+    /// pages it could drop without losing their contents.
+    fn release(&self, _range: Range<usize>) {}
 }
 
 /// A heap [`Region`] with 8-byte alignment (a `Vec<u8>` is only 1-aligned,
@@ -315,9 +323,8 @@ pub trait GraphStore: Send + Sync + fmt::Debug {
         self.graph().mapped_bytes()
     }
 
-    /// Bytes to charge against a residency budget. Mapped bytes are
-    /// page-cache resident only where touched, so they charge at the
-    /// hot-section estimate used by [`CsrGraph::charged_bytes`].
+    /// Bytes to charge against a residency budget: mapped bytes charge
+    /// at the fixed fraction used by [`CsrGraph::charged_bytes`].
     fn charged_bytes(&self) -> usize {
         self.graph().charged_bytes()
     }

@@ -13,9 +13,11 @@
 //! * [`mod@load`] — mmap-first loading behind typed [`StoreError`]s; the
 //!   `row_ptr` array (and raw column sections) become zero-copy
 //!   [`db_graph::SectionSlice`] views into the mapping, so a 50M-edge
-//!   pack costs no offsets copy at open time.
-//! * [`mmapio`] — the `mmap`/`munmap` shim (no `libc` dependency) with a
-//!   heap fallback for other platforms and for fault injection.
+//!   pack costs no offsets copy at open time, and a compressed pack
+//!   releases its column pages once they are decoded.
+//! * [`mmapio`] — the `mmap`/`munmap`/`madvise` shim (no `libc`
+//!   dependency) with a heap fallback for other platforms and for fault
+//!   injection, and the `/proc/self/smaps` residency read.
 //! * [`partition`] — contiguous edge-cut partitioning and a
 //!   cross-partition DFS driver whose idle workers steal half of a
 //!   victim partition's stack, the paper's block-level stealing lifted

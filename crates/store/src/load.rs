@@ -2,6 +2,15 @@
 //! whose `row_ptr` (and, for uncompressed packs, `col_idx`) are
 //! zero-copy views into the mapping.
 //!
+//! A compressed pack's columns are decoded into the heap, so once the
+//! decode is done the load releases the pages of its two column
+//! sections (`col_packed`, `hub_cols`) from the mapping: the checksum
+//! pass and the decode made them resident, and nothing reads them
+//! again. Only `row_ptr` (plus the header page and the pages the
+//! section boundaries share) stays resident in the mapping, so the pack
+//! costs its CSR once. A raw pack releases nothing: its columns are
+//! served from the mapping.
+//!
 //! Every failure mode on this path — missing file, truncation, bad
 //! magic, checksum mismatch, malformed streams, CSR violations — is a
 //! typed [`StoreError`]. Nothing here panics on file content: this is
@@ -12,7 +21,7 @@ use crate::format::{
     hash64, Header, SectionEntry, HEADER_LEN, MAGIC, SECTION_ENTRY_LEN, SEC_COL_PACKED,
     SEC_COL_RAW, SEC_HUB_COLS, SEC_ROW_PTR, VERSION,
 };
-use crate::mmapio::{open_region, RegionKind};
+use crate::mmapio::{open_region, resident_bytes, RegionKind};
 use db_graph::encode::decode_row;
 use db_graph::store::{GraphStore, HeapRegion, Region, SectionError, SectionSlice};
 use db_graph::CsrGraph;
@@ -49,6 +58,7 @@ pub struct MappedStore {
     graph: CsrGraph,
     path: PathBuf,
     file_bytes: u64,
+    region: Arc<dyn Region>,
     kind: RegionKind,
     header: Header,
 }
@@ -73,6 +83,16 @@ impl MappedStore {
     pub fn path(&self) -> &Path {
         &self.path
     }
+
+    /// Bytes of the pack's mapping resident in this process, the `Rss:`
+    /// of its `/proc/self/smaps` entry: 0 for a heap-backed store,
+    /// `None` off Linux.
+    pub fn resident_mapped_bytes(&self) -> Option<u64> {
+        match self.kind {
+            RegionKind::Mmap => resident_bytes(self.region.bytes().as_ptr().addr()),
+            RegionKind::Heap => Some(0),
+        }
+    }
 }
 
 impl GraphStore for MappedStore {
@@ -95,7 +115,11 @@ impl GraphStore for MappedStore {
             self.header.arcs,
             self.header.directed(),
             self.header.compressed(),
-            if self.is_mmap() { "mmap" } else { "heap" },
+            match (self.kind, self.header.compressed()) {
+                (RegionKind::Mmap, true) => "mmap row_ptr + heap columns",
+                (RegionKind::Mmap, false) => "mmap",
+                (RegionKind::Heap, _) => "heap",
+            },
             self.file_bytes,
         )
     }
@@ -169,12 +193,12 @@ pub fn load_with(path: impl AsRef<Path>, opts: &LoadOptions) -> Result<MappedSto
         let hub = find_section(&entries, SEC_HUB_COLS)?;
         let packed_bytes = section_payload(region.bytes(), packed)?;
         let hub_bytes = section_payload(region.bytes(), hub)?;
-        SectionSlice::owned(decode_columns(
-            row_ptr.as_slice(),
-            header,
-            packed_bytes,
-            hub_bytes,
-        )?)
+        let cols = decode_columns(row_ptr.as_slice(), header, packed_bytes, hub_bytes)?;
+        // Nothing reads the packed columns again; a heap region keeps them.
+        for e in [packed, hub] {
+            region.release(e.offset as usize..(e.offset + e.len) as usize);
+        }
+        SectionSlice::owned(cols)
     } else {
         let raw = find_section(&entries, SEC_COL_RAW)?;
         if raw.len != header.arcs * 4 {
@@ -192,6 +216,7 @@ pub fn load_with(path: impl AsRef<Path>, opts: &LoadOptions) -> Result<MappedSto
         graph,
         path: path.to_path_buf(),
         file_bytes: file_len,
+        region,
         kind,
         header,
     })

@@ -1,11 +1,13 @@
 //! File-backed [`Region`]s: a real `mmap` on 64-bit unix, a heap read
 //! everywhere else.
 //!
-//! No `libc` crate: the two syscall wrappers are declared directly (the
-//! C library is already linked by `std`). The mapping is `PROT_READ` +
+//! No `libc` crate: the syscall wrappers are declared directly (the C
+//! library is already linked by `std`). The mapping is `PROT_READ` +
 //! `MAP_PRIVATE`, so the kernel pages sections in lazily and the bytes
 //! can never be written through this mapping — which is what makes the
-//! zero-copy `SectionSlice` views sound.
+//! zero-copy `SectionSlice` views sound, and what lets
+//! [`Region::release`] drop pages a load has finished with: an unwritten
+//! private file page reads back the same file bytes when touched again.
 
 use crate::error::StoreError;
 use db_graph::store::{HeapRegion, Region};
@@ -72,6 +74,35 @@ pub fn open_region(
     Ok((Arc::new(HeapRegion::from_bytes(&bytes)), RegionKind::Heap))
 }
 
+/// Resident bytes of this process's mapping that contains `addr`: the
+/// `Rss:` field of its `/proc/self/smaps` entry. `None` off Linux, or
+/// when no mapping contains `addr`.
+pub(crate) fn resident_bytes(addr: usize) -> Option<u64> {
+    if !cfg!(target_os = "linux") {
+        return None;
+    }
+    let smaps = std::fs::read_to_string("/proc/self/smaps").ok()?;
+    let mut inside = false;
+    for line in smaps.lines() {
+        if let Some(kb) = line.strip_prefix("Rss:") {
+            if inside {
+                let kb = kb.trim().strip_suffix("kB")?.trim().parse::<u64>().ok()?;
+                return kb.checked_mul(1024);
+            }
+        } else if let Some((lo, hi)) = line
+            .split_once(' ')
+            .and_then(|(range, _)| range.split_once('-'))
+        {
+            // A mapping's header line: `start-end perms offset dev inode path`.
+            if let (Ok(lo), Ok(hi)) = (usize::from_str_radix(lo, 16), usize::from_str_radix(hi, 16))
+            {
+                inside = (lo..hi).contains(&addr);
+            }
+        }
+    }
+    None
+}
+
 #[cfg(all(unix, target_pointer_width = "64"))]
 pub use unix_mmap::MmapRegion;
 
@@ -80,10 +111,12 @@ mod unix_mmap {
     use db_graph::store::Region;
     use std::ffi::c_void;
     use std::fs::File;
+    use std::ops::Range;
     use std::os::unix::io::AsRawFd;
 
     const PROT_READ: i32 = 1;
     const MAP_PRIVATE: i32 = 2;
+    const MADV_DONTNEED: i32 = 4;
 
     extern "C" {
         fn mmap(
@@ -95,6 +128,8 @@ mod unix_mmap {
             offset: i64,
         ) -> *mut c_void;
         fn munmap(addr: *mut c_void, len: usize) -> i32;
+        fn madvise(addr: *mut c_void, len: usize, advice: i32) -> i32;
+        fn getpagesize() -> i32;
     }
 
     /// A read-only private mapping of a whole file.
@@ -152,6 +187,36 @@ mod unix_mmap {
             // bytes, valid until Drop unmaps it; `&self` ties the
             // borrow's lifetime to the region.
             unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
+        }
+
+        /// Drops the resident pages that lie wholly inside `range`; the
+        /// pages it only partly covers stay.
+        fn release(&self, range: Range<usize>) {
+            // SAFETY: getpagesize has no preconditions.
+            let page = usize::try_from(unsafe { getpagesize() }).unwrap_or(0);
+            // `None` also when the page size is 0.
+            let Some(start) = range.start.checked_next_multiple_of(page) else {
+                return;
+            };
+            let end = range.end.min(self.len) / page * page;
+            if start >= end {
+                return;
+            }
+            // SAFETY: `ptr` is page-aligned (mmap returns page-aligned
+            // addresses) and `start..end` is a whole number of pages
+            // inside this live mapping. The mapping is PROT_READ and
+            // MAP_PRIVATE over a file and is never written, so it holds
+            // no private copies: MADV_DONTNEED only unmaps page-cache
+            // pages, and a later read faults the same file bytes back
+            // in. No byte seen through `bytes()` changes. A failure
+            // (the result is ignored) leaves the pages resident.
+            unsafe {
+                madvise(
+                    self.ptr.add(start).cast_mut().cast::<c_void>(),
+                    end - start,
+                    MADV_DONTNEED,
+                );
+            }
         }
     }
 

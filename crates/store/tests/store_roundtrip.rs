@@ -277,6 +277,68 @@ fn mapped_stores_report_zero_copy_residency() {
     }
 }
 
+/// A compressed pack is resident once: after the load decodes its
+/// columns into the heap, only `row_ptr` (plus the header page and the
+/// pages shared at section boundaries) stays resident in the mapping.
+/// A raw pack serves its columns from the mapping and releases nothing.
+#[cfg(target_os = "linux")]
+#[test]
+fn compressed_pack_keeps_only_row_ptr_resident() {
+    // 16Ki vertices with scattered arcs (2-byte varint gaps) and two
+    // hubs wired to everyone, so both column sections span many pages.
+    let n = 16_384u32;
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    let mut edges: Vec<(u32, u32)> = (1..n).flat_map(|v| [(0, v), (1, v)]).collect();
+    for _ in 0..8 * n {
+        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        edges.push(((x >> 33) as u32 % n, (x >> 13) as u32 % n));
+    }
+    let g = from_edge_list(n, &edges, false);
+    let rp_bytes = (g.num_vertices() as u64 + 1) * 8;
+    let (_dir, path) = scratch("resident");
+
+    let s = pack_graph(&g, &path, PackOptions::default()).unwrap();
+    assert!(s.hub_rows > 0 && s.file_bytes > rp_bytes + 512 * 1024);
+    let packed = load(&path).unwrap();
+    assert!(packed.is_mmap());
+    assert_eq!(packed.graph().mapped_bytes() as u64, rp_bytes);
+    let resident = packed
+        .resident_mapped_bytes()
+        .expect("smaps reports the mapping");
+    // The load read every row_ptr page, so they are all resident.
+    assert!(resident >= rp_bytes, "{resident} < row_ptr {rp_bytes}");
+    assert!(
+        resident <= rp_bytes + 128 * 1024,
+        "{resident} resident bytes for a {rp_bytes}-byte row_ptr in a {}-byte pack",
+        s.file_bytes
+    );
+    for v in 0..n {
+        assert_eq!(packed.graph().neighbors(v), g.neighbors(v), "row {v}");
+    }
+
+    pack_graph(
+        &g,
+        &path,
+        PackOptions {
+            compress: false,
+            ..PackOptions::default()
+        },
+    )
+    .unwrap();
+    let raw = load(&path).unwrap();
+    assert!(raw.is_mmap());
+    assert_eq!(raw.graph().heap_bytes(), 0, "raw pack is fully zero-copy");
+    let mapped = raw.graph().mapped_bytes() as u64;
+    assert_eq!(mapped, rp_bytes + g.num_arcs() as u64 * 4);
+    let resident = raw
+        .resident_mapped_bytes()
+        .expect("smaps reports the mapping");
+    assert!(
+        resident >= mapped,
+        "raw pack released pages: {resident} < {mapped}"
+    );
+}
+
 /// Compression actually compresses the skewed layout.
 #[test]
 fn compressed_pack_is_smaller_than_raw_csr() {

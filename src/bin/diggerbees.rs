@@ -730,8 +730,11 @@ fn store_main() -> ExitCode {
                         h.version, h.section_count, h.hub_threshold, h.partition_count
                     );
                     let g = diggerbees::graph::GraphStore::graph(&s);
+                    let resident = s
+                        .resident_mapped_bytes()
+                        .map_or_else(|| "unknown".to_string(), |b| b.to_string());
                     println!(
-                        "residency: {} heap bytes, {} mapped bytes, {} charged",
+                        "residency: {} heap bytes, {} mapped bytes, {resident} resident in the mapping, {} charged",
                         g.heap_bytes(),
                         g.mapped_bytes(),
                         diggerbees::graph::GraphStore::charged_bytes(&s)
