@@ -108,9 +108,16 @@ fn callgraph_golden_for_serve_pool() {
     // `PoolCrew::offer` (2), `worker_loop -> help` and
     // `run_job -> has_idle_worker` (1 each), and two tests: the new
     // `a_helper_leaves_its_team_for_a_queued_request` (13) and the
-    // batched-graph half of the scratch-gauge test (+3).
+    // batched-graph half of the scratch-gauge test (+3). 194 since a
+    // `CsrGraph` is valid by construction (+3, all in `run_job`): it
+    // calls `kernel::batches` (+1); its `.resolve(..)`, formerly
+    // `resolve_valid`, now also resolves to `DeltaRegistry::resolve`
+    // (+1); and `store.graph()`, which replaced `store.view()`,
+    // resolves to `MappedStore::graph` (+1). `run_job -> execute_with`
+    // replaced `run_job -> execute_valid`, and the helper test's
+    // `ValidCsr::new` became `kernel::batches`.
     assert_eq!(
-        pool_edges, 191,
+        pool_edges, 194,
         "edges out of pool.rs fns changed; if the pool or the resolver \
          changed intentionally, update this golden"
     );
@@ -118,7 +125,7 @@ fn callgraph_golden_for_serve_pool() {
         ("worker_entry", "worker_loop"),
         ("worker_loop", "run_job"),
         ("worker_loop", "steal_half"),
-        ("run_job", "execute_valid"),
+        ("run_job", "execute_with"),
         ("run_job", "WorkerScratch::charge"),
         ("worker_loop", "help"),
         ("help", "WorkerScratch::charge"),

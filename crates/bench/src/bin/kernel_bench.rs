@@ -3,7 +3,7 @@
 //! Runs `db_core::kernel::search` from vertex 0 with no target (a full
 //! reach) on each graph, `--runs` times on one thread, and reports the
 //! median wall time, whether the graph ran batched
-//! (`ValidCsr::batches`, with the far-arc share that decided it), and
+//! (`kernel::batches`, with the far-arc share that decided it), and
 //! MTEPS over the arcs the search scanned. On every batched graph it
 //! also times `db_core::kernel::team_search` as a two-member team, whose
 //! helper is a parked thread (`ParkedHelper`) that joins each search
@@ -24,8 +24,8 @@
 //! ```
 
 use db_bench::schema::{validate_kernel_line, KERNEL_SCHEMA_VERSION};
-use db_core::kernel::{search, team_search, ParkedHelper, Scratch, Search};
-use db_core::{CancelToken, ValidCsr};
+use db_core::kernel::{batches, search, team_search, ParkedHelper, Scratch, Search};
+use db_core::CancelToken;
 use db_graph::traversal::reachable_set;
 use db_graph::{CsrGraph, GraphStore};
 use db_trace::json::Value;
@@ -142,11 +142,9 @@ fn main() {
             std::process::exit(2);
         }));
         let build_s = t0.elapsed().as_secs_f64();
-        let shared = ValidCsr::new(Arc::clone(&store)).unwrap_or_else(|e| {
-            eprintln!("kernel_bench: {key}: invalid graph: {e}");
-            std::process::exit(2);
-        });
-        let (g, proof) = (store.graph(), shared.view());
+        let g = store.graph();
+        let far_share = g.far_arcs() as f64 / g.num_arcs().max(1) as f64;
+        let batched = batches(g);
         let truth = reachable_set(g, 0);
         let want = truth.iter().filter(|&&r| r).count() as u64;
         // Arcs a full search scans: the rows of every vertex it marks.
@@ -155,7 +153,7 @@ fn main() {
             .map(|v| g.degree(v) as u64)
             .sum();
         let (times_us, solo_ok) = time_runs(key, "solo", a.runs, want, || {
-            search(proof, 0, None, &CancelToken::new(), &mut scratch)
+            search(g, 0, None, &CancelToken::new(), &mut scratch)
         });
         ok &= solo_ok;
         let median_us = times_us[times_us.len() / 2];
@@ -165,8 +163,8 @@ fn main() {
              (min {:.1}), {mteps:.1} MTEPS, {want} visited [built in {build_s:.1} s]",
             g.num_vertices(),
             g.num_arcs(),
-            proof.far_share(),
-            proof.batches(),
+            far_share,
+            batched,
             median_us / 1e3,
             times_us[0] / 1e3,
         );
@@ -174,17 +172,17 @@ fn main() {
             ("graph".into(), Value::str(key)),
             ("n".into(), Value::u64(g.num_vertices() as u64)),
             ("arcs".into(), Value::u64(g.num_arcs() as u64)),
-            ("far_share".into(), Value::Num(proof.far_share())),
-            ("batched".into(), Value::Bool(proof.batches())),
+            ("far_share".into(), Value::Num(far_share)),
+            ("batched".into(), Value::Bool(batched)),
             ("visited".into(), Value::u64(want)),
             ("median_us".into(), Value::Num(median_us)),
             ("min_us".into(), Value::Num(times_us[0])),
             ("mteps".into(), Value::Num(mteps)),
         ];
-        if proof.batches() {
+        if batched {
             let joined = helper.joins();
             let (team_us, team_ok) = time_runs(key, "team", a.runs, want, || {
-                team_search(&shared, 0, None, &CancelToken::new(), &mut scratch, &helper)
+                team_search(&store, 0, None, &CancelToken::new(), &mut scratch, &helper)
             });
             ok &= team_ok;
             let joins = helper.joins() - joined;

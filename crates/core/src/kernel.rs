@@ -7,8 +7,8 @@
 //! model the GPU; a served answer only needs the visited set, which
 //! every engine must produce identically. So the kernel keeps one mark
 //! per vertex and one stack per member, in a [`Scratch`] the caller
-//! reuses across requests, and it accepts only a [`ValidCsr`], so the
-//! graph is never re-checked per call.
+//! reuses across requests. A [`CsrGraph`] is checked when it is built,
+//! so the kernel indexes its arrays without checking them again.
 //!
 //! A vertex is marked when it is pushed, so a lone searcher's stack
 //! never holds more than `n` entries. The [`CancelToken`] is polled
@@ -33,17 +33,17 @@
 //! Batching costs time on graphs whose neighbours sit at nearby ids,
 //! where the next rows are already cached: forced on, it takes 1.5–1.7×
 //! as long on `path:1000000` and 1.2× on `delaunay` as the
-//! one-at-a-time loop. So the choice is made once per graph, by
-//! [`ValidCsr::new`], from a count its validation walk takes anyway:
-//! the share of arcs whose endpoints are more than [`FAR_IDS`] ids
-//! apart. A graph batches when at least [`BATCH_FAR_SHARE`] of its arcs
-//! are far ([`ValidCsr::batches`]). Measured shares: 0.80 on
-//! `social:1000000`, 0.96 on `ljournal`, 0.57 on `google`, 0.45 on
-//! `citation`, 0.11 on `amazon`, and 0 on every grid, mesh, road, path
-//! and dag graph. Batched, a full reach of `social:1000000` takes a
-//! quarter to a third of the one-at-a-time time on one core. Graph size
-//! alone is the wrong switch: a million-vertex path is big and still
-//! has every neighbour one id away.
+//! one-at-a-time loop. So the choice is made per graph ([`batches`]),
+//! from a count the CSR check takes anyway when the graph is built
+//! ([`CsrGraph::far_arcs`]): the arcs whose endpoints are more than
+//! [`FAR_IDS`](db_graph::csr::FAR_IDS) ids apart. A graph batches when
+//! at least [`BATCH_FAR_SHARE`] of its arcs are far. Measured shares:
+//! 0.80 on `social:1000000`, 0.96 on `ljournal`, 0.57 on `google`, 0.45
+//! on `citation`, 0.11 on `amazon`, and 0 on every grid, mesh, road,
+//! path and dag graph. Batched, a full reach of `social:1000000` takes
+//! a quarter to a third of the one-at-a-time time on one core. Graph
+//! size alone is the wrong switch: a million-vertex path is big and
+//! still has every neighbour one id away.
 //!
 //! Every search runs one generic loop, instantiated at batch 1 and at
 //! [`BATCH`]. The poll countdown is charged a whole batch at a time, so
@@ -93,7 +93,7 @@
 //! do not batch lose with a team (`grid:1000:1000` 0.96×, `delaunay`
 //! 0.98×), so a lone search keeps [`search`].
 
-use crate::{CancelToken, ValidCsr};
+use crate::CancelToken;
 use db_graph::{CsrGraph, GraphStore};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
@@ -107,11 +107,6 @@ pub const POLL_STRIDE: u32 = 1024;
 /// Stack entries one batched step pops, bounds and prefetches before it
 /// expands any of them.
 pub const BATCH: usize = 16;
-
-/// Endpoint distance, in vertex ids, beyond which an arc counts as far:
-/// 4096 ids span 32 KiB of `row_ptr`, so a far neighbour's row bounds
-/// are not on a line its source just loaded.
-pub const FAR_IDS: u32 = 4096;
 
 /// Share of far arcs from which a graph is searched in batches of
 /// [`BATCH`]: one arc in twenty. `amazon`, at 0.11 the lowest share
@@ -129,10 +124,11 @@ pub const TEAM_GRAIN: usize = 4096;
 /// crew again whether a request is queued.
 const HUNGRY_WAIT: Duration = Duration::from_micros(200);
 
-/// Whether a graph with `far` far arcs out of `arcs` is searched in
-/// batches; [`ValidCsr::new`] asks once per graph.
-pub(crate) fn batches(far: u64, arcs: usize) -> bool {
-    far > 0 && far as f64 >= BATCH_FAR_SHARE * arcs as f64
+/// Whether [`search`] runs `g` in batches of [`BATCH`]: at least
+/// [`BATCH_FAR_SHARE`] of its arcs are far ([`CsrGraph::far_arcs`]).
+pub fn batches(g: &CsrGraph) -> bool {
+    let far = g.far_arcs();
+    far > 0 && far as f64 >= BATCH_FAR_SHARE * g.num_arcs() as f64
 }
 
 /// A team's visited marks, one byte per vertex. Members hold the read
@@ -184,20 +180,20 @@ pub struct Search {
 
 /// Searches `g` from `root` on the calling thread, stopping early once
 /// `target` (if any) is marked or once `token` is cancelled. The search
-/// runs in batches of [`BATCH`] when the proof says the graph pays for
-/// it ([`ValidCsr::batches`]).
+/// runs in batches of [`BATCH`] on a graph that pays for it
+/// ([`batches`]).
 ///
 /// # Panics
 ///
 /// Panics if `root` is not a vertex of `g`.
 pub fn search(
-    g: ValidCsr<&CsrGraph>,
+    g: &CsrGraph,
     root: u32,
     target: Option<u32>,
     token: &CancelToken,
     scratch: &mut Scratch,
 ) -> Search {
-    let n = g.graph().num_vertices();
+    let n = g.num_vertices();
     assert!((root as usize) < n, "root {root} out of range (n = {n})");
     scratch.reset(n);
     let Scratch { bits, stack, .. } = scratch;
@@ -216,10 +212,10 @@ pub fn search(
         stack.push(root);
         // Vertex ids are below n <= u32::MAX, so u32::MAX never matches.
         let target = target.unwrap_or(u32::MAX);
-        if g.batches() {
-            walk::<BATCH, _>(g.graph(), target, stack, &mut solo);
+        if batches(g) {
+            walk::<BATCH, _>(g, target, stack, &mut solo);
         } else {
-            walk::<1, _>(g.graph(), target, stack, &mut solo);
+            walk::<1, _>(g, target, stack, &mut solo);
         }
     }
     solo.found
@@ -242,7 +238,7 @@ pub trait Crew {
 /// target, the owner's marks, and the hand-off state under the team
 /// mutex.
 pub struct Team {
-    graph: ValidCsr<Arc<dyn GraphStore>>,
+    graph: Arc<dyn GraphStore>,
     token: CancelToken,
     target: u32,
     marks: Arc<Marks>,
@@ -312,7 +308,7 @@ impl std::fmt::Debug for Helper<'_> {
 ///
 /// Panics if `root` is not a vertex of `g`.
 pub fn team_search(
-    g: &ValidCsr<Arc<dyn GraphStore>>,
+    g: &Arc<dyn GraphStore>,
     root: u32,
     target: Option<u32>,
     token: &CancelToken,
@@ -341,7 +337,7 @@ pub fn team_search(
     scratch.stack.reserve(n);
     scratch.stack.push(root);
     let team = Arc::new(Team {
-        graph: g.clone(),
+        graph: Arc::clone(g),
         token: token.clone(),
         // Vertex ids are below n <= u32::MAX, so u32::MAX never matches.
         target: target.unwrap_or(u32::MAX),
@@ -495,9 +491,8 @@ trait Walker {
     fn refill(&mut self, stack: &mut Vec<u32>) -> bool;
 }
 
-/// The search loop, popping up to `B` stack entries per step. `g` must
-/// have passed validation, and `stack` holds marked vertices. Returns
-/// the entries it expanded.
+/// The search loop, popping up to `B` stack entries per step. `stack`
+/// holds marked vertices. Returns the entries it expanded.
 fn walk<const B: usize, W: Walker>(
     g: &CsrGraph,
     target: u32,
@@ -521,8 +516,8 @@ fn walk<const B: usize, W: Walker>(
         while k < B {
             let Some(u) = stack.pop() else { break };
             let u = u as usize;
-            // index-ok: u < n (the root or a column entry), and ValidCsr
-            // proves row_ptr is monotone and ends at col_idx.len()
+            // index-ok: u < n (the root or a column entry), and a
+            // CsrGraph's row_ptr is monotone and ends at col_idx.len()
             let (start, end) = (row_ptr[u] as usize, row_ptr[u + 1] as usize);
             if B > 1 {
                 prefetch(col_idx.as_ptr().wrapping_add(start));
@@ -575,8 +570,8 @@ struct Solo<'a> {
 impl Walker for Solo<'_> {
     #[inline(always)]
     fn mark(&mut self, v: u32) -> bool {
-        // index-ok: ValidCsr proves every column entry is below n, and
-        // `bits` holds n bits
+        // index-ok: a CsrGraph's column entries are below n, and `bits`
+        // holds n bits
         let word = &mut self.bits[v as usize >> 6];
         let bit = 1u64 << (v & 63);
         if *word & bit != 0 {
@@ -645,8 +640,8 @@ impl Walker for Member<'_> {
     /// synchronize through the team mutex and the marks' lock.
     #[inline(always)]
     fn mark(&mut self, v: u32) -> bool {
-        // index-ok: ValidCsr proves every column entry is below n, and
-        // the marks hold n bytes
+        // index-ok: a CsrGraph's column entries are below n, and the
+        // marks hold n bytes
         let m = &self.marks[v as usize];
         // relaxed-ok: see above; a lost race costs one duplicate push
         if m.load(Ordering::Relaxed) != 0 {

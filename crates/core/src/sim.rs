@@ -932,7 +932,8 @@ fn run_impl<T: Tracer, P: Profiler>(
     profiler: &P,
     injector: Option<&Injector>,
 ) -> SimResult {
-    crate::graph_check::assert_valid_input(g, root);
+    let n = g.num_vertices();
+    assert!((root as usize) < n, "root {root} out of range (n = {n})");
     let faults_before = injector.map_or(0, Injector::injected);
     let mut eng = Engine::new(g, root, *cfg, m.clone(), tracer, profiler, injector);
     eng.emit(

@@ -8,8 +8,8 @@
 //! (`ParkedHelper`) that joins whenever the owner offers, plus a helper
 //! that leaves mid-search and a join after the end.
 
-use db_core::kernel::{search, team_search, Crew, ParkedHelper, Scratch, Search, Team};
-use db_core::{CancelToken, ValidCsr};
+use db_core::kernel::{batches, search, team_search, Crew, ParkedHelper, Scratch, Search, Team};
+use db_core::CancelToken;
 use db_graph::builder::from_edge_list;
 use db_graph::traversal::reachable_set;
 use db_graph::{CsrGraph, GraphStore};
@@ -37,7 +37,6 @@ fn reference_count(g: &CsrGraph, root: u32) -> u64 {
 }
 
 fn dfs(g: &CsrGraph, root: u32, scratch: &mut Scratch) -> u64 {
-    let g = ValidCsr::new(g).unwrap();
     let found = search(g, root, None, &CancelToken::new(), scratch);
     assert!(found.completed && !found.claimed);
     found.visited
@@ -58,10 +57,9 @@ proptest! {
     fn early_exit_reach_matches_full_membership(g in arb_graph(60, 150), root in 0u32..60) {
         let root = root % g.num_vertices() as u32;
         let truth = reachable_set(&g, root);
-        let proof = ValidCsr::new(&g).unwrap();
         let mut scratch = Scratch::default();
         for target in 0..g.num_vertices() as u32 {
-            let found = search(proof, root, Some(target), &CancelToken::new(), &mut scratch);
+            let found = search(&g, root, Some(target), &CancelToken::new(), &mut scratch);
             prop_assert!(found.completed);
             prop_assert_eq!(found.claimed, truth[target as usize], "target {}", target);
             prop_assert!(found.visited <= reference_count(&g, root));
@@ -79,9 +77,8 @@ proptest! {
         for g in [&big, &small, &again] {
             // An early-exit reach first leaves bits set and the stack
             // nonempty; the searches after it must not see either.
-            let proof = ValidCsr::new(g).unwrap();
             let far = g.num_vertices() as u32 / 2;
-            search(proof, root, Some(far), &CancelToken::new(), &mut scratch);
+            search(g, root, Some(far), &CancelToken::new(), &mut scratch);
             for r in [root, far, g.num_vertices() as u32 - 1] {
                 prop_assert_eq!(dfs(g, r, &mut scratch), reference_count(g, r));
             }
@@ -94,7 +91,7 @@ proptest! {
         let token = CancelToken::new();
         token.cancel();
         let mut scratch = Scratch::default();
-        let found = search(ValidCsr::new(&g).unwrap(), root, None, &token, &mut scratch);
+        let found = search(&g, root, None, &token, &mut scratch);
         prop_assert!(!found.completed);
         prop_assert!(!found.claimed);
         prop_assert!(found.visited >= 1);
@@ -121,13 +118,7 @@ fn root_as_target_is_claimed_before_any_poll() {
     let g = from_edge_list(3, &[(0, 1)], true);
     let token = CancelToken::new();
     token.cancel();
-    let found = search(
-        ValidCsr::new(&g).unwrap(),
-        2,
-        Some(2),
-        &token,
-        &mut Scratch::default(),
-    );
+    let found = search(&g, 2, Some(2), &token, &mut Scratch::default());
     assert!(found.claimed && found.completed);
     assert_eq!(found.visited, 1);
 }
@@ -164,8 +155,7 @@ proptest! {
 
     #[test]
     fn batched_visited_count_matches_reference(g in batched_graph(), pick in any::<u64>()) {
-        let proof = ValidCsr::new(&g).unwrap();
-        prop_assert!(proof.batches(), "far share {}", proof.far_share());
+        prop_assert!(batches(&g), "far arcs {} of {}", g.far_arcs(), g.num_arcs());
         let n = g.num_vertices() as u32;
         let mut scratch = Scratch::default();
         for root in [0, (pick % u64::from(n)) as u32, n - 1] {
@@ -184,11 +174,10 @@ proptest! {
         let root = (pick % (n * 3 / 4)) as u32;
         let truth = reachable_set(&g, root);
         let full = reference_count(&g, root);
-        let proof = ValidCsr::new(&g).unwrap();
         let mut scratch = Scratch::default();
         let spread = (0..64u64).map(|i| ((pick >> 8).wrapping_add(i * 0x9e37_79b9) % n) as u32);
         for target in spread.chain([root, n as u32 - 1]) {
-            let found = search(proof, root, Some(target), &CancelToken::new(), &mut scratch);
+            let found = search(&g, root, Some(target), &CancelToken::new(), &mut scratch);
             prop_assert!(found.completed);
             prop_assert_eq!(found.claimed, truth[target as usize], "target {}", target);
             prop_assert!(found.visited <= full);
@@ -199,9 +188,8 @@ proptest! {
     fn batched_search_stops_at_a_cancelled_token(g in batched_graph(), root in 0u32..50_000) {
         let token = CancelToken::new();
         token.cancel();
-        let proof = ValidCsr::new(&g).unwrap();
-        prop_assert!(proof.batches());
-        let found = search(proof, root, None, &token, &mut Scratch::default());
+        prop_assert!(batches(&g));
+        let found = search(&g, root, None, &token, &mut Scratch::default());
         prop_assert_eq!(found.visited, 1);
         prop_assert!(!found.completed && !found.claimed);
     }
@@ -216,10 +204,9 @@ proptest! {
         for g in [&big, &small, &big] {
             // An early-exit reach first leaves bits set and the stack
             // nonempty; the searches after it must not see either.
-            let proof = ValidCsr::new(g).unwrap();
-            prop_assert_eq!(proof.batches(), g.num_vertices() > 4096);
+            prop_assert_eq!(batches(g), g.num_vertices() > 4096);
             let far = g.num_vertices() as u32 / 2;
-            search(proof, root, Some(far), &CancelToken::new(), &mut scratch);
+            search(g, root, Some(far), &CancelToken::new(), &mut scratch);
             for r in [root, far, g.num_vertices() as u32 - 1] {
                 prop_assert_eq!(dfs(g, r, &mut scratch), reference_count(g, r));
             }
@@ -235,7 +222,7 @@ fn stack_stays_within_the_vertex_count_in_both_modes() {
     // it expands them, so marking on push bounds it by n either way.
     for n in [4_000u32, 50_000] {
         let g = from_edge_list(n, &(1..n).map(|v| (0, v)).collect::<Vec<_>>(), false);
-        assert_eq!(ValidCsr::new(&g).unwrap().batches(), n > 4_097, "n = {n}");
+        assert_eq!(batches(&g), n > 4_097, "n = {n}");
         let mut scratch = Scratch::default();
         assert_eq!(dfs(&g, 0, &mut scratch), u64::from(n));
         let held = scratch.bytes();
@@ -247,7 +234,6 @@ fn stack_stays_within_the_vertex_count_in_both_modes() {
 
 #[test]
 fn scattered_graphs_batch_and_local_ones_do_not() {
-    let batches = |g: &CsrGraph| ValidCsr::new(g).unwrap().batches();
     let suite = |name: &str| db_gen::Suite::by_name(name).unwrap().build();
     assert!(batches(&db_gen::social::social(200_000, 1)));
     assert!(batches(&suite("google")));
@@ -270,17 +256,12 @@ fn scattered_graphs_batch_and_local_ones_do_not() {
 }
 
 /// `g` in the shared form a team search takes.
-fn shared(g: &CsrGraph) -> ValidCsr<Arc<dyn GraphStore>> {
-    ValidCsr::new(Arc::new(g.clone()) as Arc<dyn GraphStore>).unwrap()
+fn shared(g: &CsrGraph) -> Arc<dyn GraphStore> {
+    Arc::new(g.clone())
 }
 
 /// A team dfs from `root`: completed, nothing claimed, and the count.
-fn team_dfs(
-    g: &ValidCsr<Arc<dyn GraphStore>>,
-    root: u32,
-    scratch: &mut Scratch,
-    crew: &dyn Crew,
-) -> u64 {
+fn team_dfs(g: &Arc<dyn GraphStore>, root: u32, scratch: &mut Scratch, crew: &dyn Crew) -> u64 {
     let found = team_search(g, root, None, &CancelToken::new(), scratch, crew);
     assert!(found.completed && !found.claimed);
     found.visited

@@ -8,6 +8,12 @@
 use crate::store::SectionSlice;
 use crate::VertexId;
 
+/// Endpoint distance, in vertex ids, beyond which an arc counts as far:
+/// 4096 ids span 32 KiB of `row_ptr`, so a far neighbour's row bounds
+/// are not on a line its source just loaded. The served kernel batches
+/// a graph by its share of far arcs.
+pub const FAR_IDS: u32 = 4096;
+
 /// A structural defect in raw CSR arrays, reported by
 /// [`CsrGraph::try_from_sorted_parts`] instead of panicking — the entry
 /// point for untrusted inputs (network services, file loaders).
@@ -77,6 +83,10 @@ impl std::error::Error for CsrError {}
 /// An immutable CSR graph.
 ///
 /// Construct via [`crate::GraphBuilder`] or [`CsrGraph::from_sorted_parts`].
+/// Every constructor checks the arrays ([`CsrGraph::try_from_backed`]),
+/// so a `CsrGraph` is valid by construction: `row_ptr` starts at 0,
+/// never decreases and ends at the arc count, and every column is
+/// below `n`.
 ///
 /// The two arrays live in [`SectionSlice`]s: heap `Vec`s for built
 /// graphs, or zero-copy windows into an mmap'd pack file for graphs
@@ -87,6 +97,7 @@ pub struct CsrGraph {
     row_ptr: SectionSlice<u64>,
     col_idx: SectionSlice<u32>,
     directed: bool,
+    far_arcs: u64,
 }
 
 impl std::fmt::Debug for CsrGraph {
@@ -101,7 +112,7 @@ impl std::fmt::Debug for CsrGraph {
 }
 
 impl CsrGraph {
-    /// Builds a graph directly from pre-validated CSR arrays.
+    /// Builds a graph from CSR arrays the caller knows to be well formed.
     ///
     /// # Panics
     ///
@@ -112,28 +123,6 @@ impl CsrGraph {
         match Self::try_from_sorted_parts(n, row_ptr, col_idx, directed) {
             Ok(g) => g,
             Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Builds a graph from raw CSR arrays **without any validation**.
-    ///
-    /// The caller asserts the [`CsrGraph::try_from_sorted_parts`]
-    /// invariants hold; a graph that violates them makes the accessors
-    /// panic or return garbage. Intended for loaders that validated the
-    /// arrays out-of-band, and for fault-injection tests that need to
-    /// construct deliberately malformed graphs to exercise the engines'
-    /// input validation (`db-core`'s `GraphError`).
-    pub fn from_parts_unchecked(
-        n: u32,
-        row_ptr: Vec<u64>,
-        col_idx: Vec<u32>,
-        directed: bool,
-    ) -> Self {
-        Self {
-            n,
-            row_ptr: SectionSlice::owned(row_ptr),
-            col_idx: SectionSlice::owned(col_idx),
-            directed,
         }
     }
 
@@ -159,47 +148,24 @@ impl CsrGraph {
     /// point `db-store` uses so mmap-backed arrays are checked without
     /// ever being copied. Runs exactly the
     /// [`CsrGraph::try_from_sorted_parts`] invariants.
+    ///
+    /// Every other constructor ends here, so this is the one CSR check:
+    /// a `CsrGraph` is valid by construction, and the engines index its
+    /// arrays without checking them again. The same walk counts the
+    /// graph's far arcs ([`CsrGraph::far_arcs`]).
     pub fn try_from_backed(
         n: u32,
         row_ptr: SectionSlice<u64>,
         col_idx: SectionSlice<u32>,
         directed: bool,
     ) -> Result<Self, CsrError> {
-        {
-            let rp = row_ptr.as_slice();
-            let ci = col_idx.as_slice();
-            if rp.len() != n as usize + 1 {
-                return Err(CsrError::RowPtrLength {
-                    expected: n as usize + 1,
-                    got: rp.len(),
-                });
-            }
-            if rp[0] != 0 {
-                return Err(CsrError::RowPtrStart(rp[0]));
-            }
-            let last = *rp.last().expect("row_ptr nonempty");
-            if last as usize != ci.len() {
-                return Err(CsrError::RowPtrEnd {
-                    expected: ci.len(),
-                    got: last,
-                });
-            }
-            if let Some(at) = rp.windows(2).position(|w| w[0] > w[1]) {
-                return Err(CsrError::RowPtrDecreasing { at });
-            }
-            if let Some(at) = ci.iter().position(|&v| v >= n) {
-                return Err(CsrError::ColumnOutOfRange {
-                    at,
-                    value: ci[at],
-                    n,
-                });
-            }
-        }
+        let far_arcs = check(n, row_ptr.as_slice(), col_idx.as_slice())?;
         Ok(Self {
             n,
             row_ptr,
             col_idx,
             directed,
+            far_arcs,
         })
     }
 
@@ -213,6 +179,13 @@ impl CsrGraph {
     #[inline]
     pub fn num_arcs(&self) -> usize {
         self.col_idx.len()
+    }
+
+    /// Number of arcs whose endpoints are more than [`FAR_IDS`] ids
+    /// apart, counted when the graph was built.
+    #[inline]
+    pub fn far_arcs(&self) -> u64 {
+        self.far_arcs
     }
 
     /// Number of logical edges: arcs for directed graphs, arcs/2 rounded
@@ -304,6 +277,47 @@ impl CsrGraph {
     pub fn charged_bytes(&self) -> usize {
         self.heap_bytes() + self.mapped_bytes() / 4
     }
+}
+
+/// Checks raw CSR arrays row by row, reporting the first defect, and
+/// counts the arcs whose endpoints are more than [`FAR_IDS`] ids apart.
+fn check(n: u32, row_ptr: &[u64], col_idx: &[u32]) -> Result<u64, CsrError> {
+    let Some((&first, ends)) = row_ptr
+        .split_first()
+        .filter(|(_, ends)| ends.len() == n as usize)
+    else {
+        return Err(CsrError::RowPtrLength {
+            expected: n as usize + 1,
+            got: row_ptr.len(),
+        });
+    };
+    if first != 0 {
+        return Err(CsrError::RowPtrStart(first));
+    }
+    let last = ends.last().map_or(first, |&end| end);
+    if last != col_idx.len() as u64 {
+        return Err(CsrError::RowPtrEnd {
+            expected: col_idx.len(),
+            got: last,
+        });
+    }
+    // Rows are contiguous, so row u's columns are the next
+    // `end - start` entries.
+    let mut cols = (0..).zip(col_idx);
+    let (mut start, mut far) = (first, 0);
+    for (u, &end) in (0..n).zip(ends) {
+        if end < start {
+            return Err(CsrError::RowPtrDecreasing { at: u as usize });
+        }
+        for (at, &v) in cols.by_ref().take((end - start) as usize) {
+            if v >= n {
+                return Err(CsrError::ColumnOutOfRange { at, value: v, n });
+            }
+            far += u64::from(v.abs_diff(u) > FAR_IDS);
+        }
+        start = end;
+    }
+    Ok(far)
 }
 
 #[cfg(test)]

@@ -1,13 +1,15 @@
 //! Property tests for the graph substrate: CSR construction invariants,
-//! Matrix Market round-trips, and the DFS-tree validator's soundness on
-//! arbitrary graphs.
+//! the far-arc count the CSR check takes, Matrix Market round-trips,
+//! and the DFS-tree validator's soundness on arbitrary graphs.
 
 use db_graph::builder::from_edge_list;
+use db_graph::csr::FAR_IDS;
 use db_graph::mm::{read_matrix_market, write_matrix_market};
 use db_graph::traversal::{bfs_levels, connected_components, serial_dfs};
 use db_graph::validate::{check_dfs_tree_property, check_reachability, check_spanning_tree};
 use db_graph::{CsrGraph, NO_PARENT};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn arb_edges(max_n: u32, max_m: usize) -> impl Strategy<Value = (u32, Vec<(u32, u32)>)> {
     (2..max_n).prop_flat_map(move |n| {
@@ -17,6 +19,23 @@ fn arb_edges(max_n: u32, max_m: usize) -> impl Strategy<Value = (u32, Vec<(u32, 
 
 fn arb_graph(max_n: u32, max_m: usize) -> impl Strategy<Value = CsrGraph> {
     arb_edges(max_n, max_m).prop_map(|(n, e)| from_edge_list(n, &e, false))
+}
+
+/// Edges among more than [`FAR_IDS`] vertices, two in three of them
+/// `FAR_IDS - 4` to `FAR_IDS + 4` ids apart (up or down), so their
+/// endpoint distances straddle the far-arc boundary; the rest uniform.
+fn straddling_edges() -> impl Strategy<Value = (u32, Vec<(u32, u32)>)> {
+    (FAR_IDS + 1..3 * FAR_IDS).prop_flat_map(|n| {
+        let pick = (0..n, 0..n, 0..9u32, 0..3u8);
+        proptest::collection::vec(pick, 0..400).prop_map(move |picks| {
+            let edges = picks.into_iter().map(|(u, w, d, kind)| match kind {
+                0 => (u, w),
+                1 => (u, (u + FAR_IDS - 4 + d).min(n - 1)),
+                _ => (u, u.saturating_sub(FAR_IDS - 4 + d)),
+            });
+            (n, edges.collect())
+        })
+    })
 }
 
 proptest! {
@@ -136,5 +155,20 @@ proptest! {
                 prop_assert_eq!(out.visited[v], comp[v] == comp[0]);
             }
         }
+    }
+
+    /// `far_arcs()` equals a recount over the distinct arcs the edges
+    /// name, on the builder's graph and on its arrays rebuilt through
+    /// `try_from_sorted_parts`.
+    #[test]
+    fn far_arcs_match_a_recount((n, edges) in straddling_edges(), directed in any::<bool>()) {
+        let back = |&(u, v): &(u32, u32)| if directed { (u, v) } else { (v, u) };
+        let arcs: BTreeSet<_> = edges.iter().flat_map(|e| [*e, back(e)]).collect();
+        let naive = arcs.iter().filter(|(u, v)| u.abs_diff(*v) > FAR_IDS).count() as u64;
+        let g = from_edge_list(n, &edges, directed);
+        prop_assert_eq!(g.far_arcs(), naive);
+        let (row_ptr, col_idx) = (g.row_ptr().to_vec(), g.col_idx().to_vec());
+        let parts = CsrGraph::try_from_sorted_parts(n, row_ptr, col_idx, directed).unwrap();
+        prop_assert_eq!(parts.far_arcs(), naive);
     }
 }

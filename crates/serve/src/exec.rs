@@ -1,13 +1,13 @@
-//! Request execution: runs a workload on a validated graph under a
-//! deadline token and shapes the response payload.
+//! Request execution: runs a workload on a graph under a deadline token
+//! and shapes the response payload. A [`CsrGraph`] is checked when it
+//! is built, so nothing here checks it again.
 //!
 //! `dfs` and `reach` run the served traversal kernel
 //! ([`db_core::kernel`]) with the caller's reused scratch, whatever
 //! engine the request names, except `sim`, which runs the simulator.
-//! Given a [`Teaming`], the kernel runs as the owner of a team search
-//! that an idle pool worker may join ([`kernel::team_search`]);
-//! otherwise it runs on the calling thread alone. The kernel polls the
-//! token every
+//! Given a crew, the kernel runs as the owner of a team search that an
+//! idle pool worker may join ([`kernel::team_search`]); otherwise it
+//! runs on the calling thread alone. The kernel polls the token every
 //! [`db_core::kernel::POLL_STRIDE`] expansions (rounded up to a whole
 //! batch on graphs it searches in batches), so an expired deadline
 //! stops the search and the payload describes the partial prefix
@@ -25,65 +25,39 @@
 //! into payloads. This is what makes double-run digest comparison in
 //! the load generator meaningful.
 
-use crate::corpus::ValidStore;
 use crate::request::{EngineKind, Request, Response, Status, Workload};
 use db_core::kernel::{self, Crew, Scratch, Search};
-use db_core::{CancelToken, ValidCsr};
+use db_core::CancelToken;
 use db_gpu_sim::MachineModel;
-use db_graph::CsrGraph;
+use db_graph::{CsrGraph, GraphStore};
 use db_trace::json::Value;
+use std::sync::Arc;
 
-/// Validates `graph`, then executes `req` on it with a fresh scratch,
-/// consuming the token's deadline. A malformed graph is rejected with
-/// the defect as the reason. `latency_us`/`deadline_missed` are filled
-/// by the pool afterwards (they are measured from admission, which the
-/// pool owns).
+/// Executes `req` on `graph` as the pool serves it, alone and with a
+/// fresh scratch, consuming the token's deadline.
+/// `latency_us`/`deadline_missed` are filled by the pool afterwards
+/// (they are measured from admission, which the pool owns).
 pub fn execute(req: &Request, graph: &CsrGraph, token: &CancelToken) -> Response {
-    match ValidCsr::new(graph) {
-        Ok(graph) => execute_valid(req, graph, token, &mut Scratch::default(), None, None),
-        Err(e) => Response::failure(
-            req.id,
-            Status::Rejected,
-            format!("invalid graph '{}': {e}", req.graph),
-        ),
-    }
+    execute_with(req, graph, token, &mut Scratch::default(), None, None)
 }
 
-/// A dfs or reach's way to a second core: the request's graph in the
-/// shared form a helper thread can hold, and the pool the helper comes
-/// from.
-#[derive(Clone, Copy)]
-pub struct Teaming<'a> {
-    /// The graph `execute_valid` runs on, shared.
-    pub graph: &'a ValidStore,
-    /// The pool an idle helper joins from.
-    pub crew: &'a dyn Crew,
-}
-
-impl std::fmt::Debug for Teaming<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Teaming")
-            .field("graph", self.graph)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Executes `req` on a graph validated beforehand, searching in
-/// `scratch`. With `team` supplied (for the same graph), a dfs or reach
-/// runs as a team search; the answer is the same either way. A `sim`
-/// run with a sink supplied runs under a [`db_gpu_sim::CycleProfiler`],
-/// and the sink receives the nonzero `(sm, phase_index, cycles)` cells
-/// that the pool turns into `SimPhase` spans. Profiling is
-/// observational: the response is the same either way.
-pub fn execute_valid(
+/// Executes `req` on `graph`, searching in `scratch`. With `team`
+/// supplied, a dfs or reach runs as a team search: `team` holds the same
+/// graph in the shared form a helper thread can hold, and the pool the
+/// helper comes from. The answer is the same either way. A `sim` run
+/// with a sink supplied runs under a [`db_gpu_sim::CycleProfiler`], and
+/// the sink receives the nonzero `(sm, phase_index, cycles)` cells that
+/// the pool turns into `SimPhase` spans. Profiling is observational: the
+/// response is the same either way.
+pub fn execute_with(
     req: &Request,
-    graph: ValidCsr<&CsrGraph>,
+    graph: &CsrGraph,
     token: &CancelToken,
     scratch: &mut Scratch,
-    team: Option<Teaming<'_>>,
+    team: Option<(&Arc<dyn GraphStore>, &dyn Crew)>,
     sim_spans: Option<&mut Vec<(u32, usize, u64)>>,
 ) -> Response {
-    let n = graph.graph().num_vertices() as u32;
+    let n = graph.num_vertices() as u32;
     let check_root = |v: u32, what: &str| -> Result<(), Response> {
         if v < n {
             Ok(())
@@ -97,11 +71,12 @@ pub fn execute_valid(
     };
     // The engine name is a hint: only `sim` changes what runs.
     let search = move |root: u32, target: Option<u32>| match (req.engine, team) {
-        (EngineKind::Sim, _) => simulate(graph.graph(), root, target, token, sim_spans),
-        (_, Some(t)) => kernel::team_search(t.graph, root, target, token, scratch, t.crew),
+        (EngineKind::Sim, _) => simulate(graph, root, target, token, sim_spans),
+        (_, Some((shared, crew))) => {
+            kernel::team_search(shared, root, target, token, scratch, crew)
+        }
         (_, None) => kernel::search(graph, root, target, token, scratch),
     };
-    let graph = graph.graph();
     match &req.workload {
         Workload::Dfs { root } => {
             if let Err(r) = check_root(*root, "root") {
@@ -381,9 +356,9 @@ mod tests {
         let r = req("grid:6:6", Workload::Dfs { root: 0 }, EngineKind::Sim);
         let plain = execute(&r, &g, &CancelToken::new());
         let mut sink = Vec::new();
-        let observed = execute_valid(
+        let observed = execute_with(
             &r,
-            ValidCsr::new(&g).unwrap(),
+            &g,
             &CancelToken::new(),
             &mut Scratch::default(),
             None,
@@ -401,21 +376,6 @@ mod tests {
         assert!(sink
             .iter()
             .all(|&(_, p, c)| p < db_gpu_sim::SimPhase::COUNT && c > 0));
-    }
-
-    #[test]
-    fn malformed_graphs_are_rejected_with_reason() {
-        // from_parts_unchecked lets a structurally broken CSR reach the
-        // executor; it must bounce off the validation boundary as a
-        // rejection naming the defect, never reach an engine.
-        let bad = db_graph::CsrGraph::from_parts_unchecked(2, vec![0, 1, 7], vec![1, 0], false);
-        let r = execute(
-            &req("bad", Workload::Dfs { root: 0 }, EngineKind::Native),
-            &bad,
-            &CancelToken::new(),
-        );
-        assert_eq!(r.status, Status::Rejected);
-        assert!(r.error.as_deref().unwrap().contains("row_ptr"), "{r:?}");
     }
 
     #[test]

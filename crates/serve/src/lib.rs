@@ -7,8 +7,9 @@
 //!
 //! * [`corpus`] — graph registry: corpus keys resolve to `Arc`-shared
 //!   [`db_graph::GraphStore`]s — built in-RAM graphs or `store:`-keyed
-//!   packs mmap-loaded through `db-store` — validated once on admission
-//!   and cached under a charged-bytes budget with LRU eviction.
+//!   packs mmap-loaded through `db-store`, each checked once when it is
+//!   built or loaded — cached under a charged-bytes budget with LRU
+//!   eviction.
 //! * [`delta`] — epoch-versioned dynamic graphs under `delta:` corpus
 //!   keys (`db-delta`): `add_edges`/`del_edges` batches publish epochs,
 //!   reads pin snapshots (snapshot isolation), reachability goes

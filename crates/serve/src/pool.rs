@@ -13,7 +13,7 @@
 //! full scan as fallback so drain always terminates.
 //!
 //! Stealing also reaches one level down, into a running search. A
-//! dfs/reach on a graph the kernel batches ([`db_core::ValidCsr::batches`])
+//! dfs/reach on a graph the kernel batches ([`db_core::kernel::batches`])
 //! starts as a team search when some other live worker is not running
 //! a request. Its owner offers it through the pool's one offer slot once
 //! its stack is deep enough, and a worker whose queue and steal both
@@ -46,7 +46,7 @@ use crate::exec;
 use crate::metrics::{span_us, Metrics, MetricsSnapshot};
 use crate::request::{EngineKind, Request, Response, Status, Workload};
 use crate::resilience::{backoff_delay, BreakerEvent, BreakerMap, Resilience};
-use db_core::kernel::{Crew, Scratch, Team};
+use db_core::kernel::{self, Crew, Scratch, Team};
 use db_core::CancelToken;
 use db_fault::FaultKind;
 use db_metrics::{Gauge, SloConfig, SloTracker};
@@ -203,6 +203,8 @@ struct PoolState {
     dead: Vec<bool>,
     /// The one team search on offer to an idle worker.
     offer: Option<Offer>,
+    /// Helpers that have joined a team search so far.
+    joins: u64,
 }
 
 /// A team search on offer, with the ids of the `team` span its helper
@@ -568,6 +570,7 @@ impl Server {
                 draining: false,
                 dead: vec![false; cfg.workers],
                 offer: None,
+                joins: 0,
             }),
             cv: Condvar::new(),
             cache,
@@ -841,14 +844,16 @@ enum Task {
 }
 
 /// Joins the offered team search as its helper, unless it has already
-/// ended. Before leaving, the helper charges its scratch and records one
-/// `team` span under the owner's attempt: `value` = entries it
-/// expanded, `code` 1 if it left for a queued request, else 0.
+/// ended, and counts the join in the pool's `joins`. Before leaving,
+/// the helper charges its scratch and records one `team` span under the
+/// owner's attempt: `value` = entries it expanded, `code` 1 if it left
+/// for a queued request, else 0.
 fn help(inner: &ServerInner, worker: u32, offer: &Offer, scratch: &mut WorkerScratch) {
     let t0 = inner.now_ns();
     let Some(mut helper) = offer.team.join() else {
         return;
     };
+    inner.lock().joins += 1;
     let queued = || inner.lock().queued_total > 0;
     let done = helper.run(&mut scratch.scratch, &queued);
     scratch.charge();
@@ -1112,7 +1117,7 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job, scratch: &mut WorkerScrat
             inner.span(&job.ctx, SpanKind::Fault, 4, seed, worker, t_store);
             inner.cache.resolve_corrupted(&job.req.graph, seed)
         }
-        None => inner.cache.resolve_valid(&job.req.graph),
+        None => inner.cache.resolve(&job.req.graph),
     };
     let store = match resolved {
         Ok((store, info)) => {
@@ -1151,13 +1156,13 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job, scratch: &mut WorkerScrat
             return false;
         }
     };
-    let graph = store.view();
+    let graph = store.graph();
     // A dfs/reach on a batched graph runs as a team search when another
     // worker could help; everything else runs alone.
     let teams = matches!(
         job.req.workload,
         Workload::Dfs { .. } | Workload::Reach { .. }
-    ) && graph.batches()
+    ) && kernel::batches(graph)
         && has_idle_worker(inner);
 
     let attempts = policy.attempts().max(1);
@@ -1247,10 +1252,7 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job, scratch: &mut WorkerScrat
             ctx: &job.ctx,
             attempt: attempt_span,
         };
-        let team = teams.then_some(exec::Teaming {
-            graph: &store,
-            crew: &crew,
-        });
+        let team = teams.then_some((&store, &crew as &dyn Crew));
         let mut sim_spans: Vec<(u32, usize, u64)> = Vec::new();
         // guard: ReplyGuard at fn entry (exactly-one response, and the
         // busy_workers count it holds) survives this unwind
@@ -1262,7 +1264,7 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job, scratch: &mut WorkerScrat
                 // blocking-ok: fault-injected stall; blocking is the point
                 std::thread::sleep(d);
             }
-            exec::execute_valid(
+            exec::execute_with(
                 req,
                 graph,
                 &token,
@@ -1558,23 +1560,35 @@ mod tests {
 
     #[test]
     fn a_helper_leaves_its_team_for_a_queued_request() {
-        // Worker 0 searches `social_l` with worker 1's help. A small
-        // request queued meanwhile is answered before that search ends,
-        // because the helper leaves for it (its `team` span, code 1).
+        // Worker 0 searches `social_l`, and once worker 1 has joined it
+        // as a helper a small request is queued. The small request is
+        // answered before the search ends, because the helper leaves
+        // for it (its `team` span, code 1).
         let server = Server::start(ServeConfig {
             workers: 2,
             ..ServeConfig::default()
         });
         let h = server.handle();
         let g = crate::corpus::build_graph("social_l").unwrap();
-        assert!(db_core::ValidCsr::new(&g).unwrap().batches());
+        assert!(kernel::batches(&g));
         assert_eq!(h.run(req(0, "social_l", 0)).status, Status::Ok);
+        let joins = || h.inner.lock().joins;
         for id in (1..=10).step_by(2) {
+            let joined = joins();
             let big = h.submit(req(id, "social_l", 0));
-            std::thread::sleep(Duration::from_millis(30));
+            // A search that answers before a helper joins proves nothing.
+            let mut early = big.try_recv().ok();
+            while early.is_none() && joins() == joined {
+                std::thread::sleep(Duration::from_micros(50));
+                early = big.try_recv().ok();
+            }
+            if early.is_some() {
+                continue;
+            }
             assert_eq!(h.run(req(id + 1, "grid:8:8", 0)).status, Status::Ok);
-            let answered_first = big.try_recv().is_err();
-            let big = big.recv().unwrap();
+            let early = big.try_recv().ok();
+            let answered_first = early.is_none();
+            let big = early.unwrap_or_else(|| big.recv().unwrap());
             assert_eq!(big.status, Status::Ok);
             let left = h
                 .flight_dump()

@@ -359,3 +359,25 @@ fn compressed_pack_is_smaller_than_raw_csr() {
         s.csr_bytes
     );
 }
+
+/// The load's CSR check counts far arcs like the build did: raw and
+/// compressed packs of a scattered graph report its `far_arcs()`.
+#[test]
+fn packs_report_the_source_far_arc_count() {
+    let g = db_gen::social::social(20_000, 7);
+    assert!(g.far_arcs() > 0, "a social graph has far arcs");
+    for compress in [false, true] {
+        let (_dir, path) = scratch(&format!("far-{compress}"));
+        let opts = PackOptions {
+            compress,
+            ..PackOptions::default()
+        };
+        pack_graph(&g, &path, opts).unwrap();
+        let store = load(&path).unwrap();
+        assert_eq!(
+            store.graph().far_arcs(),
+            g.far_arcs(),
+            "compress {compress}"
+        );
+    }
+}

@@ -288,13 +288,13 @@ fn serial_dfs_stops_at_its_deadline() {
 }
 
 /// The same on the batched kernel: `google`'s arcs are scattered, so
-/// its proof batches, and a `native` dfs with a 1 ms budget over the
+/// the kernel batches it, and a `native` dfs with a 1 ms budget over the
 /// warm corpus stops at a poll counted per batch.
 #[test]
 fn native_dfs_on_a_batched_graph_stops_at_its_deadline() {
     const KEY: &str = "google";
     let g = build_graph(KEY).unwrap();
-    assert!(db_core::ValidCsr::new(&g).unwrap().batches());
+    assert!(db_core::kernel::batches(&g));
     let n = g.num_vertices() as u64;
     let server = Server::start(ServeConfig {
         workers: 2,
