@@ -52,9 +52,7 @@ pub mod stack;
 
 pub use cancel::CancelToken;
 pub use config::{DiggerBeesConfig, StackLevels, VictimPolicy};
-pub use sim::{
-    run_sim, run_sim_faulted, run_sim_profiled, run_sim_store, run_sim_traced, SimResult,
-};
+pub use sim::{run_sim, run_sim_faulted, run_sim_profiled, run_sim_traced, SimResult};
 
 /// Former engine-entry CSR check, now a no-op: every
 /// [`db_graph::CsrGraph`] is checked when it is built

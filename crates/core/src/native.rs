@@ -173,23 +173,6 @@ impl NativeEngine {
         self.run_traced(g, root, &NullTracer)
     }
 
-    /// Runs on any [`db_graph::GraphStore`]-backed graph — packed,
-    /// mmap-loaded, or in-RAM — without copying: the engine traverses
-    /// the store's CSR view in place.
-    pub fn run_store(&self, store: &dyn db_graph::GraphStore, root: VertexId) -> NativeResult {
-        self.run(store.graph(), root)
-    }
-
-    /// [`NativeEngine::run_cancellable`] over a stored graph.
-    pub fn run_store_cancellable(
-        &self,
-        store: &dyn db_graph::GraphStore,
-        root: VertexId,
-        token: &CancelToken,
-    ) -> NativeResult {
-        self.run_cancellable(store.graph(), root, token)
-    }
-
     /// Like [`NativeEngine::run`], but every worker polls `token` at the
     /// top of its loop (one poll per vertex-expansion step). When the
     /// token cancels — by hand or by deadline — all workers stop within
@@ -828,19 +811,6 @@ mod tests {
         let out = NativeEngine::new(small_cfg()).run(&grid(20, 20), 0);
         assert!(out.stats.hot_high_water >= 1);
         assert!(runs.get() > before, "run must bump the global run counter");
-    }
-
-    #[test]
-    fn run_store_matches_run() {
-        let g = grid(12, 12);
-        let store: &dyn db_graph::GraphStore = &g;
-        let direct = NativeEngine::new(small_cfg()).run(&g, 0);
-        let stored = NativeEngine::new(small_cfg()).run_store(store, 0);
-        assert_eq!(stored.visited, direct.visited);
-        let token = CancelToken::new();
-        let cancellable = NativeEngine::new(small_cfg()).run_store_cancellable(store, 0, &token);
-        assert!(cancellable.completed);
-        assert_eq!(cancellable.visited, direct.visited);
     }
 
     #[test]

@@ -843,17 +843,6 @@ pub fn run_sim(
     run_sim_traced(g, root, cfg, m, &NullTracer)
 }
 
-/// [`run_sim`] over any [`db_graph::GraphStore`]-backed graph — packed,
-/// mmap-loaded, or in-RAM — traversed in place without copying.
-pub fn run_sim_store(
-    store: &dyn db_graph::GraphStore,
-    root: VertexId,
-    cfg: &DiggerBeesConfig,
-    m: &MachineModel,
-) -> SimResult {
-    run_sim(store.graph(), root, cfg, m)
-}
-
 /// [`run_sim`] with a [`Tracer`] attached. Tracing is observational
 /// only: for any tracer the traversal result and statistics are
 /// identical to the untraced run (the DES never consults the tracer),

@@ -13,9 +13,9 @@
 //! an epoch bump, all under one mutex acquisition per batch. Readers
 //! [`DeltaGraph::pin`] the current epoch and receive an [`EpochPin`]
 //! guard holding a fully materialized [`CsrGraph`] snapshot behind an
-//! `Arc` — the traversal engines (serial, native, lockfree,
-//! partitioned) consume it unchanged, and compaction can never
-//! invalidate it because the guard owns a strong reference.
+//! `Arc` — the served kernel and every engine consume it unchanged,
+//! and compaction can never invalidate it because the guard owns a
+//! strong reference.
 //!
 //! Compaction folds every layer at or below the lowest pinned epoch
 //! into a new base CSR. The merge runs *outside* the lock against
@@ -138,10 +138,6 @@ pub struct DeltaStats {
     pub pins_active: u64,
     /// High-water mark of simultaneously outstanding pins.
     pub pins_high_water: u64,
-    /// Reachability queries answered from an unchanged-epoch cache or
-    /// by incremental extension (maintained by
-    /// [`IncrementalReach`](crate::IncrementalReach)).
-    pub incremental_hits: u64,
 }
 
 struct Inner {
@@ -237,11 +233,6 @@ impl DeltaGraph {
         Self::new(Arc::new(g))
     }
 
-    /// Vertex count (fixed for the graph's lifetime).
-    pub fn num_vertices(&self) -> usize {
-        self.n as usize
-    }
-
     /// Locks the mutable state. Poisoning means a mutator panicked
     /// mid-batch; there is no torn on-disk state to salvage (layers
     /// publish atomically), so propagating the panic is correct.
@@ -270,25 +261,6 @@ impl DeltaGraph {
         s.layers = inner.layers.len();
         s.delta_bytes = inner.layers.iter().map(|l| l.bytes()).sum();
         s
-    }
-
-    /// Record an incremental-reach hit (called by
-    /// [`IncrementalReach`](crate::IncrementalReach)).
-    pub(crate) fn note_incremental_hit(&self) {
-        self.state().stats.incremental_hits += 1;
-    }
-
-    /// Published layers with epochs in `(from, to]`, oldest first.
-    /// Returns `None` when compaction has already folded part of that
-    /// range into the base (callers must fall back to a full rebuild).
-    pub fn layers_between(&self, from: u64, to: u64) -> Option<Vec<Arc<DeltaLayer>>> {
-        let inner = self.state();
-        if from < inner.base_epoch || to > inner.base_epoch + inner.layers.len() as u64 {
-            return None;
-        }
-        let lo = (from - inner.base_epoch) as usize;
-        let hi = (to - inner.base_epoch) as usize;
-        Some(inner.layers[lo..hi].to_vec())
     }
 
     fn validate(&self, inner: &Inner, endpoints: &[u32]) -> Result<(), DeltaError> {
@@ -471,8 +443,9 @@ impl DeltaGraph {
                 return CompactOutcome::NotNeeded;
             }
             let current = inner.base_epoch + inner.layers.len() as u64;
-            // Never fold past the lowest pinned epoch: a pinned reader
-            // may still need `layers_between` for incremental reach.
+            // Never fold past the lowest pinned epoch, so `snapshot_at`
+            // can still rebuild every pinned epoch (the early-reclaim
+            // invariant `epoch/small` checks, DESIGN §9.1–9.2).
             let limit = inner
                 .pins
                 .keys()
@@ -774,21 +747,5 @@ mod tests {
         let s = dg.stats();
         assert_eq!(s.pins_active, 0);
         assert_eq!(s.pins_high_water, 2);
-    }
-
-    #[test]
-    fn layers_between_reports_folded_ranges() {
-        let dg = Arc::new(DeltaGraph::with_threshold(Arc::new(path4()), 64));
-        dg.add_edges(&[(3, 0)]).unwrap();
-        dg.add_edges(&[(3, 1)]).unwrap();
-        let ls = dg.layers_between(0, 2).unwrap();
-        assert_eq!(ls.len(), 2);
-        assert_eq!(ls[0].epoch(), 1);
-        let dg2 = Arc::new(DeltaGraph::with_threshold(Arc::new(path4()), 1));
-        dg2.add_edges(&[(3, 0)]).unwrap();
-        assert!(
-            dg2.layers_between(0, 1).is_none(),
-            "folded range must report None"
-        );
     }
 }

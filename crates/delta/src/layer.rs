@@ -54,20 +54,6 @@ impl DeltaLayer {
             .is_some_and(|bits| bits >> (v % 64) & 1 == 1)
     }
 
-    /// True when this layer deletes nothing (neither edges nor
-    /// vertices) — the precondition for incremental reachability
-    /// extension instead of a full recompute.
-    pub fn insert_only(&self) -> bool {
-        self.tombstones.iter().all(|w| *w == 0) && self.patches.values().all(|p| p.del.is_empty())
-    }
-
-    /// Iterate the `(src, dst)` arcs this layer inserts.
-    pub fn added_arcs(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.patches
-            .iter()
-            .flat_map(|(&u, p)| p.add.iter().map(move |&v| (u, v)))
-    }
-
     /// Approximate heap footprint of this layer, for `delta_bytes`
     /// accounting.
     pub fn bytes(&self) -> usize {
@@ -186,17 +172,7 @@ mod tests {
         assert_eq!(layer.patches()[&0].add, vec![1, 5]);
         assert!(layer.is_tombstoned(7));
         assert!(!layer.is_tombstoned(6));
-        assert!(!layer.insert_only());
-        assert!(p.is_empty());
-    }
-
-    #[test]
-    fn insert_only_detection() {
-        let mut p = PendingDelta::default();
-        p.add_arc(2, 3);
-        let layer = p.seal(1, 8);
-        assert!(layer.insert_only());
-        assert_eq!(layer.added_arcs().collect::<Vec<_>>(), vec![(2, 3)]);
         assert!(layer.bytes() > 0);
+        assert!(p.is_empty());
     }
 }

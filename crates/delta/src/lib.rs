@@ -7,7 +7,9 @@
 //! [`DeltaLayer`] overlays. Readers [`pin`](DeltaGraph::pin) an epoch
 //! and get a materialized [`db_graph::CsrGraph`] snapshot that every
 //! existing engine consumes unchanged — snapshot isolation by
-//! construction, because the pin guard owns the snapshot.
+//! construction, because the pin guard owns the snapshot. The crate
+//! runs no traversal of its own: a dfs or reach over a delta graph is
+//! an ordinary traversal of a pinned snapshot.
 //!
 //! ```
 //! use db_delta::DeltaGraph;
@@ -31,11 +33,9 @@
 
 pub mod graph;
 pub mod layer;
-pub mod reach;
 
 pub use graph::{
     CompactAction, CompactHook, CompactOutcome, CompactPoint, DeltaError, DeltaGraph, DeltaStats,
     EpochPin, Publish, DEFAULT_COMPACT_THRESHOLD,
 };
 pub use layer::{DeltaLayer, PendingDelta, VertexPatch};
-pub use reach::{IncrementalReach, ReachOutcome};

@@ -5,13 +5,11 @@
 //! [`crate::corpus::build_store`] accepts, including `store:` packs) in
 //! a [`DeltaGraph`]. The wrapped graph accepts `add_edges` / `del_edges`
 //! mutation batches — each batch publishes one epoch — while reads pin
-//! the current epoch and run the ordinary engines against the pinned
-//! snapshot, so a traversal's outcome can never shear across a
-//! concurrent publish.
-//!
-//! Reachability queries go through a per-corpus [`IncrementalReach`]
-//! cache: a repeat query on an unchanged epoch is a cache hit, and
-//! insert-only epochs extend the cached set instead of recomputing.
+//! the current epoch and hand the pinned snapshot to
+//! [`crate::exec::execute`], so a traversal's outcome can never shear
+//! across a concurrent publish. A `dfs` or `reach` therefore runs the
+//! served kernel ([`db_core::kernel`]) exactly as on a frozen corpus:
+//! a reach stops at its target, and both stop at their deadline.
 //!
 //! Write responses carry only the *requested batch size* (`applied`),
 //! never the epoch number a batch landed at: epoch numbers depend on
@@ -48,8 +46,7 @@
 use crate::request::{Request, Response, Status, Workload};
 use db_core::CancelToken;
 use db_delta::{
-    CompactAction, CompactOutcome, CompactPoint, DeltaGraph, IncrementalReach,
-    DEFAULT_COMPACT_THRESHOLD,
+    CompactAction, CompactOutcome, CompactPoint, DeltaGraph, DEFAULT_COMPACT_THRESHOLD,
 };
 use db_fault::{CkptPhaseKind, FaultKind, Injector};
 use db_metrics::{Counter, Gauge, Registry};
@@ -147,7 +144,6 @@ struct DeltaMetrics {
     epochs_published: Counter,
     compactions: Counter,
     compactions_aborted: Counter,
-    incremental_hits: Counter,
     delta_bytes: Gauge,
     delta_layers: Gauge,
     pins_high_water: Gauge,
@@ -170,11 +166,6 @@ impl DeltaMetrics {
             compactions_aborted: reg.counter(
                 "db_delta_compactions_aborted_total",
                 "Delta compaction attempts aborted by the chaos fault hook",
-                &[],
-            ),
-            incremental_hits: reg.counter(
-                "db_delta_incremental_hits_total",
-                "Reachability queries answered from cache or by incremental extension",
                 &[],
             ),
             delta_bytes: reg.gauge(
@@ -205,8 +196,6 @@ impl DeltaMetrics {
 #[derive(Debug)]
 struct DeltaEntry {
     graph: Arc<DeltaGraph>,
-    /// Per-corpus incremental reachability cache.
-    reach: Mutex<IncrementalReach>,
     /// Monotone compaction-attempt counter. The chaos plan keys its
     /// `compaction` trigger on `(corpus key, attempt index)`, so the
     /// n-th attempt for a corpus is struck identically across runs
@@ -227,7 +216,6 @@ impl DeltaEntry {
     fn new(graph: DeltaGraph, applied: u64, lsn: u64) -> Arc<DeltaEntry> {
         Arc::new(DeltaEntry {
             graph: Arc::new(graph),
-            reach: Mutex::new(IncrementalReach::default()),
             compact_seq: AtomicU64::new(0),
             write_gate: Mutex::new(()),
             applied_writes: AtomicU64::new(applied),
@@ -551,11 +539,9 @@ impl DeltaRegistry {
                 req.id,
                 vec![("epoch".into(), Value::u64(entry.graph.current_epoch()))],
             ),
-            Workload::Reach { root, target } => {
-                self.reach(req, &entry, *root, *target, token, &mut events)
-            }
-            // Any traversal/analytics workload: pin the current epoch
-            // and hand the frozen snapshot to the ordinary executor.
+            // Any read (dfs, reach or an analytics workload): pin the
+            // current epoch and hand the frozen snapshot to the ordinary
+            // executor, which runs the served kernel under the token.
             // The pin guard keeps the snapshot alive past any
             // concurrent publish or compaction.
             _ => {
@@ -804,63 +790,6 @@ impl DeltaRegistry {
         }
         Ok(())
     }
-
-    /// Reachability through the per-corpus incremental cache. The
-    /// payload mirrors the frozen-corpus executor exactly (`reachable`,
-    /// `completed`) — how the answer was derived is a metrics concern,
-    /// never a payload one.
-    fn reach(
-        &self,
-        req: &Request,
-        entry: &DeltaEntry,
-        root: u32,
-        target: u32,
-        token: &CancelToken,
-        events: &mut Vec<DeltaEvent>,
-    ) -> Response {
-        let n = entry.graph.num_vertices() as u32;
-        for (v, what) in [(root, "root"), (target, "target")] {
-            if v >= n {
-                return Response::failure(
-                    req.id,
-                    Status::Error,
-                    format!("{what} {v} out of range for '{}' (n = {n})", req.graph),
-                );
-            }
-        }
-        if token.is_cancelled() {
-            return Response {
-                id: req.id,
-                status: Status::Expired,
-                error: None,
-                payload: Value::Obj(vec![("completed".into(), Value::Bool(false))]),
-                latency_us: 0,
-                deadline_missed: false,
-                trace_id: 0,
-            };
-        }
-        let pin = entry.graph.pin();
-        events.push(DeltaEvent::Pinned {
-            epoch: pin.epoch() as u32,
-        });
-        let before = entry.graph.stats().incremental_hits;
-        let (reachable, _outcome) = entry
-            .reach
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .query(&entry.graph, &pin, root, target);
-        let hits = entry.graph.stats().incremental_hits - before;
-        if hits > 0 {
-            self.metrics.incremental_hits.add(hits);
-        }
-        ok(
-            req.id,
-            vec![
-                ("reachable".into(), Value::Bool(reachable)),
-                ("completed".into(), Value::Bool(true)),
-            ],
-        )
-    }
 }
 
 /// Resolves a manifest pack reference against the WAL directory it was
@@ -975,20 +904,26 @@ mod tests {
     #[test]
     fn traversals_run_on_the_pinned_snapshot() {
         let reg = DeltaRegistry::new_in(&Registry::new());
+        let reach_0_5 = Workload::Reach { root: 0, target: 5 };
         let (r, _) = run(&reg, req(1, "delta:path:6", Workload::Dfs { root: 0 }));
         assert_eq!(r.payload.get("visited").unwrap().as_u64(), Some(6));
+        let (r, ev) = run(&reg, req(2, "delta:path:6", reach_0_5.clone()));
+        assert_eq!(r.payload.get("reachable").unwrap().as_bool(), Some(true));
+        assert_eq!(ev, vec![DeltaEvent::Pinned { epoch: 0 }]);
         run(
             &reg,
             req(
-                2,
+                3,
                 "delta:path:6",
                 Workload::DelEdges {
                     edges: vec![(2, 3)],
                 },
             ),
         );
-        let (r, _) = run(&reg, req(3, "delta:path:6", Workload::Dfs { root: 0 }));
+        let (r, _) = run(&reg, req(4, "delta:path:6", Workload::Dfs { root: 0 }));
         assert_eq!(r.payload.get("visited").unwrap().as_u64(), Some(3));
+        let (r, _) = run(&reg, req(5, "delta:path:6", reach_0_5));
+        assert_eq!(r.payload.get("reachable").unwrap().as_bool(), Some(false));
     }
 
     #[test]
@@ -1242,7 +1177,6 @@ mod tests {
         let exp = db_metrics::parse_exposition(&mreg.render_prometheus()).unwrap();
         let get = |n: &str| exp.samples.iter().find(|s| s.name == n).unwrap().value;
         assert_eq!(get("db_delta_epochs_published_total"), 1.0);
-        assert_eq!(get("db_delta_incremental_hits_total"), 1.0);
         assert_eq!(get("db_delta_corpora"), 1.0);
         assert!(get("db_delta_bytes") > 0.0);
     }

@@ -12,9 +12,10 @@
 //!   eviction.
 //! * [`delta`] — epoch-versioned dynamic graphs under `delta:` corpus
 //!   keys (`db-delta`): `add_edges`/`del_edges` batches publish epochs,
-//!   reads pin snapshots (snapshot isolation), reachability goes
-//!   through a per-corpus incremental cache, and compaction folds cold
-//!   layers under the chaos plan's `compaction` trigger.
+//!   reads pin a snapshot (snapshot isolation) and run on it through
+//!   [`exec`], so a `dfs`/`reach` runs the served kernel under its
+//!   deadline, and compaction folds cold layers under the chaos plan's
+//!   `compaction` trigger.
 //! * [`request`] — the typed request/response model (`dfs`, `reach`,
 //!   `scc`, `topo`, `articulation` over any engine) and its NDJSON
 //!   codec.

@@ -28,28 +28,16 @@ use db_graph::CsrGraph;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Load-time choices.
-#[derive(Debug, Clone, Copy)]
+/// Load-time choices: the backing and a fault-injection probe. Section
+/// checksums are always verified (one sequential pass over the file).
+#[derive(Debug, Clone, Copy, Default)]
 pub struct LoadOptions {
-    /// Verify section checksums (one sequential pass over the file).
-    /// Always on for untrusted inputs; the serve layer keeps it on.
-    pub verify: bool,
     /// Read into a private heap buffer instead of mmap.
     pub force_heap: bool,
     /// Fault injection: when set, load through a heap copy and flip one
     /// payload byte derived from this seed *before* verification —
     /// checksum verification must catch the corruption.
     pub corrupt_seed: Option<u64>,
-}
-
-impl Default for LoadOptions {
-    fn default() -> Self {
-        LoadOptions {
-            verify: true,
-            force_heap: false,
-            corrupt_seed: None,
-        }
-    }
 }
 
 /// A pack file loaded into a traversable graph, with provenance.
@@ -125,12 +113,14 @@ impl GraphStore for MappedStore {
     }
 }
 
-/// Loads a pack with default options (verify on, mmap preferred).
+/// Loads a pack with default options: mmap preferred, header and every
+/// section checksum verified before any section is used.
 pub fn load(path: impl AsRef<Path>) -> Result<MappedStore, StoreError> {
     load_with(path, &LoadOptions::default())
 }
 
-/// Loads a pack with explicit [`LoadOptions`].
+/// Loads a pack with explicit [`LoadOptions`]; verification is the
+/// same as [`load`]'s.
 pub fn load_with(path: impl AsRef<Path>, opts: &LoadOptions) -> Result<MappedStore, StoreError> {
     let path = path.as_ref();
     let (region, kind): (Arc<dyn Region>, RegionKind) = if let Some(seed) = opts.corrupt_seed {
@@ -148,17 +138,15 @@ pub fn load_with(path: impl AsRef<Path>, opts: &LoadOptions) -> Result<MappedSto
     let (header, entries) = parse_preamble(region.bytes())?;
     let file_len = region.bytes().len() as u64;
 
-    if opts.verify {
-        for e in &entries {
-            let payload = section_payload(region.bytes(), e)?;
-            let got = hash64(payload);
-            if got != e.checksum {
-                return Err(StoreError::SectionChecksum {
-                    id: e.id,
-                    expected: e.checksum,
-                    got,
-                });
-            }
+    for e in &entries {
+        let payload = section_payload(region.bytes(), e)?;
+        let got = hash64(payload);
+        if got != e.checksum {
+            return Err(StoreError::SectionChecksum {
+                id: e.id,
+                expected: e.checksum,
+                got,
+            });
         }
     }
 

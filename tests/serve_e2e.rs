@@ -7,9 +7,10 @@
 //! the flight dump must validate, and a server restarted on the first
 //! run's WAL directory must recover the delta corpus and answer its
 //! fences identically. The first run's scrape must also agree with its
-//! flight dump on every span-derived `db_serve_*` series. Two more
-//! tests hold a dfs to its deadline: a `serial` one on a path, which
-//! runs the one-at-a-time kernel, and a `native` one on `google`, which
+//! flight dump on every span-derived `db_serve_*` series. Three more
+//! tests hold a read to its deadline: a `serial` dfs on a path, which
+//! runs the one-at-a-time kernel, a reach on a `delta:` path, which runs
+//! it on the pinned snapshot, and a `native` dfs on `google`, which
 //! runs it batched, as a team with the idle second worker.
 
 #[path = "../crates/serve/tests/common/mod.rs"]
@@ -285,6 +286,43 @@ fn serial_dfs_stops_at_its_deadline() {
     assert_eq!(r.payload.get("completed").unwrap().as_bool(), Some(false));
     let partial = r.payload.get("visited").unwrap().as_u64().unwrap();
     assert!((1..1_000_000).contains(&partial), "partial count {partial}");
+}
+
+/// A `delta:` reach runs the same kernel on its pinned snapshot, so it
+/// obeys its deadline too: across a warm million-vertex delta path, a
+/// reach with a 1 ms budget stops at a kernel poll and proves nothing,
+/// and the same reach without a budget finds the far end.
+#[test]
+fn delta_reach_stops_at_its_deadline() {
+    const KEY: &str = "delta:path:1000000";
+    let server = Server::start(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    let h = server.handle();
+    let warm = h.run(request(0, KEY, Workload::Dfs { root: 0 }));
+    assert_eq!(warm.status, Status::Ok, "warm-up: {:?}", warm.error);
+    let reach = |id, deadline_ms| Request {
+        deadline_ms,
+        ..request(
+            id,
+            KEY,
+            Workload::Reach {
+                root: 0,
+                target: 999_999,
+            },
+        )
+    };
+    let r = h.run(reach(1, Some(1)));
+    let again = h.run(reach(2, None));
+    server.shutdown();
+    assert_eq!(r.status, Status::Expired, "{:?}", r.error);
+    assert_eq!(r.payload.to_json(), r#"{"completed":false}"#);
+    assert_eq!(again.status, Status::Ok, "{:?}", again.error);
+    assert_eq!(
+        again.payload.to_json(),
+        r#"{"reachable":true,"completed":true}"#
+    );
 }
 
 /// The same on the batched kernel: `google`'s arcs are scattered, so
