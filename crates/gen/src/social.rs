@@ -5,11 +5,13 @@
 //! edges, hopeless for the 50M-arc packs `db-store` is built for. This
 //! generator is **row-streaming**: every vertex's adjacency row is a
 //! pure function of `(seed, vertex)`, produced sorted and deduplicated,
-//! so a caller can feed rows straight into a
-//! `PackWriter` one at a time and never hold more than one row in
-//! memory. Re-deriving any row later (for spot checks, or to rebuild
-//! the whole graph in RAM for a differential test) gives identical
-//! bytes.
+//! so a caller can feed rows straight into a `PackWriter` a block at a
+//! time and never hold more than one block in memory. Because rows are
+//! independent, a block (and [`SocialGraph::build`]'s whole graph) is
+//! generated in row chunks on every core with the same bytes as the
+//! serial [`SocialGraph::for_each_row`] stream. Re-deriving any row
+//! later (for spot checks, or to rebuild the whole graph in RAM for a
+//! differential test) gives identical bytes.
 //!
 //! Structure, after the SNAP social graphs the paper evaluates:
 //!
@@ -26,7 +28,8 @@
 //! Graphs are **directed** (out-adjacency rows): symmetrizing would
 //! need the transpose and break one-pass streaming.
 
-use db_graph::CsrGraph;
+use db_graph::{par, CsrGraph};
+use std::ops::Range;
 
 /// Tunables for [`SocialGraph`]. `Default` matches the paper's social
 /// analogues: mean degree 10, Pareto tail `alpha = 2`, popularity bias
@@ -120,18 +123,27 @@ impl SocialGraph {
     /// Writes `u`'s sorted, deduplicated out-row into `out` (cleared
     /// first). Pure in `(seed, u)`: every call yields identical bytes.
     pub fn row_into(&self, u: u32, out: &mut Vec<u32>) {
-        let p = &self.params;
-        out.clear();
         let deg = self.sampled_degree(u);
+        out.clear();
+        out.resize(deg as usize, 0);
+        let len = self.fill_row(u, deg, out);
+        out.truncate(len);
+    }
+
+    /// Writes `u`'s sorted, deduplicated out-row into the front of
+    /// `out` and returns its length. `deg` is `sampled_degree(u)`, the
+    /// row's length before dedup; `out` must hold at least that many.
+    fn fill_row(&self, u: u32, deg: u32, out: &mut [u32]) -> usize {
+        let p = &self.params;
         let base = splitmix64(
             self.seed
                 .wrapping_add(0x5851_f42d_4c95_7f2d)
                 .wrapping_mul(2)
                 ^ u as u64,
         );
-        for k in 0..deg {
+        let targets = (0..deg).map(|k| {
             let w = splitmix64(base ^ (k as u64).wrapping_mul(0xd6e8_feb8_6659_fd93));
-            let t = if unit(w) < p.locality {
+            if unit(w) < p.locality {
                 // Near-window arc: a small forward offset in [1, 64].
                 let off = 1 + (splitmix64(w) % 64) as u32;
                 (u.wrapping_add(off)) % self.n
@@ -139,18 +151,30 @@ impl SocialGraph {
                 // Popularity-biased arc toward low vertex ids.
                 let t = ((self.n as f64) * unit(splitmix64(w ^ 1)).powf(p.beta)) as u32;
                 t.min(self.n - 1)
-            };
-            if t != u {
-                out.push(t);
+            }
+        });
+        let mut len = 0;
+        for (slot, t) in out.iter_mut().zip(targets.filter(|&t| t != u)) {
+            *slot = t;
+            len += 1;
+        }
+        let (row, _) = out.split_at_mut(len);
+        row.sort_unstable();
+        // Dedup in place: keep each value's first copy.
+        let mut kept = 0;
+        for i in 0..len {
+            // index-ok: kept <= i < len = row.len(), and kept > 0 when read
+            if kept == 0 || row[i] != row[kept - 1] {
+                row[kept] = row[i];
+                kept += 1;
             }
         }
-        out.sort_unstable();
-        out.dedup();
+        kept
     }
 
     /// Streams every row in vertex order through `f(u, row)`, reusing
-    /// one buffer. This is the pack-writer feed: peak memory is one
-    /// row. Returns the total arc count.
+    /// one buffer, on the calling thread: peak memory is one row.
+    /// Returns the total arc count.
     pub fn for_each_row(&self, mut f: impl FnMut(u32, &[u32])) -> u64 {
         let mut row = Vec::new();
         let mut arcs = 0u64;
@@ -162,17 +186,94 @@ impl SocialGraph {
         arcs
     }
 
-    /// Materializes the whole graph in RAM (directed CSR). Intended for
-    /// tests and small scales — pack-scale callers stream with
-    /// [`SocialGraph::for_each_row`] instead.
-    pub fn build(&self) -> CsrGraph {
-        let mut row_ptr = Vec::with_capacity(self.n as usize + 1);
-        let mut col_idx = Vec::new();
-        row_ptr.push(0u64);
-        self.for_each_row(|_, row| {
-            col_idx.extend_from_slice(row);
-            row_ptr.push(col_idx.len() as u64);
+    /// Generates the block of rows `rows` as CSR arrays, in row chunks
+    /// on every core ([`db_graph::par`]): `ends` gets `rows.len() + 1`
+    /// offsets from 0 and `cols` the rows' columns. Both are
+    /// overwritten, and a caller packing block after block reuses their
+    /// allocations; a block needs the sum of its rows' sampled degrees
+    /// in `cols`, a few percent above its arcs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` runs past the vertex count.
+    pub fn rows_into(&self, rows: Range<u32>, ends: &mut Vec<u64>, cols: &mut Vec<u32>) {
+        let work = rows
+            .len()
+            .saturating_mul(1 + self.params.avg_degree as usize);
+        self.rows_into_parts(rows, ends, cols, par::parts(work));
+    }
+
+    /// [`SocialGraph::rows_into`] in exactly `parts` chunks.
+    pub(crate) fn rows_into_parts(
+        &self,
+        rows: Range<u32>,
+        ends: &mut Vec<u64>,
+        cols: &mut Vec<u32>,
+        parts: usize,
+    ) {
+        assert!(rows.end <= self.n, "rows {rows:?} past n = {}", self.n);
+        let first = rows.start as usize;
+        let bounds = par::even(rows.len(), parts);
+        par::zeroed(ends, rows.len() + 1);
+        // Each row's sampled degree bounds its length, so each chunk can
+        // write at the sum of the degrees before it, in a buffer the
+        // caller allocates up front. Until the second pass, `ends` holds
+        // those degrees.
+        let row_ends = ends.split_at_mut(1).1;
+        let work: Vec<_> = par::ranges(&bounds)
+            .zip(par::split_mut(row_ends, &bounds))
+            .collect();
+        let sampled = par::run(work, |_, (r, degs)| {
+            let mut sum = 0;
+            for (i, deg) in r.zip(degs) {
+                *deg = u64::from(self.sampled_degree((first + i) as u32));
+                sum += *deg as usize;
+            }
+            sum
         });
+        let at = par::offsets(sampled.iter().copied());
+        par::zeroed(cols, sampled.iter().sum());
+        let row_ends = ends.split_at_mut(1).1;
+        let work: Vec<_> = par::ranges(&bounds)
+            .zip(par::split_mut(row_ends, &bounds))
+            .zip(par::split_mut(cols, &at))
+            .collect();
+        // Row ends are relative to their chunk's start until the gaps
+        // between the chunks are closed below.
+        let used = par::run(work, |_, ((r, ends), mut free)| {
+            let mut used = 0;
+            for (i, end) in r.zip(ends) {
+                let len = self.fill_row((first + i) as u32, *end as u32, free);
+                free = std::mem::take(&mut free).split_at_mut(len).1;
+                used += len;
+                *end = used as u64;
+            }
+            used
+        });
+        let mut len = 0;
+        for ((r, start), used) in par::ranges(&bounds).zip(at).zip(used) {
+            cols.copy_within(start..start + used, len);
+            for end in ends.iter_mut().skip(1 + r.start).take(r.len()) {
+                *end += len as u64;
+            }
+            len += used;
+        }
+        cols.truncate(len);
+    }
+
+    /// Materializes the whole graph in RAM (directed CSR), generating
+    /// its rows on every core. Pack-scale callers stream with
+    /// [`SocialGraph::rows_into`] in blocks instead.
+    pub fn build(&self) -> CsrGraph {
+        let work = (self.n as usize).saturating_mul(1 + self.params.avg_degree as usize);
+        self.build_parts(par::parts(work))
+    }
+
+    /// [`SocialGraph::build`] in exactly `parts` chunks.
+    pub(crate) fn build_parts(&self, parts: usize) -> CsrGraph {
+        let (mut row_ptr, mut col_idx) = (Vec::new(), Vec::new());
+        self.rows_into_parts(0..self.n, &mut row_ptr, &mut col_idx, parts);
+        col_idx.shrink_to_fit();
         CsrGraph::from_sorted_parts(self.n, row_ptr, col_idx, true)
     }
 }
@@ -217,6 +318,41 @@ mod tests {
         assert_eq!(u, 2000);
         assert_eq!(arcs, g.num_arcs() as u64);
         assert!(g.is_directed());
+    }
+
+    /// The graph and every block are the serial stream's bytes, however
+    /// many chunks generate them.
+    #[test]
+    fn chunked_rows_match_the_stream() {
+        for n in [1u32, 2, 3, 7, 2000, 200_001] {
+            let sg = SocialGraph::new(n, 0x5eed ^ u64::from(n), SocialParams::default());
+            let (mut row_ptr, mut col_idx) = (vec![0u64], Vec::new());
+            sg.for_each_row(|_, row| {
+                col_idx.extend_from_slice(row);
+                row_ptr.push(col_idx.len() as u64);
+            });
+            for parts in [1, 2, 3, 7] {
+                let g = sg.build_parts(parts);
+                assert_eq!(g.row_ptr(), &row_ptr[..], "n={n} parts={parts}");
+                assert_eq!(g.col_idx(), &col_idx[..], "n={n} parts={parts}");
+            }
+            assert_eq!(sg.build().col_idx(), &col_idx[..], "n={n}");
+            // A block from the middle, into buffers holding stale values.
+            let (lo, hi) = (n / 3, n - n / 4);
+            let (mut ends, mut cols) = (vec![9; 5], vec![9; 50]);
+            sg.rows_into_parts(lo..hi, &mut ends, &mut cols, 3);
+            let base = row_ptr[lo as usize];
+            let want: Vec<u64> = row_ptr[lo as usize..=hi as usize]
+                .iter()
+                .map(|&e| e - base)
+                .collect();
+            assert_eq!(ends, want, "n={n} block");
+            assert_eq!(
+                cols,
+                &col_idx[base as usize..row_ptr[hi as usize] as usize],
+                "n={n} block"
+            );
+        }
     }
 
     #[test]

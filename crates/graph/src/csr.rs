@@ -5,8 +5,10 @@
 //! 32-bit vertex id per stored arc). Undirected graphs store each edge in
 //! both directions, which is what DFS/BFS engines traverse.
 
+use crate::par;
 use crate::store::SectionSlice;
 use crate::VertexId;
+use std::ops::Range;
 
 /// Endpoint distance, in vertex ids, beyond which an arc counts as far:
 /// 4096 ids span 32 KiB of `row_ptr`, so a far neighbour's row bounds
@@ -49,6 +51,15 @@ pub enum CsrError {
         /// The vertex count it must stay below.
         n: u32,
     },
+    /// `col_idx[at] < col_idx[at - 1]` inside one row: rows must ascend
+    /// (repeats are legal), or `has_arc` and every other binary search
+    /// over a row answers wrong.
+    ColumnDecreasing {
+        /// The row the two columns belong to.
+        row: u32,
+        /// Index of the column entry that is smaller than its predecessor.
+        at: usize,
+    },
 }
 
 impl std::fmt::Display for CsrError {
@@ -74,6 +85,11 @@ impl std::fmt::Display for CsrError {
                     "column indices must be < n (col_idx[{at}] = {value}, n = {n})"
                 )
             }
+            CsrError::ColumnDecreasing { row, at } => write!(
+                f,
+                "rows must be sorted ascending (row {row}: col_idx[{at}] < col_idx[{}])",
+                at - 1
+            ),
         }
     }
 }
@@ -85,8 +101,8 @@ impl std::error::Error for CsrError {}
 /// Construct via [`crate::GraphBuilder`] or [`CsrGraph::from_sorted_parts`].
 /// Every constructor checks the arrays ([`CsrGraph::try_from_backed`]),
 /// so a `CsrGraph` is valid by construction: `row_ptr` starts at 0,
-/// never decreases and ends at the arc count, and every column is
-/// below `n`.
+/// never decreases and ends at the arc count, every column is below
+/// `n`, and every row ascends.
 ///
 /// The two arrays live in [`SectionSlice`]s: heap `Vec`s for built
 /// graphs, or zero-copy windows into an mmap'd pack file for graphs
@@ -118,7 +134,7 @@ impl CsrGraph {
     ///
     /// Panics if the arrays are inconsistent: `row_ptr` must have length
     /// `n + 1`, start at 0, be non-decreasing, end at `col_idx.len()`,
-    /// and every column index must be `< n`.
+    /// every column index must be `< n`, and every row must ascend.
     pub fn from_sorted_parts(n: u32, row_ptr: Vec<u64>, col_idx: Vec<u32>, directed: bool) -> Self {
         match Self::try_from_sorted_parts(n, row_ptr, col_idx, directed) {
             Ok(g) => g,
@@ -152,14 +168,17 @@ impl CsrGraph {
     /// Every other constructor ends here, so this is the one CSR check:
     /// a `CsrGraph` is valid by construction, and the engines index its
     /// arrays without checking them again. The same walk counts the
-    /// graph's far arcs ([`CsrGraph::far_arcs`]).
+    /// graph's far arcs ([`CsrGraph::far_arcs`]). A big graph is walked
+    /// in row chunks on every core ([`crate::par`]); the defect reported
+    /// is still the first a serial walk meets.
     pub fn try_from_backed(
         n: u32,
         row_ptr: SectionSlice<u64>,
         col_idx: SectionSlice<u32>,
         directed: bool,
     ) -> Result<Self, CsrError> {
-        let far_arcs = check(n, row_ptr.as_slice(), col_idx.as_slice())?;
+        let (rp, cols) = (row_ptr.as_slice(), col_idx.as_slice());
+        let far_arcs = check(n, rp, cols, par::parts(rp.len() + cols.len()))?;
         Ok(Self {
             n,
             row_ptr,
@@ -279,9 +298,10 @@ impl CsrGraph {
     }
 }
 
-/// Checks raw CSR arrays row by row, reporting the first defect, and
-/// counts the arcs whose endpoints are more than [`FAR_IDS`] ids apart.
-fn check(n: u32, row_ptr: &[u64], col_idx: &[u32]) -> Result<u64, CsrError> {
+/// Checks raw CSR arrays row by row in `parts` chunks, reporting the
+/// first defect, and counts the arcs whose endpoints are more than
+/// [`FAR_IDS`] ids apart.
+fn check(n: u32, row_ptr: &[u64], col_idx: &[u32], parts: usize) -> Result<u64, CsrError> {
     let Some((&first, ends)) = row_ptr
         .split_first()
         .filter(|(_, ends)| ends.len() == n as usize)
@@ -301,23 +321,53 @@ fn check(n: u32, row_ptr: &[u64], col_idx: &[u32]) -> Result<u64, CsrError> {
             got: last,
         });
     }
-    // Rows are contiguous, so row u's columns are the next
-    // `end - start` entries.
-    let mut cols = (0..).zip(col_idx);
-    let (mut start, mut far) = (first, 0);
-    for (u, &end) in (0..n).zip(ends) {
+    let chunks = par::ranges(&par::balance(row_ptr, parts)).collect();
+    // The lowest chunk's defect is the lowest row's, the one a serial
+    // walk meets first. A row out of order is reported only when the
+    // offsets and ranges hold everywhere: a too-large offset makes a
+    // row take in its successors' columns, which then look unsorted.
+    let (mut far, mut unsorted) = (0, None);
+    for chunk in par::run(chunks, |_, rows| check_rows(n, row_ptr, col_idx, rows)) {
+        let (f, u) = chunk?;
+        far += f;
+        unsorted = unsorted.or(u);
+    }
+    unsorted.map_or(Ok(far), Err)
+}
+
+/// Checks `rows` of raw CSR arrays whose `row_ptr` starts at 0 and
+/// ends at the arc count. Returns their first offset or range defect,
+/// else their far-arc count and their first row out of order.
+fn check_rows(
+    n: u32,
+    row_ptr: &[u64],
+    col_idx: &[u32],
+    rows: Range<usize>,
+) -> Result<(u64, Option<CsrError>), CsrError> {
+    let len = col_idx.len() as u64;
+    let (mut far, mut unsorted) = (0, None);
+    let offsets = row_ptr.iter().skip(rows.start);
+    for (u, (&start, &end)) in rows.zip(offsets.clone().zip(offsets.skip(1))) {
         if end < start {
-            return Err(CsrError::RowPtrDecreasing { at: u as usize });
+            return Err(CsrError::RowPtrDecreasing { at: u });
         }
-        for (at, &v) in cols.by_ref().take((end - start) as usize) {
+        // `row_ptr` ends at `len`, so a row that runs past it is
+        // followed by a decreasing one; until then, check the columns
+        // there are.
+        let (lo, hi) = (start.min(len) as usize, end.min(len) as usize);
+        let mut prev = 0;
+        for (at, &v) in (lo..).zip(col_idx.get(lo..hi).unwrap_or_default()) {
             if v >= n {
                 return Err(CsrError::ColumnOutOfRange { at, value: v, n });
             }
-            far += u64::from(v.abs_diff(u) > FAR_IDS);
+            if v < prev && unsorted.is_none() {
+                unsorted = Some(CsrError::ColumnDecreasing { row: u as u32, at });
+            }
+            far += u64::from(v.abs_diff(u as u32) > FAR_IDS);
+            prev = v;
         }
-        start = end;
     }
-    Ok(far)
+    Ok((far, unsorted))
 }
 
 #[cfg(test)]
@@ -392,6 +442,74 @@ mod tests {
     #[should_panic(expected = "non-decreasing")]
     fn rejects_decreasing_row_ptr() {
         CsrGraph::from_sorted_parts(2, vec![0, 2, 1], vec![0], false);
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted ascending")]
+    fn rejects_unsorted_row() {
+        CsrGraph::from_sorted_parts(3, vec![0, 2, 2, 2], vec![2, 1], false);
+    }
+
+    #[test]
+    fn repeated_columns_stay_legal() {
+        let g = CsrGraph::from_sorted_parts(2, vec![0, 3, 3], vec![1, 1, 1], true);
+        assert_eq!(g.neighbors(0), &[1, 1, 1]);
+    }
+
+    /// `n` rows of up to four ascending columns each.
+    fn raw_parts(n: u32) -> (Vec<u64>, Vec<u32>) {
+        let (mut rp, mut cols) = (vec![0u64], Vec::new());
+        for u in 0..n {
+            let mut row: Vec<u32> = (0..u % 5).map(|k| (u * 7 + k * 4099) % n).collect();
+            row.sort_unstable();
+            cols.extend(row);
+            rp.push(cols.len() as u64);
+        }
+        (rp, cols)
+    }
+
+    #[test]
+    fn chunked_check_matches_one_part() {
+        let n = 3000;
+        let (rp, cols) = raw_parts(n);
+        let row_of = |at: usize| rp.partition_point(|&e| e <= at as u64) - 1;
+        let mut cases = vec![(rp.clone(), cols.clone())];
+        for at in [0, cols.len() / 3, cols.len() / 2, cols.len() - 1] {
+            let mut bad = cols.clone();
+            bad[at] = n + 1;
+            cases.push((rp.clone(), bad));
+            // A row whose later column drops below its first.
+            let u = row_of(at);
+            let (lo, hi) = (rp[u] as usize, rp[u + 1] as usize);
+            if hi - lo >= 2 && cols[lo] > 0 {
+                let mut bad = cols.clone();
+                bad[hi - 1] = cols[lo] - 1;
+                cases.push((rp.clone(), bad.clone()));
+                // A range defect in a later row outranks it.
+                bad[cols.len() - 1] = n;
+                cases.push((rp.clone(), bad));
+            }
+        }
+        for u in [1, n as usize / 2, n as usize - 1] {
+            let mut bad = rp.clone();
+            bad[u] = bad[u + 1] + 1;
+            cases.push((bad, cols.clone()));
+        }
+        let mut bad = rp.clone();
+        bad[7] = cols.len() as u64 + 5;
+        cases.push((bad, cols.clone()));
+        let defects = cases.iter().filter(|(r, c)| check(n, r, c, 1).is_err());
+        assert!(defects.count() >= 10, "the cases must mostly be defects");
+        for (r, c) in &cases {
+            let one = check(n, r, c, 1);
+            for parts in [2, 3, 7] {
+                assert_eq!(check(n, r, c, parts), one, "{parts} parts");
+            }
+        }
+        assert_eq!(
+            check(n, &rp, &cols, 7).unwrap(),
+            CsrGraph::from_sorted_parts(n, rp, cols, true).far_arcs()
+        );
     }
 
     #[test]

@@ -52,15 +52,25 @@ impl std::error::Error for DecodeError {}
 /// Appends the LEB128 encoding of `v` to `out`.
 #[inline]
 pub fn write_varint(v: u32, out: &mut Vec<u8>) {
-    let mut v = v;
+    let mut buf = [0; MAX_VARINT_LEN];
+    let len = put_varint(v, &mut buf);
+    out.extend_from_slice(&buf[..len]);
+}
+
+/// Writes the LEB128 encoding of `v` to the front of `out` and returns
+/// its length.
+#[inline]
+fn put_varint(mut v: u32, out: &mut [u8]) -> usize {
+    let mut len = 0;
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
         if v == 0 {
-            out.push(byte);
-            return;
+            out[len] = byte;
+            return len + 1;
         }
-        out.push(byte | 0x80);
+        out[len] = byte | 0x80;
+        len += 1;
     }
 }
 
@@ -98,41 +108,68 @@ pub fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u32, DecodeError> {
 /// an unsorted row would produce an underflowing gap, so this panics in
 /// debug builds and must be pre-sorted by callers handling raw input.
 pub fn encode_row(row: &[u32], out: &mut Vec<u8>) {
+    let start = out.len();
+    out.resize(start + encoded_row_len(row), 0);
+    encode_row_into(row, &mut out[start..]);
+}
+
+/// [`encode_row`] into the front of a buffer the caller sized: `out`
+/// must hold at least [`encoded_row_len`] bytes. Returns that length.
+///
+/// # Panics
+///
+/// Panics if `out` is shorter than the encoding.
+pub fn encode_row_into(row: &[u32], out: &mut [u8]) -> usize {
     debug_assert!(
         row.windows(2).all(|w| w[0] <= w[1]),
         "encode_row requires a sorted row"
     );
     let mut prev = 0u32;
+    let mut len = 0;
     for (i, &v) in row.iter().enumerate() {
-        if i == 0 {
-            write_varint(v, out);
-        } else {
-            write_varint(v.wrapping_sub(prev), out);
-        }
+        let gap = if i == 0 { v } else { v.wrapping_sub(prev) };
+        len += put_varint(gap, &mut out[len..]);
         prev = v;
     }
+    len
 }
 
 /// Decodes `degree` delta+varint neighbors from `bytes` at `*pos`,
-/// appending them to `out` and advancing `*pos`.
+/// appending them to `out` and advancing `*pos`. On an error the
+/// appended values are unspecified.
 pub fn decode_row(
     bytes: &[u8],
     pos: &mut usize,
     degree: usize,
     out: &mut Vec<u32>,
 ) -> Result<(), DecodeError> {
+    // Every value takes at least one byte, so a row longer than the
+    // bytes left is truncated: grow by no more than those.
+    let fits = degree.min(bytes.len().saturating_sub(*pos));
+    let start = out.len();
+    out.resize(start + fits, 0);
+    decode_row_into(bytes, pos, &mut out[start..])?;
+    if fits < degree {
+        return Err(DecodeError::Truncated { at: *pos });
+    }
+    Ok(())
+}
+
+/// Decodes `out.len()` delta+varint neighbors from `bytes` at `*pos`
+/// into `out`, advancing `*pos`: the form for buffers the caller
+/// sized.
+pub fn decode_row_into(bytes: &[u8], pos: &mut usize, out: &mut [u32]) -> Result<(), DecodeError> {
     let mut prev = 0u32;
-    for i in 0..degree {
+    for (i, v) in out.iter_mut().enumerate() {
         let at = *pos;
         let raw = read_varint(bytes, pos)?;
-        let v = if i == 0 {
+        prev = if i == 0 {
             raw
         } else {
             prev.checked_add(raw)
                 .ok_or(DecodeError::DeltaOverflow { at })?
         };
-        out.push(v);
-        prev = v;
+        *v = prev;
     }
     Ok(())
 }

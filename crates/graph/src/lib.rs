@@ -26,6 +26,9 @@
 //! * [`stats`] — structural characterization: degree shape, BFS level
 //!   count, and serial-DFS stack depth (the quantities that position a
 //!   graph in the paper's evaluation).
+//! * [`par`] — scoped row-chunk parallelism for the cold path: the
+//!   social generator, the pack encoder and decoder and the CSR check
+//!   split big inputs into one chunk of rows per core.
 //!
 //! The crate is dependency-light and deterministic; all randomness is
 //! seeded and owned by the caller.
@@ -36,6 +39,7 @@ pub mod builder;
 pub mod csr;
 pub mod encode;
 pub mod mm;
+pub mod par;
 pub mod permute;
 pub mod sources;
 pub mod stats;

@@ -74,6 +74,28 @@ proptest! {
         ));
     }
 
+    /// A row whose columns decrease is rejected at its first decreasing
+    /// entry: `neighbors` promises ascending rows, and `has_arc` binary
+    /// searches them.
+    #[test]
+    fn unsorted_row_rejected(
+        (n, row_ptr, col_idx) in arb_parts(40, 120),
+        pick in any::<u16>(),
+    ) {
+        let long: Vec<usize> = (0..n as usize)
+            .filter(|&u| row_ptr[u + 1] - row_ptr[u] >= 2)
+            .collect();
+        prop_assume!(!long.is_empty());
+        let u = long[pick as usize % long.len()];
+        let (lo, hi) = (row_ptr[u] as usize, row_ptr[u + 1] as usize);
+        // Rows are strictly ascending, so swapping a row's ends makes
+        // its second entry the first one below its predecessor.
+        let mut bad = col_idx.clone();
+        bad.swap(lo, hi - 1);
+        let err = CsrGraph::try_from_sorted_parts(n, row_ptr, bad, true).unwrap_err();
+        prop_assert_eq!(err, CsrError::ColumnDecreasing { row: u as u32, at: lo + 1 });
+    }
+
     /// Truncated or oversized row_ptr arrays are length errors, not
     /// index panics.
     #[test]

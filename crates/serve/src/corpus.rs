@@ -27,10 +27,14 @@
 //! run no CSR check of their own.
 //!
 //! Residency accounting charges [`db_graph::GraphStore::charged_bytes`]
-//! rather than the raw CSR footprint: an mmap-loaded store's pages are
-//! shared and only page-cache resident where touched, so it charges the
-//! header plus the hot-section estimate instead of the full file — a
-//! 50M-arc pack no longer evicts the whole rest of the corpus on open.
+//! rather than the raw CSR footprint: an mmap-loaded store's mapped
+//! sections charge a fixed quarter of their bytes, plus its header and
+//! its heap columns at full price, instead of the full file, so a
+//! 50M-arc pack does not evict the whole rest of the corpus on open.
+//! The quarter is a deterministic charge, not a measurement: the load's
+//! checksum pass touches the whole mapping, after which a compressed
+//! pack releases its column pages and keeps only `row_ptr` resident,
+//! while a raw pack keeps every section resident.
 
 use db_graph::{builder::from_edge_list, CsrGraph, GraphBuilder, GraphStore};
 use db_metrics::{Counter, Gauge, Registry};

@@ -22,9 +22,10 @@ use crate::format::{
     SEC_COL_RAW, SEC_HUB_COLS, SEC_ROW_PTR, VERSION,
 };
 use crate::mmapio::{open_region, resident_bytes, RegionKind};
-use db_graph::encode::decode_row;
+use db_graph::encode::decode_row_into;
 use db_graph::store::{GraphStore, HeapRegion, Region, SectionError, SectionSlice};
-use db_graph::CsrGraph;
+use db_graph::{par, CsrGraph};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -122,7 +123,16 @@ pub fn load(path: impl AsRef<Path>) -> Result<MappedStore, StoreError> {
 /// Loads a pack with explicit [`LoadOptions`]; verification is the
 /// same as [`load`]'s.
 pub fn load_with(path: impl AsRef<Path>, opts: &LoadOptions) -> Result<MappedStore, StoreError> {
-    let path = path.as_ref();
+    load_split(path.as_ref(), opts, par::parts)
+}
+
+/// [`load_with`], decoding a compressed pack's columns in
+/// `parts(work)` row chunks.
+pub(crate) fn load_split(
+    path: &Path,
+    opts: &LoadOptions,
+    parts: impl Fn(usize) -> usize,
+) -> Result<MappedStore, StoreError> {
     let (region, kind): (Arc<dyn Region>, RegionKind) = if let Some(seed) = opts.corrupt_seed {
         let mut bytes = std::fs::read(path).map_err(|source| StoreError::Io {
             op: "read",
@@ -181,7 +191,9 @@ pub fn load_with(path: impl AsRef<Path>, opts: &LoadOptions) -> Result<MappedSto
         let hub = find_section(&entries, SEC_HUB_COLS)?;
         let packed_bytes = section_payload(region.bytes(), packed)?;
         let hub_bytes = section_payload(region.bytes(), hub)?;
-        let cols = decode_columns(row_ptr.as_slice(), header, packed_bytes, hub_bytes)?;
+        let rp = row_ptr.as_slice();
+        let parts = parts(rp.len().saturating_add(header.arcs as usize));
+        let cols = decode_columns(rp, header, packed_bytes, hub_bytes, parts)?;
         // Nothing reads the packed columns again; a heap region keeps them.
         for e in [packed, hub] {
             region.release(e.offset as usize..(e.offset + e.len) as usize);
@@ -331,48 +343,134 @@ fn map_u32s(
     }
 }
 
-/// Decodes the full column array from the packed + hub sections, using
-/// the (pre-validated) row pointers for degrees and hub routing.
+/// Decodes the full column array from the packed + hub sections in
+/// `parts` row chunks, using the (pre-validated) row pointers for
+/// degrees and hub routing.
+///
+/// A chunk's start in `hub_cols` is the hub bytes of the rows before
+/// it; its start in `col_packed` follows as many varint terminator
+/// bytes (bytes below 0x80, one per value) as the rows before it hold
+/// packed arcs. Each chunk must decode to exactly where the next one
+/// begins, the last to the end of the section.
 fn decode_columns(
     rp: &[u64],
     header: Header,
     packed: &[u8],
     hub: &[u8],
+    parts: usize,
 ) -> Result<Vec<u32>, StoreError> {
-    let mut cols = Vec::with_capacity(header.arcs as usize);
-    let mut packed_pos = 0usize;
-    let mut hub_pos = 0usize;
-    let threshold = u64::from(header.hub_threshold);
-    for u in 0..header.n as usize {
-        let d = (rp[u + 1] - rp[u]) as usize;
-        if d as u64 >= threshold {
-            let need = d * 4;
-            let end = hub_pos
-                .checked_add(need)
-                .filter(|&e| e <= hub.len())
-                .ok_or_else(|| {
-                    StoreError::Malformed(format!("hub section exhausted at vertex {u}"))
-                })?;
-            cols.extend(
-                hub[hub_pos..end]
-                    .chunks_exact(4)
-                    .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes"))), // io-ok: chunks_exact
-            );
-            hub_pos = end;
-        } else {
-            decode_row(packed, &mut packed_pos, d, &mut cols)?;
-        }
-    }
-    if packed_pos != packed.len() || hub_pos != hub.len() {
+    // A packed arc takes at least one byte and a hub arc four: bound the
+    // allocation, and every offset sum below, by the file.
+    if header.arcs > packed.len() as u64 + hub.len() as u64 / 4 {
         return Err(StoreError::Malformed(format!(
-            "trailing column bytes (packed {}/{}, hub {}/{})",
-            packed_pos,
+            "{} arcs cannot fit in {} packed and {} hub bytes",
+            header.arcs,
             packed.len(),
-            hub_pos,
             hub.len()
         )));
     }
+    let threshold = u64::from(header.hub_threshold);
+    let bounds = par::balance(rp, parts);
+    let chunks: Vec<Range<usize>> = par::ranges(&bounds).collect();
+    // Per chunk: its packed arcs (varints) and its hub bytes.
+    let held = par::run(chunks.clone(), |_, rows| {
+        let (mut varints, mut hub_bytes) = (0, 0);
+        for u in rows {
+            let d = (rp[u + 1] - rp[u]) as usize;
+            if d as u64 >= threshold {
+                hub_bytes += 4 * d;
+            } else {
+                varints += d;
+            }
+        }
+        (varints, hub_bytes)
+    });
+    let hub_at = par::offsets(held.iter().map(|&(_, h)| h));
+    let hub_need = held.iter().map(|&(_, h)| h).sum::<usize>();
+    if hub_need != hub.len() {
+        return Err(StoreError::Malformed(format!(
+            "hub rows need {hub_need} bytes, the hub section holds {}",
+            hub.len()
+        )));
+    }
+    // Chunk k starts just past the `starts[k]`-th packed value.
+    let mut starts = par::offsets(held.iter().map(|&(v, _)| v));
+    starts.pop();
+    let mut packed_at = varint_offsets(packed, &starts).ok_or_else(|| {
+        StoreError::Malformed(format!(
+            "col_packed holds fewer than {} values",
+            starts.last().copied().unwrap_or(0)
+        ))
+    })?;
+    packed_at.push(packed.len());
+
+    let col_at: Vec<usize> = bounds.iter().map(|&u| rp[u] as usize).collect();
+    let mut cols = vec![0u32; header.arcs as usize];
+    let work: Vec<_> = chunks
+        .into_iter()
+        .zip(par::split_mut(&mut cols, &col_at))
+        .zip(par::ranges(&packed_at).zip(par::ranges(&hub_at)))
+        .collect();
+    let ends = par::run(work, |_, ((rows, out), (packed_span, hub_span))| {
+        // A chunk reads no further than the next one's start.
+        let (stream, mut pos) = (&packed[..packed_span.end], packed_span.start);
+        let (mut hub_rows, mut free) = (hub[hub_span].chunks_exact(4), out);
+        for u in rows {
+            let d = (rp[u + 1] - rp[u]) as usize;
+            let (row, rest) = std::mem::take(&mut free).split_at_mut(d);
+            if d as u64 >= threshold {
+                for (v, c) in row.iter_mut().zip(hub_rows.by_ref()) {
+                    *v = u32::from_le_bytes(c.try_into().expect("4 bytes")); // io-ok: chunks_exact
+                }
+            } else {
+                decode_row_into(stream, &mut pos, row)?;
+            }
+            free = rest;
+        }
+        Ok::<_, StoreError>(pos)
+    });
+    for (k, (end, want)) in ends
+        .into_iter()
+        .zip(packed_at.into_iter().skip(1))
+        .enumerate()
+    {
+        let end = end?;
+        if end != want {
+            return Err(StoreError::Malformed(format!(
+                "column chunk {k} ends at byte {end} of col_packed, the next begins at {want}"
+            )));
+        }
+    }
     Ok(cols)
+}
+
+/// Byte offsets in a varint stream just past its `counts[k]`-th value,
+/// for ascending `counts`: each value ends at its one byte below 0x80.
+/// `None` if the stream holds fewer values.
+fn varint_offsets(bytes: &[u8], counts: &[usize]) -> Option<Vec<usize>> {
+    let (mut pos, mut seen) = (0, 0);
+    let mut out = Vec::with_capacity(counts.len() + 1);
+    for &want in counts {
+        while seen < want {
+            let block = bytes
+                .get(pos..bytes.len().min(pos + 64))
+                .filter(|b| !b.is_empty())?;
+            let ends = block.iter().filter(|&&b| b < 0x80).count();
+            if seen + ends < want {
+                (pos, seen) = (pos + block.len(), seen + ends);
+                continue;
+            }
+            for &b in block {
+                pos += 1;
+                seen += usize::from(b < 0x80);
+                if seen == want {
+                    break;
+                }
+            }
+        }
+        out.push(pos);
+    }
+    Some(out)
 }
 
 /// Flips one byte of `bytes` in the payload area (past the header when
@@ -391,4 +489,140 @@ pub fn corrupt_one_byte(bytes: &mut [u8], seed: u64) {
     let idx = base + (seed % span as u64) as usize;
     let mask = ((seed >> 32) as u8) | 1;
     bytes[idx] ^= mask;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::format::SEC_ROW_PTR;
+    use crate::pack::{pack_graph, PackOptions};
+    use db_graph::builder::from_edge_list;
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// A pack path in a directory of its own, removed when the guard drops.
+    struct Scratch(PathBuf);
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn scratch() -> (Scratch, PathBuf) {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        // relaxed-ok: unique id allocation; only atomicity matters
+        let k = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("dbstore-load-{}-{k}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        let path = dir.join("g.dbsg");
+        (Scratch(dir), path)
+    }
+
+    /// Hubs wired to everything plus a scattered tail: hub rows, packed
+    /// rows and empty rows all present.
+    fn hubby(n: u32) -> CsrGraph {
+        let mut edges: Vec<(u32, u32)> = (0..n).map(|u| (u, (u * 37 + 11) % n)).collect();
+        for h in [1, n / 2] {
+            edges.extend((0..n).step_by(3).map(|v| (h, v)));
+        }
+        from_edge_list(n, &edges, true)
+    }
+
+    fn load_parts(path: &Path, parts: usize) -> Result<MappedStore, StoreError> {
+        load_split(path, &LoadOptions::default(), |_| parts)
+    }
+
+    /// Rewrites section `id`'s payload with `edit` and recomputes its
+    /// checksum, so only the structural checks can catch the edit.
+    fn reseal(bytes: &mut [u8], id: u32, edit: impl FnOnce(&mut [u8])) {
+        let (_, entries) = parse_preamble(bytes).unwrap();
+        let (i, e) = entries
+            .iter()
+            .enumerate()
+            .find(|(_, e)| e.id == id)
+            .unwrap();
+        let payload = &mut bytes[e.offset as usize..(e.offset + e.len) as usize];
+        edit(payload);
+        let sum = hash64(payload);
+        let at = HEADER_LEN + i * SECTION_ENTRY_LEN + 24;
+        bytes[at..at + 8].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    #[test]
+    fn chunked_decode_matches_one_part() {
+        let (_dir, path) = scratch();
+        let g = hubby(3000);
+        pack_graph(&g, &path, PackOptions::default()).unwrap();
+        for parts in [1, 2, 3, 7] {
+            assert_eq!(
+                load_parts(&path, parts).unwrap().graph(),
+                &g,
+                "{parts} parts"
+            );
+        }
+        // Two varints merged into one, the last one left open, and arcs
+        // moved from a hub row to a packed one: every split fails typed.
+        let orig = std::fs::read(&path).unwrap();
+        type Edit = (u32, fn(&mut [u8]));
+        let edits: [Edit; 3] = [
+            (SEC_COL_PACKED, |p| {
+                let mid = (p.len() / 2..).find(|&i| p[i] < 0x80).unwrap();
+                p[mid] |= 0x80;
+            }),
+            (SEC_COL_PACKED, |p| p[p.len() - 1] = 0x80),
+            (SEC_ROW_PTR, |p| {
+                // Row 1 (a hub) ends 8 arcs early, row 2 takes them.
+                let end = u64::from_le_bytes(p[16..24].try_into().unwrap());
+                p[16..24].copy_from_slice(&(end - 8).to_le_bytes());
+            }),
+        ];
+        for (id, edit) in edits {
+            let mut bytes = orig.clone();
+            reseal(&mut bytes, id, edit);
+            std::fs::write(&path, &bytes).unwrap();
+            for parts in [1, 2, 3, 7] {
+                let r = load_parts(&path, parts);
+                assert!(
+                    matches!(r, Err(StoreError::Malformed(_) | StoreError::Decode(_))),
+                    "section {id}, {parts} parts: {r:?}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// Any bytes inside `row_ptr`, `col_packed` or `hub_cols`, under a
+        /// recomputed checksum, load as a typed error or a valid graph
+        /// however the decode is split: never a panic.
+        #[test]
+        fn resealed_mutations_load_typed_or_valid(
+            section in 0usize..3,
+            flips in proptest::collection::vec((any::<u32>(), any::<u8>()), 1..4),
+            parts in 1usize..8,
+        ) {
+            let (_dir, path) = scratch();
+            let g = hubby(400);
+            pack_graph(&g, &path, PackOptions { compress: true, hub_threshold: 40 }).unwrap();
+            let id = [SEC_ROW_PTR, SEC_COL_PACKED, SEC_HUB_COLS][section];
+            let mut bytes = std::fs::read(&path).unwrap();
+            reseal(&mut bytes, id, |p| {
+                for &(at, x) in &flips {
+                    let at = at as usize % p.len();
+                    p[at] ^= x | 1;
+                }
+            });
+            std::fs::write(&path, &bytes).unwrap();
+            if let Ok(store) = load_parts(&path, parts) {
+                let h = store.graph();
+                prop_assert_eq!(h.num_vertices(), 400);
+                for u in 0..400 {
+                    prop_assert!(h.neighbors(u).windows(2).all(|w| w[0] <= w[1]));
+                }
+            }
+        }
+    }
 }

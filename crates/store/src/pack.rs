@@ -2,12 +2,27 @@
 //!
 //! The writer is push-based so generators can stream multi-million-edge
 //! graphs without materializing a `CsrGraph`: call
-//! [`PackWriter::push_row`] once per vertex (sorted neighbor list), then
-//! [`PackWriter::finish`]. Column payloads spool to side files next to
-//! the target (bounded memory); only the `row_ptr` array is held in RAM
-//! (`8 × (n + 1)` bytes). The final file is assembled in a `.tmp`
-//! sibling and published with an atomic rename, so readers never observe
-//! a half-written pack.
+//! [`PackWriter::push_rows`] with blocks of sorted rows (or
+//! [`PackWriter::push_row`] once per vertex), then
+//! [`PackWriter::finish`]. The file is assembled in a `.tmp` sibling
+//! and published with an atomic rename, so readers never observe a
+//! half-written pack.
+//!
+//! The header, the section table and `row_ptr` have sizes known from
+//! `n`, so the column section (`col_packed`, or `col_raw` in a raw
+//! pack) streams straight to its final offset in the `.tmp` file. Only
+//! a compressed pack's hub rows spool to a side file: their section
+//! follows `col_packed`, whose length is known only at the end. The
+//! writer holds `row_ptr` (`8 × (n + 1)` bytes) and one block's encoded
+//! bytes in RAM; `finish` writes `row_ptr`, copies the hub spool after
+//! the packed columns, and writes the header and the checksummed
+//! section table last.
+//!
+//! A block is encoded in row chunks on every core ([`db_graph::par`]):
+//! one pass checks each chunk's rows and sizes its bytes exactly
+//! ([`encoded_row_len`]), the writer's reused buffers grow to the
+//! block, and a second pass encodes each chunk into its own slices. The
+//! bytes are those of one row at a time.
 //!
 //! Degree-skew-aware layout: rows with degree at or above
 //! `hub_threshold` (the "hubs" of a skewed degree distribution) are
@@ -20,10 +35,11 @@ use crate::format::{
     align8, Hash64, Header, SectionEntry, FLAG_COMPRESSED, FLAG_DIRECTED, HEADER_LEN,
     SECTION_ENTRY_LEN, SEC_COL_PACKED, SEC_COL_RAW, SEC_HUB_COLS, SEC_ROW_PTR, VERSION,
 };
-use db_graph::encode::encode_row;
-use db_graph::CsrGraph;
+use db_graph::encode::{encode_row_into, encoded_row_len};
+use db_graph::{par, CsrGraph};
 use std::fs::{self, File};
-use std::io::{BufWriter, Write};
+use std::io::{BufWriter, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// Pack-time layout choices.
@@ -63,39 +79,58 @@ pub struct PackSummary {
     pub hub_arcs: u64,
 }
 
-/// One spooled section payload: bytes stream to a side file while the
-/// checksum and length accumulate.
-struct Spool {
+/// One section payload streaming to a file while its checksum and
+/// length accumulate.
+struct Payload {
     path: PathBuf,
     file: BufWriter<File>,
     hash: Hash64,
     len: u64,
 }
 
-impl Spool {
-    fn create(path: PathBuf) -> Result<Self, StoreError> {
-        let file = File::create(&path).map_err(|source| StoreError::Io {
-            op: "create spool",
-            path: path.clone(),
-            source,
-        })?;
-        Ok(Spool {
+impl Payload {
+    fn new(path: PathBuf, file: File) -> Self {
+        Payload {
             path,
             file: BufWriter::new(file),
             hash: Hash64::new(),
             len: 0,
-        })
+        }
     }
 
     fn write(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
         self.hash.update(bytes);
         self.len += bytes.len() as u64;
         self.file.write_all(bytes).map_err(|source| StoreError::Io {
-            op: "write spool",
+            op: "write",
             path: self.path.clone(),
             source,
         })
     }
+
+    /// Flushes the buffered bytes and hands back the file.
+    fn flushed(&mut self) -> Result<&mut File, StoreError> {
+        self.file.flush().map_err(|source| StoreError::Io {
+            op: "flush",
+            path: self.path.clone(),
+            source,
+        })?;
+        Ok(self.file.get_mut())
+    }
+}
+
+/// Work items (rows plus arcs) [`PackWriter::push_rows`] encodes at a
+/// time: its encode buffers hold one such block, a few MiB.
+const BLOCK: usize = 1 << 22;
+
+/// What one chunk of rows needs in the two column sections.
+#[derive(Debug, Clone, Copy, Default)]
+struct ChunkLen {
+    /// Bytes in `col_packed` (compressed) or `col_raw` (raw packs).
+    cols: usize,
+    /// Bytes in `hub_cols`.
+    hub: usize,
+    hub_rows: u64,
 }
 
 /// Streaming writer for one pack file. See the module docs for the
@@ -105,11 +140,14 @@ pub struct PackWriter {
     opts: PackOptions,
     n: u32,
     directed: bool,
-    next_vertex: u32,
     row_ptr: Vec<u64>,
-    packed: Spool,
-    hub: Spool,
-    row_buf: Vec<u8>,
+    /// `col_packed` (or `col_raw`), written at its place in the `.tmp`.
+    cols: Payload,
+    /// `hub_cols` of a compressed pack, spooled until [`PackWriter::finish`].
+    hub: Option<Payload>,
+    /// A block's encoded sections, reused from block to block.
+    cols_buf: Vec<u8>,
+    hub_buf: Vec<u8>,
     hub_rows: u64,
     hub_arcs: u64,
     finished: bool,
@@ -120,15 +158,16 @@ impl std::fmt::Debug for PackWriter {
         f.debug_struct("PackWriter")
             .field("path", &self.path)
             .field("n", &self.n)
-            .field("next_vertex", &self.next_vertex)
+            .field("next_vertex", &self.next_vertex())
             .finish()
     }
 }
 
 impl PackWriter {
-    /// Opens a writer targeting `path` for an `n`-vertex graph. Spool
-    /// and temp files are created as `<path>.spool-*` / `<path>.tmp`
-    /// siblings so the rename at the end stays on one filesystem.
+    /// Opens a writer targeting `path` for an `n`-vertex graph. The
+    /// pack is assembled in a `<path>.tmp` sibling (and a compressed
+    /// pack's hub rows spool to `<path>.spool-hub`) so the rename at the
+    /// end stays on one filesystem.
     pub fn create(
         path: impl AsRef<Path>,
         n: u32,
@@ -136,143 +175,253 @@ impl PackWriter {
         opts: PackOptions,
     ) -> Result<Self, StoreError> {
         let path = path.as_ref().to_path_buf();
-        let packed = Spool::create(sibling(&path, ".spool-cols"))?;
-        let hub = Spool::create(sibling(&path, ".spool-hub"))?;
+        let tmp = sibling(&path, ".tmp");
+        let io = |op, source| StoreError::Io {
+            op,
+            path: tmp.clone(),
+            source,
+        };
+        let mut file = File::create(&tmp).map_err(|e| io("create", e))?;
+        // Header, section table and row_ptr have sizes known from `n`,
+        // so the column section can stream to its final offset now.
+        let (_, cols_off) = layout(n, opts.compress);
+        file.seek(SeekFrom::Start(cols_off))
+            .map_err(|e| io("seek", e))?;
         let mut row_ptr = Vec::with_capacity(n as usize + 1);
         row_ptr.push(0);
-        Ok(PackWriter {
+        let mut w = PackWriter {
             path,
             opts,
             n,
             directed,
-            next_vertex: 0,
             row_ptr,
-            packed,
-            hub,
-            row_buf: Vec::new(),
+            cols: Payload::new(tmp.clone(), file),
+            hub: None,
+            cols_buf: Vec::new(),
+            hub_buf: Vec::new(),
             hub_rows: 0,
             hub_arcs: 0,
             finished: false,
-        })
+        };
+        if opts.compress {
+            let spool = sibling(&w.path, ".spool-hub");
+            let file = File::create(&spool).map_err(|source| StoreError::Io {
+                op: "create spool",
+                path: spool.clone(),
+                source,
+            })?;
+            w.hub = Some(Payload::new(spool, file));
+        }
+        Ok(w)
+    }
+
+    fn next_vertex(&self) -> usize {
+        self.row_ptr.len() - 1
     }
 
     /// Appends the sorted neighbor row of the next vertex (vertex ids
-    /// are implicit: call exactly `n` times, in order).
+    /// are implicit: call exactly `n` times, in order). Each call is a
+    /// one-row [`PackWriter::push_rows`] block, about 1 µs of overhead
+    /// per row; a caller with many rows at hand passes them as blocks.
     pub fn push_row(&mut self, row: &[u32]) -> Result<(), StoreError> {
-        if self.next_vertex >= self.n {
+        self.push_rows(&[0, row.len() as u64], row)
+    }
+
+    /// Appends the next `ends.len() - 1` rows, given as CSR arrays: row
+    /// `i` of the block is `cols[ends[i]..ends[i + 1]]` (so `ends` may
+    /// be a window of a whole graph's `row_ptr`). Each row must be
+    /// sorted, with every neighbor below `n`; the lowest row that is not
+    /// fails the call with [`StoreError::Malformed`].
+    ///
+    /// Rows are encoded a block at a time, each block in row chunks on
+    /// every core ([`db_graph::par`]); the bytes are those of one
+    /// [`PackWriter::push_row`] per row.
+    pub fn push_rows(&mut self, ends: &[u64], cols: &[u32]) -> Result<(), StoreError> {
+        self.push_rows_with(ends, cols, BLOCK, par::parts)
+    }
+
+    /// [`PackWriter::push_rows`] in blocks of about `block` work items,
+    /// each split into `parts(work)` chunks.
+    pub(crate) fn push_rows_with(
+        &mut self,
+        ends: &[u64],
+        cols: &[u32],
+        block: usize,
+        parts: impl Fn(usize) -> usize,
+    ) -> Result<(), StoreError> {
+        let rows = ends.len().saturating_sub(1);
+        if rows > self.n as usize - self.next_vertex() {
             return Err(StoreError::Malformed(format!(
-                "push_row called more than n = {} times",
+                "{rows} more rows after {} of n = {}",
+                self.next_vertex(),
                 self.n
             )));
         }
-        if let Some(w) = row.windows(2).find(|w| w[0] > w[1]) {
-            return Err(StoreError::Malformed(format!(
-                "row {} not sorted ({} after {})",
-                self.next_vertex, w[1], w[0]
-            )));
+        let work = |ends: &[u64]| {
+            let first = ends.first().copied().unwrap_or(0);
+            let arcs = ends.last().map_or(0, |&last| last.saturating_sub(first));
+            ends.len()
+                .saturating_sub(1)
+                .saturating_add(usize::try_from(arcs).unwrap_or(usize::MAX))
+        };
+        let blocks = par::balance(ends, work(ends).div_ceil(block.max(1)));
+        for b in par::ranges(&blocks).filter(|b| !b.is_empty()) {
+            // index-ok: balance keeps bounds in 0..=rows, and ends has rows + 1
+            let ends = &ends[b.start..=b.end];
+            self.push_block(ends, cols, parts(work(ends)))?;
         }
-        if let Some(&v) = row.iter().find(|&&v| v >= self.n) {
-            return Err(StoreError::Malformed(format!(
-                "row {} references vertex {v} >= n = {}",
-                self.next_vertex, self.n
-            )));
-        }
-        // io-ok: row_ptr is seeded with a 0 entry in new() and only grows
-        let arcs_so_far = *self.row_ptr.last().expect("row_ptr nonempty");
-        self.row_ptr.push(arcs_so_far + row.len() as u64);
-
-        let is_hub = self.opts.compress && row.len() as u64 >= u64::from(self.opts.hub_threshold);
-        self.row_buf.clear();
-        if !self.opts.compress || is_hub {
-            for &v in row {
-                self.row_buf.extend_from_slice(&v.to_le_bytes());
-            }
-            if self.opts.compress {
-                self.hub_rows += 1;
-                self.hub_arcs += row.len() as u64;
-                let buf = std::mem::take(&mut self.row_buf);
-                self.hub.write(&buf)?;
-                self.row_buf = buf;
-            } else {
-                let buf = std::mem::take(&mut self.row_buf);
-                self.packed.write(&buf)?;
-                self.row_buf = buf;
-            }
-        } else {
-            encode_row(row, &mut self.row_buf);
-            let buf = std::mem::take(&mut self.row_buf);
-            self.packed.write(&buf)?;
-            self.row_buf = buf;
-        }
-        self.next_vertex += 1;
         Ok(())
     }
 
-    /// Seals the pack: writes header, section table, and payloads into a
-    /// `.tmp` sibling, fsyncs, and renames it over the target path.
+    /// Encodes one block in `parts` row chunks: a first pass checks the
+    /// rows and sizes each chunk exactly, the writer's buffers grow to
+    /// the block, and a second pass encodes each chunk into its slices.
+    fn push_block(&mut self, ends: &[u64], cols: &[u32], parts: usize) -> Result<(), StoreError> {
+        let (first, n, opts) = (self.next_vertex(), self.n, self.opts);
+        let is_hub = |deg: usize| opts.compress && deg as u64 >= u64::from(opts.hub_threshold);
+        // The block's rows `r`: `None` for a row whose ends are not a
+        // range of `cols`.
+        let rows = |r: Range<usize>| {
+            let spans = ends.iter().zip(ends.iter().skip(1));
+            spans
+                .skip(r.start)
+                .take(r.len())
+                .map(|(&lo, &hi)| cols.get(usize::try_from(lo).ok()?..usize::try_from(hi).ok()?))
+        };
+        let chunks: Vec<Range<usize>> = par::ranges(&par::balance(ends, parts)).collect();
+        let lens = par::run(chunks.clone(), |_, r| {
+            let mut len = ChunkLen::default();
+            for (u, row) in (first + r.start..).zip(rows(r)) {
+                let row = check_row(u, row, n)?;
+                if is_hub(row.len()) {
+                    len.hub += 4 * row.len();
+                    len.hub_rows += 1;
+                } else if opts.compress {
+                    len.cols += encoded_row_len(row);
+                } else {
+                    len.cols += 4 * row.len();
+                }
+            }
+            Ok(len)
+        });
+        // The lowest chunk's defect is the lowest row's.
+        let lens = lens
+            .into_iter()
+            .collect::<Result<Vec<ChunkLen>, StoreError>>()?;
+        let cols_at = par::offsets(lens.iter().map(|l| l.cols));
+        let hub_at = par::offsets(lens.iter().map(|l| l.hub));
+        par::zeroed(&mut self.cols_buf, lens.iter().map(|l| l.cols).sum());
+        par::zeroed(&mut self.hub_buf, lens.iter().map(|l| l.hub).sum());
+        let work: Vec<_> = chunks
+            .into_iter()
+            .zip(par::split_mut(&mut self.cols_buf, &cols_at))
+            .zip(par::split_mut(&mut self.hub_buf, &hub_at))
+            .collect();
+        par::run(work, |_, ((r, mut out), mut hub)| {
+            // Every row was checked above.
+            for row in rows(r).flatten() {
+                let dst = if is_hub(row.len()) {
+                    &mut hub
+                } else {
+                    &mut out
+                };
+                let len = if opts.compress && !is_hub(row.len()) {
+                    encode_row_into(row, dst)
+                } else {
+                    for (b, &v) in dst.chunks_exact_mut(4).zip(row) {
+                        b.copy_from_slice(&v.to_le_bytes());
+                    }
+                    4 * row.len()
+                };
+                *dst = std::mem::take(dst).split_at_mut(len).1;
+            }
+        });
+        self.cols.write(&self.cols_buf)?;
+        if let Some(hub) = &mut self.hub {
+            hub.write(&self.hub_buf)?;
+        }
+        self.hub_rows += lens.iter().map(|l| l.hub_rows).sum::<u64>();
+        self.hub_arcs += self.hub_buf.len() as u64 / 4;
+        // Checked rows never end before they start.
+        let (done, start) = (self.arcs(), ends.first().copied().unwrap_or(0));
+        self.row_ptr
+            .extend(ends.iter().skip(1).map(|&e| done + (e - start)));
+        Ok(())
+    }
+
+    /// Arcs written so far.
+    fn arcs(&self) -> u64 {
+        self.row_ptr.last().copied().unwrap_or(0)
+    }
+
+    /// Seals the pack: writes `row_ptr`, the hub rows, the header and
+    /// the section table around the column section already in the
+    /// `.tmp` sibling, fsyncs it, and renames it over the target path.
     pub fn finish(mut self) -> Result<PackSummary, StoreError> {
-        if self.next_vertex != self.n {
+        if self.next_vertex() != self.n as usize {
             return Err(StoreError::Malformed(format!(
                 "finish after {} of {} rows",
-                self.next_vertex, self.n
+                self.next_vertex(),
+                self.n
             )));
         }
-        let arcs = *self.row_ptr.last().expect("row_ptr nonempty"); // io-ok: seeded in new()
-
-        // Flush spools and collect their (path, len, checksum).
-        self.packed.file.flush().map_err(|source| StoreError::Io {
-            op: "flush spool",
-            path: self.packed.path.clone(),
-            source,
-        })?;
-        self.hub.file.flush().map_err(|source| StoreError::Io {
-            op: "flush spool",
-            path: self.hub.path.clone(),
-            source,
-        })?;
-
-        // Row-pointer payload: hash it now; stream it to disk later.
-        let mut rp_hash = Hash64::new();
-        for chunk in self.row_ptr.chunks(128 * 1024) {
-            let mut bytes = Vec::with_capacity(chunk.len() * 8);
-            for &v in chunk {
-                bytes.extend_from_slice(&v.to_le_bytes());
-            }
-            rp_hash.update(&bytes);
-        }
+        let arcs = self.arcs();
+        let (rp_off, cols_off) = layout(self.n, self.opts.compress);
         let rp_len = self.row_ptr.len() as u64 * 8;
-        let rp_sum = rp_hash.clone().finish();
-
-        // Section order: ROW_PTR, then COL_RAW or (COL_PACKED, HUB_COLS).
-        let mut sections: Vec<(u32, u64, u64)> = vec![(SEC_ROW_PTR, rp_len, rp_sum)];
-        if self.opts.compress {
-            sections.push((
-                SEC_COL_PACKED,
-                self.packed.len,
-                self.packed.hash.clone().finish(),
-            ));
-            sections.push((SEC_HUB_COLS, self.hub.len, self.hub.hash.clone().finish()));
+        let cols_id = if self.opts.compress {
+            SEC_COL_PACKED
         } else {
-            sections.push((
-                SEC_COL_RAW,
-                self.packed.len,
-                self.packed.hash.clone().finish(),
-            ));
-        }
+            SEC_COL_RAW
+        };
+        let (cols_len, cols_sum) = (self.cols.len, self.cols.hash.clone().finish());
+        let hub_off = align8(cols_off + cols_len);
+        let tmp = self.cols.path.clone();
+        let io = |op: &'static str, source: std::io::Error| StoreError::Io {
+            op,
+            path: tmp.clone(),
+            source,
+        };
+        let mut sections = Vec::with_capacity(3);
+        let file = self.cols.flushed()?;
 
-        let table_end = HEADER_LEN as u64 + sections.len() as u64 * SECTION_ENTRY_LEN as u64;
-        let mut offset = align8(table_end);
-        let mut entries = Vec::with_capacity(sections.len());
-        for &(id, len, checksum) in &sections {
-            entries.push(SectionEntry {
-                id,
-                offset,
-                len,
-                checksum,
-            });
-            offset = align8(offset + len);
+        // Row-pointer payload, hashed as it is written.
+        file.seek(SeekFrom::Start(rp_off))
+            .map_err(|e| io("seek", e))?;
+        let mut rp_hash = Hash64::new();
+        {
+            let mut out = BufWriter::new(&mut *file);
+            for chunk in self.row_ptr.chunks(128 * 1024) {
+                let bytes: Vec<u8> = chunk.iter().flat_map(|v| v.to_le_bytes()).collect();
+                rp_hash.update(&bytes);
+                out.write_all(&bytes).map_err(|e| io("write", e))?;
+            }
+            out.flush().map_err(|e| io("write", e))?;
         }
-        let file_bytes = offset;
+        sections.push((SEC_ROW_PTR, rp_off, rp_len, rp_hash.finish()));
+        sections.push((cols_id, cols_off, cols_len, cols_sum));
+        let mut end = cols_off + cols_len;
+
+        // The hub spool follows the column section.
+        if let Some(hub) = &mut self.hub {
+            hub.flushed()?;
+            let mut src = File::open(&hub.path).map_err(|source| StoreError::Io {
+                op: "open spool",
+                path: hub.path.clone(),
+                source,
+            })?;
+            file.seek(SeekFrom::Start(hub_off))
+                .map_err(|e| io("seek", e))?;
+            let copied = std::io::copy(&mut src, file).map_err(|e| io("copy spool", e))?;
+            if copied != hub.len {
+                return Err(StoreError::Malformed(format!(
+                    "spool {} changed size ({copied} vs {})",
+                    hub.path.display(),
+                    hub.len
+                )));
+            }
+            sections.push((SEC_HUB_COLS, hub_off, hub.len, hub.hash.clone().finish()));
+            end = hub_off + hub.len;
+        }
 
         let mut flags = 0u16;
         if self.directed {
@@ -284,7 +433,7 @@ impl PackWriter {
         let header = Header {
             version: VERSION,
             flags,
-            section_count: entries.len() as u32,
+            section_count: sections.len() as u32,
             n: self.n,
             arcs,
             hub_threshold: if self.opts.compress {
@@ -294,76 +443,23 @@ impl PackWriter {
             },
             partition_count: 0,
         };
-
-        // Assemble the final file in a temp sibling.
-        let tmp = sibling(&self.path, ".tmp");
-        {
-            let file = File::create(&tmp).map_err(|source| StoreError::Io {
-                op: "create",
-                path: tmp.clone(),
-                source,
-            })?;
-            let mut out = BufWriter::new(file);
-            let io = |op: &'static str, path: &Path, source: std::io::Error| StoreError::Io {
-                op,
-                path: path.to_path_buf(),
-                source,
+        let mut head = header.encode().to_vec();
+        for &(id, offset, len, checksum) in &sections {
+            let e = SectionEntry {
+                id,
+                offset,
+                len,
+                checksum,
             };
-            out.write_all(&header.encode())
-                .map_err(|e| io("write", &tmp, e))?;
-            for e in &entries {
-                out.write_all(&e.encode())
-                    .map_err(|e| io("write", &tmp, e))?;
-            }
-            pad_to(&mut out, table_end, align8(table_end)).map_err(|e| io("write", &tmp, e))?;
-
-            // ROW_PTR payload.
-            let mut written = align8(table_end);
-            for chunk in self.row_ptr.chunks(128 * 1024) {
-                let mut bytes = Vec::with_capacity(chunk.len() * 8);
-                for &v in chunk {
-                    bytes.extend_from_slice(&v.to_le_bytes());
-                }
-                out.write_all(&bytes).map_err(|e| io("write", &tmp, e))?;
-            }
-            written += rp_len;
-            pad_to(&mut out, written, align8(written)).map_err(|e| io("write", &tmp, e))?;
-            written = align8(written);
-
-            // Column payloads, copied from the spools.
-            let col_spools: Vec<&Spool> = if self.opts.compress {
-                vec![&self.packed, &self.hub]
-            } else {
-                vec![&self.packed]
-            };
-            for spool in col_spools {
-                let mut src = File::open(&spool.path).map_err(|source| StoreError::Io {
-                    op: "open spool",
-                    path: spool.path.clone(),
-                    source,
-                })?;
-                let copied =
-                    std::io::copy(&mut src, &mut out).map_err(|e| io("copy spool", &tmp, e))?;
-                if copied != spool.len {
-                    return Err(StoreError::Malformed(format!(
-                        "spool {} changed size ({} vs {})",
-                        spool.path.display(),
-                        copied,
-                        spool.len
-                    )));
-                }
-                written += copied;
-                pad_to(&mut out, written, align8(written)).map_err(|e| io("write", &tmp, e))?;
-                written = align8(written);
-            }
-            debug_assert_eq!(written, file_bytes);
-            let file = out.into_inner().map_err(|e| StoreError::Io {
-                op: "flush",
-                path: tmp.clone(),
-                source: e.into_error(),
-            })?;
-            file.sync_all().map_err(|e| io("sync", &tmp, e))?;
+            head.extend_from_slice(&e.encode());
         }
+        file.seek(SeekFrom::Start(0)).map_err(|e| io("seek", e))?;
+        file.write_all(&head).map_err(|e| io("write", e))?;
+        // Gaps between sections were never written and read as zeros;
+        // the last section's padding is set here.
+        let file_bytes = align8(end);
+        file.set_len(file_bytes).map_err(|e| io("write", e))?;
+        file.sync_all().map_err(|e| io("sync", e))?;
         fs::rename(&tmp, &self.path).map_err(|source| StoreError::Io {
             op: "rename",
             path: self.path.clone(),
@@ -380,44 +476,71 @@ impl PackWriter {
             })?;
         }
         self.finished = true;
-        self.cleanup_spools();
+        self.remove_spool();
 
         Ok(PackSummary {
             n: self.n,
             arcs,
             file_bytes,
-            csr_bytes: self.row_ptr.len() as u64 * 8 + arcs * 4,
+            csr_bytes: rp_len + arcs * 4,
             hub_rows: self.hub_rows,
             hub_arcs: self.hub_arcs,
         })
     }
 
-    fn cleanup_spools(&self) {
-        let _ = fs::remove_file(&self.packed.path);
-        let _ = fs::remove_file(&self.hub.path);
+    fn remove_spool(&self) {
+        if let Some(hub) = &self.hub {
+            let _ = fs::remove_file(&hub.path);
+        }
     }
 }
 
 impl Drop for PackWriter {
     fn drop(&mut self) {
         if !self.finished {
-            self.cleanup_spools();
-            let _ = fs::remove_file(sibling(&self.path, ".tmp"));
+            self.remove_spool();
+            let _ = fs::remove_file(&self.cols.path);
         }
     }
 }
 
-/// Packs an in-RAM graph (the non-streaming convenience used by tests
-/// and the CLI for small graphs).
+/// Checks row `u` of a block: a range of the block's columns (`None`
+/// when its ends are not), sorted, and below `n`.
+fn check_row(u: usize, row: Option<&[u32]>, n: u32) -> Result<&[u32], StoreError> {
+    let row = row.ok_or_else(|| {
+        StoreError::Malformed(format!("row {u} spans no range of its block's columns"))
+    })?;
+    if let Some((a, b)) = row.iter().zip(row.iter().skip(1)).find(|(a, b)| a > b) {
+        return Err(StoreError::Malformed(format!(
+            "row {u} not sorted ({b} after {a})"
+        )));
+    }
+    if let Some(&v) = row.iter().find(|&&v| v >= n) {
+        return Err(StoreError::Malformed(format!(
+            "row {u} references vertex {v} >= n = {n}"
+        )));
+    }
+    Ok(row)
+}
+
+/// Byte offsets of `row_ptr` and of the column section in a pack of
+/// `n` vertices: both follow the header and the section table (3
+/// entries compressed, 2 raw), each 8-aligned.
+fn layout(n: u32, compress: bool) -> (u64, u64) {
+    let sections: u64 = if compress { 3 } else { 2 };
+    let rp_off = align8(HEADER_LEN as u64 + sections * SECTION_ENTRY_LEN as u64);
+    (rp_off, align8(rp_off + (u64::from(n) + 1) * 8))
+}
+
+/// Packs an in-RAM graph through one [`PackWriter`], its rows encoded
+/// a block at a time in row chunks on every core.
 pub fn pack_graph(
     g: &CsrGraph,
     path: impl AsRef<Path>,
     opts: PackOptions,
 ) -> Result<PackSummary, StoreError> {
     let mut w = PackWriter::create(path, g.num_vertices() as u32, g.is_directed(), opts)?;
-    for u in 0..g.num_vertices() as u32 {
-        w.push_row(g.neighbors(u))?;
-    }
+    w.push_rows(g.row_ptr(), g.col_idx())?;
     w.finish()
 }
 
@@ -451,8 +574,142 @@ fn sibling(path: &Path, suffix: &str) -> PathBuf {
     path.with_file_name(name)
 }
 
-fn pad_to<W: Write>(out: &mut W, from: u64, to: u64) -> std::io::Result<()> {
-    debug_assert!(to >= from && to - from < 8);
-    let zeros = [0u8; 8];
-    out.write_all(&zeros[..(to - from) as usize])
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use db_graph::builder::from_edge_list;
+    use db_graph::GraphBuilder;
+
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("dbstore-pack-{}-{tag}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).expect("create scratch dir");
+        dir
+    }
+
+    /// The bytes of `g` packed one `push_row` at a time.
+    fn row_by_row(g: &CsrGraph, path: &Path, opts: PackOptions) -> Vec<u8> {
+        let mut w =
+            PackWriter::create(path, g.num_vertices() as u32, g.is_directed(), opts).unwrap();
+        for u in 0..g.num_vertices() as u32 {
+            w.push_row(g.neighbors(u)).unwrap();
+        }
+        w.finish().unwrap();
+        fs::read(path).unwrap()
+    }
+
+    fn graphs() -> Vec<(&'static str, CsrGraph)> {
+        let mut hubby = Vec::new();
+        for h in [0u32, 7, 400] {
+            hubby.extend((0..600).filter(|&v| v != h).map(|v| (h, v)));
+        }
+        hubby.extend((0..600u32).map(|u| (u, (u * 31 + 5) % 600)));
+        // Most rows empty: isolated vertices between a few edges.
+        let sparse = [(3, 900), (900, 3), (1500, 1501), (2999, 0)];
+        vec![
+            (
+                "tiny",
+                CsrGraph::from_sorted_parts(4, vec![0, 2, 3, 3, 4], vec![1, 3, 0, 2], true),
+            ),
+            ("hubby", from_edge_list(600, &hubby, true)),
+            ("sparse", from_edge_list(3000, &sparse, false)),
+            ("empty", GraphBuilder::undirected(0).build()),
+            ("mesh", from_edge_list(2000, &mesh(2000), false)),
+        ]
+    }
+
+    fn mesh(n: u32) -> Vec<(u32, u32)> {
+        (0..n)
+            .flat_map(|u| [(u, (u + 1) % n), (u, (u * 7 + 3) % n)])
+            .collect()
+    }
+
+    #[test]
+    fn chunked_pack_bytes_match_row_by_row() {
+        let dir = scratch("chunks");
+        for (name, g) in graphs() {
+            for opts in [
+                PackOptions::default(),
+                PackOptions {
+                    compress: true,
+                    hub_threshold: 3,
+                },
+                PackOptions {
+                    compress: false,
+                    hub_threshold: 64,
+                },
+            ] {
+                let want = row_by_row(&g, &dir.join("ref.dbsg"), opts);
+                pack_graph(&g, dir.join("whole.dbsg"), opts).unwrap();
+                assert!(
+                    fs::read(dir.join("whole.dbsg")).unwrap() == want,
+                    "{name} {opts:?}"
+                );
+                // Blocks of one row, of 37 work items, and the default.
+                for (parts, block) in [(1, BLOCK), (2, 37), (3, 1), (7, 37), (7, BLOCK)] {
+                    let path = dir.join("chunked.dbsg");
+                    let n = g.num_vertices() as u32;
+                    let mut w = PackWriter::create(&path, n, g.is_directed(), opts).unwrap();
+                    w.push_rows_with(g.row_ptr(), g.col_idx(), block, |_| parts)
+                        .unwrap();
+                    w.finish().unwrap();
+                    let got = fs::read(&path).unwrap();
+                    assert!(got == want, "{name} {opts:?} parts={parts} block={block}");
+                }
+            }
+        }
+        let left: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left.len(), 3, "only the three packs remain: {left:?}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn unsorted_rows_fail_at_the_lowest_and_leave_no_files() {
+        let dir = scratch("unsorted");
+        let g = from_edge_list(2000, &mesh(2000), true);
+        let (rp, mut cols) = (g.row_ptr().to_vec(), g.col_idx().to_vec());
+        for u in [1500usize, 40] {
+            cols.swap(rp[u] as usize, rp[u] as usize + 1);
+        }
+        for opts in [
+            PackOptions::default(),
+            PackOptions {
+                compress: false,
+                hub_threshold: 0,
+            },
+        ] {
+            for parts in [1, 2, 3, 7] {
+                let path = dir.join("bad.dbsg");
+                let mut w = PackWriter::create(&path, 2000, true, opts).unwrap();
+                match w.push_rows_with(&rp, &cols, BLOCK, |_| parts) {
+                    Err(StoreError::Malformed(msg)) => {
+                        assert!(msg.starts_with("row 40 not sorted"), "{msg}")
+                    }
+                    other => panic!("parts={parts}: {other:?}"),
+                }
+                drop(w);
+                assert_eq!(fs::read_dir(&dir).unwrap().count(), 0, "parts={parts}");
+            }
+        }
+        // A row past the arcs and a neighbor past n are typed too.
+        let mut w =
+            PackWriter::create(dir.join("bad.dbsg"), 3, true, PackOptions::default()).unwrap();
+        assert!(matches!(
+            w.push_rows(&[0, 5], &[1]),
+            Err(StoreError::Malformed(_))
+        ));
+        assert!(matches!(
+            w.push_rows(&[0, 1], &[3]),
+            Err(StoreError::Malformed(_))
+        ));
+        assert!(matches!(
+            w.push_rows(&[0, 0, 0, 0, 0], &[]),
+            Err(StoreError::Malformed(_))
+        ));
+        drop(w);
+        fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -381,3 +381,45 @@ fn packs_report_the_source_far_arc_count() {
         );
     }
 }
+
+/// Rows are checked for order at load: a pack whose hub section has two
+/// entries of a row swapped, resealed under a recomputed checksum, fails
+/// typed instead of loading a row that `has_arc` binary searches wrong.
+#[test]
+fn resealed_unsorted_hub_row_fails_typed() {
+    let g = skewed_graph(40, 3, &[(7, 21), (9, 33)], true);
+    let (_dir, path) = scratch("unsorted");
+    pack_graph(
+        &g,
+        &path,
+        PackOptions {
+            compress: true,
+            hub_threshold: 8,
+        },
+    )
+    .unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    let (_, entries) = db_store::load::parse_preamble(&bytes).unwrap();
+    let (i, hub) = entries
+        .iter()
+        .enumerate()
+        .find(|(_, e)| e.id == db_store::format::SEC_HUB_COLS)
+        .unwrap();
+    // Row 0 is the first hub row: swap its first two neighbors (1, 2).
+    let at = hub.offset as usize;
+    let (first, second) = (at..at + 4, at + 4..at + 8);
+    let a: [u8; 4] = bytes[first.clone()].try_into().unwrap();
+    bytes.copy_within(second.clone(), first.start);
+    bytes[second].copy_from_slice(&a);
+    let sum = db_store::format::hash64(&bytes[at..at + hub.len as usize]);
+    let entry = db_store::format::HEADER_LEN + i * db_store::format::SECTION_ENTRY_LEN;
+    bytes[entry + 24..entry + 32].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    assert!(matches!(
+        load(&path),
+        Err(StoreError::Csr(db_graph::CsrError::ColumnDecreasing {
+            row: 0,
+            at: 1
+        }))
+    ));
+}
