@@ -84,6 +84,19 @@ fn unit(x: u64) -> f64 {
     (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
+/// `f(p) as u32` for the power `p` that libm's `powf` returns, computed
+/// from `fast`, the correctly rounded power (`r * r` for `r^2`,
+/// `r.sqrt()` for `r^0.5`), without calling `powf`. `f` must be
+/// monotone. libm's power lies within one ULP of `fast`, so when
+/// `f(x) as u32` is the same integer at `fast`'s neighbours one ULP
+/// below and above, it is that integer at every candidate (Ziv's
+/// rounding test). `None` when they differ: the caller then calls
+/// `powf` as before.
+fn exact_u32(fast: f64, f: impl Fn(f64) -> f64) -> Option<u32> {
+    let lo = f(fast.next_down()) as u32;
+    (lo == f(fast.next_up()) as u32).then_some(lo)
+}
+
 impl SocialGraph {
     /// Describes an `n`-vertex social graph; no memory is allocated
     /// until rows are asked for.
@@ -109,15 +122,38 @@ impl SocialGraph {
 
     /// The sampled (pre-dedup) out-degree of `u`.
     fn sampled_degree(&self, u: u32) -> u32 {
+        self.degree(unit(splitmix64(
+            self.seed ^ (u as u64).wrapping_mul(0x9e6c_63d0_876a_8bb1),
+        )))
+    }
+
+    /// The Pareto degree `x_m / r^(1/alpha)` of a draw `r` in `[0, 1)`,
+    /// capped at `max_degree` and `n - 1`.
+    fn degree(&self, r: f64) -> u32 {
         let p = &self.params;
         // Pareto(x_m = avg·(alpha-1)/alpha, alpha) has mean exactly avg.
         let xm = p.avg_degree as f64 * (p.alpha - 1.0) / p.alpha;
-        let r = unit(splitmix64(
-            self.seed ^ (u as u64).wrapping_mul(0x9e6c_63d0_876a_8bb1),
-        ))
-        .max(f64::EPSILON);
-        let d = xm / r.powf(1.0 / p.alpha);
-        (d as u32).min(p.max_degree).min(self.n - 1)
+        let r = r.max(f64::EPSILON);
+        let fast = if p.alpha == 2.0 {
+            exact_u32(r.sqrt(), |s| xm / s)
+        } else {
+            None
+        };
+        let d = fast.unwrap_or_else(|| (xm / r.powf(1.0 / p.alpha)) as u32);
+        d.min(p.max_degree).min(self.n - 1)
+    }
+
+    /// The popularity-biased target `floor(n · r^beta)` of a draw `r`
+    /// in `[0, 1)`, capped at `n - 1`.
+    fn target(&self, r: f64) -> u32 {
+        let (n, beta) = (self.n as f64, self.params.beta);
+        let fast = if beta == 2.0 {
+            exact_u32(r * r, |p| n * p)
+        } else {
+            None
+        };
+        let t = fast.unwrap_or_else(|| (n * r.powf(beta)) as u32);
+        t.min(self.n - 1)
     }
 
     /// Writes `u`'s sorted, deduplicated out-row into `out` (cleared
@@ -149,8 +185,7 @@ impl SocialGraph {
                 (u.wrapping_add(off)) % self.n
             } else {
                 // Popularity-biased arc toward low vertex ids.
-                let t = ((self.n as f64) * unit(splitmix64(w ^ 1)).powf(p.beta)) as u32;
-                t.min(self.n - 1)
+                self.target(unit(splitmix64(w ^ 1)))
             }
         });
         let mut len = 0;
@@ -353,6 +388,98 @@ mod tests {
                 "n={n} block"
             );
         }
+    }
+
+    /// The degree `powf` gives: the reference the fast draw must equal.
+    fn pow_degree(sg: &SocialGraph, r: f64) -> u32 {
+        let p = &sg.params;
+        let xm = p.avg_degree as f64 * (p.alpha - 1.0) / p.alpha;
+        let d = xm / r.max(f64::EPSILON).powf(1.0 / p.alpha);
+        (d as u32).min(p.max_degree).min(sg.n - 1)
+    }
+
+    /// The target `powf` gives: the reference the fast draw must equal.
+    fn pow_target(sg: &SocialGraph, r: f64) -> u32 {
+        ((sg.n as f64 * r.powf(sg.params.beta)) as u32).min(sg.n - 1)
+    }
+
+    #[test]
+    fn fast_draws_equal_powf() {
+        for n in [20_000u32, 1_000_000, 1 << 20] {
+            let sg = SocialGraph::new(n, 1, SocialParams::default());
+            let mut fallbacks = 0;
+            for i in 0..1_000_000u64 {
+                let r = unit(splitmix64(i ^ u64::from(n)));
+                assert_eq!(sg.target(r), pow_target(&sg, r), "n={n} r={r:e}");
+                assert_eq!(sg.degree(r), pow_degree(&sg, r), "n={n} r={r:e}");
+                let n = f64::from(n);
+                fallbacks += usize::from(exact_u32(r * r, |p| n * p).is_none());
+            }
+            // The draws above exercise the fast path, not the fallback.
+            assert!(fallbacks < 10, "n={n}: {fallbacks} ambiguous targets");
+        }
+        // Any other exponent calls `powf` as it always did.
+        let params = SocialParams {
+            alpha: 3.0,
+            beta: 1.5,
+            ..SocialParams::default()
+        };
+        let sg = SocialGraph::new(1000, 1, params);
+        for r in [0.0, f64::EPSILON, 0.25, 0.5, 0.999] {
+            assert_eq!(sg.target(r), pow_target(&sg, r), "r={r:e}");
+            assert_eq!(sg.degree(r), pow_degree(&sg, r), "r={r:e}");
+        }
+    }
+
+    /// Draws whose fast value is an exact integer sit on an integer
+    /// boundary: they take the `powf` fallback and still agree.
+    #[test]
+    fn boundary_draws_take_the_fallback() {
+        let n = 1u32 << 20;
+        let sg = SocialGraph::new(n, 1, SocialParams::default());
+        // n · r² is an exact integer.
+        let nf = f64::from(n);
+        for r in [0.5, 0.25] {
+            assert_eq!(exact_u32(r * r, |p| nf * p), None, "target r={r}");
+            assert_eq!(sg.target(r), pow_target(&sg, r), "target r={r}");
+        }
+        // At r = 0 the float below 0 · n is negative and saturates to
+        // the same 0, so the fast path answers.
+        assert_eq!(exact_u32(0.0, |p| nf * p), Some(0));
+        assert_eq!(sg.target(0.0), pow_target(&sg, 0.0));
+        // x_m / √r is an exact integer: x_m = 5, and r = 0 draws as
+        // EPSILON, whose root is 2^-26.
+        for r in [0.0, f64::EPSILON, 0.25] {
+            let s = r.max(f64::EPSILON).sqrt();
+            assert_eq!(exact_u32(s, |s| 5.0 / s), None, "degree r={r:e}");
+            assert_eq!(sg.degree(r), pow_degree(&sg, r), "degree r={r:e}");
+        }
+        assert_eq!(sg.degree(0.25), 10);
+        // 5 · 2^26 is past `max_degree`, which caps both paths.
+        assert_eq!(sg.degree(f64::EPSILON), SocialParams::default().max_degree);
+        let capped = SocialParams {
+            max_degree: 3,
+            ..SocialParams::default()
+        };
+        let sg = SocialGraph::new(n, 1, capped);
+        for r in [0.0, f64::EPSILON, 0.25, 0.5] {
+            assert_eq!(sg.degree(r), 3, "r={r:e}");
+            assert_eq!(sg.degree(r), pow_degree(&sg, r), "r={r:e}");
+        }
+    }
+
+    /// The generator's bytes, pinned: an FNV-1a digest of
+    /// `social(20_000, 7)`'s `row_ptr` and `col_idx` (little-endian).
+    #[test]
+    fn social_bytes_are_pinned() {
+        let g = social(20_000, 7);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let words = g.row_ptr().iter().flat_map(|v| v.to_le_bytes());
+        for b in words.chain(g.col_idx().iter().flat_map(|v| v.to_le_bytes())) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+        assert_eq!(g.num_arcs(), 187_393);
+        assert_eq!(h, 0x7a30_c23f_e095_4050, "social(20_000, 7) drifted");
     }
 
     #[test]

@@ -8,9 +8,12 @@
 //!
 //! This module is the pure in-memory codec; the on-disk framing
 //! (sections, checksums, hub segregation) lives in the `db-store`
-//! crate. Both directions are total: `decode_row` never panics on
-//! attacker-controlled bytes — truncation, overlong varints, and
-//! 32-bit overflow all come back as a typed [`DecodeError`].
+//! crate. Both directions work in buffers the caller sized:
+//! [`encoded_row_len`] sizes a row exactly, [`encode_row_into`] writes
+//! it, and [`decode_row_into`] reads it back. The decoder is total: it
+//! never panics on attacker-controlled bytes — truncation, overlong
+//! varints, and 32-bit overflow all come back as a typed
+//! [`DecodeError`].
 
 /// Maximum encoded length of one `u32` varint (5 × 7 bits ≥ 32 bits).
 pub const MAX_VARINT_LEN: usize = 5;
@@ -49,16 +52,8 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Appends the LEB128 encoding of `v` to `out`.
-#[inline]
-pub fn write_varint(v: u32, out: &mut Vec<u8>) {
-    let mut buf = [0; MAX_VARINT_LEN];
-    let len = put_varint(v, &mut buf);
-    out.extend_from_slice(&buf[..len]);
-}
-
-/// Writes the LEB128 encoding of `v` to the front of `out` and returns
-/// its length.
+/// Writes the LEB128 encoding of `v` to the front of `out` one byte at
+/// a time and returns its length.
 #[inline]
 fn put_varint(mut v: u32, out: &mut [u8]) -> usize {
     let mut len = 0;
@@ -102,19 +97,31 @@ pub fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u32, DecodeError> {
     }
 }
 
-/// Delta+varint encodes one sorted neighbor row into `out`.
+/// The LEB128 encoding of `v` in the low [`varint_len`] bytes of a
+/// little-endian word: each 7-bit group in its own byte, with the
+/// continuation bit set on all but the last. The bytes above are zero.
+#[inline]
+fn varint_word(v: u32, len: usize) -> u64 {
+    let x = u64::from(v);
+    let groups = (x & 0x7f)
+        | (x << 1 & 0x7f00)
+        | (x << 2 & 0x7f_0000)
+        | (x << 3 & 0x7f00_0000)
+        | (x << 4 & 0xf_0000_0000);
+    groups | (0x80_8080_8080 & ((1 << (8 * (len - 1))) - 1))
+}
+
+/// Delta+varint encodes one sorted neighbor row into the front of a
+/// buffer the caller sized: `out` must hold at least
+/// [`encoded_row_len`] bytes. Returns that length.
 ///
 /// The caller guarantees `row` is sorted ascending (duplicates fine);
 /// an unsorted row would produce an underflowing gap, so this panics in
 /// debug builds and must be pre-sorted by callers handling raw input.
-pub fn encode_row(row: &[u32], out: &mut Vec<u8>) {
-    let start = out.len();
-    out.resize(start + encoded_row_len(row), 0);
-    encode_row_into(row, &mut out[start..]);
-}
-
-/// [`encode_row`] into the front of a buffer the caller sized: `out`
-/// must hold at least [`encoded_row_len`] bytes. Returns that length.
+///
+/// Each varint is written as one 8-byte store while 8 bytes of `out`
+/// remain, so this may overwrite up to 7 bytes of `out` past the length
+/// it returns (with zeros); bytes past `out` are never touched.
 ///
 /// # Panics
 ///
@@ -122,37 +129,23 @@ pub fn encode_row(row: &[u32], out: &mut Vec<u8>) {
 pub fn encode_row_into(row: &[u32], out: &mut [u8]) -> usize {
     debug_assert!(
         row.windows(2).all(|w| w[0] <= w[1]),
-        "encode_row requires a sorted row"
+        "encode_row_into requires a sorted row"
     );
     let mut prev = 0u32;
     let mut len = 0;
-    for (i, &v) in row.iter().enumerate() {
-        let gap = if i == 0 { v } else { v.wrapping_sub(prev) };
-        len += put_varint(gap, &mut out[len..]);
+    for &v in row {
+        let gap = v.wrapping_sub(prev);
         prev = v;
+        let n = varint_len(gap);
+        match out.get_mut(len..len + 8) {
+            Some(word) => word.copy_from_slice(&varint_word(gap, n).to_le_bytes()),
+            None => {
+                put_varint(gap, &mut out[len..]);
+            }
+        }
+        len += n;
     }
     len
-}
-
-/// Decodes `degree` delta+varint neighbors from `bytes` at `*pos`,
-/// appending them to `out` and advancing `*pos`. On an error the
-/// appended values are unspecified.
-pub fn decode_row(
-    bytes: &[u8],
-    pos: &mut usize,
-    degree: usize,
-    out: &mut Vec<u32>,
-) -> Result<(), DecodeError> {
-    // Every value takes at least one byte, so a row longer than the
-    // bytes left is truncated: grow by no more than those.
-    let fits = degree.min(bytes.len().saturating_sub(*pos));
-    let start = out.len();
-    out.resize(start + fits, 0);
-    decode_row_into(bytes, pos, &mut out[start..])?;
-    if fits < degree {
-        return Err(DecodeError::Truncated { at: *pos });
-    }
-    Ok(())
 }
 
 /// Decodes `out.len()` delta+varint neighbors from `bytes` at `*pos`
@@ -174,53 +167,61 @@ pub fn decode_row_into(bytes: &[u8], pos: &mut usize, out: &mut [u32]) -> Result
     Ok(())
 }
 
-/// Exact encoded byte length of one sorted row (what [`encode_row`]
-/// would append), for size accounting without materializing bytes.
+/// Exact encoded byte length of one sorted row (what
+/// [`encode_row_into`] returns), for size accounting without
+/// materializing bytes.
 pub fn encoded_row_len(row: &[u32]) -> usize {
     let mut prev = 0u32;
     let mut total = 0usize;
-    for (i, &v) in row.iter().enumerate() {
-        let gap = if i == 0 { v } else { v.wrapping_sub(prev) };
-        total += varint_len(gap);
+    for &v in row {
+        total += varint_len(v.wrapping_sub(prev));
         prev = v;
     }
     total
 }
 
-/// Encoded length of one varint.
+/// Encoded length of one varint: one byte per started 7 significant
+/// bits, without a branch (`⌈bits / 7⌉` equals `(9 · bits + 64) / 64`
+/// for 1 to 32 bits).
 #[inline]
 pub fn varint_len(v: u32) -> usize {
-    match v {
-        0..=0x7f => 1,
-        0x80..=0x3fff => 2,
-        0x4000..=0x1f_ffff => 3,
-        0x20_0000..=0xfff_ffff => 4,
-        _ => 5,
-    }
+    let bits = 32 - (v | 1).leading_zeros() as usize;
+    (bits * 9 + 64) >> 6
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The LEB128 length boundaries, each with its encoded length.
+    const BOUNDARIES: [(u32, usize); 11] = [
+        (0, 1),
+        (1, 1),
+        (0x7f, 1),
+        (0x80, 2),
+        (0x3fff, 2),
+        (0x4000, 3),
+        (0x1f_ffff, 3),
+        (0x20_0000, 4),
+        (0xfff_ffff, 4),
+        (0x1000_0000, 5),
+        (u32::MAX, 5),
+    ];
+
+    /// `row` encoded into an exactly sized buffer.
+    fn encoded(row: &[u32]) -> Vec<u8> {
+        let mut buf = vec![0; encoded_row_len(row)];
+        assert_eq!(encode_row_into(row, &mut buf), buf.len());
+        buf
+    }
+
     #[test]
     fn varint_round_trips_boundaries() {
-        for v in [
-            0u32,
-            1,
-            0x7f,
-            0x80,
-            0x3fff,
-            0x4000,
-            0x1f_ffff,
-            0x20_0000,
-            0xfff_ffff,
-            0x1000_0000,
-            u32::MAX,
-        ] {
-            let mut buf = Vec::new();
-            write_varint(v, &mut buf);
-            assert_eq!(buf.len(), varint_len(v), "len for {v:#x}");
+        for (v, len) in BOUNDARIES {
+            assert_eq!(varint_len(v), len, "len for {v:#x}");
+            // A row's first value is a plain varint.
+            let buf = encoded(&[v]);
+            assert_eq!(buf.len(), len, "encoding of {v:#x}");
             let mut pos = 0;
             assert_eq!(read_varint(&buf, &mut pos).unwrap(), v);
             assert_eq!(pos, buf.len());
@@ -236,12 +237,10 @@ mod tests {
             vec![0, 0, 0],
             vec![1, 5, 5, 9, 1_000_000, u32::MAX],
         ] {
-            let mut buf = Vec::new();
-            encode_row(&row, &mut buf);
-            assert_eq!(buf.len(), encoded_row_len(&row));
+            let buf = encoded(&row);
             let mut pos = 0;
-            let mut back = Vec::new();
-            decode_row(&buf, &mut pos, row.len(), &mut back).unwrap();
+            let mut back = vec![0; row.len()];
+            decode_row_into(&buf, &mut pos, &mut back).unwrap();
             assert_eq!(back, row);
             assert_eq!(pos, buf.len());
         }
@@ -249,12 +248,10 @@ mod tests {
 
     #[test]
     fn truncation_is_a_typed_error() {
-        let mut buf = Vec::new();
-        encode_row(&[3, 700, 800_000], &mut buf);
+        let buf = encoded(&[3, 700, 800_000]);
         for cut in 0..buf.len() {
             let mut pos = 0;
-            let mut out = Vec::new();
-            let r = decode_row(&buf[..cut], &mut pos, 3, &mut out);
+            let r = decode_row_into(&buf[..cut], &mut pos, &mut [0; 3]);
             assert!(
                 matches!(r, Err(DecodeError::Truncated { .. })),
                 "cut {cut}: {r:?}"
@@ -283,14 +280,11 @@ mod tests {
     #[test]
     fn delta_overflow_is_a_typed_error() {
         // First value u32::MAX, then a gap of 1.
-        let mut buf = Vec::new();
-        write_varint(u32::MAX, &mut buf);
-        write_varint(1, &mut buf);
+        let bytes = [0xffu8, 0xff, 0xff, 0xff, 0x0f, 0x01];
         let mut pos = 0;
-        let mut out = Vec::new();
         assert!(matches!(
-            decode_row(&buf, &mut pos, 2, &mut out),
-            Err(DecodeError::DeltaOverflow { .. })
+            decode_row_into(&bytes, &mut pos, &mut [0; 2]),
+            Err(DecodeError::DeltaOverflow { at: 5 })
         ));
     }
 }

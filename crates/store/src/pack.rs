@@ -2,8 +2,7 @@
 //!
 //! The writer is push-based so generators can stream multi-million-edge
 //! graphs without materializing a `CsrGraph`: call
-//! [`PackWriter::push_rows`] with blocks of sorted rows (or
-//! [`PackWriter::push_row`] once per vertex), then
+//! [`PackWriter::push_rows`] with blocks of sorted rows, then
 //! [`PackWriter::finish`]. The file is assembled in a `.tmp` sibling
 //! and published with an atomic rename, so readers never observe a
 //! half-written pack.
@@ -21,8 +20,9 @@
 //! A block is encoded in row chunks on every core ([`db_graph::par`]):
 //! one pass checks each chunk's rows and sizes its bytes exactly
 //! ([`encoded_row_len`]), the writer's reused buffers grow to the
-//! block, and a second pass encodes each chunk into its own slices. The
-//! bytes are those of one row at a time.
+//! block, and a second pass encodes each chunk into its own slices
+//! ([`encode_row_into`]). The bytes do not depend on the block size or
+//! the chunk count.
 //!
 //! Degree-skew-aware layout: rows with degree at or above
 //! `hub_threshold` (the "hubs" of a skewed degree distribution) are
@@ -219,23 +219,16 @@ impl PackWriter {
         self.row_ptr.len() - 1
     }
 
-    /// Appends the sorted neighbor row of the next vertex (vertex ids
-    /// are implicit: call exactly `n` times, in order). Each call is a
-    /// one-row [`PackWriter::push_rows`] block, about 1 µs of overhead
-    /// per row; a caller with many rows at hand passes them as blocks.
-    pub fn push_row(&mut self, row: &[u32]) -> Result<(), StoreError> {
-        self.push_rows(&[0, row.len() as u64], row)
-    }
-
     /// Appends the next `ends.len() - 1` rows, given as CSR arrays: row
     /// `i` of the block is `cols[ends[i]..ends[i + 1]]` (so `ends` may
-    /// be a window of a whole graph's `row_ptr`). Each row must be
-    /// sorted, with every neighbor below `n`; the lowest row that is not
-    /// fails the call with [`StoreError::Malformed`].
+    /// be a window of a whole graph's `row_ptr`). Vertex ids are
+    /// implicit: the calls pass exactly `n` rows, in vertex order. Each
+    /// row must be sorted, with every neighbor below `n`; the lowest row
+    /// that is not fails the call with [`StoreError::Malformed`].
     ///
     /// Rows are encoded a block at a time, each block in row chunks on
-    /// every core ([`db_graph::par`]); the bytes are those of one
-    /// [`PackWriter::push_row`] per row.
+    /// every core ([`db_graph::par`]); the bytes are those of one call
+    /// per row.
     pub fn push_rows(&mut self, ends: &[u64], cols: &[u32]) -> Result<(), StoreError> {
         self.push_rows_with(ends, cols, BLOCK, par::parts)
     }
@@ -587,12 +580,13 @@ mod tests {
         dir
     }
 
-    /// The bytes of `g` packed one `push_row` at a time.
+    /// The bytes of `g` packed one single-row `push_rows` at a time.
     fn row_by_row(g: &CsrGraph, path: &Path, opts: PackOptions) -> Vec<u8> {
         let mut w =
             PackWriter::create(path, g.num_vertices() as u32, g.is_directed(), opts).unwrap();
         for u in 0..g.num_vertices() as u32 {
-            w.push_row(g.neighbors(u)).unwrap();
+            let row = g.neighbors(u);
+            w.push_rows(&[0, row.len() as u64], row).unwrap();
         }
         w.finish().unwrap();
         fs::read(path).unwrap()
