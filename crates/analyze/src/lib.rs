@@ -126,12 +126,3 @@ pub fn analyze_sources(sources: &[(&str, &str)], cfg: &Config) -> Result<Analysi
         findings,
     })
 }
-
-/// Renders a run's findings as the human-readable report body.
-pub fn render_report(findings: &[Finding]) -> String {
-    let mut s = String::new();
-    for f in findings {
-        s.push_str(&f.render());
-    }
-    s
-}

@@ -115,9 +115,13 @@ fn callgraph_golden_for_serve_pool() {
     // (+1); and `store.graph()`, which replaced `store.view()`,
     // resolves to `MappedStore::graph` (+1). `run_job -> execute_with`
     // replaced `run_job -> execute_valid`, and the helper test's
-    // `ValidCsr::new` became `kernel::batches`.
+    // `ValidCsr::new` became `kernel::batches`. 195 since one
+    // `Injector::strike` evaluates every fault check (+1, all in
+    // `run_job`): `check_request` and `check_store` became two
+    // `strike` calls, and the struck store load's byte now comes from
+    // `Injector::corruption_seed`.
     assert_eq!(
-        pool_edges, 194,
+        pool_edges, 195,
         "edges out of pool.rs fns changed; if the pool or the resolver \
          changed intentionally, update this golden"
     );

@@ -6,7 +6,6 @@
 //! independently implemented parallel DFS for cross-validation of the
 //! native engine.
 
-use crate::run::BaselineRun;
 use crossbeam::deque::{Steal, Stealer, Worker};
 use db_graph::{CsrGraph, VertexId, NO_PARENT};
 use db_trace::{EventKind, NullTracer, TraceEvent, Tracer};
@@ -43,21 +42,6 @@ pub struct DequeDfsResult {
     pub edges_traversed: u64,
     /// Successful steals.
     pub steals: u64,
-}
-
-impl DequeDfsResult {
-    /// Converts into the common baseline shape (no simulated cycles).
-    pub fn into_run(self) -> BaselineRun {
-        BaselineRun {
-            visited: self.visited,
-            parent: Some(self.parent),
-            level: None,
-            order: None,
-            cycles: 0,
-            edges_traversed: self.edges_traversed,
-            mteps: 0.0,
-        }
-    }
 }
 
 /// Runs parallel DFS from `root` with `threads` workers on crossbeam

@@ -24,7 +24,7 @@
 
 use crate::config::{DiggerBeesConfig, StackLevels, VictimPolicy};
 use crate::stack::{ColdSeg, HotRing};
-use db_fault::{FaultKind, Injector, Site};
+use db_fault::{Check, FaultKind, Injector, Site};
 use db_gpu_sim::{Des, MachineModel, MemPipeline, NoProfiler, Profiler, SimPhase, SimStats};
 use db_graph::{CsrGraph, VertexId, NO_PARENT};
 use db_trace::{EventKind, NullTracer, PhaseKind, TraceEvent, Tracer};
@@ -293,8 +293,10 @@ impl<'g, 't, 'p, 'f, T: Tracer, P: Profiler> Engine<'g, 't, 'p, 'f, T, P> {
 
     /// Evaluates the fault plan at `site` for warp `w`'s SM.
     #[inline]
-    fn fault(&self, site: Site, w: u32, now: u64) -> Option<FaultKind> {
-        self.injector?.check(site, self.block_of(w), now)
+    fn fault(&self, site: Site, w: u32, cycle: u64) -> Option<FaultKind> {
+        let injector = self.injector?;
+        let sm = self.block_of(w);
+        injector.strike(Check::Sim { site, sm, cycle })
     }
 
     /// Records a strike on the trace timeline.

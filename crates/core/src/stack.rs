@@ -259,11 +259,6 @@ impl ColdSeg {
         out
     }
 
-    /// Raw `top` counter (diagnostics).
-    pub fn top_counter(&self) -> u64 {
-        self.top
-    }
-
     /// Raw `bottom` counter (diagnostics).
     pub fn bottom_counter(&self) -> u64 {
         self.bottom

@@ -1,15 +1,13 @@
-//! The deterministic fault injector: evaluates a [`FaultPlan`] at named
-//! injection sites and records every strike in an injection log.
+//! The deterministic fault injector: one evaluator, [`Injector::strike`],
+//! decides every [`Check`] against a [`FaultPlan`] and records each
+//! strike in an injection log.
 //!
 //! Determinism contract: probability draws come from a counter-free
 //! splitmix64 hash over `(seed, rule index, site, key)`, where the key
-//! is the sim's per-site check counter (the DES makes check order
-//! reproducible) or serve's `(request id, attempt)` pair (so thread
-//! interleaving cannot change which requests are struck). Two runs
-//! under the same plan therefore produce the same injection decisions;
-//! the sim's log is identical line-for-line, serve's is identical as a
-//! sorted multiset (worker indices are scheduling-dependent and are
-//! excluded from serve log lines).
+//! is the identity the [`Check`] names — never the worker, the wall
+//! clock or arrival order. Two runs under the same plan therefore make
+//! the same decisions; the sim's log is identical line-for-line, serve's
+//! as a sorted multiset (worker indices are excluded from its lines).
 
 use crate::plan::{CkptPhaseKind, Domain, FaultKind, FaultPlan, Trigger};
 use std::collections::HashSet;
@@ -17,34 +15,35 @@ use std::fmt;
 use std::sync::Mutex;
 
 /// An injection site — where in the pipeline a fault check happens.
+/// Its discriminant salts the site's draws.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Site {
     /// Sim: an SM dispatches a warp step.
-    Dispatch,
+    Dispatch = 0,
     /// Sim: a HotRing push.
-    RingPush,
+    RingPush = 1,
     /// Sim: a HotRing pop.
-    RingPop,
+    RingPop = 2,
     /// Sim: a steal reservation/copy (intra- or inter-block).
-    StealCopy,
+    StealCopy = 3,
     /// Serve: a worker is about to execute a request attempt.
-    Request,
+    Request = 4,
     /// Store: a pack file is about to be loaded for a `store:` corpus
     /// key (a strike flips one loaded byte; checksums must catch it).
-    StoreLoad,
+    StoreLoad = 5,
     /// Delta: a worker is about to run a delta-graph compaction merge
     /// (a strike aborts the merge mid-flight, modelling a crash; the
     /// epoch lifecycle must survive with no layer lost).
-    Compaction,
+    Compaction = 6,
     /// Wal: a record is about to be appended (a strike tears the frame,
     /// fails the syscall, or crashes after a durable append).
-    WalAppend,
+    WalAppend = 7,
     /// Wal: an fsync is about to be issued (a strike makes it lie —
     /// report success without persisting).
-    WalFsync,
+    WalFsync = 8,
     /// Wal: a checkpoint phase boundary (a strike hard-exits the
     /// process mid-protocol).
-    WalCheckpoint,
+    WalCheckpoint = 9,
 }
 
 impl Site {
@@ -61,21 +60,6 @@ impl Site {
             Site::WalAppend => "wal_append",
             Site::WalFsync => "wal_fsync",
             Site::WalCheckpoint => "wal_checkpoint",
-        }
-    }
-
-    fn index(&self) -> u64 {
-        match self {
-            Site::Dispatch => 0,
-            Site::RingPush => 1,
-            Site::RingPop => 2,
-            Site::StealCopy => 3,
-            Site::Request => 4,
-            Site::StoreLoad => 5,
-            Site::Compaction => 6,
-            Site::WalAppend => 7,
-            Site::WalFsync => 8,
-            Site::WalCheckpoint => 9,
         }
     }
 
@@ -114,15 +98,87 @@ fn applies_at(kind: &FaultKind, site: Site) -> bool {
     }
 }
 
+/// One fault check: the site and the identity its decision is keyed on.
+#[derive(Debug, Clone, Copy)]
+pub enum Check<'a> {
+    /// A sim site on SM `sm` at simulated cycle `cycle`. Draws key on the
+    /// site's check counter; `cycle=` fires once per `(rule, sm)`.
+    Sim {
+        /// `Dispatch`, `RingPush`, `RingPop` or `StealCopy`.
+        site: Site,
+        /// The SM (thread block).
+        sm: u32,
+        /// The simulated cycle.
+        cycle: u64,
+    },
+    /// An execution attempt of a served request. Draws key on
+    /// `(id << 8) | attempt`, never on the worker; `req=` spares retries,
+    /// so a request killed on first execution recovers by retrying.
+    Request {
+        /// The worker about to execute the attempt.
+        worker: u32,
+        /// The request id.
+        id: u64,
+        /// The attempt, 0-based.
+        attempt: u32,
+    },
+    /// The pack load of `store:` corpus `key` for request `id`. Draws key
+    /// on `fnv1a(key) ^ id·φ` (φ = `0x9e37_79b9_7f4a_7c15`), so each
+    /// request's load is struck on its own; [`Injector::corruption_seed`]
+    /// picks the byte a strike flips.
+    StoreLoad {
+        /// The corpus key.
+        key: &'a str,
+        /// The request id.
+        id: u64,
+    },
+    /// The `count`-th compaction attempt of delta corpus `key`. Draws
+    /// key on `fnv1a(key) ^ count·φ`, never on the worker that
+    /// triggered it.
+    Compaction {
+        /// The corpus key.
+        key: &'a str,
+        /// The corpus's compaction attempt counter.
+        count: u64,
+    },
+    /// The WAL append carrying `lsn`. Draws key on the LSN; `lsn=` fires
+    /// once (a rejected-then-retried append reuses its LSN).
+    WalAppend {
+        /// The record's LSN.
+        lsn: u64,
+    },
+    /// An fsync. Draws key on the site's check counter.
+    WalFsync,
+    /// A checkpoint phase boundary. Draws key on the phase index.
+    WalCheckpoint(CkptPhaseKind),
+}
+
+impl Check<'_> {
+    fn site(&self) -> Site {
+        match *self {
+            Check::Sim { site, .. } => {
+                debug_assert_eq!(site.domain(), Domain::Sm, "{site:?} is not a sim site");
+                site
+            }
+            Check::Request { .. } => Site::Request,
+            Check::StoreLoad { .. } => Site::StoreLoad,
+            Check::Compaction { .. } => Site::Compaction,
+            Check::WalAppend { .. } => Site::WalAppend,
+            Check::WalFsync => Site::WalFsync,
+            Check::WalCheckpoint(_) => Site::WalCheckpoint,
+        }
+    }
+}
+
 /// One recorded strike.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Injection {
     /// The site that was struck.
     pub site: Site,
-    /// SM index (sim sites) or worker index (serve). Worker indices are
-    /// scheduling-dependent and excluded from [`Injection::line`].
+    /// SM (sim sites), worker (requests; scheduling-dependent, so
+    /// excluded from [`Injection::line`]), or 0.
     pub unit: u32,
-    /// Simulated cycle (sim sites) or request id (serve).
+    /// Cycle, request id, key hash, LSN, fsync count or phase index.
     pub at: u64,
     /// What struck.
     pub kind: FaultKind,
@@ -174,13 +230,11 @@ impl fmt::Display for Injection {
 
 #[derive(Debug, Default)]
 struct InjectState {
-    /// `(rule index, unit)` pairs whose one-shot `cycle=` trigger fired.
-    /// Also reused (with unit 0) by the one-shot `lsn=` wal trigger.
+    /// `(rule index, unit)` pairs whose one-shot trigger fired: `cycle=`
+    /// per SM, `lsn=` with unit 0.
     fired: HashSet<(usize, u32)>,
-    /// Per-site deterministic draw counters (sim sites only).
-    draws: [u64; 5],
-    /// Deterministic draw counter for probabilistic wal-fsync strikes.
-    wal_fsync_draws: u64,
+    /// Checks so far, one counter per [`Site`].
+    draws: [u64; 10],
     log: Vec<Injection>,
 }
 
@@ -209,172 +263,63 @@ impl Injector {
         &self.plan
     }
 
-    /// Sim-side check: should a fault strike `site` on SM `sm` at
-    /// simulated cycle `cycle`? The first matching rule wins. Strikes
-    /// are appended to the log.
-    pub fn check(&self, site: Site, sm: u32, cycle: u64) -> Option<FaultKind> {
-        debug_assert_ne!(site, Site::Request, "use check_request for serve");
-        debug_assert_ne!(site, Site::StoreLoad, "use check_store for pack loads");
+    /// Should a fault strike at `check`? A rule is skipped unless its
+    /// domain and kind apply at the check's site and, at sim and request
+    /// checks only, its unit matches (store, compaction and wal checks
+    /// ignore units). The first remaining rule whose trigger fires wins,
+    /// and its strike is appended to the log.
+    pub fn strike(&self, check: Check<'_>) -> Option<FaultKind> {
         if self.plan.rules.is_empty() {
             return None;
         }
+        let site = check.site();
         let mut st = self.lock();
-        // Every check at a probabilistic site consumes one draw even if
-        // no rule fires, so rule ordering cannot alias streams.
-        let draw_key = st.draws[site.index() as usize];
-        st.draws[site.index() as usize] += 1;
+        // Every check consumes one count even if no rule fires, so rule
+        // ordering cannot alias draw streams.
+        let seq = st.draws[site as usize]; // index-ok: one counter per `Site` variant
+        st.draws[site as usize] += 1; // index-ok: one counter per `Site` variant
+        let (unit, at, key) = match check {
+            Check::Sim { sm, cycle, .. } => (Some(sm), cycle, seq),
+            Check::Request {
+                worker,
+                id,
+                attempt,
+            } => (Some(worker), id, (id << 8) | u64::from(attempt)),
+            Check::StoreLoad { key, id: n } | Check::Compaction { key, count: n } => {
+                let h = key_hash(key, n);
+                (None, h, h)
+            }
+            Check::WalAppend { lsn } => (None, lsn, lsn),
+            Check::WalFsync => (None, seq, seq),
+            Check::WalCheckpoint(phase) => (None, phase as u64, phase as u64),
+        };
         for (i, rule) in self.plan.rules.iter().enumerate() {
             if rule.target.domain != site.domain() || !applies_at(&rule.kind, site) {
                 continue;
             }
-            if let Some(u) = rule.target.unit {
-                if u != sm {
-                    continue;
-                }
+            if matches!((unit, rule.target.unit), (Some(u), Some(want)) if u != want) {
+                continue;
             }
-            let fires = match rule.trigger {
-                Trigger::AtCycle(c) => cycle >= c && st.fired.insert((i, sm)),
-                Trigger::OnRequest(_)
-                | Trigger::OnCompaction
-                | Trigger::AtLsn(_)
-                | Trigger::AtCkpt(_) => false,
-                Trigger::Prob(p) => self.bernoulli(i, site, draw_key, p),
-                Trigger::Always => true,
+            let fires = match (rule.trigger, check) {
+                (Trigger::Always, _) | (Trigger::OnCompaction, Check::Compaction { .. }) => true,
+                (Trigger::Prob(p), _) => self.bernoulli(i, site, key, p),
+                (Trigger::AtCycle(c), Check::Sim { sm, cycle, .. }) => {
+                    cycle >= c && st.fired.insert((i, sm))
+                }
+                (Trigger::OnRequest(r), Check::Request { id, attempt, .. }) => {
+                    id == r && attempt == 0
+                }
+                (Trigger::AtLsn(l), Check::WalAppend { lsn }) => {
+                    lsn == l && st.fired.insert((i, 0))
+                }
+                (Trigger::AtCkpt(p), Check::WalCheckpoint(phase)) => p == phase,
+                _ => false,
             };
             if fires {
-                let inj = Injection {
+                st.log.push(Injection {
                     site,
-                    unit: sm,
-                    at: cycle,
-                    kind: rule.kind,
-                };
-                st.log.push(inj);
-                return Some(rule.kind);
-            }
-        }
-        None
-    }
-
-    /// Serve-side check: should a fault strike the execution of request
-    /// `req_id` (attempt `attempt`, 0-based) on worker `worker`?
-    /// Decisions are keyed on `(req_id, attempt)`, never on the worker
-    /// or on arrival order, so they are identical across double runs.
-    /// `req=` triggers spare retries (attempt > 0): a request killed on
-    /// first execution demonstrably recovers through the retry path.
-    pub fn check_request(&self, worker: u32, req_id: u64, attempt: u32) -> Option<FaultKind> {
-        if self.plan.rules.is_empty() {
-            return None;
-        }
-        let mut st = self.lock();
-        for (i, rule) in self.plan.rules.iter().enumerate() {
-            if rule.target.domain != Domain::Worker || !applies_at(&rule.kind, Site::Request) {
-                continue;
-            }
-            if let Some(u) = rule.target.unit {
-                if u != worker {
-                    continue;
-                }
-            }
-            let fires = match rule.trigger {
-                Trigger::AtCycle(_)
-                | Trigger::OnCompaction
-                | Trigger::AtLsn(_)
-                | Trigger::AtCkpt(_) => false,
-                Trigger::OnRequest(id) => req_id == id && attempt == 0,
-                Trigger::Prob(p) => {
-                    self.bernoulli(i, Site::Request, (req_id << 8) | attempt as u64, p)
-                }
-                Trigger::Always => true,
-            };
-            if fires {
-                let inj = Injection {
-                    site: Site::Request,
-                    unit: worker,
-                    at: req_id,
-                    kind: rule.kind,
-                };
-                st.log.push(inj);
-                return Some(rule.kind);
-            }
-        }
-        None
-    }
-
-    /// Store-side check: should the pack load for corpus key `key`
-    /// (attempt `attempt` — loads are re-tried when a cached store is
-    /// evicted and rebuilt) be corrupted? Decisions are keyed on the
-    /// key's hash, never on worker or arrival order, so double runs
-    /// strike the same loads. On a strike, returns the deterministic
-    /// corruption seed to feed `db-store`'s corrupt-load path.
-    pub fn check_store(&self, key: &str, attempt: u64) -> Option<u64> {
-        if self.plan.rules.is_empty() {
-            return None;
-        }
-        let key_hash = fnv1a(key) ^ attempt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let mut st = self.lock();
-        for (i, rule) in self.plan.rules.iter().enumerate() {
-            if rule.target.domain != Domain::Store || !applies_at(&rule.kind, Site::StoreLoad) {
-                continue;
-            }
-            let fires = match rule.trigger {
-                Trigger::AtCycle(_)
-                | Trigger::OnRequest(_)
-                | Trigger::OnCompaction
-                | Trigger::AtLsn(_)
-                | Trigger::AtCkpt(_) => false,
-                Trigger::Prob(p) => self.bernoulli(i, Site::StoreLoad, key_hash, p),
-                Trigger::Always => true,
-            };
-            if fires {
-                st.log.push(Injection {
-                    site: Site::StoreLoad,
-                    unit: 0,
-                    at: key_hash,
-                    kind: rule.kind,
-                });
-                // The corruption seed is itself deterministic in (plan
-                // seed, key, attempt): same strike, same flipped byte.
-                return Some(
-                    self.plan
-                        .seed
-                        .wrapping_mul(0x2545_f491_4f6c_dd1d)
-                        .wrapping_add(key_hash)
-                        | 1,
-                );
-            }
-        }
-        None
-    }
-
-    /// Delta-side check: should the `count`-th compaction attempt for
-    /// delta corpus `key` be struck? Decisions are keyed on
-    /// `(key hash, attempt count)`, never on which worker triggered the
-    /// compaction or on arrival order, so double runs strike the same
-    /// attempts. Only `Kill` rules apply (a strike aborts the merge);
-    /// `@compaction`, `@always`, and `@p=` triggers can all fire here.
-    pub fn check_compaction(&self, key: &str, count: u64) -> Option<FaultKind> {
-        if self.plan.rules.is_empty() {
-            return None;
-        }
-        let key_hash = fnv1a(key) ^ count.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let mut st = self.lock();
-        for (i, rule) in self.plan.rules.iter().enumerate() {
-            if rule.target.domain != Domain::Worker || !applies_at(&rule.kind, Site::Compaction) {
-                continue;
-            }
-            let fires = match rule.trigger {
-                Trigger::AtCycle(_)
-                | Trigger::OnRequest(_)
-                | Trigger::AtLsn(_)
-                | Trigger::AtCkpt(_) => false,
-                Trigger::OnCompaction | Trigger::Always => true,
-                Trigger::Prob(p) => self.bernoulli(i, Site::Compaction, key_hash, p),
-            };
-            if fires {
-                st.log.push(Injection {
-                    site: Site::Compaction,
-                    unit: 0,
-                    at: key_hash,
+                    unit: unit.unwrap_or(0),
+                    at,
                     kind: rule.kind,
                 });
                 return Some(rule.kind);
@@ -383,116 +328,15 @@ impl Injector {
         None
     }
 
-    /// Storage-side check: should the WAL append carrying `lsn` be
-    /// struck? `lsn=` triggers are one-shot (a rejected-then-retried
-    /// append reuses the LSN and must not be struck twice); `p=` draws
-    /// are keyed on the LSN itself, so double runs strike the same
-    /// records regardless of thread interleaving.
-    pub fn check_wal_append(&self, lsn: u64) -> Option<FaultKind> {
-        if self.plan.rules.is_empty() {
-            return None;
-        }
-        let mut st = self.lock();
-        for (i, rule) in self.plan.rules.iter().enumerate() {
-            if rule.target.domain != Domain::Wal || !applies_at(&rule.kind, Site::WalAppend) {
-                continue;
-            }
-            let fires = match rule.trigger {
-                Trigger::AtLsn(l) => lsn == l && st.fired.insert((i, 0)),
-                Trigger::Prob(p) => self.bernoulli(i, Site::WalAppend, lsn, p),
-                Trigger::Always => true,
-                Trigger::AtCycle(_)
-                | Trigger::OnRequest(_)
-                | Trigger::OnCompaction
-                | Trigger::AtCkpt(_) => false,
-            };
-            if fires {
-                st.log.push(Injection {
-                    site: Site::WalAppend,
-                    unit: 0,
-                    at: lsn,
-                    kind: rule.kind,
-                });
-                return Some(rule.kind);
-            }
-        }
-        None
-    }
-
-    /// Storage-side check: should this fsync lie (report success while
-    /// persisting nothing)? Draws are keyed on a per-injector fsync
-    /// counter — fsync order is deterministic under a held write gate.
-    pub fn check_wal_fsync(&self) -> bool {
-        if self.plan.rules.is_empty() {
-            return false;
-        }
-        let mut st = self.lock();
-        let draw_key = st.wal_fsync_draws;
-        st.wal_fsync_draws += 1;
-        for (i, rule) in self.plan.rules.iter().enumerate() {
-            if rule.target.domain != Domain::Wal || !applies_at(&rule.kind, Site::WalFsync) {
-                continue;
-            }
-            let fires = match rule.trigger {
-                Trigger::Prob(p) => self.bernoulli(i, Site::WalFsync, draw_key, p),
-                Trigger::Always => true,
-                Trigger::AtCycle(_)
-                | Trigger::OnRequest(_)
-                | Trigger::OnCompaction
-                | Trigger::AtLsn(_)
-                | Trigger::AtCkpt(_) => false,
-            };
-            if fires {
-                st.log.push(Injection {
-                    site: Site::WalFsync,
-                    unit: 0,
-                    at: draw_key,
-                    kind: rule.kind,
-                });
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Storage-side check: should the process crash at checkpoint phase
-    /// `phase`? Only `crash` rules apply; the strike is logged before
-    /// returning (the caller exits the process, but the log write keeps
-    /// the in-memory record consistent for tests that stub the exit).
-    pub fn check_wal_ckpt(&self, phase: CkptPhaseKind) -> bool {
-        if self.plan.rules.is_empty() {
-            return false;
-        }
-        let phase_idx = match phase {
-            CkptPhaseKind::Pack => 0,
-            CkptPhaseKind::Manifest => 1,
-            CkptPhaseKind::Truncate => 2,
-        };
-        let mut st = self.lock();
-        for (i, rule) in self.plan.rules.iter().enumerate() {
-            if rule.target.domain != Domain::Wal || !applies_at(&rule.kind, Site::WalCheckpoint) {
-                continue;
-            }
-            let fires = match rule.trigger {
-                Trigger::AtCkpt(p) => p == phase,
-                Trigger::Prob(p) => self.bernoulli(i, Site::WalCheckpoint, phase_idx, p),
-                Trigger::Always => true,
-                Trigger::AtCycle(_)
-                | Trigger::OnRequest(_)
-                | Trigger::OnCompaction
-                | Trigger::AtLsn(_) => false,
-            };
-            if fires {
-                st.log.push(Injection {
-                    site: Site::WalCheckpoint,
-                    unit: 0,
-                    at: phase_idx,
-                    kind: rule.kind,
-                });
-                return true;
-            }
-        }
-        false
+    /// The seed of the byte a struck [`Check::StoreLoad`] flips, fed to
+    /// `db-store`'s corrupt-load path. It derives from the plan seed and
+    /// the check's key hash alone: same strike, same flipped byte.
+    pub fn corruption_seed(&self, key: &str, id: u64) -> u64 {
+        self.plan
+            .seed
+            .wrapping_mul(0x2545_f491_4f6c_dd1d)
+            .wrapping_add(key_hash(key, id))
+            | 1
     }
 
     /// Deterministic Bernoulli draw for rule `i` at `site` with `key`.
@@ -508,7 +352,7 @@ impl Injector {
             .seed
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add((i as u64) << 32)
-            .wrapping_add(site.index().wrapping_mul(0x1000_0000_01b3))
+            .wrapping_add((site as u64).wrapping_mul(0x1000_0000_01b3))
             .wrapping_add(key.wrapping_mul(0x2545_f491_4f6c_dd1d));
         // splitmix64 finalizer.
         x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -543,7 +387,7 @@ impl Injector {
 }
 
 /// FNV-1a over the key string — the stable, order-free identity store
-/// strikes are keyed on.
+/// and compaction strikes are keyed on.
 fn fnv1a(s: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in s.bytes() {
@@ -553,34 +397,64 @@ fn fnv1a(s: &str) -> u64 {
     h
 }
 
+/// A corpus key's hash mixed with a per-key count (a store load's
+/// request id, a compaction's attempt count).
+fn key_hash(key: &str, n: u64) -> u64 {
+    fnv1a(key) ^ n.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{FaultRule, Target};
 
     fn plan(spec: &str) -> FaultPlan {
         FaultPlan::parse(spec).unwrap()
     }
 
+    fn sim(inj: &Injector, site: Site, sm: u32, cycle: u64) -> Option<FaultKind> {
+        inj.strike(Check::Sim { site, sm, cycle })
+    }
+
+    fn request(inj: &Injector, worker: u32, id: u64, attempt: u32) -> Option<FaultKind> {
+        inj.strike(Check::Request {
+            worker,
+            id,
+            attempt,
+        })
+    }
+
+    fn store(inj: &Injector, key: &str, id: u64) -> Option<u64> {
+        inj.strike(Check::StoreLoad { key, id })
+            .map(|_| inj.corruption_seed(key, id))
+    }
+
+    fn compaction(inj: &Injector, key: &str, count: u64) -> Option<FaultKind> {
+        inj.strike(Check::Compaction { key, count })
+    }
+
+    fn append(inj: &Injector, lsn: u64) -> Option<FaultKind> {
+        inj.strike(Check::WalAppend { lsn })
+    }
+
     #[test]
     fn cycle_trigger_fires_once_per_unit() {
         let inj = Injector::new(plan("kill:sm=*@cycle=100"));
-        assert_eq!(inj.check(Site::Dispatch, 0, 50), None);
-        assert_eq!(inj.check(Site::Dispatch, 0, 100), Some(FaultKind::Kill));
-        assert_eq!(inj.check(Site::Dispatch, 0, 200), None); // already fired
-        assert_eq!(inj.check(Site::Dispatch, 1, 150), Some(FaultKind::Kill));
+        assert_eq!(sim(&inj, Site::Dispatch, 0, 50), None);
+        assert_eq!(sim(&inj, Site::Dispatch, 0, 100), Some(FaultKind::Kill));
+        assert_eq!(sim(&inj, Site::Dispatch, 0, 200), None); // already fired
+        assert_eq!(sim(&inj, Site::Dispatch, 1, 150), Some(FaultKind::Kill));
         assert_eq!(inj.injected(), 2);
     }
 
     #[test]
     fn targets_filter_units_and_domains() {
         let inj = Injector::new(plan("kill:sm=3@always;corrupt:worker=*@always"));
-        assert_eq!(inj.check(Site::Dispatch, 2, 0), None);
-        assert_eq!(inj.check(Site::Dispatch, 3, 0), Some(FaultKind::Kill));
+        assert_eq!(sim(&inj, Site::Dispatch, 2, 0), None);
+        assert_eq!(sim(&inj, Site::Dispatch, 3, 0), Some(FaultKind::Kill));
         // Worker rules never strike sim sites, and vice versa.
-        assert_eq!(inj.check(Site::StealCopy, 3, 0), None);
+        assert_eq!(sim(&inj, Site::StealCopy, 3, 0), None);
         assert_eq!(
-            inj.check_request(0, 7, 0),
+            request(&inj, 0, 7, 0),
             Some(FaultKind::CorruptResult),
             "worker wildcard strikes any worker"
         );
@@ -589,9 +463,9 @@ mod tests {
     #[test]
     fn req_trigger_spares_retries() {
         let inj = Injector::new(plan("kill:worker=*@req=5"));
-        assert_eq!(inj.check_request(1, 4, 0), None);
-        assert_eq!(inj.check_request(1, 5, 0), Some(FaultKind::Kill));
-        assert_eq!(inj.check_request(2, 5, 1), None, "retry is spared");
+        assert_eq!(request(&inj, 1, 4, 0), None);
+        assert_eq!(request(&inj, 1, 5, 0), Some(FaultKind::Kill));
+        assert_eq!(request(&inj, 2, 5, 1), None, "retry is spared");
     }
 
     #[test]
@@ -600,8 +474,8 @@ mod tests {
         let b = Injector::new(plan("seed=7;corrupt:worker=*@p=0.25"));
         let mut hits = 0;
         for id in 0..4000u64 {
-            let x = a.check_request(0, id, 0);
-            let y = b.check_request(9, id, 0); // different worker, same decision
+            let x = request(&a, 0, id, 0);
+            let y = request(&b, 9, id, 0); // different worker, same decision
             assert_eq!(x.is_some(), y.is_some(), "id {id}");
             hits += x.is_some() as u32;
         }
@@ -609,7 +483,7 @@ mod tests {
         // Different seed ⇒ a different decision set.
         let c = Injector::new(plan("seed=8;corrupt:worker=*@p=0.25"));
         for id in 0..4000u64 {
-            c.check_request(0, id, 0);
+            request(&c, 0, id, 0);
         }
         assert_ne!(
             c.log_lines(),
@@ -626,8 +500,8 @@ mod tests {
         for i in 0..200 {
             let cycle = i * 17;
             assert_eq!(
-                a.check(Site::StealCopy, (i % 4) as u32, cycle),
-                b.check(Site::StealCopy, (i % 4) as u32, cycle)
+                sim(&a, Site::StealCopy, (i % 4) as u32, cycle),
+                sim(&b, Site::StealCopy, (i % 4) as u32, cycle)
             );
         }
         assert_eq!(a.log_lines(), b.log_lines());
@@ -637,7 +511,7 @@ mod tests {
     #[test]
     fn serve_log_lines_exclude_the_worker() {
         let inj = Injector::new(plan("kill:worker=*@req=1"));
-        inj.check_request(3, 1, 0);
+        request(&inj, 3, 1, 0);
         assert_eq!(inj.log_lines(), vec!["request req=1 kill".to_string()]);
     }
 
@@ -645,47 +519,39 @@ mod tests {
     fn kinds_gate_on_their_sites() {
         // DropSteal only strikes the steal-copy site.
         let inj = Injector::new(plan("dropsteal:sm=*@always"));
-        assert_eq!(inj.check(Site::Dispatch, 0, 0), None);
-        assert_eq!(inj.check(Site::RingPush, 0, 0), None);
-        assert_eq!(inj.check(Site::StealCopy, 0, 0), Some(FaultKind::DropSteal));
+        assert_eq!(sim(&inj, Site::Dispatch, 0, 0), None);
+        assert_eq!(sim(&inj, Site::RingPush, 0, 0), None);
+        assert_eq!(sim(&inj, Site::StealCopy, 0, 0), Some(FaultKind::DropSteal));
         // Stall strikes ring sites too.
         let inj = Injector::new(plan("stall=9:sm=*@always"));
         assert_eq!(
-            inj.check(Site::RingPop, 0, 0),
+            sim(&inj, Site::RingPop, 0, 0),
             Some(FaultKind::Stall { cycles: 9 })
         );
     }
 
     #[test]
-    fn store_checks_fire_deterministically_per_key() {
+    fn store_checks_strike_loads_not_keys() {
+        // One key, 400 requests: each request's load is its own draw.
         let mk = || Injector::new(plan("seed=11;corrupt:store@p=0.5"));
         let a = mk();
         let b = mk();
         let mut hits = 0u32;
-        for i in 0..400 {
-            let key = format!("store:/data/g{i}.dbsg");
-            let x = a.check_store(&key, 0);
-            let y = b.check_store(&key, 0);
-            assert_eq!(x, y, "key {key}");
+        for id in 0..400 {
+            let x = store(&a, "store:/data/g.dbsg", id);
+            assert_eq!(x, store(&b, "store:/data/g.dbsg", id), "id {id}");
             hits += x.is_some() as u32;
         }
         assert!((120..280).contains(&hits), "p=0.5 hit {hits}/400");
         assert_eq!(a.log_lines(), b.log_lines());
-        // Same key, different attempt → independent decision stream.
-        let c = mk();
-        let d0 = c.check_store("store:/x.dbsg", 0);
-        let d1 = c.check_store("store:/x.dbsg", 1);
-        if let (Some(s0), Some(s1)) = (d0, d1) {
-            assert_ne!(s0, s1, "attempts must corrupt different bytes");
-        }
         // Store rules never strike other layers, and vice versa.
         let e = Injector::new(plan("corrupt:store@always;kill:worker=*@always"));
-        assert_eq!(e.check(Site::Dispatch, 0, 0), None);
-        assert!(e.check_store("k", 0).is_some());
-        assert_eq!(e.check_request(0, 1, 0), Some(FaultKind::Kill));
+        assert_eq!(sim(&e, Site::Dispatch, 0, 0), None);
+        assert!(store(&e, "k", 0).is_some());
+        assert_eq!(request(&e, 0, 1, 0), Some(FaultKind::Kill));
         // Non-corrupt kinds are inert at the store site.
         let f = Injector::new(plan("kill:store@always"));
-        assert_eq!(f.check_store("k", 0), None);
+        assert_eq!(store(&f, "k", 0), None);
     }
 
     #[test]
@@ -694,42 +560,42 @@ mod tests {
         let a = mk();
         let b = mk();
         for count in 0..8u64 {
-            let x = a.check_compaction("delta:path:100", count);
-            assert_eq!(x, b.check_compaction("delta:path:100", count));
+            let x = compaction(&a, "delta:path:100", count);
+            assert_eq!(x, compaction(&b, "delta:path:100", count));
             assert_eq!(x, Some(FaultKind::Kill));
         }
         assert_eq!(a.log_lines(), b.log_lines());
         // The compaction trigger never strikes sim, request, or store
         // sites — writes keep flowing while compactions are killed.
-        assert_eq!(a.check(Site::Dispatch, 0, 0), None);
-        assert_eq!(a.check_request(0, 1, 0), None);
-        assert_eq!(a.check_store("k", 0), None);
+        assert_eq!(sim(&a, Site::Dispatch, 0, 0), None);
+        assert_eq!(request(&a, 0, 1, 0), None);
+        assert_eq!(store(&a, "k", 0), None);
         // Probabilistic compaction strikes are keyed on (key, count).
         let c = Injector::new(plan("seed=5;kill:worker=*@p=0.5"));
         let d = Injector::new(plan("seed=5;kill:worker=*@p=0.5"));
         let mut hits = 0u32;
         for count in 0..400u64 {
-            let x = c.check_compaction("delta:grid:8:8", count);
-            assert_eq!(x, d.check_compaction("delta:grid:8:8", count));
+            let x = compaction(&c, "delta:grid:8:8", count);
+            assert_eq!(x, compaction(&d, "delta:grid:8:8", count));
             hits += x.is_some() as u32;
         }
         assert!((120..280).contains(&hits), "p=0.5 hit {hits}/400");
         // Non-kill kinds are inert at the compaction site.
         let e = Injector::new(plan("corrupt:worker=*@compaction"));
-        assert_eq!(e.check_compaction("k", 0), None);
+        assert_eq!(compaction(&e, "k", 0), None);
     }
 
     #[test]
     fn wal_append_lsn_trigger_is_one_shot() {
         let inj = Injector::new(plan("torn:wal@lsn=6"));
-        assert_eq!(inj.check_wal_append(5), None);
-        assert_eq!(inj.check_wal_append(6), Some(FaultKind::Torn));
+        assert_eq!(append(&inj, 5), None);
+        assert_eq!(append(&inj, 6), Some(FaultKind::Torn));
         assert_eq!(
-            inj.check_wal_append(6),
+            append(&inj, 6),
             None,
             "a retried append at the same LSN is spared"
         );
-        assert_eq!(inj.check_wal_append(7), None);
+        assert_eq!(append(&inj, 7), None);
         assert_eq!(inj.log_lines(), vec!["wal_append lsn=6 torn".to_string()]);
     }
 
@@ -737,33 +603,35 @@ mod tests {
     fn wal_sites_gate_kinds_and_domains() {
         // Crash applies at append and checkpoint; torn only at append.
         let inj = Injector::new(plan("crash:wal@lsn=3"));
-        assert_eq!(inj.check_wal_append(3), Some(FaultKind::Crash));
-        assert!(!inj.check_wal_fsync());
+        assert_eq!(append(&inj, 3), Some(FaultKind::Crash));
+        assert_eq!(inj.strike(Check::WalFsync), None);
         // Wal rules never strike other layers, and vice versa.
         let e = Injector::new(plan("torn:wal@always;kill:worker=*@always"));
-        assert_eq!(e.check(Site::Dispatch, 0, 0), None);
-        assert_eq!(e.check_request(0, 1, 0), Some(FaultKind::Kill));
-        assert_eq!(e.check_store("k", 0), None);
-        assert_eq!(e.check_wal_append(0), Some(FaultKind::Torn));
+        assert_eq!(sim(&e, Site::Dispatch, 0, 0), None);
+        assert_eq!(request(&e, 0, 1, 0), Some(FaultKind::Kill));
+        assert_eq!(store(&e, "k", 0), None);
+        assert_eq!(append(&e, 0), Some(FaultKind::Torn));
         // A non-wal kind targeting wal is inert.
         let f = Injector::new(plan("kill:wal@always"));
-        assert_eq!(f.check_wal_append(0), None);
-        assert!(!f.check_wal_ckpt(CkptPhaseKind::Pack));
+        assert_eq!(append(&f, 0), None);
+        let pack = Check::WalCheckpoint(CkptPhaseKind::Pack);
+        assert_eq!(f.strike(pack), None);
     }
 
     #[test]
     fn wal_ckpt_trigger_matches_its_phase_only() {
         let inj = Injector::new(plan("crash:wal@ckpt=manifest"));
-        assert!(!inj.check_wal_ckpt(CkptPhaseKind::Pack));
-        assert!(inj.check_wal_ckpt(CkptPhaseKind::Manifest));
-        assert!(!inj.check_wal_ckpt(CkptPhaseKind::Truncate));
+        let at = |phase| inj.strike(Check::WalCheckpoint(phase));
+        assert_eq!(at(CkptPhaseKind::Pack), None);
+        assert_eq!(at(CkptPhaseKind::Manifest), Some(FaultKind::Crash));
+        assert_eq!(at(CkptPhaseKind::Truncate), None);
         assert_eq!(
             inj.log_lines(),
             vec!["wal_checkpoint phase=manifest crash".to_string()]
         );
         // ckpt= rules never strike the append or fsync sites.
-        assert_eq!(inj.check_wal_append(0), None);
-        assert!(!inj.check_wal_fsync());
+        assert_eq!(append(&inj, 0), None);
+        assert_eq!(inj.strike(Check::WalFsync), None);
     }
 
     #[test]
@@ -773,9 +641,9 @@ mod tests {
         let b = mk();
         let mut hits = 0u32;
         for _ in 0..400 {
-            let x = a.check_wal_fsync();
-            assert_eq!(x, b.check_wal_fsync());
-            hits += x as u32;
+            let x = a.strike(Check::WalFsync);
+            assert_eq!(x, b.strike(Check::WalFsync));
+            hits += x.is_some() as u32;
         }
         assert!((120..280).contains(&hits), "p=0.5 hit {hits}/400");
         assert_eq!(a.log_lines(), b.log_lines());
@@ -783,30 +651,9 @@ mod tests {
 
     #[test]
     fn first_matching_rule_wins() {
-        let p = FaultPlan {
-            seed: 0,
-            rules: vec![
-                FaultRule {
-                    kind: FaultKind::Stall { cycles: 1 },
-                    target: Target {
-                        domain: Domain::Sm,
-                        unit: None,
-                    },
-                    trigger: Trigger::Always,
-                },
-                FaultRule {
-                    kind: FaultKind::Kill,
-                    target: Target {
-                        domain: Domain::Sm,
-                        unit: None,
-                    },
-                    trigger: Trigger::Always,
-                },
-            ],
-        };
-        let inj = Injector::new(p);
+        let inj = Injector::new(plan("stall=1:sm=*@always;kill:sm=*@always"));
         assert_eq!(
-            inj.check(Site::Dispatch, 0, 0),
+            sim(&inj, Site::Dispatch, 0, 0),
             Some(FaultKind::Stall { cycles: 1 })
         );
     }

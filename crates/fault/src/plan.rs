@@ -20,13 +20,18 @@
 //! Examples: `kill:sm=3@cycle=10000` (kill SM 3 at simulated cycle
 //! 10 000), `corrupt:worker=*@p=0.25` (corrupt a quarter of serve
 //! request executions), `seed=7;stall=500:sm=*@p=0.1`,
-//! `corrupt:store@p=0.5` (flip a byte in half of the pack loads —
-//! checksum verification must catch every strike; bare `store` is
-//! shorthand for `store=*`). The storage fault domain targets the WAL:
-//! `torn:wal@lsn=6` (tear the append of LSN 6 in half and crash),
-//! `crash:wal@ckpt=manifest` (hard process exit mid manifest swap),
-//! `fsynclie:wal@p=0.5` (half the fsyncs report success without
-//! persisting); bare `wal` is shorthand for `wal=*`.
+//! `corrupt:store@p=0.5` (flip a byte in the pack load of half the
+//! requests, drawn per request id — checksum verification must catch
+//! every strike; bare `store` is shorthand for `store=*`). The storage
+//! fault domain targets the WAL: `torn:wal@lsn=6` (tear the append of
+//! LSN 6 in half and crash), `crash:wal@ckpt=manifest` (hard process
+//! exit mid manifest swap), `fsynclie:wal@p=0.5` (half the fsyncs
+//! report success without persisting); bare `wal` is shorthand for
+//! `wal=*`.
+//!
+//! A unit is matched only at sim and request sites: `store=N`, `wal=N`
+//! and a worker unit on a rule that strikes a compaction are accepted
+//! and ignored.
 //!
 //! [`FaultPlan`] round-trips `parse → Display → parse` exactly; floats
 //! use Rust's shortest-round-trip formatting, so the property holds for
@@ -311,7 +316,8 @@ fn parse_kind(s: &str) -> Result<FaultKind, String> {
 
 fn parse_target(s: &str) -> Result<Target, String> {
     // Bare `store` is shorthand for `store=*` (the store layer has no
-    // natural unit index; corruption draws key on the corpus key).
+    // natural unit index; corruption draws key on the corpus key and
+    // the request id).
     if s == "store" {
         return Ok(Target {
             domain: Domain::Store,

@@ -5,7 +5,7 @@
 //! probabilities/factors (Rust's shortest-round-trip float formatting
 //! carries the weight there).
 
-use db_fault::{Domain, FaultKind, FaultPlan, FaultRule, Injector, Site, Target, Trigger};
+use db_fault::{Check, Domain, FaultKind, FaultPlan, FaultRule, Injector, Site, Target, Trigger};
 use proptest::prelude::*;
 
 fn arb_kind() -> impl Strategy<Value = FaultKind> {
@@ -80,15 +80,14 @@ proptest! {
                 2 => Site::RingPop,
                 _ => Site::StealCopy,
             };
-            prop_assert_eq!(a.check(site, unit, at), b.check(site, unit, at));
-            prop_assert_eq!(
-                a.check_request(unit, at, (at % 3) as u32),
-                b.check_request(unit, at, (at % 3) as u32)
-            );
-            prop_assert_eq!(
-                a.check_compaction("delta:path:10", at),
-                b.check_compaction("delta:path:10", at)
-            );
+            let attempt = (at % 3) as u32;
+            for check in [
+                Check::Sim { site, sm: unit, cycle: at },
+                Check::Request { worker: unit, id: at, attempt },
+                Check::Compaction { key: "delta:path:10", count: at },
+            ] {
+                prop_assert_eq!(a.strike(check), b.strike(check));
+            }
         }
         prop_assert_eq!(a.log_lines(), b.log_lines());
     }

@@ -73,21 +73,6 @@ pub fn rmat(scale: u32, edge_factor: u32, params: RmatParams, seed: u64) -> CsrG
     b.build()
 }
 
-/// Directed R-MAT variant (for DAG experiments the arcs are later
-/// filtered by vertex order).
-pub fn rmat_directed(scale: u32, edge_factor: u32, params: RmatParams, seed: u64) -> CsrGraph {
-    let und = rmat(scale, edge_factor, params, seed);
-    // Re-derive directed arcs: keep each sampled direction as-is by
-    // re-sampling; simplest faithful approach is to rebuild from the
-    // undirected arc list keeping u->v for all stored arcs.
-    let n = und.num_vertices() as u32;
-    let mut b = GraphBuilder::directed(n);
-    for (u, v) in und.arcs() {
-        b.edge(u, v);
-    }
-    b.build()
-}
-
 /// Makes a DAG out of any graph by keeping only arcs `u -> v` with
 /// `u < v` — the standard construction for lexicographic-DFS baselines
 /// (NVG-DFS is defined on DAGs).

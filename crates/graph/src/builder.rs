@@ -73,11 +73,6 @@ impl GraphBuilder {
         self.arcs.reserve(additional * factor);
     }
 
-    /// Number of arcs currently staged.
-    pub fn staged_arcs(&self) -> usize {
-        self.arcs.len()
-    }
-
     /// Finalizes into CSR: sorts arcs, removes duplicates, builds
     /// `row_ptr`/`col_idx`.
     pub fn build(mut self) -> CsrGraph {

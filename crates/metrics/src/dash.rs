@@ -7,7 +7,7 @@
 //! burn-rate table. Pure string-in/string-out so it is trivially
 //! testable and usable against a saved scrape file.
 
-use crate::prometheus::{Exposition, Sample};
+use crate::prometheus::Exposition;
 
 /// Sums every sample of `name` whose labels all match `filter`.
 fn sum(exp: &Exposition, name: &str, filter: &[(&str, &str)]) -> f64 {
@@ -167,11 +167,6 @@ pub fn render_dashboard(exp: &Exposition, prev: Option<&Exposition>, interval_s:
         ));
     }
     out
-}
-
-/// Convenience re-export surface for callers holding raw samples.
-pub fn samples_named<'a>(exp: &'a Exposition, name: &str) -> Vec<&'a Sample> {
-    exp.samples.iter().filter(|s| s.name == name).collect()
 }
 
 #[cfg(test)]

@@ -244,7 +244,7 @@ impl CorpusCache {
 
     /// Fault-injection probe: attempts a *fresh, uncached* load of a
     /// `store:` key with one deterministic byte flipped in a loaded
-    /// section (see `db_fault::Injector::check_store`). The pack
+    /// section (see `db_fault::Injector::corruption_seed`). The pack
     /// checksums are expected to catch the flip: the result is almost
     /// always a typed error, which the pool turns into a per-request
     /// failure while the cached, intact store keeps serving everyone

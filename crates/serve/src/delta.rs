@@ -19,7 +19,7 @@
 //! (post-drain) use, where it is deterministic again.
 //!
 //! Compaction runs inside the writer's publish call; the chaos plan's
-//! `compaction` trigger ([`db_fault::Injector::check_compaction`]) can
+//! `compaction` trigger (a [`db_fault::Check::Compaction`] strike) can
 //! abort an attempt at either hook point, modelling a worker killed
 //! mid-compaction. An aborted attempt makes zero state changes, so no
 //! epoch is lost — a later publish simply folds the backlog.
@@ -48,7 +48,7 @@ use db_core::CancelToken;
 use db_delta::{
     CompactAction, CompactOutcome, CompactPoint, DeltaGraph, DEFAULT_COMPACT_THRESHOLD,
 };
-use db_fault::{CkptPhaseKind, FaultKind, Injector};
+use db_fault::{Check, CkptPhaseKind, FaultKind, Injector};
 use db_metrics::{Counter, Gauge, Registry};
 use db_trace::json::Value;
 use db_wal::{
@@ -231,7 +231,7 @@ struct InjectorHook(Arc<Injector>);
 
 impl WalFaultHook for InjectorHook {
     fn on_append(&self, lsn: u64) -> AppendFault {
-        match self.0.check_wal_append(lsn) {
+        match self.0.strike(Check::WalAppend { lsn }) {
             Some(FaultKind::Torn) => AppendFault::Torn,
             Some(FaultKind::ShortWrite) => AppendFault::ShortWrite,
             Some(FaultKind::Crash) => AppendFault::Crash,
@@ -240,15 +240,16 @@ impl WalFaultHook for InjectorHook {
     }
 
     fn on_fsync(&self) -> bool {
-        self.0.check_wal_fsync()
+        self.0.strike(Check::WalFsync).is_some()
     }
 
     fn on_checkpoint(&self, phase: CkptPhase) -> bool {
-        self.0.check_wal_ckpt(match phase {
+        let phase = Check::WalCheckpoint(match phase {
             CkptPhase::Pack => CkptPhaseKind::Pack,
             CkptPhase::Manifest => CkptPhaseKind::Manifest,
             CkptPhase::Truncate => CkptPhaseKind::Truncate,
-        })
+        });
+        self.0.strike(phase).is_some()
     }
 }
 
@@ -614,13 +615,14 @@ impl DeltaRegistry {
         }
         // relaxed-ok: monotone attempt counter; only uniqueness per
         // corpus matters, no other state is published through it
-        let seq = entry.compact_seq.fetch_add(1, Ordering::Relaxed);
+        let count = entry.compact_seq.fetch_add(1, Ordering::Relaxed);
+        let key = &req.graph;
         let mut struck = false;
         let mut hook = |_: CompactPoint| {
             if struck {
                 return CompactAction::Abort;
             }
-            if injector.is_some_and(|inj| inj.check_compaction(&req.graph, seq).is_some()) {
+            if injector.is_some_and(|inj| inj.strike(Check::Compaction { key, count }).is_some()) {
                 struck = true;
                 return CompactAction::Abort;
             }

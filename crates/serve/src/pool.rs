@@ -48,7 +48,7 @@ use crate::request::{EngineKind, Request, Response, Status, Workload};
 use crate::resilience::{backoff_delay, BreakerEvent, BreakerMap, Resilience};
 use db_core::kernel::{self, Crew, Scratch, Team};
 use db_core::CancelToken;
-use db_fault::FaultKind;
+use db_fault::{Check, FaultKind};
 use db_metrics::{Gauge, SloConfig, SloTracker};
 use db_span::{
     DumpReason, FlightConfig, FlightDump, FlightRecorder, SpanKind, SpanRecord, TraceCtx,
@@ -1100,15 +1100,18 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job, scratch: &mut WorkerScrat
 
     // Store-load fault site: a chaos plan targeting `store` strikes
     // this request's pack load, which then runs fresh and uncached with
-    // one deterministic byte flipped. The pack checksum catches the
-    // flip and only this request fails (`failed`, not `error`) — the
-    // cached intact store keeps serving everyone else.
+    // one deterministic byte flipped. The draw is keyed on the request
+    // id, so a `p=` plan strikes that share of the loads. The pack
+    // checksum catches the flip and only this request fails (`failed`,
+    // not `error`) — the cached intact store keeps serving everyone else.
     let store_fault = policy.faults.as_ref().and_then(|inj| {
-        job.req
-            .graph
-            .starts_with(crate::corpus::STORE_PREFIX)
-            .then(|| inj.check_store(&job.req.graph, 0))
-            .flatten()
+        let check = Check::StoreLoad {
+            key: &job.req.graph,
+            id: job.req.id,
+        };
+        let store_key = job.req.graph.starts_with(crate::corpus::STORE_PREFIX);
+        (store_key && inj.strike(check).is_some())
+            .then(|| inj.corruption_seed(&job.req.graph, job.req.id))
     });
     let t_store = inner.now_ns();
     let resolved = match store_fault {
@@ -1193,45 +1196,43 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job, scratch: &mut WorkerScrat
         }
 
         // Consult the chaos plan (one branch when no plan is loaded).
-        let mut kill = false;
-        let mut corrupt = false;
-        let mut stall = None;
-        if let Some(inj) = &policy.faults {
-            if let Some(kind) = inj.check_request(worker, job.req.id, attempt) {
-                fault_struck = true;
-                let fault_code = match kind {
-                    FaultKind::Kill => 0,
-                    FaultKind::CorruptResult => 1,
-                    FaultKind::Stall { .. } => 2,
-                    FaultKind::SlowDown { .. } => 3,
-                    FaultKind::DropSteal
-                    | FaultKind::Torn
-                    | FaultKind::ShortWrite
-                    | FaultKind::FsyncLie
-                    | FaultKind::Crash => 0,
-                };
-                inner.span(&job.ctx, SpanKind::Fault, fault_code, 0, worker, t_attempt);
-                match kind {
-                    FaultKind::Kill => kill = true,
-                    // Modeled as a checksum mismatch at result delivery.
-                    // A retried request's final attempt is exempt, so an
-                    // `always` corrupt plan still converges instead of
-                    // failing forever.
-                    FaultKind::CorruptResult => corrupt = !final_retry,
-                    FaultKind::Stall { cycles } => stall = Some(Duration::from_micros(cycles)),
-                    FaultKind::SlowDown { factor } => {
-                        stall = Some(Duration::from_millis(factor.max(0.0).ceil() as u64))
-                    }
-                    // Steal-site only; check_request never yields it.
-                    FaultKind::DropSteal => {}
-                    // Storage kinds strike wal sites, never request
-                    // execution; check_request never yields them.
-                    FaultKind::Torn
-                    | FaultKind::ShortWrite
-                    | FaultKind::FsyncLie
-                    | FaultKind::Crash => {}
+        let (mut kill, mut corrupt, mut stall) = (false, false, None);
+        let check = Check::Request {
+            worker,
+            id: job.req.id,
+            attempt,
+        };
+        if let Some(kind) = policy.faults.as_ref().and_then(|inj| inj.strike(check)) {
+            fault_struck = true;
+            let fault_code = match kind {
+                FaultKind::Kill => {
+                    kill = true;
+                    0
                 }
-            }
+                // Modeled as a checksum mismatch at result delivery. A
+                // retried request's final attempt is exempt, so an
+                // `always` corrupt plan still converges instead of
+                // failing forever.
+                FaultKind::CorruptResult => {
+                    corrupt = !final_retry;
+                    1
+                }
+                FaultKind::Stall { cycles } => {
+                    stall = Some(Duration::from_micros(cycles));
+                    2
+                }
+                FaultKind::SlowDown { factor } => {
+                    stall = Some(Duration::from_millis(factor.max(0.0).ceil() as u64));
+                    3
+                }
+                // Steal-site and storage kinds never strike a request.
+                FaultKind::DropSteal
+                | FaultKind::Torn
+                | FaultKind::ShortWrite
+                | FaultKind::FsyncLie
+                | FaultKind::Crash => 0,
+            };
+            inner.span(&job.ctx, SpanKind::Fault, fault_code, 0, worker, t_attempt);
         }
 
         let attempt_req;

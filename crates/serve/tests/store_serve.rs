@@ -5,7 +5,7 @@
 
 use db_fault::{FaultPlan, Injector};
 use db_serve::corpus::CorpusCache;
-use db_serve::{EngineKind, Request, Resilience, ServeConfig, Server, Status, Workload};
+use db_serve::{EngineKind, Request, Resilience, Response, ServeConfig, Server, Status, Workload};
 use db_store::{pack_graph, PackOptions};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -173,6 +173,39 @@ fn store_fault_domain_degrades_per_request() {
     assert_eq!(get("db_store_load_failures_total"), 4.0);
     assert!(inj.injected() >= 4, "strikes must land in the fault log");
     server.shutdown();
+    std::fs::remove_file(path).unwrap();
+}
+
+#[test]
+fn store_faults_strike_loads_not_keys() {
+    // The draw is keyed on the request id, so `p=0.5` fails about half
+    // of one pack's loads, the same ones on every server.
+    let (path, key) = packed_social("per-load", 2_000);
+    let run = || {
+        let inj = Injector::new(FaultPlan::parse("seed=1;corrupt:store@p=0.5").unwrap());
+        let server = Server::start(ServeConfig {
+            workers: 2,
+            resilience: Resilience {
+                faults: Some(Arc::new(inj)),
+                breaker_threshold: 0,
+                ..Resilience::default()
+            },
+            ..ServeConfig::default()
+        });
+        let h = server.handle();
+        let answers: Vec<_> = (0..40)
+            .map(|id| h.run(dfs(id, &key, EngineKind::Native)))
+            .collect();
+        server.shutdown();
+        answers
+    };
+    let (a, b) = (run(), run());
+    let failed = a.iter().filter(|r| r.status == Status::Failed).count();
+    let ok = a.iter().filter(|r| r.status == Status::Ok).count();
+    assert_eq!(ok + failed, 40);
+    assert!(ok > 0 && failed > 0, "{failed} of 40 loads failed");
+    let digests = |rs: &[Response]| rs.iter().map(Response::digest).collect::<Vec<_>>();
+    assert_eq!(digests(&a), digests(&b), "double run digests differ");
     std::fs::remove_file(path).unwrap();
 }
 

@@ -234,12 +234,8 @@ pub fn events_from_document(doc: &Value) -> Vec<TraceEvent> {
         .unwrap_or_default()
 }
 
-/// Writes the Chrome-trace JSON for `events` to `w`.
-pub fn write_chrome_trace<W: Write>(events: &[TraceEvent], w: &mut W) -> io::Result<()> {
-    w.write_all(chrome_trace_document(events).to_json().as_bytes())
-}
-
-/// Like [`write_chrome_trace`], carrying the ring buffer's drop count.
+/// Writes the Chrome-trace JSON for `events` to `w`, carrying the ring
+/// buffer's drop count.
 pub fn write_chrome_trace_with_drops<W: Write>(
     events: &[TraceEvent],
     dropped: u64,

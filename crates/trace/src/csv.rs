@@ -76,11 +76,8 @@ pub fn csv_string_with_drops(events: &[TraceEvent], dropped: u64) -> String {
     out
 }
 
-pub fn write_csv<W: Write>(events: &[TraceEvent], w: &mut W) -> io::Result<()> {
-    w.write_all(csv_string(events).as_bytes())
-}
-
-/// Like [`write_csv`], carrying the ring buffer's drop count.
+/// Writes the CSV for `events` to `w`, carrying the ring buffer's drop
+/// count.
 pub fn write_csv_with_drops<W: Write>(
     events: &[TraceEvent],
     dropped: u64,
