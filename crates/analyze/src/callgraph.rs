@@ -72,6 +72,7 @@ const METHOD_DENYLIST: &[&str] = &[
     "borrow",
     "borrow_mut",
     "index",
+    "as_str",
 ];
 
 /// Maximum candidate fan-out for a method call before we drop it as
@@ -525,6 +526,20 @@ mod tests {
         let g = graph(&[(
             "crates/a/src/lib.rs",
             "struct W;\nimpl W { fn clone(&self) -> W { W } }\nfn go(w: &W) { let _ = w.clone(); }\n",
+        )]);
+        let go = g.select(|n| n.name == "go");
+        assert!(g.edges[&go[0]].is_empty());
+    }
+
+    #[test]
+    fn a_strings_as_str_does_not_edge_to_the_crates_only_as_str() {
+        // `as_str` is `String`/`str` vocabulary: a string's call must
+        // not resolve to the one `as_str` the crate defines.
+        let g = graph(&[(
+            "crates/a/src/lib.rs",
+            "enum Status { Ok }\n\
+             impl Status { fn as_str(&self) -> &str { \"ok\" } }\n\
+             fn go(s: &String) -> usize { s.as_str().len() }\n",
         )]);
         let go = g.select(|n| n.name == "go");
         assert!(g.edges[&go[0]].is_empty());

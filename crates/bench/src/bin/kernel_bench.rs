@@ -2,7 +2,7 @@
 //!
 //! Runs `db_core::kernel::search` from vertex 0 with no target (a full
 //! reach) on each graph, `--runs` times on one thread, and reports the
-//! median wall time, whether the graph ran batched
+//! median wall time, whether the graph ran batched, level by level
 //! (`kernel::batches`, with the far-arc share that decided it), and
 //! MTEPS over the arcs the search scanned. On every batched graph it
 //! also times `db_core::kernel::team_search` as a two-member team, whose
@@ -47,6 +47,7 @@ fn parse_args() -> Args {
             "social:1000000",
             "social:5000000",
             "google",
+            "rgg_l",
             "grid:1000:1000",
             "path:1000000",
             "delaunay",

@@ -29,14 +29,16 @@
 //!   Oracles: no lost acknowledged write, no double apply.
 //!   [`wal_model::WalMutation`] seeds the bug classes the ordering
 //!   exists to prevent.
-//! * [`team_model`] — the same explorer over the served kernel's team
-//!   search (`db_core::kernel::team_search`): one owner, at most one
-//!   helper, hand-offs, a sticky end, joins, leaves for a queued
-//!   request, and the owner's wait before it reuses its marks. Oracles:
-//!   the end only at quiescence or on a stop, nothing expanded after a
-//!   quiescent end, no lost entry, both members exit, and marks never
-//!   cleared while a helper holds them. [`team_model::TeamMutation`]
-//!   seeds the bugs a prototype of the team hit.
+//! * [`level_model`] — the same explorer over the served kernel's team
+//!   search (`db_core::kernel::team_search`), which runs level by
+//!   level: one owner, at most one helper, a chunk cursor tagged with
+//!   its level and closed before the owner folds, per-member `next`
+//!   bitmaps, joins, leaves for a queued request, and the owner's wait
+//!   before it reuses its bitmaps. Oracles: no fold while a chunk is
+//!   held, no claim on a view other than the published level's, no lost
+//!   vertex, both members exit, and bitmaps never cleared while a helper
+//!   holds them. [`level_model::LevelMutation`] seeds the bugs the
+//!   protocol guards against.
 //! * [`race`] — a vector-clock happens-before detector over `db-trace`
 //!   event streams (steal/recover events are the sync edges), runnable
 //!   post-hoc on any `--trace` output.
@@ -52,16 +54,16 @@
 
 pub mod epoch_model;
 pub mod explore;
+pub mod level_model;
 pub mod proto_model;
 pub mod race;
 pub mod ring_model;
-pub mod team_model;
 pub mod wal_model;
 
 pub use epoch_model::{EpochModel, EpochMutation, EpochScenario};
 pub use explore::{Explorer, Model, Outcome, Stats, Violation};
+pub use level_model::{ClientEvent, LevelModel, LevelMutation, LevelScenario};
 pub use proto_model::{ProtoModel, ProtoMutation, ProtoScenario};
 pub use race::{detect, RaceConfig, RaceError, RaceFinding, RaceReport};
 pub use ring_model::{RingModel, RingMutation, RingScenario};
-pub use team_model::{ClientEvent, TeamModel, TeamMutation, TeamScenario};
 pub use wal_model::{WalModel, WalMutation, WalScenario};

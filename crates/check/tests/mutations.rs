@@ -3,9 +3,9 @@
 //! checker's own false-positive/false-negative regression suite.
 
 use db_check::explore::{replay, Explorer, Outcome};
+use db_check::level_model::{LevelModel, LevelMutation, LevelScenario};
 use db_check::proto_model::{ProtoModel, ProtoMutation, ProtoScenario};
 use db_check::ring_model::{RingModel, RingMutation, RingScenario};
-use db_check::team_model::{TeamModel, TeamMutation, TeamScenario};
 
 fn explorer() -> Explorer {
     Explorer::default()
@@ -99,65 +99,65 @@ fn three_worker_handshake_still_passes() {
     assert!(outcome.passed(), "{outcome:?}");
 }
 
-/// Every shipped team config: a dfs, a dfs with a request queued at any
-/// point, a reach, and a cancelled dfs.
-fn team_scenarios() -> [(&'static str, TeamScenario); 4] {
+/// Every shipped level config: a dfs, a dfs with a request queued at
+/// any point, a reach, and a cancelled dfs.
+fn level_scenarios() -> [(&'static str, LevelScenario); 4] {
     [
-        ("star", TeamScenario::star()),
-        ("star_request", TeamScenario::star_request()),
-        ("star_reach", TeamScenario::star_reach()),
-        ("diamond_cancel", TeamScenario::diamond_cancel()),
+        ("tree", LevelScenario::tree()),
+        ("tree_request", LevelScenario::tree_request()),
+        ("tree_reach", LevelScenario::tree_reach()),
+        ("tree_cancel", LevelScenario::tree_cancel()),
     ]
 }
 
 #[test]
-fn faithful_team_protocol_passes_every_config() {
-    for (name, sc) in team_scenarios() {
-        let outcome = explorer().run(&TeamModel::new(sc));
-        assert!(outcome.passed(), "faithful team/{name} failed: {outcome:?}");
-        assert!(outcome.stats().final_states > 0, "team/{name}");
+fn faithful_level_protocol_passes_every_config() {
+    for (name, sc) in level_scenarios() {
+        let outcome = explorer().run(&LevelModel::new(sc));
+        assert!(
+            outcome.passed(),
+            "faithful level/{name} failed: {outcome:?}"
+        );
+        assert!(outcome.stats().final_states > 0, "level/{name}");
     }
 }
 
 #[test]
-fn every_team_mutation_is_caught_and_replayable() {
+fn every_level_mutation_is_caught_and_replayable() {
     // Each mutation with the config that exposes it and the oracle it
-    // trips first: with no sticky end a join cannot be refused, so a
-    // helper that took the offer joins after the owner counted (the same
-    // missing flag strands an idle owner, the prototype's livelock); a
-    // late join or an impatient owner clears marks a helper holds; a
-    // leave that keeps its entries loses them; and an end that ignores
-    // the hand-off buffer ends early.
+    // trips: an owner that does not wait for a held chunk folds under
+    // it; a helper that leaves holding a chunk leaves the owner waiting
+    // for it forever; a claim that ignores the level takes a chunk of
+    // the next one after the cursor comes back to the same index; a
+    // late join holds the bitmaps the owner resets; and without the
+    // close a helper that read the spent cursor and the next level's
+    // span claims a chunk of that span under the old level.
     let cases = [
         (
-            TeamMutation::NonStickyEnd,
-            TeamScenario::star(),
+            LevelMutation::FoldWhileHeld,
+            LevelScenario::tree(),
+            "fold-while-held",
+        ),
+        (
+            LevelMutation::LeaveAbandonsChunk,
+            LevelScenario::tree_request(),
+            "deadlock",
+        ),
+        (
+            LevelMutation::StaleClaim,
+            LevelScenario::tree(),
+            "stale-claim",
+        ),
+        (
+            LevelMutation::JoinAfterEnd,
+            LevelScenario::tree(),
             "cleared-while-held",
         ),
-        (
-            TeamMutation::JoinAfterEnd,
-            TeamScenario::star(),
-            "cleared-while-held",
-        ),
-        (
-            TeamMutation::LeaveKeepsEntries,
-            TeamScenario::star_request(),
-            "lost-entry",
-        ),
-        (
-            TeamMutation::OwnerSkipsWait,
-            TeamScenario::star(),
-            "cleared-while-held",
-        ),
-        (
-            TeamMutation::EndIgnoresHandoff,
-            TeamScenario::star(),
-            "early-end",
-        ),
+        (LevelMutation::NoClose, LevelScenario::tree(), "stale-claim"),
     ];
-    assert_eq!(cases.len(), TeamMutation::ALL.len());
+    assert_eq!(cases.len(), LevelMutation::ALL.len());
     for (m, sc, oracle) in cases {
-        let model = TeamModel::new(sc.with_mutation(m));
+        let model = LevelModel::new(sc.with_mutation(m));
         match explorer().run(&model) {
             Outcome::Fail {
                 violation,

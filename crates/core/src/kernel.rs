@@ -1,150 +1,212 @@
-//! The served traversal kernel: reachability from one root over an
-//! explicit stack, on the calling thread or on a team of two.
+//! The served traversal kernel: reachability from one root, on the
+//! calling thread or on a team of two, by one of two loops.
 //!
 //! The service layer runs this for every `dfs`/`reach` that does not ask
 //! for the simulator. The paper's engines ([`crate::native`],
 //! [`crate::sim`]) spawn threads and fill parent arrays because they
 //! model the GPU; a served answer only needs the visited set, which
-//! every engine must produce identically. So the kernel keeps one mark
-//! per vertex and one stack per member, in a [`Scratch`] the caller
-//! reuses across requests. A [`CsrGraph`] is checked when it is built,
-//! so the kernel indexes its arrays without checking them again.
+//! every engine must produce identically, so the kernel may expand
+//! vertices in any order. It keeps its marks in a [`Scratch`] the
+//! caller reuses across requests. A [`CsrGraph`] is checked when it is
+//! built, so the kernel indexes its arrays without checking them again.
 //!
-//! A vertex is marked when it is pushed, so a lone searcher's stack
-//! never holds more than `n` entries. The [`CancelToken`] is polled
-//! before the first expansion and then every [`POLL_STRIDE`]
-//! expansions. A search with a target returns as soon as it marks that
-//! target.
+//! # Two loops, one switch
 //!
-//! # Batching
+//! * **Stack** — an explicit stack over one visited bit per vertex. A
+//!   vertex is marked when it is pushed, so the stack never holds more
+//!   than `n` entries.
+//! * **Frontier** — level by level over bitmaps, one bit per vertex
+//!   each: `visited`, the level's `frontier`, and a `next` per member.
+//!   Each level's frontier is expanded in vertex-id order, in chunks of
+//!   [`CHUNK_IDS`] ids; an unvisited neighbour's bit is set in `next`,
+//!   and at the level's end `next` is folded into `frontier` and
+//!   `visited`. On a graph too big for the caches a search is bound by
+//!   memory latency, not bandwidth: each expanded vertex costs two
+//!   dependent misses, `row_ptr[u]` and then the head of its `col_idx`
+//!   row. So the loop reads the row bounds of [`BATCH`] frontier
+//!   vertices and prefetches the head of each row before it scans any
+//!   of them. This is the AMAC pattern (Kocberber et al., "Asynchronous
+//!   Memory Access Chaining", PVLDB 2015), the CPU analogue of
+//!   DiggerBees hiding stack-segment movement behind traversal with TMA
+//!   async copies; in id order the `row_ptr` reads are a forward
+//!   stream, and the marks a row tests are a bitmap of n/8 bytes that
+//!   stays in cache. The bitmap frontier is Beamer et al.'s
+//!   ("Direction-Optimizing Breadth-First Search", SC'12), top-down
+//!   only.
 //!
-//! On a graph too big for the caches the loop is bound by memory
-//! latency, not bandwidth: each popped vertex costs two dependent
-//! misses, `row_ptr[u]` and then the head of its `col_idx` row. The
-//! visited set does not depend on the order of expansion, so on such
-//! graphs each step pops up to [`BATCH`] entries, reads all of their row
-//! bounds and prefetches the head of each row, and only then expands
-//! them; each vertex it pushes also has its `row_ptr` line prefetched,
-//! ready for the next step. This is the AMAC pattern (Kocberber et al.,
-//! "Asynchronous Memory Access Chaining", PVLDB 2015), the CPU
-//! analogue of DiggerBees hiding stack-segment movement behind
-//! traversal with TMA async copies.
+//! [`batches`] picks the loop from a count the CSR check takes when the
+//! graph is built ([`CsrGraph::far_arcs`]): the arcs whose endpoints are
+//! more than [`FAR_IDS`](db_graph::csr::FAR_IDS) ids apart. A graph runs
+//! the frontier loop when at least [`BATCH_FAR_SHARE`] of its arcs are
+//! far. Measured shares: 0.80 on `social:1000000`, 0.96 on `ljournal`,
+//! 0.97 on `rgg_l`, 0.57 on `google`, 0.45 on `citation`, 0.11 on
+//! `amazon`, and 0 on every grid, mesh, road, path and dag graph. Where
+//! neighbours sit at nearby ids the stack's next rows are already
+//! cached: batched row prefetch, forced on, took 1.5–1.7× as long on
+//! `path:1000000` and 1.2× on `delaunay` as the stack loop, and the
+//! frontier loop 3.6× on `delaunay`. Graph size alone is the wrong
+//! switch: a million-vertex path is big and still has every neighbour
+//! one id away.
 //!
-//! Batching costs time on graphs whose neighbours sit at nearby ids,
-//! where the next rows are already cached: forced on, it takes 1.5–1.7×
-//! as long on `path:1000000` and 1.2× on `delaunay` as the
-//! one-at-a-time loop. So the choice is made per graph ([`batches`]),
-//! from a count the CSR check takes anyway when the graph is built
-//! ([`CsrGraph::far_arcs`]): the arcs whose endpoints are more than
-//! [`FAR_IDS`](db_graph::csr::FAR_IDS) ids apart. A graph batches when
-//! at least [`BATCH_FAR_SHARE`] of its arcs are far. Measured shares:
-//! 0.80 on `social:1000000`, 0.96 on `ljournal`, 0.57 on `google`, 0.45
-//! on `citation`, 0.11 on `amazon`, and 0 on every grid, mesh, road,
-//! path and dag graph. Batched, a full reach of `social:1000000` takes
-//! a quarter to a third of the one-at-a-time time on one core. Graph
-//! size alone is the wrong switch: a million-vertex path is big and
-//! still has every neighbour one id away.
+//! On the graphs that batch, the frontier loop replaced a stack loop
+//! with the same row prefetch and a stack-stealing team. It ran faster
+//! on every suite graph with scattered ids (`social:1000000` 64.6 →
+//! 33.6 ms lone and 43.1 → 21.1 ms as a team, `amazon` 7.5 → 5.3 and
+//! 5.5 → 3.1 ms) but the random geometric ones, whose levels are many
+//! and thin (`rgg_l` 51.5 → 74.5 and 18.1 → 45.4 ms; EXPERIMENTS.md,
+//! "Frontier loop").
 //!
-//! Every search runs one generic loop, instantiated at batch 1 and at
-//! [`BATCH`]. The poll countdown is charged a whole batch at a time, so
-//! a batched search polls after [`POLL_STRIDE`] expansions rounded up to
-//! a whole batch. The prefetch is the one `unsafe` site, in
+//! The [`CancelToken`] is polled before the first expansion; then the
+//! stack loop polls every [`POLL_STRIDE`] expansions and the frontier
+//! loop before every chunk. A search with a target returns as soon as
+//! it marks that target (the frontier loop: as soon as a row it expands
+//! holds the target). The prefetch is the one `unsafe` site, in
 //! `prefetch`; it is a no-op off x86-64.
 //!
 //! # Teams
 //!
 //! [`team_search`] applies the paper's stealing (§3.4) one level down,
-//! inside one search: its caller, the *owner*, may be joined by one
-//! *helper* thread, and an idle member takes the cold half of the
-//! other's stack. The pool a search runs in is a [`Crew`]: the owner
-//! offers the search to it once its stack holds [`TEAM_GRAIN`] entries,
-//! and an idle thread of the crew joins with [`Team::join`].
+//! inside one search: its caller, the *owner*, runs the frontier loop
+//! and may be joined by one *helper* thread, and the two share each
+//! level. The pool a search runs in is a [`Crew`]: the owner offers the
+//! search to it once it has visited [`TEAM_GRAIN`] vertices, and an
+//! idle thread of the crew joins with [`Team::join`].
 //!
-//! * **Marks.** One [`AtomicU8`] per vertex, tested with a relaxed load
-//!   and set with a relaxed store, never a locked read-modify-write. Two
-//!   members that race to one vertex both push it and expand it twice,
-//!   which costs a little work and changes no answer. A shared bitset
-//!   claimed with `fetch_or` measured 0.99–1.08× on reaches, and the
-//!   locked RMW alone slows a one-thread reach to 0.76–0.80×; one
-//!   single-writer bitset per member measured 0.55–1.03× from coherence
-//!   traffic on shared lines. `visited` is the number of marked bytes,
-//!   counted once after every member has left.
-//! * **Hand-off.** Each member runs the batched loop on its own stack
-//!   and polls every [`POLL_STRIDE`] expansions. A member whose stack
-//!   runs dry waits; at its next poll the other copies its coldest
-//!   `min(len / 2, TEAM_GRAIN)` entries into the team's hand-off
-//!   buffer, and the hungry member copies them into its own stack.
+//! * **Chunks.** The owner publishes a level by storing its frontier's
+//!   word span and then the cursor, `level << 32 | next chunk`. Each
+//!   member claims chunks with a compare-and-swap of the whole word, so
+//!   a member still on a spent level cannot claim a chunk of the next
+//!   one; it expands the chunk into its own `next` (relaxed stores, no
+//!   read-modify-write: one writer per word), publishes the words it
+//!   wrote and counts the chunk done. It polls before every chunk.
+//! * **Close.** Once its claim finds the level spent, the owner closes
+//!   the cursor (chunk `u32::MAX`) before it touches the span. A member
+//!   may read the cursor and then the span while the owner moves to the
+//!   next level; had the cursor stayed at the spent value, a member that
+//!   read the old level with the new, longer span would claim a chunk
+//!   of the new level as one of the old. Closed, the cursor fails that
+//!   compare-and-swap.
+//! * **Fold.** Once every claimed chunk is done, so that no helper holds
+//!   one, the owner folds both `next` bitmaps into `frontier` and
+//!   `visited` over the words they touched, counting the new vertices,
+//!   and publishes the next level; an empty one ends the search.
+//!   `visited` is the count of the folds.
 //! * **End.** The search ends for both members when a member marks the
-//!   target, when the token expires, or when both are idle with nothing
-//!   handed over. The end is a sticky flag under the team mutex, and a
-//!   join after it is refused.
-//! * **Leaving.** A helper leaves at its next poll once
-//!   [`Crew::queued`] says a request waits, handing its entries back, so
-//!   a team never keeps a core from a queued request. The owner does
-//!   not offer while a request waits, and withdraws an offer nobody
-//!   took.
-//! * **Memory.** The marks live in the owner's [`Scratch`] and are
-//!   reused. The owner waits until the helper has left before it counts
-//!   them, and the marks' lock makes any later reset wait for a helper
-//!   that still holds them.
+//!   target, when the token expires, or when a level comes out empty.
+//!   The end is a sticky flag under the team mutex, and a join after it
+//!   is refused; the cursor then reads `u64::MAX`, which the owner's
+//!   close and publish, both read-modify-writes, leave in place.
+//! * **Joining and leaving.** A helper joins at whatever level the
+//!   cursor is on and leaves between two chunks once [`Crew::queued`]
+//!   says a request waits, with nothing to hand back: the `next` bits it
+//!   wrote are folded with the owner's. So a team never keeps a core
+//!   from a queued request; the owner does not offer while a request
+//!   waits, and withdraws an offer nobody took. A team takes one
+//!   helper, as it has one helper's `next`.
+//! * **Memory.** The bitmaps live in the owner's [`Scratch`] and are
+//!   reused. The owner waits until the helper has left before it
+//!   answers, and the bitmaps' lock makes any later reset wait for a
+//!   helper that still holds them.
 //!
-//! `db_check::team_model` model-checks this protocol. On one thread the
-//! byte marks run reaches at 0.87–0.91× of the bitset, and graphs that
-//! do not batch lose with a team (`grid:1000:1000` 0.96×, `delaunay`
-//! 0.98×), so a lone search keeps [`search`].
+//! `db_check::level_model` model-checks this protocol. A team runs the
+//! frontier loop on any graph; the serve pool forms teams only on graphs
+//! that batch, where the frontier loop is the one [`search`] runs too.
 
 use crate::CancelToken;
 use db_graph::{CsrGraph, GraphStore};
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
-use std::time::Duration;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{
+    Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 
-/// Expansions between two cancellation polls. A poll reads the clock
-/// when the token has a deadline; at this stride that cost stays out of
-/// the profile, and a cancelled search still stops within microseconds.
+/// Expansions between two cancellation polls of the stack loop. A poll
+/// reads the clock when the token has a deadline; at this stride that
+/// cost stays out of the profile, and a cancelled search still stops
+/// within microseconds.
 pub const POLL_STRIDE: u32 = 1024;
 
-/// Stack entries one batched step pops, bounds and prefetches before it
-/// expands any of them.
+/// Frontier vertices the frontier loop bounds and prefetches the rows
+/// of before it scans any of them.
 pub const BATCH: usize = 16;
 
-/// Share of far arcs from which a graph is searched in batches of
-/// [`BATCH`]: one arc in twenty. `amazon`, at 0.11 the lowest share
-/// measured off zero, already runs 1.6× faster batched.
+/// Share of far arcs from which a graph is searched level by level: one
+/// arc in twenty. `amazon`, at 0.11 the lowest share measured off zero,
+/// ran 1.6× faster with batched row prefetch than one stack entry at a
+/// time, and faster again by level (7.5 → 5.3 ms).
 pub const BATCH_FAR_SHARE: f64 = 0.05;
 
-/// Stack entries a team's owner holds before it offers the search, and
-/// the most entries one hand-off moves. A parked helper joined 56–174 µs
-/// after an offer; one core expands 4096 entries of `social:1000000`
-/// (about 60 ns each) in about that time, so a smaller search is over
-/// before a helper could start on it.
+/// Vertices a team search visits before its owner offers it. A parked
+/// helper joined 56–174 µs after an offer; one core expands 4096
+/// vertices of `social:1000000` (about 60 ns each) in about that time,
+/// so a smaller search is likely over before a helper could start on
+/// it. Counted over the whole search, not per level: the levels of the
+/// random geometric graphs never hold 4096 vertices, and a helper that
+/// waited for one never joined them (`rgg_l` team 95 ms, against 60 ms
+/// with the helper in).
 pub const TEAM_GRAIN: usize = 4096;
 
-/// How long a hungry helper waits for a hand-off before it asks its
-/// crew again whether a request is queued.
-const HUNGRY_WAIT: Duration = Duration::from_micros(200);
+/// Vertex ids in one chunk of a frontier level, the unit a member
+/// claims, expands and polls before: 16 bitmap words. A full chunk
+/// expands as many rows as [`POLL_STRIDE`] pops, and a level of
+/// `social:1000000` holds about a thousand chunks. Teams ran 10–25%
+/// slower with chunks of 256 ids (`social:1000000` 29.8–34.8 ms against
+/// 26.8–29.3); chunks of 4096 read the same as 1024 within the host's
+/// spread, and 1024 keeps polls and a helper's leave four times finer.
+pub const CHUNK_IDS: usize = 1024;
 
-/// Whether [`search`] runs `g` in batches of [`BATCH`]: at least
+/// Bitmap words in a chunk.
+const CHUNK_WORDS: usize = CHUNK_IDS / 64;
+
+/// Whether [`search`] runs `g` level by level: at least
 /// [`BATCH_FAR_SHARE`] of its arcs are far ([`CsrGraph::far_arcs`]).
 pub fn batches(g: &CsrGraph) -> bool {
     let far = g.far_arcs();
     far > 0 && far as f64 >= BATCH_FAR_SHARE * g.num_arcs() as f64
 }
 
-/// A team's visited marks, one byte per vertex. Members hold the read
-/// side while they search; the owner takes the write side to reset and
-/// count them, which waits for any member still holding them.
-type Marks = RwLock<Vec<AtomicU8>>;
+/// The bitmaps of a frontier search, one bit per vertex each, in the
+/// owner's [`Scratch`]. `visited` and `frontier` are written only by the
+/// owner, at a fold; `next[i]` only by member `i` (0 the owner, 1 its
+/// helper). Members hold the read side of their lock while they search;
+/// the owner takes the write side to reset them, which waits for any
+/// member still holding them.
+#[derive(Debug, Default)]
+struct Bitmaps {
+    visited: Vec<AtomicU64>,
+    frontier: Vec<AtomicU64>,
+    next: [Vec<AtomicU64>; 2],
+}
 
-/// Reusable kernel memory: one visited bit per vertex, the explicit
-/// stack, and the byte marks of team searches. [`search`] and
+impl Bitmaps {
+    /// Heap bytes held (capacity, not length).
+    fn bytes(&self) -> usize {
+        let [mine, theirs] = &self.next;
+        let words = [&self.visited, &self.frontier, mine, theirs].map(Vec::capacity);
+        words.iter().sum::<usize>() * std::mem::size_of::<u64>()
+    }
+
+    /// Clears the bitmaps of an `n`-vertex graph.
+    fn reset(&mut self, n: usize) {
+        let words = n.div_ceil(64);
+        let [mine, theirs] = &mut self.next;
+        for map in [&mut self.visited, &mut self.frontier, mine, theirs] {
+            map.truncate(words);
+            map.iter_mut().for_each(|w| *w.get_mut() = 0);
+            map.resize_with(words, AtomicU64::default);
+        }
+    }
+}
+
+/// Reusable kernel memory: the visited bits and explicit stack of the
+/// stack loop, and the bitmaps of the frontier loop. [`search`] and
 /// [`team_search`] clear it for each graph but keep its capacity, so a
 /// long-lived owner stops allocating after its first requests.
 #[derive(Debug, Default)]
 pub struct Scratch {
     bits: Vec<u64>,
     stack: Vec<u32>,
-    marks: Arc<Marks>,
+    maps: Arc<RwLock<Bitmaps>>,
 }
 
 impl Scratch {
@@ -152,7 +214,7 @@ impl Scratch {
     pub fn bytes(&self) -> usize {
         self.bits.capacity() * std::mem::size_of::<u64>()
             + self.stack.capacity() * std::mem::size_of::<u32>()
-            + read(&self.marks).capacity()
+            + read(&self.maps).bytes()
     }
 
     /// Clears the visited bits of an `n`-vertex graph and empties the
@@ -179,9 +241,8 @@ pub struct Search {
 }
 
 /// Searches `g` from `root` on the calling thread, stopping early once
-/// `target` (if any) is marked or once `token` is cancelled. The search
-/// runs in batches of [`BATCH`] on a graph that pays for it
-/// ([`batches`]).
+/// `target` (if any) is marked or once `token` is cancelled: level by
+/// level if `g` [`batches`], else over the stack.
 ///
 /// # Panics
 ///
@@ -195,30 +256,104 @@ pub fn search(
 ) -> Search {
     let n = g.num_vertices();
     assert!((root as usize) < n, "root {root} out of range (n = {n})");
-    scratch.reset(n);
+    let mut found = Search {
+        visited: 1,
+        claimed: target == Some(root),
+        completed: true,
+    };
+    if found.claimed {
+        return found;
+    }
+    // Vertex ids are below n <= u32::MAX, so u32::MAX never matches.
+    let target = target.unwrap_or(u32::MAX);
+    if batches(g) {
+        search_levels(g, root, target, token, scratch, &mut found);
+    } else {
+        search_stack(g, root, target, token, scratch, &mut found);
+    }
+    found
+}
+
+/// The stack loop of [`search`].
+fn search_stack(
+    g: &CsrGraph,
+    root: u32,
+    target: u32,
+    token: &CancelToken,
+    scratch: &mut Scratch,
+    found: &mut Search,
+) {
+    scratch.reset(g.num_vertices());
     let Scratch { bits, stack, .. } = scratch;
     // index-ok: root < n was asserted and `bits` holds n bits
     bits[root as usize >> 6] |= 1 << (root & 63);
-    let mut solo = Solo {
-        bits,
-        token,
-        found: Search {
-            visited: 1,
-            claimed: target == Some(root),
-            completed: true,
-        },
-    };
-    if !solo.found.claimed {
-        stack.push(root);
-        // Vertex ids are below n <= u32::MAX, so u32::MAX never matches.
-        let target = target.unwrap_or(u32::MAX);
-        if batches(g) {
-            walk::<BATCH, _>(g, target, stack, &mut solo);
-        } else {
-            walk::<1, _>(g, target, stack, &mut solo);
+    stack.push(root);
+    let (row_ptr, col_idx) = (g.row_ptr(), g.col_idx());
+    let mut countdown = 0;
+    while let Some(u) = stack.pop() {
+        if countdown == 0 {
+            if token.is_cancelled() {
+                found.completed = false;
+                return;
+            }
+            countdown = POLL_STRIDE;
+        }
+        countdown -= 1;
+        let u = u as usize;
+        // index-ok: u < n (the root or a column entry), and a CsrGraph's
+        // row_ptr is monotone and ends at col_idx.len()
+        for &v in &col_idx[row_ptr[u] as usize..row_ptr[u + 1] as usize] {
+            // index-ok: a CsrGraph's column entries are below n, and
+            // `bits` holds n bits
+            let word = &mut bits[v as usize >> 6];
+            let bit = 1u64 << (v & 63);
+            if *word & bit == 0 {
+                *word |= bit;
+                found.visited += 1;
+                if v == target {
+                    found.claimed = true;
+                    return;
+                }
+                stack.push(v);
+            }
         }
     }
-    solo.found
+}
+
+/// The frontier loop of [`search`].
+fn search_levels(
+    g: &CsrGraph,
+    root: u32,
+    target: u32,
+    token: &CancelToken,
+    scratch: &mut Scratch,
+    found: &mut Search,
+) {
+    let mut maps = write(&scratch.maps);
+    maps.reset(g.num_vertices());
+    let mut level = maps.start(root);
+    loop {
+        let mut touched = EMPTY;
+        for chunk in 0..level.chunks() {
+            if token.is_cancelled() {
+                found.completed = false;
+                return;
+            }
+            if expand(g, &maps, 0, level.words(chunk), target, &mut touched).1 {
+                found.claimed = true;
+                return;
+            }
+        }
+        let (count, span) = maps.fold(union(&[level.span, touched]));
+        found.visited += count;
+        if count == 0 {
+            return;
+        }
+        level = View {
+            level: level.level + 1,
+            span,
+        };
+    }
 }
 
 /// The pool a team search draws its helper from, as the owner sees it.
@@ -235,13 +370,14 @@ pub trait Crew {
 }
 
 /// One team search as its members share it: the graph, the token, the
-/// target, the owner's marks, and the hand-off state under the team
-/// mutex.
+/// target, the owner's bitmaps, the level cursor, and the membership
+/// state under the team mutex.
 pub struct Team {
     graph: Arc<dyn GraphStore>,
     token: CancelToken,
     target: u32,
-    marks: Arc<Marks>,
+    maps: Arc<RwLock<Bitmaps>>,
+    levels: Levels,
     state: Mutex<TeamState>,
     cv: Condvar,
 }
@@ -254,11 +390,11 @@ impl std::fmt::Debug for Team {
     }
 }
 
-/// The hand-off and membership state of a [`Team`].
+/// The membership state of a [`Team`].
 #[derive(Debug, Default)]
 struct TeamState {
     /// Sticky: once set, a join is refused and each member leaves at
-    /// its next poll.
+    /// its next claim.
     ended: bool,
     /// A member marked the target.
     claimed: bool,
@@ -266,16 +402,12 @@ struct TeamState {
     stopped: bool,
     /// The owner plus a helper that has joined and not yet left.
     members: u32,
-    /// Members waiting, with empty stacks, for a hand-off.
-    idle: u32,
-    /// Entries on their way from one member to the other.
-    handoff: Vec<u32>,
 }
 
 /// What a helper did in one team search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Help {
-    /// Stack entries it expanded.
+    /// Frontier vertices it expanded.
     pub expanded: u64,
     /// Whether it left for a queued request rather than staying to the
     /// end.
@@ -283,11 +415,11 @@ pub struct Help {
 }
 
 /// A helper's membership in a team search, from [`Team::join`] until it
-/// drops. It holds the owner's marks, so the owner cannot count or
-/// reset them before the membership ends.
+/// drops. It holds the owner's bitmaps, so the owner cannot reset them
+/// before the membership ends.
 pub struct Helper<'a> {
     team: &'a Team,
-    marks: RwLockReadGuard<'a, Vec<AtomicU8>>,
+    maps: RwLockReadGuard<'a, Bitmaps>,
 }
 
 impl std::fmt::Debug for Helper<'_> {
@@ -296,13 +428,13 @@ impl std::fmt::Debug for Helper<'_> {
     }
 }
 
-/// Searches `g` from `root` like [`search`], as the owner of a team:
-/// once its stack holds [`TEAM_GRAIN`] entries it offers the search to
-/// `crew`, and a helper that joins shares the work (see the module docs
-/// for the protocol). Always batched, and returns only after the helper
-/// has left. Same answers as [`search`]: a completed dfs counts exactly
-/// the reachable set, and a reach claims exactly when the target is
-/// reachable.
+/// Searches `g` from `root` by the frontier loop, as the owner of a
+/// team: once it has visited [`TEAM_GRAIN`] vertices it offers the
+/// search to `crew`, and a helper that joins claims chunks of each
+/// level (see the module docs for the protocol). Returns only after
+/// the helper has left. Same answers as [`search`]: a completed dfs
+/// counts exactly the reachable set, and a reach claims exactly when
+/// the target is reachable.
 ///
 /// # Panics
 ///
@@ -324,70 +456,64 @@ pub fn team_search(
             completed: true,
         };
     }
-    {
+    let first = {
         // Waits for a helper of an earlier search that still holds them.
-        let mut marks = write(&scratch.marks);
-        marks.truncate(n);
-        marks.iter_mut().for_each(|m| *m.get_mut() = 0);
-        marks.resize_with(n, AtomicU8::default);
-        // index-ok: root < n was asserted and the marks hold n bytes
-        *marks[root as usize].get_mut() = 1;
-    }
-    scratch.stack.clear();
-    scratch.stack.reserve(n);
-    scratch.stack.push(root);
+        let mut maps = write(&scratch.maps);
+        maps.reset(n);
+        maps.start(root)
+    };
     let team = Arc::new(Team {
         graph: Arc::clone(g),
         token: token.clone(),
         // Vertex ids are below n <= u32::MAX, so u32::MAX never matches.
         target: target.unwrap_or(u32::MAX),
-        marks: Arc::clone(&scratch.marks),
+        maps: Arc::clone(&scratch.maps),
+        levels: Levels::default(),
         state: Mutex::new(TeamState {
             members: 1,
             ..TeamState::default()
         }),
         cv: Condvar::new(),
     });
-    let offered = {
-        let marks = read(&team.marks);
+    let (offered, visited) = {
+        let maps = read(&team.maps);
         let _unwind = EndOnUnwind(&team);
-        let mut owner = Member {
-            team: &team,
-            marks: &marks,
-            role: Role::Owner {
-                crew,
-                shared: &team,
-                offered: false,
-            },
-            gone: false,
+        let role = Role::Owner {
+            crew,
+            shared: &team,
+            offered: false,
         };
-        walk::<BATCH, _>(g.graph(), team.target, &mut scratch.stack, &mut owner);
-        matches!(owner.role, Role::Owner { offered: true, .. })
+        let mut owner = Lane::new(&team, &maps, role);
+        let visited = owner.lead(first);
+        (
+            matches!(owner.role, Role::Owner { offered: true, .. }),
+            visited,
+        )
     };
     if offered {
         crew.withdraw(&team);
     }
-    let (claimed, stopped) = {
-        let mut st = team.lock();
-        while st.members > 1 {
-            st = team.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
-        (st.claimed, st.stopped)
-    };
-    let visited = write(&scratch.marks)
-        .iter_mut()
-        .map(|m| u64::from(*m.get_mut()))
-        .sum();
+    let mut st = team.lock();
+    while st.members > 1 {
+        st = team.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+    }
     Search {
         visited,
-        claimed,
-        completed: claimed || !stopped,
+        claimed: st.claimed,
+        completed: st.claimed || !st.stopped,
     }
 }
 
 impl Team {
     fn lock(&self) -> MutexGuard<'_, TeamState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Raises the sticky end under the team mutex; the cursor says so
+    /// too, so the members leave at their next claim.
+    fn end(&self, st: &mut TeamState) {
+        st.ended = true;
+        self.levels.cursor.store(ENDED, Ordering::Release);
     }
 
     /// Ends the search for every member: `claimed` when a member marked
@@ -397,28 +523,38 @@ impl Team {
         if !st.ended {
             st.stopped = !claimed;
         }
-        st.ended = true;
+        self.end(&mut st);
         st.claimed |= claimed;
         drop(st);
         self.cv.notify_all();
     }
 
-    /// Joins the search as its helper. `None` once the search has ended:
-    /// a join after the end is refused.
+    /// Ends the search on the token if it is cancelled; whether it was.
+    fn poll_token(&self) -> bool {
+        let cancelled = self.token.is_cancelled();
+        if cancelled {
+            self.stop(false);
+        }
+        cancelled
+    }
+
+    /// Joins the search as its helper. `None` once the search has ended
+    /// or a helper has joined: a join after the end is refused, and so
+    /// is a second helper, as the team has one helper's `next` bitmap.
     pub fn join(&self) -> Option<Helper<'_>> {
-        let marks = read(&self.marks);
+        let maps = read(&self.maps);
         let mut st = self.lock();
-        if st.ended {
+        if st.ended || st.members > 1 {
             return None;
         }
         st.members += 1;
         drop(st);
-        Some(Helper { team: self, marks })
+        Some(Helper { team: self, maps })
     }
 }
 
 /// Ends a team search if its owner unwinds, so a waiting helper leaves
-/// instead of waiting for hand-offs that cannot come.
+/// instead of waiting for a level that cannot come.
 struct EndOnUnwind<'a>(&'a Team);
 
 impl Drop for EndOnUnwind<'_> {
@@ -430,28 +566,16 @@ impl Drop for EndOnUnwind<'_> {
 }
 
 impl Helper<'_> {
-    /// Searches with `scratch`'s stack, starting hungry, until the
-    /// search ends or `queued` says a request waits; then it hands its
-    /// entries back. The membership ends when the `Helper` drops.
-    pub fn run(&mut self, scratch: &mut Scratch, queued: &dyn Fn() -> bool) -> Help {
-        let team = self.team;
-        scratch.stack.clear();
-        let mut member = Member {
-            team,
-            marks: &self.marks,
-            role: Role::Helper { queued },
-            gone: false,
-        };
-        let expanded = walk::<BATCH, _>(
-            team.graph.graph(),
-            team.target,
-            &mut scratch.stack,
-            &mut member,
-        );
-        scratch.stack.clear();
+    /// Claims and expands chunks of the owner's levels until the search
+    /// ends or `queued` says a request waits; it leaves between two
+    /// chunks, with nothing to hand back. The membership ends when the
+    /// `Helper` drops.
+    pub fn run(&mut self, queued: &dyn Fn() -> bool) -> Help {
+        let mut lane = Lane::new(self.team, &self.maps, Role::Helper { queued });
+        lane.help();
         Help {
-            expanded,
-            left_for_request: member.gone,
+            expanded: lane.expanded,
+            left_for_request: lane.gone,
         }
     }
 }
@@ -460,10 +584,10 @@ impl Drop for Helper<'_> {
     fn drop(&mut self) {
         let mut st = self.team.lock();
         if std::thread::panicking() {
-            // Its entries are lost: the answer would be short, so the
+            // Its chunk is lost: the answer would be short, so the
             // search ends unanswered instead.
             st.stopped |= !st.ended;
-            st.ended = true;
+            self.team.end(&mut st);
         }
         st.members -= 1;
         drop(st);
@@ -471,136 +595,351 @@ impl Drop for Helper<'_> {
     }
 }
 
-/// A search loop's decisions: how a vertex is marked, what happens at a
-/// poll and when the stack runs dry. [`walk`] is generic over it, so a
-/// lone search and a team member share one loop.
-trait Walker {
-    /// Starts loading the marks of `row`, before a batched step expands
-    /// it. Marks another thread writes would otherwise miss one by one,
-    /// each behind a branch that waits for it.
-    fn prefetch_marks(&self, _row: &[u32]) {}
-    /// Marks `v`; whether it was unmarked.
-    fn mark(&mut self, v: u32) -> bool;
-    /// The target was just marked; the walk returns.
-    fn claim(&mut self);
-    /// The poll every [`POLL_STRIDE`] expansions, which may move entries
-    /// into or out of `stack`. Returns whether the walk stops.
-    fn poll(&mut self, stack: &mut Vec<u32>) -> bool;
-    /// `stack` is empty: refills it and returns `true`, or returns
-    /// `false` when the walk is over.
-    fn refill(&mut self, stack: &mut Vec<u32>) -> bool;
+/// A bitmap word. Each word has one writer at a time: a member's `next`
+/// its member, `visited` and `frontier` the owner at a fold. The level
+/// cursor and the `done` counts order every write before the reads that
+/// depend on it, so the accesses themselves are relaxed.
+#[inline(always)]
+fn get(word: &AtomicU64) -> u64 {
+    // relaxed-ok: ordered by the level protocol, as above
+    word.load(Ordering::Relaxed)
 }
 
-/// The search loop, popping up to `B` stack entries per step. `stack`
-/// holds marked vertices. Returns the entries it expanded.
-fn walk<const B: usize, W: Walker>(
-    g: &CsrGraph,
-    target: u32,
-    stack: &mut Vec<u32>,
-    w: &mut W,
-) -> u64 {
-    let (row_ptr, col_idx) = (g.row_ptr(), g.col_idx());
-    let mut countdown = 0;
-    let mut expanded = 0u64;
-    let mut rows = [(0usize, 0usize); B];
-    loop {
-        if countdown == 0 {
-            if w.poll(stack) {
-                return expanded;
-            }
-            countdown = POLL_STRIDE;
+/// Stores a bitmap word; see [`get`].
+#[inline(always)]
+fn set(word: &AtomicU64, bits: u64) {
+    // relaxed-ok: ordered by the level protocol, as above
+    word.store(bits, Ordering::Relaxed);
+}
+
+/// The cursor value that ends a team search: no level has it.
+const ENDED: u64 = u64::MAX;
+
+/// The chunk index of a closed level, past the last chunk of any level.
+const CLOSED: u64 = u32::MAX as u64;
+
+/// An empty word range, which [`union`] skips. Reversed on purpose: it
+/// is the identity of widening a range by `min` of the starts and `max`
+/// of the ends.
+#[allow(clippy::reversed_empty_ranges)]
+const EMPTY: Range<usize> = usize::MAX..0;
+
+/// The smallest range holding every nonempty one of `ranges`.
+fn union(ranges: &[Range<usize>]) -> Range<usize> {
+    let live = ranges.iter().filter(|r| !r.is_empty());
+    let start = live.clone().map(|r| r.start).min().unwrap_or(0);
+    start..live.map(|r| r.end).max().unwrap_or(0)
+}
+
+/// One level of a frontier search as a member sees it: its number and
+/// the frontier words it spans, which split into chunks of
+/// [`CHUNK_WORDS`].
+#[derive(Debug, Clone)]
+struct View {
+    level: u32,
+    span: Range<usize>,
+}
+
+impl View {
+    fn chunks(&self) -> u32 {
+        self.span.len().div_ceil(CHUNK_WORDS) as u32
+    }
+
+    /// The frontier words of chunk `k`.
+    fn words(&self, k: u32) -> Range<usize> {
+        let start = self.span.start + k as usize * CHUNK_WORDS;
+        start..(start + CHUNK_WORDS).min(self.span.end)
+    }
+
+    /// The cursor of this level at chunk `k`.
+    fn at(&self, k: u64) -> u64 {
+        (u64::from(self.level) << 32) | k
+    }
+}
+
+impl Bitmaps {
+    /// Level 0 of a search from `root`, on reset bitmaps.
+    fn start(&self, root: u32) -> View {
+        let w = root as usize >> 6;
+        for map in [&self.visited, &self.frontier] {
+            // index-ok: root < n, and each bitmap holds n bits
+            set(&map[w], 1 << (root & 63));
         }
-        // Pop up to B entries and read their row bounds, prefetching
-        // the head of each row.
-        let mut k = 0;
-        while k < B {
-            let Some(u) = stack.pop() else { break };
-            let u = u as usize;
-            // index-ok: u < n (the root or a column entry), and a
-            // CsrGraph's row_ptr is monotone and ends at col_idx.len()
-            let (start, end) = (row_ptr[u] as usize, row_ptr[u + 1] as usize);
-            if B > 1 {
-                prefetch(col_idx.as_ptr().wrapping_add(start));
+        View {
+            level: 0,
+            span: w..w + 1,
+        }
+    }
+
+    /// Folds the `next` bitmaps into `frontier` and `visited` over
+    /// `words`, which must cover the current frontier and every `next`
+    /// word written, and clears them. Returns the new frontier's vertex
+    /// count and the words it spans.
+    fn fold(&self, words: Range<usize>) -> (u64, Range<usize>) {
+        let (mut count, mut span) = (0, EMPTY);
+        fn part<'m>(map: &'m [AtomicU64], words: &Range<usize>) -> &'m [AtomicU64] {
+            // index-ok: the range lies within the frontier and the `next`
+            // words written, all below n bits
+            &map[words.clone()]
+        }
+        let part = |map| part(map, &words);
+        let [mine, theirs] = &self.next;
+        let found = part(mine).iter().zip(part(theirs));
+        let rows = part(&self.visited)
+            .iter()
+            .zip(part(&self.frontier))
+            .zip(found);
+        for (w, ((visited, frontier), (mine, theirs))) in words.clone().zip(rows) {
+            let (seen, found) = (get(visited), get(mine) | get(theirs));
+            let new = found & !seen;
+            set(frontier, new);
+            if found != 0 {
+                set(mine, 0);
+                set(theirs, 0);
             }
-            // index-ok: k < B, the loop bound
+            if new != 0 {
+                set(visited, seen | new);
+                count += u64::from(new.count_ones());
+                span = span.start.min(w)..w + 1;
+            }
+        }
+        (count, span)
+    }
+}
+
+/// Expands the frontier vertices in `words` in id order: reads the row
+/// bounds of up to [`BATCH`] of them and prefetches each row's head,
+/// then sets the bit of every unvisited neighbour in member `lane`'s
+/// `next` bitmap, widening `touched` over the words the rows span. Returns
+/// the vertices expanded and whether one of them has `target` as a
+/// neighbour; it stops there.
+fn expand(
+    g: &CsrGraph,
+    maps: &Bitmaps,
+    lane: usize,
+    words: Range<usize>,
+    target: u32,
+    touched: &mut Range<usize>,
+) -> (u64, bool) {
+    let (row_ptr, col_idx) = (g.row_ptr(), g.col_idx());
+    let mut rows = [(0usize, 0usize); BATCH];
+    let (mut k, mut expanded) = (0, 0);
+    // index-ok: chunks lie within the frontier's n bits
+    for (w, word) in words.clone().zip(&maps.frontier[words]) {
+        let mut bits = get(word);
+        while bits != 0 {
+            let u = w * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            // index-ok: u < n, and a CsrGraph's row_ptr is monotone and
+            // ends at col_idx.len()
+            let (start, end) = (row_ptr[u] as usize, row_ptr[u + 1] as usize);
+            prefetch(col_idx.as_ptr().wrapping_add(start));
+            // index-ok: k < BATCH, reset below when it gets there
             rows[k] = (start, end);
             k += 1;
-        }
-        if k == 0 {
-            if w.refill(stack) {
-                continue;
-            }
-            return expanded;
-        }
-        countdown = countdown.saturating_sub(k as u32);
-        expanded += k as u64;
-        if B > 1 {
-            // index-ok: k <= B, and each row lies within col_idx (below)
-            for &(start, end) in &rows[..k] {
-                w.prefetch_marks(&col_idx[start..end]);
-            }
-        }
-        // index-ok: k <= B
-        for &(start, end) in &rows[..k] {
-            // index-ok: the bounds came from row_ptr, so the row lies
-            // within col_idx
-            for &v in &col_idx[start..end] {
-                if w.mark(v) {
-                    if v == target {
-                        w.claim();
-                        return expanded;
-                    }
-                    if B > 1 {
-                        prefetch(row_ptr.as_ptr().wrapping_add(v as usize));
-                    }
-                    stack.push(v);
+            if k == BATCH {
+                expanded += k as u64;
+                if scan(col_idx, &rows, maps, lane, target, touched) {
+                    return (expanded, true);
                 }
+                k = 0;
             }
         }
     }
+    // index-ok: k < BATCH
+    let hit = scan(col_idx, &rows[..k], maps, lane, target, touched);
+    (expanded + k as u64, hit)
 }
 
-/// A lone search over a bitset.
-struct Solo<'a> {
-    bits: &'a mut [u64],
-    token: &'a CancelToken,
-    found: Search,
-}
-
-impl Walker for Solo<'_> {
-    #[inline(always)]
-    fn mark(&mut self, v: u32) -> bool {
-        // index-ok: a CsrGraph's column entries are below n, and `bits`
-        // holds n bits
-        let word = &mut self.bits[v as usize >> 6];
-        let bit = 1u64 << (v & 63);
-        if *word & bit != 0 {
-            return false;
+/// The neighbour loop of [`expand`].
+#[inline(always)]
+fn scan(
+    col_idx: &[u32],
+    rows: &[(usize, usize)],
+    maps: &Bitmaps,
+    lane: usize,
+    target: u32,
+    touched: &mut Range<usize>,
+) -> bool {
+    // index-ok: lane is 0 or 1
+    let (visited, next) = (&maps.visited[..], &maps.next[lane][..]);
+    for &(start, end) in rows {
+        // index-ok: the bounds came from row_ptr, so the row lies
+        // within col_idx
+        let row = &col_idx[start..end];
+        // A row ascends, so its ends bound the words it can write.
+        if let (Some(&lo), Some(&hi)) = (row.first(), row.last()) {
+            *touched = touched.start.min(lo as usize >> 6)..touched.end.max((hi as usize >> 6) + 1);
         }
-        *word |= bit;
-        self.found.visited += 1;
-        true
+        for &v in row {
+            let (w, bit) = (v as usize >> 6, 1u64 << (v & 63));
+            // index-ok: a CsrGraph's column entries are below n, and the
+            // bitmaps hold n bits
+            let (seen, slot) = (get(&visited[w]), &next[w]);
+            // Branch-free: in a level's middle a neighbour is visited
+            // about half the time, which no predictor learns. Writing
+            // `next` unconditionally took a full `social:5000000` reach
+            // from 420–430 ms to 310–365.
+            set(slot, get(slot) | (bit & !seen));
+            // The target is unvisited whenever a row holds it: the walk
+            // stops the first time one does.
+            if v == target {
+                return true;
+            }
+        }
+    }
+    false
+}
+
+/// The level protocol of a team. The owner publishes a level by storing
+/// its span and then the cursor; members claim its chunks from the
+/// cursor, and after each chunk report the `next` words they wrote and
+/// count it done. Once the level is spent the owner closes the cursor,
+/// waits until every claimed chunk is done, and folds.
+#[derive(Debug, Default)]
+struct Levels {
+    /// `level << 32 | next unclaimed chunk`, [`CLOSED`] in the low half
+    /// once the owner has closed the level, or [`ENDED`]. A claim
+    /// compares the whole word, so a member still on an earlier level,
+    /// or one that read the span of a later level, cannot claim.
+    cursor: AtomicU64,
+    /// The current level's frontier words. Stored with release and
+    /// loaded with acquire: a member that reads a later level's span
+    /// has seen the close before it, so its claim fails.
+    first: AtomicUsize,
+    last: AtomicUsize,
+    /// One per member, each on a cache line of its own.
+    reports: [Report; 2],
+}
+
+/// A member's report on the current level. Only that member writes it
+/// (and the owner, to reset it between levels), and the owner reads it
+/// to fold, so it sits on a cache line of its own, away from the cursor
+/// both members claim from.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct Report {
+    /// Chunks it finished.
+    done: AtomicU32,
+    /// The `next` words it wrote.
+    touched: [AtomicUsize; 2],
+}
+
+/// What a claim on the cursor got.
+enum Claim {
+    /// A chunk of the member's level.
+    Chunk(u32),
+    /// No chunk of the member's level is left.
+    Spent,
+    /// The search has ended.
+    Ended,
+}
+
+impl Levels {
+    /// The cursor, acquired.
+    fn at(&self) -> u64 {
+        self.cursor.load(Ordering::Acquire)
     }
 
-    fn claim(&mut self) {
-        self.found.claimed = true;
+    /// The level on the cursor, or `None` once the search has ended.
+    /// The span may belong to a later level; a claim on such a view
+    /// fails (see the `first` field).
+    fn view(&self) -> Option<View> {
+        let at = self.at();
+        let span = self.first.load(Ordering::Acquire)..self.last.load(Ordering::Acquire);
+        (at != ENDED).then_some(View {
+            level: (at >> 32) as u32,
+            span,
+        })
     }
 
-    fn poll(&mut self, _: &mut Vec<u32>) -> bool {
-        let stop = self.token.is_cancelled();
-        self.found.completed = !stop;
-        stop
+    /// Publishes `view`, whose span the owner has just folded, over the
+    /// closed cursor of the level before it; `false` if the search ended
+    /// meanwhile. No member holds a chunk while it runs.
+    fn publish(&self, view: &View) -> bool {
+        self.first.store(view.span.start, Ordering::Release);
+        self.last.store(view.span.end, Ordering::Release);
+        for Report { done, touched } in &self.reports {
+            // relaxed-ok: published by the cursor below
+            done.store(0, Ordering::Relaxed);
+            let [start, end] = touched;
+            // relaxed-ok: published by the cursor below
+            start.store(EMPTY.start, Ordering::Relaxed);
+            // relaxed-ok: published by the cursor below
+            end.store(EMPTY.end, Ordering::Relaxed);
+        }
+        let closed = match view.level.checked_sub(1) {
+            Some(before) => (u64::from(before) << 32) | CLOSED,
+            None => 0,
+        };
+        self.cursor
+            .compare_exchange(closed, view.at(0), Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
     }
 
-    fn refill(&mut self, _: &mut Vec<u32>) -> bool {
-        false
+    /// Closes the owner's spent level before it folds; an ended cursor
+    /// stays ended.
+    fn close(&self) {
+        self.cursor.fetch_or(CLOSED, Ordering::AcqRel);
+    }
+
+    fn claim(&self, view: &View) -> Claim {
+        let mut at = self.at();
+        loop {
+            if at == ENDED {
+                return Claim::Ended;
+            }
+            let k = at as u32;
+            if (at >> 32) as u32 != view.level || k >= view.chunks() {
+                return Claim::Spent;
+            }
+            match self
+                .cursor
+                .compare_exchange_weak(at, at + 1, Ordering::AcqRel, Ordering::Acquire)
+            {
+                Ok(_) => return Claim::Chunk(k),
+                Err(now) => at = now,
+            }
+        }
+    }
+
+    /// Member `lane` finished a chunk, having written `touched` of its
+    /// `next` bitmap so far this level.
+    fn finish(&self, lane: usize, touched: &Range<usize>) {
+        // index-ok: lane is 0 or 1
+        let report = &self.reports[lane];
+        let (done, [start, end]) = (&report.done, &report.touched);
+        // relaxed-ok: only this member writes its report in a level; the
+        // release below publishes it to the fold
+        start.store(touched.start, Ordering::Relaxed);
+        // relaxed-ok: as above
+        end.store(touched.end, Ordering::Relaxed);
+        // relaxed-ok: as above; one writer, so no read-modify-write
+        done.store(done.load(Ordering::Relaxed) + 1, Ordering::Release);
+    }
+
+    /// Chunks of the current level both members finished.
+    fn done(&self) -> u32 {
+        let [mine, theirs] = &self.reports;
+        mine.done.load(Ordering::Acquire) + theirs.done.load(Ordering::Acquire)
+    }
+
+    /// The `next` words both members wrote this level.
+    fn touched(&self) -> Range<usize> {
+        let range = |r: &Report| {
+            let [start, end] = &r.touched;
+            // relaxed-ok: read after the acquire of every chunk's `done`
+            start.load(Ordering::Relaxed)..end.load(Ordering::Relaxed)
+        };
+        let [mine, theirs] = &self.reports;
+        union(&[range(mine), range(theirs)])
     }
 }
 
 /// What a team member does beyond searching.
 enum Role<'a> {
-    /// Offers the search (`shared`) to `crew` once, when its stack is
-    /// deep enough.
+    /// Offers the search (`shared`) to `crew` once, when the search is
+    /// big enough.
     Owner {
         crew: &'a dyn Crew,
         shared: &'a Arc<Team>,
@@ -610,155 +949,172 @@ enum Role<'a> {
     Helper { queued: &'a dyn Fn() -> bool },
 }
 
-/// One member of a team search.
-struct Member<'a> {
+/// One member of a team.
+struct Lane<'a> {
     team: &'a Team,
-    marks: &'a [AtomicU8],
+    maps: &'a Bitmaps,
+    /// Its `next` bitmap: 0 for the owner, 1 for the helper.
+    index: usize,
     role: Role<'a>,
-    /// The helper left for a queued request, handing its entries back.
+    /// Frontier vertices it expanded.
+    expanded: u64,
+    /// The helper left for a queued request.
     gone: bool,
 }
 
-impl Member<'_> {
-    /// Whether this member is a helper with a request waiting for it.
-    fn called_away(&self) -> bool {
-        matches!(self.role, Role::Helper { queued } if queued())
-    }
+/// How a member's run of chunks on one level ended.
+#[derive(PartialEq, Eq)]
+enum Step {
+    /// The level has no chunk left.
+    Spent,
+    /// The search ended, or this member leaves it.
+    Stop,
 }
 
-impl Walker for Member<'_> {
-    #[inline(always)]
-    fn prefetch_marks(&self, row: &[u32]) {
-        for &v in row {
-            prefetch(self.marks.as_ptr().wrapping_add(v as usize));
+impl<'a> Lane<'a> {
+    fn new(team: &'a Team, maps: &'a Bitmaps, role: Role<'a>) -> Lane<'a> {
+        Lane {
+            team,
+            maps,
+            index: usize::from(matches!(role, Role::Helper { .. })),
+            role,
+            expanded: 0,
+            gone: false,
         }
     }
 
-    /// A relaxed load, then a relaxed store: a mark publishes nothing.
-    /// Two members that both read 0 both push the vertex, and a vertex
-    /// expanded twice changes no answer; hand-offs and the final count
-    /// synchronize through the team mutex and the marks' lock.
-    #[inline(always)]
-    fn mark(&mut self, v: u32) -> bool {
-        // index-ok: a CsrGraph's column entries are below n, and the
-        // marks hold n bytes
-        let m = &self.marks[v as usize];
-        // relaxed-ok: see above; a lost race costs one duplicate push
-        if m.load(Ordering::Relaxed) != 0 {
-            return false;
-        }
-        // relaxed-ok: as the load above
-        m.store(1, Ordering::Relaxed);
-        true
-    }
-
-    fn claim(&mut self) {
-        self.team.stop(true);
-    }
-
-    fn poll(&mut self, stack: &mut Vec<u32>) -> bool {
-        let team = self.team;
-        if team.token.is_cancelled() {
-            team.stop(false);
+    /// The poll before each chunk, given the vertices visited so far, the
+    /// level's own included: whether this member stops. The owner offers
+    /// the search once they reach [`TEAM_GRAIN`]; the helper leaves once
+    /// a request waits.
+    fn poll(&mut self, visited: u64) -> bool {
+        if self.team.poll_token() {
             return true;
         }
-        let called_away = self.called_away();
-        let mut st = team.lock();
-        if st.ended {
-            return true;
-        }
-        if called_away {
-            st.handoff.append(stack);
-            self.gone = true;
-            drop(st);
-            team.cv.notify_all();
-            return true;
-        }
-        if st.idle == 0 && !st.handoff.is_empty() {
-            // Nobody waits for these: a helper left them behind.
-            stack.append(&mut st.handoff);
-        }
-        if st.idle > 0 && st.handoff.is_empty() {
-            let take = (stack.len() / 2).min(TEAM_GRAIN);
-            if take > 0 {
-                // The coldest entries go; the hottest fill their slots,
-                // so a hand-off copies `take` entries, not the stack.
-                let len = stack.len();
-                // index-ok: take <= len / 2
-                st.handoff.extend_from_slice(&stack[..take]);
-                stack.copy_within(len - take.., 0);
-                stack.truncate(len - take);
-                drop(st);
-                team.cv.notify_all();
+        match &mut self.role {
+            Role::Owner {
+                crew,
+                shared,
+                offered,
+            } => {
+                if !*offered && visited >= TEAM_GRAIN as u64 && !crew.queued() {
+                    *offered = crew.offer(shared);
+                }
+                false
             }
-        } else {
-            drop(st);
-        }
-        if let Role::Owner {
-            crew,
-            shared,
-            offered,
-        } = &mut self.role
-        {
-            if !*offered && stack.len() >= TEAM_GRAIN && !crew.queued() {
-                *offered = crew.offer(shared);
+            Role::Helper { queued } => {
+                self.gone = queued();
+                self.gone
             }
         }
-        false
     }
 
-    fn refill(&mut self, stack: &mut Vec<u32>) -> bool {
-        let team = self.team;
-        let mut st = team.lock();
-        st.idle += 1;
+    /// Claims and expands chunks of `view`'s level until none is left or
+    /// the search stops; `touched` covers the `next` words it wrote, and
+    /// `visited` counts the vertices visited so far, the level's own
+    /// included.
+    fn work(&mut self, view: &View, visited: u64, touched: &mut Range<usize>) -> Step {
+        let (team, levels) = (self.team, &self.team.levels);
         loop {
-            if st.ended {
-                return false;
+            if self.poll(visited) {
+                return Step::Stop;
             }
-            if !st.handoff.is_empty() {
-                stack.append(&mut st.handoff);
-                st.idle -= 1;
+            let k = match levels.claim(view) {
+                Claim::Chunk(k) => k,
+                Claim::Spent => return Step::Spent,
+                Claim::Ended => return Step::Stop,
+            };
+            let words = view.words(k);
+            let g = team.graph.graph();
+            let (expanded, hit) = expand(g, self.maps, self.index, words, team.target, touched);
+            self.expanded += expanded;
+            if hit {
+                team.stop(true);
+                return Step::Stop;
+            }
+            levels.finish(self.index, touched);
+        }
+    }
+
+    /// Spins until `ready` or the end of the search, giving the core
+    /// away after the first rounds and polling the token on every round.
+    /// Returns whether the search has ended.
+    fn wait(&self, mut ready: impl FnMut(u64) -> bool) -> bool {
+        let mut spins = 0u32;
+        loop {
+            let at = self.team.levels.at();
+            if at == ENDED || self.team.poll_token() {
                 return true;
             }
-            if st.idle == st.members {
-                st.ended = true;
-                drop(st);
-                team.cv.notify_all();
+            if ready(at) {
                 return false;
             }
-            if let Role::Owner { .. } = self.role {
-                st = team.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
-                continue;
+            if spins < 64 {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
             }
-            st = team
-                .cv
-                .wait_timeout(st, HUNGRY_WAIT)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-            if st.ended || !st.handoff.is_empty() {
-                continue;
+        }
+    }
+
+    /// The owner's loop from level `first`: works each level, closes it,
+    /// waits until every claimed chunk is done, folds, and publishes the
+    /// next level; an empty one ends the search. Returns the vertices
+    /// folded into `visited`, the root included.
+    fn lead(&mut self, first: View) -> u64 {
+        let (levels, team) = (&self.team.levels, self.team);
+        let (mut view, mut visited) = (first, 1);
+        levels.publish(&view);
+        loop {
+            let mut touched = EMPTY;
+            if self.work(&view, visited, &mut touched) == Step::Stop {
+                return visited;
             }
-            drop(st);
-            let called_away = self.called_away();
-            st = team.lock();
-            if called_away && !st.ended {
-                // Anything handed over meanwhile stays for the owner.
-                st.idle -= 1;
-                self.gone = true;
-                drop(st);
+            levels.close();
+            let chunks = view.chunks();
+            if self.wait(|_| levels.done() == chunks) {
+                return visited;
+            }
+            let (count, span) = self.maps.fold(union(&[view.span, levels.touched()]));
+            visited += count;
+            if count == 0 {
+                team.end(&mut team.lock());
                 team.cv.notify_all();
-                return false;
+                return visited;
+            }
+            view = View {
+                level: view.level + 1,
+                span,
+            };
+            if !levels.publish(&view) {
+                return visited;
+            }
+        }
+    }
+
+    /// The helper's loop: works whatever level the cursor is on, then
+    /// waits for the owner to publish the next one, until the search
+    /// ends or it leaves.
+    fn help(&mut self) {
+        let levels = &self.team.levels;
+        while let Some(view) = levels.view() {
+            let mut touched = EMPTY;
+            if self.work(&view, 0, &mut touched) == Step::Stop
+                || self.wait(|at| (at >> 32) as u32 != view.level)
+            {
+                return;
             }
         }
     }
 }
 
-fn read(marks: &Marks) -> RwLockReadGuard<'_, Vec<AtomicU8>> {
-    marks.read().unwrap_or_else(PoisonError::into_inner)
+fn read(maps: &RwLock<Bitmaps>) -> RwLockReadGuard<'_, Bitmaps> {
+    maps.read().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn write(marks: &Marks) -> std::sync::RwLockWriteGuard<'_, Vec<AtomicU8>> {
-    marks.write().unwrap_or_else(PoisonError::into_inner)
+fn write(maps: &RwLock<Bitmaps>) -> RwLockWriteGuard<'_, Bitmaps> {
+    maps.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A parked thread that joins every team search offered to it: the
@@ -797,26 +1153,23 @@ impl ParkedHelper {
         let parked = Arc::clone(&shared);
         let thread = std::thread::Builder::new()
             .name("team-helper".into())
-            .spawn(move || {
-                let mut scratch = Scratch::default();
-                loop {
-                    let team = {
-                        let mut slot = parked.lock();
-                        loop {
-                            if slot.quit {
-                                return;
-                            }
-                            if let Some(team) = slot.offer.take() {
-                                break team;
-                            }
-                            slot = parked.cv.wait(slot).unwrap_or_else(PoisonError::into_inner);
+            .spawn(move || loop {
+                let team = {
+                    let mut slot = parked.lock();
+                    loop {
+                        if slot.quit {
+                            return;
                         }
-                    };
-                    if let Some(mut helper) = team.join() {
-                        helper.run(&mut scratch, &|| false);
-                        parked.lock().joins += 1;
-                    };
-                }
+                        if let Some(team) = slot.offer.take() {
+                            break team;
+                        }
+                        slot = parked.cv.wait(slot).unwrap_or_else(PoisonError::into_inner);
+                    }
+                };
+                if let Some(mut helper) = team.join() {
+                    helper.run(&|| false);
+                    parked.lock().joins += 1;
+                };
             })
             // unwrap-ok: a benchmark or test cannot run without its helper
             .expect("spawn team helper");

@@ -33,11 +33,11 @@
 //!
 //! The service layer does not run these engines for `dfs`/`reach`: it
 //! runs [`kernel`] with per-worker reused [`kernel::Scratch`]. A search
-//! runs on its caller's thread over a bitset ([`kernel::search`]) or, on
-//! a graph the kernel batches while another pool worker is idle, as a
-//! team of two ([`kernel::team_search`]): the idle worker joins and
-//! steals the cold half of the owner's stack, the paper's §3.4 stealing
-//! one level down.
+//! runs on its caller's thread ([`kernel::search`]) or, on a graph the
+//! kernel batches while another pool worker is idle, as a team of two
+//! ([`kernel::team_search`]), the paper's §3.4 stealing one level down:
+//! a batched graph is searched level by level over bitmaps, and the
+//! idle worker joins and claims chunks of each level.
 
 #![warn(missing_docs)]
 

@@ -2,11 +2,13 @@
 //! undirected graphs with self-loops and isolated vertices: visited
 //! counts from every root, early-exit reach against full membership,
 //! one scratch reused across graph sizes, and cancellation. Graphs of
-//! 50k vertices and more with scattered ids run the batched loop; the
+//! 50k vertices and more with scattered ids run the frontier loop; the
 //! same checks run there, and the batching switch is pinned per family.
 //! The team search runs the same checks with a parked helper thread
 //! (`ParkedHelper`) that joins whenever the owner offers, plus a helper
-//! that leaves mid-search and a join after the end.
+//! that leaves mid-search, a join after the end, and, on random graphs
+//! with hubs, a helper that joins at a random level and leaves at a
+//! random chunk.
 
 use db_core::kernel::{batches, search, team_search, Crew, ParkedHelper, Scratch, Search, Team};
 use db_core::CancelToken;
@@ -102,9 +104,11 @@ proptest! {
 #[test]
 fn stack_never_outgrows_the_vertex_count() {
     // A star: the hub pushes every leaf at once. Marking on push keeps
-    // the stack at n - 1 entries, within the n reserved.
-    let n = 10_000u32;
+    // the stack at n - 1 entries, within the n reserved. Its leaves sit
+    // within FAR_IDS of the hub, so it runs the stack loop.
+    let n = 4_000u32;
     let g = from_edge_list(n, &(1..n).map(|v| (0, v)).collect::<Vec<_>>(), false);
+    assert!(!batches(&g));
     let mut scratch = Scratch::default();
     assert_eq!(dfs(&g, 0, &mut scratch), u64::from(n));
     let held = scratch.bytes();
@@ -145,6 +149,24 @@ fn batched_graph() -> impl Strategy<Value = CsrGraph> {
                 (u as u32, (splitmix(&mut s) % live) as u32)
             })
             .collect();
+        edges.push((0, 0));
+        from_edge_list(n, &edges, directed)
+    })
+}
+
+/// A graph drawn like [`batched_graph`] plus eight hubs among the live
+/// ids, each joined to `n / 20` uniform draws: rows far longer than the
+/// rest, as the social graphs have.
+fn hub_graph() -> impl Strategy<Value = CsrGraph> {
+    (50_000u32..60_000, any::<u64>(), any::<bool>()).prop_map(|(n, seed, directed)| {
+        let live = n * 3 / 4;
+        let mut s = seed;
+        let mut draw = move || (splitmix(&mut s) % u64::from(live)) as u32;
+        let mut edges: Vec<(u32, u32)> = (0..2 * n).map(|_| (draw(), draw())).collect();
+        for _ in 0..8 {
+            let hub = draw();
+            edges.extend((0..n / 20).map(|_| (hub, draw())));
+        }
         edges.push((0, 0));
         from_edge_list(n, &edges, directed)
     })
@@ -215,18 +237,24 @@ proptest! {
 }
 
 #[test]
-fn stack_stays_within_the_vertex_count_in_both_modes() {
+fn scratch_stays_within_the_vertex_count_on_both_loops() {
     // Stars on each side of the switch: a hub with leaves up to 4096
-    // ids away has no far arcs and runs one entry at a time; a bigger
-    // star batches. The entries a batch pops are off the stack while
-    // it expands them, so marking on push bounds it by n either way.
+    // ids away has no far arcs and runs the stack loop, which reserves
+    // room for n entries; a bigger star runs the frontier loop, which
+    // holds four bitmaps of n bits and no stack.
     for n in [4_000u32, 50_000] {
         let g = from_edge_list(n, &(1..n).map(|v| (0, v)).collect::<Vec<_>>(), false);
-        assert_eq!(batches(&g), n > 4_097, "n = {n}");
+        let by_level = batches(&g);
+        assert_eq!(by_level, n > 4_097, "n = {n}");
         let mut scratch = Scratch::default();
         assert_eq!(dfs(&g, 0, &mut scratch), u64::from(n));
         let held = scratch.bytes();
-        assert!(held >= n as usize * 4, "stack room for n entries");
+        if by_level {
+            let n = n as usize;
+            assert!((n / 2..n).contains(&held), "{held} bytes of bitmaps");
+        } else {
+            assert!(held >= n as usize * 4, "stack room for n entries");
+        }
         assert_eq!(dfs(&g, 5, &mut scratch), u64::from(n));
         assert_eq!(scratch.bytes(), held, "a reused scratch does not grow");
     }
@@ -272,7 +300,7 @@ proptest! {
 
     #[test]
     fn team_count_matches_reference_on_small_graphs(g in arb_graph(80, 200)) {
-        // Too small to offer: the owner searches alone on byte marks.
+        // Too small to offer: the owner searches alone on its bitmaps.
         let helper = ParkedHelper::spawn();
         let proof = shared(&g);
         let mut scratch = Scratch::default();
@@ -389,27 +417,27 @@ fn a_join_after_the_end_is_refused() {
     assert_eq!(team_dfs(&proof, 0, &mut scratch, &crew), 20_000);
     let team = rx.try_recv().expect("the owner offered its search");
     assert!(team.join().is_none(), "joined an ended search");
-    // The marks are free again: the next search resets them.
+    // The bitmaps are free again: the next search resets them.
     assert_eq!(team_dfs(&proof, 7, &mut scratch, &crew), 20_000);
 }
 
 #[test]
-fn a_helper_that_leaves_hands_its_entries_back() {
-    // The helper joins, takes hand-offs, and leaves at its third poll
-    // as if a request had been queued; the owner finishes alone.
+fn a_helper_that_leaves_loses_no_vertex() {
+    // The helper joins, claims chunks, and leaves at its third poll as
+    // if a request had been queued, with nothing to hand back: the bits
+    // it wrote are folded with the owner's, who finishes alone.
     let g = db_gen::social::social(100_000, 5);
     let proof = shared(&g);
     let want = reference_count(&g, 0);
     let (tx, rx) = mpsc::channel::<Arc<Team>>();
     let crew = Catch(Mutex::new(tx));
     let worker = std::thread::spawn(move || {
-        let mut scratch = Scratch::default();
         let mut left = 0;
         for team in rx {
             let polls = AtomicU32::new(0);
             if let Some(mut helper) = team.join() {
                 let queued = || polls.fetch_add(1, Ordering::Relaxed) >= 3;
-                left += u32::from(helper.run(&mut scratch, &queued).left_for_request);
+                left += u32::from(helper.run(&queued).left_for_request);
             }
         }
         left
@@ -423,7 +451,7 @@ fn a_helper_that_leaves_hands_its_entries_back() {
 }
 
 #[test]
-fn one_set_of_marks_serves_two_graph_sizes() {
+fn one_set_of_bitmaps_serves_two_graph_sizes() {
     let big = star(60_000);
     let small = from_edge_list(50, &[(0, 1), (1, 2), (3, 4)], true);
     let helper = ParkedHelper::spawn();
@@ -431,7 +459,7 @@ fn one_set_of_marks_serves_two_graph_sizes() {
     let mut held = None;
     for g in [&big, &small, &big] {
         let proof = shared(g);
-        // An early-exit reach first leaves marks set; the searches after
+        // An early-exit reach first leaves bits set; the searches after
         // it must not see them.
         let far = g.num_vertices() as u32 - 1;
         team_search(
@@ -449,11 +477,119 @@ fn one_set_of_marks_serves_two_graph_sizes() {
             );
         }
         if g.num_vertices() == 60_000 {
-            // The second big search reuses the marks and the stack.
+            // The second big search reuses the bitmaps.
             let now = scratch.bytes();
-            assert!(now >= 60_000 * 5, "marks and stack for n vertices");
+            assert!(now >= 60_000 / 2, "four bitmaps of n bits");
             assert!(held.is_none_or(|h| h == now), "{held:?} -> {now}");
             held = Some(now);
         }
+    }
+}
+
+/// A crew that takes one offer in `every` and hands the team to a
+/// helper thread, which joins it and leaves, as if a request had been
+/// queued, at its `leave`-th poll: a join at a random level, a leave at
+/// a random chunk.
+struct Late {
+    every: u32,
+    tries: AtomicU32,
+    tx: Mutex<mpsc::Sender<Arc<Team>>>,
+}
+
+impl Late {
+    /// The crew and its helper thread, which returns how many teams it
+    /// left for its "request".
+    fn spawn(every: u32, leave: u32) -> (Late, std::thread::JoinHandle<u32>) {
+        let (tx, rx) = mpsc::channel::<Arc<Team>>();
+        let worker = std::thread::spawn(move || {
+            let mut left = 0;
+            for team in rx {
+                let polls = AtomicU32::new(0);
+                if let Some(mut helper) = team.join() {
+                    let queued = || polls.fetch_add(1, Ordering::Relaxed) >= leave;
+                    left += u32::from(helper.run(&queued).left_for_request);
+                }
+            }
+            left
+        });
+        let crew = Late {
+            every,
+            tries: AtomicU32::new(0),
+            tx: Mutex::new(tx),
+        };
+        (crew, worker)
+    }
+}
+
+impl Crew for Late {
+    fn queued(&self) -> bool {
+        false
+    }
+
+    fn offer(&self, team: &Arc<Team>) -> bool {
+        if !self
+            .tries
+            .fetch_add(1, Ordering::Relaxed)
+            .is_multiple_of(self.every)
+        {
+            return false;
+        }
+        self.tx.lock().unwrap().send(Arc::clone(team)).is_ok()
+    }
+
+    fn withdraw(&self, _: &Arc<Team>) {}
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+
+    #[test]
+    fn frontier_matches_reference_lone_and_as_a_team(
+        g in hub_graph(),
+        pick in any::<u64>(),
+        every in 1u32..64,
+        leave in 0u32..64,
+    ) {
+        prop_assert!(batches(&g), "far arcs {} of {}", g.far_arcs(), g.num_arcs());
+        let (crew, worker) = Late::spawn(every, leave);
+        let proof = shared(&g);
+        let n = g.num_vertices() as u32;
+        let mut scratch = Scratch::default();
+        for root in [0, (pick % u64::from(n)) as u32, n - 1] {
+            let want = reference_count(&g, root);
+            prop_assert_eq!(dfs(&g, root, &mut scratch), want);
+            prop_assert_eq!(team_dfs(&proof, root, &mut scratch, &crew), want);
+        }
+        let root = (pick % u64::from(n * 3 / 4)) as u32;
+        let truth = reachable_set(&g, root);
+        let full = reference_count(&g, root);
+        let spread = (0..32u64).map(|i| ((pick >> 8).wrapping_add(i * 0x9e37_79b9) % u64::from(n)) as u32);
+        let (token, cancelled) = (CancelToken::new(), CancelToken::new());
+        cancelled.cancel();
+        for target in spread.chain([root, n - 1]) {
+            let lone = search(&g, root, Some(target), &token, &mut scratch);
+            let team = team_search(&proof, root, Some(target), &token, &mut scratch, &crew);
+            for found in [lone, team] {
+                prop_assert!(found.completed);
+                prop_assert_eq!(found.claimed, truth[target as usize], "target {}", target);
+                prop_assert!(found.visited <= full);
+            }
+            // An already-cancelled token answers the root alone, unless
+            // the root is the target.
+            let lone = search(&g, root, Some(target), &cancelled, &mut scratch);
+            let team = team_search(&proof, root, Some(target), &cancelled, &mut scratch, &crew);
+            for found in [lone, team] {
+                let at_root = target == root;
+                prop_assert_eq!(found, Search { visited: 1, claimed: at_root, completed: at_root });
+            }
+        }
+        for found in [
+            search(&g, root, None, &cancelled, &mut scratch),
+            team_search(&proof, root, None, &cancelled, &mut scratch, &crew),
+        ] {
+            prop_assert_eq!(found, Search { visited: 1, claimed: false, completed: false });
+        }
+        drop(crew);
+        worker.join().unwrap();
     }
 }

@@ -7,12 +7,13 @@
 //! engine the request names, except `sim`, which runs the simulator.
 //! Given a crew, the kernel runs as the owner of a team search that an
 //! idle pool worker may join ([`kernel::team_search`]); otherwise it
-//! runs on the calling thread alone. The kernel polls the token every
-//! [`db_core::kernel::POLL_STRIDE`] expansions (rounded up to a whole
-//! batch on graphs it searches in batches), so an expired deadline
-//! stops the search and the payload describes the partial prefix
-//! (`completed:false`). A `reach` stops as soon as it marks its target
-//! and answers exactly what a full traversal would.
+//! runs on the calling thread alone. The kernel's stack loop polls the
+//! token every [`db_core::kernel::POLL_STRIDE`] expansions, and its
+//! frontier loop before every chunk of [`db_core::kernel::CHUNK_IDS`]
+//! ids, so an expired deadline stops the search and the payload
+//! describes the partial prefix (`completed:false`). A `reach` stops
+//! as soon as it marks its target and answers exactly what a full
+//! traversal would.
 //!
 //! `sim` and the apps-layer workloads (`scc`, `topo`, `articulation`)
 //! are not preemptible: the deadline is checked once at start (expired

@@ -99,7 +99,7 @@ pub struct Metrics {
     /// Workers currently executing a request (occupancy).
     pub busy_workers: Gauge,
     /// Heap bytes of the workers' reused traversal scratch (visited
-    /// bits, stacks and team byte marks), summed.
+    /// bits, stacks and level bitmaps), summed.
     pub scratch_bytes: Gauge,
     /// Latency of every request a worker finished (any status) and of
     /// the `failed` answers closed without one, µs.

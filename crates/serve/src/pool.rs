@@ -14,15 +14,14 @@
 //!
 //! Stealing also reaches one level down, into a running search. A
 //! dfs/reach on a graph the kernel batches ([`db_core::kernel::batches`])
-//! starts as a team search when some other live worker is not running
-//! a request. Its owner offers it through the pool's one offer slot once
-//! its stack is deep enough, and a worker whose queue and steal both
-//! come up empty joins it with its own scratch stack, taking the cold
-//! half of the owner's stack whenever it runs dry
-//! ([`db_core::kernel::team_search`]). The helper leaves at its next
-//! poll once a request is queued, handing its entries back, and records
-//! one `team` span under the owner's attempt. Elsewhere the
-//! single-thread kernel runs unchanged.
+//! runs level by level, and starts as a team search when some other
+//! live worker is not running a request. Its owner offers it through
+//! the pool's one offer slot once it has visited enough vertices, and
+//! a worker whose queue and steal both come up empty joins it
+//! ([`db_core::kernel::team_search`]): the helper claims chunks of the
+//! owner's levels, leaves between two chunks once a request is queued,
+//! with nothing to hand back, and records one `team` span under the
+//! owner's attempt. Elsewhere the single-thread kernel runs unchanged.
 //!
 //! Everything synchronizes through one mutex + condvar: queue moves are
 //! microseconds against multi-millisecond traversals, so lock
@@ -830,7 +829,7 @@ fn worker_loop(inner: &Arc<ServerInner>, idx: usize) -> WorkerExit {
                     return WorkerExit::Poisoned;
                 }
             }
-            Some(Task::Help(offer)) => help(inner, idx as u32, &offer, &mut scratch),
+            Some(Task::Help(offer)) => help(inner, idx as u32, &offer),
         }
     }
 }
@@ -845,18 +844,18 @@ enum Task {
 
 /// Joins the offered team search as its helper, unless it has already
 /// ended, and counts the join in the pool's `joins`. Before leaving,
-/// the helper charges its scratch and records one `team` span under the
-/// owner's attempt: `value` = entries it expanded, `code` 1 if it left
-/// for a queued request, else 0.
-fn help(inner: &ServerInner, worker: u32, offer: &Offer, scratch: &mut WorkerScratch) {
+/// the helper records one `team` span under the owner's attempt:
+/// `value` = frontier vertices it expanded, `code` 1 if it left for a
+/// queued request, else 0. It searches the owner's bitmaps, so it
+/// charges no scratch of its own.
+fn help(inner: &ServerInner, worker: u32, offer: &Offer) {
     let t0 = inner.now_ns();
     let Some(mut helper) = offer.team.join() else {
         return;
     };
     inner.lock().joins += 1;
     let queued = || inner.lock().queued_total > 0;
-    let done = helper.run(&mut scratch.scratch, &queued);
-    scratch.charge();
+    let done = helper.run(&queued);
     inner.record(SpanRecord {
         trace_id: offer.trace_id,
         span_id: offer.span_id,
@@ -1547,14 +1546,13 @@ mod tests {
         // One worker holds 5000 visited bits and room for 5000 stack
         // entries.
         assert!(scratch(&h).unwrap() >= (5000 / 8 + 5000 * 4) as f64);
-        // A batched graph runs as a team: its owner also holds a mark
-        // byte per vertex, and a helper charges its stack when it
-        // leaves.
+        // A batched graph runs the frontier loop, whose owner also holds
+        // four bitmaps of a bit per vertex.
         let n = crate::corpus::build_graph("social_s")
             .unwrap()
             .num_vertices();
         assert_eq!(h.run(req(2, "social_s", 0)).status, Status::Ok);
-        assert!(scratch(&h).unwrap() >= (n + n * 4) as f64);
+        assert!(scratch(&h).unwrap() >= (5000 / 8 + 5000 * 4 + n / 2) as f64);
         server.shutdown();
         assert_eq!(scratch(&h), Some(0.0), "exited workers drop their scratch");
     }

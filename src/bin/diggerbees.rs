@@ -135,8 +135,8 @@ use diggerbees::baselines::nvg::{self, NvgConfig};
 use diggerbees::baselines::serial;
 use diggerbees::check::race::{detect, RaceConfig};
 use diggerbees::check::{
-    EpochModel, EpochScenario, Explorer, Model, Outcome, ProtoModel, ProtoScenario, RingModel,
-    RingScenario, TeamModel, TeamScenario, WalModel, WalScenario,
+    EpochModel, EpochScenario, Explorer, LevelModel, LevelScenario, Model, Outcome, ProtoModel,
+    ProtoScenario, RingModel, RingScenario, WalModel, WalScenario,
 };
 use diggerbees::core::native::{NativeConfig, NativeEngine};
 use diggerbees::core::{
@@ -1450,18 +1450,18 @@ fn check_main() -> ExitCode {
             "proto/diamond4",
             &ProtoModel::new(ProtoScenario::diamond4(2)),
         );
-        findings += run_model_config("team/star", &TeamModel::new(TeamScenario::star()));
+        findings += run_model_config("level/tree", &LevelModel::new(LevelScenario::tree()));
         findings += run_model_config(
-            "team/star-request",
-            &TeamModel::new(TeamScenario::star_request()),
+            "level/tree-request",
+            &LevelModel::new(LevelScenario::tree_request()),
         );
         findings += run_model_config(
-            "team/star-reach",
-            &TeamModel::new(TeamScenario::star_reach()),
+            "level/tree-reach",
+            &LevelModel::new(LevelScenario::tree_reach()),
         );
         findings += run_model_config(
-            "team/diamond-cancel",
-            &TeamModel::new(TeamScenario::diamond_cancel()),
+            "level/tree-cancel",
+            &LevelModel::new(LevelScenario::tree_cancel()),
         );
         findings += run_model_config("epoch/small", &EpochModel::new(EpochScenario::small()));
         findings += run_model_config("wal/small", &WalModel::new(WalScenario::small()));

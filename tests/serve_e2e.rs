@@ -326,8 +326,9 @@ fn delta_reach_stops_at_its_deadline() {
 }
 
 /// The same on the batched kernel: `google`'s arcs are scattered, so
-/// the kernel batches it, and a `native` dfs with a 1 ms budget over the
-/// warm corpus stops at a poll counted per batch.
+/// the kernel searches it level by level, and a `native` dfs with a 1 ms
+/// budget over the warm corpus stops at the poll before a chunk, lone
+/// or as a team.
 #[test]
 fn native_dfs_on_a_batched_graph_stops_at_its_deadline() {
     const KEY: &str = "google";
