@@ -8,9 +8,12 @@
 //! also times `db_core::kernel::team_search` as a two-member team, whose
 //! helper is a parked thread (`ParkedHelper`) that joins each search
 //! when the owner offers it (`team_median_us`, `team_min_us`, and the
-//! searches it joined). Every run's visited count, lone or team, is
-//! checked against the reference BFS (`reachable_set`); a mismatch
-//! fails the run.
+//! searches it joined), and then 16 reaches from vertex 0 to seeded
+//! random targets, lone and as a team (`reach_median_us`,
+//! `team_reach_median_us`): a served reach stops at its target, and a
+//! full search never tests one. Every run's visited count and every
+//! reach flag, lone or team, is checked against the reference BFS
+//! (`reachable_set`); a mismatch fails the run.
 //!
 //! Graph keys are serve corpus keys (`grid:W:H`, `path:N`, suite names
 //! such as `google` or `delaunay`) plus `social:N`, the social generator
@@ -29,10 +32,12 @@ use db_core::CancelToken;
 use db_graph::traversal::reachable_set;
 use db_graph::{CsrGraph, GraphStore};
 use db_trace::json::Value;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Seed of the `social:N` graphs.
+/// Seed of the `social:N` graphs and of the reach targets.
 const SOCIAL_SEED: u64 = 1;
 
 struct Args {
@@ -101,27 +106,24 @@ fn build(key: &str) -> Result<CsrGraph, String> {
     }
 }
 
-/// Times `runs` searches, checking each against the reference count
-/// `want`; returns the sorted wall times in microseconds and whether
-/// every count matched.
+/// Times `runs` searches, the `i`th by `run(i)`, and checks each answer
+/// with `check(i, answer)`, which describes a wrong one; returns the
+/// sorted wall times in microseconds and whether every answer was right.
 fn time_runs(
     key: &str,
     what: &str,
     runs: usize,
-    want: u64,
-    mut run: impl FnMut() -> Search,
+    mut run: impl FnMut(usize) -> Search,
+    check: impl Fn(usize, Search) -> Result<(), String>,
 ) -> (Vec<f64>, bool) {
     let mut ok = true;
     let mut times_us = Vec::with_capacity(runs);
-    for _ in 0..runs {
+    for i in 0..runs {
         let t = Instant::now();
-        let found = run();
+        let found = run(i);
         times_us.push(t.elapsed().as_secs_f64() * 1e6);
-        if !found.completed || found.visited != want {
-            eprintln!(
-                "kernel_bench: {key} ({what}): visited {} (completed {}), reference {want}",
-                found.visited, found.completed
-            );
+        if let Err(e) = check(i, found) {
+            eprintln!("kernel_bench: {key} ({what}): {e}");
             ok = false;
         }
     }
@@ -153,9 +155,22 @@ fn main() {
             .filter(|&v| truth[v as usize])
             .map(|v| g.degree(v) as u64)
             .sum();
-        let (times_us, solo_ok) = time_runs(key, "solo", a.runs, want, || {
-            search(g, 0, None, &CancelToken::new(), &mut scratch)
-        });
+        let full = |_: usize, found: Search| {
+            if found.completed && found.visited == want {
+                return Ok(());
+            }
+            Err(format!(
+                "visited {} (completed {}), reference {want}",
+                found.visited, found.completed
+            ))
+        };
+        let (times_us, solo_ok) = time_runs(
+            key,
+            "solo",
+            a.runs,
+            |_| search(g, 0, None, &CancelToken::new(), &mut scratch),
+            full,
+        );
         ok &= solo_ok;
         let median_us = times_us[times_us.len() / 2];
         let mteps = scanned as f64 / median_us.max(1e-3);
@@ -182,9 +197,13 @@ fn main() {
         ];
         if batched {
             let joined = helper.joins();
-            let (team_us, team_ok) = time_runs(key, "team", a.runs, want, || {
-                team_search(&store, 0, None, &CancelToken::new(), &mut scratch, &helper)
-            });
+            let (team_us, team_ok) = time_runs(
+                key,
+                "team",
+                a.runs,
+                |_| team_search(&store, 0, None, &CancelToken::new(), &mut scratch, &helper),
+                full,
+            );
             ok &= team_ok;
             let joins = helper.joins() - joined;
             let team_median_us = team_us[team_us.len() / 2];
@@ -196,10 +215,68 @@ fn main() {
                 median_us / team_median_us,
                 a.runs,
             );
+            // The same seeded targets on every invocation, so two builds
+            // time the same reaches.
+            let mut rng = SmallRng::seed_from_u64(SOCIAL_SEED);
+            let targets: Vec<u32> = (0..16)
+                .map(|_| rng.gen_range(0..g.num_vertices() as u32))
+                .collect();
+            let flag = |i: usize, found: Search| {
+                let t = targets[i];
+                if found.completed && found.claimed == truth[t as usize] {
+                    return Ok(());
+                }
+                Err(format!(
+                    "reach to {t}: claimed {} (completed {}), reference {}",
+                    found.claimed, found.completed, truth[t as usize]
+                ))
+            };
+            let reach = |i: usize| Some(targets[i]);
+            let (reach_us, reach_ok) = time_runs(
+                key,
+                "reach",
+                targets.len(),
+                |i| search(g, 0, reach(i), &CancelToken::new(), &mut scratch),
+                flag,
+            );
+            let (team_reach_us, team_reach_ok) = time_runs(
+                key,
+                "team reach",
+                targets.len(),
+                |i| {
+                    team_search(
+                        &store,
+                        0,
+                        reach(i),
+                        &CancelToken::new(),
+                        &mut scratch,
+                        &helper,
+                    )
+                },
+                flag,
+            );
+            ok &= reach_ok && team_reach_ok;
+            let (reach_median_us, team_reach_median_us) = (
+                reach_us[reach_us.len() / 2],
+                team_reach_us[team_reach_us.len() / 2],
+            );
+            let reachable = targets.iter().filter(|&&t| truth[t as usize]).count();
+            eprintln!(
+                "{key}: {} reaches to random targets ({reachable} reachable), median \
+                 {:.2} ms lone, {:.2} ms as a team",
+                targets.len(),
+                reach_median_us / 1e3,
+                team_reach_median_us / 1e3,
+            );
             row.extend([
                 ("team_median_us".into(), Value::Num(team_median_us)),
                 ("team_min_us".into(), Value::Num(team_us[0])),
                 ("team_joins".into(), Value::u64(joins)),
+                ("reach_median_us".into(), Value::Num(reach_median_us)),
+                (
+                    "team_reach_median_us".into(),
+                    Value::Num(team_reach_median_us),
+                ),
             ]);
         }
         results.push(Value::Obj(row));
@@ -221,7 +298,7 @@ fn main() {
         std::process::exit(2);
     }
     if !ok {
-        eprintln!("kernel_bench: FAILED — visited counts differ from the reference");
+        eprintln!("kernel_bench: FAILED — answers differ from the reference");
         std::process::exit(1);
     }
     eprintln!(

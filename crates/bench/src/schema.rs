@@ -218,15 +218,17 @@ pub fn validate_sim_line(v: &Value) -> Result<(), String> {
 }
 
 /// Current version of the `BENCH_kernel.json` line format.
-pub const KERNEL_SCHEMA_VERSION: u64 = 2;
+pub const KERNEL_SCHEMA_VERSION: u64 = 3;
 
-/// Validates one parsed `BENCH_kernel.json` line against schema v2.
+/// Validates one parsed `BENCH_kernel.json` line against schema v3.
 ///
 /// Checks field presence and types, that every graph visited at least
 /// its root and reports a finite positive time, and that the far-arc
 /// share is a share. A batched graph also carries the two-member
-/// team's times (`team_median_us`, `team_min_us`) and the searches its
-/// helper joined (`team_joins`); an unbatched one carries none of them.
+/// team's times (`team_median_us`, `team_min_us`), the searches its
+/// helper joined (`team_joins`), and the median of its random-target
+/// reaches, lone and as a team (`reach_median_us`,
+/// `team_reach_median_us`); an unbatched one carries none of them.
 pub fn validate_kernel_line(v: &Value) -> Result<(), String> {
     want_version(v, KERNEL_SCHEMA_VERSION)?;
     let bench = want_str(v, "bench")?;
@@ -256,13 +258,19 @@ pub fn validate_kernel_line(v: &Value) -> Result<(), String> {
             if !(0.0..=1.0).contains(&share) {
                 return Err(format!("far_share {share} outside [0, 1]"));
             }
-            let team = ["team_median_us", "team_min_us", "team_joins"];
+            let team = [
+                "team_median_us",
+                "team_min_us",
+                "reach_median_us",
+                "team_reach_median_us",
+                "team_joins",
+            ];
             if !batched {
                 if let Some(k) = team.iter().find(|k| run.get(k).is_some()) {
                     return Err(format!("unbatched graph with a team field '{k}'"));
                 }
             }
-            let times = if batched { &team[..2] } else { &[] };
+            let times = if batched { &team[..4] } else { &[] };
             for k in ["median_us", "min_us"].iter().chain(times) {
                 let t = want_f64(run, k)?;
                 if !t.is_finite() || t <= 0.0 {
@@ -365,12 +373,13 @@ mod tests {
     #[test]
     fn validates_kernel_lines() {
         let good = Value::parse(
-            r#"{"schema_version":2,"bench":"kernel","nproc":2,"runs":5,
+            r#"{"schema_version":3,"bench":"kernel","nproc":2,"runs":5,
                 "results":[{"graph":"google","n":300000,"arcs":3600000,
                             "far_share":0.57,"batched":true,"visited":299000,
                             "median_us":40000.5,"min_us":39000.0,"mteps":90.0,
                             "team_median_us":30000.0,"team_min_us":29000.0,
-                            "team_joins":5},
+                            "team_joins":5,"reach_median_us":900.0,
+                            "team_reach_median_us":700.0},
                            {"graph":"grid:60:60","n":3600,"arcs":14160,
                             "far_share":0,"batched":false,"visited":3600,
                             "median_us":40.0,"min_us":39.0,"mteps":350.0}],
@@ -382,6 +391,33 @@ mod tests {
         assert!(validate_kernel_line(&no_team)
             .unwrap_err()
             .contains("team_median_us"));
+        let no_reach =
+            Value::parse(&good.to_json().replace("\"team_reach_median_us\"", "\"x\"")).unwrap();
+        assert!(validate_kernel_line(&no_reach)
+            .unwrap_err()
+            .contains("team_reach_median_us"));
+        let zero_reach = Value::parse(&good.to_json().replace(":900", ":0")).unwrap();
+        assert!(validate_kernel_line(&zero_reach)
+            .unwrap_err()
+            .contains("reach_median_us 0 not positive"));
+        let unbatched_reach = Value::parse(
+            &good
+                .to_json()
+                .replace("\"mteps\":350", "\"reach_median_us\":1,\"mteps\":350"),
+        )
+        .unwrap();
+        assert!(validate_kernel_line(&unbatched_reach)
+            .unwrap_err()
+            .contains("reach_median_us"));
+        let v2 = Value::parse(
+            &good
+                .to_json()
+                .replace("\"schema_version\":3", "\"schema_version\":2"),
+        )
+        .unwrap();
+        assert!(validate_kernel_line(&v2)
+            .unwrap_err()
+            .contains("schema_version 2"));
         let unbatched_team = Value::parse(
             &good
                 .to_json()

@@ -18,21 +18,26 @@
 //! * **Frontier** — level by level over bitmaps, one bit per vertex
 //!   each: `visited`, the level's `frontier`, and a `next` per member.
 //!   Each level's frontier is expanded in vertex-id order, in chunks of
-//!   [`CHUNK_IDS`] ids; an unvisited neighbour's bit is set in `next`,
-//!   and at the level's end `next` is folded into `frontier` and
-//!   `visited`. On a graph too big for the caches a search is bound by
-//!   memory latency, not bandwidth: each expanded vertex costs two
-//!   dependent misses, `row_ptr[u]` and then the head of its `col_idx`
-//!   row. So the loop reads the row bounds of [`BATCH`] frontier
-//!   vertices and prefetches the head of each row before it scans any
-//!   of them. This is the AMAC pattern (Kocberber et al., "Asynchronous
-//!   Memory Access Chaining", PVLDB 2015), the CPU analogue of
-//!   DiggerBees hiding stack-segment movement behind traversal with TMA
-//!   async copies; in id order the `row_ptr` reads are a forward
-//!   stream, and the marks a row tests are a bitmap of n/8 bytes that
-//!   stays in cache. The bitmap frontier is Beamer et al.'s
-//!   ("Direction-Optimizing Breadth-First Search", SC'12), top-down
-//!   only.
+//!   [`CHUNK_IDS`] ids. The rows of consecutive ids sit back to back in
+//!   `col_idx`, so each run of consecutive frontier ids in a bitmap
+//!   word, up to all 64, is scanned as one column range, the CPU form
+//!   of the paper's warps scanning a vertex's edges in 32-wide chunks
+//!   rather than edge by edge. The scan sets every neighbour's bit in
+//!   `next`, visited or not: one column load and one `next`
+//!   read-modify-write per arc. At the level's end `next` is folded
+//!   into `frontier` and `visited` over the whole map, and the fold
+//!   drops the neighbours already visited. On a graph too big for the
+//!   caches a search is bound by memory latency, not bandwidth: each
+//!   run costs two dependent misses, `row_ptr[u]` and then the head of
+//!   its range. So the loop reads the bounds of [`BATCH`] ranges and
+//!   prefetches the head of each before it scans any of them. This is
+//!   the AMAC pattern (Kocberber et al., "Asynchronous Memory Access
+//!   Chaining", PVLDB 2015), the CPU analogue of DiggerBees hiding
+//!   stack-segment movement behind traversal with TMA async copies; in
+//!   id order the `row_ptr` reads are a forward stream, and the `next`
+//!   bitmap the scan writes, n/8 bytes, stays in cache. The bitmap
+//!   frontier is Beamer et al.'s ("Direction-Optimizing Breadth-First
+//!   Search", SC'12), top-down only.
 //!
 //! [`batches`] picks the loop from a count the CSR check takes when the
 //! graph is built ([`CsrGraph::far_arcs`]): the arcs whose endpoints are
@@ -53,14 +58,16 @@
 //! on every suite graph with scattered ids (`social:1000000` 64.6 →
 //! 33.6 ms lone and 43.1 → 21.1 ms as a team, `amazon` 7.5 → 5.3 and
 //! 5.5 → 3.1 ms) but the random geometric ones, whose levels are many
-//! and thin (`rgg_l` 51.5 → 74.5 and 18.1 → 45.4 ms; EXPERIMENTS.md,
+//! and thin: `rgg_l` reads 83.6 ms lone and 52.7 ms as a team against
+//! the stack loop's 64.2 and 27.7 ms timed beside it (EXPERIMENTS.md,
 //! "Frontier loop").
 //!
 //! The [`CancelToken`] is polled before the first expansion; then the
 //! stack loop polls every [`POLL_STRIDE`] expansions and the frontier
 //! loop before every chunk. A search with a target returns as soon as
-//! it marks that target (the frontier loop: as soon as a row it expands
-//! holds the target). The prefetch is the one `unsafe` site, in
+//! it marks that target; the frontier loop tests the target's bit in
+//! the member's own `next` once per batch of ranges, and returns after
+//! the batch that set it. The prefetch is the one `unsafe` site, in
 //! `prefetch`; it is a no-op off x86-64.
 //!
 //! # Teams
@@ -76,9 +83,9 @@
 //!   word span and then the cursor, `level << 32 | next chunk`. Each
 //!   member claims chunks with a compare-and-swap of the whole word, so
 //!   a member still on a spent level cannot claim a chunk of the next
-//!   one; it expands the chunk into its own `next` (relaxed stores, no
-//!   read-modify-write: one writer per word), publishes the words it
-//!   wrote and counts the chunk done. It polls before every chunk.
+//!   one; it expands the chunk into its own `next` (relaxed loads and
+//!   stores: one writer per word, so no atomic read-modify-write) and
+//!   counts the chunk done. It polls before every chunk.
 //! * **Close.** Once its claim finds the level spent, the owner closes
 //!   the cursor (chunk `u32::MAX`) before it touches the span. A member
 //!   may read the cursor and then the span while the owner moves to the
@@ -88,11 +95,15 @@
 //!   compare-and-swap.
 //! * **Fold.** Once every claimed chunk is done, so that no helper holds
 //!   one, the owner folds both `next` bitmaps into `frontier` and
-//!   `visited` over the words they touched, counting the new vertices,
-//!   and publishes the next level; an empty one ends the search.
+//!   `visited` over every word of the map, counting the new vertices,
+//!   and publishes the next level; an empty one ends the search. The
+//!   walk over every word costs about what each level's chunk walk
+//!   already pays over its frontier's word span, which on a batched
+//!   graph covers most of the map.
 //!   `visited` is the count of the folds.
-//! * **End.** The search ends for both members when a member marks the
-//!   target, when the token expires, or when a level comes out empty.
+//! * **End.** The search ends for both members when a member finds the
+//!   target in its `next`, when the token expires, or when a level comes
+//!   out empty.
 //!   The end is a sticky flag under the team mutex, and a join after it
 //!   is refused; the cursor then reads `u64::MAX`, which the owner's
 //!   close and publish, both read-modify-writes, leave in place.
@@ -138,7 +149,7 @@ pub const BATCH_FAR_SHARE: f64 = 0.05;
 
 /// Vertices a team search visits before its owner offers it. A parked
 /// helper joined 56–174 µs after an offer; one core expands 4096
-/// vertices of `social:1000000` (about 60 ns each) in about that time,
+/// vertices of `social:1000000` (about 35 ns each) in about that time,
 /// so a smaller search is likely over before a helper could start on
 /// it. Counted over the whole search, not per level: the levels of the
 /// random geometric graphs never hold 4096 vertices, and a helper that
@@ -333,18 +344,17 @@ fn search_levels(
     maps.reset(g.num_vertices());
     let mut level = maps.start(root);
     loop {
-        let mut touched = EMPTY;
         for chunk in 0..level.chunks() {
             if token.is_cancelled() {
                 found.completed = false;
                 return;
             }
-            if expand(g, &maps, 0, level.words(chunk), target, &mut touched).1 {
+            if expand(g, &maps, 0, level.words(chunk), target).1 {
                 found.claimed = true;
                 return;
             }
         }
-        let (count, span) = maps.fold(union(&[level.span, touched]));
+        let (count, span) = maps.fold();
         found.visited += count;
         if count == 0 {
             return;
@@ -618,18 +628,10 @@ const ENDED: u64 = u64::MAX;
 /// The chunk index of a closed level, past the last chunk of any level.
 const CLOSED: u64 = u32::MAX as u64;
 
-/// An empty word range, which [`union`] skips. Reversed on purpose: it
-/// is the identity of widening a range by `min` of the starts and `max`
-/// of the ends.
+/// An empty word range. Reversed on purpose: it is the identity of
+/// widening a range by `min` of the starts and `max` of the ends.
 #[allow(clippy::reversed_empty_ranges)]
 const EMPTY: Range<usize> = usize::MAX..0;
-
-/// The smallest range holding every nonempty one of `ranges`.
-fn union(ranges: &[Range<usize>]) -> Range<usize> {
-    let live = ranges.iter().filter(|r| !r.is_empty());
-    let start = live.clone().map(|r| r.start).min().unwrap_or(0);
-    start..live.map(|r| r.end).max().unwrap_or(0)
-}
 
 /// One level of a frontier search as a member sees it: its number and
 /// the frontier words it spans, which split into chunks of
@@ -671,25 +673,16 @@ impl Bitmaps {
         }
     }
 
-    /// Folds the `next` bitmaps into `frontier` and `visited` over
-    /// `words`, which must cover the current frontier and every `next`
-    /// word written, and clears them. Returns the new frontier's vertex
+    /// Folds the `next` bitmaps into `frontier` and `visited`, every
+    /// word of the map, and clears them; a `next` bit of a vertex
+    /// already visited drops out here. Returns the new frontier's vertex
     /// count and the words it spans.
-    fn fold(&self, words: Range<usize>) -> (u64, Range<usize>) {
+    fn fold(&self) -> (u64, Range<usize>) {
         let (mut count, mut span) = (0, EMPTY);
-        fn part<'m>(map: &'m [AtomicU64], words: &Range<usize>) -> &'m [AtomicU64] {
-            // index-ok: the range lies within the frontier and the `next`
-            // words written, all below n bits
-            &map[words.clone()]
-        }
-        let part = |map| part(map, &words);
         let [mine, theirs] = &self.next;
-        let found = part(mine).iter().zip(part(theirs));
-        let rows = part(&self.visited)
-            .iter()
-            .zip(part(&self.frontier))
-            .zip(found);
-        for (w, ((visited, frontier), (mine, theirs))) in words.clone().zip(rows) {
+        let found = mine.iter().zip(theirs);
+        let rows = self.visited.iter().zip(&self.frontier).zip(found);
+        for (w, ((visited, frontier), (mine, theirs))) in rows.enumerate() {
             let (seen, found) = (get(visited), get(mine) | get(theirs));
             let new = found & !seen;
             set(frontier, new);
@@ -707,39 +700,58 @@ impl Bitmaps {
     }
 }
 
-/// Expands the frontier vertices in `words` in id order: reads the row
-/// bounds of up to [`BATCH`] of them and prefetches each row's head,
-/// then sets the bit of every unvisited neighbour in member `lane`'s
-/// `next` bitmap, widening `touched` over the words the rows span. Returns
-/// the vertices expanded and whether one of them has `target` as a
-/// neighbour; it stops there.
+/// Expands the frontier vertices in `words` in id order, a run of
+/// consecutive ids at a time: the rows of a run sit back to back in
+/// `col_idx`, so the run is one column range. It reads the bounds of up
+/// to [`BATCH`] ranges and prefetches each range's head, then sets the
+/// bit of every neighbour in member `lane`'s `next` bitmap, visited or
+/// not (the fold drops the visited ones), and then tests the target's
+/// bit there. Returns the vertices expanded and whether one of them has
+/// `target` as a neighbour; it stops at the batch that found it.
 fn expand(
     g: &CsrGraph,
     maps: &Bitmaps,
     lane: usize,
     words: Range<usize>,
     target: u32,
-    touched: &mut Range<usize>,
 ) -> (u64, bool) {
     let (row_ptr, col_idx) = (g.row_ptr(), g.col_idx());
-    let mut rows = [(0usize, 0usize); BATCH];
+    // index-ok: lane is 0 or 1
+    let next = &maps.next[lane][..];
+    // No vertex has the u32::MAX of "no target", so its bit stays clear
+    // (or its word lies past the map).
+    let hit = || {
+        let word = next.get(target as usize >> 6);
+        word.is_some_and(|w| get(w) & 1 << (target & 63) != 0)
+    };
+    let mut ranges = [(0usize, 0usize); BATCH];
     let (mut k, mut expanded) = (0, 0);
     // index-ok: chunks lie within the frontier's n bits
     for (w, word) in words.clone().zip(&maps.frontier[words]) {
         let mut bits = get(word);
         while bits != 0 {
-            let u = w * 64 + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            // index-ok: u < n, and a CsrGraph's row_ptr is monotone and
-            // ends at col_idx.len()
-            let (start, end) = (row_ptr[u] as usize, row_ptr[u + 1] as usize);
+            let low = bits.trailing_zeros();
+            let run = (!(bits >> low)).trailing_zeros();
+            // A run of 64 fills the word, and `1 << 64` would overflow.
+            let mask = if run == 64 {
+                u64::MAX
+            } else {
+                ((1 << run) - 1) << low
+            };
+            bits &= !mask;
+            let u = w * 64 + low as usize;
+            // index-ok: the run's ids are below n, so u + run <= n, and a
+            // CsrGraph's row_ptr holds n + 1 monotone bounds ending at
+            // col_idx.len()
+            let (start, end) = (row_ptr[u] as usize, row_ptr[u + run as usize] as usize);
             prefetch(col_idx.as_ptr().wrapping_add(start));
             // index-ok: k < BATCH, reset below when it gets there
-            rows[k] = (start, end);
+            ranges[k] = (start, end);
             k += 1;
+            expanded += u64::from(run);
             if k == BATCH {
-                expanded += k as u64;
-                if scan(col_idx, &rows, maps, lane, target, touched) {
+                scan(col_idx, &ranges, next);
+                if hit() {
                     return (expanded, true);
                 }
                 k = 0;
@@ -747,55 +759,33 @@ fn expand(
         }
     }
     // index-ok: k < BATCH
-    let hit = scan(col_idx, &rows[..k], maps, lane, target, touched);
-    (expanded + k as u64, hit)
+    scan(col_idx, &ranges[..k], next);
+    (expanded, hit())
 }
 
-/// The neighbour loop of [`expand`].
+/// The neighbour loop of [`expand`]: one column load and one `next`
+/// read-modify-write per arc. A member is its `next` bitmap's one
+/// writer, so a plain load and store do, and with no `visited` load and
+/// no test the loop has no branch that depends on the graph.
 #[inline(always)]
-fn scan(
-    col_idx: &[u32],
-    rows: &[(usize, usize)],
-    maps: &Bitmaps,
-    lane: usize,
-    target: u32,
-    touched: &mut Range<usize>,
-) -> bool {
-    // index-ok: lane is 0 or 1
-    let (visited, next) = (&maps.visited[..], &maps.next[lane][..]);
-    for &(start, end) in rows {
-        // index-ok: the bounds came from row_ptr, so the row lies
+fn scan(col_idx: &[u32], ranges: &[(usize, usize)], next: &[AtomicU64]) {
+    for &(start, end) in ranges {
+        // index-ok: the bounds came from row_ptr, so the range lies
         // within col_idx
-        let row = &col_idx[start..end];
-        // A row ascends, so its ends bound the words it can write.
-        if let (Some(&lo), Some(&hi)) = (row.first(), row.last()) {
-            *touched = touched.start.min(lo as usize >> 6)..touched.end.max((hi as usize >> 6) + 1);
-        }
-        for &v in row {
-            let (w, bit) = (v as usize >> 6, 1u64 << (v & 63));
+        for &v in &col_idx[start..end] {
             // index-ok: a CsrGraph's column entries are below n, and the
-            // bitmaps hold n bits
-            let (seen, slot) = (get(&visited[w]), &next[w]);
-            // Branch-free: in a level's middle a neighbour is visited
-            // about half the time, which no predictor learns. Writing
-            // `next` unconditionally took a full `social:5000000` reach
-            // from 420–430 ms to 310–365.
-            set(slot, get(slot) | (bit & !seen));
-            // The target is unvisited whenever a row holds it: the walk
-            // stops the first time one does.
-            if v == target {
-                return true;
-            }
+            // bitmap holds n bits
+            let slot = &next[v as usize >> 6];
+            set(slot, get(slot) | 1 << (v & 63));
         }
     }
-    false
 }
 
 /// The level protocol of a team. The owner publishes a level by storing
 /// its span and then the cursor; members claim its chunks from the
-/// cursor, and after each chunk report the `next` words they wrote and
-/// count it done. Once the level is spent the owner closes the cursor,
-/// waits until every claimed chunk is done, and folds.
+/// cursor and count each one done. Once the level is spent the owner
+/// closes the cursor, waits until every claimed chunk is done, and
+/// folds.
 #[derive(Debug, Default)]
 struct Levels {
     /// `level << 32 | next unclaimed chunk`, [`CLOSED`] in the low half
@@ -814,15 +804,13 @@ struct Levels {
 
 /// A member's report on the current level. Only that member writes it
 /// (and the owner, to reset it between levels), and the owner reads it
-/// to fold, so it sits on a cache line of its own, away from the cursor
-/// both members claim from.
+/// before it folds, so it sits on a cache line of its own, away from the
+/// cursor both members claim from.
 #[derive(Debug, Default)]
 #[repr(align(64))]
 struct Report {
     /// Chunks it finished.
     done: AtomicU32,
-    /// The `next` words it wrote.
-    touched: [AtomicUsize; 2],
 }
 
 /// What a claim on the cursor got.
@@ -859,14 +847,9 @@ impl Levels {
     fn publish(&self, view: &View) -> bool {
         self.first.store(view.span.start, Ordering::Release);
         self.last.store(view.span.end, Ordering::Release);
-        for Report { done, touched } in &self.reports {
+        for Report { done } in &self.reports {
             // relaxed-ok: published by the cursor below
             done.store(0, Ordering::Relaxed);
-            let [start, end] = touched;
-            // relaxed-ok: published by the cursor below
-            start.store(EMPTY.start, Ordering::Relaxed);
-            // relaxed-ok: published by the cursor below
-            end.store(EMPTY.end, Ordering::Relaxed);
         }
         let closed = match view.level.checked_sub(1) {
             Some(before) => (u64::from(before) << 32) | CLOSED,
@@ -903,18 +886,13 @@ impl Levels {
         }
     }
 
-    /// Member `lane` finished a chunk, having written `touched` of its
-    /// `next` bitmap so far this level.
-    fn finish(&self, lane: usize, touched: &Range<usize>) {
+    /// Member `lane` finished a chunk; the release publishes its `next`
+    /// writes to the fold.
+    fn finish(&self, lane: usize) {
         // index-ok: lane is 0 or 1
-        let report = &self.reports[lane];
-        let (done, [start, end]) = (&report.done, &report.touched);
-        // relaxed-ok: only this member writes its report in a level; the
-        // release below publishes it to the fold
-        start.store(touched.start, Ordering::Relaxed);
-        // relaxed-ok: as above
-        end.store(touched.end, Ordering::Relaxed);
-        // relaxed-ok: as above; one writer, so no read-modify-write
+        let done = &self.reports[lane].done;
+        // relaxed-ok: only this member writes its count in a level, so no
+        // read-modify-write
         done.store(done.load(Ordering::Relaxed) + 1, Ordering::Release);
     }
 
@@ -922,17 +900,6 @@ impl Levels {
     fn done(&self) -> u32 {
         let [mine, theirs] = &self.reports;
         mine.done.load(Ordering::Acquire) + theirs.done.load(Ordering::Acquire)
-    }
-
-    /// The `next` words both members wrote this level.
-    fn touched(&self) -> Range<usize> {
-        let range = |r: &Report| {
-            let [start, end] = &r.touched;
-            // relaxed-ok: read after the acquire of every chunk's `done`
-            start.load(Ordering::Relaxed)..end.load(Ordering::Relaxed)
-        };
-        let [mine, theirs] = &self.reports;
-        union(&[range(mine), range(theirs)])
     }
 }
 
@@ -1010,10 +977,9 @@ impl<'a> Lane<'a> {
     }
 
     /// Claims and expands chunks of `view`'s level until none is left or
-    /// the search stops; `touched` covers the `next` words it wrote, and
-    /// `visited` counts the vertices visited so far, the level's own
-    /// included.
-    fn work(&mut self, view: &View, visited: u64, touched: &mut Range<usize>) -> Step {
+    /// the search stops; `visited` counts the vertices visited so far,
+    /// the level's own included.
+    fn work(&mut self, view: &View, visited: u64) -> Step {
         let (team, levels) = (self.team, &self.team.levels);
         loop {
             if self.poll(visited) {
@@ -1026,13 +992,13 @@ impl<'a> Lane<'a> {
             };
             let words = view.words(k);
             let g = team.graph.graph();
-            let (expanded, hit) = expand(g, self.maps, self.index, words, team.target, touched);
+            let (expanded, hit) = expand(g, self.maps, self.index, words, team.target);
             self.expanded += expanded;
             if hit {
                 team.stop(true);
                 return Step::Stop;
             }
-            levels.finish(self.index, touched);
+            levels.finish(self.index);
         }
     }
 
@@ -1067,8 +1033,7 @@ impl<'a> Lane<'a> {
         let (mut view, mut visited) = (first, 1);
         levels.publish(&view);
         loop {
-            let mut touched = EMPTY;
-            if self.work(&view, visited, &mut touched) == Step::Stop {
+            if self.work(&view, visited) == Step::Stop {
                 return visited;
             }
             levels.close();
@@ -1076,7 +1041,7 @@ impl<'a> Lane<'a> {
             if self.wait(|_| levels.done() == chunks) {
                 return visited;
             }
-            let (count, span) = self.maps.fold(union(&[view.span, levels.touched()]));
+            let (count, span) = self.maps.fold();
             visited += count;
             if count == 0 {
                 team.end(&mut team.lock());
@@ -1099,9 +1064,7 @@ impl<'a> Lane<'a> {
     fn help(&mut self) {
         let levels = &self.team.levels;
         while let Some(view) = levels.view() {
-            let mut touched = EMPTY;
-            if self.work(&view, 0, &mut touched) == Step::Stop
-                || self.wait(|at| (at >> 32) as u32 != view.level)
+            if self.work(&view, 0) == Step::Stop || self.wait(|at| (at >> 32) as u32 != view.level)
             {
                 return;
             }

@@ -385,6 +385,72 @@ fn team_root_as_target_and_a_cancelled_token() {
     }
 }
 
+/// A directed graph whose level 1 from vertex 0 walks every path of the
+/// frontier loop's run expansion, and the two reach targets that check
+/// it: one whose only in-arc is in a middle row of a run, and one whose
+/// only in-arc is in the last range of a chunk's partial batch.
+///
+/// Level 1 holds ids 64..128 (a full word: a run of 64 from bit 0, with
+/// empty rows 70–72), 168..192 (a run from mid-word to the word's last
+/// bit), 1000 alone, a bulk 10_000..14_200 (so the search visits more
+/// than `TEAM_GRAIN` vertices and the owner offers it), and
+/// 19_990..20_000 (a run ending at id n − 1, whose range reads
+/// `row_ptr[n]`, with empty row 19_995). Each level-1 row has one arc to
+/// level 2, ids 5_000..8_000, many of them far; 64 and 65 point back at
+/// the root and at 66, which the fold must drop as visited. Vertices
+/// 4_500.. have one in-arc each: from 100 (a middle row), 127, 191 and
+/// 19_999 (the last row of a run each). The last level-1 chunk (ids
+/// 19_520..) holds one range, so its batch is partial.
+fn runs_graph() -> (CsrGraph, [u32; 2]) {
+    let n = 20_000u32;
+    let level1: Vec<u32> = [64..128, 168..192, 1000..1001, 10_000..14_200, 19_990..n]
+        .into_iter()
+        .flatten()
+        .collect();
+    let mut edges: Vec<(u32, u32)> = level1.iter().map(|&v| (0, v)).collect();
+    let empty = [70, 71, 72, 19_995];
+    edges.extend(
+        level1
+            .iter()
+            .filter(|v| !empty.contains(v))
+            .map(|&v| (v, 5_000 + v * 7 % 3_000)),
+    );
+    edges.extend([(64, 0), (65, 66)]);
+    let [middle, last] = [4_500, 4_503];
+    edges.extend([(100, middle), (127, 4_501), (191, 4_502), (n - 1, last)]);
+    (from_edge_list(n, &edges, true), [middle, last])
+}
+
+#[test]
+fn runs_of_frontier_ids_expand_whole_and_find_their_targets() {
+    let (g, targets) = runs_graph();
+    assert!(batches(&g), "far arcs {} of {}", g.far_arcs(), g.num_arcs());
+    let proof = shared(&g);
+    let truth = reachable_set(&g, 0);
+    let want = reference_count(&g, 0);
+    let helper = ParkedHelper::spawn();
+    let mut scratch = Scratch::default();
+    // Repeated: the helper's join races the owner through level 1, and
+    // the answers must hold whether it joins or not.
+    for _ in 0..8 {
+        assert_eq!(dfs(&g, 0, &mut scratch), want);
+        assert_eq!(team_dfs(&proof, 0, &mut scratch, &helper), want);
+        for target in targets {
+            assert!(truth[target as usize]);
+            let (token, goal) = (CancelToken::new(), Some(target));
+            let lone = search(&g, 0, goal, &token, &mut scratch);
+            let team = team_search(&proof, 0, goal, &token, &mut scratch, &helper);
+            for found in [lone, team] {
+                assert!(
+                    found.completed && found.claimed,
+                    "target {target}: {found:?}"
+                );
+                assert!(found.visited < want, "target {target}: {found:?}");
+            }
+        }
+    }
+}
+
 /// A crew that hands every offered team to the test through a channel
 /// and never has a request queued.
 struct Catch(Mutex<mpsc::Sender<Arc<Team>>>);
