@@ -2,18 +2,22 @@
 //!
 //! Runs `db_core::kernel::search` from vertex 0 with no target (a full
 //! reach) on each graph, `--runs` times on one thread, and reports the
-//! median wall time, whether the graph ran batched, level by level
+//! median wall time, whether the graph ran batched, by sweeps
 //! (`kernel::batches`, with the far-arc share that decided it), and
-//! MTEPS over the arcs the search scanned. On every batched graph it
-//! also times `db_core::kernel::team_search` as a two-member team, whose
-//! helper is a parked thread (`ParkedHelper`) that joins each search
-//! when the owner offers it (`team_median_us`, `team_min_us`, and the
-//! searches it joined), and then 16 reaches from vertex 0 to seeded
-//! random targets, lone and as a team (`reach_median_us`,
+//! MTEPS over the arcs the search scanned. Vertex 0 is the sweep's best
+//! case, as every id lies ahead of it, and a served root is anywhere, so
+//! it also times `--runs` full searches from each of 4 seeded random
+//! roots (`root_median_us`). On every batched graph it also times
+//! `db_core::kernel::team_search` as a two-member team, whose helper is
+//! a parked thread (`ParkedHelper`) that joins each search when the
+//! owner offers it (`team_median_us`, `team_min_us`, and the searches
+//! it joined), the same random roots as a team
+//! (`team_root_median_us`), and then 16 reaches from vertex 0 to
+//! seeded random targets, lone and as a team (`reach_median_us`,
 //! `team_reach_median_us`): a served reach stops at its target, and a
 //! full search never tests one. Every run's visited count and every
 //! reach flag, lone or team, is checked against the reference BFS
-//! (`reachable_set`); a mismatch fails the run.
+//! (`reachable_set`) from that run's root; a mismatch fails the run.
 //!
 //! Graph keys are serve corpus keys (`grid:W:H`, `path:N`, suite names
 //! such as `google` or `delaunay`) plus `social:N`, the social generator
@@ -37,7 +41,8 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Seed of the `social:N` graphs and of the reach targets.
+/// Seed of the `social:N` graphs, and of the reach targets and random
+/// roots.
 const SOCIAL_SEED: u64 = 1;
 
 struct Args {
@@ -131,6 +136,17 @@ fn time_runs(
     (times_us, ok)
 }
 
+/// Checks a full search from `root` against the reference count `want`.
+fn counted(found: Search, root: u32, want: u64) -> Result<(), String> {
+    if found.completed && found.visited == want {
+        return Ok(());
+    }
+    Err(format!(
+        "from {root}: visited {} (completed {}), reference {want}",
+        found.visited, found.completed
+    ))
+}
+
 fn main() {
     let a = parse_args();
     let nproc = std::thread::available_parallelism().map_or(1, usize::from);
@@ -155,15 +171,7 @@ fn main() {
             .filter(|&v| truth[v as usize])
             .map(|v| g.degree(v) as u64)
             .sum();
-        let full = |_: usize, found: Search| {
-            if found.completed && found.visited == want {
-                return Ok(());
-            }
-            Err(format!(
-                "visited {} (completed {}), reference {want}",
-                found.visited, found.completed
-            ))
-        };
+        let full = |_: usize, found: Search| counted(found, 0, want);
         let (times_us, solo_ok) = time_runs(
             key,
             "solo",
@@ -184,6 +192,38 @@ fn main() {
             median_us / 1e3,
             times_us[0] / 1e3,
         );
+        // The same seeded targets and roots on every invocation, so two
+        // builds time the same searches; the targets come first, so a
+        // build that draws no roots times the same reaches.
+        let mut rng = SmallRng::seed_from_u64(SOCIAL_SEED);
+        let mut draw = || rng.gen_range(0..g.num_vertices() as u32);
+        let targets: Vec<u32> = (0..16).map(|_| draw()).collect();
+        let roots: Vec<(u32, u64)> = (0..4)
+            .map(|_| {
+                let r = draw();
+                (r, reachable_set(g, r).iter().filter(|&&x| x).count() as u64)
+            })
+            .collect();
+        let rooted = |i: usize| roots[i % roots.len()];
+        let from_root = |i: usize, found: Search| {
+            let (r, want) = rooted(i);
+            counted(found, r, want)
+        };
+        let (root_us, root_ok) = time_runs(
+            key,
+            "random roots",
+            roots.len() * a.runs,
+            |i| search(g, rooted(i).0, None, &CancelToken::new(), &mut scratch),
+            from_root,
+        );
+        ok &= root_ok;
+        let root_median_us = root_us[root_us.len() / 2];
+        eprintln!(
+            "{key}: {} random roots, median {:.1} ms (min {:.1})",
+            roots.len(),
+            root_median_us / 1e3,
+            root_us[0] / 1e3,
+        );
         let mut row = vec![
             ("graph".into(), Value::str(key)),
             ("n".into(), Value::u64(g.num_vertices() as u64)),
@@ -194,6 +234,7 @@ fn main() {
             ("median_us".into(), Value::Num(median_us)),
             ("min_us".into(), Value::Num(times_us[0])),
             ("mteps".into(), Value::Num(mteps)),
+            ("root_median_us".into(), Value::Num(root_median_us)),
         ];
         if batched {
             let joined = helper.joins();
@@ -215,12 +256,30 @@ fn main() {
                 median_us / team_median_us,
                 a.runs,
             );
-            // The same seeded targets on every invocation, so two builds
-            // time the same reaches.
-            let mut rng = SmallRng::seed_from_u64(SOCIAL_SEED);
-            let targets: Vec<u32> = (0..16)
-                .map(|_| rng.gen_range(0..g.num_vertices() as u32))
-                .collect();
+            let (team_root_us, team_root_ok) = time_runs(
+                key,
+                "team random roots",
+                roots.len() * a.runs,
+                |i| {
+                    team_search(
+                        &store,
+                        rooted(i).0,
+                        None,
+                        &CancelToken::new(),
+                        &mut scratch,
+                        &helper,
+                    )
+                },
+                from_root,
+            );
+            ok &= team_root_ok;
+            let team_root_median_us = team_root_us[team_root_us.len() / 2];
+            eprintln!(
+                "{key}: {} random roots as a team, median {:.1} ms (min {:.1})",
+                roots.len(),
+                team_root_median_us / 1e3,
+                team_root_us[0] / 1e3,
+            );
             let flag = |i: usize, found: Search| {
                 let t = targets[i];
                 if found.completed && found.claimed == truth[t as usize] {
@@ -272,6 +331,10 @@ fn main() {
                 ("team_median_us".into(), Value::Num(team_median_us)),
                 ("team_min_us".into(), Value::Num(team_us[0])),
                 ("team_joins".into(), Value::u64(joins)),
+                (
+                    "team_root_median_us".into(),
+                    Value::Num(team_root_median_us),
+                ),
                 ("reach_median_us".into(), Value::Num(reach_median_us)),
                 (
                     "team_reach_median_us".into(),

@@ -218,17 +218,19 @@ pub fn validate_sim_line(v: &Value) -> Result<(), String> {
 }
 
 /// Current version of the `BENCH_kernel.json` line format.
-pub const KERNEL_SCHEMA_VERSION: u64 = 3;
+pub const KERNEL_SCHEMA_VERSION: u64 = 4;
 
-/// Validates one parsed `BENCH_kernel.json` line against schema v3.
+/// Validates one parsed `BENCH_kernel.json` line against schema v4.
 ///
 /// Checks field presence and types, that every graph visited at least
-/// its root and reports a finite positive time, and that the far-arc
-/// share is a share. A batched graph also carries the two-member
-/// team's times (`team_median_us`, `team_min_us`), the searches its
-/// helper joined (`team_joins`), and the median of its random-target
-/// reaches, lone and as a team (`reach_median_us`,
-/// `team_reach_median_us`); an unbatched one carries none of them.
+/// its root and reports finite positive times, among them the median of
+/// its full searches from random roots (`root_median_us`), and that the
+/// far-arc share is a share. A batched graph also carries the
+/// two-member team's times (`team_median_us`, `team_min_us`,
+/// `team_root_median_us`), the searches its helper joined
+/// (`team_joins`), and the median of its random-target reaches, lone
+/// and as a team (`reach_median_us`, `team_reach_median_us`); an
+/// unbatched one carries none of them.
 pub fn validate_kernel_line(v: &Value) -> Result<(), String> {
     want_version(v, KERNEL_SCHEMA_VERSION)?;
     let bench = want_str(v, "bench")?;
@@ -261,6 +263,7 @@ pub fn validate_kernel_line(v: &Value) -> Result<(), String> {
             let team = [
                 "team_median_us",
                 "team_min_us",
+                "team_root_median_us",
                 "reach_median_us",
                 "team_reach_median_us",
                 "team_joins",
@@ -270,8 +273,11 @@ pub fn validate_kernel_line(v: &Value) -> Result<(), String> {
                     return Err(format!("unbatched graph with a team field '{k}'"));
                 }
             }
-            let times = if batched { &team[..4] } else { &[] };
-            for k in ["median_us", "min_us"].iter().chain(times) {
+            let times = if batched { &team[..5] } else { &[] };
+            for k in ["median_us", "min_us", "root_median_us"]
+                .iter()
+                .chain(times)
+            {
                 let t = want_f64(run, k)?;
                 if !t.is_finite() || t <= 0.0 {
                     return Err(format!("{k} {t} not positive"));
@@ -373,16 +379,19 @@ mod tests {
     #[test]
     fn validates_kernel_lines() {
         let good = Value::parse(
-            r#"{"schema_version":3,"bench":"kernel","nproc":2,"runs":5,
+            r#"{"schema_version":4,"bench":"kernel","nproc":2,"runs":5,
                 "results":[{"graph":"google","n":300000,"arcs":3600000,
                             "far_share":0.57,"batched":true,"visited":299000,
                             "median_us":40000.5,"min_us":39000.0,"mteps":90.0,
+                            "root_median_us":41000.0,
                             "team_median_us":30000.0,"team_min_us":29000.0,
+                            "team_root_median_us":31000.0,
                             "team_joins":5,"reach_median_us":900.0,
                             "team_reach_median_us":700.0},
                            {"graph":"grid:60:60","n":3600,"arcs":14160,
                             "far_share":0,"batched":false,"visited":3600,
-                            "median_us":40.0,"min_us":39.0,"mteps":350.0}],
+                            "median_us":40.0,"min_us":39.0,"mteps":350.0,
+                            "root_median_us":38.0}],
                 "visited_ok":true}"#,
         )
         .unwrap();
@@ -400,6 +409,29 @@ mod tests {
         assert!(validate_kernel_line(&zero_reach)
             .unwrap_err()
             .contains("reach_median_us 0 not positive"));
+        // Every graph times its random roots, and only a batched one as
+        // a team.
+        let no_root = Value::parse(&good.to_json().replace(",\"root_median_us\":38", "")).unwrap();
+        assert!(validate_kernel_line(&no_root)
+            .unwrap_err()
+            .contains("root_median_us"));
+        let zero_root = Value::parse(&good.to_json().replace(":41000", ":0")).unwrap();
+        assert!(validate_kernel_line(&zero_root)
+            .unwrap_err()
+            .contains("root_median_us 0 not positive"));
+        let no_team_root =
+            Value::parse(&good.to_json().replace("\"team_root_median_us\"", "\"x\"")).unwrap();
+        assert!(validate_kernel_line(&no_team_root)
+            .unwrap_err()
+            .contains("team_root_median_us"));
+        let unbatched_team_root = Value::parse(&good.to_json().replace(
+            "\"root_median_us\":38",
+            "\"root_median_us\":38,\"team_root_median_us\":1",
+        ))
+        .unwrap();
+        assert!(validate_kernel_line(&unbatched_team_root)
+            .unwrap_err()
+            .contains("team_root_median_us"));
         let unbatched_reach = Value::parse(
             &good
                 .to_json()
@@ -409,15 +441,15 @@ mod tests {
         assert!(validate_kernel_line(&unbatched_reach)
             .unwrap_err()
             .contains("reach_median_us"));
-        let v2 = Value::parse(
+        let v3 = Value::parse(
             &good
                 .to_json()
-                .replace("\"schema_version\":3", "\"schema_version\":2"),
+                .replace("\"schema_version\":4", "\"schema_version\":3"),
         )
         .unwrap();
-        assert!(validate_kernel_line(&v2)
+        assert!(validate_kernel_line(&v3)
             .unwrap_err()
-            .contains("schema_version 2"));
+            .contains("schema_version 3"));
         let unbatched_team = Value::parse(
             &good
                 .to_json()

@@ -1,38 +1,48 @@
 //! Step-level model of the served kernel's team search
-//! (`db_core::kernel::team_search`, which runs the frontier loop): one
+//! (`db_core::kernel::team_search`, which runs the sweep loop): one
 //! owner, at most one helper, a chunk cursor, and a fold between
-//! levels.
+//! sweeps. A sweep is one level of the cursor protocol.
 //!
-//! The transcription follows the kernel's level loop on a tiny graph,
+//! The transcription follows the kernel's sweep loop on a tiny graph,
 //! with chunks of one vertex id. Every access to the cursor or the span
 //! is a step of its own, so a member can read the cursor of one level
 //! and the span of the next. The owner publishes a level by storing the
 //! first and the last id of its span and then the cursor, `(level, next
-//! chunk)`. A member polls before each chunk, loads the cursor and
-//! claims the chunk with a compare-and-swap of the whole word (two
-//! steps, so the cursor can move in between), expands it into its own
-//! `next` bitmap (one step: `visited` and `frontier` only change at a
-//! fold), and then counts it done. The steps are:
+//! chunk)`; a span runs from the first pending vertex to the end of the
+//! map, so a later level can span more chunks than an earlier one. A
+//! member polls before each chunk, loads the cursor and claims the
+//! chunk with a compare-and-swap of the whole word (two steps, so the
+//! cursor can move in between), expands the chunk's vertex if it is
+//! pending, and then counts the chunk done. Each access of the expansion
+//! is a step of its own, so the other member can mark in between: it
+//! reads the vertex's `done` bit, its own mark and the other member's
+//! mark (skipping a read whose value cannot change the outcome), sets
+//! the `done` bit, and marks each neighbour, done or not, in its own
+//! set; then it reads the chunk again, as the kernel does until a read
+//! finds nothing pending. The steps are:
 //!
 //! * **poll** — a cancelled token stops the search; the owner posts its
-//!   one offer once the search has visited `offer_at` vertices and no
-//!   request is queued; a helper with a request queued leaves, holding
+//!   one offer at the first poll with no request queued (the kernel
+//!   waits for `TEAM_GRAIN` expansions; offering at once lets the helper
+//!   join at any step); a helper with a request queued leaves, holding
 //!   no chunk;
 //! * **load / claim** — an ended cursor makes the member leave; a spent
 //!   level, or one the member is not on, sends the owner to close it
 //!   and a helper to wait; otherwise the compare-and-swap takes the
 //!   chunk, or fails and reloads;
-//! * **expand / finish** — marking the target ends the search; a
-//!   finished chunk is counted in `done`;
+//! * **expand / finish** — a member that marks the target ends the
+//!   search once its row is marked (the kernel tests the target's bit
+//!   in the member's own marks after each batch); a finished chunk is
+//!   counted;
 //! * **close** — the owner sets the spent cursor's chunk to `CLOSED`,
 //!   past any level's last chunk; an ended cursor stays ended;
 //! * **wait / fold / publish** — the owner waits until every chunk of the
-//!   level is done (or the search has ended), then folds the `next`
-//!   bitmaps into `frontier` and `visited`, and either ends the search
-//!   when the new frontier is empty or stores the new span's first id,
-//!   its last id, and then the cursor of the next level; a helper waits
-//!   for the cursor to leave its level and then reads the cursor, the
-//!   first id and the last id. Both waits poll the token;
+//!   level is done (or the search has ended), then folds: it ends the
+//!   search when no vertex is marked and not done, or stores the first
+//!   such vertex's id, the end of the map, and then the cursor of the
+//!   next level; a helper waits for the cursor to leave its level and
+//!   then reads the cursor, the first id and the last id. Both waits
+//!   poll the token;
 //! * **join** — refused once the search has ended;
 //! * **depart** — the helper's membership (and its hold on the owner's
 //!   bitmaps) ends;
@@ -49,7 +59,7 @@
 //!   member holds a chunk of the level;
 //! * **no stale claim** — a member claims a chunk only when the level and
 //!   span it read are the ones published with the cursor;
-//! * **no lost vertex** — a search that ended without a stop marked
+//! * **no lost vertex** — a search that ended without a stop expanded
 //!   exactly the reachable set, the target included;
 //! * **both members exit** — a blocked member is a deadlock;
 //! * **bitmaps never cleared while held** — the owner resets its
@@ -79,16 +89,21 @@ pub enum LevelMutation {
     /// helper that read the spent cursor and then the next level's
     /// longer span claims a chunk of the next level as one of the old.
     NoClose,
+    /// The fold looks for pending vertices in the owner's marks only, so
+    /// a vertex only the helper marked, and nobody expanded, ends the
+    /// search unexpanded.
+    FoldOwnMarks,
 }
 
 impl LevelMutation {
     /// Every mutation, for exhaustive mutation tests.
-    pub const ALL: [LevelMutation; 5] = [
+    pub const ALL: [LevelMutation; 6] = [
         LevelMutation::FoldWhileHeld,
         LevelMutation::LeaveAbandonsChunk,
         LevelMutation::StaleClaim,
         LevelMutation::JoinAfterEnd,
         LevelMutation::NoClose,
+        LevelMutation::FoldOwnMarks,
     ];
 }
 
@@ -106,12 +121,12 @@ pub enum ClientEvent {
 #[derive(Debug, Clone)]
 pub struct LevelScenario {
     /// Tiny adjacency lists (vertex id → neighbours, at most 16
-    /// vertices); vertex 0 is the root.
+    /// vertices).
     pub adj: Vec<Vec<u32>>,
+    /// The search's root.
+    pub root: u32,
     /// A reach's target, or `None` for a dfs.
     pub target: Option<u32>,
-    /// Vertices the search has visited before the owner offers.
-    pub offer_at: u32,
     /// What the client does, in order.
     pub client: Vec<ClientEvent>,
     /// The seeded bug, or `None` for the faithful protocol.
@@ -119,15 +134,18 @@ pub struct LevelScenario {
 }
 
 impl LevelScenario {
-    /// A root with two children, which share one of their two
-    /// grandchildren: levels of one, two and two chunks. The owner
-    /// offers at once, so the helper can join on any level and the two
-    /// members can race for every chunk.
+    /// A root in the middle of the map, vertex 2, with two children,
+    /// which share one of their two grandchildren: 0 below the root,
+    /// which waits for a second sweep, and 3 above it, which marks 4
+    /// ahead of the cursor and the shared 1 behind it. The first sweep
+    /// spans three chunks and the second five. The helper can join on
+    /// any sweep, and the two members can race for every chunk and every
+    /// mark.
     pub fn tree() -> Self {
         LevelScenario {
-            adj: vec![vec![1, 2], vec![3, 4], vec![4], vec![], vec![]],
+            adj: vec![vec![1], vec![], vec![0, 3], vec![4, 1], vec![]],
+            root: 2,
             target: None,
-            offer_at: 1,
             client: Vec::new(),
             mutation: None,
         }
@@ -142,12 +160,12 @@ impl LevelScenario {
         }
     }
 
-    /// A reach on the tree whose target, vertex 3, is only reachable
-    /// through vertex 1: whichever member expands vertex 1 ends the
+    /// A reach on the tree whose target, vertex 4, is only reachable
+    /// through vertex 3: whichever member expands vertex 3 ends the
     /// search.
     pub fn tree_reach() -> Self {
         LevelScenario {
-            target: Some(3),
+            target: Some(4),
             ..Self::tree()
         }
     }
@@ -214,9 +232,27 @@ enum Pc {
         level: u8,
         chunk: u8,
     },
-    /// Expand the chunk holding vertex `v`.
+    /// Read the `done` bit of the chunk's vertex `v`: the start of each
+    /// read of the chunk.
     Expand {
         v: u8,
+    },
+    /// Read the member's own mark of `v`.
+    Mine {
+        v: u8,
+    },
+    /// Read the other member's mark of `v`.
+    Theirs {
+        v: u8,
+    },
+    /// Set `v`'s `done` bit.
+    SetDone {
+        v: u8,
+    },
+    /// Mark `v`'s `i`th neighbour in the member's own set.
+    Mark {
+        v: u8,
+        i: u8,
     },
     /// Count the chunk done.
     Finish,
@@ -229,7 +265,7 @@ enum Pc {
     Fold,
     /// The owner stores the next level's first id.
     PublishFirst,
-    /// The owner stores the next level's last id and resets `done`.
+    /// The owner stores the next level's last id and resets `finished`.
     PublishLast,
     /// The owner stores the next level's cursor over the closed one.
     PublishCursor,
@@ -247,16 +283,18 @@ enum Pc {
 /// Full system state.
 #[derive(Debug, Clone, Hash, PartialEq, Eq)]
 pub struct LevelState {
-    visited: u16,
-    frontier: u16,
-    next: [u16; 2],
+    /// The vertices expanded.
+    done: u16,
+    /// One mark set per member.
+    marks: [u16; 2],
     cursor: Cursor,
     /// The published span, stored one id at a time.
     first: u8,
     last: u8,
     /// Ghost: the level published with the cursor, and its span.
     published: View,
-    done: u8,
+    /// Chunks of the level the members finished.
+    finished: u8,
     ended: bool,
     claimed: bool,
     stopped: bool,
@@ -320,13 +358,27 @@ impl LevelModel {
 
     /// Whether member `a` holds a chunk: claimed and not yet done.
     fn holds_chunk(s: &LevelState, a: ActorId) -> bool {
-        matches!(s.pcs[a], Pc::Expand { .. } | Pc::Finish)
+        matches!(
+            s.pcs[a],
+            Pc::Expand { .. }
+                | Pc::Mine { .. }
+                | Pc::Theirs { .. }
+                | Pc::SetDone { .. }
+                | Pc::Mark { .. }
+                | Pc::Finish
+        )
+    }
+
+    /// The map's size, one chunk per id.
+    fn ids(&self) -> u8 {
+        self.scenario.adj.len() as u8
     }
 
     /// Vertices reachable from the root, as a mask.
     fn reachable(&self) -> u16 {
         let adj = &self.scenario.adj;
-        let (mut seen, mut stack) = (1u16, vec![0usize]);
+        let root = self.scenario.root as usize;
+        let (mut seen, mut stack) = (1u16 << root, vec![root]);
         while let Some(u) = stack.pop() {
             for &v in &adj[u] {
                 if seen & (1 << v) == 0 {
@@ -345,8 +397,7 @@ impl LevelModel {
             s.pcs[a] = Self::leave(a);
             return;
         }
-        let seen = s.visited.count_ones();
-        if a == OWNER && !s.offered && seen >= self.scenario.offer_at && !s.queued {
+        if a == OWNER && !s.offered && !s.queued {
             s.offer = true;
             s.offered = true;
         }
@@ -391,28 +442,52 @@ impl LevelModel {
         Ok(())
     }
 
-    /// Expands vertex `v` if it is on the frontier, into `a`'s `next`.
+    /// Starts a read of the chunk holding vertex `v`: its `done` bit. A
+    /// done vertex is not pending, whatever its marks.
     fn expand(&self, s: &mut LevelState, a: ActorId, v: u8) {
         if a == HELPER && s.queued && self.mutated(LevelMutation::LeaveAbandonsChunk) {
             s.pcs[a] = Pc::Depart;
             return;
         }
-        if s.frontier & (1 << v) != 0 {
-            for &w in &self.scenario.adj[v as usize] {
-                if s.visited & (1 << w) == 0 {
-                    s.next[a] |= 1 << w;
-                    if Some(w) == self.scenario.target {
-                        Self::stop(s, true);
-                        s.pcs[a] = Self::leave(a);
-                        return;
-                    }
-                }
-            }
-        }
-        s.pcs[a] = Pc::Finish;
+        s.pcs[a] = if s.done & (1 << v) != 0 {
+            Pc::Finish
+        } else {
+            Pc::Mine { v }
+        };
     }
 
-    /// The owner's fold: the next level, or the end.
+    /// Sets `v`'s `done` bit: the member expands it.
+    fn set_done(&self, s: &mut LevelState, a: ActorId, v: u8) {
+        s.done |= 1 << v;
+        s.pcs[a] = if self.scenario.adj[usize::from(v)].is_empty() {
+            Pc::Expand { v }
+        } else {
+            Pc::Mark { v, i: 0 }
+        };
+    }
+
+    /// Marks `v`'s `i`th neighbour in `a`'s own set. After the row's last
+    /// mark the member tests the target in its own marks, and otherwise
+    /// reads the chunk again.
+    fn mark(&self, s: &mut LevelState, a: ActorId, v: u8, i: u8) {
+        let row = &self.scenario.adj[usize::from(v)];
+        s.marks[a] |= 1 << row[usize::from(i)];
+        if usize::from(i) + 1 < row.len() {
+            s.pcs[a] = Pc::Mark { v, i: i + 1 };
+            return;
+        }
+        match self.scenario.target {
+            Some(t) if s.marks[a] & (1 << t) != 0 => {
+                Self::stop(s, true);
+                s.pcs[a] = Self::leave(a);
+            }
+            _ => s.pcs[a] = Pc::Expand { v },
+        }
+    }
+
+    /// The owner's fold: the next sweep, from the first vertex marked and
+    /// not done to the end of the map, or the end of the search when
+    /// there is none.
     fn fold(&self, s: &mut LevelState) -> Result<(), Violation> {
         if Self::holds_chunk(s, HELPER) {
             return Err(Violation::new(
@@ -420,11 +495,13 @@ impl LevelModel {
                 "the owner folded while the helper held a chunk of the level",
             ));
         }
-        let new = (s.next[0] | s.next[1]) & !s.visited;
-        s.next = [0, 0];
-        s.frontier = new;
-        s.visited |= new;
-        if new == 0 {
+        let marked = if self.mutated(LevelMutation::FoldOwnMarks) {
+            s.marks[OWNER]
+        } else {
+            s.marks[OWNER] | s.marks[HELPER]
+        };
+        let pending = marked & !s.done;
+        if pending == 0 {
             s.ended = true;
             s.cursor = Cursor::Ended;
             s.pcs[OWNER] = Pc::Withdraw;
@@ -432,8 +509,8 @@ impl LevelModel {
         }
         s.views[OWNER] = View {
             level: s.views[OWNER].level + 1,
-            first: new.trailing_zeros() as u8,
-            last: 16 - new.leading_zeros() as u8,
+            first: pending.trailing_zeros() as u8,
+            last: self.ids(),
         };
         s.pcs[OWNER] = Pc::PublishFirst;
         Ok(())
@@ -453,17 +530,17 @@ impl LevelModel {
     }
 
     /// The owner's answer, once it is the only member: a search that
-    /// ended without a stop marked exactly the reachable set, and a
+    /// ended without a stop expanded exactly the reachable set, and a
     /// reachable target is always claimed.
     fn check_answer(&self, s: &LevelState) -> Result<(), Violation> {
         if s.stopped || s.claimed {
             return Ok(());
         }
         let reach = self.reachable();
-        if s.visited != reach {
+        if s.done != reach {
             return Err(Violation::new(
                 "lost-vertex",
-                format!("visited {:#b}, reachable {reach:#b}", s.visited),
+                format!("done {:#b}, reachable {reach:#b}", s.done),
             ));
         }
         match self.scenario.target {
@@ -480,19 +557,20 @@ impl Model for LevelModel {
     type State = LevelState;
 
     fn initial(&self) -> LevelState {
+        let root = self.scenario.root as u8;
+        let first = View {
+            level: 0,
+            first: root,
+            last: self.ids(),
+        };
         LevelState {
-            visited: 1,
-            frontier: 1,
-            next: [0, 0],
-            cursor: Cursor::At { level: 0, chunk: 0 },
-            first: 0,
-            last: 1,
-            published: View {
-                level: 0,
-                first: 0,
-                last: 1,
-            },
             done: 0,
+            marks: [1 << root, 0],
+            cursor: Cursor::At { level: 0, chunk: 0 },
+            first: first.first,
+            last: first.last,
+            published: first,
+            finished: 0,
             ended: false,
             claimed: false,
             stopped: false,
@@ -502,14 +580,7 @@ impl Model for LevelModel {
             queued: false,
             cancelled: false,
             pcs: [Pc::Poll, Pc::Parked],
-            views: [
-                View {
-                    level: 0,
-                    first: 0,
-                    last: 1,
-                },
-                View::default(),
-            ],
+            views: [first, View::default()],
             client: 0,
             holds: false,
         }
@@ -543,7 +614,7 @@ impl Model for LevelModel {
             Pc::Wait if a == OWNER => {
                 s.cursor == Cursor::Ended
                     || s.cancelled
-                    || s.done == s.views[OWNER].chunks()
+                    || s.finished == s.views[OWNER].chunks()
                     || self.mutated(LevelMutation::FoldWhileHeld)
             }
             Pc::Wait => match s.cursor {
@@ -618,8 +689,24 @@ impl Model for LevelModel {
             }
             Pc::Claim { level, chunk } => self.claim(&mut s, a, level, chunk)?,
             Pc::Expand { v } => self.expand(&mut s, a, v),
+            Pc::Mine { v } => {
+                s.pcs[a] = if s.marks[a] & (1 << v) != 0 {
+                    Pc::SetDone { v }
+                } else {
+                    Pc::Theirs { v }
+                };
+            }
+            Pc::Theirs { v } => {
+                s.pcs[a] = if s.marks[1 - a] & (1 << v) != 0 {
+                    Pc::SetDone { v }
+                } else {
+                    Pc::Finish
+                };
+            }
+            Pc::SetDone { v } => self.set_done(&mut s, a, v),
+            Pc::Mark { v, i } => self.mark(&mut s, a, v, i),
             Pc::Finish => {
-                s.done += 1;
+                s.finished += 1;
                 s.pcs[a] = Pc::Poll;
             }
             Pc::Close => {
@@ -642,7 +729,7 @@ impl Model for LevelModel {
                 s.pcs[a] = Pc::PublishLast;
             }
             Pc::PublishLast => {
-                (s.last, s.done) = (s.views[OWNER].last, 0);
+                (s.last, s.finished) = (s.views[OWNER].last, 0);
                 s.pcs[a] = Pc::PublishCursor;
             }
             // The kernel's compare-and-swap from the closed cursor,
@@ -676,7 +763,7 @@ impl Model for LevelModel {
                         "the owner reset its bitmaps while a helper held them",
                     ));
                 }
-                (s.visited, s.frontier, s.next) = (0, 0, [0, 0]);
+                (s.done, s.marks) = (0, [0, 0]);
                 s.pcs[a] = Pc::Exit;
             }
             Pc::Depart => {
@@ -736,7 +823,7 @@ mod tests {
         assert!(tree
             .iter()
             .any(|s| LevelModel::holds_chunk(s, OWNER) && LevelModel::holds_chunk(s, HELPER)));
-        // The helper joins on every level.
+        // The helper joins on every sweep.
         for level in 0..3 {
             assert!(
                 tree.iter()
@@ -748,10 +835,16 @@ mod tests {
         assert!(tree
             .iter()
             .any(|s| s.pcs[HELPER] == Pc::Wait && s.pcs[OWNER] == Pc::Fold));
+        // A sweep leaves a vertex only the helper marked pending for the
+        // next one, and the owner expands one the helper marked.
+        assert!(tree.iter().any(|s| s.pcs[OWNER] == Pc::PublishFirst
+            && (s.marks[HELPER] & !s.marks[OWNER] & !s.done) != 0));
+        assert!(tree.iter().any(|s| matches!(s.pcs[OWNER], Pc::SetDone { v }
+            if s.marks[HELPER] & !s.marks[OWNER] & (1 << v) != 0)));
         let left = reachable_states(&LevelModel::new(LevelScenario::tree_request()));
         assert!(left
             .iter()
-            .any(|s| s.pcs[HELPER] == Pc::Depart && !s.ended && s.next[HELPER] != 0));
+            .any(|s| s.pcs[HELPER] == Pc::Depart && !s.ended && s.marks[HELPER] != 0));
         let reach = reachable_states(&LevelModel::new(LevelScenario::tree_reach()));
         assert!(reach
             .iter()
@@ -769,8 +862,8 @@ mod tests {
         let mut s = model.initial();
         s.views[HELPER] = View {
             level: 1,
-            first: 1,
-            last: 3,
+            first: 0,
+            last: 5,
         };
         s.pcs[HELPER] = Pc::Claim { level: 1, chunk: 1 };
         s.cursor = Cursor::At { level: 2, chunk: 1 };
@@ -782,29 +875,46 @@ mod tests {
 
     #[test]
     fn a_view_torn_across_two_levels_claims_nothing_once_the_level_is_closed() {
-        // The helper read level 0's cursor and then level 1's span, which
-        // the owner stored before its cursor: a view of two chunks on a
-        // level of one.
+        // The helper read sweep 0's cursor and then sweep 1's span, which
+        // the owner stored before its cursor: a view of five chunks on a
+        // sweep of three, from the root to the end of the map.
         let model = LevelModel::new(LevelScenario::tree());
         let mut s = model.initial();
+        assert_eq!(s.published.chunks(), 3);
         s.views[HELPER] = View {
             level: 0,
-            first: 1,
-            last: 3,
+            first: 0,
+            last: 5,
         };
-        (s.first, s.last) = (1, 3);
+        (s.first, s.last) = (0, 5);
         s.pcs[HELPER] = Pc::Load;
         s.pcs[OWNER] = Pc::PublishCursor;
-        // Closed, the cursor's chunk is past the view's two.
+        // Closed, the cursor's chunk is past the view's five.
         s.cursor = Cursor::At {
             level: 0,
             chunk: CLOSED,
         };
         assert_eq!(model.step(&s, HELPER).unwrap().pcs[HELPER], Pc::Wait);
-        // Left spent at (0, 1), it reads as the view's second chunk.
-        s.cursor = Cursor::At { level: 0, chunk: 1 };
+        // Left spent at (0, 3), it reads as the view's fourth chunk.
+        s.cursor = Cursor::At { level: 0, chunk: 3 };
         let s = model.step(&s, HELPER).unwrap();
-        assert_eq!(s.pcs[HELPER], Pc::Claim { level: 0, chunk: 1 });
+        assert_eq!(s.pcs[HELPER], Pc::Claim { level: 0, chunk: 3 });
         assert_eq!(model.step(&s, HELPER).unwrap_err().oracle, "stale-claim");
+    }
+
+    #[test]
+    fn a_vertex_the_other_member_marks_after_the_read_waits_for_the_next_sweep() {
+        // The owner read vertex 4's `done` bit and its own mark, both
+        // clear; the helper then marks 4 before the owner reads the
+        // helper's mark, which the owner sees: 4 is expanded in this
+        // sweep. Read before the helper's mark, it is left for the fold.
+        let model = LevelModel::new(LevelScenario::tree());
+        let mut s = model.initial();
+        s.pcs[OWNER] = Pc::Theirs { v: 4 };
+        let late = model.step(&s, OWNER).unwrap();
+        assert_eq!(late.pcs[OWNER], Pc::Finish);
+        s.marks[HELPER] |= 1 << 4;
+        let seen = model.step(&s, OWNER).unwrap();
+        assert_eq!(seen.pcs[OWNER], Pc::SetDone { v: 4 });
     }
 }

@@ -30,10 +30,11 @@
 //!   [`wal_model::WalMutation`] seeds the bug classes the ordering
 //!   exists to prevent.
 //! * [`level_model`] — the same explorer over the served kernel's team
-//!   search (`db_core::kernel::team_search`), which runs level by
-//!   level: one owner, at most one helper, a chunk cursor tagged with
-//!   its level and closed before the owner folds, per-member `next`
-//!   bitmaps, joins, leaves for a queued request, and the owner's wait
+//!   search (`db_core::kernel::team_search`), which runs in id-order
+//!   sweeps: one owner, at most one helper, a chunk cursor tagged with
+//!   its level (one per sweep) and closed before the owner folds, a
+//!   `done` bitmap and per-member mark bitmaps read one access at a
+//!   time, joins, leaves for a queued request, and the owner's wait
 //!   before it reuses its bitmaps. Oracles: no fold while a chunk is
 //!   held, no claim on a view other than the published level's, no lost
 //!   vertex, both members exit, and bitmaps never cleared while a helper

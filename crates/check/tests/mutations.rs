@@ -129,9 +129,11 @@ fn every_level_mutation_is_caught_and_replayable() {
     // it; a helper that leaves holding a chunk leaves the owner waiting
     // for it forever; a claim that ignores the level takes a chunk of
     // the next one after the cursor comes back to the same index; a
-    // late join holds the bitmaps the owner resets; and without the
-    // close a helper that read the spent cursor and the next level's
-    // span claims a chunk of that span under the old level.
+    // late join holds the bitmaps the owner resets; without the close a
+    // helper that read the spent cursor and the next sweep's longer span
+    // claims a chunk of that span under the old level; and a fold that
+    // reads only the owner's marks ends the search with a vertex only
+    // the helper marked unexpanded.
     let cases = [
         (
             LevelMutation::FoldWhileHeld,
@@ -154,6 +156,11 @@ fn every_level_mutation_is_caught_and_replayable() {
             "cleared-while-held",
         ),
         (LevelMutation::NoClose, LevelScenario::tree(), "stale-claim"),
+        (
+            LevelMutation::FoldOwnMarks,
+            LevelScenario::tree(),
+            "lost-vertex",
+        ),
     ];
     assert_eq!(cases.len(), LevelMutation::ALL.len());
     for (m, sc, oracle) in cases {

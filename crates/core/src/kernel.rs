@@ -15,113 +15,128 @@
 //! * **Stack** — an explicit stack over one visited bit per vertex. A
 //!   vertex is marked when it is pushed, so the stack never holds more
 //!   than `n` entries.
-//! * **Frontier** — level by level over bitmaps, one bit per vertex
-//!   each: `visited`, the level's `frontier`, and a `next` per member.
-//!   Each level's frontier is expanded in vertex-id order, in chunks of
-//!   [`CHUNK_IDS`] ids. The rows of consecutive ids sit back to back in
-//!   `col_idx`, so each run of consecutive frontier ids in a bitmap
-//!   word, up to all 64, is scanned as one column range, the CPU form
-//!   of the paper's warps scanning a vertex's edges in 32-wide chunks
-//!   rather than edge by edge. The scan sets every neighbour's bit in
-//!   `next`, visited or not: one column load and one `next`
-//!   read-modify-write per arc. At the level's end `next` is folded
-//!   into `frontier` and `visited` over the whole map, and the fold
-//!   drops the neighbours already visited. On a graph too big for the
-//!   caches a search is bound by memory latency, not bandwidth: each
-//!   run costs two dependent misses, `row_ptr[u]` and then the head of
-//!   its range. So the loop reads the bounds of [`BATCH`] ranges and
-//!   prefetches the head of each before it scans any of them. This is
-//!   the AMAC pattern (Kocberber et al., "Asynchronous Memory Access
-//!   Chaining", PVLDB 2015), the CPU analogue of DiggerBees hiding
-//!   stack-segment movement behind traversal with TMA async copies; in
-//!   id order the `row_ptr` reads are a forward stream, and the `next`
-//!   bitmap the scan writes, n/8 bytes, stays in cache. The bitmap
-//!   frontier is Beamer et al.'s ("Direction-Optimizing Breadth-First
-//!   Search", SC'12), top-down only.
+//! * **Sweep** — id-order sweeps over bitmaps, one bit per vertex each:
+//!   `done`, the vertices expanded, and one mark bitmap per member. A
+//!   sweep walks the map in vertex-id order, in chunks of [`CHUNK_IDS`]
+//!   ids, and expands every vertex that either member has marked and
+//!   that is not yet done: it sets the vertex's `done` bit and marks
+//!   every neighbour, done or not, in the member's own bitmap. A chunk
+//!   is read again until nothing in it is pending, so a vertex marked
+//!   ahead of the cursor is expanded later in the same sweep, and only
+//!   one marked behind it waits for the next. The next sweep runs from
+//!   the first word holding a pending vertex to the end of the map, and
+//!   a sweep that leaves nothing pending ends the search. A served
+//!   answer is only the visited set, so no expansion waits at a level
+//!   barrier, as none does in DiggerBees, where only the
+//!   level-synchronous baselines pay per level. The rows of
+//!   consecutive ids sit back to back in `col_idx`, so each run of
+//!   consecutive pending ids in a bitmap word, up to all 64, is scanned
+//!   as one column range, the CPU form of the paper's warps scanning a
+//!   vertex's edges in 32-wide chunks rather than edge by edge: one
+//!   column load and one mark read-modify-write per arc. On a graph too
+//!   big for the caches a search is bound by memory latency, not
+//!   bandwidth: each run costs two dependent misses, `row_ptr[u]` and
+//!   then the head of its range. Sweeps read fewer, denser ranges: a
+//!   full search of `social:1000000` reads 175K–272K ranges in 3–4
+//!   sweeps, where a level-by-level loop read 557K–577K in 11–12
+//!   levels. The loop reads the bounds of [`BATCH`] ranges and
+//!   prefetches the head of each before it scans any of them. This is the AMAC pattern (Kocberber
+//!   et al., "Asynchronous Memory Access Chaining", PVLDB 2015), the
+//!   CPU analogue of DiggerBees hiding stack-segment movement behind
+//!   traversal with TMA async copies; in id order the `row_ptr` reads
+//!   are a forward stream, and the mark bitmap the scan writes, n/8
+//!   bytes, stays in cache. The bitmaps are Beamer et al.'s
+//!   ("Direction-Optimizing Breadth-First Search", SC'12), top-down
+//!   only, without their level barrier.
 //!
 //! [`batches`] picks the loop from a count the CSR check takes when the
 //! graph is built ([`CsrGraph::far_arcs`]): the arcs whose endpoints are
 //! more than [`FAR_IDS`](db_graph::csr::FAR_IDS) ids apart. A graph runs
-//! the frontier loop when at least [`BATCH_FAR_SHARE`] of its arcs are
+//! the sweep loop when at least [`BATCH_FAR_SHARE`] of its arcs are
 //! far. Measured shares: 0.80 on `social:1000000`, 0.96 on `ljournal`,
 //! 0.97 on `rgg_l`, 0.57 on `google`, 0.45 on `citation`, 0.11 on
 //! `amazon`, and 0 on every grid, mesh, road, path and dag graph. Where
 //! neighbours sit at nearby ids the stack's next rows are already
 //! cached: batched row prefetch, forced on, took 1.5–1.7× as long on
-//! `path:1000000` and 1.2× on `delaunay` as the stack loop, and the
-//! frontier loop 3.6× on `delaunay`. Graph size alone is the wrong
-//! switch: a million-vertex path is big and still has every neighbour
-//! one id away.
+//! `path:1000000` and 1.2× on `delaunay` as the stack loop, and a
+//! level-by-level bitmap loop 3.6× on `delaunay`. Graph size alone is
+//! the wrong switch: a million-vertex path is big and still has every
+//! neighbour one id away.
 //!
-//! On the graphs that batch, the frontier loop replaced a stack loop
-//! with the same row prefetch and a stack-stealing team. It ran faster
-//! on every suite graph with scattered ids (`social:1000000` 64.6 →
-//! 33.6 ms lone and 43.1 → 21.1 ms as a team, `amazon` 7.5 → 5.3 and
-//! 5.5 → 3.1 ms) but the random geometric ones, whose levels are many
-//! and thin: `rgg_l` reads 83.6 ms lone and 52.7 ms as a team against
-//! the stack loop's 64.2 and 27.7 ms timed beside it (EXPERIMENTS.md,
-//! "Frontier loop").
+//! On the graphs that batch, the sweep loop replaced a level-by-level
+//! loop over the same bitmaps plus a `frontier` one, which had replaced
+//! a stack loop with the same row prefetch and a stack-stealing team.
+//! The level loop ran faster than the stack loop on every suite graph
+//! with scattered ids but the random geometric ones, whose levels are
+//! many and thin; the sweep loop runs those faster than both (`rgg_l`
+//! 40.8 ms lone and 19.0 ms as a team, against 46.2 and 20.3 for the
+//! stack loop and 61.6 and 42.5 by level; EXPERIMENTS.md, "Sweep
+//! loop"). A randomly relabelled path, which no served graph
+//! resembles, is its worst case: each sweep expands a vertex or two
+//! and walks to the end of the map.
 //!
 //! The [`CancelToken`] is polled before the first expansion; then the
-//! stack loop polls every [`POLL_STRIDE`] expansions and the frontier
-//! loop before every chunk. A search with a target returns as soon as
-//! it marks that target; the frontier loop tests the target's bit in
-//! the member's own `next` once per batch of ranges, and returns after
-//! the batch that set it. The prefetch is the one `unsafe` site, in
+//! stack loop polls every [`POLL_STRIDE`] expansions and the sweep loop
+//! before every chunk. A search with a target returns as soon as it
+//! marks that target; the sweep loop tests the target's bit in the
+//! member's own marks once per batch of ranges, and returns after the
+//! batch that set it. The prefetch is the one `unsafe` site, in
 //! `prefetch`; it is a no-op off x86-64.
 //!
 //! # Teams
 //!
 //! [`team_search`] applies the paper's stealing (§3.4) one level down,
-//! inside one search: its caller, the *owner*, runs the frontier loop
-//! and may be joined by one *helper* thread, and the two share each
-//! level. The pool a search runs in is a [`Crew`]: the owner offers the
-//! search to it once it has visited [`TEAM_GRAIN`] vertices, and an
-//! idle thread of the crew joins with [`Team::join`].
+//! inside one search: its caller, the *owner*, runs the sweep loop and
+//! may be joined by one *helper* thread, and the two share each sweep.
+//! The pool a search runs in is a [`Crew`]: the owner offers the search
+//! to it once it has expanded [`TEAM_GRAIN`] vertices itself, and an
+//! idle thread of the crew joins with [`Team::join`]. A sweep is one
+//! level of the cursor below.
 //!
-//! * **Chunks.** The owner publishes a level by storing its frontier's
-//!   word span and then the cursor, `level << 32 | next chunk`. Each
-//!   member claims chunks with a compare-and-swap of the whole word, so
-//!   a member still on a spent level cannot claim a chunk of the next
-//!   one; it expands the chunk into its own `next` (relaxed loads and
-//!   stores: one writer per word, so no atomic read-modify-write) and
-//!   counts the chunk done. It polls before every chunk.
-//! * **Close.** Once its claim finds the level spent, the owner closes
+//! * **Chunks.** The owner publishes a sweep by storing its word span
+//!   and then the cursor, `level << 32 | next chunk`. Each member claims
+//!   chunks with a compare-and-swap of the whole word, so a member still
+//!   on a spent sweep cannot claim a chunk of the next one; it expands
+//!   the chunk's pending vertices, reading both members' marks, setting
+//!   the `done` bits of the chunk and marking into its own bitmap
+//!   (relaxed loads and stores: a `done` word has one writer in a
+//!   sweep, the member that claimed its chunk, and a mark bitmap its
+//!   member, so no atomic read-modify-write), and counts the chunk
+//!   done. A mark the other member sets in a chunk after its last read
+//!   waits for the next sweep. It polls before every chunk.
+//! * **Close.** Once its claim finds the sweep spent, the owner closes
 //!   the cursor (chunk `u32::MAX`) before it touches the span. A member
 //!   may read the cursor and then the span while the owner moves to the
-//!   next level; had the cursor stayed at the spent value, a member that
-//!   read the old level with the new, longer span would claim a chunk
-//!   of the new level as one of the old. Closed, the cursor fails that
+//!   next sweep; had the cursor stayed at the spent value, a member that
+//!   read the old sweep with the new, longer span would claim a chunk
+//!   of the new sweep as one of the old. Closed, the cursor fails that
 //!   compare-and-swap.
 //! * **Fold.** Once every claimed chunk is done, so that no helper holds
-//!   one, the owner folds both `next` bitmaps into `frontier` and
-//!   `visited` over every word of the map, counting the new vertices,
-//!   and publishes the next level; an empty one ends the search. The
-//!   walk over every word costs about what each level's chunk walk
-//!   already pays over its frontier's word span, which on a batched
-//!   graph covers most of the map.
-//!   `visited` is the count of the folds.
+//!   one, the owner folds: over every word of the map it counts the
+//!   `done` bits and finds the first word holding a vertex that either
+//!   member marked and none expanded, and publishes the sweep from that
+//!   word to the end of the map. `visited` is the last fold's count.
 //! * **End.** The search ends for both members when a member finds the
-//!   target in its `next`, when the token expires, or when a level comes
-//!   out empty.
+//!   target in its marks, when the token expires, or when a sweep leaves
+//!   nothing pending.
 //!   The end is a sticky flag under the team mutex, and a join after it
 //!   is refused; the cursor then reads `u64::MAX`, which the owner's
 //!   close and publish, both read-modify-writes, leave in place.
-//! * **Joining and leaving.** A helper joins at whatever level the
+//! * **Joining and leaving.** A helper joins at whatever sweep the
 //!   cursor is on and leaves between two chunks once [`Crew::queued`]
-//!   says a request waits, with nothing to hand back: the `next` bits it
-//!   wrote are folded with the owner's. So a team never keeps a core
-//!   from a queued request; the owner does not offer while a request
-//!   waits, and withdraws an offer nobody took. A team takes one
-//!   helper, as it has one helper's `next`.
+//!   says a request waits, with nothing to hand back: the owner's
+//!   chunks and folds read the marks it wrote. So a team never keeps a
+//!   core from a queued request; the owner does not offer while a
+//!   request waits, and withdraws an offer nobody took. A team takes
+//!   one helper, as it has one helper's mark bitmap.
 //! * **Memory.** The bitmaps live in the owner's [`Scratch`] and are
 //!   reused. The owner waits until the helper has left before it
 //!   answers, and the bitmaps' lock makes any later reset wait for a
 //!   helper that still holds them.
 //!
 //! `db_check::level_model` model-checks this protocol. A team runs the
-//! frontier loop on any graph; the serve pool forms teams only on graphs
-//! that batch, where the frontier loop is the one [`search`] runs too.
+//! sweep loop on any graph; the serve pool forms teams only on graphs
+//! that batch, where the sweep loop is the one [`search`] runs too.
 
 use crate::CancelToken;
 use db_graph::{CsrGraph, GraphStore};
@@ -137,71 +152,71 @@ use std::sync::{
 /// within microseconds.
 pub const POLL_STRIDE: u32 = 1024;
 
-/// Frontier vertices the frontier loop bounds and prefetches the rows
-/// of before it scans any of them.
+/// Column ranges the sweep loop bounds and prefetches the heads of
+/// before it scans any of them.
 pub const BATCH: usize = 16;
 
-/// Share of far arcs from which a graph is searched level by level: one
-/// arc in twenty. `amazon`, at 0.11 the lowest share measured off zero,
+/// Share of far arcs from which a graph is searched by sweeps: one arc
+/// in twenty. `amazon`, at 0.11 the lowest share measured off zero,
 /// ran 1.6× faster with batched row prefetch than one stack entry at a
 /// time, and faster again by level (7.5 → 5.3 ms).
 pub const BATCH_FAR_SHARE: f64 = 0.05;
 
-/// Vertices a team search visits before its owner offers it. A parked
-/// helper joined 56–174 µs after an offer; one core expands 4096
-/// vertices of `social:1000000` (about 35 ns each) in about that time,
-/// so a smaller search is likely over before a helper could start on
-/// it. Counted over the whole search, not per level: the levels of the
-/// random geometric graphs never hold 4096 vertices, and a helper that
-/// waited for one never joined them (`rgg_l` team 95 ms, against 60 ms
-/// with the helper in).
+/// Vertices the owner of a team search expands itself before it offers
+/// the search. A parked helper joined 56–174 µs after an offer; one
+/// core expands 4096 vertices of `social:1000000` (about 35 ns each) in
+/// about that time, so a smaller search is likely over before a helper
+/// could start on it. Counted as the owner goes, not at the folds: the
+/// first sweep holds most of a search, so a count taken at its end
+/// would come too late to share it.
 pub const TEAM_GRAIN: usize = 4096;
 
-/// Vertex ids in one chunk of a frontier level, the unit a member
-/// claims, expands and polls before: 16 bitmap words. A full chunk
-/// expands as many rows as [`POLL_STRIDE`] pops, and a level of
-/// `social:1000000` holds about a thousand chunks. Teams ran 10–25%
-/// slower with chunks of 256 ids (`social:1000000` 29.8–34.8 ms against
-/// 26.8–29.3); chunks of 4096 read the same as 1024 within the host's
-/// spread, and 1024 keeps polls and a helper's leave four times finer.
+/// Vertex ids in one chunk of a sweep, the unit a member claims,
+/// expands and polls before: 16 bitmap words. A full chunk expands as
+/// many rows as [`POLL_STRIDE`] pops, and a sweep of `social:1000000`
+/// spans up to about a thousand chunks. On the level-by-level loop the
+/// sweep replaced, teams ran 10–25% slower with chunks of 256 ids
+/// (`social:1000000` 29.8–34.8 ms against 26.8–29.3); chunks of 4096
+/// read the same as 1024 within the host's spread, and 1024 keeps polls
+/// and a helper's leave four times finer.
 pub const CHUNK_IDS: usize = 1024;
 
 /// Bitmap words in a chunk.
 const CHUNK_WORDS: usize = CHUNK_IDS / 64;
 
-/// Whether [`search`] runs `g` level by level: at least
+/// Whether [`search`] runs `g` by sweeps: at least
 /// [`BATCH_FAR_SHARE`] of its arcs are far ([`CsrGraph::far_arcs`]).
 pub fn batches(g: &CsrGraph) -> bool {
     let far = g.far_arcs();
     far > 0 && far as f64 >= BATCH_FAR_SHARE * g.num_arcs() as f64
 }
 
-/// The bitmaps of a frontier search, one bit per vertex each, in the
-/// owner's [`Scratch`]. `visited` and `frontier` are written only by the
-/// owner, at a fold; `next[i]` only by member `i` (0 the owner, 1 its
-/// helper). Members hold the read side of their lock while they search;
-/// the owner takes the write side to reset them, which waits for any
-/// member still holding them.
+/// The bitmaps of a sweep search, one bit per vertex each, in the
+/// owner's [`Scratch`]. A word of `done`, the vertices expanded, is
+/// written only by the member that claimed its chunk in the current
+/// sweep; `marks[i]` only by member `i` (0 the owner, 1 its helper).
+/// Members hold the read side of their lock while they search; the
+/// owner takes the write side to reset them, which waits for any member
+/// still holding them.
 #[derive(Debug, Default)]
 struct Bitmaps {
-    visited: Vec<AtomicU64>,
-    frontier: Vec<AtomicU64>,
-    next: [Vec<AtomicU64>; 2],
+    done: Vec<AtomicU64>,
+    marks: [Vec<AtomicU64>; 2],
 }
 
 impl Bitmaps {
     /// Heap bytes held (capacity, not length).
     fn bytes(&self) -> usize {
-        let [mine, theirs] = &self.next;
-        let words = [&self.visited, &self.frontier, mine, theirs].map(Vec::capacity);
+        let [mine, theirs] = &self.marks;
+        let words = [&self.done, mine, theirs].map(Vec::capacity);
         words.iter().sum::<usize>() * std::mem::size_of::<u64>()
     }
 
     /// Clears the bitmaps of an `n`-vertex graph.
     fn reset(&mut self, n: usize) {
         let words = n.div_ceil(64);
-        let [mine, theirs] = &mut self.next;
-        for map in [&mut self.visited, &mut self.frontier, mine, theirs] {
+        let [mine, theirs] = &mut self.marks;
+        for map in [&mut self.done, mine, theirs] {
             map.truncate(words);
             map.iter_mut().for_each(|w| *w.get_mut() = 0);
             map.resize_with(words, AtomicU64::default);
@@ -210,7 +225,7 @@ impl Bitmaps {
 }
 
 /// Reusable kernel memory: the visited bits and explicit stack of the
-/// stack loop, and the bitmaps of the frontier loop. [`search`] and
+/// stack loop, and the bitmaps of the sweep loop. [`search`] and
 /// [`team_search`] clear it for each graph but keep its capacity, so a
 /// long-lived owner stops allocating after its first requests.
 #[derive(Debug, Default)]
@@ -252,8 +267,8 @@ pub struct Search {
 }
 
 /// Searches `g` from `root` on the calling thread, stopping early once
-/// `target` (if any) is marked or once `token` is cancelled: level by
-/// level if `g` [`batches`], else over the stack.
+/// `target` (if any) is marked or once `token` is cancelled: by sweeps
+/// if `g` [`batches`], else over the stack.
 ///
 /// # Panics
 ///
@@ -278,7 +293,7 @@ pub fn search(
     // Vertex ids are below n <= u32::MAX, so u32::MAX never matches.
     let target = target.unwrap_or(u32::MAX);
     if batches(g) {
-        search_levels(g, root, target, token, scratch, &mut found);
+        search_sweeps(g, root, target, token, scratch, &mut found);
     } else {
         search_stack(g, root, target, token, scratch, &mut found);
     }
@@ -331,8 +346,8 @@ fn search_stack(
     }
 }
 
-/// The frontier loop of [`search`].
-fn search_levels(
+/// The sweep loop of [`search`].
+fn search_sweeps(
     g: &CsrGraph,
     root: u32,
     target: u32,
@@ -342,25 +357,25 @@ fn search_levels(
 ) {
     let mut maps = write(&scratch.maps);
     maps.reset(g.num_vertices());
-    let mut level = maps.start(root);
+    let mut sweep = maps.start(root);
     loop {
-        for chunk in 0..level.chunks() {
+        for chunk in 0..sweep.chunks() {
             if token.is_cancelled() {
                 found.completed = false;
                 return;
             }
-            if expand(g, &maps, 0, level.words(chunk), target).1 {
+            if expand(g, &maps, 0, sweep.words(chunk), target).1 {
                 found.claimed = true;
                 return;
             }
         }
         let (count, span) = maps.fold();
-        found.visited += count;
-        if count == 0 {
+        found.visited = count;
+        if span.is_empty() {
             return;
         }
-        level = View {
-            level: level.level + 1,
+        sweep = View {
+            level: sweep.level + 1,
             span,
         };
     }
@@ -380,7 +395,7 @@ pub trait Crew {
 }
 
 /// One team search as its members share it: the graph, the token, the
-/// target, the owner's bitmaps, the level cursor, and the membership
+/// target, the owner's bitmaps, the sweep cursor, and the membership
 /// state under the team mutex.
 pub struct Team {
     graph: Arc<dyn GraphStore>,
@@ -417,7 +432,7 @@ struct TeamState {
 /// What a helper did in one team search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Help {
-    /// Frontier vertices it expanded.
+    /// Vertices it expanded.
     pub expanded: u64,
     /// Whether it left for a queued request rather than staying to the
     /// end.
@@ -438,10 +453,10 @@ impl std::fmt::Debug for Helper<'_> {
     }
 }
 
-/// Searches `g` from `root` by the frontier loop, as the owner of a
-/// team: once it has visited [`TEAM_GRAIN`] vertices it offers the
-/// search to `crew`, and a helper that joins claims chunks of each
-/// level (see the module docs for the protocol). Returns only after
+/// Searches `g` from `root` by the sweep loop, as the owner of a team:
+/// once it has expanded [`TEAM_GRAIN`] vertices it offers the search to
+/// `crew`, and a helper that joins claims chunks of each sweep (see the
+/// module docs for the protocol). Returns only after
 /// the helper has left. Same answers as [`search`]: a completed dfs
 /// counts exactly the reachable set, and a reach claims exactly when
 /// the target is reachable.
@@ -550,7 +565,7 @@ impl Team {
 
     /// Joins the search as its helper. `None` once the search has ended
     /// or a helper has joined: a join after the end is refused, and so
-    /// is a second helper, as the team has one helper's `next` bitmap.
+    /// is a second helper, as the team has one helper's mark bitmap.
     pub fn join(&self) -> Option<Helper<'_>> {
         let maps = read(&self.maps);
         let mut st = self.lock();
@@ -564,7 +579,7 @@ impl Team {
 }
 
 /// Ends a team search if its owner unwinds, so a waiting helper leaves
-/// instead of waiting for a level that cannot come.
+/// instead of waiting for a sweep that cannot come.
 struct EndOnUnwind<'a>(&'a Team);
 
 impl Drop for EndOnUnwind<'_> {
@@ -576,7 +591,7 @@ impl Drop for EndOnUnwind<'_> {
 }
 
 impl Helper<'_> {
-    /// Claims and expands chunks of the owner's levels until the search
+    /// Claims and expands chunks of the owner's sweeps until the search
     /// ends or `queued` says a request waits; it leaves between two
     /// chunks, with nothing to hand back. The membership ends when the
     /// `Helper` drops.
@@ -605,36 +620,33 @@ impl Drop for Helper<'_> {
     }
 }
 
-/// A bitmap word. Each word has one writer at a time: a member's `next`
-/// its member, `visited` and `frontier` the owner at a fold. The level
-/// cursor and the `done` counts order every write before the reads that
-/// depend on it, so the accesses themselves are relaxed.
+/// A bitmap word. Each word has one writer at a time: a member's marks
+/// its member, a `done` word the member that claimed its chunk in the
+/// current sweep. The cursor and the finished-chunk counts order every
+/// write before the fold and the next sweep, so the accesses themselves
+/// are relaxed; a mark read early in the sweep it lands in waits for the
+/// next one.
 #[inline(always)]
 fn get(word: &AtomicU64) -> u64 {
-    // relaxed-ok: ordered by the level protocol, as above
+    // relaxed-ok: ordered by the sweep protocol, as above
     word.load(Ordering::Relaxed)
 }
 
 /// Stores a bitmap word; see [`get`].
 #[inline(always)]
 fn set(word: &AtomicU64, bits: u64) {
-    // relaxed-ok: ordered by the level protocol, as above
+    // relaxed-ok: ordered by the sweep protocol, as above
     word.store(bits, Ordering::Relaxed);
 }
 
-/// The cursor value that ends a team search: no level has it.
+/// The cursor value that ends a team search: no sweep has it.
 const ENDED: u64 = u64::MAX;
 
-/// The chunk index of a closed level, past the last chunk of any level.
+/// The chunk index of a closed sweep, past the last chunk of any sweep.
 const CLOSED: u64 = u32::MAX as u64;
 
-/// An empty word range. Reversed on purpose: it is the identity of
-/// widening a range by `min` of the starts and `max` of the ends.
-#[allow(clippy::reversed_empty_ranges)]
-const EMPTY: Range<usize> = usize::MAX..0;
-
-/// One level of a frontier search as a member sees it: its number and
-/// the frontier words it spans, which split into chunks of
+/// One sweep as a member sees it: its number, the cursor's level, and
+/// the bitmap words it spans, which split into chunks of
 /// [`CHUNK_WORDS`].
 #[derive(Debug, Clone)]
 struct View {
@@ -647,67 +659,63 @@ impl View {
         self.span.len().div_ceil(CHUNK_WORDS) as u32
     }
 
-    /// The frontier words of chunk `k`.
+    /// The bitmap words of chunk `k`.
     fn words(&self, k: u32) -> Range<usize> {
         let start = self.span.start + k as usize * CHUNK_WORDS;
         start..(start + CHUNK_WORDS).min(self.span.end)
     }
 
-    /// The cursor of this level at chunk `k`.
+    /// The cursor of this sweep at chunk `k`.
     fn at(&self, k: u64) -> u64 {
         (u64::from(self.level) << 32) | k
     }
 }
 
 impl Bitmaps {
-    /// Level 0 of a search from `root`, on reset bitmaps.
+    /// Sweep 0 of a search from `root`, on reset bitmaps: the root marked
+    /// by the owner, from its word to the end of the map.
     fn start(&self, root: u32) -> View {
         let w = root as usize >> 6;
-        for map in [&self.visited, &self.frontier] {
-            // index-ok: root < n, and each bitmap holds n bits
-            set(&map[w], 1 << (root & 63));
-        }
+        // index-ok: root < n, and each bitmap holds n bits
+        set(&self.marks[0][w], 1 << (root & 63));
         View {
             level: 0,
-            span: w..w + 1,
+            span: w..self.done.len(),
         }
     }
 
-    /// Folds the `next` bitmaps into `frontier` and `visited`, every
-    /// word of the map, and clears them; a `next` bit of a vertex
-    /// already visited drops out here. Returns the new frontier's vertex
-    /// count and the words it spans.
+    /// Counts the vertices expanded, over every word of the map, and
+    /// finds the first word holding a vertex that either member marked
+    /// and none expanded. Returns the count and the next sweep's words,
+    /// from that word to the end of the map; empty when nothing is
+    /// pending, which ends the search.
     fn fold(&self) -> (u64, Range<usize>) {
-        let (mut count, mut span) = (0, EMPTY);
-        let [mine, theirs] = &self.next;
-        let found = mine.iter().zip(theirs);
-        let rows = self.visited.iter().zip(&self.frontier).zip(found);
-        for (w, ((visited, frontier), (mine, theirs))) in rows.enumerate() {
-            let (seen, found) = (get(visited), get(mine) | get(theirs));
-            let new = found & !seen;
-            set(frontier, new);
-            if found != 0 {
-                set(mine, 0);
-                set(theirs, 0);
-            }
-            if new != 0 {
-                set(visited, seen | new);
-                count += u64::from(new.count_ones());
-                span = span.start.min(w)..w + 1;
+        let words = self.done.len();
+        let (mut count, mut first) = (0, words);
+        let [mine, theirs] = &self.marks;
+        let rows = self.done.iter().zip(mine.iter().zip(theirs));
+        for (w, (done, (mine, theirs))) in rows.enumerate() {
+            let done = get(done);
+            count += u64::from(done.count_ones());
+            if first == words && (get(mine) | get(theirs)) & !done != 0 {
+                first = w;
             }
         }
-        (count, span)
+        (count, first..words)
     }
 }
 
-/// Expands the frontier vertices in `words` in id order, a run of
-/// consecutive ids at a time: the rows of a run sit back to back in
-/// `col_idx`, so the run is one column range. It reads the bounds of up
-/// to [`BATCH`] ranges and prefetches each range's head, then sets the
-/// bit of every neighbour in member `lane`'s `next` bitmap, visited or
-/// not (the fold drops the visited ones), and then tests the target's
-/// bit there. Returns the vertices expanded and whether one of them has
-/// `target` as a neighbour; it stops at the batch that found it.
+/// Expands the pending vertices in `words`, those either member has
+/// marked and none has expanded, in id order, a run of consecutive ids
+/// at a time: it sets the run's `done` bits, and the rows of the run sit
+/// back to back in `col_idx`, so the run is one column range. It reads
+/// the bounds of up to [`BATCH`] ranges and prefetches each range's
+/// head, then marks every neighbour in member `lane`'s bitmap, done or
+/// not (the next read drops the done ones), and then tests the target's
+/// bit there. It reads the words again until a pass finds nothing
+/// pending, so a vertex marked ahead in the chunk, by either member, is
+/// expanded here. Returns the vertices expanded and whether one of them
+/// has `target` as a neighbour; it stops at the batch that found it.
 fn expand(
     g: &CsrGraph,
     maps: &Bitmaps,
@@ -717,75 +725,95 @@ fn expand(
 ) -> (u64, bool) {
     let (row_ptr, col_idx) = (g.row_ptr(), g.col_idx());
     // index-ok: lane is 0 or 1
-    let next = &maps.next[lane][..];
+    let (marks, others) = (&maps.marks[lane][..], &maps.marks[lane ^ 1][..]);
     // No vertex has the u32::MAX of "no target", so its bit stays clear
     // (or its word lies past the map).
     let hit = || {
-        let word = next.get(target as usize >> 6);
+        let word = marks.get(target as usize >> 6);
         word.is_some_and(|w| get(w) & 1 << (target & 63) != 0)
     };
+    let base = words.start;
+    // index-ok: chunks lie within the map's n bits, and each bitmap holds
+    // n bits
+    let (mine, theirs) = (&marks[words.clone()], &others[words.clone()]);
+    // index-ok: as above
+    let done = &maps.done[words];
+    let chunk = done.iter().zip(mine.iter().zip(theirs)).enumerate();
     let mut ranges = [(0usize, 0usize); BATCH];
     let (mut k, mut expanded) = (0, 0);
-    // index-ok: chunks lie within the frontier's n bits
-    for (w, word) in words.clone().zip(&maps.frontier[words]) {
-        let mut bits = get(word);
-        while bits != 0 {
-            let low = bits.trailing_zeros();
-            let run = (!(bits >> low)).trailing_zeros();
-            // A run of 64 fills the word, and `1 << 64` would overflow.
-            let mask = if run == 64 {
-                u64::MAX
-            } else {
-                ((1 << run) - 1) << low
-            };
-            bits &= !mask;
-            let u = w * 64 + low as usize;
-            // index-ok: the run's ids are below n, so u + run <= n, and a
-            // CsrGraph's row_ptr holds n + 1 monotone bounds ending at
-            // col_idx.len()
-            let (start, end) = (row_ptr[u] as usize, row_ptr[u + run as usize] as usize);
-            prefetch(col_idx.as_ptr().wrapping_add(start));
-            // index-ok: k < BATCH, reset below when it gets there
-            ranges[k] = (start, end);
-            k += 1;
-            expanded += u64::from(run);
-            if k == BATCH {
-                scan(col_idx, &ranges, next);
-                if hit() {
-                    return (expanded, true);
+    loop {
+        let before = expanded;
+        for (w, (done, (mine, theirs))) in chunk.clone() {
+            let seen = get(done);
+            let mut bits = (get(mine) | get(theirs)) & !seen;
+            if bits == 0 {
+                continue;
+            }
+            set(done, seen | bits);
+            while bits != 0 {
+                let low = bits.trailing_zeros();
+                let run = (!(bits >> low)).trailing_zeros();
+                // A run of 64 fills the word, and `1 << 64` would overflow.
+                let mask = if run == 64 {
+                    u64::MAX
+                } else {
+                    ((1 << run) - 1) << low
+                };
+                bits &= !mask;
+                let u = (base + w) * 64 + low as usize;
+                // index-ok: the run's ids are below n, so u + run <= n, and a
+                // CsrGraph's row_ptr holds n + 1 monotone bounds ending at
+                // col_idx.len()
+                let (start, end) = (row_ptr[u] as usize, row_ptr[u + run as usize] as usize);
+                prefetch(col_idx.as_ptr().wrapping_add(start));
+                // index-ok: k < BATCH, reset below when it gets there
+                ranges[k] = (start, end);
+                k += 1;
+                expanded += u64::from(run);
+                if k == BATCH {
+                    scan(col_idx, &ranges, marks);
+                    if hit() {
+                        return (expanded, true);
+                    }
+                    k = 0;
                 }
-                k = 0;
             }
         }
+        // index-ok: k < BATCH
+        scan(col_idx, &ranges[..k], marks);
+        if hit() {
+            return (expanded, true);
+        }
+        if expanded == before {
+            return (expanded, false);
+        }
+        k = 0;
     }
-    // index-ok: k < BATCH
-    scan(col_idx, &ranges[..k], next);
-    (expanded, hit())
 }
 
-/// The neighbour loop of [`expand`]: one column load and one `next`
-/// read-modify-write per arc. A member is its `next` bitmap's one
-/// writer, so a plain load and store do, and with no `visited` load and
-/// no test the loop has no branch that depends on the graph.
+/// The neighbour loop of [`expand`]: one column load and one mark
+/// read-modify-write per arc. A member is its mark bitmap's one writer,
+/// so a plain load and store do, and with no `done` load and no test
+/// the loop has no branch that depends on the graph.
 #[inline(always)]
-fn scan(col_idx: &[u32], ranges: &[(usize, usize)], next: &[AtomicU64]) {
+fn scan(col_idx: &[u32], ranges: &[(usize, usize)], marks: &[AtomicU64]) {
     for &(start, end) in ranges {
         // index-ok: the bounds came from row_ptr, so the range lies
         // within col_idx
         for &v in &col_idx[start..end] {
             // index-ok: a CsrGraph's column entries are below n, and the
             // bitmap holds n bits
-            let slot = &next[v as usize >> 6];
+            let slot = &marks[v as usize >> 6];
             set(slot, get(slot) | 1 << (v & 63));
         }
     }
 }
 
-/// The level protocol of a team. The owner publishes a level by storing
-/// its span and then the cursor; members claim its chunks from the
-/// cursor and count each one done. Once the level is spent the owner
-/// closes the cursor, waits until every claimed chunk is done, and
-/// folds.
+/// The cursor protocol of a team, one level per sweep. The owner
+/// publishes a level by storing its span and then the cursor; members
+/// claim its chunks from the cursor and count each one done. Once the
+/// level is spent the owner closes the cursor, waits until every
+/// claimed chunk is done, and folds.
 #[derive(Debug, Default)]
 struct Levels {
     /// `level << 32 | next unclaimed chunk`, [`CLOSED`] in the low half
@@ -793,7 +821,7 @@ struct Levels {
     /// compares the whole word, so a member still on an earlier level,
     /// or one that read the span of a later level, cannot claim.
     cursor: AtomicU64,
-    /// The current level's frontier words. Stored with release and
+    /// The current level's bitmap words. Stored with release and
     /// loaded with acquire: a member that reads a later level's span
     /// has seen the close before it, so its claim fails.
     first: AtomicUsize,
@@ -886,8 +914,8 @@ impl Levels {
         }
     }
 
-    /// Member `lane` finished a chunk; the release publishes its `next`
-    /// writes to the fold.
+    /// Member `lane` finished a chunk; the release publishes its mark and
+    /// `done` writes to the fold.
     fn finish(&self, lane: usize) {
         // index-ok: lane is 0 or 1
         let done = &self.reports[lane].done;
@@ -920,10 +948,10 @@ enum Role<'a> {
 struct Lane<'a> {
     team: &'a Team,
     maps: &'a Bitmaps,
-    /// Its `next` bitmap: 0 for the owner, 1 for the helper.
+    /// Its mark bitmap: 0 for the owner, 1 for the helper.
     index: usize,
     role: Role<'a>,
-    /// Frontier vertices it expanded.
+    /// Vertices it expanded.
     expanded: u64,
     /// The helper left for a queued request.
     gone: bool,
@@ -950,11 +978,10 @@ impl<'a> Lane<'a> {
         }
     }
 
-    /// The poll before each chunk, given the vertices visited so far, the
-    /// level's own included: whether this member stops. The owner offers
-    /// the search once they reach [`TEAM_GRAIN`]; the helper leaves once
-    /// a request waits.
-    fn poll(&mut self, visited: u64) -> bool {
+    /// The poll before each chunk: whether this member stops. The owner
+    /// offers the search once it has expanded [`TEAM_GRAIN`] vertices;
+    /// the helper leaves once a request waits.
+    fn poll(&mut self) -> bool {
         if self.team.poll_token() {
             return true;
         }
@@ -964,7 +991,7 @@ impl<'a> Lane<'a> {
                 shared,
                 offered,
             } => {
-                if !*offered && visited >= TEAM_GRAIN as u64 && !crew.queued() {
+                if !*offered && self.expanded >= TEAM_GRAIN as u64 && !crew.queued() {
                     *offered = crew.offer(shared);
                 }
                 false
@@ -976,13 +1003,12 @@ impl<'a> Lane<'a> {
         }
     }
 
-    /// Claims and expands chunks of `view`'s level until none is left or
-    /// the search stops; `visited` counts the vertices visited so far,
-    /// the level's own included.
-    fn work(&mut self, view: &View, visited: u64) -> Step {
+    /// Claims and expands chunks of `view`'s sweep until none is left or
+    /// the search stops.
+    fn work(&mut self, view: &View) -> Step {
         let (team, levels) = (self.team, &self.team.levels);
         loop {
-            if self.poll(visited) {
+            if self.poll() {
                 return Step::Stop;
             }
             let k = match levels.claim(view) {
@@ -1024,16 +1050,17 @@ impl<'a> Lane<'a> {
         }
     }
 
-    /// The owner's loop from level `first`: works each level, closes it,
+    /// The owner's loop from sweep `first`: works each sweep, closes it,
     /// waits until every claimed chunk is done, folds, and publishes the
-    /// next level; an empty one ends the search. Returns the vertices
-    /// folded into `visited`, the root included.
+    /// next sweep; one that leaves nothing pending ends the search.
+    /// Returns the vertices the last fold counted done, or the root alone
+    /// before the first fold.
     fn lead(&mut self, first: View) -> u64 {
         let (levels, team) = (&self.team.levels, self.team);
         let (mut view, mut visited) = (first, 1);
         levels.publish(&view);
         loop {
-            if self.work(&view, visited) == Step::Stop {
+            if self.work(&view) == Step::Stop {
                 return visited;
             }
             levels.close();
@@ -1042,8 +1069,8 @@ impl<'a> Lane<'a> {
                 return visited;
             }
             let (count, span) = self.maps.fold();
-            visited += count;
-            if count == 0 {
+            visited = count;
+            if span.is_empty() {
                 team.end(&mut team.lock());
                 team.cv.notify_all();
                 return visited;
@@ -1058,14 +1085,13 @@ impl<'a> Lane<'a> {
         }
     }
 
-    /// The helper's loop: works whatever level the cursor is on, then
+    /// The helper's loop: works whatever sweep the cursor is on, then
     /// waits for the owner to publish the next one, until the search
     /// ends or it leaves.
     fn help(&mut self) {
         let levels = &self.team.levels;
         while let Some(view) = levels.view() {
-            if self.work(&view, 0) == Step::Stop || self.wait(|at| (at >> 32) as u32 != view.level)
-            {
+            if self.work(&view) == Step::Stop || self.wait(|at| (at >> 32) as u32 != view.level) {
                 return;
             }
         }

@@ -36,8 +36,8 @@
 //! runs on its caller's thread ([`kernel::search`]) or, on a graph the
 //! kernel batches while another pool worker is idle, as a team of two
 //! ([`kernel::team_search`]), the paper's §3.4 stealing one level down:
-//! a batched graph is searched level by level over bitmaps, and the
-//! idle worker joins and claims chunks of each level.
+//! a batched graph is searched in id-order sweeps over bitmaps, and the
+//! idle worker joins and claims chunks of each sweep.
 
 #![warn(missing_docs)]
 

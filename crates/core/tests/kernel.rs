@@ -2,13 +2,15 @@
 //! undirected graphs with self-loops and isolated vertices: visited
 //! counts from every root, early-exit reach against full membership,
 //! one scratch reused across graph sizes, and cancellation. Graphs of
-//! 50k vertices and more with scattered ids run the frontier loop; the
+//! 50k vertices and more with scattered ids run the sweep loop; the
 //! same checks run there, and the batching switch is pinned per family.
 //! The team search runs the same checks with a parked helper thread
 //! (`ParkedHelper`) that joins whenever the owner offers, plus a helper
 //! that leaves mid-search, a join after the end, and, on random graphs
-//! with hubs, a helper that joins at a random level and leaves at a
-//! random chunk.
+//! with hubs, a helper that joins at a random sweep and leaves at a
+//! random chunk. Four small directed graphs pin the sweep's edge cases:
+//! a reach below the root, a chain stepping down a chunk per hop, marks
+//! ahead of the cursor, and a target first marked in a late sweep.
 
 use db_core::kernel::{batches, search, team_search, Crew, ParkedHelper, Scratch, Search, Team};
 use db_core::CancelToken;
@@ -240,18 +242,21 @@ proptest! {
 fn scratch_stays_within_the_vertex_count_on_both_loops() {
     // Stars on each side of the switch: a hub with leaves up to 4096
     // ids away has no far arcs and runs the stack loop, which reserves
-    // room for n entries; a bigger star runs the frontier loop, which
-    // holds four bitmaps of n bits and no stack.
+    // room for n entries; a bigger star runs the sweep loop, which holds
+    // three bitmaps of n bits and no stack.
     for n in [4_000u32, 50_000] {
         let g = from_edge_list(n, &(1..n).map(|v| (0, v)).collect::<Vec<_>>(), false);
-        let by_level = batches(&g);
-        assert_eq!(by_level, n > 4_097, "n = {n}");
+        let by_sweeps = batches(&g);
+        assert_eq!(by_sweeps, n > 4_097, "n = {n}");
         let mut scratch = Scratch::default();
         assert_eq!(dfs(&g, 0, &mut scratch), u64::from(n));
         let held = scratch.bytes();
-        if by_level {
+        if by_sweeps {
             let n = n as usize;
-            assert!((n / 2..n).contains(&held), "{held} bytes of bitmaps");
+            assert!(
+                (3 * n / 8..n / 2).contains(&held),
+                "{held} bytes of bitmaps"
+            );
         } else {
             assert!(held >= n as usize * 4, "stack room for n entries");
         }
@@ -385,22 +390,22 @@ fn team_root_as_target_and_a_cancelled_token() {
     }
 }
 
-/// A directed graph whose level 1 from vertex 0 walks every path of the
-/// frontier loop's run expansion, and the two reach targets that check
-/// it: one whose only in-arc is in a middle row of a run, and one whose
-/// only in-arc is in the last range of a chunk's partial batch.
+/// A directed graph whose root's row, from vertex 0, walks every path
+/// of the sweep loop's run expansion, and the two reach targets that
+/// check it: one whose only in-arc is in a middle row of a run, and one
+/// whose only in-arc is in the last range of a chunk's partial batch.
 ///
-/// Level 1 holds ids 64..128 (a full word: a run of 64 from bit 0, with
-/// empty rows 70–72), 168..192 (a run from mid-word to the word's last
-/// bit), 1000 alone, a bulk 10_000..14_200 (so the search visits more
-/// than `TEAM_GRAIN` vertices and the owner offers it), and
+/// The root marks ids 64..128 (a full word: a run of 64 from bit 0,
+/// with empty rows 70–72), 168..192 (a run from mid-word to the word's
+/// last bit), 1000 alone, a bulk 10_000..14_200 (so the owner expands
+/// more than `TEAM_GRAIN` vertices and offers the search), and
 /// 19_990..20_000 (a run ending at id n − 1, whose range reads
-/// `row_ptr[n]`, with empty row 19_995). Each level-1 row has one arc to
-/// level 2, ids 5_000..8_000, many of them far; 64 and 65 point back at
-/// the root and at 66, which the fold must drop as visited. Vertices
-/// 4_500.. have one in-arc each: from 100 (a middle row), 127, 191 and
-/// 19_999 (the last row of a run each). The last level-1 chunk (ids
-/// 19_520..) holds one range, so its batch is partial.
+/// `row_ptr[n]`, with empty row 19_995). Each of those rows has one arc
+/// to ids 5_000..8_000, many of them far; 64 and 65 point back at the
+/// root and at 66, which the chunk's next read must drop as done.
+/// Vertices 4_500.. have one in-arc each: from 100 (a middle row), 127,
+/// 191 and 19_999 (the last row of a run each). The last chunk (ids
+/// 19_456..) holds one range, so its batch is partial.
 fn runs_graph() -> (CsrGraph, [u32; 2]) {
     let n = 20_000u32;
     let level1: Vec<u32> = [64..128, 168..192, 1000..1001, 10_000..14_200, 19_990..n]
@@ -430,8 +435,8 @@ fn runs_of_frontier_ids_expand_whole_and_find_their_targets() {
     let want = reference_count(&g, 0);
     let helper = ParkedHelper::spawn();
     let mut scratch = Scratch::default();
-    // Repeated: the helper's join races the owner through level 1, and
-    // the answers must hold whether it joins or not.
+    // Repeated: the helper's join races the owner through the first
+    // sweep, and the answers must hold whether it joins or not.
     for _ in 0..8 {
         assert_eq!(dfs(&g, 0, &mut scratch), want);
         assert_eq!(team_dfs(&proof, 0, &mut scratch, &helper), want);
@@ -449,6 +454,125 @@ fn runs_of_frontier_ids_expand_whole_and_find_their_targets() {
             }
         }
     }
+}
+
+/// Checks a search of `g` from `root`, lone and with a parked helper,
+/// eight times over (the helper's join races the owner): the dfs count
+/// against the reference BFS, and a reach to each of `targets` against
+/// the reachable set.
+fn check_sweeps(g: &CsrGraph, root: u32, targets: &[u32]) {
+    assert!(batches(g), "far arcs {} of {}", g.far_arcs(), g.num_arcs());
+    let proof = shared(g);
+    let truth = reachable_set(g, root);
+    let want = reference_count(g, root);
+    let helper = ParkedHelper::spawn();
+    let mut scratch = Scratch::default();
+    for _ in 0..8 {
+        assert_eq!(dfs(g, root, &mut scratch), want);
+        assert_eq!(team_dfs(&proof, root, &mut scratch, &helper), want);
+        for &target in targets {
+            let (token, goal) = (CancelToken::new(), Some(target));
+            let lone = search(g, root, goal, &token, &mut scratch);
+            let team = team_search(&proof, root, goal, &token, &mut scratch, &helper);
+            for found in [lone, team] {
+                assert!(found.completed, "target {target}: {found:?}");
+                assert_eq!(
+                    found.claimed, truth[target as usize],
+                    "target {target}: {found:?}"
+                );
+                assert!(found.visited <= want, "target {target}: {found:?}");
+            }
+        }
+    }
+}
+
+/// Arcs from `u` to each of `bulk`: a row long enough that the owner
+/// expands more than `TEAM_GRAIN` vertices and offers its search.
+fn bulk(u: u32, ids: std::ops::Range<u32>) -> impl Iterator<Item = (u32, u32)> {
+    ids.map(move |v| (u, v))
+}
+
+#[test]
+fn a_root_above_part_of_its_reach_needs_a_second_sweep() {
+    // The root, 12_000, marks a bulk above it, each row of which points
+    // further up, and 2_000 below it, which waits for sweep 1. There
+    // 2_000 marks 2_001..2_100 ahead of the cursor, and 2_100 marks
+    // 1_000 behind it (sweep 2), which marks 19_500 ahead again, which
+    // marks 500 behind (sweep 3). Ids 5_000..8_000 are unreachable.
+    let n = 20_000;
+    let mut edges: Vec<(u32, u32)> = bulk(12_000, 12_001..16_400).collect();
+    edges.extend((12_001..16_400).map(|v| (v, 17_000 + v * 7 % 3_000)));
+    edges.extend(bulk(2_000, 2_001..2_101));
+    edges.extend([
+        (12_000, 2_000),
+        (2_100, 1_000),
+        (1_000, 19_500),
+        (19_500, 500),
+    ]);
+    let g = from_edge_list(n, &edges, true);
+    check_sweeps(&g, 12_000, &[14_000, 2_050, 1_000, 19_500, 500, 7_000]);
+}
+
+#[test]
+fn a_chain_stepping_down_takes_one_sweep_per_hop() {
+    // The root, 95_000, marks a bulk above it and 90_000 below it; the
+    // chain then steps down 5_000 ids a hop, far more than a chunk, so
+    // each of its 19 vertices is marked behind the cursor and expanded
+    // one sweep later, each sweep walking to the end of the map. 47_500
+    // is unreachable.
+    let n = 100_000;
+    let mut edges: Vec<(u32, u32)> = bulk(95_000, 95_001..99_400).collect();
+    edges.extend((0..19).map(|k| (95_000 - 5_000 * k, 90_000 - 5_000 * k)));
+    let g = from_edge_list(n, &edges, true);
+    check_sweeps(&g, 95_000, &[0, 45_000, 90_000, 47_500]);
+}
+
+#[test]
+fn marks_ahead_of_the_cursor_expand_in_the_same_sweep() {
+    // From the root, 0, in its first chunk: the root marks 700 ahead of
+    // the cursor only when its batch is scanned, after the pass has read
+    // 700's word, so the chunk's second read expands it. 700 marks 300,
+    // behind it in the chunk, which a third read expands, and 300 marks
+    // 900, ahead again, for a fourth. 700 also marks 6_000 in a later
+    // chunk, which marks 6_500 ahead of it, whose row is a bulk that
+    // points further up. 10_000 is unreachable.
+    let n = 30_000;
+    let mut edges = vec![
+        (0, 700),
+        (700, 300),
+        (300, 900),
+        (700, 6_000),
+        (6_000, 6_500),
+    ];
+    edges.extend(bulk(6_500, 20_000..24_400));
+    edges.extend((20_000..24_400).map(|v| (v, 29_000 + v % 900)));
+    let g = from_edge_list(n, &edges, true);
+    check_sweeps(
+        &g,
+        0,
+        &[700, 300, 900, 6_000, 6_500, 22_222, 29_500, 10_000],
+    );
+}
+
+#[test]
+fn a_target_first_marked_in_a_late_sweep_is_claimed() {
+    // The root, 40_000, marks a bulk above it and 30_000 below (sweep
+    // 1), which marks 50_000 ahead of the cursor, which marks 20_000
+    // behind (sweep 2). 20_000 marks 10_000, so 10_000 is first marked
+    // in the third sweep; it marks 55_000 ahead, which marks 5_000 in
+    // the fourth. 25_000 is unreachable.
+    let n = 60_000;
+    let mut edges: Vec<(u32, u32)> = bulk(40_000, 40_001..44_400).collect();
+    edges.extend([
+        (40_000, 30_000),
+        (30_000, 50_000),
+        (50_000, 20_000),
+        (20_000, 10_000),
+        (10_000, 55_000),
+        (55_000, 5_000),
+    ]);
+    let g = from_edge_list(n, &edges, true);
+    check_sweeps(&g, 40_000, &[10_000, 5_000, 55_000, 25_000]);
 }
 
 /// A crew that hands every offered team to the test through a channel
@@ -490,30 +614,35 @@ fn a_join_after_the_end_is_refused() {
 #[test]
 fn a_helper_that_leaves_loses_no_vertex() {
     // The helper joins, claims chunks, and leaves at its third poll as
-    // if a request had been queued, with nothing to hand back: the bits
-    // it wrote are folded with the owner's, who finishes alone.
+    // if a request had been queued, with nothing to hand back: the owner
+    // reads the marks it wrote and finishes alone. The helper must have
+    // expanded vertices, or there was nothing for the owner to pick up.
     let g = db_gen::social::social(100_000, 5);
     let proof = shared(&g);
     let want = reference_count(&g, 0);
     let (tx, rx) = mpsc::channel::<Arc<Team>>();
     let crew = Catch(Mutex::new(tx));
     let worker = std::thread::spawn(move || {
-        let mut left = 0;
+        let (mut left, mut expanded) = (0, 0);
         for team in rx {
             let polls = AtomicU32::new(0);
             if let Some(mut helper) = team.join() {
                 let queued = || polls.fetch_add(1, Ordering::Relaxed) >= 3;
-                left += u32::from(helper.run(&queued).left_for_request);
+                let help = helper.run(&queued);
+                left += u32::from(help.left_for_request);
+                expanded += help.expanded;
             }
         }
-        left
+        (left, expanded)
     });
     let mut scratch = Scratch::default();
     for _ in 0..5 {
         assert_eq!(team_dfs(&proof, 0, &mut scratch, &crew), want);
     }
     drop(crew);
-    assert!(worker.join().unwrap() >= 1, "the helper never left early");
+    let (left, expanded) = worker.join().unwrap();
+    assert!(left >= 1, "the helper never left early");
+    assert!(expanded > 0, "the helper never expanded a vertex");
 }
 
 #[test]
@@ -545,7 +674,7 @@ fn one_set_of_bitmaps_serves_two_graph_sizes() {
         if g.num_vertices() == 60_000 {
             // The second big search reuses the bitmaps.
             let now = scratch.bytes();
-            assert!(now >= 60_000 / 2, "four bitmaps of n bits");
+            assert!(now >= 3 * 60_000 / 8, "three bitmaps of n bits");
             assert!(held.is_none_or(|h| h == now), "{held:?} -> {now}");
             held = Some(now);
         }
@@ -554,7 +683,7 @@ fn one_set_of_bitmaps_serves_two_graph_sizes() {
 
 /// A crew that takes one offer in `every` and hands the team to a
 /// helper thread, which joins it and leaves, as if a request had been
-/// queued, at its `leave`-th poll: a join at a random level, a leave at
+/// queued, at its `leave`-th poll: a join at a random sweep, a leave at
 /// a random chunk.
 struct Late {
     every: u32,

@@ -9,7 +9,7 @@
 //! idle pool worker may join ([`kernel::team_search`]); otherwise it
 //! runs on the calling thread alone. The kernel's stack loop polls the
 //! token every [`db_core::kernel::POLL_STRIDE`] expansions, and its
-//! frontier loop before every chunk of [`db_core::kernel::CHUNK_IDS`]
+//! sweep loop before every chunk of [`db_core::kernel::CHUNK_IDS`]
 //! ids, so an expired deadline stops the search and the payload
 //! describes the partial prefix (`completed:false`). A `reach` stops
 //! as soon as it marks its target and answers exactly what a full

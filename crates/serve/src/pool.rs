@@ -14,12 +14,12 @@
 //!
 //! Stealing also reaches one level down, into a running search. A
 //! dfs/reach on a graph the kernel batches ([`db_core::kernel::batches`])
-//! runs level by level, and starts as a team search when some other
+//! runs in id-order sweeps, and starts as a team search when some other
 //! live worker is not running a request. Its owner offers it through
-//! the pool's one offer slot once it has visited enough vertices, and
+//! the pool's one offer slot once it has expanded enough vertices, and
 //! a worker whose queue and steal both come up empty joins it
 //! ([`db_core::kernel::team_search`]): the helper claims chunks of the
-//! owner's levels, leaves between two chunks once a request is queued,
+//! owner's sweeps, leaves between two chunks once a request is queued,
 //! with nothing to hand back, and records one `team` span under the
 //! owner's attempt. Elsewhere the single-thread kernel runs unchanged.
 //!
@@ -845,7 +845,7 @@ enum Task {
 /// Joins the offered team search as its helper, unless it has already
 /// ended, and counts the join in the pool's `joins`. Before leaving,
 /// the helper records one `team` span under the owner's attempt:
-/// `value` = frontier vertices it expanded, `code` 1 if it left for a
+/// `value` = vertices it expanded, `code` 1 if it left for a
 /// queued request, else 0. It searches the owner's bitmaps, so it
 /// charges no scratch of its own.
 fn help(inner: &ServerInner, worker: u32, offer: &Offer) {
@@ -1546,13 +1546,13 @@ mod tests {
         // One worker holds 5000 visited bits and room for 5000 stack
         // entries.
         assert!(scratch(&h).unwrap() >= (5000 / 8 + 5000 * 4) as f64);
-        // A batched graph runs the frontier loop, whose owner also holds
-        // four bitmaps of a bit per vertex.
+        // A batched graph runs the sweep loop, whose owner also holds
+        // three bitmaps of a bit per vertex.
         let n = crate::corpus::build_graph("social_s")
             .unwrap()
             .num_vertices();
         assert_eq!(h.run(req(2, "social_s", 0)).status, Status::Ok);
-        assert!(scratch(&h).unwrap() >= (5000 / 8 + 5000 * 4 + n / 2) as f64);
+        assert!(scratch(&h).unwrap() >= (5000 / 8 + 5000 * 4 + 3 * n / 8) as f64);
         server.shutdown();
         assert_eq!(scratch(&h), Some(0.0), "exited workers drop their scratch");
     }

@@ -326,7 +326,7 @@ fn delta_reach_stops_at_its_deadline() {
 }
 
 /// The same on the batched kernel: `google`'s arcs are scattered, so
-/// the kernel searches it level by level, and a `native` dfs with a 1 ms
+/// the kernel searches it by sweeps, and a `native` dfs with a 1 ms
 /// budget over the warm corpus stops at the poll before a chunk, lone
 /// or as a team.
 #[test]
