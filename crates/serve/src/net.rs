@@ -25,6 +25,18 @@
 //! workspace's no-external-deps rule. One thread per connection is
 //! plenty for a benchmark-grade endpoint.
 //!
+//! ## One segment per reply
+//!
+//! Every reply line leaves in one `write_all` of the JSON text and its
+//! `\n` together. Written as two calls, the body and then the `\n`,
+//! Nagle's algorithm holds the one-byte `\n` until the client ACKs the
+//! body, and a client still waiting for that `\n` delays its ACK by up
+//! to 40 ms: one stall per reply. Accepted sockets also set
+//! `TCP_NODELAY`, so a reply longer than one segment does not hold its
+//! last part back the same way. The `GET /metrics` scrape is one write
+//! too. The client helper [`roundtrip_line`] still writes a request as
+//! two calls.
+//!
 //! ## Hardening
 //!
 //! The endpoint treats every byte from the wire as hostile:
@@ -44,15 +56,21 @@ use crate::metrics::MetricsSnapshot;
 use crate::pool::ServeHandle;
 use crate::request::{Request, Response, Status};
 use db_trace::json::Value;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Upper bound on one NDJSON request line. Longer lines are drained
 /// and rejected with a structured error instead of being buffered.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// How long the accept loop waits after a failed accept. A failure that
+/// persists (`EMFILE`: the process is out of descriptors) would
+/// otherwise spin the accept thread on a core.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
 /// A listening NDJSON endpoint bound to a running server.
 #[derive(Debug)]
@@ -82,7 +100,13 @@ impl TcpServer {
                         if stop.load(Ordering::Acquire) {
                             break;
                         }
-                        let Ok(stream) = conn else { continue };
+                        let Ok(stream) = conn else {
+                            std::thread::sleep(ACCEPT_BACKOFF);
+                            continue;
+                        };
+                        // Nagle off: a reply longer than one segment does
+                        // not hold its last part back for the client's ACK.
+                        let _ = stream.set_nodelay(true);
                         let handle = handle.clone();
                         let shutdown_requested = Arc::clone(&shutdown_requested);
                         // Connection threads detach; they exit when the
@@ -140,37 +164,29 @@ enum LineRead {
     Eof,
 }
 
-/// Reads one `\n`-terminated line without ever holding more than `max`
-/// bytes of it. Invalid UTF-8 is replaced, not rejected, so byte junk
-/// reaches the JSON parser and earns a structured parse error.
+/// Reads one `\n`-terminated line without ever holding more than
+/// `max + 1` bytes of it. Invalid UTF-8 is replaced, not rejected, so
+/// byte junk reaches the JSON parser and earns a structured parse error.
 fn read_line_bounded(reader: &mut impl BufRead, max: usize) -> std::io::Result<LineRead> {
     let mut buf: Vec<u8> = Vec::new();
     let mut oversized = false;
     loop {
-        let chunk = reader.fill_buf()?;
-        if chunk.is_empty() {
-            // EOF. An unterminated partial line is a disconnect, not a
-            // request; never dispatch it.
-            return Ok(LineRead::Eof);
-        }
-        let newline = chunk.iter().position(|&b| b == b'\n');
-        let upto = newline.unwrap_or(chunk.len());
-        if !oversized {
-            if buf.len() + upto > max {
+        // One byte past the bound tells a line that is too long from one
+        // that fits; an oversized line is drained in reads of that size.
+        reader
+            .by_ref()
+            .take(max as u64 + 1)
+            .read_until(b'\n', &mut buf)?;
+        match buf.pop() {
+            Some(b'\n') if oversized => return Ok(LineRead::Oversized),
+            Some(b'\n') => return Ok(LineRead::Line(String::from_utf8_lossy(&buf).into_owned())),
+            Some(_) if buf.len() == max => {
                 oversized = true;
                 buf.clear();
-            } else {
-                buf.extend_from_slice(&chunk[..upto]);
             }
-        }
-        let consumed = newline.map_or(chunk.len(), |p| p + 1);
-        reader.consume(consumed);
-        if newline.is_some() {
-            return Ok(if oversized {
-                LineRead::Oversized
-            } else {
-                LineRead::Line(String::from_utf8_lossy(&buf).into_owned())
-            });
+            // EOF. An unterminated partial line is a disconnect, not a
+            // request; never dispatch it.
+            _ => return Ok(LineRead::Eof),
         }
     }
 }
@@ -192,11 +208,7 @@ fn serve_connection(stream: TcpStream, handle: ServeHandle, shutdown_requested: 
                 )
                 .to_value()
                 .to_json();
-                if writer
-                    .write_all(reply.as_bytes())
-                    .and_then(|_| writer.write_all(b"\n"))
-                    .is_err()
-                {
+                if write_line(&mut writer, reply).is_err() {
                     break;
                 }
                 continue;
@@ -234,14 +246,18 @@ fn serve_connection(stream: TcpStream, handle: ServeHandle, shutdown_requested: 
                 .to_value()
                 .to_json()
         });
-        if writer
-            .write_all(reply.as_bytes())
-            .and_then(|_| writer.write_all(b"\n"))
-            .is_err()
-        {
+        if write_line(&mut writer, reply).is_err() {
             break;
         }
     }
+}
+
+/// Sends one reply line: `reply` and its `\n` in one `write_all`, so
+/// the line never leaves as a body segment and a `\n` segment (see the
+/// module docs).
+fn write_line(writer: &mut impl Write, mut reply: String) -> std::io::Result<()> {
+    reply.push('\n');
+    writer.write_all(reply.as_bytes())
 }
 
 /// Handles one request line, returning one response line (no newline).
@@ -309,6 +325,10 @@ fn dispatch_line(line: &str, handle: &ServeHandle, shutdown_requested: &AtomicBo
 /// Used by the load generator's TCP mode and the integration tests.
 /// A peer that closes before replying is an
 /// [`std::io::ErrorKind::UnexpectedEof`] error, never an empty reply.
+///
+/// It still writes the line and its `\n` as two calls, so the `\n`
+/// waits for the server's delayed ACK of the line (unless the caller
+/// set `TCP_NODELAY`): one stall of up to 40 ms per call.
 pub fn roundtrip_line(
     reader: &mut impl BufRead,
     writer: &mut impl Write,
@@ -363,6 +383,22 @@ pub fn fetch_prometheus(addr: &SocketAddr) -> std::io::Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_line_of_max_bytes_fits_and_a_longer_one_is_drained() {
+        let mut r = std::io::Cursor::new(b"abcd\nabcde\nabcdefghijk\n\nab".to_vec());
+        let mut lines = Vec::new();
+        loop {
+            match read_line_bounded(&mut r, 4).unwrap() {
+                LineRead::Line(l) => lines.push(l),
+                LineRead::Oversized => lines.push("<oversized>".into()),
+                LineRead::Eof => break,
+            }
+        }
+        // The 11-byte line takes three bounded reads to drain; the
+        // unterminated "ab" is a disconnect, not a line.
+        assert_eq!(lines, ["abcd", "<oversized>", "<oversized>", ""]);
+    }
 
     #[test]
     fn roundtrip_reports_a_peer_that_hangs_up_as_unexpected_eof() {

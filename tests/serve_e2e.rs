@@ -11,7 +11,9 @@
 //! tests hold a read to its deadline: a `serial` dfs on a path, which
 //! runs the one-at-a-time kernel, a reach on a `delta:` path, which runs
 //! it on the pinned snapshot, and a `native` dfs on `google`, which
-//! runs it batched, as a team with the idle second worker.
+//! runs it batched, as a team with the idle second worker. The last test
+//! opens a socket: sequential round trips over the NDJSON endpoint must
+//! not wait on a delayed ACK.
 
 #[path = "../crates/serve/tests/common/mod.rs"]
 mod common;
@@ -19,14 +21,20 @@ mod common;
 use db_graph::traversal::reachable_set;
 use db_graph::{CsrGraph, GraphBuilder};
 use db_serve::corpus::build_graph;
+use db_serve::net::MAX_LINE_BYTES;
 use db_serve::{
-    Durability, EngineKind, Request, Response, ServeConfig, ServeHandle, Server, Status, Workload,
+    Durability, EngineKind, Request, Response, ServeConfig, ServeHandle, Server, Status, TcpServer,
+    Workload,
 };
 use db_span::validate_dump;
 use db_store::{pack_graph, PackOptions};
+use db_trace::json::Value;
 use db_wal::FsyncPolicy;
 use std::collections::{BTreeSet, HashMap};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::Path;
+use std::time::{Duration, Instant};
 
 /// Synthetic corpora, each served as-is.
 const GRAPHS: [&str; 3] = ["grid:60:60", "path:5000", "dag:4000"];
@@ -151,9 +159,14 @@ fn digests(resps: &[Response]) -> Vec<String> {
 }
 
 /// Checks every dfs/reach answer against `reachable_set` on the graph
-/// the request saw. Requests run one at a time, so a delta read sees
-/// exactly the writes listed before it; an edge-set model replays them.
-fn check_traversals(reqs: &[Request], resps: &[Response], frozen: &HashMap<String, CsrGraph>) {
+/// the request saw, and returns how many it checked. Requests run one
+/// at a time, so a delta read sees exactly the writes listed before it;
+/// an edge-set model replays them.
+fn check_traversals(
+    reqs: &[Request],
+    resps: &[Response],
+    frozen: &HashMap<String, CsrGraph>,
+) -> usize {
     let mut delta_edges: BTreeSet<(u32, u32)> = (0..DELTA_N - 1).map(|i| (i, i + 1)).collect();
     let mut checked = 0;
     for (req, resp) in reqs.iter().zip(resps) {
@@ -199,7 +212,7 @@ fn check_traversals(reqs: &[Request], resps: &[Response], frozen: &HashMap<Strin
             _ => {}
         }
     }
-    assert_eq!(checked, 4 * 10 + WRITES as usize + 1);
+    checked
 }
 
 #[test]
@@ -227,7 +240,10 @@ fn served_answers_digests_spans_and_recovery_hold() {
     let scrape = h.prometheus();
     let dump = h.flight_dump();
     server.shutdown();
-    check_traversals(&reqs, &first, &frozen);
+    assert_eq!(
+        check_traversals(&reqs, &first, &frozen),
+        4 * 10 + WRITES as usize + 1
+    );
     let trees = validate_dump(&dump).expect("first run's flight dump validates");
     assert_eq!(dump.dropped, 0);
     assert_eq!(
@@ -375,4 +391,87 @@ fn native_dfs_on_a_batched_graph_stops_at_its_deadline() {
     server.shutdown();
     assert_eq!(again.status, Status::Ok);
     assert_eq!(visited(&again), full);
+}
+
+/// The NDJSON endpoint answers each line in one segment. A raw client
+/// writes every request line with its `\n` in one call and reads the
+/// reply before sending the next: 50 dfs/reach round trips on one
+/// connection must have a median under 20 ms, and an oversized line's
+/// error and the request after it must each come back within the same
+/// bound. A reply sent as a body and then a `\n` waits for the client's
+/// delayed ACK, about 40 ms per reply once the connection has left
+/// quick-ACK mode.
+#[test]
+fn tcp_round_trips_do_not_wait_on_a_delayed_ack() {
+    const BOUND: Duration = Duration::from_millis(20);
+    let frozen: HashMap<String, CsrGraph> = GRAPHS
+        .iter()
+        .map(|k| (k.to_string(), build_graph(k).unwrap()))
+        .collect();
+    let reqs: Vec<Request> = (0..50u64)
+        .map(|k| {
+            let key = GRAPHS[k as usize % GRAPHS.len()];
+            let n = frozen[key].num_vertices() as u64;
+            let root = ((k * 7919) % n) as u32;
+            let w = if k % 2 == 0 {
+                Workload::Dfs { root }
+            } else {
+                let target = ((k * 104_729 + 1) % n) as u32;
+                Workload::Reach { root, target }
+            };
+            request(k, key, w)
+        })
+        .collect();
+
+    let server = Server::start(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    let mut tcp = TcpServer::bind(server.handle(), "127.0.0.1:0").expect("bind loopback");
+    let stream = TcpStream::connect(tcp.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut roundtrip = |line: &str| {
+        let mut bytes = line.as_bytes().to_vec();
+        bytes.push(b'\n');
+        let t0 = Instant::now();
+        writer.write_all(&bytes).unwrap();
+        let mut reply = String::new();
+        assert!(reader.read_line(&mut reply).unwrap() > 0, "server hung up");
+        let took = t0.elapsed();
+        let doc = Value::parse(reply.trim_end()).unwrap();
+        (Response::from_value(&doc).unwrap(), took)
+    };
+
+    let (resps, mut took): (Vec<Response>, Vec<Duration>) = reqs
+        .iter()
+        .map(|r| roundtrip(&r.to_value().to_json()))
+        .unzip();
+    for (req, resp) in reqs.iter().zip(&resps) {
+        assert_eq!(resp.status, Status::Ok, "req {}: {:?}", req.id, resp.error);
+    }
+    assert_eq!(check_traversals(&reqs, &resps, &frozen), reqs.len());
+    took.sort();
+    let median = took[took.len() / 2];
+    assert!(
+        median < BOUND,
+        "median round trip {median:?}, sorted {took:?}"
+    );
+
+    let (refused, refused_took) = roundtrip(&"x".repeat(MAX_LINE_BYTES + 1));
+    assert_eq!(refused.status, Status::Error);
+    assert!(refused.error.unwrap().contains("exceeds"));
+    let (again, again_took) = roundtrip(&reqs[0].to_value().to_json());
+    assert_eq!(again.digest(), resps[0].digest());
+    assert!(
+        refused_took < BOUND && again_took < BOUND,
+        "oversized line answered in {refused_took:?}, the next request in {again_took:?}"
+    );
+
+    drop((writer, reader));
+    tcp.stop();
+    server.shutdown();
 }
