@@ -7,7 +7,7 @@
 //! *every* method in the paper produces.
 
 use crate::forest::DfsEngine;
-use db_graph::{CsrGraph, GraphStore, VertexId};
+use db_graph::{CsrGraph, VertexId};
 
 /// Reachability oracle over a fixed set of source hubs.
 #[derive(Debug)]
@@ -40,17 +40,6 @@ impl ReachOracle {
             rows,
             n,
         }
-    }
-
-    /// [`ReachOracle::build`] over any [`GraphStore`]-backed graph — a
-    /// packed, mmap-loaded store serves oracle builds without copying
-    /// its CSR into RAM first.
-    pub fn build_store<E: DfsEngine>(
-        store: &dyn GraphStore,
-        hubs: &[VertexId],
-        engine: &E,
-    ) -> Self {
-        Self::build(store.graph(), hubs, engine)
     }
 
     /// [`ReachOracle::build`] on a pinned epoch of a dynamic
@@ -123,21 +112,6 @@ mod tests {
                 );
             }
             assert_eq!(oracle.coverage(i), truth.iter().filter(|&&b| b).count());
-        }
-    }
-
-    #[test]
-    fn build_store_matches_build() {
-        let g = GraphBuilder::directed(8)
-            .edges([(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (1, 4)])
-            .build();
-        let hubs = [0u32, 4];
-        let direct = ReachOracle::build(&g, &hubs, &engine());
-        let stored = ReachOracle::build_store(&g as &dyn GraphStore, &hubs, &engine());
-        for i in 0..hubs.len() {
-            for v in 0..8u32 {
-                assert_eq!(direct.reachable(i, v), stored.reachable(i, v));
-            }
         }
     }
 

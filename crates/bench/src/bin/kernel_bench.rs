@@ -34,7 +34,7 @@ use db_bench::schema::{validate_kernel_line, KERNEL_SCHEMA_VERSION};
 use db_core::kernel::{batches, search, team_search, ParkedHelper, Scratch, Search};
 use db_core::CancelToken;
 use db_graph::traversal::reachable_set;
-use db_graph::{CsrGraph, GraphStore};
+use db_graph::CsrGraph;
 use db_trace::json::Value;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -156,12 +156,12 @@ fn main() {
     let helper = ParkedHelper::spawn();
     for key in &a.graphs {
         let t0 = Instant::now();
-        let store: Arc<dyn GraphStore> = Arc::new(build(key).unwrap_or_else(|e| {
+        let shared = Arc::new(build(key).unwrap_or_else(|e| {
             eprintln!("kernel_bench: {e}");
             std::process::exit(2);
         }));
         let build_s = t0.elapsed().as_secs_f64();
-        let g = store.graph();
+        let g: &CsrGraph = &shared;
         let far_share = g.far_arcs() as f64 / g.num_arcs().max(1) as f64;
         let batched = batches(g);
         let truth = reachable_set(g, 0);
@@ -242,7 +242,7 @@ fn main() {
                 key,
                 "team",
                 a.runs,
-                |_| team_search(&store, 0, None, &CancelToken::new(), &mut scratch, &helper),
+                |_| team_search(&shared, 0, None, &CancelToken::new(), &mut scratch, &helper),
                 full,
             );
             ok &= team_ok;
@@ -262,7 +262,7 @@ fn main() {
                 roots.len() * a.runs,
                 |i| {
                     team_search(
-                        &store,
+                        &shared,
                         rooted(i).0,
                         None,
                         &CancelToken::new(),
@@ -304,7 +304,7 @@ fn main() {
                 targets.len(),
                 |i| {
                     team_search(
-                        &store,
+                        &shared,
                         0,
                         reach(i),
                         &CancelToken::new(),

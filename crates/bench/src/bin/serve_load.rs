@@ -252,15 +252,12 @@ fn xorshift(state: &mut u64) -> u64 {
 }
 
 /// Key metadata the generator needs: vertex count and directedness.
-/// Resolved through [`db_serve::corpus::build_store`], so `store:` keys
+/// Resolved through [`db_serve::corpus::build_graph`], so `store:` keys
 /// work the same as synthetic recipes (and the pack is touched once
 /// here, not held — the server loads its own copy).
 fn key_info(key: &str) -> (u32, bool) {
-    db_serve::corpus::build_store(key)
-        .map(|s| {
-            let g = s.graph();
-            (g.num_vertices() as u32, g.is_directed())
-        })
+    db_serve::corpus::build_graph(key)
+        .map(|g| (g.num_vertices() as u32, g.is_directed()))
         .unwrap_or_else(|e| {
             eprintln!("serve_load: {e}");
             std::process::exit(2);

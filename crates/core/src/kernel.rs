@@ -139,7 +139,7 @@
 //! that batch, where the sweep loop is the one [`search`] runs too.
 
 use crate::CancelToken;
-use db_graph::{CsrGraph, GraphStore};
+use db_graph::CsrGraph;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{
@@ -398,7 +398,7 @@ pub trait Crew {
 /// target, the owner's bitmaps, the sweep cursor, and the membership
 /// state under the team mutex.
 pub struct Team {
-    graph: Arc<dyn GraphStore>,
+    graph: Arc<CsrGraph>,
     token: CancelToken,
     target: u32,
     maps: Arc<RwLock<Bitmaps>>,
@@ -465,14 +465,14 @@ impl std::fmt::Debug for Helper<'_> {
 ///
 /// Panics if `root` is not a vertex of `g`.
 pub fn team_search(
-    g: &Arc<dyn GraphStore>,
+    g: &Arc<CsrGraph>,
     root: u32,
     target: Option<u32>,
     token: &CancelToken,
     scratch: &mut Scratch,
     crew: &dyn Crew,
 ) -> Search {
-    let n = g.graph().num_vertices();
+    let n = g.num_vertices();
     assert!((root as usize) < n, "root {root} out of range (n = {n})");
     if target == Some(root) {
         return Search {
@@ -1017,8 +1017,7 @@ impl<'a> Lane<'a> {
                 Claim::Ended => return Step::Stop,
             };
             let words = view.words(k);
-            let g = team.graph.graph();
-            let (expanded, hit) = expand(g, self.maps, self.index, words, team.target);
+            let (expanded, hit) = expand(&team.graph, self.maps, self.index, words, team.target);
             self.expanded += expanded;
             if hit {
                 team.stop(true);

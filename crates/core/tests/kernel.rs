@@ -16,7 +16,7 @@ use db_core::kernel::{batches, search, team_search, Crew, ParkedHelper, Scratch,
 use db_core::CancelToken;
 use db_graph::builder::from_edge_list;
 use db_graph::traversal::reachable_set;
-use db_graph::{CsrGraph, GraphStore};
+use db_graph::CsrGraph;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -289,12 +289,12 @@ fn scattered_graphs_batch_and_local_ones_do_not() {
 }
 
 /// `g` in the shared form a team search takes.
-fn shared(g: &CsrGraph) -> Arc<dyn GraphStore> {
+fn shared(g: &CsrGraph) -> Arc<CsrGraph> {
     Arc::new(g.clone())
 }
 
 /// A team dfs from `root`: completed, nothing claimed, and the count.
-fn team_dfs(g: &Arc<dyn GraphStore>, root: u32, scratch: &mut Scratch, crew: &dyn Crew) -> u64 {
+fn team_dfs(g: &Arc<CsrGraph>, root: u32, scratch: &mut Scratch, crew: &dyn Crew) -> u64 {
     let found = team_search(g, root, None, &CancelToken::new(), scratch, crew);
     assert!(found.completed && !found.claimed);
     found.visited

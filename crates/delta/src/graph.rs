@@ -15,7 +15,9 @@
 //! guard holding a fully materialized [`CsrGraph`] snapshot behind an
 //! `Arc` — the served kernel and every engine consume it unchanged,
 //! and compaction can never invalidate it because the guard owns a
-//! strong reference.
+//! strong reference. A pin of the base epoch holds the base `Arc`
+//! itself, so a corpus nobody has written to costs no copy: a base
+//! on an mmap'd pack is read from the mapping.
 //!
 //! Compaction folds every layer at or below the lowest pinned epoch
 //! into a new base CSR. The merge runs *outside* the lock against
@@ -25,7 +27,7 @@
 //! state changes, so no epoch can be lost or reclaimed early.
 
 use crate::layer::{DeltaLayer, PendingDelta};
-use db_graph::{CsrGraph, GraphStore};
+use db_graph::CsrGraph;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -141,7 +143,7 @@ pub struct DeltaStats {
 }
 
 struct Inner {
-    base: Arc<dyn GraphStore>,
+    base: Arc<CsrGraph>,
     base_epoch: u64,
     /// `layers[i].epoch() == base_epoch + i + 1`; contiguous by
     /// construction.
@@ -189,28 +191,23 @@ impl fmt::Debug for DeltaGraph {
 pub const DEFAULT_COMPACT_THRESHOLD: usize = 8;
 
 impl DeltaGraph {
-    /// Wrap a frozen base store (in-RAM CSR or mmap'd pack) as epoch 0.
-    pub fn new(base: Arc<dyn GraphStore>) -> Self {
+    /// Wrap a frozen base graph (in-RAM or on an mmap'd pack) as epoch 0.
+    pub fn new(base: Arc<CsrGraph>) -> Self {
         Self::with_threshold(base, DEFAULT_COMPACT_THRESHOLD)
     }
 
     /// Like [`DeltaGraph::new`] with an explicit compaction threshold
     /// (0 compacts after every publish; tests use small values).
-    pub fn with_threshold(base: Arc<dyn GraphStore>, compact_threshold: usize) -> Self {
+    pub fn with_threshold(base: Arc<CsrGraph>, compact_threshold: usize) -> Self {
         Self::with_base_epoch(base, compact_threshold, 0)
     }
 
-    /// Wrap a frozen base store that represents an already-advanced
+    /// Wrap a frozen base graph that represents an already-advanced
     /// epoch — the recovery path hands a checkpoint pack here so that
     /// replaying the WAL tail republishes exactly the pre-crash epoch
     /// numbers.
-    pub fn with_base_epoch(
-        base: Arc<dyn GraphStore>,
-        compact_threshold: usize,
-        base_epoch: u64,
-    ) -> Self {
-        let g = base.graph();
-        let (n, directed) = (g.num_vertices() as u32, g.is_directed());
+    pub fn with_base_epoch(base: Arc<CsrGraph>, compact_threshold: usize, base_epoch: u64) -> Self {
+        let (n, directed) = (base.num_vertices() as u32, base.is_directed());
         DeltaGraph {
             inner: Mutex::new(Inner {
                 base,
@@ -364,7 +361,8 @@ impl DeltaGraph {
 
     /// Pin the current epoch: bumps its pin count and returns a guard
     /// holding a fully materialized snapshot. The snapshot is cached
-    /// per epoch, so repeated pins of an unchanged epoch are cheap.
+    /// per epoch, so repeated pins of an unchanged epoch are cheap, and
+    /// the base epoch's snapshot is the base itself.
     pub fn pin(self: &Arc<Self>) -> EpochPin {
         let (epoch, snapshot) = {
             let mut inner = self.state();
@@ -383,8 +381,8 @@ impl DeltaGraph {
     }
 
     /// Materialize (and cache) the snapshot for `epoch` without
-    /// pinning. `None` if `epoch` is below the current base or above
-    /// the current epoch.
+    /// pinning; the base epoch's is the base. `None` if `epoch` is
+    /// below the current base or above the current epoch.
     pub fn snapshot_at(&self, epoch: u64) -> Option<Arc<CsrGraph>> {
         let mut inner = self.state();
         if epoch < inner.base_epoch || epoch > inner.base_epoch + inner.layers.len() as u64 {
@@ -399,13 +397,17 @@ impl DeltaGraph {
     }
 
     fn snapshot_locked(n: u32, directed: bool, inner: &mut Inner, epoch: u64) -> Arc<CsrGraph> {
+        // The base epoch is the base: nothing to merge or cache.
+        if epoch == inner.base_epoch {
+            return Arc::clone(&inner.base);
+        }
         if let Some(s) = inner.snapshots.get(&epoch) {
             return Arc::clone(s);
         }
         let nlayers = (epoch - inner.base_epoch) as usize;
         // index-ok: both callers (pin, snapshot_at) hold the lock and pass
         // base_epoch <= epoch <= base_epoch + layers.len()
-        let g = materialize(n, directed, inner.base.graph(), &inner.layers[..nlayers]);
+        let g = materialize(n, directed, &inner.base, &inner.layers[..nlayers]);
         let arc = Arc::new(g);
         inner.snapshots.insert(epoch, Arc::clone(&arc));
         arc
@@ -473,7 +475,7 @@ impl DeltaGraph {
             inner.stats.compactions_aborted += 1;
             return CompactOutcome::Aborted(CompactPoint::Merge);
         }
-        let merged = materialize(self.n, self.directed, base.graph(), &layers);
+        let merged = materialize(self.n, self.directed, &base, &layers);
         if hook(CompactPoint::Swap) == CompactAction::Abort {
             let mut inner = self.state();
             inner.compacting = false;
@@ -611,6 +613,21 @@ mod tests {
         let pin = dg.pin();
         assert_eq!(pin.graph().neighbors(3), &[0]);
         assert_eq!(pin.graph().num_arcs(), 4);
+    }
+
+    #[test]
+    fn the_base_epoch_is_the_base() {
+        let base = Arc::new(path4());
+        let dg = Arc::new(DeltaGraph::new(Arc::clone(&base)));
+        let base_epoch = dg.stats().base_epoch;
+        assert!(Arc::ptr_eq(&dg.pin().snapshot(), &base));
+        assert!(Arc::ptr_eq(&dg.snapshot_at(base_epoch).unwrap(), &base));
+        dg.add_edges(&[(3, 0)]).unwrap();
+        let pin = dg.pin();
+        assert!(!Arc::ptr_eq(&pin.snapshot(), &base));
+        let merged = CsrGraph::from_sorted_parts(4, vec![0, 1, 2, 3, 4], vec![1, 2, 3, 0], true);
+        assert_eq!(pin.graph(), &merged);
+        assert!(Arc::ptr_eq(&dg.snapshot_at(base_epoch).unwrap(), &base));
     }
 
     #[test]

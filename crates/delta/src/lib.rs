@@ -7,7 +7,8 @@
 //! [`DeltaLayer`] overlays. Readers [`pin`](DeltaGraph::pin) an epoch
 //! and get a materialized [`db_graph::CsrGraph`] snapshot that every
 //! existing engine consumes unchanged — snapshot isolation by
-//! construction, because the pin guard owns the snapshot. The crate
+//! construction, because the pin guard owns the snapshot. The base
+//! epoch's snapshot is the base itself, so reads copy nothing. The crate
 //! runs no traversal of its own: a dfs or reach over a delta graph is
 //! an ordinary traversal of a pinned snapshot.
 //!

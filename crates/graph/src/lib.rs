@@ -49,7 +49,7 @@ pub mod validate;
 
 pub use builder::GraphBuilder;
 pub use csr::{CsrError, CsrGraph};
-pub use store::{GraphStore, HeapRegion, Region, SectionSlice};
+pub use store::{HeapRegion, Region, SectionSlice};
 pub use traversal::{serial_dfs, DfsOutput};
 
 /// Vertex identifier. The paper's CSR uses 32-bit vertex ids; so do we.

@@ -1,13 +1,14 @@
 //! Backing storage abstraction: heap-owned or zero-copy mapped slices.
 //!
-//! [`CsrGraph`]'s two big arrays (`row_ptr: [u64]`, `col_idx: [u32]`)
-//! historically lived in `Vec`s. To serve packed on-disk graphs without
-//! copying the offsets array, each array is now a [`SectionSlice`]: either
-//! an owned `Vec<T>` (exactly the old representation) or a typed window
-//! into an immutable byte [`Region`] — typically an mmap'd pack file owned
-//! by the `db-store` crate. Engines are oblivious: they see `&[T]` either
-//! way, with zero per-access overhead beyond the enum discriminant at
-//! slice-borrow time.
+//! [`CsrGraph`](crate::CsrGraph)'s two big arrays (`row_ptr: [u64]`,
+//! `col_idx: [u32]`) historically lived in `Vec`s. To serve packed
+//! on-disk graphs without copying the offsets array, each array is now
+//! a [`SectionSlice`]: either an owned `Vec<T>` (exactly the old
+//! representation) or a typed window into an immutable byte [`Region`]
+//! — typically an mmap'd pack file owned by the `db-store` crate.
+//! Engines are oblivious: they see `&[T]` either way, with zero
+//! per-access overhead beyond the enum discriminant at slice-borrow
+//! time.
 //!
 //! Soundness of the mapped path rests on three invariants, all enforced
 //! at construction by [`SectionSlice::mapped`]:
@@ -22,7 +23,6 @@
 //! offered on little-endian hosts; big-endian hosts get a decode-copy
 //! fallback at load time (in `db-store`), never a misinterpreted slice.
 
-use crate::csr::CsrGraph;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
@@ -303,51 +303,6 @@ impl<T: Scalar + PartialEq> PartialEq for SectionSlice<T> {
 
 impl<T: Scalar + Eq> Eq for SectionSlice<T> {}
 
-/// A graph plus knowledge of where its bytes live — the interface the
-/// serve layer caches and the engines traverse.
-///
-/// `CsrGraph` itself implements this (a fully in-RAM store); `db-store`
-/// adds mmap-backed and partitioned implementations.
-pub trait GraphStore: Send + Sync + fmt::Debug {
-    /// The traversable graph view. For partitioned stores this is the
-    /// assembled global graph.
-    fn graph(&self) -> &CsrGraph;
-
-    /// Private heap bytes this store owns.
-    fn heap_bytes(&self) -> usize {
-        self.graph().heap_bytes()
-    }
-
-    /// Shared mapped (mmap) bytes this store references.
-    fn mapped_bytes(&self) -> usize {
-        self.graph().mapped_bytes()
-    }
-
-    /// Bytes to charge against a residency budget: mapped bytes charge
-    /// at the fixed fraction used by [`CsrGraph::charged_bytes`].
-    fn charged_bytes(&self) -> usize {
-        self.graph().charged_bytes()
-    }
-
-    /// One-line human description (for `store inspect` and logs).
-    fn describe(&self) -> String;
-}
-
-impl GraphStore for CsrGraph {
-    fn graph(&self) -> &CsrGraph {
-        self
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "in-ram csr: n={} arcs={} directed={}",
-            self.num_vertices(),
-            self.num_arcs(),
-            self.is_directed()
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,17 +357,5 @@ mod tests {
         let mapped = SectionSlice::<u32>::mapped(region, 0, 3).unwrap();
         let owned = SectionSlice::owned(vals);
         assert_eq!(mapped, owned);
-    }
-
-    #[test]
-    fn graph_store_blanket_on_csr() {
-        let g = crate::GraphBuilder::undirected(3)
-            .edges([(0, 1), (1, 2)])
-            .build();
-        let s: &dyn GraphStore = &g;
-        assert_eq!(s.graph().num_vertices(), 3);
-        assert!(s.heap_bytes() > 0);
-        assert_eq!(s.mapped_bytes(), 0);
-        assert!(s.describe().contains("n=3"));
     }
 }

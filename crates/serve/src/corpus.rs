@@ -26,17 +26,19 @@
 //! [`CsrGraph`] is valid by construction), so admission and requests
 //! run no CSR check of their own.
 //!
-//! Residency accounting charges [`db_graph::GraphStore::charged_bytes`]
-//! rather than the raw CSR footprint: an mmap-loaded store's mapped
-//! sections charge a fixed quarter of their bytes, plus its header and
-//! its heap columns at full price, instead of the full file, so a
-//! 50M-arc pack does not evict the whole rest of the corpus on open.
+//! Every key resolves to an `Arc<CsrGraph>`: a `store:` load keeps
+//! only its graph ([`db_store::MappedStore::into_graph`]), whose mapped
+//! sections hold the mapping alive. Residency accounting charges
+//! [`CsrGraph::charged_bytes`] rather than the raw CSR footprint: a
+//! loaded pack's mapped sections charge a fixed quarter of their
+//! bytes, and its heap columns full price, instead of the full file, so
+//! a 50M-arc pack does not evict the whole rest of the corpus on open.
 //! The quarter is a deterministic charge, not a measurement: the load's
 //! checksum pass touches the whole mapping, after which a compressed
 //! pack releases its column pages and keeps only `row_ptr` resident,
 //! while a raw pack keeps every section resident.
 
-use db_graph::{builder::from_edge_list, CsrGraph, GraphBuilder, GraphStore};
+use db_graph::{builder::from_edge_list, CsrGraph, GraphBuilder};
 use db_metrics::{Counter, Gauge, Registry};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -75,9 +77,7 @@ struct CacheInner {
 
 #[derive(Debug)]
 struct Entry {
-    store: Arc<dyn GraphStore>,
-    bytes: usize,
-    mapped: usize,
+    graph: Arc<CsrGraph>,
     last_use: u64,
 }
 
@@ -157,7 +157,7 @@ impl CorpusCache {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Returns the store for `key`, building (or mmap-loading, for
+    /// Returns the graph for `key`, building (or mmap-loading, for
     /// `store:` keys) and caching it on a miss.
     ///
     /// The build happens under the cache lock: concurrent requests for
@@ -165,13 +165,13 @@ impl CorpusCache {
     /// serializing first-touch builds of *different* graphs. For a
     /// serving corpus (few graphs, many requests) the steady state is
     /// all hits, so the simple lock wins over per-key once-cells.
-    pub fn resolve(&self, key: &str) -> Result<(Arc<dyn GraphStore>, ResolveInfo), String> {
+    pub fn resolve(&self, key: &str) -> Result<(Arc<CsrGraph>, ResolveInfo), String> {
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(e) = inner.map.get_mut(key) {
             e.last_use = tick;
-            let g = Arc::clone(&e.store);
+            let g = Arc::clone(&e.graph);
             let resident = inner.map.len();
             drop(inner);
             self.hits.inc();
@@ -183,11 +183,10 @@ impl CorpusCache {
                 },
             ));
         }
-        let store = self.build_store_counted(key)?;
+        let graph = Arc::new(self.build_counted(key)?);
         // Charged bytes, not raw footprint: mmap'd sections charge the
         // hot-section estimate so one big pack doesn't flush the cache.
-        let bytes = store.charged_bytes();
-        let mapped = store.mapped_bytes();
+        let bytes = graph.charged_bytes();
         // Evict LRU entries until the newcomer fits (or nothing is left).
         while inner.total_bytes + bytes > self.budget_bytes {
             let lru = inner
@@ -198,18 +197,16 @@ impl CorpusCache {
             let Some(e) = lru.and_then(|k| inner.map.remove(&k)) else {
                 break;
             };
-            inner.total_bytes -= e.bytes;
-            inner.mapped_bytes -= e.mapped;
+            inner.total_bytes -= e.graph.charged_bytes();
+            inner.mapped_bytes -= e.graph.mapped_bytes();
             self.evictions.inc();
         }
         inner.total_bytes += bytes;
-        inner.mapped_bytes += mapped;
+        inner.mapped_bytes += graph.mapped_bytes();
         inner.map.insert(
             key.to_string(),
             Entry {
-                store: Arc::clone(&store),
-                bytes,
-                mapped,
+                graph: Arc::clone(&graph),
                 last_use: tick,
             },
         );
@@ -220,7 +217,7 @@ impl CorpusCache {
         drop(inner);
         self.misses.inc();
         Ok((
-            store,
+            graph,
             ResolveInfo {
                 hit: false,
                 resident,
@@ -228,18 +225,13 @@ impl CorpusCache {
         ))
     }
 
-    /// [`build_store`] with the cache's `db_store_*` load counters.
-    fn build_store_counted(&self, key: &str) -> Result<Arc<dyn GraphStore>, String> {
-        if key.starts_with(STORE_PREFIX) {
-            self.store_loads.inc();
-            let r = build_store(key);
-            if r.is_err() {
-                self.store_load_failures.inc();
-            }
-            r
-        } else {
-            build_store(key)
+    /// [`build_graph`] with the cache's `db_store_*` load counters.
+    fn build_counted(&self, key: &str) -> Result<CsrGraph, String> {
+        if !key.starts_with(STORE_PREFIX) {
+            return build_graph(key);
         }
+        self.store_loads.inc();
+        build_graph(key).inspect_err(|_| self.store_load_failures.inc())
     }
 
     /// Fault-injection probe: attempts a *fresh, uncached* load of a
@@ -255,7 +247,7 @@ impl CorpusCache {
         &self,
         key: &str,
         corrupt_seed: u64,
-    ) -> Result<(Arc<dyn GraphStore>, ResolveInfo), String> {
+    ) -> Result<(Arc<CsrGraph>, ResolveInfo), String> {
         let Some(path) = key.strip_prefix(STORE_PREFIX) else {
             return self.resolve(key);
         };
@@ -271,7 +263,7 @@ impl CorpusCache {
                 // without caching the probe.
                 let resident = self.lock().map.len();
                 Ok((
-                    Arc::new(store),
+                    Arc::new(store.into_graph()),
                     ResolveInfo {
                         hit: false,
                         resident,
@@ -308,23 +300,19 @@ impl CorpusCache {
     }
 }
 
-/// Resolves a corpus key to a [`GraphStore`]: `store:` keys mmap-load a
+/// Builds the graph a corpus key names: `store:` keys mmap-load a
 /// `.dbsg` pack through `db-store` (typed load errors stringified, the
-/// serve path never panics on file bytes); everything else builds an
-/// in-RAM graph via [`build_graph`].
-pub fn build_store(key: &str) -> Result<Arc<dyn GraphStore>, String> {
-    match key.strip_prefix(STORE_PREFIX) {
-        Some("") => Err("corpus key 'store:': missing path".to_string()),
-        Some(path) => db_store::load(path)
-            .map(|s| Arc::new(s) as Arc<dyn GraphStore>)
-            .map_err(|e| format!("corpus key '{key}': {e}")),
-        None => Ok(Arc::new(build_graph(key)?) as Arc<dyn GraphStore>),
-    }
-}
-
-/// Builds the graph a corpus key names. Synthetic recipes first, then
+/// serve path never panics on file bytes), then synthetic recipes, then
 /// the benchmark suite registry.
 pub fn build_graph(key: &str) -> Result<CsrGraph, String> {
+    if let Some(path) = key.strip_prefix(STORE_PREFIX) {
+        if path.is_empty() {
+            return Err("corpus key 'store:': missing path".to_string());
+        }
+        return db_store::load(path)
+            .map(db_store::MappedStore::into_graph)
+            .map_err(|e| format!("corpus key '{key}': {e}"));
+    }
     let mut parts = key.split(':');
     let head = parts.next().unwrap_or_default();
     let dims: Vec<&str> = parts.collect();
@@ -412,7 +400,16 @@ mod tests {
 
     #[test]
     fn bad_keys_are_errors() {
-        for k in ["", "grid:0:4", "grid:4", "path:x", "no_such_graph", "dag"] {
+        for k in [
+            "",
+            "grid:0:4",
+            "grid:4",
+            "path:x",
+            "no_such_graph",
+            "dag",
+            "store:",
+            "store:/no/such/pack.dbsg",
+        ] {
             assert!(build_graph(k).is_err(), "accepted: {k}");
         }
     }

@@ -2,14 +2,17 @@
 //! `delta:`-prefixed corpus keys.
 //!
 //! A key `delta:<inner>` wraps the frozen corpus `<inner>` (any key
-//! [`crate::corpus::build_store`] accepts, including `store:` packs) in
+//! [`crate::corpus::build_graph`] accepts, including `store:` packs) in
 //! a [`DeltaGraph`]. The wrapped graph accepts `add_edges` / `del_edges`
 //! mutation batches — each batch publishes one epoch — while reads pin
 //! the current epoch and hand the pinned snapshot to
 //! [`crate::exec::execute`], so a traversal's outcome can never shear
 //! across a concurrent publish. A `dfs` or `reach` therefore runs the
 //! served kernel ([`db_core::kernel`]) exactly as on a frozen corpus:
-//! a reach stops at its target, and both stop at their deadline.
+//! a reach stops at its target, and both stop at their deadline. A pin
+//! of the base epoch holds the base graph itself, so a read on
+//! `delta:store:<pack>` before its first write runs on the mapped pack
+//! and copies nothing.
 //!
 //! Write responses carry only the *requested batch size* (`applied`),
 //! never the epoch number a batch landed at: epoch numbers depend on
@@ -434,21 +437,20 @@ impl DeltaRegistry {
     /// without a pack (never produced by this writer, but legal in the
     /// format) rebuilds the frozen base corpus at that epoch.
     fn recovered_entry(dir: &Path, me: &ManifestEntry) -> Result<Arc<DeltaEntry>, String> {
-        let base: Arc<dyn db_graph::GraphStore> = match &me.pack {
+        let base = match &me.pack {
             Some(p) => {
                 let p = resolve_pack(dir, p);
-                Arc::new(
-                    db_store::load(&p)
-                        .map_err(|e| format!("checkpoint pack {}: {e}", p.display()))?,
-                )
+                db_store::load(&p)
+                    .map_err(|e| format!("checkpoint pack {}: {e}", p.display()))?
+                    .into_graph()
             }
             None => {
                 let inner = me.corpus.strip_prefix(DELTA_PREFIX).unwrap_or(&me.corpus);
-                crate::corpus::build_store(inner)?
+                crate::corpus::build_graph(inner)?
             }
         };
         Ok(DeltaEntry::new(
-            DeltaGraph::with_base_epoch(base, DEFAULT_COMPACT_THRESHOLD, me.epoch),
+            DeltaGraph::with_base_epoch(Arc::new(base), DEFAULT_COMPACT_THRESHOLD, me.epoch),
             me.applied,
             me.lsn,
         ))
@@ -461,8 +463,8 @@ impl DeltaRegistry {
             Some(inner) if !inner.is_empty() => inner,
             _ => return Err(format!("wal record names non-delta corpus '{key}'")),
         };
-        let base = crate::corpus::build_store(inner)?;
-        Ok(DeltaEntry::new(DeltaGraph::new(base), 0, 0))
+        let base = crate::corpus::build_graph(inner)?;
+        Ok(DeltaEntry::new(DeltaGraph::from_csr(base), 0, 0))
     }
 
     fn lock(&self) -> MutexGuard<'_, HashMap<String, Arc<DeltaEntry>>> {

@@ -30,7 +30,7 @@ use crate::request::{EngineKind, Request, Response, Status, Workload};
 use db_core::kernel::{self, Crew, Scratch, Search};
 use db_core::CancelToken;
 use db_gpu_sim::MachineModel;
-use db_graph::{CsrGraph, GraphStore};
+use db_graph::CsrGraph;
 use db_trace::json::Value;
 use std::sync::Arc;
 
@@ -44,8 +44,8 @@ pub fn execute(req: &Request, graph: &CsrGraph, token: &CancelToken) -> Response
 
 /// Executes `req` on `graph`, searching in `scratch`. With `team`
 /// supplied, a dfs or reach runs as a team search: `team` holds the same
-/// graph in the shared form a helper thread can hold, and the pool the
-/// helper comes from. The answer is the same either way. A `sim` run
+/// graph as the `Arc` a helper thread can hold, and the pool the helper
+/// comes from. The answer is the same either way. A `sim` run
 /// with a sink supplied runs under a [`db_gpu_sim::CycleProfiler`], and
 /// the sink receives the nonzero `(sm, phase_index, cycles)` cells that
 /// the pool turns into `SimPhase` spans. Profiling is observational: the
@@ -55,7 +55,7 @@ pub fn execute_with(
     graph: &CsrGraph,
     token: &CancelToken,
     scratch: &mut Scratch,
-    team: Option<(&Arc<dyn GraphStore>, &dyn Crew)>,
+    team: Option<(&Arc<CsrGraph>, &dyn Crew)>,
     sim_spans: Option<&mut Vec<(u32, usize, u64)>>,
 ) -> Response {
     let n = graph.num_vertices() as u32;

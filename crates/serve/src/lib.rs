@@ -5,11 +5,10 @@
 //! level up: a long-lived service where whole *requests* are the stolen
 //! unit, layered on the workspace's engines:
 //!
-//! * [`corpus`] — graph registry: corpus keys resolve to `Arc`-shared
-//!   [`db_graph::GraphStore`]s — built in-RAM graphs or `store:`-keyed
-//!   packs mmap-loaded through `db-store`, each checked once when it is
-//!   built or loaded — cached under a charged-bytes budget with LRU
-//!   eviction.
+//! * [`corpus`] — graph registry: corpus keys resolve to
+//!   `Arc<CsrGraph>`s — built in-RAM graphs or `store:`-keyed packs
+//!   mmap-loaded through `db-store`, each checked once when it is built
+//!   or loaded — cached under a charged-bytes budget with LRU eviction.
 //! * [`delta`] — epoch-versioned dynamic graphs under `delta:` corpus
 //!   keys (`db-delta`): `add_edges`/`del_edges` batches publish epochs,
 //!   reads pin a snapshot (snapshot isolation) and run on it through

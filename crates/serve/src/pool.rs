@@ -1121,8 +1121,8 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job, scratch: &mut WorkerScrat
         }
         None => inner.cache.resolve(&job.req.graph),
     };
-    let store = match resolved {
-        Ok((store, info)) => {
+    let graph = match resolved {
+        Ok((graph, info)) => {
             let code = if store_fault.is_some() {
                 2
             } else {
@@ -1136,7 +1136,7 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job, scratch: &mut WorkerScrat
                 worker,
                 t_store,
             );
-            store
+            graph
         }
         Err(msg) => {
             let status = if store_fault.is_some() {
@@ -1158,13 +1158,12 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job, scratch: &mut WorkerScrat
             return false;
         }
     };
-    let graph = store.graph();
     // A dfs/reach on a batched graph runs as a team search when another
     // worker could help; everything else runs alone.
     let teams = matches!(
         job.req.workload,
         Workload::Dfs { .. } | Workload::Reach { .. }
-    ) && kernel::batches(graph)
+    ) && kernel::batches(&graph)
         && has_idle_worker(inner);
 
     let attempts = policy.attempts().max(1);
@@ -1252,7 +1251,7 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job, scratch: &mut WorkerScrat
             ctx: &job.ctx,
             attempt: attempt_span,
         };
-        let team = teams.then_some((&store, &crew as &dyn Crew));
+        let team = teams.then_some((&graph, &crew as &dyn Crew));
         let mut sim_spans: Vec<(u32, usize, u64)> = Vec::new();
         // guard: ReplyGuard at fn entry (exactly-one response, and the
         // busy_workers count it holds) survives this unwind
@@ -1266,7 +1265,7 @@ fn run_job(inner: &ServerInner, worker: u32, job: Job, scratch: &mut WorkerScrat
             }
             exec::execute_with(
                 req,
-                graph,
+                &graph,
                 &token,
                 &mut scratch.scratch,
                 team,

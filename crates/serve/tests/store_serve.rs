@@ -212,8 +212,8 @@ fn store_faults_strike_loads_not_keys() {
 #[test]
 fn charged_bytes_accounting_on_store_keys() {
     let (path, key) = packed_social("budget", 6_000);
-    let full = db_serve::corpus::build_store(&key).unwrap();
-    let g_bytes = full.graph().memory_bytes();
+    let full = db_serve::corpus::build_graph(&key).unwrap();
+    let g_bytes = full.memory_bytes();
 
     // An mmap-loaded store charges less than its raw CSR footprint
     // (hot-section estimate), so a budget sized for the *charged* bytes
@@ -265,8 +265,8 @@ fn eviction_order_follows_charged_not_resident_bytes() {
     .unwrap();
     let key = format!("store:{}", path.display());
 
-    let store = db_serve::corpus::build_store(&key).unwrap();
-    let resident = store.graph().memory_bytes();
+    let store = db_serve::corpus::build_graph(&key).unwrap();
+    let resident = store.memory_bytes();
     let charged = store.charged_bytes();
     assert!(store.mapped_bytes() > 0, "raw pack must mmap zero-copy");
     assert!(

@@ -24,8 +24,9 @@
 //!   to shard granularity (`StealInter` events, partition = block).
 //!
 //! The crate only depends on `db-graph` (for the CSR + section types)
-//! and `db-trace` (for steal events); engines and the serve layer
-//! consume packs through the [`db_graph::GraphStore`] trait.
+//! and `db-trace` (for steal events). Engines and the serve layer keep
+//! only a load's [`db_graph::CsrGraph`] ([`MappedStore::into_graph`]),
+//! whose mapped sections hold the mapping alive.
 
 #![warn(missing_docs)]
 
@@ -44,7 +45,7 @@ pub use partition::{partition_by_arcs, run_partitioned, PartitionRunStats, Parti
 #[cfg(test)]
 mod tests {
     use super::*;
-    use db_graph::{GraphBuilder, GraphStore};
+    use db_graph::GraphBuilder;
 
     #[test]
     fn pack_load_round_trip_smoke() {

@@ -23,7 +23,7 @@ use crate::format::{
 };
 use crate::mmapio::{open_region, resident_bytes, RegionKind};
 use db_graph::encode::decode_row_into;
-use db_graph::store::{GraphStore, HeapRegion, Region, SectionError, SectionSlice};
+use db_graph::store::{HeapRegion, Region, SectionError, SectionSlice};
 use db_graph::{par, CsrGraph};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -68,11 +68,6 @@ impl MappedStore {
         self.kind == RegionKind::Mmap
     }
 
-    /// The pack's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Bytes of the pack's mapping resident in this process, the `Rss:`
     /// of its `/proc/self/smaps` entry: 0 for a heap-backed store,
     /// `None` off Linux.
@@ -82,21 +77,20 @@ impl MappedStore {
             RegionKind::Heap => Some(0),
         }
     }
-}
 
-impl GraphStore for MappedStore {
-    fn graph(&self) -> &CsrGraph {
+    /// The loaded graph.
+    pub fn graph(&self) -> &CsrGraph {
         &self.graph
     }
 
-    fn charged_bytes(&self) -> usize {
-        // Header + section table are always resident (we parsed them);
-        // the rest follows the CsrGraph hot-section accounting.
-        let meta = HEADER_LEN + self.header.section_count as usize * SECTION_ENTRY_LEN;
-        meta + self.graph.charged_bytes()
+    /// Keeps the graph and drops the provenance. The graph's mapped
+    /// sections hold the mapping alive, so this is all a server keeps.
+    pub fn into_graph(self) -> CsrGraph {
+        self.graph
     }
 
-    fn describe(&self) -> String {
+    /// One-line human description (for `store inspect` and logs).
+    pub fn describe(&self) -> String {
         format!(
             "pack {}: n={} arcs={} directed={} compressed={} backing={} file={}B",
             self.path.display(),

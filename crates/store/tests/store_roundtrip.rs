@@ -8,7 +8,7 @@ use db_core::native_lockfree::LockFreeEngine;
 use db_core::CancelToken;
 use db_gpu_sim::MachineModel;
 use db_graph::builder::from_edge_list;
-use db_graph::{CsrGraph, GraphStore};
+use db_graph::CsrGraph;
 use db_store::{
     load, load_with, pack_graph, partition_by_arcs, run_partitioned, LoadOptions, PackOptions,
     StoreError,
@@ -262,7 +262,7 @@ fn mapped_stores_report_zero_copy_residency() {
             raw.graph().mapped_bytes(),
             (g.num_vertices() + 1) * 8 + g.num_arcs() * 4
         );
-        assert!(raw.charged_bytes() < g.memory_bytes());
+        assert!(raw.graph().charged_bytes() < g.memory_bytes());
     }
 
     pack_graph(&g, &path, PackOptions::default()).unwrap();

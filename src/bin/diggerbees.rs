@@ -726,13 +726,13 @@ fn store_main() -> ExitCode {
             let t0 = std::time::Instant::now();
             match load(&path) {
                 Ok(s) => {
-                    println!("{}", diggerbees::graph::GraphStore::describe(&s));
+                    println!("{}", s.describe());
                     let h = s.header();
                     println!(
                         "header: version {} sections {} hub-threshold {} partitions {}",
                         h.version, h.section_count, h.hub_threshold, h.partition_count
                     );
-                    let g = diggerbees::graph::GraphStore::graph(&s);
+                    let g = s.graph();
                     let resident = s
                         .resident_mapped_bytes()
                         .map_or_else(|| "unknown".to_string(), |b| b.to_string());
@@ -740,7 +740,7 @@ fn store_main() -> ExitCode {
                         "residency: {} heap bytes, {} mapped bytes, {resident} resident in the mapping, {} charged",
                         g.heap_bytes(),
                         g.mapped_bytes(),
-                        diggerbees::graph::GraphStore::charged_bytes(&s)
+                        g.charged_bytes()
                     );
                     if verb == "verify" {
                         println!(

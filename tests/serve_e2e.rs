@@ -1,8 +1,9 @@
 //! Tier-1 guard for the serving path. An in-process two-worker server
 //! answers a fixed request list, one request at a time: dfs, reach,
 //! scc, topo and articulation over synthetic corpora and a freshly
-//! packed `store:` corpus, plus add/del writes and reads on a durable
-//! `delta:` corpus. Every dfs/reach answer is checked against the
+//! packed `store:` corpus, reads on the same pack as a `delta:store:`
+//! corpus, plus add/del writes and reads on a durable `delta:`
+//! corpus. Every dfs/reach answer is checked against the
 //! reference BFS, a second fresh server must agree digest for digest,
 //! the flight dump must validate, and a server restarted on the first
 //! run's WAL directory must recover the delta corpus and answer its
@@ -24,7 +25,7 @@ use db_serve::corpus::build_graph;
 use db_serve::net::MAX_LINE_BYTES;
 use db_serve::{
     Durability, EngineKind, Request, Response, ServeConfig, ServeHandle, Server, Status, TcpServer,
-    Workload,
+    Workload, DELTA_PREFIX,
 };
 use db_span::validate_dump;
 use db_store::{pack_graph, PackOptions};
@@ -69,8 +70,9 @@ fn request(id: u64, graph: &str, workload: Workload) -> Request {
 }
 
 /// The fixed request list: six dfs, four reach and the applicable
-/// analytics per frozen corpus, then the delta write stream with a read
-/// after every write, then the delta fences.
+/// analytics per frozen corpus, then two dfs and a reach on the pack as
+/// an unwritten `delta:` corpus, then the delta write stream with a
+/// read after every write, then the delta fences.
 fn request_list(store_key: &str, frozen: &HashMap<String, CsrGraph>) -> Vec<Request> {
     let mut reqs = Vec::new();
     let mut id = 0u64;
@@ -97,6 +99,19 @@ fn request_list(store_key: &str, frozen: &HashMap<String, CsrGraph>) -> Vec<Requ
         } else {
             push(&mut reqs, key, Workload::Articulation);
         }
+    }
+    // Reads only: these run on the mapped pack itself, the base epoch.
+    let delta_store = format!("{DELTA_PREFIX}{store_key}");
+    let n = frozen[store_key].num_vertices() as u32;
+    for w in [
+        Workload::Dfs { root: 0 },
+        Workload::Dfs { root: n / 2 },
+        Workload::Reach {
+            root: 0,
+            target: n - 1,
+        },
+    ] {
+        push(&mut reqs, &delta_store, w);
     }
     for k in 0..WRITES as u32 {
         // Even writes cut path edge (20k+9, 20k+10); odd writes bridge
@@ -161,7 +176,8 @@ fn digests(resps: &[Response]) -> Vec<String> {
 /// Checks every dfs/reach answer against `reachable_set` on the graph
 /// the request saw, and returns how many it checked. Requests run one
 /// at a time, so a delta read sees exactly the writes listed before it;
-/// an edge-set model replays them.
+/// an edge-set model replays them. A `delta:` corpus nothing writes to
+/// is checked against its frozen base.
 fn check_traversals(
     reqs: &[Request],
     resps: &[Response],
@@ -186,7 +202,7 @@ fn check_traversals(
                 .build();
             &delta_graph
         } else {
-            &frozen[&req.graph]
+            &frozen[req.graph.strip_prefix(DELTA_PREFIX).unwrap_or(&req.graph)]
         };
         let field = |k: &str| {
             resp.payload
@@ -242,7 +258,7 @@ fn served_answers_digests_spans_and_recovery_hold() {
     server.shutdown();
     assert_eq!(
         check_traversals(&reqs, &first, &frozen),
-        4 * 10 + WRITES as usize + 1
+        4 * 10 + 3 + WRITES as usize + 1
     );
     let trees = validate_dump(&dump).expect("first run's flight dump validates");
     assert_eq!(dump.dropped, 0);
