@@ -390,8 +390,7 @@ pub fn a3_lock_order(g: &CallGraph, cfg: &Config) -> Vec<Finding> {
             // Same-lock re-acquisition inside one fn is NOT an edge:
             // without guard-lifetime tracking it is indistinguishable
             // from the idiomatic phase pattern (lock, drop, re-lock),
-            // which this workspace uses heavily (compaction phases,
-            // steal loops over per-partition stack arrays).
+            // which this workspace uses heavily (compaction phases).
         }
     }
 

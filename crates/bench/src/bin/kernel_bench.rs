@@ -21,7 +21,10 @@
 //!
 //! Graph keys are serve corpus keys (`grid:W:H`, `path:N`, suite names
 //! such as `google` or `delaunay`) plus `social:N`, the social generator
-//! the benchmark ledger serves, at seed [`SOCIAL_SEED`].
+//! the benchmark ledger serves, at seed [`SOCIAL_SEED`]. `shuffled:KEY`
+//! is `KEY` with its ids relabelled by a seeded random permutation
+//! ([`SHUFFLE_SEED`]): scattered ids, as in a `.mtx` file or a pack
+//! that was not built in traversal order.
 //!
 //! Writes one JSON line (default `BENCH_kernel.json`), validated against
 //! `db_bench::schema::validate_kernel_line` before writing.
@@ -33,6 +36,7 @@
 use db_bench::schema::{validate_kernel_line, KERNEL_SCHEMA_VERSION};
 use db_core::kernel::{batches, search, team_search, ParkedHelper, Scratch, Search};
 use db_core::CancelToken;
+use db_graph::permute::{apply_permutation, random_order};
 use db_graph::traversal::reachable_set;
 use db_graph::CsrGraph;
 use db_trace::json::Value;
@@ -44,6 +48,9 @@ use std::time::Instant;
 /// Seed of the `social:N` graphs, and of the reach targets and random
 /// roots.
 const SOCIAL_SEED: u64 = 1;
+
+/// Seed of the permutation that relabels a `shuffled:KEY` graph.
+const SHUFFLE_SEED: u64 = 7;
 
 struct Args {
     graphs: Vec<String>,
@@ -97,9 +104,17 @@ fn parse_args() -> Args {
     a
 }
 
-/// Builds a graph key: `social:N` from the social generator, anything
-/// else as a serve corpus key.
+/// Builds a graph key: `shuffled:KEY` as `KEY` with its ids relabelled,
+/// `social:N` from the social generator, anything else as a serve
+/// corpus key.
 fn build(key: &str) -> Result<CsrGraph, String> {
+    if let Some(inner) = key.strip_prefix("shuffled:") {
+        let g = build(inner)?;
+        return Ok(apply_permutation(
+            &g,
+            &random_order(g.num_vertices(), SHUFFLE_SEED),
+        ));
+    }
     match key.strip_prefix("social:") {
         Some(n) => n
             .parse::<u32>()
@@ -368,4 +383,23 @@ fn main() {
         "kernel_bench: OK ({nproc} cores) — report written to {}",
         a.out
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_shuffled_key_relabels_the_same_graph() {
+        let g = build("path:20000").unwrap();
+        let shuffled = build("shuffled:path:20000").unwrap();
+        assert_eq!(
+            shuffled,
+            apply_permutation(&g, &random_order(20_000, SHUFFLE_SEED))
+        );
+        // Most arcs of the path now join ids far apart, so the kernel
+        // sweeps it.
+        assert!(!batches(&g) && batches(&shuffled));
+        assert!(build("shuffled:nope").is_err());
+    }
 }

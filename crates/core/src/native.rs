@@ -246,7 +246,9 @@ impl NativeEngine {
         shared.vertices.store(1, Ordering::Relaxed);
         shared.tasks_per_block[0].store(1, Ordering::Relaxed);
         shared.live.store(1, Ordering::Release);
-        shared.pending[0].store(1, Ordering::Release);
+        // relaxed-ok: pending is an advisory victim-selection estimate,
+        // seeded before any worker spawns; every other access is Relaxed
+        shared.pending[0].store(1, Ordering::Relaxed);
         shared.warps[0].hot.push((root, 0)).expect("fresh ring");
         shared.block_active[0].store(1, Ordering::Release);
 

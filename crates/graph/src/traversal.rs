@@ -94,14 +94,21 @@ pub fn bfs_levels(g: &CsrGraph, root: VertexId) -> (Vec<u32>, u32) {
     let n = g.num_vertices();
     assert!((root as usize) < n, "root {root} out of range");
     let mut level = vec![u32::MAX; n];
+    // index-ok: root < n was asserted and `level` holds n entries
     level[root as usize] = 0;
     let mut frontier = vec![root];
     let mut next = Vec::new();
     let mut depth = 0u32;
+    let (row_ptr, col_idx) = (g.row_ptr(), g.col_idx());
     while !frontier.is_empty() {
         depth += 1;
         for &u in &frontier {
-            for &v in g.neighbors(u) {
+            let u = u as usize;
+            // index-ok: u < n (the root or a column entry), and a CsrGraph's
+            // row_ptr is monotone and ends at col_idx.len()
+            for &v in &col_idx[row_ptr[u] as usize..row_ptr[u + 1] as usize] {
+                // index-ok: a CsrGraph's column entries are below n, and
+                // `level` holds n entries
                 if level[v as usize] == u32::MAX {
                     level[v as usize] = depth;
                     next.push(v);

@@ -24,11 +24,13 @@
 //! | `fault` | `db_serve_faults_injected_total` |
 //! | `team` | `db_serve_team_joins_total` (one per helper that joined a search) |
 //!
-//! Four counters have no span and are updated where their decision is
+//! Five counters have no span and are updated where their decision is
 //! made: `db_serve_worker_respawns_total`, `db_serve_breaker_trips_total`,
-//! `db_serve_rejected_total{reason="storage"}` and
-//! `db_serve_degraded_total`. The gauges are set where their state
-//! changes (`busy_workers`, `scratch_bytes`) or read at scrape time
+//! `db_serve_rejected_total{reason="storage"}`,
+//! `db_serve_rejected_total{reason="connections"}` (the TCP front end's
+//! accept loop, [`crate::net`]) and `db_serve_degraded_total`. The
+//! gauges are set where their state changes (`busy_workers`,
+//! `scratch_bytes`, `connections`) or read at scrape time
 //! (`queue_depth`, `breaker_open`).
 //!
 //! The latency histogram is [`db_metrics::Histogram`] — power-of-two
@@ -65,6 +67,9 @@ pub struct Metrics {
     /// Write requests refused because the WAL append failed (short
     /// write / ENOSPC); the batch made zero state changes.
     pub rejected_storage: Counter,
+    /// Connections the TCP front end refused because it already held
+    /// [`crate::net::MAX_CONNECTIONS`] open.
+    pub rejected_connections: Counter,
     /// Requests that finished with [`crate::Status::Ok`].
     pub completed: Counter,
     /// Requests whose deadline expired.
@@ -101,6 +106,8 @@ pub struct Metrics {
     /// Heap bytes of the workers' reused traversal scratch (visited
     /// bits, stacks and level bitmaps), summed.
     pub scratch_bytes: Gauge,
+    /// Connections the TCP front end holds open.
+    pub connections: Gauge,
     /// Latency of every request a worker finished (any status) and of
     /// the `failed` answers closed without one, µs.
     pub latency: Histogram,
@@ -135,6 +142,7 @@ impl Metrics {
             rejected_breaker: rejected("breaker"),
             rejected_writes: rejected("write_quota"),
             rejected_storage: rejected("storage"),
+            rejected_connections: rejected("connections"),
             completed: finished("ok"),
             expired: finished("expired"),
             errors: finished("error"),
@@ -197,6 +205,11 @@ impl Metrics {
             scratch_bytes: reg.gauge(
                 "db_serve_scratch_bytes",
                 "Heap bytes of the workers' reused traversal scratch, summed",
+                &[],
+            ),
+            connections: reg.gauge(
+                "db_serve_connections",
+                "Connections the TCP front end holds open",
                 &[],
             ),
             latency: reg.histogram(
@@ -497,7 +510,7 @@ mod tests {
             .find(|s| s.name == "db_serve_admitted_total")
             .unwrap();
         assert_eq!(admitted.value, 1.0);
-        // The six rejection reasons are distinct series of one name.
+        // The seven rejection reasons are distinct series of one name.
         let reasons: Vec<_> = exp
             .samples
             .iter()
@@ -509,6 +522,7 @@ mod tests {
             [
                 "breaker",
                 "capacity",
+                "connections",
                 "draining",
                 "storage",
                 "tenant_quota",

@@ -23,7 +23,14 @@
 //!
 //! Built on `std::net` only — no async runtime, matching the
 //! workspace's no-external-deps rule. One thread per connection is
-//! plenty for a benchmark-grade endpoint.
+//! plenty for a benchmark-grade endpoint, and the threads are bounded:
+//! the server holds at most [`MAX_CONNECTIONS`] connections open. The
+//! accept loop answers a connection past that budget with one
+//! `rejected` line and closes it without starting a thread, counted in
+//! `db_serve_rejected_total{reason="connections"}`; the
+//! `db_serve_connections` gauge shows the connections held. An idle
+//! connection is not timed out: it holds its place until the client
+//! closes it.
 //!
 //! ## One segment per reply
 //!
@@ -55,6 +62,7 @@
 use crate::metrics::MetricsSnapshot;
 use crate::pool::ServeHandle;
 use crate::request::{Request, Response, Status};
+use db_metrics::Gauge;
 use db_trace::json::Value;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -66,6 +74,11 @@ use std::time::Duration;
 /// Upper bound on one NDJSON request line. Longer lines are drained
 /// and rejected with a structured error instead of being buffered.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Connections the server holds open at once, one thread each: above
+/// every client count the repository's load generators and smoke jobs
+/// open.
+pub const MAX_CONNECTIONS: u64 = 64;
 
 /// How long the accept loop waits after a failed accept. A failure that
 /// persists (`EMFILE`: the process is out of descriptors) would
@@ -96,24 +109,39 @@ impl TcpServer {
             std::thread::Builder::new()
                 .name("serve-accept".into())
                 .spawn(move || {
+                    let series = handle.series();
                     for conn in listener.incoming() {
                         if stop.load(Ordering::Acquire) {
                             break;
                         }
-                        let Ok(stream) = conn else {
+                        let Ok(mut stream) = conn else {
                             std::thread::sleep(ACCEPT_BACKOFF);
                             continue;
                         };
                         // Nagle off: a reply longer than one segment does
                         // not hold its last part back for the client's ACK.
                         let _ = stream.set_nodelay(true);
+                        // Only this thread adds to the gauge, so a count
+                        // read under the budget stays under it.
+                        if series.connections.get() >= MAX_CONNECTIONS {
+                            series.rejected_connections.inc();
+                            let reply = Response::failure(
+                                0,
+                                Status::Rejected,
+                                format!("server holds {MAX_CONNECTIONS} connections"),
+                            );
+                            let _ = write_line(&mut stream, reply.to_value().to_json());
+                            continue;
+                        }
+                        let held = Held::open(&series.connections);
                         let handle = handle.clone();
                         let shutdown_requested = Arc::clone(&shutdown_requested);
                         // Connection threads detach; they exit when the
-                        // client closes its end.
-                        let _ = std::thread::Builder::new()
-                            .name("serve-conn".into())
-                            .spawn(move || serve_connection(stream, handle, shutdown_requested));
+                        // client closes its end, and `held` leaves the
+                        // gauge with them (or here, if the spawn fails).
+                        let _ = std::thread::Builder::new().name("serve-conn".into()).spawn(
+                            move || serve_connection(stream, handle, shutdown_requested, held),
+                        );
                     }
                 })?
         };
@@ -150,6 +178,23 @@ impl TcpServer {
 impl Drop for TcpServer {
     fn drop(&mut self) {
         self.stop();
+    }
+}
+
+/// One connection counted in the `db_serve_connections` gauge until it
+/// drops.
+struct Held(Gauge);
+
+impl Held {
+    fn open(gauge: &Gauge) -> Held {
+        gauge.add(1);
+        Held(gauge.clone())
+    }
+}
+
+impl Drop for Held {
+    fn drop(&mut self) {
+        self.0.sub(1);
     }
 }
 
@@ -191,7 +236,14 @@ fn read_line_bounded(reader: &mut impl BufRead, max: usize) -> std::io::Result<L
     }
 }
 
-fn serve_connection(stream: TcpStream, handle: ServeHandle, shutdown_requested: Arc<AtomicBool>) {
+/// Answers one connection's lines until it closes; `_held` counts it
+/// in the connection gauge until then.
+fn serve_connection(
+    stream: TcpStream,
+    handle: ServeHandle,
+    shutdown_requested: Arc<AtomicBool>,
+    _held: Held,
+) {
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,

@@ -475,6 +475,12 @@ impl ServeHandle {
         self.inner.snapshot()
     }
 
+    /// The server's live series, which the TCP front end updates for the
+    /// connections it holds and refuses.
+    pub(crate) fn series(&self) -> &Metrics {
+        &self.inner.metrics
+    }
+
     /// The startup WAL-recovery report, when the server was configured
     /// with a durable `wal_dir` (`None` otherwise).
     pub fn recovery(&self) -> Option<RecoveryInfo> {

@@ -86,9 +86,10 @@ impl Workload {
 /// by the served kernel ([`db_core::kernel`]), a single-thread bitset
 /// search on the pool worker that obeys the request's deadline. `sim`
 /// runs the GPU simulator. The answer is the same either way. The
-/// threaded engines the other names refer to stay in the workspace for
-/// the CLI and the figure binaries. The apps-layer workloads (`scc`,
-/// `topo`, `articulation`) ignore this field.
+/// engines `native` and `serial` name stay in the workspace for the CLI
+/// and the figure binaries; `lockfree` and `partitioned` name engines
+/// that are gone and stay accepted as wire names. The apps-layer
+/// workloads (`scc`, `topo`, `articulation`) ignore this field.
 ///
 /// ```
 /// use db_serve::EngineKind;
@@ -111,8 +112,8 @@ pub enum EngineKind {
     Sim,
     /// Names the paper's serial Algorithm-1 baseline.
     Serial,
-    /// Names the cross-partition DFS with steal-half shard stealing
-    /// (`db_store::run_partitioned`).
+    /// The wire name of the cross-partition DFS over store shards,
+    /// which is gone; still accepted from clients.
     Partitioned,
 }
 

@@ -18,15 +18,14 @@
 //! * [`mmapio`] — the `mmap`/`munmap`/`madvise` shim (no `libc`
 //!   dependency) with a heap fallback for other platforms and for fault
 //!   injection, and the `/proc/self/smaps` residency read.
-//! * [`partition`] — contiguous edge-cut partitioning and a
-//!   cross-partition DFS driver whose idle workers steal half of a
-//!   victim partition's stack, the paper's block-level stealing lifted
-//!   to shard granularity (`StealInter` events, partition = block).
+//! * [`partition`] — [`partition_by_arcs`] and [`run_partitioned`],
+//!   kept for the benchmark ledger only: the second is the reference
+//!   BFS's reachable set.
 //!
-//! The crate only depends on `db-graph` (for the CSR + section types)
-//! and `db-trace` (for steal events). Engines and the serve layer keep
-//! only a load's [`db_graph::CsrGraph`] ([`MappedStore::into_graph`]),
-//! whose mapped sections hold the mapping alive.
+//! The crate only depends on `db-graph` (for the CSR + section types).
+//! Engines and the serve layer keep only a load's
+//! [`db_graph::CsrGraph`] ([`MappedStore::into_graph`]), whose mapped
+//! sections hold the mapping alive.
 
 #![warn(missing_docs)]
 
@@ -40,7 +39,7 @@ pub mod partition;
 pub use error::StoreError;
 pub use load::{load, load_with, LoadOptions, MappedStore};
 pub use pack::{pack_graph, PackOptions, PackSummary, PackWriter};
-pub use partition::{partition_by_arcs, run_partitioned, PartitionRunStats, PartitionSpec};
+pub use partition::{partition_by_arcs, run_partitioned, PartitionSpec};
 
 #[cfg(test)]
 mod tests {

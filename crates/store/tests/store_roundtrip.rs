@@ -178,8 +178,8 @@ fn missing_file_is_io_error() {
 }
 
 /// DFS visited sets from a packed, mmap-loaded graph must be
-/// bit-identical to the in-RAM build on every engine, including the
-/// partitioned driver.
+/// bit-identical to the in-RAM build on every engine, and so must the
+/// reachable set of the ledger's `run_partitioned` shim.
 #[test]
 fn packed_dfs_differential_all_engines() {
     let g = skewed_graph(

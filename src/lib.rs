@@ -26,8 +26,7 @@
 //!   chaos hooks and the serve layer's resilience machinery
 //!   ([`db_fault`]).
 //! * [`store`] — the packed on-disk graph layer: compressed `.dbsg`
-//!   packs with zero-copy mmap loading and cross-partition DFS with
-//!   shard-level steal-half stealing ([`db_store`]).
+//!   packs with zero-copy mmap loading ([`db_store`]).
 //! * [`serve`] — a multi-tenant traversal service: corpus cache
 //!   (including `store:`-keyed packs), admission control,
 //!   deadline-aware request-stealing worker pool, NDJSON TCP front-end

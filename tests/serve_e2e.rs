@@ -12,9 +12,10 @@
 //! tests hold a read to its deadline: a `serial` dfs on a path, which
 //! runs the one-at-a-time kernel, a reach on a `delta:` path, which runs
 //! it on the pinned snapshot, and a `native` dfs on `google`, which
-//! runs it batched, as a team with the idle second worker. The last test
-//! opens a socket: sequential round trips over the NDJSON endpoint must
-//! not wait on a delayed ACK.
+//! runs it batched, as a team with the idle second worker. The last two
+//! tests open sockets: sequential round trips over the NDJSON endpoint
+//! must not wait on a delayed ACK, and a connection past the endpoint's
+//! budget must be refused without a thread.
 
 #[path = "../crates/serve/tests/common/mod.rs"]
 mod common;
@@ -22,7 +23,7 @@ mod common;
 use db_graph::traversal::reachable_set;
 use db_graph::{CsrGraph, GraphBuilder};
 use db_serve::corpus::build_graph;
-use db_serve::net::MAX_LINE_BYTES;
+use db_serve::net::{MAX_CONNECTIONS, MAX_LINE_BYTES};
 use db_serve::{
     Durability, EngineKind, Request, Response, ServeConfig, ServeHandle, Server, Status, TcpServer,
     Workload, DELTA_PREFIX,
@@ -488,6 +489,91 @@ fn tcp_round_trips_do_not_wait_on_a_delayed_ack() {
     );
 
     drop((writer, reader));
+    tcp.stop();
+    server.shutdown();
+}
+
+/// The value of the `db_serve_*` series `name` (with this `reason`
+/// label, if any) in a Prometheus scrape.
+fn scraped(scrape: &str, name: &str, reason: Option<&str>) -> Option<f64> {
+    db_metrics::validate_exposition(scrape)
+        .expect("the scrape parses")
+        .samples
+        .iter()
+        .find(|s| s.name == name && s.label("reason") == reason)
+        .map(|s| s.value)
+}
+
+/// The endpoint holds at most `MAX_CONNECTIONS` connections, one thread
+/// each. With that many idle connections open, each further connection
+/// reads one `rejected` line and then EOF, the scrape's
+/// `db_serve_connections` gauge reads the budget and
+/// `db_serve_rejected_total{reason="connections"}` the refusals, and
+/// once one idle connection closes a new one is answered.
+#[test]
+fn connections_past_the_budget_are_refused() {
+    const EXTRA: u64 = 4;
+    let server = Server::start(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    let h = server.handle();
+    let mut tcp = TcpServer::bind(h.clone(), "127.0.0.1:0").expect("bind loopback");
+    let connect = || {
+        let stream = TcpStream::connect(tcp.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream
+    };
+    // The accept loop takes connections in the order they were made, so
+    // these hold the whole budget before the extra ones arrive.
+    let mut idle: Vec<TcpStream> = (0..MAX_CONNECTIONS).map(|_| connect()).collect();
+    for _ in 0..EXTRA {
+        let mut reader = BufReader::new(connect());
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("a refusal line");
+        let resp = Response::from_value(&Value::parse(line.trim_end()).unwrap()).unwrap();
+        assert_eq!(resp.status, Status::Rejected, "{line}");
+        line.clear();
+        assert_eq!(
+            reader.read_line(&mut line).unwrap(),
+            0,
+            "not closed: {line}"
+        );
+    }
+    let scrape = h.prometheus();
+    assert_eq!(
+        scraped(&scrape, "db_serve_connections", None),
+        Some(MAX_CONNECTIONS as f64)
+    );
+    assert_eq!(
+        scraped(&scrape, "db_serve_rejected_total", Some("connections")),
+        Some(EXTRA as f64)
+    );
+
+    // A closed connection's thread leaves the gauge once it reads EOF.
+    drop(idle.pop());
+    let t0 = Instant::now();
+    while scraped(&h.prometheus(), "db_serve_connections", None)
+        != Some((MAX_CONNECTIONS - 1) as f64)
+    {
+        assert!(t0.elapsed() < Duration::from_secs(10), "still counted");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let stream = connect();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let req = request(1, "grid:8:8", Workload::Dfs { root: 0 });
+    writer
+        .write_all(format!("{}\n", req.to_value().to_json()).as_bytes())
+        .unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("an answer");
+    let resp = Response::from_value(&Value::parse(line.trim_end()).unwrap()).unwrap();
+    assert_eq!(resp.status, Status::Ok, "{line}");
+
+    drop((idle, writer, reader));
     tcp.stop();
     server.shutdown();
 }
