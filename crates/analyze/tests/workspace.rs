@@ -78,7 +78,7 @@ fn parser_round_trips_every_workspace_file() {
 
 /// Call-graph golden for `crates/serve/src/pool.rs`: pins the edge
 /// count originating in the worker pool and the load-bearing edges of
-/// the steal protocol. An intentional pool change that shifts these
+/// its queue and team protocol. An intentional pool change that shifts these
 /// updates the constants here — an accidental resolver regression
 /// fails loudly.
 #[test]
@@ -127,16 +127,23 @@ fn callgraph_golden_for_serve_pool() {
     // `.as_str()` today, and one would no longer edge to
     // `Status::as_str`. 193 since the corpus cache hands out an
     // `Arc<CsrGraph>`: `run_job` no longer calls `store.graph()`, so its
-    // edge to `MappedStore::graph` is gone (-1).
+    // edge to `MappedStore::graph` is gone (-1). 190 since the pool has
+    // one EDF queue (-3): `worker_loop` lost its edges to `pick_victim`,
+    // `steal_half`, `ServerInner::now_ns` and `ServerInner::span` (the
+    // steal spans) and gained two to `release` (a tenant's queued and
+    // queued-write counts), and `ServeHandle::flight_dropped` went with
+    // its edge to `FlightRecorder::dropped`. The pinned edge
+    // `worker_loop -> steal_half` became `ServeHandle::submit ->
+    // edf_cmp`, the queue's sorted insert.
     assert_eq!(
-        pool_edges, 193,
+        pool_edges, 190,
         "edges out of pool.rs fns changed; if the pool or the resolver \
          changed intentionally, update this golden"
     );
     for (from, to) in [
         ("worker_entry", "worker_loop"),
         ("worker_loop", "run_job"),
-        ("worker_loop", "steal_half"),
+        ("ServeHandle::submit", "edf_cmp"),
         ("run_job", "execute_with"),
         ("run_job", "WorkerScratch::charge"),
         ("worker_loop", "help"),

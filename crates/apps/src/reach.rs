@@ -42,19 +42,6 @@ impl ReachOracle {
         }
     }
 
-    /// [`ReachOracle::build`] on a pinned epoch of a dynamic
-    /// ([`db_delta::DeltaGraph`]) graph. The pin's snapshot isolation
-    /// is what makes a *multi-traversal* build sound: all hub rows see
-    /// the same epoch even if writers publish mid-build, and the
-    /// oracle's answers stay valid for `pin.epoch()` forever after.
-    pub fn build_pinned<E: DfsEngine>(
-        pin: &db_delta::EpochPin,
-        hubs: &[VertexId],
-        engine: &E,
-    ) -> Self {
-        Self::build(pin.graph(), hubs, engine)
-    }
-
     /// The hubs this oracle covers.
     pub fn hubs(&self) -> &[VertexId] {
         &self.hubs
@@ -113,26 +100,6 @@ mod tests {
             }
             assert_eq!(oracle.coverage(i), truth.iter().filter(|&&b| b).count());
         }
-    }
-
-    #[test]
-    fn build_pinned_freezes_the_oracle_at_its_epoch() {
-        let g = GraphBuilder::directed(8)
-            .edges([(0, 1), (1, 2), (4, 5)])
-            .build();
-        let dg = std::sync::Arc::new(db_delta::DeltaGraph::from_csr(g));
-        let pin = dg.pin();
-        let oracle = ReachOracle::build_pinned(&pin, &[0], &engine());
-        assert!(oracle.reachable(0, 2));
-        assert!(!oracle.reachable(0, 5));
-
-        // Publishing a bridge after the pin changes nothing for the
-        // pinned oracle; a fresh pin sees the new epoch.
-        dg.add_edges(&[(2, 4)]).unwrap();
-        let again = ReachOracle::build_pinned(&pin, &[0], &engine());
-        assert!(!again.reachable(0, 5), "pinned epoch must not move");
-        let fresh = ReachOracle::build_pinned(&dg.pin(), &[0], &engine());
-        assert!(fresh.reachable(0, 5));
     }
 
     #[test]

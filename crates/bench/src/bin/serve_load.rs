@@ -420,7 +420,6 @@ struct RunReport {
     failed: u64,
     digest: u64,
     cache_hit_rate: f64,
-    steals: u64,
     /// Write mode only: `(epochs_published, compactions)` read back
     /// from a parser-validated Prometheus scrape of the server.
     delta: Option<(u64, u64)>,
@@ -437,7 +436,7 @@ fn quantile_exact(sorted: &[u64], q: f64) -> u64 {
     sorted[idx]
 }
 
-fn tally(responses: Vec<Response>, wall: Duration, hit_rate: f64, steals: u64) -> RunReport {
+fn tally(responses: Vec<Response>, wall: Duration, hit_rate: f64) -> RunReport {
     let mut latencies: Vec<u64> = responses.iter().map(|r| r.latency_us).collect();
     latencies.sort_unstable();
     let hist = db_metrics::Histogram::default();
@@ -458,7 +457,6 @@ fn tally(responses: Vec<Response>, wall: Duration, hit_rate: f64, steals: u64) -
         failed: count(Status::Failed),
         digest,
         cache_hit_rate: hit_rate,
-        steals,
         delta: None,
         rss_mb: None,
     }
@@ -592,7 +590,7 @@ fn run_in_process(a: &Args, reqs: &[Request], fence: &[Request], run: usize) -> 
     }
     let rss_mb = vm_rss_mb();
     let m = server.shutdown();
-    let mut report = tally(responses, wall, m.cache_hit_rate(), m.steals);
+    let mut report = tally(responses, wall, m.cache_hit_rate());
     report.delta = delta;
     report.rss_mb = rss_mb;
     report
@@ -630,14 +628,13 @@ fn run_tcp(a: &Args, reqs: &[Request], addr: &str) -> RunReport {
     });
     let wall = start.elapsed();
     let responses = out.into_inner().unwrap();
-    // Cache/steal gauges come from the remote metrics op.
-    let (hit_rate, steals) = std::net::ToSocketAddrs::to_socket_addrs(addr)
+    // The cache hit rate comes from the remote metrics op.
+    let hit_rate = std::net::ToSocketAddrs::to_socket_addrs(addr)
         .ok()
         .and_then(|mut it| it.next())
         .and_then(|sa| db_serve::net::fetch_metrics(&sa).ok())
-        .map(|m| (m.cache_hit_rate(), m.steals))
-        .unwrap_or((f64::NAN, 0));
-    tally(responses, wall, hit_rate, steals)
+        .map_or(f64::NAN, |m| m.cache_hit_rate());
+    tally(responses, wall, hit_rate)
 }
 
 fn report_value(a: &Args, reports: &[RunReport], deterministic: bool) -> Value {
@@ -673,7 +670,6 @@ fn report_value(a: &Args, reports: &[RunReport], deterministic: bool) -> Value {
                     ("p999_us".into(), Value::u64(r.p999_us)),
                     ("max_us".into(), Value::u64(r.max_us)),
                     ("cache_hit_rate".into(), Value::Num(r.cache_hit_rate)),
-                    ("steals".into(), Value::u64(r.steals)),
                     ("digest".into(), Value::str(format!("{:016x}", r.digest))),
                 ]
                 .into_iter()
@@ -1149,7 +1145,7 @@ fn main() {
         eprintln!(
             "run {}: {} ok / {} expired / {} rejected / {} errors / {} failed; \
              p50 {} us, p99 {} us, p99.9 {} us, max {} us, {:.0} req/s, \
-             hit rate {:.3}, {} steals, digest {:016x}",
+             hit rate {:.3}, digest {:016x}",
             i + 1,
             r.ok,
             r.expired,
@@ -1163,7 +1159,6 @@ fn main() {
             (r.ok + r.expired + r.rejected + r.errors + r.failed) as f64
                 / r.wall.as_secs_f64().max(1e-9),
             r.cache_hit_rate,
-            r.steals,
             r.digest,
         );
     }

@@ -11,8 +11,8 @@
 use db_trace::json::Value;
 
 /// Current version of the `BENCH_serve.json` line format (2 added
-/// `rss_mb`).
-pub const SERVE_SCHEMA_VERSION: u64 = 2;
+/// `rss_mb`, 3 dropped each run's `steals`).
+pub const SERVE_SCHEMA_VERSION: u64 = 3;
 
 /// Current version of the `BENCH_sim.json` line format.
 pub const SIM_SCHEMA_VERSION: u64 = 1;
@@ -54,7 +54,7 @@ fn want_version(v: &Value, expect: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates one parsed `BENCH_serve.json` line against schema v2.
+/// Validates one parsed `BENCH_serve.json` line against schema v3.
 ///
 /// Checks field presence and types, that the status counts add up to
 /// the request count, and that the digest is present on every run (the
@@ -101,7 +101,7 @@ pub fn validate_serve_line(v: &Value) -> Result<(), String> {
             }
             want_u64(run, "wall_ms")?;
             want_f64(run, "throughput_rps")?;
-            for k in ["p50_us", "p90_us", "p99_us", "p999_us", "max_us", "steals"] {
+            for k in ["p50_us", "p90_us", "p99_us", "p999_us", "max_us"] {
                 want_u64(run, k)?;
             }
             let hit = want_f64(run, "cache_hit_rate")?;
@@ -300,14 +300,14 @@ mod tests {
 
     fn serve_line() -> Value {
         Value::parse(
-            r#"{"schema_version":2,"bench":"serve_load","mode":"closed",
+            r#"{"schema_version":3,"bench":"serve_load","mode":"closed",
                 "workers":2,"clients":2,"seed":42,"write_frac":0,
                 "graphs":["grid:8:8"],
                 "runs":[{"requests":10,"ok":9,"expired":0,"rejected":0,
                          "errors":0,"failed":1,"wall_ms":5,
                          "throughput_rps":2000.0,"p50_us":10,"p90_us":20,
                          "p99_us":30,"p999_us":40,"max_us":40,
-                         "cache_hit_rate":0.9,"steals":1,"digest":"abc"}],
+                         "cache_hit_rate":0.9,"digest":"abc"}],
                 "deterministic":true,"rss_mb":12.5}"#,
         )
         .unwrap()
@@ -348,7 +348,7 @@ mod tests {
         let wrong_version = Value::parse(
             &serve_line()
                 .to_json()
-                .replace("\"schema_version\":2", "\"schema_version\":9"),
+                .replace("\"schema_version\":3", "\"schema_version\":9"),
         )
         .unwrap();
         assert!(validate_serve_line(&wrong_version)

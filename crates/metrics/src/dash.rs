@@ -109,11 +109,9 @@ pub fn render_dashboard(exp: &Exposition, prev: Option<&Exposition>, interval_s:
          expired {expired:.0}  error {errors:.0}  rejected {rejected:.0}\n"
     ));
     out.push_str(&format!(
-        "workers   busy {:.0}  queue {:.0}  steals {:.0}  retries {:.0}  panics {:.0}  \
-         respawns {:.0}\n",
+        "workers   busy {:.0}  queue {:.0}  retries {:.0}  panics {:.0}  respawns {:.0}\n",
         sum(exp, "db_serve_busy_workers", &[]),
         sum(exp, "db_serve_queue_depth", &[]),
-        sum(exp, "db_serve_steals_total", &[]),
         sum(exp, "db_serve_retries_total", &[]),
         sum(exp, "db_serve_worker_panics_total", &[]),
         sum(exp, "db_serve_worker_respawns_total", &[]),
@@ -182,7 +180,7 @@ db_serve_requests_total{status=\"ok\"} 90
 db_serve_requests_total{status=\"failed\"} 5
 db_serve_busy_workers 2
 db_serve_queue_depth 7
-db_serve_steals_total 11
+db_serve_retries_total 11
 db_serve_request_latency_us_bucket{le=\"1023\"} 50
 db_serve_request_latency_us_bucket{le=\"2047\"} 90
 db_serve_request_latency_us_bucket{le=\"+Inf\"} 100
@@ -197,7 +195,7 @@ db_slo_burn_rate{tenant=\"*\",slo=\"latency\",window=\"1h\"} 0.1
         assert!(dash.contains("admitted 100"), "{dash}");
         assert!(dash.contains("ok 90"), "{dash}");
         assert!(dash.contains("failed 5"), "{dash}");
-        assert!(dash.contains("steals 11"), "{dash}");
+        assert!(dash.contains("queue 7  retries 11"), "{dash}");
         assert!(dash.contains("p50"), "{dash}");
         assert!(dash.contains("burn 1m 2.50  5m 0.50  1h 0.10"), "{dash}");
     }

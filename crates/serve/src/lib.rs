@@ -1,9 +1,9 @@
 //! # db-serve — multi-tenant graph-traversal service layer
 //!
 //! The paper's thesis is that hierarchical work stealing keeps a GPU's
-//! blocks busy on irregular DFS. This crate applies the same idea one
-//! level up: a long-lived service where whole *requests* are the stolen
-//! unit, layered on the workspace's engines:
+//! blocks busy on irregular DFS. This crate serves those traversals: a
+//! long-lived service that queues whole requests and lets an idle
+//! worker join a running search, layered on the workspace's engines:
 //!
 //! * [`corpus`] — graph registry: corpus keys resolve to
 //!   `Arc<CsrGraph>`s — built in-RAM graphs or `store:`-keyed packs
@@ -19,9 +19,9 @@
 //!   `scc`, `topo`, `articulation` over any engine) and its NDJSON
 //!   codec.
 //! * [`pool`] — the serving core: bounded admission with per-tenant
-//!   quotas, per-worker earliest-deadline-first deques with
-//!   steal-half-from-the-back request stealing (two-choice victim
-//!   selection, after §3.4 of the paper), deadline cancellation via
+//!   quotas, one earliest-deadline-first queue that every idle worker
+//!   pops, team searches that an idle worker joins (the paper's §3.4
+//!   stealing, inside one search), deadline cancellation via
 //!   [`db_core::CancelToken`] poll points inside the served kernel, one
 //!   reused kernel scratch per worker, and graceful drain.
 //! * [`resilience`] — the self-healing policy layer: per-request retry

@@ -18,7 +18,6 @@
 //! | `admit` (0) | `db_serve_admitted_total` |
 //! | `admit` (1–5) | `db_serve_rejected_total`, `reason` = `breaker`, `draining`, `capacity`, `tenant_quota`, `write_quota` |
 //! | `request` root, unless refused at admission | `db_serve_requests_total{status}` (a worker's `rejected` answer counts as `error`) and `db_serve_request_latency_us` (the root's duration) |
-//! | `steal` | `db_serve_steals_total` (one per request moved) |
 //! | `retry` | `db_serve_retries_total` |
 //! | `attempt` (1, panicked) | `db_serve_worker_panics_total` |
 //! | `fault` | `db_serve_faults_injected_total` |
@@ -51,7 +50,7 @@ use db_trace::json::Value;
 /// of truth for every number the server reports.
 #[derive(Debug, Clone)]
 pub struct Metrics {
-    /// Requests accepted into a worker queue.
+    /// Requests accepted into the queue.
     pub admitted: Counter,
     /// Requests refused because the global queue was full.
     pub rejected_capacity: Counter,
@@ -78,9 +77,6 @@ pub struct Metrics {
     pub errors: Counter,
     /// Requests that exhausted their retry budget ([`crate::Status::Failed`]).
     pub failed: Counter,
-    /// Requests moved between worker queues by steals (one per
-    /// `steal` span).
-    pub steals: Counter,
     /// Retry attempts (attempts beyond a request's first).
     pub retries: Counter,
     /// Worker panics caught by the per-attempt isolation boundary.
@@ -99,7 +95,7 @@ pub struct Metrics {
     pub team_joins: Counter,
     /// Tenant circuit breakers currently open.
     pub breaker_open: Gauge,
-    /// Requests currently queued across all workers.
+    /// Requests currently queued.
     pub queue_depth: Gauge,
     /// Workers currently executing a request (occupancy).
     pub busy_workers: Gauge,
@@ -133,7 +129,7 @@ impl Metrics {
         Metrics {
             admitted: reg.counter(
                 "db_serve_admitted_total",
-                "Requests accepted into a worker queue",
+                "Requests accepted into the queue",
                 &[],
             ),
             rejected_capacity: rejected("capacity"),
@@ -147,11 +143,6 @@ impl Metrics {
             expired: finished("expired"),
             errors: finished("error"),
             failed: finished("failed"),
-            steals: reg.counter(
-                "db_serve_steals_total",
-                "Requests moved between worker queues by steals",
-                &[],
-            ),
             retries: reg.counter(
                 "db_serve_retries_total",
                 "Retry attempts beyond each request's first attempt",
@@ -192,11 +183,7 @@ impl Metrics {
                 "Tenant circuit breakers currently open",
                 &[],
             ),
-            queue_depth: reg.gauge(
-                "db_serve_queue_depth",
-                "Requests currently queued across all workers",
-                &[],
-            ),
+            queue_depth: reg.gauge("db_serve_queue_depth", "Requests currently queued", &[]),
             busy_workers: reg.gauge(
                 "db_serve_busy_workers",
                 "Workers currently executing a request",
@@ -242,7 +229,6 @@ impl Metrics {
                     _ => &self.errors,
                 }
             }
-            (SpanKind::Steal, _) => &self.steals,
             (SpanKind::Retry, _) => &self.retries,
             (SpanKind::Attempt, 1) => &self.worker_panics,
             (SpanKind::Fault, _) => &self.faults_injected,
@@ -263,7 +249,7 @@ pub(crate) fn span_us(span: &SpanRecord) -> u64 {
 /// returned by [`crate::ServeHandle::metrics`] and the TCP `metrics` op.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
-    /// Requests accepted into a worker queue.
+    /// Requests accepted into the queue.
     pub admitted: u64,
     /// Refusals: queue full.
     pub rejected_capacity: u64,
@@ -285,8 +271,11 @@ pub struct MetricsSnapshot {
     pub errors: u64,
     /// Requests finished `failed` (retry budget exhausted).
     pub failed: u64,
-    /// Requests moved between worker queues by steals (one per
-    /// `steal` span, not one per steal batch).
+    /// Always 0: the pool has one queue and moves no request between
+    /// workers. The benchmark ledger (`ledger/`, built against this
+    /// workspace) still prints it; the field goes when the ledger stops
+    /// naming it. Neither the `metrics` op nor [`Self::from_value`]
+    /// carries it.
     pub steals: u64,
     /// Retry attempts beyond each request's first.
     pub retries: u64,
@@ -312,7 +301,7 @@ pub struct MetricsSnapshot {
     pub resident_graphs: u64,
     /// Bytes of CSR currently resident.
     pub resident_bytes: u64,
-    /// Requests currently queued (all workers).
+    /// Requests currently queued.
     pub queue_depth: u64,
     /// Workers currently executing a request.
     pub busy_workers: u64,
@@ -373,7 +362,6 @@ impl MetricsSnapshot {
             ("expired".into(), Value::u64(self.expired)),
             ("errors".into(), Value::u64(self.errors)),
             ("failed".into(), Value::u64(self.failed)),
-            ("steals".into(), Value::u64(self.steals)),
             ("retries".into(), Value::u64(self.retries)),
             ("worker_panics".into(), Value::u64(self.worker_panics)),
             ("worker_respawns".into(), Value::u64(self.worker_respawns)),
@@ -426,7 +414,7 @@ impl MetricsSnapshot {
             expired: f("expired")?,
             errors: f("errors")?,
             failed: f("failed")?,
-            steals: f("steals")?,
+            steals: 0,
             retries: f("retries")?,
             worker_panics: f("worker_panics")?,
             worker_respawns: f("worker_respawns")?,
@@ -559,7 +547,6 @@ mod tests {
             completed: 8,
             expired: 1,
             errors: 1,
-            steals: 3,
             cache_hits: 9,
             cache_misses: 1,
             queue_depth: 2,

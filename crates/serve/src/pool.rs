@@ -1,27 +1,24 @@
-//! The serving core: bounded admission, per-worker EDF deques with
-//! request-level stealing, deadline tokens, and graceful drain.
+//! The serving core: bounded admission, one earliest-deadline-first
+//! queue, deadline tokens, and graceful drain.
 //!
-//! This is the paper's hierarchical stealing transplanted one level up.
-//! Inside an engine, *vertices* are the stolen unit (HotRing/ColdSeg);
-//! here, *requests* are. Each worker owns a deque ordered by
-//! earliest-deadline-first; the owner pops from the front (most urgent
-//! work first), and an idle worker steals the **back half** of a
-//! victim's deque — the least-urgent tail, the same
-//! steal-far-from-the-owner heuristic the ColdSeg uses so thief and
-//! victim don't contend on the same end. Victims are picked by
-//! two-choice sampling on queue depth, the paper's §3.4 policy, with a
-//! full scan as fallback so drain always terminates.
+//! The paper steals because each warp's HotRing sits in its SM's
+//! private shared memory: stealing is the price of private per-worker
+//! queues. The pool keeps no private queues. Every queued request sits
+//! in one EDF-sorted queue under the pool's one mutex, and every idle
+//! worker pops its front, so the most urgent request runs next on
+//! whichever worker is free, and none waits behind a stalled worker.
 //!
-//! Stealing also reaches one level down, into a running search. A
-//! dfs/reach on a graph the kernel batches ([`db_core::kernel::batches`])
-//! runs in id-order sweeps, and starts as a team search when some other
-//! live worker is not running a request. Its owner offers it through
-//! the pool's one offer slot once it has expanded enough vertices, and
-//! a worker whose queue and steal both come up empty joins it
-//! ([`db_core::kernel::team_search`]): the helper claims chunks of the
-//! owner's sweeps, leaves between two chunks once a request is queued,
-//! with nothing to hand back, and records one `team` span under the
-//! owner's attempt. Elsewhere the single-thread kernel runs unchanged.
+//! Stealing stays where there is private state to steal from: inside a
+//! running search. A dfs/reach on a graph the kernel batches
+//! ([`db_core::kernel::batches`]) runs in id-order sweeps, and starts
+//! as a team search when some other live worker is not running a
+//! request. Its owner offers it through the pool's one offer slot once
+//! it has expanded enough vertices, and a worker that finds the queue
+//! empty joins it ([`db_core::kernel::team_search`]): the helper claims
+//! chunks of the owner's sweeps, leaves between two chunks once a
+//! request is queued, with nothing to hand back, and records one `team`
+//! span under the owner's attempt. Elsewhere the single-thread kernel
+//! runs unchanged.
 //!
 //! Everything synchronizes through one mutex + condvar: queue moves are
 //! microseconds against multi-millisecond traversals, so lock
@@ -64,10 +61,9 @@ use std::time::{Duration, Instant};
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads (each owns one request deque).
+    /// Worker threads, all popping the one request queue.
     pub workers: usize,
-    /// Total queued-request bound across all workers; submissions
-    /// beyond it are rejected.
+    /// Bound on queued requests; submissions beyond it are rejected.
     pub queue_capacity: usize,
     /// Per-tenant bound on queued requests (`None` = unlimited).
     pub tenant_quota: Option<usize>,
@@ -115,8 +111,9 @@ struct Job {
     seq: u64,
     deadline: Option<Instant>,
     reply: mpsc::Sender<Response>,
-    /// Request-scoped trace context; moves with the job across steals,
-    /// which is what keeps cross-worker parentage intact.
+    /// Request-scoped trace context, carried from admission to the
+    /// worker that runs the job, so every span of the request shares
+    /// its trace and root.
     ctx: TraceCtx,
     /// Admission time on the span clock (ns since server start); the
     /// root span and the queue span both start here, so the root's
@@ -189,17 +186,18 @@ fn edf_cmp(a: &Job, b: &Job) -> CmpOrdering {
 
 #[derive(Debug)]
 struct PoolState {
-    queues: Vec<VecDeque<Job>>,
-    queued_total: usize,
+    /// Queued requests, sorted by [`edf_cmp`]; every idle worker pops
+    /// the front.
+    queue: VecDeque<Job>,
     per_tenant: HashMap<String, usize>,
     /// Queued write (`add_edges`/`del_edges`) requests per tenant, for
     /// the separate write quota.
     per_tenant_writes: HashMap<String, usize>,
     draining: bool,
-    /// Workers that exhausted the restart budget and retired. Their
-    /// queues take no new submissions; leftovers are stolen by
-    /// survivors (or failed outright when the last worker dies).
-    dead: Vec<bool>,
+    /// Workers that have not retired. A worker retires once the
+    /// restart budget is spent; when none is left, the queue is failed
+    /// and admission refuses with code 6.
+    live: usize,
     /// The one team search on offer to an idle worker.
     offer: Option<Offer>,
     /// Helpers that have joined a team search so far.
@@ -246,9 +244,9 @@ impl ServerInner {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// The admission ladder for `req`: the locked pool state and the
-    /// queue to place it on, or the `Admit` refusal code.
-    fn admit(&self, req: &Request) -> Result<(MutexGuard<'_, PoolState>, usize), u32> {
+    /// The admission ladder for `req`: the locked pool state, or the
+    /// `Admit` refusal code.
+    fn admit(&self, req: &Request) -> Result<MutexGuard<'_, PoolState>, u32> {
         // Breaker check first (its own lock): an open breaker sheds the
         // tenant's load before it can take pool capacity.
         if !self.breakers.admit(&req.tenant) {
@@ -261,7 +259,7 @@ impl ServerInner {
         if st.draining {
             return Err(2);
         }
-        if st.queued_total >= self.cfg.queue_capacity {
+        if st.queue.len() >= self.cfg.queue_capacity {
             return Err(3);
         }
         if over(&st.per_tenant, self.cfg.tenant_quota) {
@@ -270,20 +268,12 @@ impl ServerInner {
         if req.workload.is_write() && over(&st.per_tenant_writes, self.cfg.write_quota) {
             return Err(5);
         }
-        // The shallowest live queue (ties → lowest index): cheap load
-        // balancing so stealing is the corrective, not the norm.
-        // Retired workers' queues take no new work; with every worker
-        // retired (restart budget exhausted) the request fails.
-        let target = st
-            .queues
-            .iter()
-            .zip(&st.dead)
-            .enumerate()
-            .filter(|(_, (_, &dead))| !dead)
-            .min_by_key(|(_, (q, _))| q.len())
-            .map(|(i, _)| i)
-            .ok_or(6_u32)?;
-        Ok((st, target))
+        // With every worker retired (restart budget exhausted) the
+        // request fails.
+        if st.live == 0 {
+            return Err(6);
+        }
+        Ok(st)
     }
 
     /// Nanoseconds since the server started — the shared span clock.
@@ -356,7 +346,7 @@ impl ServerInner {
 
     fn snapshot(&self) -> MetricsSnapshot {
         let (resident_graphs, resident_bytes) = self.cache.resident();
-        let queue_depth = self.lock().queued_total as u64;
+        let queue_depth = self.lock().queue.len() as u64;
         let m = &self.metrics;
         MetricsSnapshot {
             admitted: m.admitted.get(),
@@ -370,7 +360,7 @@ impl ServerInner {
             rejected_writes: m.rejected_writes.get(),
             rejected_storage: m.rejected_storage.get(),
             failed: m.failed.get(),
-            steals: m.steals.get(),
+            steals: 0,
             retries: m.retries.get(),
             worker_panics: m.worker_panics.get(),
             worker_respawns: m.worker_respawns.get(),
@@ -420,8 +410,8 @@ impl ServeHandle {
             .map(|ms| Instant::now() + Duration::from_millis(ms));
         let ctx = TraceCtx::derive(req.id, &req.tenant);
         let admit_ns = inner.now_ns();
-        let (mut st, target) = match inner.admit(&req) {
-            Ok(placed) => placed,
+        let mut st = match inner.admit(&req) {
+            Ok(st) => st,
             Err(code) => {
                 let _ = tx.send(reject_response(inner, &ctx, &req, code, admit_ns));
                 return rx;
@@ -440,7 +430,7 @@ impl ServeHandle {
             ctx,
             admit_ns,
         };
-        let depth_after = (st.queued_total + 1) as u64;
+        let depth_after = (st.queue.len() + 1) as u64;
         inner.span(
             &job.ctx,
             SpanKind::Admit,
@@ -449,12 +439,11 @@ impl ServeHandle {
             ADMISSION_WORKER,
             admit_ns,
         );
-        let q = &mut st.queues[target];
-        let pos = q
+        let pos = st
+            .queue
             .binary_search_by(|j| edf_cmp(j, &job))
             .unwrap_or_else(|p| p);
-        q.insert(pos, job);
-        st.queued_total += 1;
+        st.queue.insert(pos, job);
         drop(st);
         inner.cv.notify_all();
         rx
@@ -493,7 +482,7 @@ impl ServeHandle {
     pub fn prometheus(&self) -> String {
         // The queue-depth and open-breaker gauges are set here only,
         // from the authoritative state.
-        let depth = self.inner.lock().queued_total as u64;
+        let depth = self.inner.lock().queue.len() as u64;
         self.inner.metrics.queue_depth.set(depth);
         self.inner
             .metrics
@@ -516,18 +505,13 @@ impl ServeHandle {
     pub fn flight_write(&self, dir: &std::path::Path) -> Result<std::path::PathBuf, String> {
         self.inner.flight.dump_to(dir, DumpReason::Explicit)
     }
-
-    /// Spans the flight recorder's rings evicted so far.
-    pub fn flight_dropped(&self) -> u64 {
-        self.inner.flight.dropped()
-    }
 }
 
 /// A running multi-tenant traversal server.
 ///
-/// Dropping a `Server` without calling [`Server::shutdown`] aborts the
-/// worker threads' queues by draining them with rejections (the Drop
-/// impl calls `shutdown` internally), so no client blocks forever.
+/// Dropping a `Server` without calling [`Server::shutdown`] drains it
+/// the same way: admission stops, the queued requests run, and the
+/// workers are joined, so no client blocks forever.
 #[derive(Debug)]
 pub struct Server {
     inner: Arc<ServerInner>,
@@ -568,12 +552,11 @@ impl Server {
         )?;
         let inner = Arc::new(ServerInner {
             state: Mutex::new(PoolState {
-                queues: (0..cfg.workers).map(|_| VecDeque::new()).collect(),
-                queued_total: 0,
+                queue: VecDeque::new(),
                 per_tenant: HashMap::new(),
                 per_tenant_writes: HashMap::new(),
                 draining: false,
-                dead: vec![false; cfg.workers],
+                live: cfg.workers,
                 offer: None,
                 joins: 0,
             }),
@@ -653,56 +636,6 @@ impl Drop for Server {
     }
 }
 
-/// Picks a steal victim among nonempty queues: two-choice sampling by
-/// depth, falling back to the deepest queue overall. Returns `None`
-/// when every other queue is empty.
-fn pick_victim(st: &PoolState, thief: usize, rng: &mut u64) -> Option<usize> {
-    let n = st.queues.len();
-    if n <= 1 {
-        return None;
-    }
-    let mut next = || {
-        // xorshift64* — deterministic per-worker sequence.
-        *rng ^= *rng << 13;
-        *rng ^= *rng >> 7;
-        *rng ^= *rng << 17;
-        (*rng).wrapping_mul(0x2545_f491_4f6c_dd1d) as usize
-    };
-    let cand = |k: usize| {
-        let mut v = k % (n - 1);
-        if v >= thief {
-            v += 1; // skip self
-        }
-        v
-    };
-    let a = cand(next());
-    let b = cand(next());
-    let best = if st.queues[a].len() >= st.queues[b].len() {
-        a
-    } else {
-        b
-    };
-    if !st.queues[best].is_empty() {
-        return Some(best);
-    }
-    // Fallback scan: guarantees progress during drain.
-    (0..n)
-        .filter(|&i| i != thief && !st.queues[i].is_empty())
-        .max_by_key(|&i| st.queues[i].len())
-}
-
-/// Steals the back (least-urgent) half of `victim`'s queue into
-/// `thief`'s. Both deques are EDF-sorted, and the thief only steals
-/// when empty, so the moved tail is sorted in place.
-fn steal_half(st: &mut PoolState, thief: usize, victim: usize) -> usize {
-    let vq = &mut st.queues[victim];
-    let take = vq.len().div_ceil(2);
-    let tail = vq.split_off(vq.len() - take);
-    debug_assert!(st.queues[thief].is_empty());
-    st.queues[thief] = tail;
-    take
-}
-
 /// Why a worker incarnation returned control to [`worker_entry`].
 enum WorkerExit {
     /// Graceful drain finished; the thread can end.
@@ -747,26 +680,22 @@ fn worker_entry(inner: Arc<ServerInner>, idx: usize) {
     }
 }
 
-/// Marks worker `idx` dead. If it was the last live worker, every
-/// queued job is failed immediately — an admitted request must never be
+/// Retires worker `idx`. If it was the last live worker, every queued
+/// job is failed immediately — an admitted request must never be
 /// silently lost, even when the pool can no longer execute anything.
+/// Survivors need no wake-up: the queue they pop is unchanged.
 fn retire_worker(inner: &ServerInner, idx: usize) {
-    let orphans = {
+    let orphans: Vec<Job> = {
         let mut st = inner.lock();
-        st.dead[idx] = true;
-        if st.dead.iter().all(|&d| d) {
-            let orphans: Vec<Job> = st.queues.iter_mut().flat_map(|q| q.drain(..)).collect();
-            st.queued_total = 0;
+        st.live -= 1;
+        if st.live > 0 {
+            Vec::new()
+        } else {
             st.per_tenant.clear();
             st.per_tenant_writes.clear();
-            orphans
-        } else {
-            Vec::new()
+            st.queue.drain(..).collect()
         }
     };
-    // Survivors must re-examine the queues (they can steal the retired
-    // worker's leftovers).
-    inner.cv.notify_all();
     for job in orphans {
         let resp = Response::failure(job.req.id, Status::Failed, NO_LIVE_WORKERS);
         let resp = inner.close(&job.ctx, &job.req, idx as u32, job.admit_ns, resp);
@@ -774,8 +703,17 @@ fn retire_worker(inner: &ServerInner, idx: usize) {
     }
 }
 
+/// Takes one queued request off `tenant`'s count in `counts`.
+fn release(counts: &mut HashMap<String, usize>, tenant: &str) {
+    if let Some(c) = counts.get_mut(tenant) {
+        *c = c.saturating_sub(1);
+        if *c == 0 {
+            counts.remove(tenant);
+        }
+    }
+}
+
 fn worker_loop(inner: &Arc<ServerInner>, idx: usize) -> WorkerExit {
-    let mut rng: u64 = 0x9e37_79b9_7f4a_7c15 ^ ((idx as u64 + 1) << 32 | 0xdead_beef);
     // One traversal scratch per incarnation: a poisoned worker drops it
     // with everything else the unwound attempt touched.
     let mut scratch = WorkerScratch::new(&inner.metrics.scratch_bytes);
@@ -783,39 +721,19 @@ fn worker_loop(inner: &Arc<ServerInner>, idx: usize) -> WorkerExit {
         let task = {
             let mut st = inner.lock();
             loop {
-                if let Some(job) = st.queues[idx].pop_front() {
-                    st.queued_total -= 1;
-                    if let Some(c) = st.per_tenant.get_mut(&job.req.tenant) {
-                        *c = c.saturating_sub(1);
-                        if *c == 0 {
-                            st.per_tenant.remove(&job.req.tenant);
-                        }
-                    }
+                if let Some(job) = st.queue.pop_front() {
+                    release(&mut st.per_tenant, &job.req.tenant);
                     if job.req.workload.is_write() {
-                        if let Some(c) = st.per_tenant_writes.get_mut(&job.req.tenant) {
-                            *c = c.saturating_sub(1);
-                            if *c == 0 {
-                                st.per_tenant_writes.remove(&job.req.tenant);
-                            }
-                        }
+                        release(&mut st.per_tenant_writes, &job.req.tenant);
                     }
                     break Some(Task::Run(job));
                 }
-                if let Some(victim) = pick_victim(&st, idx, &mut rng) {
-                    steal_half(&mut st, idx, victim);
-                    // The thief's queue holds exactly the stolen tail
-                    // (it only steals when empty); stamp each moved
-                    // request so its trace shows the migration.
-                    let t = inner.now_ns();
-                    for j in &st.queues[idx] {
-                        inner.span(&j.ctx, SpanKind::Steal, 0, victim as u64, idx as u32, t);
-                    }
-                    continue; // loop around to pop from our own queue
-                }
+                // The queue is empty: help the search on offer, exit
+                // on drain, or wait.
                 if let Some(offer) = st.offer.take() {
                     break Some(Task::Help(offer));
                 }
-                if st.draining && st.queued_total == 0 {
+                if st.draining {
                     break None;
                 }
                 st = inner
@@ -842,7 +760,7 @@ fn worker_loop(inner: &Arc<ServerInner>, idx: usize) -> WorkerExit {
 
 /// What an idle worker found to do.
 enum Task {
-    /// A request from its own queue (after a steal, perhaps).
+    /// The front of the queue.
     Run(Job),
     /// The team search on offer.
     Help(Offer),
@@ -860,7 +778,7 @@ fn help(inner: &ServerInner, worker: u32, offer: &Offer) {
         return;
     };
     inner.lock().joins += 1;
-    let queued = || inner.lock().queued_total > 0;
+    let queued = || !inner.lock().queue.is_empty();
     let done = helper.run(&queued);
     inner.record(SpanRecord {
         trace_id: offer.trace_id,
@@ -880,7 +798,7 @@ fn help(inner: &ServerInner, worker: u32, offer: &Offer) {
 }
 
 /// The pool as a team search's owner sees it: one offer slot, and the
-/// shared queue count.
+/// request queue.
 struct PoolCrew<'a> {
     inner: &'a ServerInner,
     ctx: &'a TraceCtx,
@@ -890,12 +808,12 @@ struct PoolCrew<'a> {
 
 impl Crew for PoolCrew<'_> {
     fn queued(&self) -> bool {
-        self.inner.lock().queued_total > 0
+        !self.inner.lock().queue.is_empty()
     }
 
     fn offer(&self, team: &Arc<Team>) -> bool {
         let mut st = self.inner.lock();
-        if st.queued_total > 0 || st.offer.is_some() {
+        if !st.queue.is_empty() || st.offer.is_some() {
             return false;
         }
         st.offer = Some(Offer {
@@ -924,7 +842,7 @@ impl Crew for PoolCrew<'_> {
 /// Whether a search starting now would find a helper: some live worker
 /// is not running a request (the caller's own request counts as one).
 fn has_idle_worker(inner: &ServerInner) -> bool {
-    let live = inner.lock().dead.iter().filter(|&&dead| !dead).count() as u64;
+    let live = inner.lock().live as u64;
     inner.metrics.busy_workers.get() < live
 }
 
@@ -1053,8 +971,7 @@ fn panic_text(p: &(dyn std::any::Any + Send)) -> &str {
 fn run_job(inner: &ServerInner, worker: u32, job: Job, scratch: &mut WorkerScratch) -> bool {
     let busy = GaugeGuard::acquire(&inner.metrics.busy_workers);
     let reply = ReplyGuard::new(job.reply.clone(), job.req.id, busy);
-    // The queue span covers admission to this dequeue — across any
-    // steals, because the trace context moved with the job.
+    // The queue span covers admission to this dequeue.
     inner.span(&job.ctx, SpanKind::Queue, 0, 0, worker, job.admit_ns);
     let token = match job.deadline {
         Some(d) => CancelToken::with_deadline(d),
@@ -1609,7 +1526,7 @@ mod tests {
     }
 
     #[test]
-    fn edf_orders_jobs_and_stealing_keeps_workers_busy() {
+    fn requests_of_mixed_deadline_classes_all_complete() {
         let server = Server::start(ServeConfig {
             workers: 4,
             ..ServeConfig::default()

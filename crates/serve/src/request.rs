@@ -73,11 +73,6 @@ impl Workload {
     pub fn is_write(&self) -> bool {
         matches!(self, Workload::AddEdges { .. } | Workload::DelEdges { .. })
     }
-
-    /// True for ops only valid against a `delta:` corpus.
-    pub fn is_delta_op(&self) -> bool {
-        self.is_write() || matches!(self, Workload::Epoch)
-    }
 }
 
 /// The engine a request names for a `dfs`/`reach` workload.
@@ -503,9 +498,7 @@ mod tests {
             assert_eq!(Request::parse(&line).unwrap(), r, "line: {line}");
         }
         assert!(Workload::AddEdges { edges: vec![] }.is_write());
-        assert!(Workload::Epoch.is_delta_op());
         assert!(!Workload::Epoch.is_write());
-        assert!(!Workload::Dfs { root: 0 }.is_delta_op());
     }
 
     #[test]

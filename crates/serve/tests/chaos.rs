@@ -307,6 +307,45 @@ fn restart_budget_exhaustion_retires_workers_without_losing_requests() {
     assert_eq!(m.failed, 3);
 }
 
+/// Two workers and no respawns: request 1 kills its worker, which
+/// retires. The survivor answers every later request, a dfs on the
+/// batched `social_s` among them: with one live worker that search
+/// runs alone instead of offering its team to the retired one.
+#[test]
+fn the_survivor_of_a_retirement_serves_every_later_request() {
+    let server = Server::start(ServeConfig {
+        workers: 2,
+        resilience: Resilience {
+            retry_max: 0,
+            restart_budget: 0,
+            breaker_threshold: 0,
+            faults: Some(injector("kill:worker=*@req=1")),
+            ..Resilience::default()
+        },
+        ..ServeConfig::default()
+    });
+    let h = server.handle();
+    assert_eq!(
+        h.run(req(1, "grid:8:8", 0, EngineKind::Native)).status,
+        Status::Failed
+    );
+    let rxs: Vec<_> = (2..40u64)
+        .map(|id| {
+            let graph = if id == 20 { "social_s" } else { "grid:8:8" };
+            (id, h.submit(req(id, graph, 0, EngineKind::Native)))
+        })
+        .collect();
+    for (id, rx) in rxs {
+        let r = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the survivor answers");
+        assert_eq!(r.status, Status::Ok, "req {id}: {:?}", r.error);
+    }
+    let m = server.shutdown();
+    assert_eq!((m.worker_panics, m.worker_respawns), (1, 0));
+    assert_eq!((m.completed, m.failed), (38, 1));
+}
+
 #[test]
 fn degradation_ladder_falls_back_to_serial() {
     // `always`-corrupt poisons every attempt but a retried request's

@@ -64,9 +64,6 @@ fn series() -> Vec<(&'static str, PerSpan)> {
         ("db_serve_request_latency_us_sum", |s| {
             answer(s).map_or(0, |_| (s.t1_ns - s.t0_ns) / 1_000)
         }),
-        ("db_serve_steals_total", |s| {
-            u64::from(s.kind == SpanKind::Steal)
-        }),
         ("db_serve_retries_total", |s| {
             u64::from(s.kind == SpanKind::Retry)
         }),

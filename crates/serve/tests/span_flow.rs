@@ -1,6 +1,7 @@
 //! End-to-end span-flow tests for the flight recorder: a request that
-//! is stolen, retried, or degraded must still reconstruct as exactly
-//! one root span with every decision hanging off it, an explicit dump
+//! waits behind a stalled worker, is retried, or is degraded must still
+//! reconstruct as exactly one root span with every decision hanging off
+//! it, an explicit dump
 //! must round-trip through the on-disk `.dbfr` format, and the
 //! `db_serve_*` series a scrape reports must equal their counts over
 //! the flight dump.
@@ -16,7 +17,7 @@ use db_span::{
     validate_dump, FlightConfig, FlightDump, SpanKind, TraceCtx, TraceTree, ADMISSION_WORKER,
 };
 use db_wal::FsyncPolicy;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -144,12 +145,11 @@ fn killed_request_retries_and_degrades_under_one_root() {
     assert!(!clean.spans.iter().any(|s| s.kind == SpanKind::Retry));
 }
 
-/// While one worker is stalled on request 0, the other drains the
-/// stalled worker's queue through steal_half — and every stolen
-/// request's spans land in its own trace with one root, recorded on
-/// the thief.
+/// While one worker is stalled on request 0, the other answers
+/// requests 1–19: the stalled worker holds none of the queued requests,
+/// and each request's spans land in its own trace with one root.
 #[test]
-fn stolen_requests_keep_their_parentage_across_workers() {
+fn a_stalled_worker_holds_no_queued_request() {
     // 200 ms stall: long enough that the free worker provably drains
     // everything else, short enough to keep the suite fast.
     let server = Server::start(chaos_config("stall=200000:worker=*@req=0", 2, 0));
@@ -164,29 +164,20 @@ fn stolen_requests_keep_their_parentage_across_workers() {
     let dump = h.flight_dump();
     server.shutdown();
     let trees = validate_dump(&dump).expect("dump validates");
-    let steals: Vec<(u64, TraceTree)> = trees
-        .iter()
-        .filter_map(|t| {
-            t.spans
-                .iter()
-                .find(|s| s.kind == SpanKind::Steal)
-                .map(|s| (s.value, t.clone()))
-        })
-        .collect();
-    assert!(!steals.is_empty(), "the stall forced at least one steal");
-    for (victim, t) in steals {
+    let stalled = trace_of(&trees, 0);
+    let stalled_worker = stalled.spans[stalled.root.expect("request 0 finished")].worker;
+    for id in 1..20 {
+        let t = trace_of(&trees, id);
         assert_eq!(
             t.spans.iter().filter(|s| s.parent == 0).count(),
             1,
-            "stolen trace {:#x} has exactly one root",
-            t.trace_id
+            "req {id}: exactly one root"
         );
         let root = &t.spans[t.root.expect("drained requests are complete")];
-        let steal = t.spans.iter().find(|s| s.kind == SpanKind::Steal).unwrap();
-        // The steal is recorded by the thief — the worker that then
-        // finishes the request — and names a different worker as victim.
-        assert_eq!(steal.worker, root.worker, "thief finishes what it stole");
-        assert_ne!(u64::from(steal.worker), victim, "victim is another worker");
+        assert_ne!(
+            root.worker, stalled_worker,
+            "req {id} waited for the stalled worker"
+        );
     }
 }
 
@@ -346,12 +337,11 @@ fn delta_writes_record_wal_and_compaction_spans() {
     assert!(folds > 0, "{writes} writes cross the compaction threshold");
 }
 
-/// One server serves a killed-then-retried request, a stall that forces
-/// a steal of several requests at once, an admission refusal, a dfs
-/// whose deadline has already passed and an unknown graph key. Every
+/// One server serves a killed-then-retried request, requests queued
+/// behind two stalled workers, an admission refusal, a dfs whose
+/// deadline has already passed and an unknown graph key. Every
 /// span-derived series in its scrape then equals its count over the
-/// flight dump, steals included: the counter counts requests moved, one
-/// per `steal` span, not steal batches.
+/// flight dump.
 #[test]
 fn scrape_counts_equal_the_flight_dump() {
     // Requests 0 and 1 stall their workers for 100 ms and 600 ms, and
@@ -370,9 +360,8 @@ fn scrape_counts_equal_the_flight_dump() {
         assert!(t0.elapsed() < Duration::from_secs(10), "both workers stall");
         std::thread::sleep(Duration::from_millis(1));
     }
-    // With both workers stalled, requests 2..10 alternate between their
-    // queues. The first worker to wake drains its own queue, then steals
-    // the back half of the other's: two requests in one steal.
+    // With both workers stalled, requests 2..10 queue; the first worker
+    // to wake runs them.
     let queued: Vec<_> = (2..10)
         .map(|id| h.submit(req(id, EngineKind::Serial)))
         .collect();
@@ -444,12 +433,6 @@ fn scrape_counts_equal_the_flight_dump() {
     );
     assert_eq!(n["db_serve_worker_panics_total"], 1);
     assert_eq!(n["db_serve_retries_total"], 1);
-    // The spans of one steal share its thief and timestamp.
-    let mut moved: HashMap<(u32, u64), u64> = HashMap::new();
-    for s in dump.spans.iter().filter(|s| s.kind == SpanKind::Steal) {
-        *moved.entry((s.worker, s.t0_ns)).or_default() += 1;
-    }
-    assert!(moved.values().any(|&m| m >= 2), "steals: {moved:?}");
 }
 
 /// A killed request's panic dump is on disk by the time its caller has

@@ -6,12 +6,12 @@
 //!
 //! * [`TraceCtx`] — a seed-deterministic 64-bit trace id plus a span-id
 //!   allocator that travels *with* the request through admission, the
-//!   EDF queues, cross-worker steals, the retry/degradation ladder and
-//!   the store/delta resolution paths. Two runs of the same workload
+//!   EDF queue, the retry/degradation ladder and the store/delta
+//!   resolution paths. Two runs of the same workload
 //!   derive the same trace ids, so span streams diff cleanly.
 //! * [`SpanRecord`] / [`SpanKind`] — one fixed-width typed span per
 //!   decision point, carrying `(trace, span, parent)` causality plus a
-//!   kind-specific code and value (engine, victim worker, epoch, …).
+//!   kind-specific code and value (engine, queue depth, epoch, …).
 //! * [`FlightRecorder`] — fixed-budget per-worker rings of recent
 //!   spans, always on. On a panic, an injected fault, a deadline miss
 //!   or an explicit trigger the rings are snapshotted into a versioned

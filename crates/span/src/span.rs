@@ -20,12 +20,9 @@ pub enum SpanKind {
     /// Admission decision. `code` 0 = admitted; 1..=6 = reject reason
     /// (see [`SpanKind::admit_name`]); `value` = queue depth after.
     Admit,
-    /// Time spent queued (EDF deque, possibly across a steal):
-    /// admission to dequeue on the executing worker.
+    /// Time spent in the pool's EDF queue: admission to dequeue on the
+    /// executing worker.
     Queue,
-    /// This request moved queues in a steal-half; `worker` is the
-    /// thief, `value` the victim worker.
-    Steal,
     /// One execution attempt. `code` 0 = ok, 1 = panicked,
     /// 2 = corrupted; `value` = engine index (wire-name order:
     /// native, lockfree, sim, serial, partitioned).
@@ -75,11 +72,10 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// All kinds, in wire-code order (codes start at 1).
-    pub const ALL: [SpanKind; 17] = [
+    pub const ALL: [SpanKind; 16] = [
         SpanKind::Request,
         SpanKind::Admit,
         SpanKind::Queue,
-        SpanKind::Steal,
         SpanKind::Attempt,
         SpanKind::Retry,
         SpanKind::Degrade,
@@ -95,13 +91,15 @@ impl SpanKind {
         SpanKind::Team,
     ];
 
-    /// Stable wire code (1-based; 0 is reserved as invalid).
+    /// Stable wire code (1-based; 0 is reserved as invalid). Code 4
+    /// belonged to a kind that is gone (a request moved between
+    /// per-worker queues) and stays unassigned, so no other kind's
+    /// `.dbfr` code moves.
     pub fn code(self) -> u16 {
         match self {
             SpanKind::Request => 1,
             SpanKind::Admit => 2,
             SpanKind::Queue => 3,
-            SpanKind::Steal => 4,
             SpanKind::Attempt => 5,
             SpanKind::Retry => 6,
             SpanKind::Degrade => 7,
@@ -118,9 +116,10 @@ impl SpanKind {
         }
     }
 
-    /// Inverse of [`SpanKind::code`].
+    /// Inverse of [`SpanKind::code`]; `None` for 0, 4 and codes past
+    /// the last kind.
     pub fn from_code(c: u16) -> Option<SpanKind> {
-        SpanKind::ALL.get(c.wrapping_sub(1) as usize).copied()
+        SpanKind::ALL.into_iter().find(|k| k.code() == c)
     }
 
     /// Stable lowercase name, used by the tree renderer.
@@ -129,7 +128,6 @@ impl SpanKind {
             SpanKind::Request => "request",
             SpanKind::Admit => "admit",
             SpanKind::Queue => "queue",
-            SpanKind::Steal => "steal",
             SpanKind::Attempt => "attempt",
             SpanKind::Retry => "retry",
             SpanKind::Degrade => "degrade",
@@ -200,7 +198,7 @@ pub struct SpanRecord {
     pub kind: SpanKind,
     /// Kind-specific code (status, reject reason, outcome, …).
     pub code: u32,
-    /// Kind-specific value (request id, victim, engine, epoch, …).
+    /// Kind-specific value (request id, queue depth, engine, epoch, …).
     pub value: u64,
     /// Worker that recorded the span ([`ADMISSION_WORKER`] = admission).
     pub worker: u32,
@@ -214,8 +212,9 @@ pub struct SpanRecord {
 }
 
 /// Per-request trace context: the deterministic trace id plus a span-id
-/// allocator. Lives inside the pool's job and crosses worker boundaries
-/// with it, which is what preserves parentage across steals.
+/// allocator. Lives inside the pool's job from admission to the worker
+/// that runs it, which is what keeps every span of a request under its
+/// one root.
 #[derive(Debug)]
 pub struct TraceCtx {
     trace_id: u64,
@@ -279,8 +278,13 @@ mod tests {
         for k in SpanKind::ALL {
             assert_eq!(SpanKind::from_code(k.code()), Some(k), "{}", k.name());
         }
-        assert_eq!(SpanKind::from_code(0), None);
-        assert_eq!(SpanKind::from_code(99), None);
+        // `ALL` is in code order, and no kind's code moved when code 4
+        // was retired.
+        let codes: Vec<u16> = SpanKind::ALL.iter().map(|k| k.code()).collect();
+        assert_eq!(codes, (1..=17).filter(|&c| c != 4).collect::<Vec<_>>());
+        for c in [0, 4, 18, 99] {
+            assert_eq!(SpanKind::from_code(c), None, "code {c}");
+        }
     }
 
     #[test]

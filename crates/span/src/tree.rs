@@ -142,7 +142,6 @@ fn describe(dump: &FlightDump, s: &SpanRecord) -> String {
         }
         SpanKind::Admit => format!("{} depth={}", SpanKind::admit_name(s.code), s.value),
         SpanKind::Queue => String::new(),
-        SpanKind::Steal => format!("victim=w{}", s.value),
         SpanKind::Attempt => format!(
             "engine={} outcome={}",
             engine_name(s.value),

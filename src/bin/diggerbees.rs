@@ -1060,7 +1060,7 @@ fn serve_main() -> ExitCode {
     let m = server.shutdown();
     println!(
         "served {} ok / {} expired / {} rejected / {} errors / {} failed; \
-         p50 {} us, p99 {} us; cache hit rate {:.3}, {} steals",
+         p50 {} us, p99 {} us; cache hit rate {:.3}",
         m.completed,
         m.expired,
         m.rejected(),
@@ -1068,8 +1068,7 @@ fn serve_main() -> ExitCode {
         m.failed,
         m.p50_us,
         m.p99_us,
-        m.cache_hit_rate(),
-        m.steals
+        m.cache_hit_rate()
     );
     if m.retries + m.worker_panics + m.breaker_trips + m.faults_injected > 0 {
         println!(

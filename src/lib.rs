@@ -29,7 +29,7 @@
 //!   packs with zero-copy mmap loading ([`db_store`]).
 //! * [`serve`] — a multi-tenant traversal service: corpus cache
 //!   (including `store:`-keyed packs), admission control,
-//!   deadline-aware request-stealing worker pool, NDJSON TCP front-end
+//!   a worker pool over one deadline-ordered queue, NDJSON TCP front-end
 //!   ([`db_serve`]).
 //! * [`check`] — concurrency-correctness subsystem: bounded model
 //!   checker for the ring/steal protocols and vector-clock race

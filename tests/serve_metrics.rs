@@ -3,7 +3,8 @@
 //! span-derived `db_serve_*` series a scrape reports are folded from
 //! those spans. Each test drives one kind of decision: an admission
 //! refusal for each reason, a failure with no live worker, a killed and
-//! retried request, a steal, an expired and an unknown-graph answer.
+//! retried request, requests queued behind two stalled workers, an
+//! expired and an unknown-graph answer.
 //! It then checks the scrape against the flight dump and the count the
 //! decision should leave. The queue-depth and open-breaker gauges are
 //! read at scrape time, and every response's latency is its root span's
@@ -17,7 +18,7 @@ use db_serve::{
     EngineKind, Request, Resilience, Response, ServeConfig, ServeHandle, Server, Status, Workload,
 };
 use db_span::{validate_dump, SpanKind, ADMISSION_WORKER};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -263,13 +264,12 @@ fn killed_request_counts_one_fault_one_panic_and_one_retry() {
     assert_eq!(n["db_serve_retries_total"], 1);
 }
 
-/// Both workers stall while eight requests alternate between their
-/// queues. The first to wake drains its own queue, then steals the
-/// back half of the other's: two requests in one steal. The counter
-/// counts requests moved, one per `steal` span, so it exceeds the
-/// number of steals.
+/// Both workers stall, for 50 and 400 ms, while eight requests queue,
+/// each with a deadline 10 ms earlier than the one before. The worker
+/// that wakes first runs all eight, most urgent first, so their `queue`
+/// spans end in deadline order: the reverse of their submission.
 #[test]
-fn steals_count_requests_moved_not_steals() {
+fn queued_requests_run_in_deadline_order() {
     let server = Server::start(ServeConfig {
         workers: 2,
         resilience: chaos("stall=50000:worker=*@req=0;stall=400000:worker=*@req=1", 0),
@@ -278,22 +278,33 @@ fn steals_count_requests_moved_not_steals() {
     let h = server.handle();
     let stalled: Vec<_> = (0..2).map(|id| h.submit(req(id))).collect();
     wait_busy(&h, 2);
-    let queued: Vec<_> = (2..10).map(|id| h.submit(req(id))).collect();
+    let queued: Vec<_> = (2..10)
+        .map(|id| {
+            h.submit(Request {
+                deadline_ms: Some(60_000 - 10 * id),
+                ..req(id)
+            })
+        })
+        .collect();
+    let mut ids = HashMap::new();
     for rx in stalled.into_iter().chain(queued) {
-        assert_status(&rx.recv().unwrap(), Status::Ok);
+        let r = rx.recv().unwrap();
+        assert_status(&r, Status::Ok);
+        ids.insert(r.trace_id, r.id);
     }
     let dump = h.flight_dump();
-    let n = common::assert_scrape_matches_dump(&h.prometheus(), &dump);
+    common::assert_scrape_matches_dump(&h.prometheus(), &dump);
     server.shutdown();
-    // The spans of one steal share its thief and start time.
-    let batches: HashSet<(u32, u64)> = dump
+    let mut dequeued: Vec<(u64, u64)> = dump
         .spans
         .iter()
-        .filter(|s| s.kind == SpanKind::Steal)
-        .map(|s| (s.worker, s.t0_ns))
+        .filter(|s| s.kind == SpanKind::Queue)
+        .map(|s| (s.t1_ns, ids[&s.trace_id]))
+        .filter(|&(_, id)| id >= 2)
         .collect();
-    let moved = n["db_serve_steals_total"];
-    assert!(moved > batches.len() as u64, "{moved} moved in {batches:?}");
+    dequeued.sort_unstable();
+    let order: Vec<u64> = dequeued.into_iter().map(|(_, id)| id).collect();
+    assert_eq!(order, (2..10).rev().collect::<Vec<u64>>(), "dequeue order");
 }
 
 #[test]
