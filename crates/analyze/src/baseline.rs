@@ -3,7 +3,9 @@
 //! line-independent fingerprints; a finding whose fingerprint appears
 //! there is accepted, one that does not fails the gate, and baseline
 //! entries no longer produced are reported as stale (a warning, so
-//! burn-down shrinks the file without breaking the build).
+//! burn-down shrinks the file without breaking the build). The file
+//! holds fingerprints only: each names its file and function, and a
+//! line number would go stale whenever code above the finding moved.
 
 use db_trace::json::Value;
 
@@ -22,23 +24,15 @@ pub struct Diff<'a> {
     pub matched: usize,
 }
 
-/// Serializes findings into baseline JSON (sorted fingerprints, plus
-/// a human-readable locator per entry for review diffs).
+/// Serializes findings into baseline JSON: their fingerprints, sorted
+/// and deduplicated.
 pub fn to_json(findings: &[Finding]) -> String {
-    let mut entries: Vec<(String, String)> = findings
-        .iter()
-        .map(|f| (f.fingerprint(), format!("{}:{}", f.file, f.line)))
-        .collect();
-    entries.sort();
-    entries.dedup_by(|a, b| a.0 == b.0);
-    let arr = entries
+    let mut fps: Vec<String> = findings.iter().map(Finding::fingerprint).collect();
+    fps.sort();
+    fps.dedup();
+    let arr = fps
         .into_iter()
-        .map(|(fp, loc)| {
-            Value::Obj(vec![
-                ("fingerprint".into(), Value::str(fp)),
-                ("location".into(), Value::str(loc)),
-            ])
-        })
+        .map(|fp| Value::Obj(vec![("fingerprint".into(), Value::str(fp))]))
         .collect();
     let doc = Value::Obj(vec![
         ("version".into(), Value::u64(BASELINE_VERSION)),
@@ -108,17 +102,21 @@ mod tests {
     use crate::report::Frame;
 
     fn finding(kind: &str) -> Finding {
+        finding_at(kind, "f", 7)
+    }
+
+    fn finding_at(kind: &str, function: &str, line: u32) -> Finding {
         Finding {
             analysis: "A1",
             kind: kind.into(),
             file: "crates/x/src/a.rs".into(),
-            function: "f".into(),
-            line: 7,
+            function: function.into(),
+            line,
             message: "m".into(),
             frames: vec![Frame {
                 file: "crates/x/src/a.rs".into(),
-                function: "f".into(),
-                line: 7,
+                function: function.into(),
+                line,
             }],
             detail: "d".into(),
         }
@@ -140,6 +138,33 @@ mod tests {
 
         let d = diff(&[], &base);
         assert_eq!(d.stale.len(), 1);
+    }
+
+    /// `to_json` writes each fingerprint once, sorted, and nothing that
+    /// names a line: `parse` reads back exactly that list, and the text
+    /// does not change when a finding moves.
+    #[test]
+    fn to_json_writes_sorted_fingerprints_that_parse_back() {
+        let known = vec![
+            finding_at("panic-unwrap", "g", 40),
+            finding_at("panic-expect", "f", 7),
+            finding_at("panic-unwrap", "g", 41),
+        ];
+        let text = to_json(&known);
+        let mut want: Vec<String> = known.iter().map(Finding::fingerprint).collect();
+        want.sort();
+        want.dedup();
+        assert_eq!(want.len(), 2);
+        assert_eq!(parse(&text).expect("parse"), want);
+        assert!(
+            !text.contains("location") && !text.contains(":40"),
+            "{text}"
+        );
+        let moved = vec![
+            finding_at("panic-unwrap", "g", 90),
+            finding_at("panic-expect", "f", 8),
+        ];
+        assert_eq!(to_json(&moved), text);
     }
 
     #[test]

@@ -696,7 +696,6 @@ fn report_value(a: &Args, reports: &[RunReport], deterministic: bool) -> Value {
                 ("n".into(), Value::u64(s.header().n as u64)),
                 ("arcs".into(), Value::u64(s.header().arcs)),
                 ("file_bytes".into(), Value::u64(s.file_bytes())),
-                ("compressed".into(), Value::Bool(s.header().compressed())),
                 ("mmap".into(), Value::Bool(s.is_mmap())),
             ])
         })

@@ -566,11 +566,9 @@ fn materialize(n: u32, directed: bool, base: &CsrGraph, layers: &[Arc<DeltaLayer
                 }
             }
         }
-        for v in 0..n {
-            if layer.is_tombstoned(v) {
-                tomb[(v / 64) as usize] |= 1 << (v % 64);
-                any_tomb = true;
-            }
+        for (t, &w) in tomb.iter_mut().zip(layer.tombstone_words()) {
+            *t |= w;
+            any_tomb |= w != 0;
         }
     }
     let is_tomb = |v: u32| tomb[(v / 64) as usize] >> (v % 64) & 1 == 1;
@@ -675,6 +673,23 @@ mod tests {
         assert_eq!(pin.graph().degree(2), 0);
         assert_eq!(pin.graph().neighbors(1), &[] as &[u32]);
         assert_eq!(dg.add_edges(&[(2, 3)]), Err(DeltaError::Tombstoned(2)));
+    }
+
+    #[test]
+    fn a_later_tombstone_drops_every_arc_into_and_out_of_its_vertex() {
+        let dg = Arc::new(DeltaGraph::from_csr(path4()));
+        // Epoch 1 adds arcs into and out of 2; epoch 2 deletes vertex 2.
+        dg.add_edges(&[(3, 2), (2, 0), (0, 2)]).unwrap();
+        assert_eq!(dg.pin().graph().neighbors(2), &[0, 3]);
+        dg.del_vertices(&[2]).unwrap();
+        let pin = dg.pin();
+        let g = pin.graph();
+        assert_eq!(g.degree(2), 0, "out of 2");
+        for u in 0..4 {
+            assert!(!g.neighbors(u).contains(&2), "{u} -> 2");
+        }
+        assert_eq!(g.neighbors(0), &[1]);
+        assert_eq!(g.num_arcs(), 1, "only 0 -> 1 survives");
     }
 
     #[test]

@@ -54,6 +54,12 @@ impl DeltaLayer {
             .is_some_and(|bits| bits >> (v % 64) & 1 == 1)
     }
 
+    /// The tombstone bitmap's words (vertex `v` is bit `v % 64` of word
+    /// `v / 64`): empty when this epoch deleted no vertex.
+    pub fn tombstone_words(&self) -> &[u64] {
+        &self.tombstones
+    }
+
     /// Approximate heap footprint of this layer, for `delta_bytes`
     /// accounting.
     pub fn bytes(&self) -> usize {

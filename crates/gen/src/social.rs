@@ -16,8 +16,8 @@
 //! Structure, after the SNAP social graphs the paper evaluates:
 //!
 //! * **Pareto out-degrees** (`alpha = 2`, `x_m = avg/2`): heavy-tailed
-//!   degree skew, mean `avg_degree`, occasional hubs thousands wide —
-//!   exactly the shape the pack layout's hub segregation targets.
+//!   degree skew, mean `avg_degree`, occasional hubs thousands wide,
+//!   so a pack holds rows of every width in its one varint encoding.
 //! * **Popularity-biased targets**: an arc points at
 //!   `floor(n · r^beta)` with `beta = 2`, so low-numbered vertices are
 //!   quadratically more popular — the social "celebrity" core.

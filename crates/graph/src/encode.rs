@@ -7,8 +7,8 @@
 //! Duplicate neighbors (legal in raw CSR) encode as zero gaps.
 //!
 //! This module is the pure in-memory codec; the on-disk framing
-//! (sections, checksums, hub segregation) lives in the `db-store`
-//! crate. Both directions work in buffers the caller sized:
+//! (sections, checksums) lives in the `db-store` crate. Both
+//! directions work in buffers the caller sized:
 //! [`encoded_row_len`] sizes a row exactly, [`encode_row_into`] writes
 //! it, and [`decode_row_into`] reads it back. The decoder is total: it
 //! never panics on attacker-controlled bytes — truncation, overlong

@@ -34,9 +34,8 @@
 //! bytes, and its heap columns full price, instead of the full file, so
 //! a 50M-arc pack does not evict the whole rest of the corpus on open.
 //! The quarter is a deterministic charge, not a measurement: the load's
-//! checksum pass touches the whole mapping, after which a compressed
-//! pack releases its column pages and keeps only `row_ptr` resident,
-//! while a raw pack keeps every section resident.
+//! checksum pass touches the whole mapping, after which the pack
+//! releases its column pages and keeps only `row_ptr` resident.
 
 use db_graph::{builder::from_edge_list, CsrGraph, GraphBuilder};
 use db_metrics::{Counter, Gauge, Registry};

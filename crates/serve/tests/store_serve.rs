@@ -250,25 +250,18 @@ fn charged_bytes_accounting_on_store_keys() {
 /// have to evict the pack.
 #[test]
 fn eviction_order_follows_charged_not_resident_bytes() {
-    // Uncompressed pack: loads fully zero-copy, so (almost) the whole
-    // footprint is mapped and the charge is ~¼ of resident bytes.
-    let g = db_gen::SocialGraph::new(6_000, 0xd1995, db_gen::SocialParams::default()).build();
+    // A sparse graph: its mapped `row_ptr` outweighs its heap columns
+    // several times over, so the charge is well under resident bytes.
+    let edges: Vec<(u32, u32)> = (0..40_000).step_by(16).map(|u| (u, u + 1)).collect();
+    let g = db_graph::builder::from_edge_list(40_001, &edges, true);
     let path = scratch("charged-order");
-    pack_graph(
-        &g,
-        &path,
-        PackOptions {
-            compress: false,
-            ..PackOptions::default()
-        },
-    )
-    .unwrap();
+    pack_graph(&g, &path, PackOptions::default()).unwrap();
     let key = format!("store:{}", path.display());
 
     let store = db_serve::corpus::build_graph(&key).unwrap();
     let resident = store.memory_bytes();
     let charged = store.charged_bytes();
-    assert!(store.mapped_bytes() > 0, "raw pack must mmap zero-copy");
+    assert!(store.mapped_bytes() > 0, "row_ptr must mmap zero-copy");
     assert!(
         charged <= resident / 2,
         "mapped charge ({charged}) must sit well under resident bytes ({resident})"

@@ -16,16 +16,12 @@
 //! | off | size | field |
 //! |-----|------|-------|
 //! | 0   | 8    | magic `DBSTORE\x01` |
-//! | 8   | 2    | version (currently 1) |
-//! | 10  | 2    | flags (bit 0 directed, bit 1 compressed) |
+//! | 8   | 2    | version (currently 2) |
+//! | 10  | 2    | flags (bit 0 directed) |
 //! | 12  | 4    | section_count |
 //! | 16  | 4    | n (vertex count) |
 //! | 20  | 8    | arcs |
-//! | 28  | 4    | hub_threshold (degree at/above which rows are raw) |
-//! | 32  | 4    | partition_count (0 = unpartitioned) |
-//! | 36  | 4    | reserved (0) |
-//! | 40  | 8    | reserved (0) |
-//! | 48  | 8    | reserved (0) |
+//! | 28  | 28   | reserved (0) |
 //! | 56  | 8    | checksum of header bytes 0..56 |
 //!
 //! Section-table entry:
@@ -45,8 +41,9 @@
 /// The 8-byte magic at offset 0: `DBSTORE` plus a format-generation byte.
 pub const MAGIC: [u8; 8] = *b"DBSTORE\x01";
 
-/// Current format version.
-pub const VERSION: u16 = 1;
+/// Current format version. A pack of any other version fails the load
+/// with [`crate::StoreError::UnsupportedVersion`].
+pub const VERSION: u16 = 2;
 
 /// Header size in bytes.
 pub const HEADER_LEN: usize = 64;
@@ -57,22 +54,21 @@ pub const SECTION_ENTRY_LEN: usize = 32;
 /// Header flag bit 0: the graph is directed.
 pub const FLAG_DIRECTED: u16 = 1 << 0;
 
-/// Header flag bit 1: columns are delta+varint compressed (sections
-/// [`SEC_COL_PACKED`] + [`SEC_HUB_COLS`] instead of [`SEC_COL_RAW`]).
-pub const FLAG_COMPRESSED: u16 = 1 << 1;
-
-/// Section id: the `n + 1` row-pointer `u64`s (always present).
+/// Section id: the `n + 1` row-pointer `u64`s.
 pub const SEC_ROW_PTR: u32 = 1;
 
-/// Section id: all column indices as raw `u32`s (uncompressed packs).
-pub const SEC_COL_RAW: u32 = 2;
-
-/// Section id: delta+varint streams for non-hub rows, in vertex order.
+/// Section id: every row's delta+varint stream, in vertex order.
 pub const SEC_COL_PACKED: u32 = 3;
 
-/// Section id: raw `u32` neighbor lists for hub rows (degree ≥
-/// `hub_threshold`), concatenated in vertex order.
-pub const SEC_HUB_COLS: u32 = 4;
+/// The name `store inspect` prints for a section id (`None` for an id
+/// this reader skips).
+pub fn section_name(id: u32) -> Option<&'static str> {
+    match id {
+        SEC_ROW_PTR => Some("row_ptr"),
+        SEC_COL_PACKED => Some("col_packed"),
+        _ => None,
+    }
+}
 
 /// Rounds `v` up to the next multiple of 8.
 #[inline]
@@ -171,7 +167,7 @@ pub fn hash64(bytes: &[u8]) -> u64 {
 pub struct Header {
     /// Format version.
     pub version: u16,
-    /// Flag bits ([`FLAG_DIRECTED`], [`FLAG_COMPRESSED`]).
+    /// Flag bits ([`FLAG_DIRECTED`]).
     pub flags: u16,
     /// Number of section-table entries.
     pub section_count: u32,
@@ -179,21 +175,12 @@ pub struct Header {
     pub n: u32,
     /// Stored arc count.
     pub arcs: u64,
-    /// Hub degree threshold used at pack time (0 when uncompressed).
-    pub hub_threshold: u32,
-    /// Number of partitions this pack belongs to (0 = unpartitioned).
-    pub partition_count: u32,
 }
 
 impl Header {
     /// Whether the packed graph is directed.
     pub fn directed(&self) -> bool {
         self.flags & FLAG_DIRECTED != 0
-    }
-
-    /// Whether columns are delta+varint compressed.
-    pub fn compressed(&self) -> bool {
-        self.flags & FLAG_COMPRESSED != 0
     }
 
     /// Encodes the header into its 64-byte on-disk form, computing the
@@ -206,9 +193,7 @@ impl Header {
         buf[12..16].copy_from_slice(&self.section_count.to_le_bytes());
         buf[16..20].copy_from_slice(&self.n.to_le_bytes());
         buf[20..28].copy_from_slice(&self.arcs.to_le_bytes());
-        buf[28..32].copy_from_slice(&self.hub_threshold.to_le_bytes());
-        buf[32..36].copy_from_slice(&self.partition_count.to_le_bytes());
-        // 36..56 reserved, already zero.
+        // 28..56 reserved, already zero.
         let sum = hash64(&buf[0..56]);
         buf[56..64].copy_from_slice(&sum.to_le_bytes());
         buf
@@ -280,15 +265,15 @@ mod tests {
     fn header_round_trips_and_checksums() {
         let h = Header {
             version: VERSION,
-            flags: FLAG_DIRECTED | FLAG_COMPRESSED,
-            section_count: 3,
+            flags: FLAG_DIRECTED,
+            section_count: 2,
             n: 12345,
             arcs: 99999,
-            hub_threshold: 64,
-            partition_count: 4,
         };
         let buf = h.encode();
         assert_eq!(&buf[0..8], &MAGIC);
+        assert_eq!(&buf[8..10], &2u16.to_le_bytes());
+        assert!(buf[28..56].iter().all(|&b| b == 0), "reserved bytes");
         let sum = u64::from_le_bytes(buf[56..64].try_into().unwrap());
         assert_eq!(sum, hash64(&buf[0..56]));
     }

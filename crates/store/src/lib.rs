@@ -7,14 +7,13 @@
 //!   checksummed section table, 8-byte-aligned sections (normative spec
 //!   in DESIGN.md §8).
 //! * [`pack`] — a streaming [`pack::PackWriter`] (rows in, sealed file
-//!   out via temp+rename) with a degree-skew-aware layout: the long tail
-//!   of small rows is delta+varint compressed, hub rows (degree ≥
-//!   threshold) stay raw and decode-free.
+//!   out via temp+rename) with one column encoding: every row is
+//!   delta+varint compressed into one section.
 //! * [`mod@load`] — mmap-first loading behind typed [`StoreError`]s; the
-//!   `row_ptr` array (and raw column sections) become zero-copy
-//!   [`db_graph::SectionSlice`] views into the mapping, so a 50M-edge
-//!   pack costs no offsets copy at open time, and a compressed pack
-//!   releases its column pages once they are decoded.
+//!   `row_ptr` array becomes a zero-copy [`db_graph::SectionSlice`]
+//!   view into the mapping, so a 50M-edge pack costs no offsets copy at
+//!   open time, and the load releases the column pages once it has
+//!   decoded them into the heap.
 //! * [`mmapio`] — the `mmap`/`munmap`/`madvise` shim (no `libc`
 //!   dependency) with a heap fallback for other platforms and for fault
 //!   injection, and the `/proc/self/smaps` residency read.

@@ -1,15 +1,12 @@
 //! Pack loading: mmap the file, verify, and assemble a [`CsrGraph`]
-//! whose `row_ptr` (and, for uncompressed packs, `col_idx`) are
-//! zero-copy views into the mapping.
+//! whose `row_ptr` is a zero-copy view into the mapping.
 //!
-//! A compressed pack's columns are decoded into the heap, so once the
-//! decode is done the load releases the pages of its two column
-//! sections (`col_packed`, `hub_cols`) from the mapping: the checksum
-//! pass and the decode made them resident, and nothing reads them
-//! again. Only `row_ptr` (plus the header page and the pages the
-//! section boundaries share) stays resident in the mapping, so the pack
-//! costs its CSR once. A raw pack releases nothing: its columns are
-//! served from the mapping.
+//! The columns are decoded into the heap, so once the decode is done
+//! the load releases the pages of `col_packed` from the mapping: the
+//! checksum pass and the decode made them resident, and nothing reads
+//! them again. Only `row_ptr` (plus the header page and the page the
+//! two sections share) stays resident in the mapping, so the pack costs
+//! its CSR once.
 //!
 //! Every failure mode on this path — missing file, truncation, bad
 //! magic, checksum mismatch, malformed streams, CSR violations — is a
@@ -19,13 +16,12 @@
 use crate::error::StoreError;
 use crate::format::{
     hash64, Header, SectionEntry, HEADER_LEN, MAGIC, SECTION_ENTRY_LEN, SEC_COL_PACKED,
-    SEC_COL_RAW, SEC_HUB_COLS, SEC_ROW_PTR, VERSION,
+    SEC_ROW_PTR, VERSION,
 };
 use crate::mmapio::{open_region, resident_bytes, RegionKind};
 use db_graph::encode::decode_row_into;
 use db_graph::store::{HeapRegion, Region, SectionError, SectionSlice};
 use db_graph::{par, CsrGraph};
-use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -50,12 +46,18 @@ pub struct MappedStore {
     region: Arc<dyn Region>,
     kind: RegionKind,
     header: Header,
+    sections: Vec<SectionEntry>,
 }
 
 impl MappedStore {
     /// The decoded pack header.
     pub fn header(&self) -> &Header {
         &self.header
+    }
+
+    /// The section table, in file order.
+    pub fn sections(&self) -> &[SectionEntry] {
+        &self.sections
     }
 
     /// Total pack file size in bytes.
@@ -92,16 +94,14 @@ impl MappedStore {
     /// One-line human description (for `store inspect` and logs).
     pub fn describe(&self) -> String {
         format!(
-            "pack {}: n={} arcs={} directed={} compressed={} backing={} file={}B",
+            "pack {}: n={} arcs={} directed={} backing={} file={}B",
             self.path.display(),
             self.header.n,
             self.header.arcs,
             self.header.directed(),
-            self.header.compressed(),
-            match (self.kind, self.header.compressed()) {
-                (RegionKind::Mmap, true) => "mmap row_ptr + heap columns",
-                (RegionKind::Mmap, false) => "mmap",
-                (RegionKind::Heap, _) => "heap",
+            match self.kind {
+                RegionKind::Mmap => "mmap row_ptr + heap columns",
+                RegionKind::Heap => "heap",
             },
             self.file_bytes,
         )
@@ -120,8 +120,7 @@ pub fn load_with(path: impl AsRef<Path>, opts: &LoadOptions) -> Result<MappedSto
     load_split(path.as_ref(), opts, par::parts)
 }
 
-/// [`load_with`], decoding a compressed pack's columns in
-/// `parts(work)` row chunks.
+/// [`load_with`], decoding the columns in `parts(work)` row chunks.
 pub(crate) fn load_split(
     path: &Path,
     opts: &LoadOptions,
@@ -180,31 +179,15 @@ pub(crate) fn load_split(
         }
     }
 
-    let col_idx: SectionSlice<u32> = if header.compressed() {
-        let packed = find_section(&entries, SEC_COL_PACKED)?;
-        let hub = find_section(&entries, SEC_HUB_COLS)?;
-        let packed_bytes = section_payload(region.bytes(), packed)?;
-        let hub_bytes = section_payload(region.bytes(), hub)?;
-        let rp = row_ptr.as_slice();
-        let parts = parts(rp.len().saturating_add(header.arcs as usize));
-        let cols = decode_columns(rp, header, packed_bytes, hub_bytes, parts)?;
-        // Nothing reads the packed columns again; a heap region keeps them.
-        for e in [packed, hub] {
-            region.release(e.offset as usize..(e.offset + e.len) as usize);
-        }
-        SectionSlice::owned(cols)
-    } else {
-        let raw = find_section(&entries, SEC_COL_RAW)?;
-        if raw.len != header.arcs * 4 {
-            return Err(StoreError::Malformed(format!(
-                "raw column section is {} bytes, expected {}",
-                raw.len,
-                header.arcs * 4
-            )));
-        }
-        map_u32s(&region, raw, header.arcs as usize)?
-    };
+    let packed = find_section(&entries, SEC_COL_PACKED)?;
+    let packed_bytes = section_payload(region.bytes(), packed)?;
+    let rp = row_ptr.as_slice();
+    let parts = parts(rp.len().saturating_add(header.arcs as usize));
+    let cols = decode_columns(rp, header.arcs, packed_bytes, parts)?;
+    // Nothing reads the packed columns again; a heap region keeps them.
+    region.release(packed.offset as usize..(packed.offset + packed.len) as usize);
 
+    let col_idx = SectionSlice::owned(cols);
     let graph = CsrGraph::try_from_backed(header.n, row_ptr, col_idx, header.directed())?;
     Ok(MappedStore {
         graph,
@@ -213,6 +196,7 @@ pub(crate) fn load_split(
         region,
         kind,
         header,
+        sections: entries,
     })
 }
 
@@ -251,8 +235,6 @@ pub fn parse_preamble(bytes: &[u8]) -> Result<(Header, Vec<SectionEntry>), Store
         section_count: u32at(12),
         n: u32at(16),
         arcs: u64at(20),
-        hub_threshold: u32at(28),
-        partition_count: u32at(32),
     };
     let table_end = HEADER_LEN as u64 + u64::from(header.section_count) * SECTION_ENTRY_LEN as u64;
     if (bytes.len() as u64) < table_end {
@@ -318,107 +300,50 @@ fn map_u64s(
     }
 }
 
-fn map_u32s(
-    region: &Arc<dyn Region>,
-    e: &SectionEntry,
-    len: usize,
-) -> Result<SectionSlice<u32>, StoreError> {
-    match SectionSlice::<u32>::mapped(Arc::clone(region), e.offset as usize, len) {
-        Ok(s) => Ok(s),
-        Err(SectionError::BigEndianHost) => {
-            let payload = section_payload(region.bytes(), e)?;
-            let v = payload
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes"))) // io-ok: chunks_exact
-                .collect();
-            Ok(SectionSlice::owned(v))
-        }
-        Err(err) => Err(err.into()),
-    }
-}
-
-/// Decodes the full column array from the packed + hub sections in
-/// `parts` row chunks, using the (pre-validated) row pointers for
-/// degrees and hub routing.
+/// Decodes the full column array from `col_packed` in `parts` row
+/// chunks, using the (pre-validated) row pointers for degrees.
 ///
-/// A chunk's start in `hub_cols` is the hub bytes of the rows before
-/// it; its start in `col_packed` follows as many varint terminator
+/// A chunk's start in the stream follows as many varint terminator
 /// bytes (bytes below 0x80, one per value) as the rows before it hold
-/// packed arcs. Each chunk must decode to exactly where the next one
-/// begins, the last to the end of the section.
+/// arcs, which `row_ptr` gives. Each chunk must decode to exactly where
+/// the next one begins, the last to the end of the section.
 fn decode_columns(
     rp: &[u64],
-    header: Header,
+    arcs: u64,
     packed: &[u8],
-    hub: &[u8],
     parts: usize,
 ) -> Result<Vec<u32>, StoreError> {
-    // A packed arc takes at least one byte and a hub arc four: bound the
-    // allocation, and every offset sum below, by the file.
-    if header.arcs > packed.len() as u64 + hub.len() as u64 / 4 {
+    // An arc takes at least one byte: bound the allocation, and every
+    // offset below, by the file.
+    if arcs > packed.len() as u64 {
         return Err(StoreError::Malformed(format!(
-            "{} arcs cannot fit in {} packed and {} hub bytes",
-            header.arcs,
-            packed.len(),
-            hub.len()
+            "{arcs} arcs cannot fit in {} packed bytes",
+            packed.len()
         )));
     }
-    let threshold = u64::from(header.hub_threshold);
     let bounds = par::balance(rp, parts);
-    let chunks: Vec<Range<usize>> = par::ranges(&bounds).collect();
-    // Per chunk: its packed arcs (varints) and its hub bytes.
-    let held = par::run(chunks.clone(), |_, rows| {
-        let (mut varints, mut hub_bytes) = (0, 0);
-        for u in rows {
-            let d = (rp[u + 1] - rp[u]) as usize;
-            if d as u64 >= threshold {
-                hub_bytes += 4 * d;
-            } else {
-                varints += d;
-            }
-        }
-        (varints, hub_bytes)
-    });
-    let hub_at = par::offsets(held.iter().map(|&(_, h)| h));
-    let hub_need = held.iter().map(|&(_, h)| h).sum::<usize>();
-    if hub_need != hub.len() {
-        return Err(StoreError::Malformed(format!(
-            "hub rows need {hub_need} bytes, the hub section holds {}",
-            hub.len()
-        )));
-    }
-    // Chunk k starts just past the `starts[k]`-th packed value.
-    let mut starts = par::offsets(held.iter().map(|&(v, _)| v));
-    starts.pop();
-    let mut packed_at = varint_offsets(packed, &starts).ok_or_else(|| {
+    let col_at: Vec<usize> = bounds.iter().map(|&u| rp[u] as usize).collect();
+    // Chunk k starts just past the `col_at[k]`-th value.
+    let starts = &col_at[..col_at.len() - 1];
+    let mut packed_at = varint_offsets(packed, starts).ok_or_else(|| {
         StoreError::Malformed(format!(
             "col_packed holds fewer than {} values",
             starts.last().copied().unwrap_or(0)
         ))
     })?;
     packed_at.push(packed.len());
-
-    let col_at: Vec<usize> = bounds.iter().map(|&u| rp[u] as usize).collect();
-    let mut cols = vec![0u32; header.arcs as usize];
-    let work: Vec<_> = chunks
-        .into_iter()
+    let mut cols = vec![0u32; arcs as usize];
+    let work: Vec<_> = par::ranges(&bounds)
         .zip(par::split_mut(&mut cols, &col_at))
-        .zip(par::ranges(&packed_at).zip(par::ranges(&hub_at)))
+        .zip(par::ranges(&packed_at))
         .collect();
-    let ends = par::run(work, |_, ((rows, out), (packed_span, hub_span))| {
+    let ends = par::run(work, |_, ((rows, mut free), span)| {
         // A chunk reads no further than the next one's start.
-        let (stream, mut pos) = (&packed[..packed_span.end], packed_span.start);
-        let (mut hub_rows, mut free) = (hub[hub_span].chunks_exact(4), out);
+        let (stream, mut pos) = (&packed[..span.end], span.start);
         for u in rows {
             let d = (rp[u + 1] - rp[u]) as usize;
             let (row, rest) = std::mem::take(&mut free).split_at_mut(d);
-            if d as u64 >= threshold {
-                for (v, c) in row.iter_mut().zip(hub_rows.by_ref()) {
-                    *v = u32::from_le_bytes(c.try_into().expect("4 bytes")); // io-ok: chunks_exact
-                }
-            } else {
-                decode_row_into(stream, &mut pos, row)?;
-            }
+            decode_row_into(stream, &mut pos, row)?;
             free = rest;
         }
         Ok::<_, StoreError>(pos)
@@ -514,8 +439,8 @@ mod tests {
         (Scratch(dir), path)
     }
 
-    /// Hubs wired to everything plus a scattered tail: hub rows, packed
-    /// rows and empty rows all present.
+    /// Hubs wired to a third of the graph plus a scattered tail: wide
+    /// rows, short rows, empty rows, and one- and two-byte varints.
     fn hubby(n: u32) -> CsrGraph {
         let mut edges: Vec<(u32, u32)> = (0..n).map(|u| (u, (u * 37 + 11) % n)).collect();
         for h in [1, n / 2] {
@@ -556,52 +481,71 @@ mod tests {
                 "{parts} parts"
             );
         }
-        // Two varints merged into one, the last one left open, and arcs
-        // moved from a hub row to a packed one: every split fails typed.
+        // Two varints merged into one, one split in two, and the last
+        // one left open: every split fails typed.
         let orig = std::fs::read(&path).unwrap();
-        type Edit = (u32, fn(&mut [u8]));
-        let edits: [Edit; 3] = [
-            (SEC_COL_PACKED, |p| {
+        let edits: [fn(&mut [u8]); 3] = [
+            |p| {
                 let mid = (p.len() / 2..).find(|&i| p[i] < 0x80).unwrap();
                 p[mid] |= 0x80;
-            }),
-            (SEC_COL_PACKED, |p| p[p.len() - 1] = 0x80),
-            (SEC_ROW_PTR, |p| {
-                // Row 1 (a hub) ends 8 arcs early, row 2 takes them.
-                let end = u64::from_le_bytes(p[16..24].try_into().unwrap());
-                p[16..24].copy_from_slice(&(end - 8).to_le_bytes());
-            }),
+            },
+            |p| {
+                let mid = (p.len() / 2..).find(|&i| p[i] >= 0x80).unwrap();
+                p[mid] &= 0x7f;
+            },
+            |p| p[p.len() - 1] = 0x80,
         ];
-        for (id, edit) in edits {
+        for (k, edit) in edits.into_iter().enumerate() {
             let mut bytes = orig.clone();
-            reseal(&mut bytes, id, edit);
+            reseal(&mut bytes, SEC_COL_PACKED, edit);
             std::fs::write(&path, &bytes).unwrap();
             for parts in [1, 2, 3, 7] {
                 let r = load_parts(&path, parts);
                 assert!(
                     matches!(r, Err(StoreError::Malformed(_) | StoreError::Decode(_))),
-                    "section {id}, {parts} parts: {r:?}"
+                    "edit {k}, {parts} parts: {r:?}"
                 );
             }
+        }
+    }
+
+    /// The widest varints, five bytes each, decode however the rows are
+    /// split. No pack of a graph this wide fits a test (an id past 2^28
+    /// needs over 2^28 rows), so the decode is driven directly.
+    #[test]
+    fn five_byte_varints_decode_in_any_split() {
+        let rows: [&[u32]; 4] = [&[1 << 30, 1 << 31, u32::MAX], &[u32::MAX - 1], &[], &[5, 6]];
+        let (mut packed, mut rp) = (vec![0u8; 64], vec![0u64]);
+        let mut len = 0;
+        for row in rows {
+            len += db_graph::encode::encode_row_into(row, &mut packed[len..]);
+            rp.push(rp[rp.len() - 1] + row.len() as u64);
+        }
+        packed.truncate(len);
+        assert_eq!(len, 4 * 5 + 2);
+        let want = rows.concat();
+        for parts in [1, 2, 3, 4] {
+            let got = decode_columns(&rp, 6, &packed, parts).unwrap();
+            assert_eq!(got, want, "{parts} parts");
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-        /// Any bytes inside `row_ptr`, `col_packed` or `hub_cols`, under a
-        /// recomputed checksum, load as a typed error or a valid graph
-        /// however the decode is split: never a panic.
+        /// Any bytes inside `row_ptr` or `col_packed`, under a recomputed
+        /// checksum, load as a typed error or a valid graph however the
+        /// decode is split: never a panic.
         #[test]
         fn resealed_mutations_load_typed_or_valid(
-            section in 0usize..3,
+            section in 0usize..2,
             flips in proptest::collection::vec((any::<u32>(), any::<u8>()), 1..4),
             parts in 1usize..8,
         ) {
             let (_dir, path) = scratch();
             let g = hubby(400);
-            pack_graph(&g, &path, PackOptions { compress: true, hub_threshold: 40 }).unwrap();
-            let id = [SEC_ROW_PTR, SEC_COL_PACKED, SEC_HUB_COLS][section];
+            pack_graph(&g, &path, PackOptions::default()).unwrap();
+            let id = [SEC_ROW_PTR, SEC_COL_PACKED][section];
             let mut bytes = std::fs::read(&path).unwrap();
             reseal(&mut bytes, id, |p| {
                 for &(at, x) in &flips {

@@ -7,33 +7,25 @@
 //! and published with an atomic rename, so readers never observe a
 //! half-written pack.
 //!
+//! Every row is stored the same way, as its first column and the gap
+//! to each next one in LEB128 varints, in one `col_packed` section.
 //! The header, the section table and `row_ptr` have sizes known from
-//! `n`, so the column section (`col_packed`, or `col_raw` in a raw
-//! pack) streams straight to its final offset in the `.tmp` file. Only
-//! a compressed pack's hub rows spool to a side file: their section
-//! follows `col_packed`, whose length is known only at the end. The
-//! writer holds `row_ptr` (`8 × (n + 1)` bytes) and one block's encoded
-//! bytes in RAM; `finish` writes `row_ptr`, copies the hub spool after
-//! the packed columns, and writes the header and the checksummed
-//! section table last.
+//! `n`, so `col_packed` streams straight to its final offset in the
+//! `.tmp` file. The writer holds `row_ptr` (`8 × (n + 1)` bytes) and
+//! one block's encoded bytes in RAM; `finish` writes `row_ptr`, then
+//! the header and the checksummed section table.
 //!
 //! A block is encoded in row chunks on every core ([`db_graph::par`]):
 //! one pass checks each chunk's rows and sizes its bytes exactly
-//! ([`encoded_row_len`]), the writer's reused buffers grow to the
-//! block, and a second pass encodes each chunk into its own slices
+//! ([`encoded_row_len`]), the writer's reused buffer grows to the
+//! block, and a second pass encodes each chunk into its own slice
 //! ([`encode_row_into`]). The bytes do not depend on the block size or
 //! the chunk count.
-//!
-//! Degree-skew-aware layout: rows with degree at or above
-//! `hub_threshold` (the "hubs" of a skewed degree distribution) are
-//! stored as raw `u32`s in their own section, keeping the dense rows
-//! decode-free and cache-friendly, while the long tail of small rows
-//! delta+varint compresses to a fraction of its raw size.
 
 use crate::error::StoreError;
 use crate::format::{
-    align8, Hash64, Header, SectionEntry, FLAG_COMPRESSED, FLAG_DIRECTED, HEADER_LEN,
-    SECTION_ENTRY_LEN, SEC_COL_PACKED, SEC_COL_RAW, SEC_HUB_COLS, SEC_ROW_PTR, VERSION,
+    align8, Hash64, Header, SectionEntry, FLAG_DIRECTED, HEADER_LEN, SECTION_ENTRY_LEN,
+    SEC_COL_PACKED, SEC_ROW_PTR, VERSION,
 };
 use db_graph::encode::{encode_row_into, encoded_row_len};
 use db_graph::{par, CsrGraph};
@@ -42,25 +34,11 @@ use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-/// Pack-time layout choices.
-#[derive(Debug, Clone, Copy)]
-pub struct PackOptions {
-    /// Delta+varint compress non-hub rows (raw `u32` columns otherwise —
-    /// raw packs load fully zero-copy).
-    pub compress: bool,
-    /// Degree at/above which a row is stored raw in the hub section.
-    /// Ignored when `compress` is false.
-    pub hub_threshold: u32,
-}
-
-impl Default for PackOptions {
-    fn default() -> Self {
-        PackOptions {
-            compress: true,
-            hub_threshold: 64,
-        }
-    }
-}
+/// Pack-time choices. There are none: every pack has one layout. The
+/// struct stays for callers that pass `PackOptions::default()` to
+/// [`pack_graph`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PackOptions {}
 
 /// What [`PackWriter::finish`] reports about the sealed file.
 #[derive(Debug, Clone)]
@@ -73,83 +51,28 @@ pub struct PackSummary {
     pub file_bytes: u64,
     /// Raw CSR size (`8(n+1) + 4·arcs`) for compression-ratio reporting.
     pub csr_bytes: u64,
-    /// Rows routed to the hub section.
-    pub hub_rows: u64,
-    /// Arcs stored in the hub section.
-    pub hub_arcs: u64,
-}
-
-/// One section payload streaming to a file while its checksum and
-/// length accumulate.
-struct Payload {
-    path: PathBuf,
-    file: BufWriter<File>,
-    hash: Hash64,
-    len: u64,
-}
-
-impl Payload {
-    fn new(path: PathBuf, file: File) -> Self {
-        Payload {
-            path,
-            file: BufWriter::new(file),
-            hash: Hash64::new(),
-            len: 0,
-        }
-    }
-
-    fn write(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
-        self.hash.update(bytes);
-        self.len += bytes.len() as u64;
-        self.file.write_all(bytes).map_err(|source| StoreError::Io {
-            op: "write",
-            path: self.path.clone(),
-            source,
-        })
-    }
-
-    /// Flushes the buffered bytes and hands back the file.
-    fn flushed(&mut self) -> Result<&mut File, StoreError> {
-        self.file.flush().map_err(|source| StoreError::Io {
-            op: "flush",
-            path: self.path.clone(),
-            source,
-        })?;
-        Ok(self.file.get_mut())
-    }
 }
 
 /// Work items (rows plus arcs) [`PackWriter::push_rows`] encodes at a
-/// time: its encode buffers hold one such block, a few MiB.
+/// time: its encode buffer holds one such block, a few MiB.
 const BLOCK: usize = 1 << 22;
 
-/// What one chunk of rows needs in the two column sections.
-#[derive(Debug, Clone, Copy, Default)]
-struct ChunkLen {
-    /// Bytes in `col_packed` (compressed) or `col_raw` (raw packs).
-    cols: usize,
-    /// Bytes in `hub_cols`.
-    hub: usize,
-    hub_rows: u64,
-}
-
 /// Streaming writer for one pack file. See the module docs for the
-/// protocol; dropping a writer without finishing removes its temp files.
+/// protocol; dropping a writer without finishing removes its temp file.
 pub struct PackWriter {
     path: PathBuf,
-    opts: PackOptions,
+    /// The `<path>.tmp` sibling the pack is assembled in.
+    tmp: PathBuf,
     n: u32,
     directed: bool,
     row_ptr: Vec<u64>,
-    /// `col_packed` (or `col_raw`), written at its place in the `.tmp`.
-    cols: Payload,
-    /// `hub_cols` of a compressed pack, spooled until [`PackWriter::finish`].
-    hub: Option<Payload>,
-    /// A block's encoded sections, reused from block to block.
-    cols_buf: Vec<u8>,
-    hub_buf: Vec<u8>,
-    hub_rows: u64,
-    hub_arcs: u64,
+    /// `col_packed`, written at its place in the `.tmp`, with the
+    /// checksum and length of the bytes written so far.
+    cols: BufWriter<File>,
+    cols_hash: Hash64,
+    cols_len: u64,
+    /// A block's encoded rows, reused from block to block.
+    buf: Vec<u8>,
     finished: bool,
 }
 
@@ -165,15 +88,9 @@ impl std::fmt::Debug for PackWriter {
 
 impl PackWriter {
     /// Opens a writer targeting `path` for an `n`-vertex graph. The
-    /// pack is assembled in a `<path>.tmp` sibling (and a compressed
-    /// pack's hub rows spool to `<path>.spool-hub`) so the rename at the
+    /// pack is assembled in a `<path>.tmp` sibling so the rename at the
     /// end stays on one filesystem.
-    pub fn create(
-        path: impl AsRef<Path>,
-        n: u32,
-        directed: bool,
-        opts: PackOptions,
-    ) -> Result<Self, StoreError> {
+    pub fn create(path: impl AsRef<Path>, n: u32, directed: bool) -> Result<Self, StoreError> {
         let path = path.as_ref().to_path_buf();
         let tmp = sibling(&path, ".tmp");
         let io = |op, source| StoreError::Io {
@@ -184,35 +101,23 @@ impl PackWriter {
         let mut file = File::create(&tmp).map_err(|e| io("create", e))?;
         // Header, section table and row_ptr have sizes known from `n`,
         // so the column section can stream to its final offset now.
-        let (_, cols_off) = layout(n, opts.compress);
+        let (_, cols_off) = layout(n);
         file.seek(SeekFrom::Start(cols_off))
             .map_err(|e| io("seek", e))?;
         let mut row_ptr = Vec::with_capacity(n as usize + 1);
         row_ptr.push(0);
-        let mut w = PackWriter {
+        Ok(PackWriter {
             path,
-            opts,
+            tmp,
             n,
             directed,
             row_ptr,
-            cols: Payload::new(tmp.clone(), file),
-            hub: None,
-            cols_buf: Vec::new(),
-            hub_buf: Vec::new(),
-            hub_rows: 0,
-            hub_arcs: 0,
+            cols: BufWriter::new(file),
+            cols_hash: Hash64::new(),
+            cols_len: 0,
+            buf: Vec::new(),
             finished: false,
-        };
-        if opts.compress {
-            let spool = sibling(&w.path, ".spool-hub");
-            let file = File::create(&spool).map_err(|source| StoreError::Io {
-                op: "create spool",
-                path: spool.clone(),
-                source,
-            })?;
-            w.hub = Some(Payload::new(spool, file));
-        }
-        Ok(w)
+        })
     }
 
     fn next_vertex(&self) -> usize {
@@ -267,11 +172,10 @@ impl PackWriter {
     }
 
     /// Encodes one block in `parts` row chunks: a first pass checks the
-    /// rows and sizes each chunk exactly, the writer's buffers grow to
-    /// the block, and a second pass encodes each chunk into its slices.
+    /// rows and sizes each chunk exactly, the writer's buffer grows to
+    /// the block, and a second pass encodes each chunk into its slice.
     fn push_block(&mut self, ends: &[u64], cols: &[u32], parts: usize) -> Result<(), StoreError> {
-        let (first, n, opts) = (self.next_vertex(), self.n, self.opts);
-        let is_hub = |deg: usize| opts.compress && deg as u64 >= u64::from(opts.hub_threshold);
+        let (first, n) = (self.next_vertex(), self.n);
         // The block's rows `r`: `None` for a row whose ends are not a
         // range of `cols`.
         let rows = |r: Range<usize>| {
@@ -283,58 +187,38 @@ impl PackWriter {
         };
         let chunks: Vec<Range<usize>> = par::ranges(&par::balance(ends, parts)).collect();
         let lens = par::run(chunks.clone(), |_, r| {
-            let mut len = ChunkLen::default();
+            let mut len = 0;
             for (u, row) in (first + r.start..).zip(rows(r)) {
-                let row = check_row(u, row, n)?;
-                if is_hub(row.len()) {
-                    len.hub += 4 * row.len();
-                    len.hub_rows += 1;
-                } else if opts.compress {
-                    len.cols += encoded_row_len(row);
-                } else {
-                    len.cols += 4 * row.len();
-                }
+                len += encoded_row_len(check_row(u, row, n)?);
             }
             Ok(len)
         });
         // The lowest chunk's defect is the lowest row's.
         let lens = lens
             .into_iter()
-            .collect::<Result<Vec<ChunkLen>, StoreError>>()?;
-        let cols_at = par::offsets(lens.iter().map(|l| l.cols));
-        let hub_at = par::offsets(lens.iter().map(|l| l.hub));
-        par::zeroed(&mut self.cols_buf, lens.iter().map(|l| l.cols).sum());
-        par::zeroed(&mut self.hub_buf, lens.iter().map(|l| l.hub).sum());
+            .collect::<Result<Vec<usize>, StoreError>>()?;
+        let at = par::offsets(lens.iter().copied());
+        par::zeroed(&mut self.buf, lens.iter().sum());
         let work: Vec<_> = chunks
             .into_iter()
-            .zip(par::split_mut(&mut self.cols_buf, &cols_at))
-            .zip(par::split_mut(&mut self.hub_buf, &hub_at))
+            .zip(par::split_mut(&mut self.buf, &at))
             .collect();
-        par::run(work, |_, ((r, mut out), mut hub)| {
+        par::run(work, |_, (r, mut out)| {
             // Every row was checked above.
             for row in rows(r).flatten() {
-                let dst = if is_hub(row.len()) {
-                    &mut hub
-                } else {
-                    &mut out
-                };
-                let len = if opts.compress && !is_hub(row.len()) {
-                    encode_row_into(row, dst)
-                } else {
-                    for (b, &v) in dst.chunks_exact_mut(4).zip(row) {
-                        b.copy_from_slice(&v.to_le_bytes());
-                    }
-                    4 * row.len()
-                };
-                *dst = std::mem::take(dst).split_at_mut(len).1;
+                let len = encode_row_into(row, out);
+                out = std::mem::take(&mut out).split_at_mut(len).1;
             }
         });
-        self.cols.write(&self.cols_buf)?;
-        if let Some(hub) = &mut self.hub {
-            hub.write(&self.hub_buf)?;
-        }
-        self.hub_rows += lens.iter().map(|l| l.hub_rows).sum::<u64>();
-        self.hub_arcs += self.hub_buf.len() as u64 / 4;
+        self.cols_hash.update(&self.buf);
+        self.cols_len += self.buf.len() as u64;
+        self.cols
+            .write_all(&self.buf)
+            .map_err(|source| StoreError::Io {
+                op: "write",
+                path: self.tmp.clone(),
+                source,
+            })?;
         // Checked rows never end before they start.
         let (done, start) = (self.arcs(), ends.first().copied().unwrap_or(0));
         self.row_ptr
@@ -347,9 +231,9 @@ impl PackWriter {
         self.row_ptr.last().copied().unwrap_or(0)
     }
 
-    /// Seals the pack: writes `row_ptr`, the hub rows, the header and
-    /// the section table around the column section already in the
-    /// `.tmp` sibling, fsyncs it, and renames it over the target path.
+    /// Seals the pack: writes `row_ptr`, the header and the section
+    /// table around the column section already in the `.tmp` sibling,
+    /// fsyncs it, and renames it over the target path.
     pub fn finish(mut self) -> Result<PackSummary, StoreError> {
         if self.next_vertex() != self.n as usize {
             return Err(StoreError::Malformed(format!(
@@ -359,23 +243,16 @@ impl PackWriter {
             )));
         }
         let arcs = self.arcs();
-        let (rp_off, cols_off) = layout(self.n, self.opts.compress);
+        let (rp_off, cols_off) = layout(self.n);
         let rp_len = self.row_ptr.len() as u64 * 8;
-        let cols_id = if self.opts.compress {
-            SEC_COL_PACKED
-        } else {
-            SEC_COL_RAW
-        };
-        let (cols_len, cols_sum) = (self.cols.len, self.cols.hash.clone().finish());
-        let hub_off = align8(cols_off + cols_len);
-        let tmp = self.cols.path.clone();
+        let tmp = self.tmp.clone();
         let io = |op: &'static str, source: std::io::Error| StoreError::Io {
             op,
             path: tmp.clone(),
             source,
         };
-        let mut sections = Vec::with_capacity(3);
-        let file = self.cols.flushed()?;
+        self.cols.flush().map_err(|e| io("flush", e))?;
+        let file = self.cols.get_mut();
 
         // Row-pointer payload, hashed as it is written.
         file.seek(SeekFrom::Start(rp_off))
@@ -390,54 +267,24 @@ impl PackWriter {
             }
             out.flush().map_err(|e| io("write", e))?;
         }
-        sections.push((SEC_ROW_PTR, rp_off, rp_len, rp_hash.finish()));
-        sections.push((cols_id, cols_off, cols_len, cols_sum));
-        let mut end = cols_off + cols_len;
-
-        // The hub spool follows the column section.
-        if let Some(hub) = &mut self.hub {
-            hub.flushed()?;
-            let mut src = File::open(&hub.path).map_err(|source| StoreError::Io {
-                op: "open spool",
-                path: hub.path.clone(),
-                source,
-            })?;
-            file.seek(SeekFrom::Start(hub_off))
-                .map_err(|e| io("seek", e))?;
-            let copied = std::io::copy(&mut src, file).map_err(|e| io("copy spool", e))?;
-            if copied != hub.len {
-                return Err(StoreError::Malformed(format!(
-                    "spool {} changed size ({copied} vs {})",
-                    hub.path.display(),
-                    hub.len
-                )));
-            }
-            sections.push((SEC_HUB_COLS, hub_off, hub.len, hub.hash.clone().finish()));
-            end = hub_off + hub.len;
-        }
-
-        let mut flags = 0u16;
-        if self.directed {
-            flags |= FLAG_DIRECTED;
-        }
-        if self.opts.compress {
-            flags |= FLAG_COMPRESSED;
-        }
+        let sections = [
+            (SEC_ROW_PTR, rp_off, rp_len, rp_hash.finish()),
+            (
+                SEC_COL_PACKED,
+                cols_off,
+                self.cols_len,
+                self.cols_hash.clone().finish(),
+            ),
+        ];
         let header = Header {
             version: VERSION,
-            flags,
+            flags: if self.directed { FLAG_DIRECTED } else { 0 },
             section_count: sections.len() as u32,
             n: self.n,
             arcs,
-            hub_threshold: if self.opts.compress {
-                self.opts.hub_threshold
-            } else {
-                0
-            },
-            partition_count: 0,
         };
         let mut head = header.encode().to_vec();
-        for &(id, offset, len, checksum) in &sections {
+        for (id, offset, len, checksum) in sections {
             let e = SectionEntry {
                 id,
                 offset,
@@ -450,7 +297,7 @@ impl PackWriter {
         file.write_all(&head).map_err(|e| io("write", e))?;
         // Gaps between sections were never written and read as zeros;
         // the last section's padding is set here.
-        let file_bytes = align8(end);
+        let file_bytes = align8(cols_off + self.cols_len);
         file.set_len(file_bytes).map_err(|e| io("write", e))?;
         file.sync_all().map_err(|e| io("sync", e))?;
         fs::rename(&tmp, &self.path).map_err(|source| StoreError::Io {
@@ -469,30 +316,20 @@ impl PackWriter {
             })?;
         }
         self.finished = true;
-        self.remove_spool();
 
         Ok(PackSummary {
             n: self.n,
             arcs,
             file_bytes,
             csr_bytes: rp_len + arcs * 4,
-            hub_rows: self.hub_rows,
-            hub_arcs: self.hub_arcs,
         })
-    }
-
-    fn remove_spool(&self) {
-        if let Some(hub) = &self.hub {
-            let _ = fs::remove_file(&hub.path);
-        }
     }
 }
 
 impl Drop for PackWriter {
     fn drop(&mut self) {
         if !self.finished {
-            self.remove_spool();
-            let _ = fs::remove_file(&self.cols.path);
+            let _ = fs::remove_file(&self.tmp);
         }
     }
 }
@@ -516,12 +353,11 @@ fn check_row(u: usize, row: Option<&[u32]>, n: u32) -> Result<&[u32], StoreError
     Ok(row)
 }
 
-/// Byte offsets of `row_ptr` and of the column section in a pack of
-/// `n` vertices: both follow the header and the section table (3
-/// entries compressed, 2 raw), each 8-aligned.
-fn layout(n: u32, compress: bool) -> (u64, u64) {
-    let sections: u64 = if compress { 3 } else { 2 };
-    let rp_off = align8(HEADER_LEN as u64 + sections * SECTION_ENTRY_LEN as u64);
+/// Byte offsets of `row_ptr` and of `col_packed` in a pack of `n`
+/// vertices: both follow the header and the two-entry section table,
+/// each 8-aligned.
+fn layout(n: u32) -> (u64, u64) {
+    let rp_off = align8(HEADER_LEN as u64 + 2 * SECTION_ENTRY_LEN as u64);
     (rp_off, align8(rp_off + (u64::from(n) + 1) * 8))
 }
 
@@ -530,9 +366,9 @@ fn layout(n: u32, compress: bool) -> (u64, u64) {
 pub fn pack_graph(
     g: &CsrGraph,
     path: impl AsRef<Path>,
-    opts: PackOptions,
+    _opts: PackOptions,
 ) -> Result<PackSummary, StoreError> {
-    let mut w = PackWriter::create(path, g.num_vertices() as u32, g.is_directed(), opts)?;
+    let mut w = PackWriter::create(path, g.num_vertices() as u32, g.is_directed())?;
     w.push_rows(g.row_ptr(), g.col_idx())?;
     w.finish()
 }
@@ -581,9 +417,8 @@ mod tests {
     }
 
     /// The bytes of `g` packed one single-row `push_rows` at a time.
-    fn row_by_row(g: &CsrGraph, path: &Path, opts: PackOptions) -> Vec<u8> {
-        let mut w =
-            PackWriter::create(path, g.num_vertices() as u32, g.is_directed(), opts).unwrap();
+    fn row_by_row(g: &CsrGraph, path: &Path) -> Vec<u8> {
+        let mut w = PackWriter::create(path, g.num_vertices() as u32, g.is_directed()).unwrap();
         for u in 0..g.num_vertices() as u32 {
             let row = g.neighbors(u);
             w.push_rows(&[0, row.len() as u64], row).unwrap();
@@ -622,34 +457,19 @@ mod tests {
     fn chunked_pack_bytes_match_row_by_row() {
         let dir = scratch("chunks");
         for (name, g) in graphs() {
-            for opts in [
-                PackOptions::default(),
-                PackOptions {
-                    compress: true,
-                    hub_threshold: 3,
-                },
-                PackOptions {
-                    compress: false,
-                    hub_threshold: 64,
-                },
-            ] {
-                let want = row_by_row(&g, &dir.join("ref.dbsg"), opts);
-                pack_graph(&g, dir.join("whole.dbsg"), opts).unwrap();
-                assert!(
-                    fs::read(dir.join("whole.dbsg")).unwrap() == want,
-                    "{name} {opts:?}"
-                );
-                // Blocks of one row, of 37 work items, and the default.
-                for (parts, block) in [(1, BLOCK), (2, 37), (3, 1), (7, 37), (7, BLOCK)] {
-                    let path = dir.join("chunked.dbsg");
-                    let n = g.num_vertices() as u32;
-                    let mut w = PackWriter::create(&path, n, g.is_directed(), opts).unwrap();
-                    w.push_rows_with(g.row_ptr(), g.col_idx(), block, |_| parts)
-                        .unwrap();
-                    w.finish().unwrap();
-                    let got = fs::read(&path).unwrap();
-                    assert!(got == want, "{name} {opts:?} parts={parts} block={block}");
-                }
+            let want = row_by_row(&g, &dir.join("ref.dbsg"));
+            pack_graph(&g, dir.join("whole.dbsg"), PackOptions::default()).unwrap();
+            assert!(fs::read(dir.join("whole.dbsg")).unwrap() == want, "{name}");
+            // Blocks of one row, of 37 work items, and the default.
+            for (parts, block) in [(1, BLOCK), (2, 37), (3, 1), (7, 37), (7, BLOCK)] {
+                let path = dir.join("chunked.dbsg");
+                let n = g.num_vertices() as u32;
+                let mut w = PackWriter::create(&path, n, g.is_directed()).unwrap();
+                w.push_rows_with(g.row_ptr(), g.col_idx(), block, |_| parts)
+                    .unwrap();
+                w.finish().unwrap();
+                let got = fs::read(&path).unwrap();
+                assert!(got == want, "{name} parts={parts} block={block}");
             }
         }
         let left: Vec<_> = fs::read_dir(&dir)
@@ -668,29 +488,20 @@ mod tests {
         for u in [1500usize, 40] {
             cols.swap(rp[u] as usize, rp[u] as usize + 1);
         }
-        for opts in [
-            PackOptions::default(),
-            PackOptions {
-                compress: false,
-                hub_threshold: 0,
-            },
-        ] {
-            for parts in [1, 2, 3, 7] {
-                let path = dir.join("bad.dbsg");
-                let mut w = PackWriter::create(&path, 2000, true, opts).unwrap();
-                match w.push_rows_with(&rp, &cols, BLOCK, |_| parts) {
-                    Err(StoreError::Malformed(msg)) => {
-                        assert!(msg.starts_with("row 40 not sorted"), "{msg}")
-                    }
-                    other => panic!("parts={parts}: {other:?}"),
+        for parts in [1, 2, 3, 7] {
+            let path = dir.join("bad.dbsg");
+            let mut w = PackWriter::create(&path, 2000, true).unwrap();
+            match w.push_rows_with(&rp, &cols, BLOCK, |_| parts) {
+                Err(StoreError::Malformed(msg)) => {
+                    assert!(msg.starts_with("row 40 not sorted"), "{msg}")
                 }
-                drop(w);
-                assert_eq!(fs::read_dir(&dir).unwrap().count(), 0, "parts={parts}");
+                other => panic!("parts={parts}: {other:?}"),
             }
+            drop(w);
+            assert_eq!(fs::read_dir(&dir).unwrap().count(), 0, "parts={parts}");
         }
         // A row past the arcs and a neighbor past n are typed too.
-        let mut w =
-            PackWriter::create(dir.join("bad.dbsg"), 3, true, PackOptions::default()).unwrap();
+        let mut w = PackWriter::create(dir.join("bad.dbsg"), 3, true).unwrap();
         assert!(matches!(
             w.push_rows(&[0, 5], &[1]),
             Err(StoreError::Malformed(_))

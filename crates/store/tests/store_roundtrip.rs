@@ -43,7 +43,7 @@ fn scratch(tag: &str) -> (ScratchDir, PathBuf) {
 }
 
 /// A degree-skewed graph: `hubs` vertices wired to everything plus a
-/// sparse random tail — the adversarial shape for hub segregation.
+/// sparse random tail.
 fn skewed_graph(n: u32, hubs: u32, tail_edges: &[(u32, u32)], directed: bool) -> CsrGraph {
     let mut edges: Vec<(u32, u32)> = Vec::new();
     for h in 0..hubs.min(n) {
@@ -65,15 +65,12 @@ proptest! {
         n in 1u32..60,
         edges in proptest::collection::vec((0u32..60, 0u32..60), 0..180),
         directed in proptest::prelude::any::<bool>(),
-        compress in proptest::prelude::any::<bool>(),
-        hub_threshold in 0u32..20,
         seed in proptest::prelude::any::<u64>(),
     ) {
         let edges: Vec<(u32, u32)> = edges.iter().map(|&(u, v)| (u % n, v % n)).collect();
         let g = from_edge_list(n, &edges, directed);
         let (_dir, path) = scratch(&format!("prop-{seed:x}"));
-        let opts = PackOptions { compress, hub_threshold };
-        let summary = pack_graph(&g, &path, opts).unwrap();
+        let summary = pack_graph(&g, &path, PackOptions::default()).unwrap();
         prop_assert_eq!(summary.arcs, g.num_arcs() as u64);
 
         let store = load(&path).unwrap();
@@ -84,13 +81,10 @@ proptest! {
     }
 
     #[test]
-    fn truncated_packs_always_fail_typed(
-        cut_frac in 0.0f64..1.0,
-        compress in proptest::prelude::any::<bool>(),
-    ) {
+    fn truncated_packs_always_fail_typed(cut_frac in 0.0f64..1.0) {
         let g = skewed_graph(40, 3, &[(7, 21), (9, 33), (12, 13)], false);
-        let (_dir, path) = scratch(&format!("trunc-{}-{compress}", (cut_frac * 1e6) as u64));
-        pack_graph(&g, &path, PackOptions { compress, hub_threshold: 8 }).unwrap();
+        let (_dir, path) = scratch(&format!("trunc-{}", (cut_frac * 1e6) as u64));
+        pack_graph(&g, &path, PackOptions::default()).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
         prop_assume!(cut < bytes.len());
@@ -196,96 +190,64 @@ fn packed_dfs_differential_all_engines() {
         false,
     );
     let (_dir, path) = scratch("diff");
-    for compress in [false, true] {
-        pack_graph(
-            &g,
-            &path,
-            PackOptions {
-                compress,
-                hub_threshold: 32,
-            },
-        )
-        .unwrap();
-        let store = load(&path).unwrap();
-        let pg = store.graph();
-        assert_eq!(pg, &g, "compress={compress}");
+    pack_graph(&g, &path, PackOptions::default()).unwrap();
+    let store = load(&path).unwrap();
+    let pg = store.graph();
+    assert_eq!(pg, &g);
 
-        let root = 3u32;
-        let token = CancelToken::new();
-        let model = MachineModel::a100();
-        let reference = db_graph::serial_dfs(&g, root).visited;
+    let root = 3u32;
+    let token = CancelToken::new();
+    let model = MachineModel::a100();
+    let reference = db_graph::serial_dfs(&g, root).visited;
 
-        let native = NativeEngine::new(NativeConfig::default())
-            .run_cancellable(pg, root, &token)
-            .visited;
-        assert_eq!(native, reference, "native, compress={compress}");
+    let native = NativeEngine::new(NativeConfig::default())
+        .run_cancellable(pg, root, &token)
+        .visited;
+    assert_eq!(native, reference, "native");
 
-        let lockfree = LockFreeEngine::new(NativeConfig::default())
-            .run_cancellable(pg, root, &token)
-            .visited;
-        assert_eq!(lockfree, reference, "lockfree, compress={compress}");
+    let lockfree = LockFreeEngine::new(NativeConfig::default())
+        .run_cancellable(pg, root, &token)
+        .visited;
+    assert_eq!(lockfree, reference, "lockfree");
 
-        let sim = db_core::run_sim(pg, root, &db_core::DiggerBeesConfig::default(), &model).visited;
-        assert_eq!(sim, reference, "sim, compress={compress}");
+    let sim = db_core::run_sim(pg, root, &db_core::DiggerBeesConfig::default(), &model).visited;
+    assert_eq!(sim, reference, "sim");
 
-        let serial = db_baselines::serial::run(pg, root, &model).visited;
-        assert_eq!(serial, reference, "serial, compress={compress}");
+    let serial = db_baselines::serial::run(pg, root, &model).visited;
+    assert_eq!(serial, reference, "serial");
 
-        let spec = partition_by_arcs(pg, 4);
-        let (part, completed, _) = run_partitioned(pg, &spec, root, &NullTracer, &|| false);
-        assert!(completed);
-        assert_eq!(part, reference, "partitioned, compress={compress}");
-    }
+    let spec = partition_by_arcs(pg, 4);
+    let (part, completed, _) = run_partitioned(pg, &spec, root, &NullTracer, &|| false);
+    assert!(completed);
+    assert_eq!(part, reference, "partitioned");
 }
 
-/// The zero-copy promise: an uncompressed pack's arrays live in the
-/// mapping (no private heap), a compressed pack only owns its decoded
-/// columns.
+/// The zero-copy promise: a pack's `row_ptr` lives in the mapping, and
+/// the heap holds only its decoded columns.
 #[test]
 fn mapped_stores_report_zero_copy_residency() {
     let g = skewed_graph(300, 4, &[(9, 100), (150, 299)], false);
     let (_dir, path) = scratch("resid");
-
-    pack_graph(
-        &g,
-        &path,
-        PackOptions {
-            compress: false,
-            hub_threshold: 0,
-        },
-    )
-    .unwrap();
-    let raw = load(&path).unwrap();
-    if raw.is_mmap() {
-        assert_eq!(raw.graph().heap_bytes(), 0, "raw pack is fully zero-copy");
-        assert_eq!(
-            raw.graph().mapped_bytes(),
-            (g.num_vertices() + 1) * 8 + g.num_arcs() * 4
-        );
-        assert!(raw.graph().charged_bytes() < g.memory_bytes());
-    }
-
     pack_graph(&g, &path, PackOptions::default()).unwrap();
     let packed = load(&path).unwrap();
     if packed.is_mmap() {
         assert_eq!(
             packed.graph().mapped_bytes(),
             (g.num_vertices() + 1) * 8,
-            "row_ptr stays mapped in compressed packs"
+            "row_ptr stays mapped"
         );
         assert!(packed.graph().heap_bytes() >= g.num_arcs() * 4);
     }
 }
 
-/// A compressed pack is resident once: after the load decodes its
-/// columns into the heap, only `row_ptr` (plus the header page and the
-/// pages shared at section boundaries) stays resident in the mapping.
-/// A raw pack serves its columns from the mapping and releases nothing.
+/// A pack is resident once: after the load decodes its columns into the
+/// heap, only `row_ptr` (plus the header page and the page the two
+/// sections share) stays resident in the mapping.
 #[cfg(target_os = "linux")]
 #[test]
 fn compressed_pack_keeps_only_row_ptr_resident() {
     // 16Ki vertices with scattered arcs (2-byte varint gaps) and two
-    // hubs wired to everyone, so both column sections span many pages.
+    // hubs wired to everyone, so the column section spans many pages.
     let n = 16_384u32;
     let mut x = 0x9e37_79b9_7f4a_7c15u64;
     let mut edges: Vec<(u32, u32)> = (1..n).flat_map(|v| [(0, v), (1, v)]).collect();
@@ -298,7 +260,7 @@ fn compressed_pack_keeps_only_row_ptr_resident() {
     let (_dir, path) = scratch("resident");
 
     let s = pack_graph(&g, &path, PackOptions::default()).unwrap();
-    assert!(s.hub_rows > 0 && s.file_bytes > rp_bytes + 512 * 1024);
+    assert!(s.file_bytes > rp_bytes + 512 * 1024);
     let packed = load(&path).unwrap();
     assert!(packed.is_mmap());
     assert_eq!(packed.graph().mapped_bytes() as u64, rp_bytes);
@@ -315,31 +277,9 @@ fn compressed_pack_keeps_only_row_ptr_resident() {
     for v in 0..n {
         assert_eq!(packed.graph().neighbors(v), g.neighbors(v), "row {v}");
     }
-
-    pack_graph(
-        &g,
-        &path,
-        PackOptions {
-            compress: false,
-            ..PackOptions::default()
-        },
-    )
-    .unwrap();
-    let raw = load(&path).unwrap();
-    assert!(raw.is_mmap());
-    assert_eq!(raw.graph().heap_bytes(), 0, "raw pack is fully zero-copy");
-    let mapped = raw.graph().mapped_bytes() as u64;
-    assert_eq!(mapped, rp_bytes + g.num_arcs() as u64 * 4);
-    let resident = raw
-        .resident_mapped_bytes()
-        .expect("smaps reports the mapping");
-    assert!(
-        resident >= mapped,
-        "raw pack released pages: {resident} < {mapped}"
-    );
 }
 
-/// Compression actually compresses the skewed layout.
+/// The varint columns come out smaller than the raw CSR.
 #[test]
 fn compressed_pack_is_smaller_than_raw_csr() {
     // Locality-heavy tail: deltas are small, varints short.
@@ -360,66 +300,49 @@ fn compressed_pack_is_smaller_than_raw_csr() {
     );
 }
 
-/// The load's CSR check counts far arcs like the build did: raw and
-/// compressed packs of a scattered graph report its `far_arcs()`.
+/// The load's CSR check counts far arcs like the build did: the pack
+/// of a scattered graph reports its `far_arcs()`.
 #[test]
 fn packs_report_the_source_far_arc_count() {
     let g = db_gen::social::social(20_000, 7);
     assert!(g.far_arcs() > 0, "a social graph has far arcs");
-    for compress in [false, true] {
-        let (_dir, path) = scratch(&format!("far-{compress}"));
-        let opts = PackOptions {
-            compress,
-            ..PackOptions::default()
-        };
-        pack_graph(&g, &path, opts).unwrap();
-        let store = load(&path).unwrap();
-        assert_eq!(
-            store.graph().far_arcs(),
-            g.far_arcs(),
-            "compress {compress}"
-        );
-    }
+    let (_dir, path) = scratch("far");
+    pack_graph(&g, &path, PackOptions::default()).unwrap();
+    let store = load(&path).unwrap();
+    assert_eq!(store.graph().far_arcs(), g.far_arcs());
 }
 
-/// Rows are checked for order at load: a pack whose hub section has two
-/// entries of a row swapped, resealed under a recomputed checksum, fails
-/// typed instead of loading a row that `has_arc` binary searches wrong.
+/// Columns are checked at load: a pack whose first varint is rewritten
+/// past `n`, resealed under a recomputed checksum, fails typed instead
+/// of loading a row that names a vertex the graph does not have. (A
+/// decoded row cannot descend: each gap is unsigned, and a sum past
+/// `u32::MAX` fails the decode.)
 #[test]
-fn resealed_unsorted_hub_row_fails_typed() {
+fn resealed_column_past_n_fails_typed() {
     let g = skewed_graph(40, 3, &[(7, 21), (9, 33)], true);
-    let (_dir, path) = scratch("unsorted");
-    pack_graph(
-        &g,
-        &path,
-        PackOptions {
-            compress: true,
-            hub_threshold: 8,
-        },
-    )
-    .unwrap();
+    let (_dir, path) = scratch("past-n");
+    pack_graph(&g, &path, PackOptions::default()).unwrap();
     let mut bytes = std::fs::read(&path).unwrap();
     let (_, entries) = db_store::load::parse_preamble(&bytes).unwrap();
-    let (i, hub) = entries
+    let (i, cols) = entries
         .iter()
         .enumerate()
-        .find(|(_, e)| e.id == db_store::format::SEC_HUB_COLS)
+        .find(|(_, e)| e.id == db_store::format::SEC_COL_PACKED)
         .unwrap();
-    // Row 0 is the first hub row: swap its first two neighbors (1, 2).
-    let at = hub.offset as usize;
-    let (first, second) = (at..at + 4, at + 4..at + 8);
-    let a: [u8; 4] = bytes[first.clone()].try_into().unwrap();
-    bytes.copy_within(second.clone(), first.start);
-    bytes[second].copy_from_slice(&a);
-    let sum = db_store::format::hash64(&bytes[at..at + hub.len as usize]);
+    // Row 0's first column is vertex 1, one varint byte: make it 127.
+    let at = cols.offset as usize;
+    assert_eq!(bytes[at], 1);
+    bytes[at] = 0x7f;
+    let sum = db_store::format::hash64(&bytes[at..at + cols.len as usize]);
     let entry = db_store::format::HEADER_LEN + i * db_store::format::SECTION_ENTRY_LEN;
     bytes[entry + 24..entry + 32].copy_from_slice(&sum.to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
     assert!(matches!(
         load(&path),
-        Err(StoreError::Csr(db_graph::CsrError::ColumnDecreasing {
-            row: 0,
-            at: 1
+        Err(StoreError::Csr(db_graph::CsrError::ColumnOutOfRange {
+            at: 0,
+            value: 127,
+            n: 40
         }))
     ));
 }

@@ -67,9 +67,6 @@
 //!                        is packed row-by-row without materializing
 //! --out <file>           output pack path (required)
 //! --seed <s>             social-graph seed (default 1)
-//! --no-compress          store raw u32 columns (no delta+varint)
-//! --hub-threshold <n>    degree at which rows go to the raw hub
-//!                        section (default 64)
 //!
 //! diggerbees store inspect <file>   print a pack's header + layout
 //! diggerbees store verify <file>    checksum-verify and decode a pack
@@ -612,6 +609,7 @@ const PACK_BLOCK_ROWS: u32 = 1 << 18;
 /// layout of an existing pack; `verify` checksum-verifies and fully
 /// decodes it, exiting nonzero on any typed load error.
 fn store_main() -> ExitCode {
+    use diggerbees::store::format::section_name;
     use diggerbees::store::{load, PackOptions, PackWriter};
 
     let fail = |e: String| {
@@ -628,7 +626,6 @@ fn store_main() -> ExitCode {
             let mut graph_key = String::new();
             let mut out = String::new();
             let mut seed = 1u64;
-            let mut opts = PackOptions::default();
             while let Some(a) = it.next() {
                 let mut take = |name: &str| -> Result<String, String> {
                     it.next().ok_or_else(|| format!("{name} requires a value"))
@@ -638,10 +635,6 @@ fn store_main() -> ExitCode {
                         "--graph" => graph_key = take("--graph")?,
                         "--out" => out = take("--out")?,
                         "--seed" => seed = parse_num(&take("--seed")?)? as u64,
-                        "--no-compress" => opts.compress = false,
-                        "--hub-threshold" => {
-                            opts.hub_threshold = parse_num(&take("--hub-threshold")?)?
-                        }
                         other => return Err(format!("unknown argument: {other}")),
                     }
                     Ok(())
@@ -677,7 +670,7 @@ fn store_main() -> ExitCode {
                     };
                 }
                 let sg = diggerbees::gen::SocialGraph::new(n, seed, params);
-                let mut w = match PackWriter::create(&out, n, true, opts) {
+                let mut w = match PackWriter::create(&out, n, true) {
                     Ok(w) => w,
                     Err(e) => return fail(format!("cannot start pack '{out}': {e}")),
                 };
@@ -700,20 +693,18 @@ fn store_main() -> ExitCode {
                     Ok(g) => g,
                     Err(e) => return fail(e),
                 };
-                match diggerbees::store::pack_graph(&g, &out, opts) {
+                match diggerbees::store::pack_graph(&g, &out, PackOptions::default()) {
                     Ok(s) => s,
                     Err(e) => return fail(format!("packing '{graph_key}': {e}")),
                 }
             };
             println!(
                 "packed {graph_key} -> {out}: {} vertices, {} arcs, {} bytes \
-                 ({:.2}x vs raw CSR, {} hub rows / {} hub arcs) in {:.1}s",
+                 ({:.2}x vs raw CSR) in {:.1}s",
                 summary.n,
                 summary.arcs,
                 summary.file_bytes,
                 summary.file_bytes as f64 / summary.csr_bytes.max(1) as f64,
-                summary.hub_rows,
-                summary.hub_arcs,
                 t0.elapsed().as_secs_f64()
             );
             ExitCode::SUCCESS
@@ -727,10 +718,17 @@ fn store_main() -> ExitCode {
             match load(&path) {
                 Ok(s) => {
                     println!("{}", s.describe());
-                    let h = s.header();
+                    let names: Vec<String> = s
+                        .sections()
+                        .iter()
+                        .map(|e| {
+                            section_name(e.id).map_or_else(|| format!("#{}", e.id), str::to_string)
+                        })
+                        .collect();
                     println!(
-                        "header: version {} sections {} hub-threshold {} partitions {}",
-                        h.version, h.section_count, h.hub_threshold, h.partition_count
+                        "header: version {} sections {}",
+                        s.header().version,
+                        names.join(" ")
                     );
                     let g = s.graph();
                     let resident = s

@@ -25,8 +25,8 @@
 //!   plans (kill/stall/slowdown/corrupt/drop-steal) shared by the sim's
 //!   chaos hooks and the serve layer's resilience machinery
 //!   ([`db_fault`]).
-//! * [`store`] — the packed on-disk graph layer: compressed `.dbsg`
-//!   packs with zero-copy mmap loading ([`db_store`]).
+//! * [`store`] — the packed on-disk graph layer: delta+varint `.dbsg`
+//!   packs whose `row_ptr` loads zero-copy from an mmap ([`db_store`]).
 //! * [`serve`] — a multi-tenant traversal service: corpus cache
 //!   (including `store:`-keyed packs), admission control,
 //!   a worker pool over one deadline-ordered queue, NDJSON TCP front-end
