@@ -683,7 +683,7 @@ fn report_value(a: &Args, reports: &[RunReport], deterministic: bool) -> Value {
             )
         })
         .collect();
-    // Packed-store provenance: size and residency of every `store:` key
+    // Packed-store provenance: the size of every `store:` key
     // in the mix, so the report proves what scale it actually served.
     let stores: Vec<Value> = a
         .graphs
@@ -696,7 +696,6 @@ fn report_value(a: &Args, reports: &[RunReport], deterministic: bool) -> Value {
                 ("n".into(), Value::u64(s.header().n as u64)),
                 ("arcs".into(), Value::u64(s.header().arcs)),
                 ("file_bytes".into(), Value::u64(s.file_bytes())),
-                ("mmap".into(), Value::Bool(s.is_mmap())),
             ])
         })
         .collect();

@@ -56,7 +56,7 @@ pub use sim::{run_sim, run_sim_faulted, run_sim_profiled, run_sim_traced, SimRes
 
 /// Former engine-entry CSR check, now a no-op: every
 /// [`db_graph::CsrGraph`] is checked when it is built
-/// ([`db_graph::CsrGraph::try_from_backed`]), so there is nothing left
+/// ([`db_graph::CsrGraph::try_from_sorted_parts`]), so there is nothing left
 /// to find. The benchmark ledger (`ledger/`, built against this
 /// workspace) still times it; the function goes when the ledger stops
 /// naming it.

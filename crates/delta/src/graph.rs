@@ -16,8 +16,8 @@
 //! `Arc` — the served kernel and every engine consume it unchanged,
 //! and compaction can never invalidate it because the guard owns a
 //! strong reference. A pin of the base epoch holds the base `Arc`
-//! itself, so a corpus nobody has written to costs no copy: a base
-//! on an mmap'd pack is read from the mapping.
+//! itself, so a corpus nobody has written to costs no copy of its
+//! base.
 //!
 //! Compaction folds every layer at or below the lowest pinned epoch
 //! into a new base CSR. The merge runs *outside* the lock against
@@ -191,7 +191,7 @@ impl fmt::Debug for DeltaGraph {
 pub const DEFAULT_COMPACT_THRESHOLD: usize = 8;
 
 impl DeltaGraph {
-    /// Wrap a frozen base graph (in-RAM or on an mmap'd pack) as epoch 0.
+    /// Wrap a frozen base graph (built, or loaded from a pack) as epoch 0.
     pub fn new(base: Arc<CsrGraph>) -> Self {
         Self::with_threshold(base, DEFAULT_COMPACT_THRESHOLD)
     }

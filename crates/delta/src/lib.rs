@@ -3,7 +3,7 @@
 //! Every other layer of this workspace treats a graph as frozen at
 //! pack/load time. This crate adds mutability without giving up the
 //! engines' frozen-CSR assumption: a [`DeltaGraph`] is a frozen base
-//! CSR (in-RAM or an mmap'd `db-store` pack) plus published per-epoch
+//! CSR (built, or loaded from a `db-store` pack) plus published per-epoch
 //! [`DeltaLayer`] overlays. Readers [`pin`](DeltaGraph::pin) an epoch
 //! and get a materialized [`db_graph::CsrGraph`] snapshot that every
 //! existing engine consumes unchanged — snapshot isolation by

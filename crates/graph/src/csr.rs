@@ -6,7 +6,6 @@
 //! both directions, which is what DFS/BFS engines traverse.
 
 use crate::par;
-use crate::store::SectionSlice;
 use crate::VertexId;
 use std::ops::Range;
 
@@ -99,19 +98,18 @@ impl std::error::Error for CsrError {}
 /// An immutable CSR graph.
 ///
 /// Construct via [`crate::GraphBuilder`] or [`CsrGraph::from_sorted_parts`].
-/// Every constructor checks the arrays ([`CsrGraph::try_from_backed`]),
+/// Every constructor checks the arrays ([`CsrGraph::try_from_sorted_parts`]),
 /// so a `CsrGraph` is valid by construction: `row_ptr` starts at 0,
 /// never decreases and ends at the arc count, every column is below
 /// `n`, and every row ascends.
 ///
-/// The two arrays live in [`SectionSlice`]s: heap `Vec`s for built
-/// graphs, or zero-copy windows into an mmap'd pack file for graphs
-/// loaded through `db-store`. Accessors return plain slices either way.
+/// The two arrays are heap `Vec`s, for built graphs and for graphs
+/// loaded from a `db-store` pack alike.
 #[derive(Clone, PartialEq, Eq)]
 pub struct CsrGraph {
     n: u32,
-    row_ptr: SectionSlice<u64>,
-    col_idx: SectionSlice<u32>,
+    row_ptr: Vec<u64>,
+    col_idx: Vec<u32>,
     directed: bool,
     far_arcs: u64,
 }
@@ -122,7 +120,6 @@ impl std::fmt::Debug for CsrGraph {
             .field("n", &self.n)
             .field("arcs", &self.col_idx.len())
             .field("directed", &self.directed)
-            .field("mapped_bytes", &self.mapped_bytes())
             .finish()
     }
 }
@@ -144,26 +141,9 @@ impl CsrGraph {
 
     /// Non-panicking form of [`CsrGraph::from_sorted_parts`]: validates
     /// the arrays and reports the first structural defect as a
-    /// [`CsrError`]. Use this for untrusted inputs so a malformed graph
-    /// is rejected at the boundary rather than corrupting a traversal.
-    pub fn try_from_sorted_parts(
-        n: u32,
-        row_ptr: Vec<u64>,
-        col_idx: Vec<u32>,
-        directed: bool,
-    ) -> Result<Self, CsrError> {
-        Self::try_from_backed(
-            n,
-            SectionSlice::owned(row_ptr),
-            SectionSlice::owned(col_idx),
-            directed,
-        )
-    }
-
-    /// Validating constructor over already-backed sections — the entry
-    /// point `db-store` uses so mmap-backed arrays are checked without
-    /// ever being copied. Runs exactly the
-    /// [`CsrGraph::try_from_sorted_parts`] invariants.
+    /// [`CsrError`]. Use this for untrusted inputs (`db-store` loads
+    /// through it) so a malformed graph is rejected at the boundary
+    /// rather than corrupting a traversal.
     ///
     /// Every other constructor ends here, so this is the one CSR check:
     /// a `CsrGraph` is valid by construction, and the engines index its
@@ -171,14 +151,14 @@ impl CsrGraph {
     /// graph's far arcs ([`CsrGraph::far_arcs`]). A big graph is walked
     /// in row chunks on every core ([`crate::par`]); the defect reported
     /// is still the first a serial walk meets.
-    pub fn try_from_backed(
+    pub fn try_from_sorted_parts(
         n: u32,
-        row_ptr: SectionSlice<u64>,
-        col_idx: SectionSlice<u32>,
+        row_ptr: Vec<u64>,
+        col_idx: Vec<u32>,
         directed: bool,
     ) -> Result<Self, CsrError> {
-        let (rp, cols) = (row_ptr.as_slice(), col_idx.as_slice());
-        let far_arcs = check(n, rp, cols, par::parts(rp.len() + cols.len()))?;
+        let parts = par::parts(row_ptr.len() + col_idx.len());
+        let far_arcs = check(n, &row_ptr, &col_idx, parts)?;
         Ok(Self {
             n,
             row_ptr,
@@ -229,29 +209,29 @@ impl CsrGraph {
     /// Out-degree of `u`.
     #[inline]
     pub fn degree(&self, u: VertexId) -> usize {
-        let rp = self.row_ptr.as_slice();
+        let rp = &self.row_ptr;
         (rp[u as usize + 1] - rp[u as usize]) as usize
     }
 
     /// Slice of `u`'s neighbors (sorted ascending by construction).
     #[inline]
     pub fn neighbors(&self, u: VertexId) -> &[u32] {
-        let rp = self.row_ptr.as_slice();
+        let rp = &self.row_ptr;
         let lo = rp[u as usize] as usize;
         let hi = rp[u as usize + 1] as usize;
-        &self.col_idx.as_slice()[lo..hi]
+        &self.col_idx[lo..hi]
     }
 
     /// The raw row-pointer array (length `n + 1`).
     #[inline]
     pub fn row_ptr(&self) -> &[u64] {
-        self.row_ptr.as_slice()
+        &self.row_ptr
     }
 
     /// The raw column-index array.
     #[inline]
     pub fn col_idx(&self) -> &[u32] {
-        self.col_idx.as_slice()
+        &self.col_idx
     }
 
     /// Whether the arc `u -> v` exists (binary search over `u`'s row).
@@ -276,25 +256,12 @@ impl CsrGraph {
         self.row_ptr.len() * 8 + self.col_idx.len() * 4
     }
 
-    /// Private heap bytes this graph owns (0 for fully mmap-backed
-    /// graphs — the mapping is shared, not private, memory).
+    /// Heap bytes the two arrays own, by capacity: what a residency
+    /// budget (`CorpusCache`) charges. A loaded pack's arrays are
+    /// allocated to size, so it owns exactly its
+    /// [`CsrGraph::memory_bytes`].
     pub fn heap_bytes(&self) -> usize {
-        self.row_ptr.heap_bytes() + self.col_idx.heap_bytes()
-    }
-
-    /// Shared mapped (mmap'd pack section) bytes this graph references.
-    pub fn mapped_bytes(&self) -> usize {
-        self.row_ptr.mapped_bytes() + self.col_idx.mapped_bytes()
-    }
-
-    /// Bytes to charge against a residency budget (what `CorpusCache`
-    /// accounts): full price for private heap, a quarter for mapped
-    /// sections, which are backed by the shared page cache rather than
-    /// private memory. The fixed 1/4 keeps accounting deterministic (no
-    /// OS residency probes); it is a charge, not a measurement: a pack
-    /// load's checksum pass leaves the whole mapped part resident.
-    pub fn charged_bytes(&self) -> usize {
-        self.heap_bytes() + self.mapped_bytes() / 4
+        self.row_ptr.capacity() * 8 + self.col_idx.capacity() * 4
     }
 }
 

@@ -5,7 +5,8 @@
 //! * [`CsrGraph`] — a compact compressed-sparse-row graph over `u32`
 //!   vertices with `u64` edge offsets (graphs larger than 4 B edges are
 //!   representable; vertex count is capped at `u32::MAX`, matching the
-//!   paper's CSR layout in §2.1).
+//!   paper's CSR layout in §2.1), held in two heap `Vec`s whether it was
+//!   built or loaded from a pack.
 //! * [`builder`] — edge-list ingestion (sorting, deduplication,
 //!   symmetrization for undirected graphs).
 //! * [`mm`] — a Matrix Market (`.mtx`) reader/writer, the input format of
@@ -34,6 +35,7 @@
 //! seeded and owned by the caller.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod builder;
 pub mod csr;
@@ -43,13 +45,11 @@ pub mod par;
 pub mod permute;
 pub mod sources;
 pub mod stats;
-pub mod store;
 pub mod traversal;
 pub mod validate;
 
 pub use builder::GraphBuilder;
 pub use csr::{CsrError, CsrGraph};
-pub use store::{HeapRegion, Region, SectionSlice};
 pub use traversal::{serial_dfs, DfsOutput};
 
 /// Vertex identifier. The paper's CSR uses 32-bit vertex ids; so do we.

@@ -1,8 +1,8 @@
 //! Graph corpus registry: keyed, Arc-shared, LRU-evicted graph cache.
 //!
 //! Requests name graphs by *corpus key*, resolved on first use and kept
-//! resident under a byte budget (sized by [`CsrGraph::memory_bytes`],
-//! the same CSR footprint the paper reports in §4.1). Eviction is
+//! resident under a byte budget: each graph charges exactly its
+//! [`CsrGraph::heap_bytes`], its two CSR arrays. Eviction is
 //! least-recently-used; an in-flight request keeps its graph alive
 //! through its `Arc` even after eviction.
 //!
@@ -13,7 +13,7 @@
 //! * `path:N` — undirected N-vertex path (worst case for DFS stealing);
 //! * `dag:N` — directed acyclic layered chain (`i → i+1`, `i → i+2`);
 //! * `ring:N` — directed N-cycle (one SCC);
-//! * `store:/path/to/pack.dbsg` — a packed graph mmap-loaded through
+//! * `store:/path/to/pack.dbsg` — a packed graph loaded through
 //!   `db-store` (everything after the prefix is the filesystem path).
 //!
 //! All synthetic recipes are deterministic and RNG-free, so a corpus
@@ -27,15 +27,8 @@
 //! run no CSR check of their own.
 //!
 //! Every key resolves to an `Arc<CsrGraph>`: a `store:` load keeps
-//! only its graph ([`db_store::MappedStore::into_graph`]), whose mapped
-//! sections hold the mapping alive. Residency accounting charges
-//! [`CsrGraph::charged_bytes`] rather than the raw CSR footprint: a
-//! loaded pack's mapped sections charge a fixed quarter of their
-//! bytes, and its heap columns full price, instead of the full file, so
-//! a 50M-arc pack does not evict the whole rest of the corpus on open.
-//! The quarter is a deterministic charge, not a measurement: the load's
-//! checksum pass touches the whole mapping, after which the pack
-//! releases its column pages and keeps only `row_ptr` resident.
+//! only its graph ([`db_store::MappedStore::into_graph`]), two heap
+//! arrays like a built graph's, and holds no mapping of its pack.
 
 use db_graph::{builder::from_edge_list, CsrGraph, GraphBuilder};
 use db_metrics::{Counter, Gauge, Registry};
@@ -63,14 +56,12 @@ pub struct CorpusCache {
     store_loads: Counter,
     store_load_failures: Counter,
     store_corruptions: Counter,
-    store_mapped_bytes: Gauge,
 }
 
 #[derive(Debug, Default)]
 struct CacheInner {
     map: HashMap<String, Entry>,
     total_bytes: usize,
-    mapped_bytes: usize,
     tick: u64,
 }
 
@@ -124,7 +115,7 @@ impl CorpusCache {
             ),
             resident_bytes: reg.gauge(
                 "db_serve_resident_bytes",
-                "Charged bytes currently resident in the corpus cache",
+                "Heap bytes of the graphs resident in the corpus cache",
                 &[],
             ),
             store_loads: reg.counter(
@@ -142,11 +133,6 @@ impl CorpusCache {
                 "Injected store corruptions caught by pack checksums",
                 &[],
             ),
-            store_mapped_bytes: reg.gauge(
-                "db_store_resident_mapped_bytes",
-                "Zero-copy mmap bytes referenced by resident stores",
-                &[],
-            ),
         }
     }
 
@@ -156,8 +142,8 @@ impl CorpusCache {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Returns the graph for `key`, building (or mmap-loading, for
-    /// `store:` keys) and caching it on a miss.
+    /// Returns the graph for `key`, building (or loading, for `store:`
+    /// keys) and caching it on a miss.
     ///
     /// The build happens under the cache lock: concurrent requests for
     /// the same key build once and the losers wait, at the cost of
@@ -183,9 +169,7 @@ impl CorpusCache {
             ));
         }
         let graph = Arc::new(self.build_counted(key)?);
-        // Charged bytes, not raw footprint: mmap'd sections charge the
-        // hot-section estimate so one big pack doesn't flush the cache.
-        let bytes = graph.charged_bytes();
+        let bytes = graph.heap_bytes();
         // Evict LRU entries until the newcomer fits (or nothing is left).
         while inner.total_bytes + bytes > self.budget_bytes {
             let lru = inner
@@ -196,12 +180,10 @@ impl CorpusCache {
             let Some(e) = lru.and_then(|k| inner.map.remove(&k)) else {
                 break;
             };
-            inner.total_bytes -= e.graph.charged_bytes();
-            inner.mapped_bytes -= e.graph.mapped_bytes();
+            inner.total_bytes -= e.graph.heap_bytes();
             self.evictions.inc();
         }
         inner.total_bytes += bytes;
-        inner.mapped_bytes += graph.mapped_bytes();
         inner.map.insert(
             key.to_string(),
             Entry {
@@ -212,7 +194,6 @@ impl CorpusCache {
         let resident = inner.map.len();
         self.resident_graphs.set(resident as u64);
         self.resident_bytes.set(inner.total_bytes as u64);
-        self.store_mapped_bytes.set(inner.mapped_bytes as u64);
         drop(inner);
         self.misses.inc();
         Ok((
@@ -253,7 +234,6 @@ impl CorpusCache {
         self.store_loads.inc();
         let opts = db_store::LoadOptions {
             corrupt_seed: Some(corrupt_seed),
-            ..Default::default()
         };
         match db_store::load_with(path, &opts) {
             Ok(store) => {
@@ -299,7 +279,7 @@ impl CorpusCache {
     }
 }
 
-/// Builds the graph a corpus key names: `store:` keys mmap-load a
+/// Builds the graph a corpus key names: `store:` keys load a
 /// `.dbsg` pack through `db-store` (typed load errors stringified, the
 /// serve path never panics on file bytes), then synthetic recipes, then
 /// the benchmark suite registry.

@@ -11,7 +11,7 @@
 //! served kernel ([`db_core::kernel`]) exactly as on a frozen corpus:
 //! a reach stops at its target, and both stop at their deadline. A pin
 //! of the base epoch holds the base graph itself, so a read on
-//! `delta:store:<pack>` before its first write runs on the mapped pack
+//! `delta:store:<pack>` before its first write runs on the loaded pack
 //! and copies nothing.
 //!
 //! Write responses carry only the *requested batch size* (`applied`),

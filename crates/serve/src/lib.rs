@@ -7,8 +7,9 @@
 //!
 //! * [`corpus`] — graph registry: corpus keys resolve to
 //!   `Arc<CsrGraph>`s — built in-RAM graphs or `store:`-keyed packs
-//!   mmap-loaded through `db-store`, each checked once when it is built
-//!   or loaded — cached under a charged-bytes budget with LRU eviction.
+//!   loaded through `db-store`, each checked once when it is built or
+//!   loaded — cached under a budget of exact heap bytes with LRU
+//!   eviction.
 //! * [`delta`] — epoch-versioned dynamic graphs under `delta:` corpus
 //!   keys (`db-delta`): `add_edges`/`del_edges` batches publish epochs,
 //!   reads pin a snapshot (snapshot isolation) and run on it through

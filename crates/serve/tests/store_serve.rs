@@ -1,7 +1,7 @@
 //! Serving packed graphs: `store:` corpus keys resolve through
-//! `db-store`'s mmap loader, traversals run zero-copy on the mapping,
-//! charged-bytes accounting keeps big packs from flushing the cache,
-//! and the `store` fault domain degrades per-request, never per-server.
+//! `db-store`'s loader into two heap arrays, the corpus cache charges
+//! each graph exactly its heap bytes, and the `store` fault domain
+//! degrades per-request, never per-server.
 
 use db_fault::{FaultPlan, Injector};
 use db_serve::corpus::CorpusCache;
@@ -215,20 +215,19 @@ fn charged_bytes_accounting_on_store_keys() {
     let full = db_serve::corpus::build_graph(&key).unwrap();
     let g_bytes = full.memory_bytes();
 
-    // An mmap-loaded store charges less than its raw CSR footprint
-    // (hot-section estimate), so a budget sized for the *charged* bytes
-    // keeps it resident alongside other graphs.
+    // A loaded store charges exactly its two arrays: `row_ptr` and the
+    // columns, allocated to size, so a budget of its CSR footprint
+    // holds it.
     let cache = CorpusCache::new(g_bytes);
     let (s1, i1) = cache.resolve(&key).unwrap();
     assert!(!i1.hit);
-    if s1.mapped_bytes() > 0 {
-        assert!(
-            s1.charged_bytes() < g_bytes,
-            "mapped store must charge below raw CSR bytes"
-        );
-    }
+    assert_eq!(
+        s1.heap_bytes(),
+        (s1.num_vertices() + 1) * 8 + s1.num_arcs() * 4
+    );
+    assert_eq!(s1.heap_bytes(), g_bytes);
     let (_, bytes) = cache.resident();
-    assert_eq!(bytes, s1.charged_bytes());
+    assert_eq!(bytes, g_bytes);
 
     // Same key hits; eviction on store keys releases their charge.
     let (_, i2) = cache.resolve(&key).unwrap();
@@ -242,66 +241,39 @@ fn charged_bytes_accounting_on_store_keys() {
     std::fs::remove_file(path).unwrap();
 }
 
-/// Eviction decisions follow *charged* bytes (mapped sections at ¼),
-/// not resident CSR bytes: a budget with room for the store's charge
-/// but NOT for its raw footprint keeps the mmap'd pack — the LRU
-/// entry — resident while later graphs are admitted. Were the cache
-/// charging resident bytes, the very first admission after it would
-/// have to evict the pack.
+/// Eviction decisions follow the exact heap bytes of each graph: a
+/// budget of the pack's bytes plus both fillers' keeps all three, and
+/// one byte less evicts the pack, the least recently used.
 #[test]
-fn eviction_order_follows_charged_not_resident_bytes() {
-    // A sparse graph: its mapped `row_ptr` outweighs its heap columns
-    // several times over, so the charge is well under resident bytes.
+fn eviction_order_follows_exact_heap_bytes() {
     let edges: Vec<(u32, u32)> = (0..40_000).step_by(16).map(|u| (u, u + 1)).collect();
     let g = db_graph::builder::from_edge_list(40_001, &edges, true);
     let path = scratch("charged-order");
     pack_graph(&g, &path, PackOptions::default()).unwrap();
     let key = format!("store:{}", path.display());
 
-    let store = db_serve::corpus::build_graph(&key).unwrap();
-    let resident = store.memory_bytes();
-    let charged = store.charged_bytes();
-    assert!(store.mapped_bytes() > 0, "row_ptr must mmap zero-copy");
-    assert!(
-        charged <= resident / 2,
-        "mapped charge ({charged}) must sit well under resident bytes ({resident})"
-    );
+    let pack = db_serve::corpus::build_graph(&key).unwrap().heap_bytes();
+    assert_eq!(pack, 40_002 * 8 + g.num_arcs() * 4);
+    let filler = |k: &str| db_serve::corpus::build_graph(k).unwrap().heap_bytes();
+    let fillers = filler("path:1000") + filler("path:1001");
 
-    // Two small in-RAM graphs, each far smaller than the pack.
-    let filler = db_serve::corpus::build_graph("path:1000")
-        .unwrap()
-        .memory_bytes();
-    assert!(filler * 4 < resident);
-
-    // Budget: the pack's CHARGE plus both fillers fits; the pack's
-    // RESIDENT bytes alone would blow it.
-    let budget = charged + filler * 2 + filler / 2;
-    assert!(budget < resident);
+    let budget = pack + fillers;
     let cache = CorpusCache::new(budget);
     cache.resolve(&key).unwrap(); // oldest — first in LRU order
     cache.resolve("path:1000").unwrap();
     cache.resolve("path:1001").unwrap();
-    assert_eq!(
-        cache.evictions(),
-        0,
-        "charged accounting must fit all three under the budget"
-    );
-    let (n, bytes) = cache.resident();
-    assert_eq!(n, 3);
-    assert!(bytes <= budget);
+    assert_eq!(cache.evictions(), 0, "all three fit the budget exactly");
+    assert_eq!(cache.resident(), (3, budget));
     let (_, info) = cache.resolve(&key).unwrap();
-    assert!(
-        info.hit,
-        "the LRU pack survives because only its charge counts"
-    );
+    assert!(info.hit, "the LRU pack survives a budget that fits it");
 
-    // Shrink the budget below the pack's charge plus one filler: now
-    // the pack really is evicted first, in LRU order.
-    let tight = CorpusCache::new(charged + filler + filler / 2);
+    // One byte less: the pack really is evicted first, in LRU order.
+    let tight = CorpusCache::new(budget - 1);
     tight.resolve(&key).unwrap();
     tight.resolve("path:1000").unwrap();
     tight.resolve("path:1001").unwrap(); // must push the pack out
     assert_eq!(tight.evictions(), 1);
+    assert_eq!(tight.resident(), (2, fillers));
     let (_, info) = tight.resolve("path:1000").unwrap();
     assert!(info.hit, "newer RAM graph stays");
     let (_, info) = tight.resolve(&key).unwrap();

@@ -38,7 +38,7 @@ pub enum SpanKind {
     /// The chaos plan struck this attempt. `code` 0 = kill,
     /// 1 = corrupt, 2 = stall, 3 = slow, 4 = store-corrupt.
     Fault,
-    /// Frozen-corpus resolution (pack mmap load or cache hit).
+    /// Frozen-corpus resolution (pack load or cache hit).
     /// `code` 0 = hit, 1 = miss, 2 = injected store fault;
     /// `value` = resident graphs after resolution.
     StoreLoad,

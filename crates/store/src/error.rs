@@ -7,7 +7,6 @@
 
 use db_graph::csr::CsrError;
 use db_graph::encode::DecodeError;
-use db_graph::store::SectionError;
 use std::fmt;
 use std::path::PathBuf;
 
@@ -68,8 +67,6 @@ pub enum StoreError {
     Decode(DecodeError),
     /// The assembled arrays violate a CSR invariant.
     Csr(CsrError),
-    /// A zero-copy section view could not be constructed.
-    Section(SectionError),
 }
 
 impl fmt::Display for StoreError {
@@ -102,7 +99,6 @@ impl fmt::Display for StoreError {
             StoreError::Malformed(msg) => write!(f, "malformed pack: {msg}"),
             StoreError::Decode(e) => write!(f, "packed column stream: {e}"),
             StoreError::Csr(e) => write!(f, "csr invariant: {e}"),
-            StoreError::Section(e) => write!(f, "section view: {e}"),
         }
     }
 }
@@ -113,7 +109,6 @@ impl std::error::Error for StoreError {
             StoreError::Io { source, .. } => Some(source),
             StoreError::Decode(e) => Some(e),
             StoreError::Csr(e) => Some(e),
-            StoreError::Section(e) => Some(e),
             _ => None,
         }
     }
@@ -128,11 +123,5 @@ impl From<DecodeError> for StoreError {
 impl From<CsrError> for StoreError {
     fn from(e: CsrError) -> Self {
         StoreError::Csr(e)
-    }
-}
-
-impl From<SectionError> for StoreError {
-    fn from(e: SectionError) -> Self {
-        StoreError::Section(e)
     }
 }

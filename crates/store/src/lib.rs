@@ -9,29 +9,26 @@
 //! * [`pack`] — a streaming [`pack::PackWriter`] (rows in, sealed file
 //!   out via temp+rename) with one column encoding: every row is
 //!   delta+varint compressed into one section.
-//! * [`mod@load`] — mmap-first loading behind typed [`StoreError`]s; the
-//!   `row_ptr` array becomes a zero-copy [`db_graph::SectionSlice`]
-//!   view into the mapping, so a 50M-edge pack costs no offsets copy at
-//!   open time, and the load releases the column pages once it has
-//!   decoded them into the heap.
-//! * [`mmapio`] — the `mmap`/`munmap`/`madvise` shim (no `libc`
-//!   dependency) with a heap fallback for other platforms and for fault
-//!   injection, and the `/proc/self/smaps` residency read.
+//! * [`mod@load`] — loading behind typed [`StoreError`]s: the pack is
+//!   mapped only while it loads, every section checksum is verified,
+//!   and `row_ptr` and the decoded columns land in two heap arrays, so
+//!   a loaded graph holds no file pages and costs exactly its CSR.
+//! * `mmapio` — the `mmap`/`munmap`/`madvise` shim (no `libc`
+//!   dependency) with a heap read where mmap is unavailable.
 //! * [`partition`] — [`partition_by_arcs`] and [`run_partitioned`],
 //!   kept for the benchmark ledger only: the second is the reference
 //!   BFS's reachable set.
 //!
-//! The crate only depends on `db-graph` (for the CSR + section types).
+//! The crate only depends on `db-graph` (for the CSR and its codec).
 //! Engines and the serve layer keep only a load's
-//! [`db_graph::CsrGraph`] ([`MappedStore::into_graph`]), whose mapped
-//! sections hold the mapping alive.
+//! [`db_graph::CsrGraph`] ([`MappedStore::into_graph`]).
 
 #![warn(missing_docs)]
 
 pub mod error;
 pub mod format;
 pub mod load;
-pub mod mmapio;
+mod mmapio;
 pub mod pack;
 pub mod partition;
 

@@ -1,12 +1,15 @@
-//! Pack loading: mmap the file, verify, and assemble a [`CsrGraph`]
-//! whose `row_ptr` is a zero-copy view into the mapping.
+//! Pack loading: map the file, verify it, and decode it into a
+//! [`CsrGraph`] of two heap arrays.
 //!
-//! The columns are decoded into the heap, so once the decode is done
-//! the load releases the pages of `col_packed` from the mapping: the
-//! checksum pass and the decode made them resident, and nothing reads
-//! them again. Only `row_ptr` (plus the header page and the page the
-//! two sections share) stays resident in the mapping, so the pack costs
-//! its CSR once.
+//! A pack is mapped only while it loads. Each section's checksum is
+//! verified before the section is used: `row_ptr`'s first, so that a
+//! second thread (for a `row_ptr` big enough to split) copies it into
+//! the heap while the other sections are verified. Its pages are then
+//! given back, `col_packed` is decoded into the heap, and the mapping
+//! is dropped before the CSR check, so a loaded graph holds no file
+//! pages and costs exactly its two arrays. Copying `row_ptr` and giving
+//! its pages back before the columns are allocated keeps the load's
+//! peak at the file plus the columns.
 //!
 //! Every failure mode on this path — missing file, truncation, bad
 //! magic, checksum mismatch, malformed streams, CSR violations — is a
@@ -18,19 +21,15 @@ use crate::format::{
     hash64, Header, SectionEntry, HEADER_LEN, MAGIC, SECTION_ENTRY_LEN, SEC_COL_PACKED,
     SEC_ROW_PTR, VERSION,
 };
-use crate::mmapio::{open_region, resident_bytes, RegionKind};
+use crate::mmapio::PackBytes;
 use db_graph::encode::decode_row_into;
-use db_graph::store::{HeapRegion, Region, SectionError, SectionSlice};
 use db_graph::{par, CsrGraph};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
-/// Load-time choices: the backing and a fault-injection probe. Section
-/// checksums are always verified (one sequential pass over the file).
+/// Load-time choices: a fault-injection probe. Section checksums are
+/// always verified (one sequential pass over the file).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LoadOptions {
-    /// Read into a private heap buffer instead of mmap.
-    pub force_heap: bool,
     /// Fault injection: when set, load through a heap copy and flip one
     /// payload byte derived from this seed *before* verification —
     /// checksum verification must catch the corruption.
@@ -43,8 +42,6 @@ pub struct MappedStore {
     graph: CsrGraph,
     path: PathBuf,
     file_bytes: u64,
-    region: Arc<dyn Region>,
-    kind: RegionKind,
     header: Header,
     sections: Vec<SectionEntry>,
 }
@@ -65,28 +62,12 @@ impl MappedStore {
         self.file_bytes
     }
 
-    /// Whether the file is served from an mmap (vs a heap copy).
-    pub fn is_mmap(&self) -> bool {
-        self.kind == RegionKind::Mmap
-    }
-
-    /// Bytes of the pack's mapping resident in this process, the `Rss:`
-    /// of its `/proc/self/smaps` entry: 0 for a heap-backed store,
-    /// `None` off Linux.
-    pub fn resident_mapped_bytes(&self) -> Option<u64> {
-        match self.kind {
-            RegionKind::Mmap => resident_bytes(self.region.bytes().as_ptr().addr()),
-            RegionKind::Heap => Some(0),
-        }
-    }
-
     /// The loaded graph.
     pub fn graph(&self) -> &CsrGraph {
         &self.graph
     }
 
-    /// Keeps the graph and drops the provenance. The graph's mapped
-    /// sections hold the mapping alive, so this is all a server keeps.
+    /// Keeps the graph and drops the provenance: all a server keeps.
     pub fn into_graph(self) -> CsrGraph {
         self.graph
     }
@@ -94,22 +75,18 @@ impl MappedStore {
     /// One-line human description (for `store inspect` and logs).
     pub fn describe(&self) -> String {
         format!(
-            "pack {}: n={} arcs={} directed={} backing={} file={}B",
+            "pack {}: n={} arcs={} directed={} file={}B",
             self.path.display(),
             self.header.n,
             self.header.arcs,
             self.header.directed(),
-            match self.kind {
-                RegionKind::Mmap => "mmap row_ptr + heap columns",
-                RegionKind::Heap => "heap",
-            },
             self.file_bytes,
         )
     }
 }
 
-/// Loads a pack with default options: mmap preferred, header and every
-/// section checksum verified before any section is used.
+/// Loads a pack with default options: header and every section
+/// checksum verified before any section is used.
 pub fn load(path: impl AsRef<Path>) -> Result<MappedStore, StoreError> {
     load_with(path, &LoadOptions::default())
 }
@@ -117,41 +94,32 @@ pub fn load(path: impl AsRef<Path>) -> Result<MappedStore, StoreError> {
 /// Loads a pack with explicit [`LoadOptions`]; verification is the
 /// same as [`load`]'s.
 pub fn load_with(path: impl AsRef<Path>, opts: &LoadOptions) -> Result<MappedStore, StoreError> {
-    load_split(path.as_ref(), opts, par::parts)
+    let path = path.as_ref();
+    let pack = match opts.corrupt_seed {
+        Some(seed) => {
+            let mut bytes = std::fs::read(path).map_err(|source| StoreError::Io {
+                op: "read",
+                path: path.to_path_buf(),
+                source,
+            })?;
+            corrupt_one_byte(&mut bytes, seed);
+            PackBytes::Read(bytes)
+        }
+        None => PackBytes::open(path)?,
+    };
+    load_split(path, pack, par::parts)
 }
 
-/// [`load_with`], decoding the columns in `parts(work)` row chunks.
+/// Decodes `pack` into a graph, splitting work by `parts(work)`, and
+/// drops `pack` before the CSR check.
 pub(crate) fn load_split(
     path: &Path,
-    opts: &LoadOptions,
+    pack: PackBytes,
     parts: impl Fn(usize) -> usize,
 ) -> Result<MappedStore, StoreError> {
-    let (region, kind): (Arc<dyn Region>, RegionKind) = if let Some(seed) = opts.corrupt_seed {
-        let mut bytes = std::fs::read(path).map_err(|source| StoreError::Io {
-            op: "read",
-            path: path.to_path_buf(),
-            source,
-        })?;
-        corrupt_one_byte(&mut bytes, seed);
-        (Arc::new(HeapRegion::from_bytes(&bytes)), RegionKind::Heap)
-    } else {
-        open_region(path, opts.force_heap)?
-    };
-
-    let (header, entries) = parse_preamble(region.bytes())?;
-    let file_len = region.bytes().len() as u64;
-
-    for e in &entries {
-        let payload = section_payload(region.bytes(), e)?;
-        let got = hash64(payload);
-        if got != e.checksum {
-            return Err(StoreError::SectionChecksum {
-                id: e.id,
-                expected: e.checksum,
-                got,
-            });
-        }
-    }
+    let bytes = pack.bytes();
+    let (header, entries) = parse_preamble(bytes)?;
+    let file_bytes = bytes.len() as u64;
 
     let rp_entry = find_section(&entries, SEC_ROW_PTR)?;
     let expect_rp = (u64::from(header.n) + 1) * 8;
@@ -161,40 +129,65 @@ pub(crate) fn load_split(
             rp_entry.len
         )));
     }
-    let row_ptr = map_u64s(&region, rp_entry, header.n as usize + 1)?;
+    let verify = |e: &SectionEntry| {
+        let got = hash64(section_payload(bytes, e)?);
+        if got != e.checksum {
+            return Err(StoreError::SectionChecksum {
+                id: e.id,
+                expected: e.checksum,
+                got,
+            });
+        }
+        Ok(())
+    };
+    verify(rp_entry)?;
+    // Unless `row_ptr` is too small to split, a second thread copies it
+    // into fresh zeroed memory while this one verifies the other
+    // sections, so the copy's first-touch page faults cost no time.
+    let rp_bytes = section_payload(bytes, rp_entry)?;
+    let mut row_ptr = vec![0u64; rp_bytes.len() / 8];
+    let split = parts(row_ptr.len()) > 1;
+    let verified = std::thread::scope(|s| {
+        let mut copy = || {
+            for (word, c) in row_ptr.iter_mut().zip(rp_bytes.chunks_exact(8)) {
+                *word = u64::from_le_bytes(c.try_into().expect("8 bytes")); // io-ok: chunks_exact
+            }
+        };
+        if split {
+            s.spawn(copy);
+        } else {
+            copy();
+        }
+        let mut others = entries.iter().filter(|&e| !std::ptr::eq(e, rp_entry));
+        others.try_for_each(verify)
+    });
+    verified?;
+    // The heap copy stands in for those pages from here on.
+    pack.release(rp_entry.offset as usize..(rp_entry.offset + rp_entry.len) as usize);
 
     // Pre-validate the offsets before using them as decode lengths (the
-    // final try_from_backed re-checks; this keeps the decode loop free
-    // of unchecked trust in file bytes).
-    {
-        let rp = row_ptr.as_slice();
-        // io-ok: section decode already verified row_ptr holds n+1 entries
-        if rp[0] != 0 || *rp.last().expect("n+1 entries") != header.arcs {
-            return Err(StoreError::Malformed(
-                "row_ptr endpoints disagree with header counts".into(),
-            ));
-        }
-        if rp.windows(2).any(|w| w[0] > w[1]) {
-            return Err(StoreError::Malformed("row_ptr decreases".into()));
-        }
+    // final CSR check re-checks; this keeps the decode loop free of
+    // unchecked trust in file bytes).
+    if row_ptr.first() != Some(&0) || row_ptr.last() != Some(&header.arcs) {
+        return Err(StoreError::Malformed(
+            "row_ptr endpoints disagree with header counts".into(),
+        ));
+    }
+    if !row_ptr.is_sorted() {
+        return Err(StoreError::Malformed("row_ptr decreases".into()));
     }
 
     let packed = find_section(&entries, SEC_COL_PACKED)?;
-    let packed_bytes = section_payload(region.bytes(), packed)?;
-    let rp = row_ptr.as_slice();
-    let parts = parts(rp.len().saturating_add(header.arcs as usize));
-    let cols = decode_columns(rp, header.arcs, packed_bytes, parts)?;
-    // Nothing reads the packed columns again; a heap region keeps them.
-    region.release(packed.offset as usize..(packed.offset + packed.len) as usize);
+    let packed_bytes = section_payload(bytes, packed)?;
+    let parts = parts(row_ptr.len().saturating_add(header.arcs as usize));
+    let cols = decode_columns(&row_ptr, header.arcs, packed_bytes, parts)?;
+    drop(pack);
 
-    let col_idx = SectionSlice::owned(cols);
-    let graph = CsrGraph::try_from_backed(header.n, row_ptr, col_idx, header.directed())?;
+    let graph = CsrGraph::try_from_sorted_parts(header.n, row_ptr, cols, header.directed())?;
     Ok(MappedStore {
         graph,
         path: path.to_path_buf(),
-        file_bytes: file_len,
-        region,
-        kind,
+        file_bytes,
         header,
         sections: entries,
     })
@@ -279,25 +272,6 @@ fn section_payload<'a>(bytes: &'a [u8], e: &SectionEntry) -> Result<&'a [u8], St
         .filter(|&end| end <= bytes.len())
         .ok_or(StoreError::SectionBounds { id: e.id })?;
     Ok(&bytes[start..end])
-}
-
-fn map_u64s(
-    region: &Arc<dyn Region>,
-    e: &SectionEntry,
-    len: usize,
-) -> Result<SectionSlice<u64>, StoreError> {
-    match SectionSlice::<u64>::mapped(Arc::clone(region), e.offset as usize, len) {
-        Ok(s) => Ok(s),
-        Err(SectionError::BigEndianHost) => {
-            let payload = section_payload(region.bytes(), e)?;
-            let v = payload
-                .chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))) // io-ok: chunks_exact
-                .collect();
-            Ok(SectionSlice::owned(v))
-        }
-        Err(err) => Err(err.into()),
-    }
 }
 
 /// Decodes the full column array from `col_packed` in `parts` row
@@ -450,7 +424,7 @@ mod tests {
     }
 
     fn load_parts(path: &Path, parts: usize) -> Result<MappedStore, StoreError> {
-        load_split(path, &LoadOptions::default(), |_| parts)
+        load_split(path, PackBytes::open(path)?, |_| parts)
     }
 
     /// Rewrites section `id`'s payload with `edit` and recomputes its
@@ -480,6 +454,10 @@ mod tests {
                 &g,
                 "{parts} parts"
             );
+            // The heap read, where mmap is unavailable, decodes the same.
+            let read = PackBytes::Read(std::fs::read(&path).unwrap());
+            let heap = load_split(&path, read, |_| parts).unwrap();
+            assert_eq!(heap.graph(), &g, "{parts} parts, heap read");
         }
         // Two varints merged into one, one split in two, and the last
         // one left open: every split fails typed.

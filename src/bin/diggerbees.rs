@@ -730,15 +730,9 @@ fn store_main() -> ExitCode {
                         s.header().version,
                         names.join(" ")
                     );
-                    let g = s.graph();
-                    let resident = s
-                        .resident_mapped_bytes()
-                        .map_or_else(|| "unknown".to_string(), |b| b.to_string());
                     println!(
-                        "residency: {} heap bytes, {} mapped bytes, {resident} resident in the mapping, {} charged",
-                        g.heap_bytes(),
-                        g.mapped_bytes(),
-                        g.charged_bytes()
+                        "residency: {} heap bytes, charged in full",
+                        s.graph().heap_bytes()
                     );
                     if verb == "verify" {
                         println!(

@@ -26,7 +26,8 @@
 //!   chaos hooks and the serve layer's resilience machinery
 //!   ([`db_fault`]).
 //! * [`store`] — the packed on-disk graph layer: delta+varint `.dbsg`
-//!   packs whose `row_ptr` loads zero-copy from an mmap ([`db_store`]).
+//!   packs that load into the same two heap arrays a built graph has
+//!   ([`db_store`]).
 //! * [`serve`] — a multi-tenant traversal service: corpus cache
 //!   (including `store:`-keyed packs), admission control,
 //!   a worker pool over one deadline-ordered queue, NDJSON TCP front-end

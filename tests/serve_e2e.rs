@@ -101,7 +101,7 @@ fn request_list(store_key: &str, frozen: &HashMap<String, CsrGraph>) -> Vec<Requ
             push(&mut reqs, key, Workload::Articulation);
         }
     }
-    // Reads only: these run on the mapped pack itself, the base epoch.
+    // Reads only: these run on the loaded pack itself, the base epoch.
     let delta_store = format!("{DELTA_PREFIX}{store_key}");
     let n = frozen[store_key].num_vertices() as u32;
     for w in [

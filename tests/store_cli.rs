@@ -1,8 +1,8 @@
 //! `diggerbees store pack --out <bare file name>` writes into the
 //! working directory. Sealing the pack fsyncs the output's parent
 //! directory, and for a bare name that parent is the empty path.
-//! `store inspect` reports the format version, the sections and how
-//! much of a pack's mapping is resident. Both packs' bytes are pinned,
+//! `store inspect` reports the format version, the sections and the
+//! heap bytes a loaded pack owns. Both packs' bytes are pinned,
 //! so a drift in the social generator or the row encoder fails here.
 //! Every row, however wide and however far apart its columns, takes
 //! the one varint encoding and loads back exactly; a pack of an older
@@ -63,12 +63,10 @@ fn pack_and_verify_a_bare_file_name_in_the_working_directory() {
     );
 }
 
-/// A pack keeps only `row_ptr` resident in its mapping once the load
-/// has decoded the columns: `store inspect` must report at most the
-/// mapped (`row_ptr`) bytes plus 128 KiB for the header page, the page
-/// the two sections share and the kernel's fault-around. It also
-/// reports format version 2 with exactly the two v2 sections.
-#[cfg(target_os = "linux")]
+/// A loaded pack is resident once, as two heap arrays allocated to
+/// size: `store inspect` must report exactly `(n + 1) * 8` bytes of
+/// `row_ptr` plus 4 bytes an arc. It also reports format version 2
+/// with exactly the two v2 sections.
 #[test]
 fn inspect_reports_only_row_ptr_resident_for_a_compressed_pack() {
     let dir = scratch_dir("resident");
@@ -98,24 +96,21 @@ fn inspect_reports_only_row_ptr_resident_for_a_compressed_pack() {
     );
     let out = String::from_utf8_lossy(&inspect.stdout).into_owned();
     assert!(inspect.status.success(), "inspect: {out}");
-    assert!(out.contains("backing=mmap row_ptr + heap columns"), "{out}");
     assert!(
         out.lines()
             .any(|l| l == "header: version 2 sections row_ptr col_packed"),
         "{out}"
     );
-    let line = out
-        .lines()
-        .find(|l| l.starts_with("residency:"))
-        .unwrap_or_else(|| panic!("no residency line in {out}"));
-    let count = |suffix: &str| -> u64 {
-        line.split(", ")
-            .find_map(|part| part.strip_suffix(suffix)?.rsplit(' ').next()?.parse().ok())
-            .unwrap_or_else(|| panic!("no '{suffix}' count in {line}"))
+    let field = |key: &str| -> u64 {
+        out.split_whitespace()
+            .find_map(|w| w.strip_prefix(key)?.parse().ok())
+            .unwrap_or_else(|| panic!("no {key} in {out}"))
     };
-    let mapped = count(" mapped bytes");
-    let resident = count(" resident in the mapping");
-    assert!(resident <= mapped + 128 * 1024, "{line}");
+    let (n, arcs) = (field("n="), field("arcs="));
+    assert_eq!(n, 50_000, "{out}");
+    let heap = (n + 1) * 8 + arcs * 4;
+    let want = format!("residency: {heap} heap bytes, charged in full");
+    assert!(out.lines().any(|l| l == want), "want '{want}' in {out}");
 }
 
 /// A pack in a scratch directory of its own.
