@@ -134,9 +134,14 @@ fn callgraph_golden_for_serve_pool() {
     // queued-write counts), and `ServeHandle::flight_dropped` went with
     // its edge to `FlightRecorder::dropped`. The pinned edge
     // `worker_loop -> steal_half` became `ServeHandle::submit ->
-    // edf_cmp`, the queue's sorted insert.
+    // edf_cmp`, the queue's sorted insert. 177 since a scrape renders
+    // the instance registry alone (-13): `ServeHandle::prometheus`'s
+    // edges to `render` and `global` became one to
+    // `Registry::render_prometheus` (-1), and the pool test
+    // `prometheus_scrape_merges_instance_and_global_series` (12 edges)
+    // moved to tier-1 `serve_metrics`.
     assert_eq!(
-        pool_edges, 190,
+        pool_edges, 177,
         "edges out of pool.rs fns changed; if the pool or the resolver \
          changed intentionally, update this golden"
     );

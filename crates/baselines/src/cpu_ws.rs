@@ -20,7 +20,7 @@
 //!   speedups); both properties follow from these two charges.
 
 use crate::run::BaselineRun;
-use db_gpu_sim::{Des, MachineModel, MemPipeline, SimStats};
+use db_gpu_sim::{Des, MachineModel, MemPipeline};
 use db_graph::{CsrGraph, VertexId};
 use db_trace::{EventKind, NullTracer, PhaseKind, TraceEvent, Tracer};
 use rand::rngs::SmallRng;
@@ -142,10 +142,7 @@ pub fn run_traced<T: Tracer>(
     workers[0].phase = Phase::Working;
     let mut live: u64 = 1;
     let mut finish: Option<u64> = None;
-    let mut stats = SimStats::new(p as usize);
-    stats.vertices_visited = 1;
-    stats.tasks_per_block[0] = 1;
-    stats.hot_high_water = 1; // the seeded root
+    let mut edges: u64 = 0;
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut mem = MemPipeline::new(c.random_trans_per_cycle);
 
@@ -194,13 +191,9 @@ pub fn run_traced<T: Tracer>(
                 match found {
                     Some((v, i)) => {
                         visited[v as usize] = true;
-                        stats.vertices_visited += 1;
-                        stats.edges_traversed += (i + 1 - off) as u64;
-                        stats.tasks_per_block[wi] += 1;
+                        edges += (i + 1 - off) as u64;
                         *workers[wi].stack.last_mut().expect("nonempty") = (u, i + 1);
                         workers[wi].stack.push((v, 0));
-                        stats.hot_high_water =
-                            stats.hot_high_water.max(workers[wi].stack.len() as u64);
                         emit(tracer, now, w, EventKind::Push { vertex: v });
                         live += 1;
                         // Dependent-miss chain per discovery: visited CAS,
@@ -215,7 +208,7 @@ pub fn run_traced<T: Tracer>(
                         des.yield_for(w, cost);
                     }
                     None => {
-                        stats.edges_traversed += (chunk_end - off) as u64;
+                        edges += (chunk_end - off) as u64;
                         *workers[wi].stack.last_mut().expect("nonempty") = (u, chunk_end);
                         let scanned = (chunk_end - off) as u64;
                         des.yield_for(
@@ -254,7 +247,6 @@ pub fn run_traced<T: Tracer>(
             Phase::Reserve { victim } => {
                 let vlen = workers[victim as usize].stack.len();
                 if vlen < cfg.steal_cutoff as usize {
-                    stats.steal_failures += 1;
                     emit(tracer, now, w, EventKind::StealFail { victim });
                     workers[wi].phase = Phase::IdleScan;
                     des.yield_for(w, c.atomic_global);
@@ -265,8 +257,6 @@ pub fn run_traced<T: Tracer>(
                 let k = vlen / 2;
                 let taken: Vec<(u32, u32)> = workers[victim as usize].stack.drain(..k).collect();
                 workers[wi].stack.extend(taken);
-                stats.hot_high_water = stats.hot_high_water.max(workers[wi].stack.len() as u64);
-                stats.steals_intra += 1;
                 emit(
                     tracer,
                     now,
@@ -298,15 +288,6 @@ pub fn run_traced<T: Tracer>(
             phase: PhaseKind::Finish,
         },
     );
-    stats.cycles = cycles;
-    stats.record_to(
-        db_metrics::global(),
-        match style {
-            CpuWsStyle::Ckl => "cpu_ws_ckl",
-            CpuWsStyle::Acr => "cpu_ws_acr",
-        },
-    );
-    let edges = stats.edges_traversed;
     BaselineRun {
         visited,
         parent: None, // Table 2: CKL/ACR report reachability only

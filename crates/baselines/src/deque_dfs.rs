@@ -197,7 +197,7 @@ pub fn run_traced<T: Tracer>(
         },
     );
 
-    let result = DequeDfsResult {
+    DequeDfsResult {
         visited: visited
             .iter()
             .map(|a| a.load(Ordering::Acquire) != 0)
@@ -206,40 +206,7 @@ pub fn run_traced<T: Tracer>(
         wall,
         edges_traversed: edges.load(Ordering::Relaxed), // relaxed-ok: after join
         steals: steals.load(Ordering::Relaxed),         // relaxed-ok: after join
-    };
-
-    // No SimStats here (the flat scheduler tracks its own few counters),
-    // so record the global `db_engine_*` series directly. Chase-Lev
-    // steals cross worker deques, which maps to the "inter" level (and
-    // matches the StealInter trace events above).
-    let reg = db_metrics::global();
-    let labels = &[("engine", "deque_dfs")][..];
-    reg.counter(
-        "db_engine_runs_total",
-        "Completed traversal runs per engine",
-        labels,
-    )
-    .inc();
-    reg.counter(
-        "db_engine_vertices_visited_total",
-        "Vertices discovered (visited-CAS wins)",
-        labels,
-    )
-    .add(result.visited.iter().filter(|&&v| v).count() as u64);
-    reg.counter(
-        "db_engine_edges_traversed_total",
-        "Adjacency entries examined (TEPS numerator)",
-        labels,
-    )
-    .add(result.edges_traversed);
-    reg.counter(
-        "db_engine_steals_total",
-        "Successful steals by level (intra-block ring vs inter-block ColdSeg)",
-        &[("engine", "deque_dfs"), ("level", "inter")],
-    )
-    .add(result.steals);
-
-    result
+    }
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 
 use db_bench::methods::{run_once, Method};
 use db_gen::Suite;
-use db_gpu_sim::MachineModel;
+use db_gpu_sim::{CycleProfiler, MachineModel};
 use std::time::Instant;
 
 fn main() {
@@ -34,7 +34,8 @@ fn main() {
     }
     // Detailed DiggerBees stats.
     let cfg = db_core::DiggerBeesConfig::v4(h100.sm_count);
-    let r = db_core::run_sim(&g, src, &cfg, &h100);
+    let prof = CycleProfiler::new(cfg.blocks as usize);
+    let r = db_core::run_sim_profiled(&g, src, &cfg, &h100, &db_trace::NullTracer, &prof);
     let busy = r.stats.tasks_per_block.iter().filter(|&&t| t > 0).count();
     eprintln!(
         "DB stats: cycles={} steals_intra={} steals_inter={} failures={} flushes={} refills={} busy_blocks={}/{} cv={:.2}",
@@ -51,7 +52,7 @@ fn main() {
     // active-warp histogram over deciles of the run
     let t_end = r.stats.cycles.max(1);
     let mut deciles = [(0u64, 0u64); 10];
-    for &(t, a) in &r.trace {
+    for &(t, a) in &prof.occupancy_timeline() {
         let d = ((t * 10) / t_end).min(9) as usize;
         deciles[d].0 += a as u64;
         deciles[d].1 += 1;

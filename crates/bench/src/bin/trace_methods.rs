@@ -7,17 +7,15 @@
 //! same seed — the trace stream and the stats are two views of one
 //! execution).
 //!
-//! A third view rides along since the metrics registry landed: a
-//! [`CycleProfiler`] counts claimed tasks per SM, publishes them as
-//! `db_sim_tasks_per_block` gauges, and this harness re-derives the
-//! same CoV *from the rendered-and-parsed Prometheus exposition* — the
-//! exact pipeline a live scrape consumer would use.
+//! A third view rides along: a [`CycleProfiler`] counts claimed tasks
+//! per SM ([`CycleProfiler::tasks_per_sm`]), and this harness derives
+//! the same CoV from those counts.
 //!
 //! Reported per configuration: the trace-derived CoV, the stats CoV,
-//! the gauge-derived CoV, event totals, and whether all three agree. A
-//! disagreement means an engine emits events (or gauges) that do not
-//! match its own accounting — the table makes that a visible failure
-//! (`MISMATCH`) and the process exits nonzero.
+//! the profiler-derived CoV, event totals, and whether all three agree.
+//! A disagreement means an engine emits events (or profiler counts)
+//! that do not match its own accounting — the table makes that a
+//! visible failure (`MISMATCH`) and the process exits nonzero.
 //!
 //! Usage: `trace_methods [--csv]`.
 
@@ -29,38 +27,20 @@ use db_gpu_sim::{CycleProfiler, MachineModel};
 use db_graph::sources::select_sources;
 use db_trace::CountingTracer;
 
-/// Re-derives the per-block task counts from the profiler's gauges the
-/// way a scrape consumer would: render the registry to Prometheus
-/// text, parse it back, and collect `db_sim_tasks_per_block` by its
-/// `block` label.
-fn gauge_tasks_per_block(prof: &CycleProfiler) -> Vec<u64> {
-    let reg = db_metrics::Registry::new();
-    prof.record_to(&reg);
-    let exp = db_metrics::parse_exposition(&reg.render_prometheus())
-        .expect("profiler gauges render as parseable exposition");
-    let mut per_block: Vec<(usize, u64)> = exp
-        .samples
-        .iter()
-        .filter(|s| s.name == "db_sim_tasks_per_block")
-        .map(|s| {
-            let block: usize = s
-                .label("block")
-                .and_then(|b| b.parse().ok())
-                .expect("block label");
-            (block, s.value as u64)
-        })
-        .collect();
-    per_block.sort_unstable();
-    per_block.into_iter().map(|(_, v)| v).collect()
-}
-
 fn main() {
     let h100 = MachineModel::h100();
     let mut table = Table::new([
-        "graph", "policy", "trace_CV", "stats_CV", "gauge_CV", "pushes", "steals", "agree",
+        "graph",
+        "policy",
+        "trace_CV",
+        "stats_CV",
+        "profiler_CV",
+        "pushes",
+        "steals",
+        "agree",
     ]);
     let mut mismatches = 0u32;
-    eprintln!("trace_methods: Fig. 9 CoV re-derived from the trace stream and live gauges");
+    eprintln!("trace_methods: Fig. 9 CoV re-derived from the trace stream and the profiler");
     for spec in Suite::representative6() {
         let g = spec.build();
         let root = select_sources(&g, 1, 42)[0];
@@ -78,13 +58,13 @@ fn main() {
             let snap = tracer.snapshot();
             let trace_cv = coefficient_of_variation(&snap.pushes_per_block);
             let stats_cv = r.stats.block_load_cv();
-            let gauge_tasks = gauge_tasks_per_block(&prof);
-            let gauge_cv = coefficient_of_variation(&gauge_tasks);
+            let prof_tasks = prof.tasks_per_sm();
+            let prof_cv = coefficient_of_variation(&prof_tasks);
             // Three views of one deterministic run: bit-identical counts.
             let agree = snap.pushes_per_block == r.stats.tasks_per_block
                 && trace_cv == stats_cv
-                && gauge_tasks == r.stats.tasks_per_block
-                && gauge_cv == stats_cv
+                && prof_tasks == r.stats.tasks_per_block
+                && prof_cv == stats_cv
                 && snap.pushes == r.stats.vertices_visited
                 && snap.steals_intra == r.stats.steals_intra
                 && snap.steals_inter == r.stats.steals_inter;
@@ -96,7 +76,7 @@ fn main() {
                 label.to_string(),
                 format!("{trace_cv:.2}"),
                 format!("{stats_cv:.2}"),
-                format!("{gauge_cv:.2}"),
+                format!("{prof_cv:.2}"),
                 snap.pushes.to_string(),
                 format!("{}+{}", snap.steals_intra, snap.steals_inter),
                 if agree {
@@ -114,8 +94,8 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "Trace-derived and gauge-derived per-block task counts match the engine's\n\
+        "Trace-derived and profiler-derived per-block task counts match the engine's\n\
          SimStats on every configuration; the Fig. 9 CoV can be computed from the\n\
-         event stream or from a live `db_sim_tasks_per_block` scrape alone."
+         event stream or from the cycle profiler alone."
     );
 }

@@ -300,7 +300,6 @@ impl NativeEngine {
             .iter()
             .map(|a| a.load(Ordering::Relaxed)) // relaxed-ok: after join
             .collect();
-        stats.record_to(db_metrics::global(), "native");
         NativeResult {
             visited: shared
                 .visited
@@ -800,19 +799,6 @@ mod tests {
                 assert!(p != NO_PARENT && out.visited[p as usize]);
             }
         }
-    }
-
-    #[test]
-    fn run_records_into_global_registry() {
-        let runs = db_metrics::global().counter(
-            "db_engine_runs_total",
-            "Completed traversal runs per engine",
-            &[("engine", "native")],
-        );
-        let before = runs.get();
-        let out = NativeEngine::new(small_cfg()).run(&grid(20, 20), 0);
-        assert!(out.stats.hot_high_water >= 1);
-        assert!(runs.get() > before, "run must bump the global run counter");
     }
 
     #[test]

@@ -42,10 +42,6 @@ pub struct SimResult {
     pub stats: SimStats,
     /// Million traversed edges per second under the machine model.
     pub mteps: f64,
-    /// Sampled `(cycle, active_warps)` trace (one sample per 16 Ki
-    /// cycles) — used by the harness to inspect ramp-up and tail
-    /// behaviour, and by the engine's own diagnostics.
-    pub trace: Vec<(u64, u32)>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,8 +113,8 @@ struct Engine<'g, 't, 'p, 'f, T: Tracer, P: Profiler> {
     /// Device-wide random-transaction pipeline (see `db_gpu_sim::pipeline`).
     mem: MemPipeline,
     active_total: u32,
-    trace: Vec<(u64, u32)>,
-    trace_next: u64,
+    /// Cycle of the next occupancy sample (taken only under a profiler).
+    sample_next: u64,
     /// Fault injector, when running under a chaos plan. `None` keeps the
     /// fault-free fast path: every check site is a single `is_some` test.
     injector: Option<&'f Injector>,
@@ -180,8 +176,7 @@ impl<'g, 't, 'p, 'f, T: Tracer, P: Profiler> Engine<'g, 't, 'p, 'f, T, P> {
             rng: SmallRng::seed_from_u64(cfg.seed),
             mem,
             active_total: 0,
-            trace: Vec::new(),
-            trace_next: 0,
+            sample_next: 0,
             injector,
             dead: vec![false; cfg.blocks as usize],
             any_dead: false,
@@ -936,12 +931,9 @@ fn run_impl<T: Tracer, P: Profiler>(
     );
     let mut des = Des::new(cfg.total_warps());
     while let Some((now, w)) = des.next() {
-        if now >= eng.trace_next {
-            eng.trace.push((now, eng.active_total));
-            if P::ENABLED {
-                eng.profiler.sample(now, eng.active_total);
-            }
-            eng.trace_next = now + (1 << 14);
+        if P::ENABLED && now >= eng.sample_next {
+            eng.profiler.sample(now, eng.active_total);
+            eng.sample_next = now + (1 << 14);
         }
         if let Some(cost) = eng.step(w, now) {
             des.yield_for(w, cost);
@@ -965,14 +957,12 @@ fn run_impl<T: Tracer, P: Profiler>(
             .filter(|&b| eng.dead[b] && eng.pending[b] == 0)
             .count() as u64;
     }
-    eng.stats.record_to(db_metrics::global(), "sim");
     let mteps = eng.m.mteps(eng.stats.edges_traversed, cycles);
     SimResult {
         visited: eng.visited,
         parent: eng.parent,
         stats: eng.stats,
         mteps,
-        trace: eng.trace,
     }
 }
 
@@ -1204,8 +1194,11 @@ mod tests {
             );
         }
 
-        // Occupancy timeline mirrors the result's sampled trace.
-        assert_eq!(prof.occupancy_timeline(), profiled.trace);
+        // The occupancy timeline samples the run every 16 Ki cycles or
+        // more, starting at cycle 0.
+        let timeline = prof.occupancy_timeline();
+        assert_eq!(timeline.first().map(|&(t, _)| t), Some(0));
+        assert!(timeline.windows(2).all(|w| w[1].0 >= w[0].0 + (1 << 14)));
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //!   deterministically and contention emerges from the schedule itself.
 //! * [`profile`] — cycle-attribution profiler: charges every simulated
 //!   cycle to a phase (expand, ring-push/pop, steal-search, steal-copy,
-//!   TMA-wait, idle) per SM, with folded-stacks export, an occupancy
-//!   timeline, and live gauges via `db-metrics`. Zero-cost when
-//!   disabled, mirroring the `db-trace` tracer pattern.
+//!   TMA-wait, idle) per SM, with folded-stacks export, per-phase span
+//!   cells, per-SM task counts and an occupancy timeline. Zero-cost
+//!   when disabled, mirroring the `db-trace` tracer pattern.
 //! * [`stats`] — counters shared by all engines (traversed edges, steals,
 //!   flushes/refills, per-block task distribution with the coefficient of
 //!   variation reported in Fig. 9) and MTEPS conversion.

@@ -13,8 +13,6 @@
 //! comparison. The *shape* of every result emerges from the simulated
 //! algorithm dynamics, not from these constants.
 
-use db_trace::json::Value;
-
 /// Cycle costs for the operations traversal engines perform.
 #[derive(Debug, Clone, Copy)]
 pub struct CostModel {
@@ -188,86 +186,6 @@ impl MachineModel {
         }
     }
 
-    /// Serializes the model to a JSON document (used by config files and
-    /// trace sidecars; the workspace builds offline without serde).
-    pub fn to_json_value(&self) -> Value {
-        let c = &self.costs;
-        Value::Obj(vec![
-            ("name".into(), Value::str(self.name.clone())),
-            ("sm_count".into(), Value::u64(self.sm_count as u64)),
-            (
-                "warps_per_block".into(),
-                Value::u64(self.warps_per_block as u64),
-            ),
-            ("warp_width".into(), Value::u64(self.warp_width as u64)),
-            ("clock_ghz".into(), Value::Num(self.clock_ghz)),
-            ("tma".into(), Value::Bool(self.tma)),
-            (
-                "costs".into(),
-                Value::Obj(vec![
-                    ("smem_op".into(), Value::u64(c.smem_op)),
-                    ("atomic_shared".into(), Value::u64(c.atomic_shared)),
-                    ("gmem_latency".into(), Value::u64(c.gmem_latency)),
-                    ("atomic_global".into(), Value::u64(c.atomic_global)),
-                    ("edge_chunk".into(), Value::u64(c.edge_chunk)),
-                    ("copy_per_entry".into(), Value::u64(c.copy_per_entry)),
-                    ("steal_scan".into(), Value::u64(c.steal_scan)),
-                    ("kernel_launch".into(), Value::u64(c.kernel_launch)),
-                    (
-                        "stream_edges_per_cycle".into(),
-                        Value::Num(c.stream_edges_per_cycle),
-                    ),
-                    (
-                        "random_trans_per_cycle".into(),
-                        Value::Num(c.random_trans_per_cycle),
-                    ),
-                ]),
-            ),
-        ])
-    }
-
-    /// Inverse of [`Self::to_json_value`].
-    pub fn from_json_value(v: &Value) -> Result<Self, String> {
-        fn req_u64(v: &Value, key: &str) -> Result<u64, String> {
-            v.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("missing or non-integer field `{key}`"))
-        }
-        fn req_f64(v: &Value, key: &str) -> Result<f64, String> {
-            v.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("missing or non-numeric field `{key}`"))
-        }
-        let c = v.get("costs").ok_or("missing field `costs`")?;
-        Ok(MachineModel {
-            name: v
-                .get("name")
-                .and_then(Value::as_str)
-                .ok_or("missing field `name`")?
-                .to_string(),
-            sm_count: req_u64(v, "sm_count")? as u32,
-            warps_per_block: req_u64(v, "warps_per_block")? as u32,
-            warp_width: req_u64(v, "warp_width")? as u32,
-            clock_ghz: req_f64(v, "clock_ghz")?,
-            tma: v
-                .get("tma")
-                .and_then(Value::as_bool)
-                .ok_or("missing field `tma`")?,
-            costs: CostModel {
-                smem_op: req_u64(c, "smem_op")?,
-                atomic_shared: req_u64(c, "atomic_shared")?,
-                gmem_latency: req_u64(c, "gmem_latency")?,
-                atomic_global: req_u64(c, "atomic_global")?,
-                edge_chunk: req_u64(c, "edge_chunk")?,
-                copy_per_entry: req_u64(c, "copy_per_entry")?,
-                steal_scan: req_u64(c, "steal_scan")?,
-                kernel_launch: req_u64(c, "kernel_launch")?,
-                stream_edges_per_cycle: req_f64(c, "stream_edges_per_cycle")?,
-                random_trans_per_cycle: req_f64(c, "random_trans_per_cycle")?,
-            },
-        })
-    }
-
     /// Converts simulated cycles to seconds.
     pub fn cycles_to_seconds(&self, cycles: u64) -> f64 {
         cycles as f64 / (self.clock_ghz * 1e9)
@@ -325,25 +243,5 @@ mod tests {
         // under one.
         assert!(h.transfer_cost(64) * 3 < nh.transfer_cost(64));
         assert!(nh.transfer_cost(64) >= 5 * nh.costs.gmem_latency);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let m = MachineModel::h100();
-        let json = m.to_json_value().to_json();
-        let back = MachineModel::from_json_value(&Value::parse(&json).unwrap()).unwrap();
-        assert_eq!(back.sm_count, m.sm_count);
-        assert_eq!(back.name, m.name);
-        assert_eq!(back.tma, m.tma);
-        assert_eq!(back.costs.gmem_latency, m.costs.gmem_latency);
-        assert_eq!(
-            back.costs.stream_edges_per_cycle,
-            m.costs.stream_edges_per_cycle
-        );
-    }
-
-    #[test]
-    fn json_rejects_missing_fields() {
-        assert!(MachineModel::from_json_value(&Value::parse("{}").unwrap()).is_err());
     }
 }

@@ -5,23 +5,24 @@
 //! expanding edges versus searching for steal victims versus waiting on
 //! transfers. The trace ring can reconstruct that post-hoc; this module
 //! measures it live, with the same zero-overhead-when-disabled contract
-//! as [`db_trace::Tracer`]: engines are generic over [`Profiler`], and
+//! as `db_trace::Tracer`: engines are generic over [`Profiler`], and
 //! with [`NoProfiler`] (whose `ENABLED` is `false`) every charge site
 //! folds away at compile time.
 //!
 //! [`CycleProfiler`] accumulates per-SM, per-phase cycle totals plus a
-//! per-SM task (claimed-vertex) count, and exports three views:
+//! per-SM task (claimed-vertex) count, and exports these views:
 //!
 //! * [`CycleProfiler::folded_stacks`] — `flamegraph.pl`-ready folded
 //!   stack lines (`diggerbees;sm3;steal-search 1234`);
+//! * [`CycleProfiler::phase_spans`] — the nonzero `(sm, phase, cycles)`
+//!   cells, which a served `sim` request's flight dump carries as
+//!   `sim_phase` spans;
 //! * [`CycleProfiler::occupancy_timeline`] — sampled
 //!   `(cycle, active_warps)` pairs;
-//! * [`CycleProfiler::record_to`] — gauges in a
-//!   [`db_metrics::Registry`] (`db_sim_phase_cycles{sm,phase}`,
-//!   `db_sim_tasks_per_block{block}`), so Fig. 9's per-block load CV can
-//!   be derived from a live scrape instead of a trace replay.
+//! * [`CycleProfiler::tasks_per_sm`] — Fig. 9's per-block task counts,
+//!   which `trace_methods` checks against `SimStats` and the trace
+//!   stream.
 
-use db_metrics::Registry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -92,7 +93,7 @@ impl SimPhase {
     }
 }
 
-/// Observer for cycle attribution, mirroring [`db_trace::Tracer`]:
+/// Observer for cycle attribution, mirroring `db_trace::Tracer`:
 /// `ENABLED` is a compile-time constant, so engines instrumented with
 /// [`NoProfiler`] pay nothing.
 ///
@@ -240,30 +241,6 @@ impl CycleProfiler {
         }
         out
     }
-
-    /// Publishes the table as gauges in `reg`:
-    /// `db_sim_phase_cycles{phase,sm}` and
-    /// `db_sim_tasks_per_block{block}` (Fig. 9's distribution, from
-    /// which its load CV can be computed off a plain scrape).
-    pub fn record_to(&self, reg: &Registry) {
-        for (sm, cell) in self.cells.iter().enumerate() {
-            let sm_label = sm.to_string();
-            for phase in SimPhase::ALL {
-                reg.gauge(
-                    "db_sim_phase_cycles",
-                    "Simulated cycles charged to each phase, per SM",
-                    &[("phase", phase.name()), ("sm", &sm_label)],
-                )
-                .set(cell[phase.index()].load(Ordering::Relaxed)); // relaxed-ok: reporting
-            }
-            reg.gauge(
-                "db_sim_tasks_per_block",
-                "Vertices claimed per block (Fig. 9 distribution)",
-                &[("block", &sm_label)],
-            )
-            .set(self.tasks[sm].load(Ordering::Relaxed)); // relaxed-ok: reporting
-        }
-    }
 }
 
 impl Profiler for CycleProfiler {
@@ -353,35 +330,6 @@ mod tests {
             folded,
             "diggerbees;sm0;expand 7\ndiggerbees;sm1;steal-copy 42\n"
         );
-    }
-
-    #[test]
-    fn record_to_exports_gauges() {
-        let p = CycleProfiler::new(2);
-        p.charge(0, SimPhase::Expand, 9);
-        p.count_task(0);
-        p.count_task(0);
-        p.count_task(1);
-        let reg = Registry::new();
-        p.record_to(&reg);
-        let text = reg.render_prometheus();
-        let exp = db_metrics::validate_exposition(&text).unwrap();
-        let expand = exp
-            .samples
-            .iter()
-            .find(|s| {
-                s.name == "db_sim_phase_cycles"
-                    && s.label("phase") == Some("expand")
-                    && s.label("sm") == Some("0")
-            })
-            .unwrap();
-        assert_eq!(expand.value, 9.0);
-        let t0 = exp
-            .samples
-            .iter()
-            .find(|s| s.name == "db_sim_tasks_per_block" && s.label("block") == Some("0"))
-            .unwrap();
-        assert_eq!(t0.value, 2.0);
     }
 
     #[test]

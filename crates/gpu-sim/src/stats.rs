@@ -3,7 +3,9 @@
 //! Beyond MTEPS, the paper reports steal activity (§4.5 breakdown), the
 //! per-block task distribution with its coefficient of variation
 //! (Fig. 9), and failure modes (NVG-DFS "failing on 44 out of 234
-//! graphs"). [`SimStats`] collects all of it.
+//! graphs"). [`SimStats`] collects all of it. It is the one place an
+//! engine reports its counters: each run returns its `SimStats`, and
+//! no engine copies them into a metrics registry.
 
 /// Counters accumulated during a simulated traversal.
 #[derive(Debug, Clone, Default)]
@@ -73,99 +75,6 @@ impl SimStats {
     /// Total steal attempts.
     pub fn steal_attempts(&self) -> u64 {
         self.steals_intra + self.steals_inter + self.steal_failures
-    }
-
-    /// Publishes these counters into `reg` as `db_engine_*` series
-    /// labeled `engine="<engine>"` — the common glue every engine
-    /// (sim, native, lockfree, cpu_ws) calls at the end of a run.
-    ///
-    /// Counters are monotonically *added* (a long-lived process
-    /// accumulates across runs); the stack high-water marks are gauges
-    /// updated with max-semantics.
-    pub fn record_to(&self, reg: &db_metrics::Registry, engine: &str) {
-        let labels = &[("engine", engine)][..];
-        let c = |name: &str, help: &str, v: u64| {
-            reg.counter(name, help, labels).add(v);
-        };
-        c(
-            "db_engine_runs_total",
-            "Completed traversal runs per engine",
-            1,
-        );
-        c(
-            "db_engine_vertices_visited_total",
-            "Vertices discovered (visited-CAS wins)",
-            self.vertices_visited,
-        );
-        c(
-            "db_engine_edges_traversed_total",
-            "Adjacency entries examined (TEPS numerator)",
-            self.edges_traversed,
-        );
-        for (level, v) in [("intra", self.steals_intra), ("inter", self.steals_inter)] {
-            reg.counter(
-                "db_engine_steals_total",
-                "Successful steals by level (intra-block ring vs inter-block ColdSeg)",
-                &[("engine", engine), ("level", level)],
-            )
-            .add(v);
-        }
-        c(
-            "db_engine_steal_failures_total",
-            "Failed steal attempts (lost CAS or no eligible victim)",
-            self.steal_failures,
-        );
-        c(
-            "db_engine_flushes_total",
-            "HotRing -> ColdSeg flush operations",
-            self.flushes,
-        );
-        c(
-            "db_engine_refills_total",
-            "ColdSeg -> HotRing refill operations",
-            self.refills,
-        );
-        c(
-            "db_engine_visited_cas_failures_total",
-            "Lost visited-array CAS races",
-            self.visited_cas_failures,
-        );
-        reg.gauge(
-            "db_engine_hot_high_water",
-            "Deepest HotRing observed (entries)",
-            labels,
-        )
-        .max(self.hot_high_water);
-        reg.gauge(
-            "db_engine_cold_high_water",
-            "Deepest ColdSeg observed (entries)",
-            labels,
-        )
-        .max(self.cold_high_water);
-        // Fault series appear only once a fault plan actually struck, so
-        // fault-free deployments scrape a clean exposition.
-        if self.faults_injected > 0 || self.sms_killed > 0 {
-            c(
-                "db_sim_faults_injected",
-                "Faults injected into the simulated machine",
-                self.faults_injected,
-            );
-            c(
-                "db_sim_sms_killed",
-                "SMs killed by injected faults",
-                self.sms_killed,
-            );
-            c(
-                "db_sim_blocks_recovered",
-                "Killed SMs whose stranded work was fully re-stolen",
-                self.blocks_recovered,
-            );
-            c(
-                "db_sim_entries_recovered",
-                "Stack entries re-stolen from killed SMs",
-                self.entries_recovered,
-            );
-        }
     }
 }
 
@@ -254,83 +163,6 @@ mod tests {
         assert_eq!(geometric_mean(&[-1.0, -2.0]), 0.0);
         assert!(!geometric_mean(&[0.0, 0.0]).is_nan());
         assert_eq!(geometric_mean(&[f64::NAN]), 0.0);
-    }
-
-    #[test]
-    fn record_to_emits_per_level_steal_counters() {
-        let reg = db_metrics::Registry::new();
-        let s = SimStats {
-            steals_intra: 3,
-            steals_inter: 2,
-            steal_failures: 5,
-            vertices_visited: 10,
-            edges_traversed: 20,
-            hot_high_water: 12,
-            cold_high_water: 40,
-            ..Default::default()
-        };
-        s.record_to(&reg, "sim");
-        // A second run accumulates counters but maxes the gauges.
-        let s2 = SimStats {
-            steals_intra: 1,
-            hot_high_water: 7,
-            cold_high_water: 99,
-            ..Default::default()
-        };
-        s2.record_to(&reg, "sim");
-
-        let text = reg.render_prometheus();
-        let exp = db_metrics::validate_exposition(&text).unwrap();
-        let find = |name: &str, level: Option<&str>| {
-            exp.samples
-                .iter()
-                .find(|smp| {
-                    smp.name == name
-                        && smp.label("le").is_none()
-                        && level.is_none_or(|l| smp.label("level") == Some(l))
-                })
-                .unwrap_or_else(|| panic!("missing {name}"))
-                .value
-        };
-        assert_eq!(find("db_engine_steals_total", Some("intra")), 4.0);
-        assert_eq!(find("db_engine_steals_total", Some("inter")), 2.0);
-        assert_eq!(find("db_engine_steal_failures_total", None), 5.0);
-        assert_eq!(find("db_engine_runs_total", None), 2.0);
-        assert_eq!(find("db_engine_hot_high_water", None), 12.0);
-        assert_eq!(find("db_engine_cold_high_water", None), 99.0);
-    }
-
-    #[test]
-    fn fault_series_only_appear_under_faults() {
-        let clean = db_metrics::Registry::new();
-        SimStats::new(2).record_to(&clean, "sim");
-        assert!(
-            !clean.render_prometheus().contains("db_sim_faults_injected"),
-            "fault-free run must not emit fault series"
-        );
-
-        let chaos = db_metrics::Registry::new();
-        let s = SimStats {
-            faults_injected: 3,
-            sms_killed: 1,
-            blocks_recovered: 1,
-            entries_recovered: 17,
-            ..Default::default()
-        };
-        s.record_to(&chaos, "sim");
-        let text = chaos.render_prometheus();
-        let exp = db_metrics::validate_exposition(&text).unwrap();
-        let find = |name: &str| {
-            exp.samples
-                .iter()
-                .find(|smp| smp.name == name)
-                .unwrap_or_else(|| panic!("missing {name}"))
-                .value
-        };
-        assert_eq!(find("db_sim_faults_injected"), 3.0);
-        assert_eq!(find("db_sim_sms_killed"), 1.0);
-        assert_eq!(find("db_sim_blocks_recovered"), 1.0);
-        assert_eq!(find("db_sim_entries_recovered"), 17.0);
     }
 
     #[test]

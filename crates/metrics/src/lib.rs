@@ -3,29 +3,29 @@
 //! The trace ring (`db-trace`) answers *what happened, in order* for one
 //! diagnostic run; this crate answers *what is happening, right now* for
 //! a long-lived process. It is the substrate behind the `diggerbees
-//! metrics` CLI, the serve layer's `{"op":"prometheus"}` / `GET /metrics`
-//! scrape, and the engines' per-level steal counters.
+//! metrics` CLI and the serve layer's `{"op":"prometheus"}` /
+//! `GET /metrics` scrape. The traversal engines do not record here: a
+//! run reports its counters in the `SimStats` it returns.
 //!
-//! * [`Registry`] — a process- or instance-scoped set of named series.
-//!   Registration takes a short mutex; the returned [`Counter`],
-//!   [`Gauge`], and [`Histogram`] handles are `Arc`-shared atomics, so
-//!   the hot path (increment/observe) is lock-free. Re-registering the
-//!   same `(name, labels)` returns a handle to the same underlying
-//!   series.
+//! * [`Registry`] — an instance-scoped set of named series. Each
+//!   `db_serve::Server` owns one (its WAL registers there too), so
+//!   sibling servers and unit tests stay isolated; there is no
+//!   process-wide registry. Registration takes a short mutex; the
+//!   returned [`Counter`], [`Gauge`], and [`Histogram`] handles are
+//!   `Arc`-shared atomics, so the hot path (increment/observe) is
+//!   lock-free. Re-registering the same `(name, labels)` returns a
+//!   handle to the same underlying series.
 //! * [`Histogram`] — power-of-two bucket histogram with exact count,
 //!   sum, and max. This generalizes (and replaced) the old
 //!   `db_serve::metrics::LatencyHistogram`: quantiles are upper bounds
 //!   with at most 2× resolution error.
-//! * [`render`] / [`Registry::render_prometheus`] — Prometheus text
-//!   exposition (format 0.0.4): `# HELP`/`# TYPE` headers, escaped label
-//!   values, stable series ordering, cumulative `le` buckets with
+//! * [`Registry::render_prometheus`] — Prometheus text exposition
+//!   (format 0.0.4): `# HELP`/`# TYPE` headers, escaped label values,
+//!   stable series ordering, cumulative `le` buckets with
 //!   `+Inf`/`_sum`/`_count`.
 //! * [`parse_exposition`] / [`validate_exposition`] — a parser for the
 //!   same text format, used by round-trip tests and the CI smoke job
 //!   that scrapes a live server and fails on any malformed line.
-//! * [`global`] — the process-wide default registry the engines record
-//!   into (each `db_serve::Server` keeps its own instance registry on
-//!   top, so unit tests stay isolated).
 //! * [`slo`] — declarative per-tenant latency/availability objectives
 //!   with multi-window burn-rate series (`db_slo_*`), folded from
 //!   finished requests by the serve layer.
@@ -41,7 +41,5 @@ pub mod slo;
 
 pub use dash::render_dashboard;
 pub use prometheus::{parse_exposition, validate_exposition, Exposition, Sample};
-pub use registry::{
-    global, render, Counter, FloatGauge, Gauge, Histogram, Registry, HISTOGRAM_BUCKETS,
-};
+pub use registry::{Counter, FloatGauge, Gauge, Histogram, Registry, HISTOGRAM_BUCKETS};
 pub use slo::{SloConfig, SloSpec, SloTracker, SLO_WINDOWS};

@@ -1,10 +1,10 @@
 //! Parser and validator for the Prometheus text exposition format.
 //!
-//! The inverse of [`crate::render`]. Two consumers: the round-trip
-//! tests (render → parse → same samples), and the CI serve-smoke job,
-//! which scrapes a live server and fails the build on any malformed
-//! line — so a formatting regression in the registry can never ship
-//! silently.
+//! The inverse of [`crate::Registry::render_prometheus`]. Two
+//! consumers: the round-trip tests (render → parse → same samples), and
+//! the CI serve-smoke job, which scrapes a live server and fails the
+//! build on any malformed line — so a formatting regression in the
+//! registry can never ship silently.
 
 use std::collections::HashMap;
 

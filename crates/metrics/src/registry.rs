@@ -3,13 +3,13 @@
 //! A [`Registry`] maps `(name, labels)` pairs to series. Registration
 //! (first call for a pair) takes the registry mutex; the returned
 //! handles are clones of `Arc`-shared atomics, so recording values is
-//! lock-free and wait-free — the "lock-light" contract the engines'
-//! hot paths require. Scraping takes the mutex only long enough to
-//! clone the handle list.
+//! lock-free and wait-free — the "lock-light" contract the serve
+//! layer's hot paths require. Scraping takes the mutex only long
+//! enough to clone the handle list.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Number of power-of-two histogram buckets: bucket `i` holds values in
 /// `[2^(i-1), 2^i)` (bucket 0 holds `0..1`); the last bucket absorbs
@@ -247,9 +247,9 @@ struct RegistryInner {
 
 /// A set of named, labeled metric series.
 ///
-/// Use [`global`] for the process-wide registry the engines record
-/// into, or create instances (one per `db_serve::Server`) when series
-/// must not be shared across components or tests.
+/// Every registry has one owner (a `db_serve::Server`, a WAL, a
+/// harness) and there is no process-wide one, so a scrape holds only
+/// its owner's series.
 #[derive(Debug, Default)]
 pub struct Registry {
     inner: Mutex<RegistryInner>,
@@ -384,11 +384,6 @@ impl Registry {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Renders this registry alone; see [`render`].
-    pub fn render_prometheus(&self) -> String {
-        render(&[self])
-    }
 }
 
 fn escape_label_value(v: &str) -> String {
@@ -431,99 +426,90 @@ fn label_block(labels: &[(String, String)], extra: Option<(&str, &str)>) -> Stri
     }
 }
 
-/// Renders the union of `registries` in Prometheus text exposition
-/// format (0.0.4): stable ordering (series sorted by name, then by
-/// label set), one `# HELP`/`# TYPE` pair per metric name, escaped
-/// label values and help text, and for histograms the cumulative
-/// `_bucket{le=...}` ladder ending in `+Inf`, plus `_sum` and
-/// `_count`.
-pub fn render(registries: &[&Registry]) -> String {
-    let mut entries: Vec<SeriesEntry> = Vec::new();
-    for r in registries {
-        entries.extend(r.lock().entries.iter().cloned());
-    }
-    entries.sort_by(|a, b| a.name.cmp(&b.name).then_with(|| a.labels.cmp(&b.labels)));
+impl Registry {
+    /// Renders the registry in Prometheus text exposition format
+    /// (0.0.4): stable ordering (series sorted by name, then by label
+    /// set), one `# HELP`/`# TYPE` pair per metric name, escaped label
+    /// values and help text, and for histograms the cumulative
+    /// `_bucket{le=...}` ladder ending in `+Inf`, plus `_sum` and
+    /// `_count`.
+    pub fn render_prometheus(&self) -> String {
+        let mut entries = self.lock().entries.clone();
+        entries.sort_by(|a, b| a.name.cmp(&b.name).then_with(|| a.labels.cmp(&b.labels)));
 
-    let mut out = String::new();
-    let mut last_name: Option<&str> = None;
-    for e in &entries {
-        if last_name != Some(e.name.as_str()) {
-            if !e.help.is_empty() {
-                out.push_str(&format!("# HELP {} {}\n", e.name, escape_help(&e.help)));
+        let mut out = String::new();
+        let mut last_name: Option<&str> = None;
+        for e in &entries {
+            if last_name != Some(e.name.as_str()) {
+                if !e.help.is_empty() {
+                    out.push_str(&format!("# HELP {} {}\n", e.name, escape_help(&e.help)));
+                }
+                out.push_str(&format!("# TYPE {} {}\n", e.name, e.cell.type_name()));
+                last_name = Some(e.name.as_str());
             }
-            out.push_str(&format!("# TYPE {} {}\n", e.name, e.cell.type_name()));
-            last_name = Some(e.name.as_str());
-        }
-        match &e.cell {
-            Cell::Counter(c) => {
-                out.push_str(&format!(
-                    "{}{} {}\n",
-                    e.name,
-                    label_block(&e.labels, None),
-                    c.get()
-                ));
-            }
-            Cell::Gauge(g) => {
-                out.push_str(&format!(
-                    "{}{} {}\n",
-                    e.name,
-                    label_block(&e.labels, None),
-                    g.get()
-                ));
-            }
-            Cell::Float(g) => {
-                out.push_str(&format!(
-                    "{}{} {}\n",
-                    e.name,
-                    label_block(&e.labels, None),
-                    g.get()
-                ));
-            }
-            Cell::Histogram(h) => {
-                let counts = h.bucket_counts();
-                let mut cum = 0u64;
-                // Buckets 0..BUCKETS-1 get finite `le` edges (the upper
-                // edge of bucket i is 2^i - 1); the top bucket is +Inf.
-                for (i, &c) in counts.iter().enumerate().take(HISTOGRAM_BUCKETS - 1) {
-                    cum += c;
-                    let le = ((1u128 << i) - 1).to_string();
+            match &e.cell {
+                Cell::Counter(c) => {
+                    out.push_str(&format!(
+                        "{}{} {}\n",
+                        e.name,
+                        label_block(&e.labels, None),
+                        c.get()
+                    ));
+                }
+                Cell::Gauge(g) => {
+                    out.push_str(&format!(
+                        "{}{} {}\n",
+                        e.name,
+                        label_block(&e.labels, None),
+                        g.get()
+                    ));
+                }
+                Cell::Float(g) => {
+                    out.push_str(&format!(
+                        "{}{} {}\n",
+                        e.name,
+                        label_block(&e.labels, None),
+                        g.get()
+                    ));
+                }
+                Cell::Histogram(h) => {
+                    let counts = h.bucket_counts();
+                    let mut cum = 0u64;
+                    // Buckets 0..BUCKETS-1 get finite `le` edges (the upper
+                    // edge of bucket i is 2^i - 1); the top bucket is +Inf.
+                    for (i, &c) in counts.iter().enumerate().take(HISTOGRAM_BUCKETS - 1) {
+                        cum += c;
+                        let le = ((1u128 << i) - 1).to_string();
+                        out.push_str(&format!(
+                            "{}_bucket{} {}\n",
+                            e.name,
+                            label_block(&e.labels, Some(("le", &le))),
+                            cum
+                        ));
+                    }
                     out.push_str(&format!(
                         "{}_bucket{} {}\n",
                         e.name,
-                        label_block(&e.labels, Some(("le", &le))),
-                        cum
+                        label_block(&e.labels, Some(("le", "+Inf"))),
+                        h.count()
+                    ));
+                    out.push_str(&format!(
+                        "{}_sum{} {}\n",
+                        e.name,
+                        label_block(&e.labels, None),
+                        h.sum()
+                    ));
+                    out.push_str(&format!(
+                        "{}_count{} {}\n",
+                        e.name,
+                        label_block(&e.labels, None),
+                        h.count()
                     ));
                 }
-                out.push_str(&format!(
-                    "{}_bucket{} {}\n",
-                    e.name,
-                    label_block(&e.labels, Some(("le", "+Inf"))),
-                    h.count()
-                ));
-                out.push_str(&format!(
-                    "{}_sum{} {}\n",
-                    e.name,
-                    label_block(&e.labels, None),
-                    h.sum()
-                ));
-                out.push_str(&format!(
-                    "{}_count{} {}\n",
-                    e.name,
-                    label_block(&e.labels, None),
-                    h.count()
-                ));
             }
         }
+        out
     }
-    out
-}
-
-/// The process-wide default registry. Engines record their per-run
-/// series here; `diggerbees metrics` and the serve scrape render it
-/// alongside any instance registries.
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
 }
 
 #[cfg(test)]
@@ -649,13 +635,5 @@ mod tests {
     fn le_label_is_reserved() {
         let r = Registry::new();
         let _ = r.counter("db_x", "", &[("le", "1")]);
-    }
-
-    #[test]
-    fn global_is_a_singleton() {
-        let a = global().counter("db_global_test_total", "", &[]);
-        a.inc();
-        let b = global().counter("db_global_test_total", "", &[]);
-        assert!(b.get() >= 1);
     }
 }

@@ -2,7 +2,7 @@
 //! stable series ordering, histogram `le` bucket edges and
 //! `+Inf`/`_sum`/`_count` invariants, and a render → parse round-trip.
 
-use db_metrics::{parse_exposition, render, validate_exposition, Registry, HISTOGRAM_BUCKETS};
+use db_metrics::{parse_exposition, validate_exposition, Registry, HISTOGRAM_BUCKETS};
 
 #[test]
 fn label_values_are_escaped_and_round_trip() {
@@ -175,13 +175,12 @@ fn full_registry_round_trips_through_the_parser() {
 }
 
 #[test]
-fn merged_render_across_registries_stays_sorted_and_valid() {
-    let a = Registry::new();
-    a.counter("db_test_zz_total", "", &[]).inc();
-    let b = Registry::new();
-    b.counter("db_test_aa_total", "", &[]).inc();
+fn series_registered_out_of_name_order_render_sorted_and_valid() {
+    let reg = Registry::new();
+    reg.counter("db_test_zz_total", "", &[]).inc();
+    reg.counter("db_test_aa_total", "", &[]).inc();
 
-    let text = render(&[&a, &b]);
+    let text = reg.render_prometheus();
     let exp = validate_exposition(&text).unwrap();
     let names: Vec<_> = exp.samples.iter().map(|s| s.name.as_str()).collect();
     assert_eq!(names, ["db_test_aa_total", "db_test_zz_total"]);

@@ -38,8 +38,8 @@
 //!   interleaving.
 //! * [`metrics`] — `db_serve_*` series (latency histogram, queue depth,
 //!   occupancy, cache, rejections) in a per-instance
-//!   [`db_metrics::Registry`], scraped by [`ServeHandle::prometheus`]
-//!   with the process-global engine series. Each scheduling decision
+//!   [`db_metrics::Registry`], scraped alone by
+//!   [`ServeHandle::prometheus`]. Each scheduling decision
 //!   is one `db-span` span, folded into its series
 //!   ([`metrics::Metrics::observe_span`]) and then kept by the flight
 //!   recorder ([`ServeHandle::flight_dump`]), so a scrape and a dump of

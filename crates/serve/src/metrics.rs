@@ -3,10 +3,10 @@
 //!
 //! Each server instance owns a private [`db_metrics::Registry`], so
 //! concurrent servers in one process (tests, embedded use) never share
-//! counters; the Prometheus scrape merges the instance registry with
-//! the process-global one (engine and sim-profiler series) through
-//! [`db_metrics::render`]. All serve series use the `db_serve_` name
-//! prefix, disjoint from the engines' `db_engine_`/`db_sim_` prefixes.
+//! counters, and the Prometheus scrape renders that registry alone.
+//! All serve series use the `db_serve_` name prefix. A served `sim`
+//! request's per-phase cycles reach its flight dump as `sim_phase`
+//! spans, not the scrape.
 //!
 //! Spans drive the series: the pool records every scheduling decision
 //! as one `db-span` span, and [`Metrics::observe_span`] folds each span

@@ -476,9 +476,9 @@ impl ServeHandle {
         self.inner.delta.recovery().cloned()
     }
 
-    /// Renders a Prometheus text-format scrape: this server instance's
-    /// `db_serve_*` series merged with the process-global registry
-    /// (`db_engine_*` engine counters, `db_sim_*` profiler gauges).
+    /// Renders a Prometheus text-format scrape of this server's own
+    /// registry. Nothing another server or run in the process recorded
+    /// appears in it.
     pub fn prometheus(&self) -> String {
         // The queue-depth and open-breaker gauges are set here only,
         // from the authoritative state.
@@ -491,7 +491,7 @@ impl ServeHandle {
         // Burn-rate gauges are window aggregates; fold the rings into
         // them at scrape time so every scrape is current.
         self.inner.slo.refresh(self.inner.now_s());
-        db_metrics::render(&[&self.inner.registry, db_metrics::global()])
+        self.inner.registry.render_prometheus()
     }
 
     /// Snapshots the flight recorder: every worker ring merged into one
@@ -1399,54 +1399,6 @@ mod tests {
             assert_eq!(r.status, Status::Ok);
             assert_eq!(r.payload.get("visited").unwrap().as_u64(), Some(144));
         }
-    }
-
-    #[test]
-    fn prometheus_scrape_merges_instance_and_global_series() {
-        let server = Server::start(ServeConfig {
-            workers: 2,
-            ..ServeConfig::default()
-        });
-        let h = server.handle();
-        let sim = Request {
-            engine: EngineKind::Sim,
-            ..req(1, "grid:8:8", 0)
-        };
-        assert_eq!(h.run(sim).status, Status::Ok);
-        let text = h.prometheus();
-        let exp = db_metrics::validate_exposition(&text).unwrap();
-        let get = |n: &str| exp.samples.iter().find(|s| s.name == n).map(|s| s.value);
-        assert_eq!(get("db_serve_admitted_total"), Some(1.0));
-        assert_eq!(get("db_serve_cache_misses_total"), Some(1.0));
-        assert_eq!(get("db_serve_request_latency_us_count"), Some(1.0));
-        assert_eq!(get("db_serve_queue_depth"), Some(0.0));
-        // The request ran the simulator, which records into the
-        // process-global registry; the merged scrape must carry it.
-        let runs = exp
-            .samples
-            .iter()
-            .find(|s| s.name == "db_engine_runs_total" && s.label("engine") == Some("sim"))
-            .expect("global engine series in scrape");
-        assert!(runs.value >= 1.0);
-        // Per-instance isolation: a sibling server's scrape reports its
-        // own zeroed serve counters.
-        let other = Server::start(ServeConfig {
-            workers: 1,
-            ..ServeConfig::default()
-        });
-        let other_text = other.handle().prometheus();
-        let other_exp = db_metrics::validate_exposition(&other_text).unwrap();
-        let other_admitted = other_exp
-            .samples
-            .iter()
-            .find(|s| s.name == "db_serve_admitted_total")
-            .unwrap();
-        assert_eq!(other_admitted.value, 0.0);
-        other.shutdown();
-        let m = server.shutdown();
-        assert_eq!(m.latency_count, 1);
-        assert!(m.max_us > 0, "exact max latency must be recorded");
-        assert!(m.p999_us >= m.p50_us);
     }
 
     #[test]

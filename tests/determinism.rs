@@ -3,9 +3,10 @@
 
 use diggerbees::baselines::bfs::{self, BfsFlavor};
 use diggerbees::baselines::cpu_ws::{self, CpuWsConfig, CpuWsStyle};
-use diggerbees::core::{run_sim, DiggerBeesConfig};
+use diggerbees::core::{run_sim, run_sim_profiled, DiggerBeesConfig};
 use diggerbees::gen::grid::grid_road;
-use diggerbees::sim::MachineModel;
+use diggerbees::sim::{CycleProfiler, MachineModel};
+use diggerbees::trace::NullTracer;
 
 fn cfg(seed: u64) -> DiggerBeesConfig {
     DiggerBeesConfig {
@@ -24,8 +25,10 @@ fn cfg(seed: u64) -> DiggerBeesConfig {
 fn diggerbees_sim_is_reproducible() {
     let g = grid_road(50, 50, 0.9, 3, 4);
     let h100 = MachineModel::h100();
-    let a = run_sim(&g, 0, &cfg(1), &h100);
-    let b = run_sim(&g, 0, &cfg(1), &h100);
+    let blocks = cfg(1).blocks as usize;
+    let (pa, pb) = (CycleProfiler::new(blocks), CycleProfiler::new(blocks));
+    let a = run_sim_profiled(&g, 0, &cfg(1), &h100, &NullTracer, &pa);
+    let b = run_sim_profiled(&g, 0, &cfg(1), &h100, &NullTracer, &pb);
     assert_eq!(a.visited, b.visited);
     assert_eq!(a.parent, b.parent);
     assert_eq!(a.stats.cycles, b.stats.cycles);
@@ -33,7 +36,7 @@ fn diggerbees_sim_is_reproducible() {
     assert_eq!(a.stats.steals_inter, b.stats.steals_inter);
     assert_eq!(a.stats.steal_failures, b.stats.steal_failures);
     assert_eq!(a.stats.tasks_per_block, b.stats.tasks_per_block);
-    assert_eq!(a.trace, b.trace);
+    assert_eq!(pa.occupancy_timeline(), pb.occupancy_timeline());
 }
 
 #[test]

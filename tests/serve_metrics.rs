@@ -389,3 +389,50 @@ fn every_latency_is_its_root_span_duration() {
         );
     }
 }
+
+/// A server's scrape holds only its own registry: a sibling server
+/// answering a `sim` dfs in the same process leaves it byte for byte
+/// unchanged, and no scrape carries engine (`db_engine_*`) or
+/// simulator (`db_sim_*`) series.
+#[test]
+fn a_sibling_server_scrape_does_not_move() {
+    let a = Server::start(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    let b = Server::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let (ha, hb) = (a.handle(), b.handle());
+    let idle = hb.prometheus();
+    let sim = Request {
+        graph: "grid:8:8".into(),
+        engine: EngineKind::Sim,
+        ..req(0)
+    };
+    assert_status(&ha.run(sim), Status::Ok);
+    let served = ha.prometheus();
+    let after = hb.prometheus();
+    assert_eq!(idle, after, "a sibling's sim run moved this scrape");
+    for scrape in [&idle, &served, &after] {
+        let exp = db_metrics::validate_exposition(scrape).expect("the scrape parses");
+        for s in &exp.samples {
+            assert!(
+                !s.name.starts_with("db_engine_") && !s.name.starts_with("db_sim_"),
+                "{} in a server scrape",
+                s.name
+            );
+        }
+    }
+    assert_eq!(sample(&served, "db_serve_admitted_total"), 1.0);
+    assert_eq!(sample(&served, "db_serve_cache_misses_total"), 1.0);
+    assert_eq!(sample(&served, "db_serve_request_latency_us_count"), 1.0);
+    assert_eq!(sample(&served, "db_serve_queue_depth"), 0.0);
+    assert_eq!(sample(&after, "db_serve_admitted_total"), 0.0);
+    b.shutdown();
+    let m = a.shutdown();
+    assert_eq!(m.latency_count, 1);
+    assert!(m.max_us > 0, "exact max latency must be recorded");
+    assert!(m.p999_us >= m.p50_us);
+}
