@@ -220,8 +220,9 @@ fn parse_args() -> Args {
         die("--write-frac requires the in-process mode (fresh delta state per run)".into());
     }
     if (a.flight_dir.is_some() || a.scrape_out.is_some()) && a.addr.is_some() {
-        // Against an external endpoint use `{"op":"flight"}` / the
-        // metrics op instead; these flags configure the in-process server.
+        // Against an external endpoint use `{"op":"flight"}` /
+        // `GET /metrics` instead; these flags configure the in-process
+        // server.
         die("--flight-dir/--scrape-out require the in-process mode".into());
     }
     if a.faults.is_some() && a.addr.is_some() {
@@ -561,15 +562,9 @@ fn run_in_process(a: &Args, reqs: &[Request], fence: &[Request], run: usize) -> 
             eprintln!("serve_load: metrics scrape failed exposition parsing: {e}");
             std::process::exit(1);
         });
-        let get = |n: &str| {
-            exp.samples
-                .iter()
-                .find(|s| s.name == n)
-                .map_or(0.0, |s| s.value) as u64
-        };
         (
-            get("db_delta_epochs_published_total"),
-            get("db_delta_compactions_total"),
+            sample(&exp, "db_delta_epochs_published_total") as u64,
+            sample(&exp, "db_delta_compactions_total") as u64,
         )
     });
     if run == 0 {
@@ -594,6 +589,14 @@ fn run_in_process(a: &Args, reqs: &[Request], fence: &[Request], run: usize) -> 
     report.delta = delta;
     report.rss_mb = rss_mb;
     report
+}
+
+/// The value of the first sample named `name` in a scrape, 0 if absent.
+fn sample(exp: &db_metrics::Exposition, name: &str) -> f64 {
+    exp.samples
+        .iter()
+        .find(|s| s.name == name)
+        .map_or(0.0, |s| s.value)
 }
 
 /// One TCP run against an external endpoint; closed loop only.
@@ -628,12 +631,22 @@ fn run_tcp(a: &Args, reqs: &[Request], addr: &str) -> RunReport {
     });
     let wall = start.elapsed();
     let responses = out.into_inner().unwrap();
-    // The cache hit rate comes from the remote metrics op.
+    // The cache hit rate comes from the remote scrape, by the rule of
+    // `MetricsSnapshot::cache_hit_rate`: 1.0 when the cache was unused.
     let hit_rate = std::net::ToSocketAddrs::to_socket_addrs(addr)
         .ok()
         .and_then(|mut it| it.next())
-        .and_then(|sa| db_serve::net::fetch_metrics(&sa).ok())
-        .map_or(f64::NAN, |m| m.cache_hit_rate());
+        .and_then(|sa| db_serve::net::fetch_prometheus(&sa).ok())
+        .and_then(|text| db_metrics::parse_exposition(&text).ok())
+        .map_or(f64::NAN, |exp| {
+            let hits = sample(&exp, "db_serve_cache_hits_total");
+            let misses = sample(&exp, "db_serve_cache_misses_total");
+            if hits + misses == 0.0 {
+                1.0
+            } else {
+                hits / (hits + misses)
+            }
+        });
     tally(responses, wall, hit_rate)
 }
 
@@ -1016,16 +1029,10 @@ fn crash_recover_main(a: &Args) -> ! {
             .unwrap_or_else(|e| fail(format!("point '{spec}': read scrape: {e}")));
         let exp = db_metrics::parse_exposition(&text)
             .unwrap_or_else(|e| fail(format!("point '{spec}': scrape parse: {e}")));
-        let metric = |n: &str| {
-            exp.samples
-                .iter()
-                .find(|s| s.name == n)
-                .map_or(0.0, |s| s.value)
-        };
-        if metric("db_wal_recovery_replayed_total") > 0.0 {
+        if sample(&exp, "db_wal_recovery_replayed_total") > 0.0 {
             saw_replay_metric = true;
         }
-        if metric("db_wal_torn_truncated_total") > 0.0 {
+        if sample(&exp, "db_wal_torn_truncated_total") > 0.0 {
             saw_torn_metric = true;
         }
         eprintln!(

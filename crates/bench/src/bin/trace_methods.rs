@@ -7,40 +7,29 @@
 //! same seed — the trace stream and the stats are two views of one
 //! execution).
 //!
-//! A third view rides along: a [`CycleProfiler`] counts claimed tasks
-//! per SM ([`CycleProfiler::tasks_per_sm`]), and this harness derives
-//! the same CoV from those counts.
-//!
 //! Reported per configuration: the trace-derived CoV, the stats CoV,
-//! the profiler-derived CoV, event totals, and whether all three agree.
-//! A disagreement means an engine emits events (or profiler counts)
-//! that do not match its own accounting — the table makes that a
-//! visible failure (`MISMATCH`) and the process exits nonzero.
+//! event totals, and whether the two agree. A disagreement means an
+//! engine emits events that do not match its own accounting — the
+//! table makes that a visible failure (`MISMATCH`) and the process
+//! exits nonzero.
 //!
 //! Usage: `trace_methods [--csv]`.
 
 use db_bench::report::{csv_flag, Table};
-use db_core::{run_sim_profiled, DiggerBeesConfig, VictimPolicy};
+use db_core::{run_sim_traced, DiggerBeesConfig, VictimPolicy};
 use db_gen::Suite;
 use db_gpu_sim::stats::coefficient_of_variation;
-use db_gpu_sim::{CycleProfiler, MachineModel};
+use db_gpu_sim::MachineModel;
 use db_graph::sources::select_sources;
 use db_trace::CountingTracer;
 
 fn main() {
     let h100 = MachineModel::h100();
     let mut table = Table::new([
-        "graph",
-        "policy",
-        "trace_CV",
-        "stats_CV",
-        "profiler_CV",
-        "pushes",
-        "steals",
-        "agree",
+        "graph", "policy", "trace_CV", "stats_CV", "pushes", "steals", "agree",
     ]);
     let mut mismatches = 0u32;
-    eprintln!("trace_methods: Fig. 9 CoV re-derived from the trace stream and the profiler");
+    eprintln!("trace_methods: Fig. 9 CoV re-derived from the trace stream");
     for spec in Suite::representative6() {
         let g = spec.build();
         let root = select_sources(&g, 1, 42)[0];
@@ -53,18 +42,13 @@ fn main() {
                 ..DiggerBeesConfig::v4(h100.sm_count)
             };
             let tracer = CountingTracer::new(cfg.blocks as usize);
-            let prof = CycleProfiler::new(cfg.blocks as usize);
-            let r = run_sim_profiled(&g, root, &cfg, &h100, &tracer, &prof);
+            let r = run_sim_traced(&g, root, &cfg, &h100, &tracer);
             let snap = tracer.snapshot();
             let trace_cv = coefficient_of_variation(&snap.pushes_per_block);
             let stats_cv = r.stats.block_load_cv();
-            let prof_tasks = prof.tasks_per_sm();
-            let prof_cv = coefficient_of_variation(&prof_tasks);
-            // Three views of one deterministic run: bit-identical counts.
+            // Two views of one deterministic run: bit-identical counts.
             let agree = snap.pushes_per_block == r.stats.tasks_per_block
                 && trace_cv == stats_cv
-                && prof_tasks == r.stats.tasks_per_block
-                && prof_cv == stats_cv
                 && snap.pushes == r.stats.vertices_visited
                 && snap.steals_intra == r.stats.steals_intra
                 && snap.steals_inter == r.stats.steals_inter;
@@ -76,7 +60,6 @@ fn main() {
                 label.to_string(),
                 format!("{trace_cv:.2}"),
                 format!("{stats_cv:.2}"),
-                format!("{prof_cv:.2}"),
                 snap.pushes.to_string(),
                 format!("{}+{}", snap.steals_intra, snap.steals_inter),
                 if agree {
@@ -94,8 +77,7 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "Trace-derived and profiler-derived per-block task counts match the engine's\n\
-         SimStats on every configuration; the Fig. 9 CoV can be computed from the\n\
-         event stream or from the cycle profiler alone."
+        "Trace-derived per-block task counts match the engine's SimStats on every\n\
+         configuration; the Fig. 9 CoV can be computed from the event stream alone."
     );
 }

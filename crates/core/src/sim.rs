@@ -185,7 +185,6 @@ impl<'g, 't, 'p, 'f, T: Tracer, P: Profiler> Engine<'g, 't, 'p, 'f, T, P> {
         eng.visited[root as usize] = true;
         eng.stats.vertices_visited = 1;
         eng.stats.tasks_per_block[0] += 1;
-        eng.prof_task(0);
         eng.stats.hot_high_water = 1;
         eng.warps[0].hot.push((root, 0)).expect("fresh ring");
         eng.live = 1;
@@ -218,14 +217,6 @@ impl<'g, 't, 'p, 'f, T: Tracer, P: Profiler> Engine<'g, 't, 'p, 'f, T, P> {
     fn prof(&self, w: u32, phase: SimPhase, cycles: u64) {
         if P::ENABLED {
             self.profiler.charge(self.block_of(w), phase, cycles);
-        }
-    }
-
-    /// Counts one claimed vertex on warp `w`'s SM (Fig. 9 numerator).
-    #[inline(always)]
-    fn prof_task(&self, w: u32) {
-        if P::ENABLED {
-            self.profiler.count_task(self.block_of(w));
         }
     }
 
@@ -459,7 +450,6 @@ impl<'g, 't, 'p, 'f, T: Tracer, P: Profiler> Engine<'g, 't, 'p, 'f, T, P> {
                 self.stats.vertices_visited += 1;
                 self.stats.edges_traversed += (i + 1 - off) as u64;
                 self.stats.tasks_per_block[b] += 1;
-                self.prof_task(w);
                 self.warps[wi].hot.update_top((u, i + 1));
                 // row_ptr + contiguous columns (2 transactions), one
                 // scattered visited probe per examined edge, CAS + parent
@@ -855,11 +845,10 @@ pub fn run_sim_traced<T: Tracer>(
 }
 
 /// [`run_sim_traced`] with a cycle-attribution [`Profiler`] attached:
-/// every simulated cycle a warp spends is charged to a
-/// [`SimPhase`] on its SM, and claimed vertices are counted per SM.
-/// Profiling is observational only, like tracing — the traversal
-/// result and statistics are identical for any profiler, and with
-/// [`NoProfiler`] the charge sites compile out.
+/// every simulated cycle a warp spends is charged to a [`SimPhase`] on
+/// its SM. Profiling is observational only, like tracing — the
+/// traversal result and statistics are identical for any profiler, and
+/// with [`NoProfiler`] the charge sites compile out.
 ///
 /// After the run, [`Profiler::finalize`] is invoked with the makespan
 /// so the implementation can top up [`db_gpu_sim::SimPhase::Idle`]
@@ -1171,9 +1160,6 @@ mod tests {
         assert_eq!(plain.visited, profiled.visited);
         assert_eq!(plain.stats.cycles, profiled.stats.cycles);
         assert_eq!(plain.stats.steals_intra, profiled.stats.steals_intra);
-
-        // The live task gauges reproduce Fig. 9's distribution exactly.
-        assert_eq!(prof.tasks_per_sm(), profiled.stats.tasks_per_block);
 
         // Real work was attributed.
         assert!(prof.total_cycles(SimPhase::Expand) > 0);

@@ -22,8 +22,8 @@
 //! * [`profile`] — cycle-attribution profiler: charges every simulated
 //!   cycle to a phase (expand, ring-push/pop, steal-search, steal-copy,
 //!   TMA-wait, idle) per SM, with folded-stacks export, per-phase span
-//!   cells, per-SM task counts and an occupancy timeline. Zero-cost
-//!   when disabled, mirroring the `db-trace` tracer pattern.
+//!   cells and an occupancy timeline. Zero-cost when disabled,
+//!   mirroring the `db-trace` tracer pattern.
 //! * [`stats`] — counters shared by all engines (traversed edges, steals,
 //!   flushes/refills, per-block task distribution with the coefficient of
 //!   variation reported in Fig. 9) and MTEPS conversion.

@@ -9,8 +9,8 @@
 //! with [`NoProfiler`] (whose `ENABLED` is `false`) every charge site
 //! folds away at compile time.
 //!
-//! [`CycleProfiler`] accumulates per-SM, per-phase cycle totals plus a
-//! per-SM task (claimed-vertex) count, and exports these views:
+//! [`CycleProfiler`] accumulates per-SM, per-phase cycle totals and
+//! exports these views:
 //!
 //! * [`CycleProfiler::folded_stacks`] — `flamegraph.pl`-ready folded
 //!   stack lines (`diggerbees;sm3;steal-search 1234`);
@@ -18,10 +18,10 @@
 //!   cells, which a served `sim` request's flight dump carries as
 //!   `sim_phase` spans;
 //! * [`CycleProfiler::occupancy_timeline`] — sampled
-//!   `(cycle, active_warps)` pairs;
-//! * [`CycleProfiler::tasks_per_sm`] — Fig. 9's per-block task counts,
-//!   which `trace_methods` checks against `SimStats` and the trace
-//!   stream.
+//!   `(cycle, active_warps)` pairs.
+//!
+//! Fig. 9's per-block task counts are not profiled: a run returns them
+//! in `SimStats::tasks_per_block`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -106,9 +106,6 @@ pub trait Profiler {
     /// Charges `cycles` spent in `phase` by a warp on `sm`.
     fn charge(&self, sm: u32, phase: SimPhase, cycles: u64);
 
-    /// Counts one claimed vertex (task) on `sm` — Fig. 9's numerator.
-    fn count_task(&self, sm: u32);
-
     /// Records an occupancy sample: `active_warps` runnable at `cycle`.
     fn sample(&self, cycle: u64, active_warps: u32) {
         let _ = (cycle, active_warps);
@@ -130,9 +127,6 @@ impl Profiler for NoProfiler {
 
     #[inline(always)]
     fn charge(&self, _sm: u32, _phase: SimPhase, _cycles: u64) {}
-
-    #[inline(always)]
-    fn count_task(&self, _sm: u32) {}
 }
 
 /// Per-SM, per-phase cycle table with shareable `&self` recording.
@@ -145,8 +139,6 @@ impl Profiler for NoProfiler {
 pub struct CycleProfiler {
     /// `cells[sm][phase.index()]` = cycles charged.
     cells: Vec<[AtomicU64; SimPhase::COUNT]>,
-    /// Claimed vertices per SM (≡ per block in the engine mapping).
-    tasks: Vec<AtomicU64>,
     samples: Mutex<Vec<(u64, u32)>>,
 }
 
@@ -157,7 +149,6 @@ impl CycleProfiler {
             cells: (0..sms)
                 .map(|_| std::array::from_fn(|_| AtomicU64::new(0)))
                 .collect(),
-            tasks: (0..sms).map(|_| AtomicU64::new(0)).collect(),
             samples: Mutex::new(Vec::new()),
         }
     }
@@ -189,15 +180,6 @@ impl CycleProfiler {
             .filter(|p| **p != SimPhase::Idle)
             .map(|p| self.phase_cycles(sm, *p))
             .sum()
-    }
-
-    /// Claimed vertices per SM — the live counterpart of
-    /// `SimStats::tasks_per_block`.
-    pub fn tasks_per_sm(&self) -> Vec<u64> {
-        self.tasks
-            .iter()
-            .map(|t| t.load(Ordering::Relaxed)) // relaxed-ok: reporting
-            .collect()
     }
 
     /// The sampled `(cycle, active_warps)` occupancy timeline.
@@ -250,12 +232,6 @@ impl Profiler for CycleProfiler {
     fn charge(&self, sm: u32, phase: SimPhase, cycles: u64) {
         // relaxed-ok: independent profiling counter, no ordering needed
         self.cells[sm as usize][phase.index()].fetch_add(cycles, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn count_task(&self, sm: u32) {
-        // relaxed-ok: independent profiling counter, no ordering needed
-        self.tasks[sm as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     fn sample(&self, cycle: u64, active_warps: u32) {
@@ -345,7 +321,6 @@ mod tests {
         const { assert!(!NoProfiler::ENABLED) }
         // And its methods are callable no-ops.
         NoProfiler.charge(0, SimPhase::Idle, 1);
-        NoProfiler.count_task(0);
         NoProfiler.sample(0, 0);
         NoProfiler.finalize(0, 0);
     }

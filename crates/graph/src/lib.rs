@@ -22,7 +22,7 @@
 //! * [`sources`] — GAP-benchmark-style source-vertex selection (§4.1 uses
 //!   64 sources drawn from the GAP suite; we draw seeded random sources
 //!   from non-trivial components).
-//! * [`permute`] — vertex relabeling (BFS/DFS/random orders) for
+//! * [`permute`] — vertex relabeling (a seeded random order) for
 //!   locality-sensitivity experiments.
 //! * [`stats`] — structural characterization: degree shape, BFS level
 //!   count, and serial-DFS stack depth (the quantities that position a

@@ -3,11 +3,10 @@
 //! Traversal locality depends heavily on vertex order — SuiteSparse
 //! road networks come roughly geographically ordered, social graphs
 //! roughly by crawl order. These transforms let experiments control for
-//! that: relabel a graph by BFS/DFS discovery order (locality-friendly)
-//! or by a seeded random permutation (locality-adversarial), and the
-//! harness can measure the difference.
+//! that: relabel a graph by a seeded random permutation
+//! (locality-adversarial), and the harness can measure the difference.
 
-use crate::{CsrGraph, GraphBuilder, VertexId};
+use crate::{CsrGraph, GraphBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -38,40 +37,6 @@ pub fn apply_permutation(g: &CsrGraph, perm: &[u32]) -> CsrGraph {
     b.build()
 }
 
-/// Permutation placing vertices in BFS discovery order from `root`
-/// (unreached vertices keep their relative order at the end).
-pub fn bfs_order(g: &CsrGraph, root: VertexId) -> Vec<u32> {
-    let (levels, _) = crate::traversal::bfs_levels(g, root);
-    order_from_discovery(g, |next| {
-        // Re-run a BFS recording discovery sequence.
-        let mut q = std::collections::VecDeque::new();
-        let mut seen = vec![false; g.num_vertices()];
-        seen[root as usize] = true;
-        q.push_back(root);
-        while let Some(u) = q.pop_front() {
-            next(u);
-            for &v in g.neighbors(u) {
-                if !seen[v as usize] {
-                    seen[v as usize] = true;
-                    q.push_back(v);
-                }
-            }
-        }
-        let _ = &levels;
-    })
-}
-
-/// Permutation placing vertices in serial-DFS discovery order from
-/// `root` (unreached vertices keep their relative order at the end).
-pub fn dfs_order(g: &CsrGraph, root: VertexId) -> Vec<u32> {
-    let out = crate::traversal::serial_dfs(g, root);
-    order_from_discovery(g, |next| {
-        for &v in &out.order {
-            next(v);
-        }
-    })
-}
-
 /// Seeded uniformly random permutation.
 pub fn random_order(n: usize, seed: u64) -> Vec<u32> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -83,32 +48,10 @@ pub fn random_order(n: usize, seed: u64) -> Vec<u32> {
     perm
 }
 
-fn order_from_discovery<F: FnOnce(&mut dyn FnMut(u32))>(g: &CsrGraph, visit: F) -> Vec<u32> {
-    let n = g.num_vertices();
-    let mut perm = vec![u32::MAX; n];
-    let mut next_id = 0u32;
-    {
-        let mut assign = |v: u32| {
-            if perm[v as usize] == u32::MAX {
-                perm[v as usize] = next_id;
-                next_id += 1;
-            }
-        };
-        visit(&mut assign);
-    }
-    for p in perm.iter_mut() {
-        if *p == u32::MAX {
-            *p = next_id;
-            next_id += 1;
-        }
-    }
-    perm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traversal::{bfs_levels, reachable_set};
+    use crate::traversal::bfs_levels;
 
     fn sample() -> CsrGraph {
         GraphBuilder::undirected(6)
@@ -131,36 +74,6 @@ mod tests {
         for v in 0..6u32 {
             assert_eq!(g.degree(v), h.degree(perm[v as usize]));
         }
-    }
-
-    #[test]
-    fn bfs_order_starts_at_root() {
-        let g = sample();
-        let perm = bfs_order(&g, 2);
-        assert_eq!(perm[2], 0, "root gets id 0");
-        // Reachability is preserved under relabeling.
-        let h = apply_permutation(&g, &perm);
-        let want: usize = reachable_set(&g, 2).iter().filter(|&&b| b).count();
-        let got: usize = reachable_set(&h, 0).iter().filter(|&&b| b).count();
-        assert_eq!(want, got);
-    }
-
-    #[test]
-    fn dfs_order_matches_serial_discovery() {
-        let g = sample();
-        let perm = dfs_order(&g, 0);
-        let out = crate::traversal::serial_dfs(&g, 0);
-        for (i, &v) in out.order.iter().enumerate() {
-            assert_eq!(perm[v as usize], i as u32);
-        }
-    }
-
-    #[test]
-    fn unreachable_vertices_go_last() {
-        let g = GraphBuilder::undirected(4).edges([(0, 1)]).build();
-        let perm = dfs_order(&g, 0);
-        assert!(perm[2] >= 2 && perm[3] >= 2);
-        assert_eq!(perm[0], 0);
     }
 
     #[test]

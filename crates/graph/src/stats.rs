@@ -80,25 +80,6 @@ pub fn graph_stats(g: &CsrGraph, root: VertexId) -> GraphStats {
     }
 }
 
-/// Degree histogram in powers of two: bucket `i` counts vertices with
-/// degree in `[2^i, 2^(i+1))` (bucket 0 additionally holds degree 0–1).
-pub fn degree_histogram(g: &CsrGraph) -> Vec<usize> {
-    let mut hist = Vec::new();
-    for v in 0..g.num_vertices() as u32 {
-        let d = g.degree(v);
-        let bucket = if d <= 1 {
-            0
-        } else {
-            (usize::BITS - d.leading_zeros()) as usize - 1
-        };
-        if hist.len() <= bucket {
-            hist.resize(bucket + 1, 0);
-        }
-        hist[bucket] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,20 +117,6 @@ mod tests {
         let s = graph_stats(&g, 0);
         assert!((s.isolated_fraction - 0.8).abs() < 1e-12);
         assert_eq!(s.reachable, 2);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        // degrees: one 0, one 1... build: 0-1 edge, 2 isolated, 3 with 4 nbrs
-        let g = GraphBuilder::undirected(8)
-            .edges([(0, 1), (3, 4), (3, 5), (3, 6), (3, 7)])
-            .build();
-        let h = degree_histogram(&g);
-        // deg(0)=1,deg(1)=1 -> bucket0 x2; deg(2)=0 -> bucket0; deg(3)=4 -> bucket2;
-        // deg(4..8)=1 each -> bucket0 x4 (wait deg(4)=1 etc.)
-        assert_eq!(h[0], 7); // all the degree <=1 vertices
-        assert_eq!(h[2], 1); // the hub with degree 4
-        assert_eq!(h.iter().sum::<usize>(), 8);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! The trace ring (`db-trace`) answers *what happened, in order* for one
 //! diagnostic run; this crate answers *what is happening, right now* for
-//! a long-lived process. It is the substrate behind the `diggerbees
-//! metrics` CLI and the serve layer's `{"op":"prometheus"}` /
-//! `GET /metrics` scrape. The traversal engines do not record here: a
+//! a long-lived process. It is the substrate behind the serve layer's
+//! `GET /metrics` scrape and the `diggerbees metrics` and `top` CLIs
+//! that read it. The traversal engines do not record here: a
 //! run reports its counters in the `SimStats` it returns.
 //!
 //! * [`Registry`] — an instance-scoped set of named series. Each

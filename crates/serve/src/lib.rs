@@ -45,8 +45,8 @@
 //!   recorder ([`ServeHandle::flight_dump`]), so a scrape and a dump of
 //!   the same run agree.
 //! * [`net`] — a `std::net` TCP endpoint speaking newline-delimited
-//!   JSON (plus a one-shot `GET /metrics` scrape path), with client
-//!   helpers.
+//!   JSON, with client helpers. A server's series leave it only through
+//!   the endpoint's one-shot `GET /metrics` scrape.
 //!
 //! ## Quickstart
 //!

@@ -34,13 +34,14 @@
 //!
 //! The latency histogram is [`db_metrics::Histogram`] — power-of-two
 //! microsecond buckets, so reported quantiles are upper bounds with at
-//! most 2× resolution error (fine for the live `metrics` endpoint; the
-//! load generator computes exact quantiles client-side from
-//! per-response latencies). `count`, `sum`, and `max` are exact.
+//! most 2× resolution error (the load generator computes exact
+//! quantiles client-side from per-response latencies). `count`, `sum`,
+//! and `max` are exact. The scrape carries the buckets, `count` and
+//! `sum`; the interpolated quantiles and `max` reach only in-process
+//! callers, through [`MetricsSnapshot`].
 
 use db_metrics::{Counter, Gauge, Histogram, Registry};
 use db_span::{SpanKind, SpanRecord, ADMISSION_WORKER};
-use db_trace::json::Value;
 
 /// Live series handles for one server instance.
 ///
@@ -246,7 +247,9 @@ pub(crate) fn span_us(span: &SpanRecord) -> u64 {
 }
 
 /// Plain-data snapshot of [`Metrics`] plus cache/queue gauges, as
-/// returned by [`crate::ServeHandle::metrics`] and the TCP `metrics` op.
+/// returned by [`crate::ServeHandle::metrics`] and
+/// [`crate::Server::shutdown`]. It has no wire form: a remote client
+/// reads the same series from the `GET /metrics` scrape.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Requests accepted into the queue.
@@ -274,8 +277,7 @@ pub struct MetricsSnapshot {
     /// Always 0: the pool has one queue and moves no request between
     /// workers. The benchmark ledger (`ledger/`, built against this
     /// workspace) still prints it; the field goes when the ledger stops
-    /// naming it. Neither the `metrics` op nor [`Self::from_value`]
-    /// carries it.
+    /// naming it.
     pub steals: u64,
     /// Retry attempts beyond each request's first.
     pub retries: u64,
@@ -340,103 +342,6 @@ impl MetricsSnapshot {
         } else {
             self.cache_hits as f64 / total as f64
         }
-    }
-
-    /// Serializes to JSON for the TCP `metrics` op and BENCH output.
-    pub fn to_value(&self) -> Value {
-        Value::Obj(vec![
-            ("admitted".into(), Value::u64(self.admitted)),
-            (
-                "rejected_capacity".into(),
-                Value::u64(self.rejected_capacity),
-            ),
-            ("rejected_tenant".into(), Value::u64(self.rejected_tenant)),
-            (
-                "rejected_draining".into(),
-                Value::u64(self.rejected_draining),
-            ),
-            ("rejected_breaker".into(), Value::u64(self.rejected_breaker)),
-            ("rejected_writes".into(), Value::u64(self.rejected_writes)),
-            ("rejected_storage".into(), Value::u64(self.rejected_storage)),
-            ("completed".into(), Value::u64(self.completed)),
-            ("expired".into(), Value::u64(self.expired)),
-            ("errors".into(), Value::u64(self.errors)),
-            ("failed".into(), Value::u64(self.failed)),
-            ("retries".into(), Value::u64(self.retries)),
-            ("worker_panics".into(), Value::u64(self.worker_panics)),
-            ("worker_respawns".into(), Value::u64(self.worker_respawns)),
-            ("breaker_trips".into(), Value::u64(self.breaker_trips)),
-            ("breaker_open".into(), Value::u64(self.breaker_open)),
-            ("degraded".into(), Value::u64(self.degraded)),
-            ("faults_injected".into(), Value::u64(self.faults_injected)),
-            ("cache_hits".into(), Value::u64(self.cache_hits)),
-            ("cache_misses".into(), Value::u64(self.cache_misses)),
-            ("cache_evictions".into(), Value::u64(self.cache_evictions)),
-            ("resident_graphs".into(), Value::u64(self.resident_graphs)),
-            ("resident_bytes".into(), Value::u64(self.resident_bytes)),
-            ("queue_depth".into(), Value::u64(self.queue_depth)),
-            ("busy_workers".into(), Value::u64(self.busy_workers)),
-            ("latency_count".into(), Value::u64(self.latency_count)),
-            ("latency_mean_us".into(), Value::u64(self.latency_mean_us)),
-            ("p50_us".into(), Value::u64(self.p50_us)),
-            ("p90_us".into(), Value::u64(self.p90_us)),
-            ("p99_us".into(), Value::u64(self.p99_us)),
-            ("p999_us".into(), Value::u64(self.p999_us)),
-            ("max_us".into(), Value::u64(self.max_us)),
-        ])
-    }
-
-    /// Parses the JSON produced by [`MetricsSnapshot::to_value`].
-    pub fn from_value(v: &Value) -> Result<MetricsSnapshot, String> {
-        let f = |k: &str| -> Result<u64, String> {
-            v.get(k)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("metrics: missing '{k}'"))
-        };
-        Ok(MetricsSnapshot {
-            admitted: f("admitted")?,
-            rejected_capacity: f("rejected_capacity")?,
-            rejected_tenant: f("rejected_tenant")?,
-            rejected_draining: f("rejected_draining")?,
-            rejected_breaker: f("rejected_breaker")?,
-            // Absent in documents written before the write quota
-            // existed; default rather than reject those.
-            rejected_writes: v
-                .get("rejected_writes")
-                .and_then(Value::as_u64)
-                .unwrap_or(0),
-            // Same forward-compat default: absent before durability.
-            rejected_storage: v
-                .get("rejected_storage")
-                .and_then(Value::as_u64)
-                .unwrap_or(0),
-            completed: f("completed")?,
-            expired: f("expired")?,
-            errors: f("errors")?,
-            failed: f("failed")?,
-            steals: 0,
-            retries: f("retries")?,
-            worker_panics: f("worker_panics")?,
-            worker_respawns: f("worker_respawns")?,
-            breaker_trips: f("breaker_trips")?,
-            breaker_open: f("breaker_open")?,
-            degraded: f("degraded")?,
-            faults_injected: f("faults_injected")?,
-            cache_hits: f("cache_hits")?,
-            cache_misses: f("cache_misses")?,
-            cache_evictions: f("cache_evictions")?,
-            resident_graphs: f("resident_graphs")?,
-            resident_bytes: f("resident_bytes")?,
-            queue_depth: f("queue_depth")?,
-            busy_workers: f("busy_workers")?,
-            latency_count: f("latency_count")?,
-            latency_mean_us: f("latency_mean_us")?,
-            p50_us: f("p50_us")?,
-            p90_us: f("p90_us")?,
-            p99_us: f("p99_us")?,
-            p999_us: f("p999_us")?,
-            max_us: f("max_us")?,
-        })
     }
 }
 
@@ -538,29 +443,5 @@ mod tests {
         assert_eq!(p99, 10_000, "p99 = {p99}");
         assert!(h.mean() >= 1400 && h.mean() <= 1500, "{}", h.mean());
         assert_eq!(h.max_value(), 10_000);
-    }
-
-    #[test]
-    fn snapshot_round_trips_through_json() {
-        let s = MetricsSnapshot {
-            admitted: 10,
-            completed: 8,
-            expired: 1,
-            errors: 1,
-            cache_hits: 9,
-            cache_misses: 1,
-            queue_depth: 2,
-            busy_workers: 1,
-            latency_count: 10,
-            p50_us: 127,
-            p99_us: 1023,
-            p999_us: 2047,
-            max_us: 1600,
-            ..MetricsSnapshot::default()
-        };
-        let back =
-            MetricsSnapshot::from_value(&Value::parse(&s.to_value().to_json()).unwrap()).unwrap();
-        assert_eq!(back, s);
-        assert_eq!(back.cache_hit_rate(), 0.9);
     }
 }

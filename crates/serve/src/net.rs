@@ -3,18 +3,24 @@
 //! Protocol: each line the client sends is either a [`Request`] object
 //! or a control op:
 //!
-//! * `{"op":"metrics"}` — replies with one [`MetricsSnapshot`] line;
-//! * `{"op":"prometheus"}` — replies `{"ok":true,"text":"..."}` with a
-//!   full Prometheus text-format scrape ([`ServeHandle::prometheus`]);
 //! * `{"op":"shutdown"}` — replies `{"ok":true}` and flags shutdown;
 //!   the process hosting the listener decides when to act on it
-//!   (see [`TcpServer::shutdown_requested`]).
+//!   (see [`TcpServer::shutdown_requested`]);
+//! * `{"op":"flight"}` — replies with the flight recorder's summary
+//!   counts, or with `"dir"` writes a `.dbfr` dump there.
 //!
-//! As a convenience for stock scrapers (`curl`, Prometheus itself), a
-//! line starting with `GET /metrics` is answered with a one-shot
-//! HTTP/1.0 response carrying the same scrape body, after which the
-//! connection closes — enough HTTP for a pull-based collector without
-//! an HTTP server dependency.
+//! Any other op, `metrics` and `prometheus` among them, gets an
+//! `unknown op` error line.
+//!
+//! A server's series leave it in one form: a line starting with
+//! `GET /metrics` is answered with a one-shot HTTP/1.0 response
+//! carrying the Prometheus text scrape ([`ServeHandle::prometheus`]),
+//! after which the connection closes. That is enough HTTP for a stock
+//! scraper (`curl`, Prometheus itself) without an HTTP server
+//! dependency, and [`fetch_prometheus`] is the repository's own client
+//! for it. The scrape's latency histogram bounds a quantile or the
+//! largest latency to a bucket; the exact figures stay in-process
+//! ([`ServeHandle::metrics`]).
 //!
 //! Every request line gets exactly one response line, in submission
 //! order per connection (the connection thread blocks on each
@@ -59,7 +65,6 @@
 //!   connection cleanly; the pool still delivers the orphaned response
 //!   to a dropped channel, which is not an error.
 
-use crate::metrics::MetricsSnapshot;
 use crate::pool::ServeHandle;
 use crate::request::{Request, Response, Status};
 use db_metrics::Gauge;
@@ -323,12 +328,6 @@ fn dispatch_line(line: &str, handle: &ServeHandle, shutdown_requested: &AtomicBo
         }
     };
     match doc.get("op").and_then(Value::as_str) {
-        Some("metrics") => handle.metrics().to_value().to_json(),
-        Some("prometheus") => Value::Obj(vec![
-            ("ok".into(), Value::Bool(true)),
-            ("text".into(), Value::Str(handle.prometheus())),
-        ])
-        .to_json(),
         Some("shutdown") => {
             shutdown_requested.store(true, Ordering::Release);
             Value::Obj(vec![("ok".into(), Value::Bool(true))]).to_json()
@@ -399,37 +398,24 @@ pub fn roundtrip_line(
     Ok(reply.trim_end().to_string())
 }
 
-/// Client-side helper: fetches a [`MetricsSnapshot`] over a fresh
-/// connection to `addr`.
-pub fn fetch_metrics(addr: &SocketAddr) -> std::io::Result<MetricsSnapshot> {
-    let stream = TcpStream::connect(addr)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let line = roundtrip_line(&mut reader, &mut writer, r#"{"op":"metrics"}"#)?;
-    let doc = Value::parse(&line)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    MetricsSnapshot::from_value(&doc)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-}
-
 /// Client-side helper: fetches a Prometheus text-format scrape over a
-/// fresh connection to `addr` (via the NDJSON `prometheus` op).
+/// fresh connection to `addr`. It sends `GET /metrics` in one write,
+/// reads the HTTP/1.0 response to EOF and returns its body; any status
+/// other than 200 is an [`std::io::ErrorKind::InvalidData`] error.
 pub fn fetch_prometheus(addr: &SocketAddr) -> std::io::Result<String> {
-    let stream = TcpStream::connect(addr)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let line = roundtrip_line(&mut reader, &mut writer, r#"{"op":"prometheus"}"#)?;
-    let doc = Value::parse(&line)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    doc.get("text")
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "prometheus reply missing 'text'",
-            )
-        })
+    let mut stream = TcpStream::connect(addr)?;
+    stream.write_all(b"GET /metrics HTTP/1.0\r\n\r\n")?;
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw)?;
+    let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
+    let (head, body) = raw
+        .split_once("\r\n\r\n")
+        .ok_or_else(|| invalid("scrape reply has no header end".into()))?;
+    if !head.starts_with("HTTP/1.0 200") {
+        let status = head.lines().next().unwrap_or_default();
+        return Err(invalid(format!("scrape answered '{status}'")));
+    }
+    Ok(body.to_string())
 }
 
 #[cfg(test)]
@@ -466,7 +452,8 @@ mod tests {
         let stream = TcpStream::connect(addr).unwrap();
         let mut writer = stream.try_clone().unwrap();
         let mut reader = BufReader::new(stream);
-        let err = roundtrip_line(&mut reader, &mut writer, r#"{"op":"metrics"}"#).unwrap_err();
+        let line = r#"{"id":1,"graph":"grid:2:2","workload":{"kind":"dfs","root":0}}"#;
+        let err = roundtrip_line(&mut reader, &mut writer, line).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
         peer.join().unwrap();
     }

@@ -1,14 +1,14 @@
 //! Property (c) of the ISSUE's property-test satellite: arbitrary byte
 //! junk thrown at the NDJSON endpoint never panics the server and never
 //! wedges the connection — after any amount of garbage, a well-formed
-//! `{"op":"metrics"}` line still gets a well-formed snapshot back.
+//! `dfs` request line still gets its `ok` answer.
 //!
 //! One shared server backs every case (leaked for process lifetime), so
 //! the suite also exercises many hostile connections against the *same*
 //! acceptor — a junk case that poisoned shared state would fail the
 //! cases after it.
 
-use db_serve::{MetricsSnapshot, ServeConfig, Server, TcpServer};
+use db_serve::{Response, ServeConfig, Server, Status, TcpServer};
 use db_trace::json::Value;
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
@@ -42,19 +42,30 @@ fn connect() -> (BufReader<TcpStream>, TcpStream) {
     (BufReader::new(stream), writer)
 }
 
-/// Sends `junk` (newline-terminated) followed by a metrics op on one
-/// connection, then reads replies until one parses as a snapshot.
+/// The liveness probe: a small `dfs` request whose answer is `ok`.
+const PROBE: &str = r#"{"id":4242,"graph":"grid:4:4","workload":{"kind":"dfs","root":0}}"#;
+
+/// Whether `line` is the probe's `ok` answer.
+fn is_probe_answer(line: &str) -> bool {
+    Value::parse(line.trim_end())
+        .ok()
+        .and_then(|doc| Response::from_value(&doc).ok())
+        .is_some_and(|r| r.id == 4242 && r.status == Status::Ok)
+}
+
+/// Sends `junk` (newline-terminated) followed by the probe on one
+/// connection, then reads replies until the probe's answer arrives.
 /// Returns false only if the server stopped answering.
-fn junk_then_metrics(junk: &[u8]) -> bool {
+fn junk_then_probe(junk: &[u8]) -> bool {
     let (mut reader, mut writer) = connect();
     writer.write_all(junk).unwrap();
     writer.write_all(b"\n").unwrap();
-    writer.write_all(br#"{"op":"metrics"}"#).unwrap();
+    writer.write_all(PROBE.as_bytes()).unwrap();
     writer.write_all(b"\n").unwrap();
     writer.flush().unwrap();
     // Embedded newlines split the junk into several request lines, each
-    // earning one error reply before the snapshot arrives; blank lines
-    // earn none. Bound the reads accordingly.
+    // earning one error reply before the probe's answer arrives; blank
+    // lines earn none. Bound the reads accordingly.
     let max_replies = junk.iter().filter(|&&b| b == b'\n').count() + 2;
     for _ in 0..max_replies {
         let mut line = String::new();
@@ -62,10 +73,8 @@ fn junk_then_metrics(junk: &[u8]) -> bool {
             Ok(0) | Err(_) => return false,
             Ok(_) => {}
         }
-        if let Ok(doc) = Value::parse(line.trim_end()) {
-            if MetricsSnapshot::from_value(&doc).is_ok() {
-                return true;
-            }
+        if is_probe_answer(&line) {
+            return true;
         }
     }
     false
@@ -84,7 +93,7 @@ proptest! {
         prop_assume!(!text.contains("GET /metrics"));
         prop_assume!(!text.contains("shutdown"));
         prop_assert!(
-            junk_then_metrics(&junk),
+            junk_then_probe(&junk),
             "endpoint stopped answering after junk {:?}",
             junk
         );
@@ -96,7 +105,7 @@ proptest! {
     fn truncated_json_gets_structured_errors(cut in 0usize..40, pad in any::<u8>()) {
         let full = format!(r#"{{"id":7,"tenant":"t","graph":"grid:4:4","workload":"dfs","root":{}}}"#, pad);
         let line = &full[..cut.min(full.len())];
-        prop_assert!(junk_then_metrics(line.as_bytes()));
+        prop_assert!(junk_then_probe(line.as_bytes()));
     }
 }
 
@@ -121,10 +130,8 @@ fn oversized_line_is_rejected_and_connection_survives() {
         "{line}"
     );
     // Same connection still serves real requests.
-    let reply =
-        db_serve::net::roundtrip_line(&mut reader, &mut writer, r#"{"op":"metrics"}"#).unwrap();
-    let doc = Value::parse(&reply).unwrap();
-    assert!(MetricsSnapshot::from_value(&doc).is_ok(), "{reply}");
+    let reply = db_serve::net::roundtrip_line(&mut reader, &mut writer, PROBE).unwrap();
+    assert!(is_probe_answer(&reply), "{reply}");
 }
 
 #[test]
@@ -138,5 +145,7 @@ fn mid_request_disconnect_leaves_server_healthy() {
         drop(writer);
     }
     // Fresh connections still work after a burst of half-requests.
-    assert!(db_serve::net::fetch_metrics(&server_addr()).is_ok());
+    let (mut reader, mut writer) = connect();
+    let reply = db_serve::net::roundtrip_line(&mut reader, &mut writer, PROBE).unwrap();
+    assert!(is_probe_answer(&reply), "{reply}");
 }

@@ -2,7 +2,7 @@
 //! cross-run outcome determinism, corpus-cache behavior under load,
 //! and the NDJSON TCP front-end.
 
-use db_serve::net::{fetch_metrics, fetch_prometheus, roundtrip_line};
+use db_serve::net::{fetch_prometheus, roundtrip_line};
 use db_serve::{EngineKind, Request, Response, ServeConfig, Server, Status, TcpServer, Workload};
 use db_span::SpanKind;
 use db_trace::json::Value;
@@ -233,27 +233,25 @@ fn tcp_endpoint_round_trips() {
     assert_eq!(resp.status, Status::Error);
     assert!(resp.error.unwrap().contains("unknown corpus key"));
 
-    // Metrics over a fresh connection.
-    let m = fetch_metrics(&addr).unwrap();
-    assert_eq!(m.completed, 2);
-    assert_eq!(m.errors, 1);
-
-    // Prometheus scrape over the NDJSON `prometheus` op: valid
-    // exposition agreeing with the snapshot above.
+    // The scrape over a fresh connection (`GET /metrics`): valid
+    // exposition counting two ok answers and one error.
     let text = fetch_prometheus(&addr).unwrap();
     let exp = db_metrics::validate_exposition(&text).unwrap();
-    assert!(exp
-        .samples
-        .iter()
-        .any(|s| s.name == "db_serve_requests_total"
-            && s.label("status") == Some("ok")
-            && s.value == 2.0));
+    let finished = |status: &str| {
+        exp.samples
+            .iter()
+            .find(|s| s.name == "db_serve_requests_total" && s.label("status") == Some(status))
+            .map(|s| s.value)
+    };
+    assert_eq!(finished("ok"), Some(2.0));
+    assert_eq!(finished("error"), Some(1.0));
     assert!(exp
         .samples
         .iter()
         .any(|s| s.name == "db_serve_request_latency_us_count" && s.value == 3.0));
 
-    // The same body over the one-shot `GET /metrics` HTTP path.
+    // A raw request with a header line: the HTTP/1.0 reply carries the
+    // exposition's content type.
     {
         use std::io::{Read, Write};
         let http = TcpStream::connect(addr).unwrap();

@@ -3,7 +3,7 @@
 //! explicit trigger.
 
 use crate::dbfr::FlightDump;
-use crate::span::{SpanRecord, ADMISSION_WORKER, NO_TENANT};
+use crate::span::{SpanRecord, ADMISSION_WORKER};
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -225,14 +225,6 @@ impl FlightRecorder {
         }
         self.dump_to(&dir, reason).ok()
     }
-
-    /// Tenant name for a string-table index in live (undumped) spans.
-    pub fn tenant_name(&self, idx: u32) -> Option<String> {
-        if idx == NO_TENANT {
-            return None;
-        }
-        lock(&self.tenants).names.get(idx as usize).cloned()
-    }
 }
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -242,7 +234,7 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::SpanKind;
+    use crate::span::{SpanKind, NO_TENANT};
 
     fn span(worker: u32, trace: u64, id: u32, t0: u64) -> SpanRecord {
         SpanRecord {
@@ -293,8 +285,10 @@ mod tests {
         let b = rec.tenant_idx("t1");
         assert_eq!(rec.tenant_idx("t0"), a);
         assert_ne!(a, b);
-        assert_eq!(rec.tenant_name(a).as_deref(), Some("t0"));
-        assert_eq!(rec.tenant_name(NO_TENANT), None);
+        let dump = rec.dump(DumpReason::Explicit);
+        assert_eq!(dump.tenant(a), Some("t0"));
+        assert_eq!(dump.tenant(b), Some("t1"));
+        assert_eq!(dump.tenant(NO_TENANT), None);
     }
 
     #[test]

@@ -83,24 +83,6 @@ impl EventKind {
             EventKind::Recover { .. } => "Recover",
         }
     }
-
-    /// Name → kind index, the inverse of `name()` over indices.
-    pub fn index_of_name(name: &str) -> Option<usize> {
-        Some(match name {
-            "Push" => 0,
-            "Pop" => 1,
-            "Flush" => 2,
-            "Refill" => 3,
-            "StealIntra" => 4,
-            "StealInter" => 5,
-            "StealFail" => 6,
-            "WarpIdle" => 7,
-            "KernelPhase" => 8,
-            "Fault" => 9,
-            "Recover" => 10,
-            _ => return None,
-        })
-    }
 }
 
 /// One timestamped, located event.
@@ -148,8 +130,6 @@ mod tests {
         assert_eq!(kinds.len(), EventKind::COUNT);
         for (i, k) in kinds.iter().enumerate() {
             assert_eq!(k.index(), i);
-            assert_eq!(EventKind::index_of_name(k.name()), Some(i));
         }
-        assert_eq!(EventKind::index_of_name("Bogus"), None);
     }
 }

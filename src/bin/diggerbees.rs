@@ -16,10 +16,9 @@
 //! --cold-cutoff <n>      inter-block steal threshold (default 64)
 //! --stats                print graph characterization first
 //! --trace <out>          record execution events for the first source
-//!                        and write them to <out>; supported for
+//!                        and write them to <out> (.csv → CSV,
+//!                        anything else → Chrome JSON); supported for
 //!                        diggerbees, native, ckl, acr
-//! --trace-format <f>     chrome | csv; default: by extension
-//!                        (.csv → csv, anything else → chrome)
 //! --profile <out>        (diggerbees method only) attribute every
 //!                        simulated cycle of the first source to a
 //!                        phase per SM; writes flamegraph-compatible
@@ -72,10 +71,9 @@
 //! diggerbees store verify <file>    checksum-verify and decode a pack
 //!
 //! diggerbees metrics [options]      scrape a running server
+//!                        (GET /metrics; prints the Prometheus text)
 //!
 //! --addr <host:port>     server address (default 127.0.0.1:7345)
-//! --json                 print the JSON metrics snapshot instead of
-//!                        the Prometheus text exposition
 //! --check                validate the exposition with the bundled
 //!                        parser; exit nonzero on any malformed line
 //!
@@ -142,7 +140,7 @@ use diggerbees::core::{
 use diggerbees::fault::{FaultPlan, Injector};
 use diggerbees::gen::Suite;
 use diggerbees::graph::{mm, sources::select_sources, stats::graph_stats, CsrGraph, GraphBuilder};
-use diggerbees::serve::net::{fetch_metrics, fetch_prometheus};
+use diggerbees::serve::net::fetch_prometheus;
 use diggerbees::serve::{ServeConfig, Server, TcpServer};
 use diggerbees::sim::{CycleProfiler, MachineModel, SimPhase};
 use diggerbees::trace::{chrome, csv, NullTracer, RingBufferTracer, TraceEvent};
@@ -155,8 +153,8 @@ const TRACE_CAPACITY: usize = 1 << 22;
 /// Methods whose engines are instrumented for `--trace`.
 const TRACEABLE: &[&str] = &["diggerbees", "native", "ckl", "acr"];
 
-/// Explicit trace export format (`--trace-format`); `None` falls back
-/// to extension sniffing (`.csv` → CSV, anything else → Chrome JSON).
+/// Trace export format, chosen by the `--trace` path's extension
+/// (`.csv` → CSV, anything else → Chrome JSON).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TraceFormat {
     Chrome,
@@ -164,20 +162,12 @@ enum TraceFormat {
 }
 
 impl TraceFormat {
-    fn parse(s: &str) -> Result<TraceFormat, String> {
-        match s {
-            "chrome" => Ok(TraceFormat::Chrome),
-            "csv" => Ok(TraceFormat::Csv),
-            other => Err(format!("unknown trace format '{other}' (chrome|csv)")),
-        }
-    }
-
-    fn for_path(explicit: Option<TraceFormat>, path: &str) -> TraceFormat {
-        explicit.unwrap_or(if path.ends_with(".csv") {
+    fn for_path(path: &str) -> TraceFormat {
+        if path.ends_with(".csv") {
             TraceFormat::Csv
         } else {
             TraceFormat::Chrome
-        })
+        }
     }
 }
 
@@ -193,7 +183,6 @@ struct Args {
     cold_cutoff: u32,
     stats: bool,
     trace: Option<String>,
-    trace_format: Option<TraceFormat>,
     profile: Option<String>,
     faults: Option<String>,
 }
@@ -211,7 +200,6 @@ fn parse_args() -> Result<Args, String> {
         cold_cutoff: 64,
         stats: false,
         trace: None,
-        trace_format: None,
         profile: None,
         faults: None,
     };
@@ -231,24 +219,20 @@ fn parse_args() -> Result<Args, String> {
             "--cold-cutoff" => args.cold_cutoff = parse_num(&take("--cold-cutoff")?)?,
             "--stats" => args.stats = true,
             "--trace" => args.trace = Some(take("--trace")?),
-            "--trace-format" => {
-                args.trace_format = Some(TraceFormat::parse(&take("--trace-format")?)?)
-            }
             "--profile" => args.profile = Some(take("--profile")?),
             "--faults" => args.faults = Some(take("--faults")?),
             "--help" | "-h" => {
                 return Err("usage: diggerbees <graph> [--method m] [--machine m] \
                             [--source v] [--sources n] [--blocks n] [--warps n] \
                             [--hot-cutoff n] [--cold-cutoff n] [--stats] \
-                            [--trace out.json] [--trace-format chrome|csv] \
+                            [--trace out.json|out.csv] \
                             [--profile out.folded] [--faults spec]\n\
                             \x20      diggerbees serve [--addr host:port] [--workers n] \
                             [--queue-cap n] [--tenant-quota n] [--budget-mb n] \
                             [--trace spans.json] [--faults spec] [--retry-max n] \
                             [--restart-budget n] [--breaker-threshold n] [--breaker-cooldown-ms n] \
                             [--wal-dir dir] [--fsync always|group=N|never]\n\
-                            \x20      diggerbees metrics [--addr host:port] [--json] \
-                            [--check]\n\
+                            \x20      diggerbees metrics [--addr host:port] [--check]\n\
                             \x20      diggerbees flight <inspect|export> <file.dbfr> \
                             [--trace hex] [--out file.json]\n\
                             \x20      diggerbees top [--addr host:port] [--interval-ms n] \
@@ -534,7 +518,7 @@ fn main() -> ExitCode {
         );
     }
     if let (Some(path), Some(file), Some(tracer)) = (&args.trace, trace_file, &tracer) {
-        let format = TraceFormat::for_path(args.trace_format, path);
+        let format = TraceFormat::for_path(path);
         let dropped = tracer.dropped();
         let events = tracer.snapshot();
         if let Err(e) = write_trace(file, format, &events, dropped) {
@@ -872,12 +856,11 @@ fn wal_main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `diggerbees metrics`: scrape a running server over the NDJSON
-/// endpoint — Prometheus text by default, `--json` for the snapshot,
-/// `--check` to validate the exposition with the bundled parser.
+/// `diggerbees metrics`: scrape a running server with `GET /metrics`
+/// and print the Prometheus text, or with `--check` validate it with
+/// the bundled parser.
 fn metrics_main() -> ExitCode {
     let mut addr = "127.0.0.1:7345".to_string();
-    let mut json = false;
     let mut check = false;
     let mut it = std::env::args().skip(2);
     let fail = |e: String| {
@@ -890,7 +873,6 @@ fn metrics_main() -> ExitCode {
                 Some(v) => addr = v,
                 None => return fail("--addr requires a value".into()),
             },
-            "--json" => json = true,
             "--check" => check = true,
             other => return fail(format!("unknown argument: {other} (see --help)")),
         }
@@ -900,15 +882,6 @@ fn metrics_main() -> ExitCode {
         Some(s) => s,
         None => return fail(format!("cannot resolve address '{addr}'")),
     };
-    if json {
-        return match fetch_metrics(&sock) {
-            Ok(m) => {
-                println!("{}", m.to_value().to_json());
-                ExitCode::SUCCESS
-            }
-            Err(e) => fail(format!("cannot fetch metrics from {addr}: {e}")),
-        };
-    }
     let text = match fetch_prometheus(&sock) {
         Ok(t) => t,
         Err(e) => return fail(format!("cannot scrape {addr}: {e}")),

@@ -12,10 +12,11 @@
 //! tests hold a read to its deadline: a `serial` dfs on a path, which
 //! runs the one-at-a-time kernel, a reach on a `delta:` path, which runs
 //! it on the pinned snapshot, and a `native` dfs on `google`, which
-//! runs it batched, as a team with the idle second worker. The last two
+//! runs it batched, as a team with the idle second worker. The last three
 //! tests open sockets: sequential round trips over the NDJSON endpoint
-//! must not wait on a delayed ACK, and a connection past the endpoint's
-//! budget must be refused without a thread.
+//! must not wait on a delayed ACK, a connection past the endpoint's
+//! budget must be refused without a thread, and the server's series
+//! must leave it only through the `GET /metrics` scrape.
 
 #[path = "../crates/serve/tests/common/mod.rs"]
 mod common;
@@ -23,7 +24,7 @@ mod common;
 use db_graph::traversal::reachable_set;
 use db_graph::{CsrGraph, GraphBuilder};
 use db_serve::corpus::build_graph;
-use db_serve::net::{MAX_CONNECTIONS, MAX_LINE_BYTES};
+use db_serve::net::{fetch_prometheus, roundtrip_line, MAX_CONNECTIONS, MAX_LINE_BYTES};
 use db_serve::{
     Durability, EngineKind, Request, Response, ServeConfig, ServeHandle, Server, Status, TcpServer,
     Workload, DELTA_PREFIX,
@@ -493,14 +494,14 @@ fn tcp_round_trips_do_not_wait_on_a_delayed_ack() {
     server.shutdown();
 }
 
-/// The value of the `db_serve_*` series `name` (with this `reason`
-/// label, if any) in a Prometheus scrape.
-fn scraped(scrape: &str, name: &str, reason: Option<&str>) -> Option<f64> {
+/// The value of the `db_serve_*` series `name` (with this `(label,
+/// value)` pair, if any) in a Prometheus scrape.
+fn scraped(scrape: &str, name: &str, label: Option<(&str, &str)>) -> Option<f64> {
     db_metrics::validate_exposition(scrape)
         .expect("the scrape parses")
         .samples
         .iter()
-        .find(|s| s.name == name && s.label("reason") == reason)
+        .find(|s| s.name == name && label.is_none_or(|(key, value)| s.label(key) == Some(value)))
         .map(|s| s.value)
 }
 
@@ -548,7 +549,11 @@ fn connections_past_the_budget_are_refused() {
         Some(MAX_CONNECTIONS as f64)
     );
     assert_eq!(
-        scraped(&scrape, "db_serve_rejected_total", Some("connections")),
+        scraped(
+            &scrape,
+            "db_serve_rejected_total",
+            Some(("reason", "connections"))
+        ),
         Some(EXTRA as f64)
     );
 
@@ -574,6 +579,62 @@ fn connections_past_the_budget_are_refused() {
     assert_eq!(resp.status, Status::Ok, "{line}");
 
     drop((idle, writer, reader));
+    tcp.stop();
+    server.shutdown();
+}
+
+/// A server's series leave it in one form, the `GET /metrics` scrape.
+/// The retired `metrics` and `prometheus` ops each get one `unknown op`
+/// error line on a connection that then still answers a `dfs`, and the
+/// scrape counts the three answered requests.
+#[test]
+fn a_server_scrapes_only_through_get_metrics() {
+    let server = Server::start(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    let mut tcp = TcpServer::bind(server.handle(), "127.0.0.1:0").expect("bind loopback");
+    let stream = TcpStream::connect(tcp.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut send = |line: &str| {
+        let reply = roundtrip_line(&mut reader, &mut writer, line).unwrap();
+        let resp = Value::parse(&reply)
+            .map_err(|e| e.to_string())
+            .and_then(|doc| Response::from_value(&doc));
+        (reply, resp)
+    };
+    let dfs = |id| {
+        request(id, "grid:8:8", Workload::Dfs { root: 0 })
+            .to_value()
+            .to_json()
+    };
+
+    for id in 1..=2 {
+        let (reply, resp) = send(&dfs(id));
+        assert_eq!(resp.map(|r| r.status), Ok(Status::Ok), "{reply}");
+    }
+    for op in ["metrics", "prometheus"] {
+        let (reply, resp) = send(&format!(r#"{{"op":"{op}"}}"#));
+        let unknown = resp.is_ok_and(|r| {
+            r.status == Status::Error && r.error.is_some_and(|e| e.contains("unknown op"))
+        });
+        assert!(unknown, "op {op} answered {reply}");
+    }
+    let (reply, resp) = send(&dfs(3));
+    assert_eq!(resp.map(|r| r.status), Ok(Status::Ok), "{reply}");
+
+    let scrape = fetch_prometheus(&tcp.addr()).expect("GET /metrics");
+    db_metrics::validate_exposition(&scrape).expect("the scrape validates");
+    assert_eq!(scraped(&scrape, "db_serve_admitted_total", None), Some(3.0));
+    assert_eq!(
+        scraped(&scrape, "db_serve_requests_total", Some(("status", "ok"))),
+        Some(3.0)
+    );
+
     tcp.stop();
     server.shutdown();
 }
